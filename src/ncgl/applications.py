@@ -29,6 +29,8 @@ from .instances import gaussian_hermitian, stream
 from .opalgebra import (
     Interval,
     Operator,
+    _projection,
+    _spectrum,
     cluster_eigenvalues,
     min_eigenvalue,
     operator_abs,
@@ -262,10 +264,7 @@ def doob_embed(u: list[Operator], filtration: Filtration) -> EmbeddedInstance:
     """
     if not u:
         raise DomainError("need at least one operator")
-    scale = 1.0 + max(operator_norm(ui) for ui in u)
-    for ui in u:
-        if not ui.hermitian or min_eigenvalue(ui) < -1e-10 * scale:
-            raise DomainError("doob_embed needs positive operators")
+    scale = _require_positive(u, "doob_embed needs positive operators")
     N = len(u) - 1
     outer = N + 2
     big = sign_matrix_filtration(outer, N + 1, filtration)
@@ -297,6 +296,14 @@ def doob_embed(u: list[Operator], filtration: Filtration) -> EmbeddedInstance:
         raise DomainError("embedding identity y_N^2 >= e11 (x) sum E_n(u_n) failed")
     return EmbeddedInstance(big.algebra, big, y, x_big, x_big, "doob",
                             {"u": tuple(u), "conditional": tuple(ceus)})
+
+
+def _require_positive(u, message: str) -> float:
+    """Raise `message` unless every u_n is positive; returns 1 + max ||u_n||."""
+    scale = 1.0 + max(operator_norm(ui) for ui in u)
+    if any(not ui.hermitian or min_eigenvalue(ui) < -1e-10 * scale for ui in u):
+        raise DomainError(message)
+    return scale
 
 
 def _sum_ops(ops) -> Operator:
@@ -390,10 +397,7 @@ def verify_transform(x: Martingale, v, p: float,
 def verify_dual_doob(u: list[Operator], filtration: Filtration,
                      p: float) -> VerifyReport:
     """|| sum E_n(u_n) ||_p <= C_p || sum u_n ||_p for positive u_n, p >= 1."""
-    scale = 1.0 + max(operator_norm(ui) for ui in u)
-    for ui in u:
-        if not ui.hermitian or min_eigenvalue(ui) < -1e-10 * scale:
-            raise DomainError("dual Doob needs positive operators")
+    _require_positive(u, "dual Doob needs positive operators")
     if p < 1:
         raise DomainError("needs p >= 1")
     const = dual_doob_constant(p)
@@ -433,6 +437,14 @@ def _check_adapted(seq, filtration: Filtration, name: str) -> None:
             raise DomainError(f"{name}_{n} is not adapted")
 
 
+def _step_spectra(an: Operator, bn: Operator):
+    """(spectrum, tie tolerance) of a_n and of b_n, one eigensolve each, with
+    the union of their eigenvalues and max(||a_n||, ||b_n||)."""
+    sa, sb = _spectrum(an, "tangency"), _spectrum(bn, "tangency")
+    eigs = np.concatenate([e for e, _ in sa[0] + sb[0]])
+    return sa, sb, eigs, float(np.abs(eigs).max()) if eigs.size else 0.0
+
+
 def check_tangent(a, b, filtration: Filtration,
                   tol: float = 1e-8) -> tuple[bool, float]:
     """Tangency of two adapted Hermitian sequences.
@@ -448,16 +460,11 @@ def check_tangent(a, b, filtration: Filtration,
     _check_adapted(b, filtration, "b")
     worst = 0.0
     for n, (an, bn) in enumerate(zip(a, b)):
-        scale = max(operator_norm(an), operator_norm(bn))
-        eigs = np.concatenate([
-            np.concatenate([np.linalg.eigvalsh(0.5 * (blk + blk.conj().T))
-                            for blk in op.data])
-            for op in (an, bn)
-        ])
+        (spec_a, tol_a), (spec_b, tol_b), eigs, scale = _step_spectra(an, bn)
         for cluster in cluster_eigenvalues(eigs, scale):
             window = Interval(float(cluster.min()), float(cluster.max()), True, True)
-            ia = spectral_projection(an, window).op
-            ib = spectral_projection(bn, window).op
+            ia = _projection(an.algebra, spec_a, window, tol_a).op
+            ib = _projection(bn.algebra, spec_b, window, tol_b).op
             dev = operator_norm(cond_exp(filtration, n - 1, ia)
                                 - cond_exp(filtration, n - 1, ib))
             worst = max(worst, dev)
@@ -472,12 +479,8 @@ def tangent_moment_deviation(a, b, filtration: Filtration) -> float:
     """
     worst = 0.0
     for n, (an, bn) in enumerate(zip(a, b)):
-        scale = 1.0 + max(operator_norm(an), operator_norm(bn))
-        eigs = np.concatenate([
-            np.concatenate([np.linalg.eigvalsh(0.5 * (blk + blk.conj().T))
-                            for blk in op.data])
-            for op in (an, bn)
-        ])
+        _, _, eigs, norm = _step_spectra(an, bn)
+        scale = 1.0 + norm
         n_clusters = len(cluster_eigenvalues(eigs, scale))
         pa = an.algebra.identity()
         pb = bn.algebra.identity()
@@ -508,6 +511,20 @@ class CounterexampleReport:
     ratio: float             # (N+1) / (2 sqrt(N))
 
 
+def _counterexample_blocks(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked blocks of sum_n eps_n (x) (e_{1,n+1} + e_{n+1,1}) and of
+    sum_n eps_n (x) (e_{11} + e_{n+1,n+1}), one block per row of eps."""
+    blocks, N = eps.shape
+    idx = np.arange(1, N + 1)
+    x_stack = np.zeros((blocks, N + 1, N + 1), dtype=complex)
+    x_stack[:, 0, idx] = eps
+    x_stack[:, idx, 0] = eps
+    y_stack = np.zeros((blocks, N + 1, N + 1), dtype=complex)
+    y_stack[:, 0, 0] = eps.sum(axis=1)
+    y_stack[:, idx, idx] = eps
+    return x_stack, y_stack
+
+
 def counterexample_pair(N: int) -> tuple[Martingale, Martingale, Filtration]:
     """The tangent martingale pair of the weak-type counterexample.
 
@@ -519,26 +536,14 @@ def counterexample_pair(N: int) -> tuple[Martingale, Martingale, Filtration]:
                           "tangent_counterexample handles larger N")
     filt = make_filtration("rademacher", depth=N, matrix_dim=N + 1)
     alg = filt.algebra
-    labels = filt.layout.atom_labels
-    d = N + 1
-    dxs, dys = [], []
-    zero = alg.zero()
-    dxs.append(zero)
-    dys.append(zero)
-    for n in range(1, N + 1):
-        bx, by = [], []
-        for lab in labels:
-            s = float(lab[n - 1])
-            mx = np.zeros((d, d), dtype=complex)
-            mx[0, n] = s
-            mx[n, 0] = s
-            my = np.zeros((d, d), dtype=complex)
-            my[0, 0] = s
-            my[n, n] = s
-            bx.append(mx)
-            by.append(my)
-        dxs.append(alg.operator(bx))
-        dys.append(alg.operator(by))
+    eps = np.asarray(filt.layout.atom_labels, dtype=float)  # (blocks, N)
+    dxs, dys = [alg.zero()], [alg.zero()]
+    for n in range(N):
+        step = np.zeros_like(eps)
+        step[:, n] = eps[:, n]
+        x_stack, y_stack = _counterexample_blocks(step)
+        dxs.append(alg.operator(list(x_stack)))
+        dys.append(alg.operator(list(y_stack)))
     x = martingale_from_diffs(filt, dxs, validate=False)
     y = martingale_from_diffs(filt, dys, validate=False)
     return x, y, filt
@@ -552,18 +557,9 @@ def _counterexample_finals(N: int) -> tuple[Operator, Operator]:
     which matters once the sign algebra has thousands of blocks.
     """
     filt = make_filtration("rademacher", depth=N, matrix_dim=N + 1)
-    alg = filt.algebra
-    eps = np.asarray(filt.layout.atom_labels, dtype=float)  # (blocks, N)
-    blocks = eps.shape[0]
-    d = N + 1
-    x_stack = np.zeros((blocks, d, d), dtype=complex)
-    x_stack[:, 0, 1:] = eps
-    x_stack[:, 1:, 0] = eps
-    y_stack = np.zeros((blocks, d, d), dtype=complex)
-    y_stack[:, 0, 0] = eps.sum(axis=1)
-    idx = np.arange(1, d)
-    y_stack[:, idx, idx] = eps
-    return alg.operator(list(x_stack)), alg.operator(list(y_stack))
+    eps = np.asarray(filt.layout.atom_labels, dtype=float)
+    x_stack, y_stack = _counterexample_blocks(eps)
+    return filt.algebra.operator(list(x_stack)), filt.algebra.operator(list(y_stack))
 
 
 def tangent_counterexample(N: int, p: float) -> CounterexampleReport:
@@ -637,10 +633,7 @@ def verify_positive_tangent(u, v, filtration: Filtration, p: float,
     """
     if p < 1:
         raise DomainError("needs p >= 1")
-    scale = 1.0 + max(operator_norm(ui) for ui in u)
-    for ui in u:
-        if not ui.hermitian or min_eigenvalue(ui) < -1e-10 * scale:
-            raise DomainError("the u_n must be positive")
+    scale = _require_positive(u, "the u_n must be positive")
     if relaxed:
         hyp_ok = True
         for n, (un, vn) in enumerate(zip(u, v)):
@@ -666,10 +659,8 @@ def refined_doob(u, filtration: Filtration, p: float) -> VerifyReport:
     """|| sum E_{n-1}(u_n) ||_p <= c_p || sum u_n ||_p for adapted positive u."""
     if p < 1:
         raise DomainError("needs p >= 1")
-    scale = 1.0 + max(operator_norm(ui) for ui in u)
+    scale = _require_positive(u, "refined Doob needs positive operators")
     for n, ui in enumerate(u):
-        if not ui.hermitian or min_eigenvalue(ui) < -1e-10 * scale:
-            raise DomainError("refined Doob needs positive operators")
         if (cond_exp(filtration, n, ui) - ui).entry_max() > 1e-9 * scale:
             raise DomainError("refined Doob needs an adapted sequence")
     const = refined_doob_constant(p)

@@ -22,6 +22,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from . import applications as apps
 from . import goodlambda as gl
@@ -49,22 +50,6 @@ from .schur import (
 
 __all__ = ["ExperimentConfig", "ReportRow", "run", "emit", "main", "SUITES"]
 
-_DEFAULT_P = {
-    "goodlambda-core": (),
-    "goodlambda-tail": (),
-    "moment": (3.0, 4.0, 8.0),
-    "bg": (3.0, 4.0, 8.0),
-    "transform": (3.0, 4.0),
-    "doob": (3.0, 4.0),
-    "stein": (3.0, 4.0),
-    "tangent-counterexample": (1.5,),
-    "dominated": (3.0, 4.0),
-    "positive-tangent": (3.0, 4.0),
-    "refined-doob": (3.0, 4.0),
-    "schur-reversed-l": (4.0,),
-    "schur-norms": (4.0, 8.0, 16.0),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,23 +68,15 @@ class ExperimentConfig:
             raise NCGLError(f"unknown suite {self.suite!r}")
         if self.trials < 1:
             raise NCGLError("trials must be at least 1")
-        ps = tuple(float(p) for p in self.p_grid) or _DEFAULT_P[self.suite]
+        info = _REGISTRY[self.suite]
+        ps = tuple(float(p) for p in self.p_grid) or info.default_p
         object.__setattr__(self, "p_grid", ps)
-        _check_p_domain(self.suite, ps)
-
-
-def _check_p_domain(suite: str, ps) -> None:
-    strict = {"moment": 2.0, "transform": 1.0, "schur-norms": 1.0}
-    inclusive = {"bg": 2.0, "stein": 2.0, "dominated": 2.0,
-                 "schur-reversed-l": 2.0, "doob": 1.0, "refined-doob": 1.0,
-                 "positive-tangent": 1.0, "tangent-counterexample": 1.0}
-    for p in ps:
-        if suite in strict and p <= strict[suite]:
-            raise NCGLError(f"suite {suite} needs p > {strict[suite]}")
-        if suite in inclusive and p < inclusive[suite]:
-            raise NCGLError(f"suite {suite} needs p >= {inclusive[suite]}")
-        if suite == "schur-norms" and not math.isfinite(p):
-            raise NCGLError("schur-norms needs finite p")
+        for p in ps:
+            if p < info.p_min or (info.strict and p == info.p_min):
+                relation = ">" if info.strict else ">="
+                raise NCGLError(f"suite {self.suite} needs p {relation} {info.p_min}")
+            if info.finite and not math.isfinite(p):
+                raise NCGLError(f"{self.suite} needs finite p")
 
 
 @dataclass(frozen=True)
@@ -297,21 +274,58 @@ def _suite_schur_norms(cfg, trial):
     return rows
 
 
-SUITES = {
-    "goodlambda-core": _suite_goodlambda_core,
-    "goodlambda-tail": _suite_goodlambda_tail,
-    "moment": _suite_moment,
-    "bg": _suite_bg,
-    "transform": _suite_transform,
-    "doob": lambda cfg, t: _suite_doob(cfg, t, stein=False),
-    "stein": lambda cfg, t: _suite_doob(cfg, t, stein=True),
-    "tangent-counterexample": _suite_counterexample,
-    "dominated": _suite_dominated,
-    "positive-tangent": _suite_positive_tangent,
-    "refined-doob": _suite_refined_doob,
-    "schur-reversed-l": _suite_schur_reversed_l,
-    "schur-norms": _suite_schur_norms,
+@dataclass(frozen=True)
+class _Suite:
+    """One registry record: trial callable, default p grid, p domain and the
+    constants string of the summary."""
+
+    trial: Callable
+    default_p: tuple[float, ...]
+    constants: str
+    p_min: float = -math.inf
+    strict: bool = False    # p > p_min instead of p >= p_min
+    finite: bool = False    # p = inf is out of the domain
+
+
+_REGISTRY = {
+    "goodlambda-core": _Suite(_suite_goodlambda_core, (), "2"),
+    "goodlambda-tail": _Suite(_suite_goodlambda_tail, (), "4/(beta-1)^2"),
+    "moment": _Suite(
+        _suite_moment, (3.0, 4.0, 8.0),
+        "C_{p,B} = (2p B^{p-1}(B-1)/(1-B^-p))^{1/p} "
+        "* 2 B^{p/2}/((B-1) sqrt(1-B^{2-p})); simplified "
+        "12p/sqrt(1-(1+1/p)^{2-p})", 2.0, strict=True),
+    "bg": _Suite(
+        _suite_bg, (3.0, 4.0, 8.0),
+        "sqrt(2)*12p/sqrt(1-(1+1/p)^{2-p}) and "
+        "12p sqrt(1+2^{2-4/p}) (1+2^{p-2})^{1/p} / sqrt(1-(1+1/p)^{2-p})", 2.0),
+    "transform": _Suite(
+        _suite_transform, (3.0, 4.0),
+        "12p sqrt(1+2^{2-4/p}) / sqrt(1-(1+1/p)^{2-p})", 1.0, strict=True),
+    "doob": _Suite(
+        lambda cfg, t: _suite_doob(cfg, t, stein=False), (3.0, 4.0),
+        "(sqrt(2) * 24p/sqrt(1-(1+1/(2p))^{2-2p}) * 2^{1/(2p)})^2", 1.0),
+    "stein": _Suite(lambda cfg, t: _suite_doob(cfg, t, stein=True), (3.0, 4.0),
+                    "sqrt(dual-Doob constant at p/2)", 2.0),
+    "tangent-counterexample": _Suite(_suite_counterexample, (1.5,),
+                                     "(N+1)/(2 sqrt(N))", 1.0),
+    "dominated": _Suite(
+        _suite_dominated, (3.0, 4.0),
+        "kappa * 12p sqrt(1+2^{2-4/p}) / sqrt(1-(1+1/p)^{2-p})", 2.0),
+    "positive-tangent": _Suite(
+        _suite_positive_tangent, (3.0, 4.0),
+        "1 + (1+kappa) C_p (p>2); BG-squared route (p<=2)", 1.0),
+    "refined-doob": _Suite(_suite_refined_doob, (3.0, 4.0),
+                           "(1 + 3(1 + 2 C_p))/2", 1.0),
+    "schur-reversed-l": _Suite(_suite_schur_reversed_l, (4.0,), "(1 + C_p)/2", 2.0),
+    "schur-norms": _Suite(_suite_schur_norms, (4.0, 8.0, 16.0),
+                          "(1 + C_p)/2 as upper reference", 1.0, strict=True,
+                          finite=True),
 }
+
+# run() looks its callable up here on every call, so callers may swap entries;
+# suite metadata is read from _REGISTRY.
+SUITES = {name: suite.trial for name, suite in _REGISTRY.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +337,10 @@ def _pool_size() -> int:
     cap = os.environ.get("NCGL_THREADS")
     n = os.cpu_count() or 1
     if cap:
-        n = min(n, max(int(cap), 1))
+        try:
+            n = min(n, max(int(cap), 1))
+        except ValueError:
+            raise NCGLError(f"NCGL_THREADS must be an integer, got {cap!r}") from None
     return min(n, 8)
 
 
@@ -356,31 +373,9 @@ def run(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
         "seed": config.seed,
         "p_grid": list(config.p_grid),
         "elapsed_s": round(time.perf_counter() - t_start, 3),
-        "constants": _constant_formulas(config.suite),
+        "constants": _REGISTRY[config.suite].constants,
     }
     return rows, summary
-
-
-def _constant_formulas(suite: str) -> str:
-    table = {
-        "goodlambda-core": "2",
-        "goodlambda-tail": "4/(beta-1)^2",
-        "moment": "C_{p,B} = (2p B^{p-1}(B-1)/(1-B^-p))^{1/p} "
-                  "* 2 B^{p/2}/((B-1) sqrt(1-B^{2-p})); simplified "
-                  "12p/sqrt(1-(1+1/p)^{2-p})",
-        "bg": "sqrt(2)*12p/sqrt(1-(1+1/p)^{2-p}) and "
-              "12p sqrt(1+2^{2-4/p}) (1+2^{p-2})^{1/p} / sqrt(1-(1+1/p)^{2-p})",
-        "transform": "12p sqrt(1+2^{2-4/p}) / sqrt(1-(1+1/p)^{2-p})",
-        "doob": "(sqrt(2) * 24p/sqrt(1-(1+1/(2p))^{2-2p}) * 2^{1/(2p)})^2",
-        "stein": "sqrt(dual-Doob constant at p/2)",
-        "tangent-counterexample": "(N+1)/(2 sqrt(N))",
-        "dominated": "kappa * 12p sqrt(1+2^{2-4/p}) / sqrt(1-(1+1/p)^{2-p})",
-        "positive-tangent": "1 + (1+kappa) C_p (p>2); BG-squared route (p<=2)",
-        "refined-doob": "(1 + 3(1 + 2 C_p))/2",
-        "schur-reversed-l": "(1 + C_p)/2",
-        "schur-norms": "(1 + C_p)/2 as upper reference",
-    }
-    return table[suite]
 
 
 # ---------------------------------------------------------------------------

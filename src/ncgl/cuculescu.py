@@ -21,7 +21,8 @@ from .opalgebra import (
     Interval,
     Operator,
     Projection,
-    _eigh_block,
+    _projection,
+    _spectrum,
     min_eigenvalue,
     operator_norm,
     proj_meet,
@@ -56,21 +57,15 @@ def _normalized(p: Projection) -> Projection:
 
 def _snap_projection(raw: Operator) -> Projection:
     """Re-symmetrize and round a near-projection; abort on real drift."""
-    sym = raw.symmetrized()
-    blocks = []
-    drift = 0.0
-    for b in sym.data:
-        eigs, vecs = _eigh_block(b)
-        keep = eigs >= 0.5
-        drift = max(drift, float(np.abs(eigs - keep).max()) if eigs.size else 0.0)
-        v = vecs[:, keep]
-        blocks.append(v @ v.conj().T)
+    spectrum, tol = _spectrum(raw.symmetrized(), "_snap_projection")
+    drift = max((float(np.abs(e - (e >= 0.5)).max()) for e, _ in spectrum if e.size),
+                default=0.0)
     if drift > _DRIFT_LIMIT:
         raise NumericalInstabilityError(
             f"projection drifted by {drift:.2e} from idempotency"
         )
     return _normalized(
-        Projection(raw.algebra.operator(blocks), check=False)
+        _projection(raw.algebra, spectrum, Interval.at_least(0.5), tol, check=False)
     )
 
 

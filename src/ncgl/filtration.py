@@ -680,7 +680,7 @@ def diagonal_p_function(m: Martingale, p: float) -> Operator:
         raise DomainError("the diagonal p-function needs p >= 2")
     acc = m.algebra.zero()
     for d in m.diffs:
-        acc = acc + psd_power(psd_sqrt((d.adjoint() @ d).symmetrized()), p)
+        acc = acc + psd_power((d.adjoint() @ d).symmetrized(), p / 2.0)
     return psd_power(acc.symmetrized(), 1.0 / p)
 
 

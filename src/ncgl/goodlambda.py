@@ -135,8 +135,8 @@ def check_testing(
         candidates += [qseq.R(j) for j in range(k + 1)]
         for _ in range(n_random):
             h = cond_exp(t.filtration, k, gaussian_hermitian(t.algebra, rng))
-            lo, hi = -operator_norm(h), operator_norm(h)
-            cut = float(rng.uniform(lo, hi)) if hi > lo else 0.0
+            hi = operator_norm(h)
+            cut = float(rng.uniform(-hi, hi)) if hi > 0.0 else 0.0
             candidates.append(spectral_projection(h, Interval.at_least(cut)))
         for p in candidates:
             gain = float(trace_pair(w, p.op).real)

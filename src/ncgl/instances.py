@@ -124,6 +124,14 @@ def triple_family(index: int) -> Filtration:
     return _FAMILY_CACHE[key]
 
 
+def _flip_hook(da: np.ndarray, k: int, gamma: float) -> np.ndarray:
+    """diag(1,..,gamma,..,1) da diag(1,..,gamma,..,1), gamma in slot k (1-based):
+    multiplies the hook of a step-k arrow matrix by gamma."""
+    d = np.ones(da.shape[0])
+    d[k - 1] = gamma
+    return (d[:, None] * da) * d[None, :]
+
+
 def arrow_martingale_pair(
     dim: int, rng: np.random.Generator
 ) -> tuple[Martingale, Martingale, tuple[int, ...]]:
@@ -139,11 +147,8 @@ def arrow_martingale_pair(
     gammas = tuple(int(g) for g in rng.choice((-1, 1), size=dim + 1))
     db = [a.diffs[0]]
     for k in range(1, dim + 1):
-        da = a.diffs[k].data[0]
         if k >= 2 and gammas[k] == -1:
-            d = np.ones(dim)
-            d[k - 1] = -1.0
-            db.append(filt.algebra.operator([(d[:, None] * da) * d[None, :]]))
+            db.append(filt.algebra.operator([_flip_hook(a.diffs[k].data[0], k, -1.0)]))
         else:
             db.append(a.diffs[k])
     b = martingale_from_diffs(filt, db, validate=False)

@@ -34,7 +34,6 @@ __all__ = [
     "psd_sqrt",
     "psd_power",
     "min_eigenvalue",
-    "spectral_clusters",
     "cluster_eigenvalues",
 ]
 
@@ -176,19 +175,10 @@ class Operator:
         data = tuple(0.5 * (a + a.conj().T) for a in self.data)
         return Operator(self.algebra, data, True)
 
-    def square(self) -> "Operator":
-        return self @ self
-
     # -- misc ---------------------------------------------------------------
 
     def entry_max(self) -> float:
         return max(float(np.abs(b).max()) if b.size else 0.0 for b in self.data)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.entry_max() <= tol
-
-    def copy(self) -> "Operator":
-        return Operator(self.algebra, tuple(b.copy() for b in self.data), self.hermitian)
 
     def allclose(self, other: "Operator", tol: float = 1e-10) -> bool:
         self._same_algebra(other)
@@ -221,10 +211,6 @@ class Interval:
     @staticmethod
     def above(a: float) -> "Interval":
         return Interval(a, math.inf, False, False)
-
-    @staticmethod
-    def at_most(b: float) -> "Interval":
-        return Interval(-math.inf, b, False, True)
 
     def contains(self, eigs: np.ndarray, tol: float) -> np.ndarray:
         """Membership mask under the boundary tie rule.
@@ -281,10 +267,32 @@ def _eigh_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(block)
 
 
-def _hermitian_blocks(x: Operator, what: str) -> list[np.ndarray]:
-    if not x.hermitian:
+def _spectrum(a: Operator, what: str) -> tuple[list, float]:
+    """Per-block eigendecomposition of a Hermitian operator and its tie tolerance.
+
+    Every eigenvector-based helper solves its operator here, once.  The
+    tolerance 1e-10 * (1 + ||a||) is read off the same eigenvalues, ||a||
+    being the largest absolute eigenvalue over all blocks.
+    """
+    if not a.hermitian:
         raise DomainError(f"{what} requires a Hermitian operator")
-    return [0.5 * (b + b.conj().T) for b in x.data]
+    spectrum = [_eigh_block(0.5 * (b + b.conj().T)) for b in a.data]
+    norm = max((float(np.abs(e).max()) for e, _ in spectrum if e.size), default=0.0)
+    return spectrum, 1e-10 * (1.0 + norm)
+
+
+def _projection(algebra: TracialAlgebra, spectrum: list, interval: Interval,
+                tol: float, check: bool = True) -> "Projection":
+    """Spectral projection onto `interval` assembled from a computed spectrum."""
+    blocks = []
+    for eigs, vecs in spectrum:
+        v = vecs[:, interval.contains(eigs, tol)]
+        blocks.append(v @ v.conj().T)
+    return Projection(Operator(algebra, tuple(blocks), True), check=check)
+
+
+def _eigvalsh_blocks(x: Operator) -> list[np.ndarray]:
+    return [np.linalg.eigvalsh(0.5 * (b + b.conj().T)) for b in x.data]
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +320,7 @@ def trace_pair(x: Operator, y: Operator):
 
 def _singular_values(x: Operator) -> list[np.ndarray]:
     if x.hermitian:
-        return [
-            np.abs(np.linalg.eigvalsh(0.5 * (b + b.conj().T))) for b in x.data
-        ]
+        return [np.abs(e) for e in _eigvalsh_blocks(x)]
     return [np.linalg.svd(b, compute_uv=False) for b in x.data]
 
 
@@ -338,8 +344,9 @@ def schatten_norm(x: Operator, p: float) -> float:
 
 def min_eigenvalue(a: Operator) -> float:
     """Smallest eigenvalue over all blocks of a Hermitian operator."""
-    blocks = _hermitian_blocks(a, "min_eigenvalue")
-    return min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
+    if not a.hermitian:
+        raise DomainError("min_eigenvalue requires a Hermitian operator")
+    return min(float(e.min()) for e in _eigvalsh_blocks(a))
 
 
 # ---------------------------------------------------------------------------
@@ -353,33 +360,16 @@ def spectral_projection(a: Operator, interval: Interval) -> "Projection":
     Eigenvalue membership at the endpoints follows the tie rule of
     :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm).
     """
-    blocks = _hermitian_blocks(a, "spectral_projection")
-    tol = 1e-10 * (1.0 + operator_norm(a))
-    out = []
-    for b in blocks:
-        if _is_exact_diagonal(b):
-            eigs = np.real(np.diag(b)).astype(float)
-            mask = interval.contains(eigs, tol)
-            out.append(np.diag(mask.astype(complex)))
-            continue
-        eigs, vecs = np.linalg.eigh(b)
-        mask = interval.contains(eigs, tol)
-        v = vecs[:, mask]
-        out.append(v @ v.conj().T)
-    return Projection(Operator(a.algebra, tuple(out), True))
+    spectrum, tol = _spectrum(a, "spectral_projection")
+    return _projection(a.algebra, spectrum, interval, tol)
 
 
-def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
-    """Apply a scalar function to a Hermitian operator eigenvalue-wise.
-
-    ``f`` must accept a float array; NaN/inf in the result means the function
-    is undefined somewhere on the spectrum and raises DomainError.
-    """
-    blocks = _hermitian_blocks(a, "func_calculus")
+def _apply(a: Operator, spectrum: list,
+           f: Callable[[np.ndarray], np.ndarray]) -> Operator:
+    """f applied eigenvalue-wise to a spectrum computed by :func:`_spectrum`."""
     out = []
     all_real = True
-    for b in blocks:
-        eigs, vecs = _eigh_block(b)
+    for eigs, vecs in spectrum:
         vals = np.asarray(f(eigs), dtype=complex)
         if vals.shape != eigs.shape:
             raise DomainError("f must map the spectrum array to an array")
@@ -390,37 +380,34 @@ def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operato
     return Operator(a.algebra, tuple(out), all_real)
 
 
-def _clip_psd_spectrum(eigs: np.ndarray, scale: float, what: str) -> np.ndarray:
-    tol = 1e-10 * (1.0 + scale)
-    if eigs.size and eigs.min() < -tol:
+def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
+    """Apply a scalar function to a Hermitian operator eigenvalue-wise.
+
+    ``f`` must accept a float array; NaN/inf in the result means the function
+    is undefined somewhere on the spectrum and raises DomainError.
+    """
+    return _apply(a, _spectrum(a, "func_calculus")[0], f)
+
+
+def _psd_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray],
+                  what: str) -> Operator:
+    """f of a PSD operator; eigenvalues down to -1e-10 (1 + ||a||) clip to 0."""
+    spectrum, tol = _spectrum(a, what)
+    if any(e.size and e.min() < -tol for e, _ in spectrum):
         raise DomainError(f"{what} needs a positive semidefinite operator")
-    return np.clip(eigs, 0.0, None)
+    return _apply(a, spectrum, lambda e: f(np.clip(e, 0.0, None)))
 
 
 def psd_sqrt(a: Operator) -> Operator:
     """Square root of a PSD Hermitian operator (tiny negative noise clipped)."""
-    blocks = _hermitian_blocks(a, "psd_sqrt")
-    scale = operator_norm(a)
-    out = []
-    for b in blocks:
-        eigs, vecs = _eigh_block(b)
-        vals = np.sqrt(_clip_psd_spectrum(eigs, scale, "psd_sqrt"))
-        out.append((vecs * vals) @ vecs.conj().T)
-    return Operator(a.algebra, tuple(out), True)
+    return _psd_calculus(a, np.sqrt, "psd_sqrt")
 
 
 def psd_power(a: Operator, p: float) -> Operator:
     """a^p for PSD Hermitian a and real p > 0."""
     if p <= 0:
         raise DomainError("psd_power expects a positive exponent")
-    blocks = _hermitian_blocks(a, "psd_power")
-    scale = operator_norm(a)
-    out = []
-    for b in blocks:
-        eigs, vecs = _eigh_block(b)
-        vals = _clip_psd_spectrum(eigs, scale, "psd_power") ** p
-        out.append((vecs * vals) @ vecs.conj().T)
-    return Operator(a.algebra, tuple(out), True)
+    return _psd_calculus(a, lambda e: e ** p, "psd_power")
 
 
 def operator_abs(x: Operator) -> Operator:
@@ -445,24 +432,6 @@ def cluster_eigenvalues(values: np.ndarray, scale: float) -> list[np.ndarray]:
     return [np.asarray(c) for c in clusters]
 
 
-def spectral_clusters(a: Operator) -> list[tuple[float, "Projection"]]:
-    """Clustered spectral decomposition (value, projection) of a Hermitian a.
-
-    Eigenvalues within 1e-8 * (1 + ||a||) of each other are merged so that
-    numerical noise cannot manufacture spuriously distinct projections.
-    """
-    blocks = _hermitian_blocks(a, "spectral_clusters")
-    scale = operator_norm(a)
-    all_eigs = np.concatenate([np.linalg.eigvalsh(b) for b in blocks])
-    clusters = cluster_eigenvalues(all_eigs, scale)
-    out = []
-    for c in clusters:
-        lo, hi = float(c.min()), float(c.max())
-        proj = spectral_projection(a, Interval(lo, hi, True, True))
-        out.append((float(c.mean()), proj))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
@@ -480,8 +449,7 @@ class Projection:
             return
         if not self.op.hermitian:
             raise DomainError("projections must be Hermitian")
-        for b in self.op.data:
-            eigs = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
+        for eigs in _eigvalsh_blocks(self.op):
             if eigs.size and np.abs(eigs - np.round(eigs)).max() > 1e-10:
                 raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
             if eigs.size and (eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10):
@@ -508,7 +476,8 @@ def proj_meet(e: Projection, f: Projection) -> Projection:
     """Projection onto range(e) & range(f).
 
     Computed blockwise as the eigenvalue-0 eigenspace of (I-e) + (I-f) with
-    threshold 1e-8; exact entrywise minimum when both are exactly diagonal.
+    threshold 1e-8; exact entrywise minimum when both are exactly diagonal
+    (which keeps diagonals that are 0/1 only to rounding as they are).
     """
     e.op._same_algebra(f.op)
     out = []
@@ -516,9 +485,8 @@ def proj_meet(e: Projection, f: Projection) -> Projection:
         if _is_exact_diagonal(be) and _is_exact_diagonal(bf):
             out.append(np.diag(np.minimum(np.diag(be).real, np.diag(bf).real)).astype(complex))
             continue
-        d = be.shape[0]
-        m = 2.0 * np.eye(d) - be - bf
-        eigs, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+        m = 2.0 * np.eye(be.shape[0]) - be - bf
+        eigs, vecs = _eigh_block(0.5 * (m + m.conj().T))
         v = vecs[:, eigs < 1e-8]
         out.append(v @ v.conj().T)
     return Projection(Operator(e.op.algebra, tuple(out), True), check=False)

@@ -18,7 +18,7 @@ import numpy as np
 from .applications import dominated_constant
 from .errors import DomainError, StructureError
 from .filtration import make_filtration, martingale_from_final
-from .instances import stream
+from .instances import _flip_hook, stream
 from .reports import VerifyReport
 
 __all__ = [
@@ -301,13 +301,7 @@ def verify_reversed_L(m: Pattern, p: float, trials: int = 200,
         b_final = mart.diffs[0].data[0].copy()
         for k in range(1, n + 1):
             da = mart.diffs[k].data[0]
-            if k >= 2:
-                d = np.ones(n)
-                d[k - 1] = gammas[k - 2]
-                db = (d[:, None] * da) * d[None, :]
-            else:
-                db = da
-            b_final = b_final + db
+            b_final = b_final + (_flip_hook(da, k, gammas[k - 2]) if k >= 2 else da)
         identity_dev = np.abs(m_unit * a - (a + b_final) / 2.0).max()
         worst_identity = max(worst_identity, float(identity_dev))
         scale = 1.0 + np.abs(a).max()

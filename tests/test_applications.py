@@ -38,7 +38,7 @@ from ncgl.instances import (
     random_martingale,
     stream,
 )
-from ncgl.opalgebra import schatten_norm
+from ncgl.opalgebra import cluster_eigenvalues, operator_norm, schatten_norm
 
 
 class TestBGEmbedding:
@@ -260,7 +260,58 @@ class TestDualDoobAndStein:
         assert stein_constant(4.0) == pytest.approx(math.sqrt(dual_doob_constant(2.0)))
 
 
+def _reference_tangent_deviation(a, b, filt):
+    """check_tangent's worst deviation with every cluster projection rebuilt
+    from its own dense eigh per block, under the same closed-window tie rule
+    (an eigenvalue within 1e-10 (1 + ||op||) of an end counts as inside)."""
+    worst = 0.0
+    for n, (an, bn) in enumerate(zip(a, b)):
+        eigs = np.concatenate([np.linalg.eigvalsh(blk) for op in (an, bn)
+                               for blk in op.data])
+        scale = max(operator_norm(an), operator_norm(bn))
+        for cluster in cluster_eigenvalues(eigs, scale):
+            lo, hi = cluster.min(), cluster.max()
+            ind = []
+            for op in (an, bn):
+                tol = 1e-10 * (1.0 + operator_norm(op))
+                blocks = []
+                for blk in op.data:
+                    w, v = np.linalg.eigh(0.5 * (blk + blk.conj().T))
+                    v = v[:, (w >= lo - tol) & (w <= hi + tol)]
+                    blocks.append(v @ v.conj().T)
+                ind.append(op.algebra.operator(blocks))
+            worst = max(worst, operator_norm(cond_exp(filt, n - 1, ind[0])
+                                             - cond_exp(filt, n - 1, ind[1])))
+    return worst
+
+
+def _arrow_case():
+    x, y, _ = arrow_martingale_pair(5, stream(102))
+    return x.diffs, y.diffs, x.filtration
+
+
+def _classical_case():
+    return classical_tangent_positive_pair(3, 2, stream(104))
+
+
+def _non_tangent_case():
+    filt = make_filtration("corner", dim=3)
+    rng = stream(103)
+    a = [cond_exp(filt, n, gaussian_hermitian(filt.algebra, rng))
+         for n in range(filt.n_levels)]
+    return a, [x * 2.0 for x in a], filt
+
+
 class TestTangency:
+    @pytest.mark.parametrize("case,tangent", [
+        (_arrow_case, True), (_classical_case, True), (_non_tangent_case, False)])
+    def test_matches_dense_reference(self, case, tangent):
+        a, b, filt = case()
+        ok, dev = check_tangent(a, b, filt)
+        ref = _reference_tangent_deviation(a, b, filt)
+        assert ok is tangent
+        assert dev == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
     def test_equal_sequences_tangent(self):
         filt = make_filtration("corner", dim=4)
         rng = stream(101)
@@ -290,12 +341,7 @@ class TestTangency:
             check_tangent(bad, bad, filt)
 
     def test_detects_non_tangent(self):
-        filt = make_filtration("corner", dim=3)
-        rng = stream(103)
-        a = [cond_exp(filt, n, gaussian_hermitian(filt.algebra, rng))
-             for n in range(filt.n_levels)]
-        b = [x * 2.0 for x in a]
-        ok, dev = check_tangent(a, b, filt)
+        ok, dev = check_tangent(*_non_tangent_case())
         assert not ok
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from ncgl.cli import (
+    SUITES,
     ExperimentConfig,
     ReportRow,
     emit,
@@ -85,6 +86,22 @@ class TestRun:
                 os.environ["NCGL_THREADS"] = old
         assert rows1 == rows2
 
+    def test_run_looks_up_swapped_suite(self, monkeypatch):
+        # callers may wrap SUITES entries; run and the p-grid defaults must
+        # both keep working with the swapped callable
+        calls = []
+        original = SUITES["bg"]
+
+        def wrapped(cfg, trial):
+            calls.append(trial)
+            return original(cfg, trial)
+
+        monkeypatch.setitem(SUITES, "bg", wrapped)
+        rows, summary = run(small("bg", trials=2))
+        assert calls == [0, 1]
+        assert summary["p_grid"] == [3.0, 4.0, 8.0]
+        assert summary["constants"].startswith("sqrt(2)*12p")
+
 
 class TestEmit:
     def test_header_only_for_empty(self, tmp_path):
@@ -144,6 +161,13 @@ class TestMainEntry:
 
     def test_exit_two_on_missing_suite(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_exit_two_on_non_integer_threads(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("NCGL_THREADS", value)
+        assert main(["--suite", "bg", "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "NCGL_THREADS" in err
 
     def test_exit_two_on_bad_out(self):
         code = main(["--suite", "goodlambda-core", "--trials", "1",

@@ -122,6 +122,92 @@ class TestSpectralProjection:
             spectral_projection(a, Interval.below(0.0))
 
 
+MIXED = TracialAlgebra((3, 2), (1.0, 0.5))
+
+
+def _dense(x):
+    """The block-diagonal matrix of an operator."""
+    n = x.algebra.total_dim
+    out = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in x.data:
+        d = b.shape[0]
+        out[at:at + d, at:at + d] = b
+        at += d
+    return out
+
+
+def _dense_calculus(x, f):
+    """Oracle: f applied through one dense eigh of the block-diagonal matrix."""
+    w, v = np.linalg.eigh(_dense(x))
+    return (v * f(w)) @ v.conj().T
+
+
+def _rotated(diagonals, seed):
+    """Operator on MIXED with the given block spectra, in a random basis."""
+    rng = stream(13, seed)
+    blocks = []
+    for vals in diagonals:
+        d = len(vals)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q = np.linalg.qr(g)[0]
+        blocks.append((q * np.asarray(vals, dtype=float)) @ q.conj().T)
+    return MIXED.operator(blocks)
+
+
+class TestDenseOracle:
+    """The per-block spectral path against one dense eigh of the whole matrix."""
+
+    INTERVALS = [Interval.below(0.3), Interval.at_least(-0.5),
+                 Interval(-1.0, 1.0, False, True), Interval.above(2.0)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("interval", INTERVALS)
+    def test_spectral_projection(self, seed, interval):
+        a = gaussian_hermitian(MIXED, stream(12, seed))
+        e = spectral_projection(a, interval)
+        want = _dense_calculus(
+            a, lambda w: ((w < interval.upper) & (w > interval.lower)).astype(float))
+        assert np.abs(_dense(e.op) - want).max() < 1e-10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_func_calculus_and_sqrt(self, seed):
+        a = gaussian_hermitian(MIXED, stream(12, seed))
+        assert np.abs(_dense(func_calculus(a, np.exp))
+                      - _dense_calculus(a, np.exp)).max() < 1e-10
+        sq = (a @ a).symmetrized()
+        assert np.abs(_dense(psd_sqrt(sq))
+                      - _dense_calculus(sq, lambda w: np.sqrt(np.clip(w, 0, None)))
+                      ).max() < 1e-10
+
+    def test_diagonal_is_exact(self):
+        vals = ([4.0, 0.25, 1.0], [9.0, 0.0])
+        a = MIXED.diagonal_operator(vals)
+        assert np.array_equal(_dense(psd_sqrt(a)), np.diag(np.sqrt(np.concatenate(vals))))
+        assert np.array_equal(_dense(func_calculus(a, lambda t: t ** 2)),
+                              np.diag(np.concatenate(vals) ** 2))
+        e = spectral_projection(a, Interval.below(1.0))
+        assert np.array_equal(_dense(e.op), np.diag([0.0, 1.0, 0.0, 0.0, 1.0]))
+
+    # spectrum {1, -3, 5} + {1, 0.5}: the two eigenvalues 1.0 sit exactly on
+    # the endpoint (to rounding once rotated); the tie rule counts them in
+    # closed ends and leaves them out of open ones
+    @pytest.mark.parametrize("interval,rank", [
+        (Interval.below(1.0), 2),
+        (Interval.below(1.0, closed=True), 4),
+        (Interval.at_least(1.0), 3),
+        (Interval.above(1.0), 1),
+    ])
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_eigenvalue_on_endpoint(self, interval, rank, rotate):
+        vals = ([1.0, -3.0, 5.0], [1.0, 0.5])
+        a = _rotated(vals, 0) if rotate else MIXED.diagonal_operator(vals)
+        e = spectral_projection(a, interval)
+        assert e.rank() == rank
+        if not rotate:
+            assert all(np.array_equal(b, np.diag(np.diag(b))) for b in e.op.data)
+
+
 class TestFuncCalculus:
     def test_identity_function(self):
         a = gaussian_hermitian(alg1(4), stream(4))
