@@ -66,6 +66,7 @@ __all__ = [
     "dominated_constant",
     "verify_dominated",
     "positive_tangent_constant",
+    "tangency_status",
     "verify_positive_tangent",
     "refined_doob_constant",
     "refined_doob",
@@ -193,28 +194,20 @@ class EmbeddedInstance:
     extras: dict = field(default_factory=dict)
 
 
-def _outer_unit(i: int, j: int, outer: int) -> np.ndarray:
-    e = np.zeros((outer, outer), dtype=complex)
-    e[i, j] = 1.0
-    return e
-
-
 def _embed_outer(big_filt: Filtration, outer: int, i: int, j: int,
                  base_op: Operator, sign_coord: int | None = None) -> Operator:
-    """e_{ij} (x) [sign] (x) base_op on the lifted algebra."""
-    unit = _outer_unit(i, j, outer)
-    blocks = []
-    labels = big_filt.layout.atom_labels
-    n_base_blocks = len(base_op.data)
-    if n_base_blocks not in (1, big_filt.algebra.n_blocks):
+    """e_{ij} (x) [sign] (x) base_op on the lifted (uniform) algebra."""
+    n = big_filt.algebra.n_blocks
+    if len(base_op.stacks) != 1 or len(base_op.stacks[0]) not in (1, n):
         raise DomainError("base operator does not match the lifted block layout")
-    for b in range(big_filt.algebra.n_blocks):
-        base_block = base_op.data[b if n_base_blocks > 1 else 0]
-        m = np.kron(unit, base_block)
-        if sign_coord is not None:
-            m = m * float(labels[b][sign_coord])
-        blocks.append(m)
-    return big_filt.algebra.operator(blocks)
+    base = base_op.stacks[0]
+    if sign_coord is not None:
+        signs = np.asarray(big_filt.layout.atom_labels, dtype=float)[:, sign_coord]
+        base = base * signs[:, None, None]
+    d = base.shape[1]
+    out = np.zeros((n, outer * d, outer * d), dtype=complex)
+    out[:, i * d:(i + 1) * d, j * d:(j + 1) * d] = base
+    return big_filt.algebra.operator(out)
 
 
 def bg_embed(x: Martingale) -> EmbeddedInstance:
@@ -441,7 +434,7 @@ def _step_spectra(an: Operator, bn: Operator):
     """(spectrum, tie tolerance) of a_n and of b_n, one eigensolve each, with
     the union of their eigenvalues and max(||a_n||, ||b_n||)."""
     sa, sb = _spectrum(an, "tangency"), _spectrum(bn, "tangency")
-    eigs = np.concatenate([e for e, _ in sa[0] + sb[0]])
+    eigs = np.concatenate([e.ravel() for e, _ in sa[0] + sb[0]])
     return sa, sb, eigs, float(np.abs(eigs).max()) if eigs.size else 0.0
 
 
@@ -481,7 +474,7 @@ def tangent_moment_deviation(a, b, filtration: Filtration) -> float:
     for n, (an, bn) in enumerate(zip(a, b)):
         _, _, eigs, norm = _step_spectra(an, bn)
         scale = 1.0 + norm
-        n_clusters = len(cluster_eigenvalues(eigs, scale))
+        n_clusters = len(cluster_eigenvalues(eigs, norm))
         pa = an.algebra.identity()
         pb = bn.algebra.identity()
         for m in range(1, n_clusters):
@@ -542,8 +535,8 @@ def counterexample_pair(N: int) -> tuple[Martingale, Martingale, Filtration]:
         step = np.zeros_like(eps)
         step[:, n] = eps[:, n]
         x_stack, y_stack = _counterexample_blocks(step)
-        dxs.append(alg.operator(list(x_stack)))
-        dys.append(alg.operator(list(y_stack)))
+        dxs.append(alg.operator(x_stack))
+        dys.append(alg.operator(y_stack))
     x = martingale_from_diffs(filt, dxs, validate=False)
     y = martingale_from_diffs(filt, dys, validate=False)
     return x, y, filt
@@ -559,7 +552,7 @@ def _counterexample_finals(N: int) -> tuple[Operator, Operator]:
     filt = make_filtration("rademacher", depth=N, matrix_dim=N + 1)
     eps = np.asarray(filt.layout.atom_labels, dtype=float)
     x_stack, y_stack = _counterexample_blocks(eps)
-    return filt.algebra.operator(list(x_stack)), filt.algebra.operator(list(y_stack))
+    return filt.algebra.operator(x_stack), filt.algebra.operator(y_stack)
 
 
 def tangent_counterexample(N: int, p: float) -> CounterexampleReport:
@@ -573,16 +566,18 @@ def tangent_counterexample(N: int, p: float) -> CounterexampleReport:
     if not 1 <= N <= 13:
         raise DomainError("N must lie in 1..13")
     x_final, y_final = _counterexample_finals(N)
-    abs_y = operator_abs(y_final)
-    weak = trace(spectral_projection(abs_y, Interval.at_least(1.0)).op)
-    l1 = trace(operator_abs(x_final))
+    # 2^N blocks each: x_N is released before the spectra of y_N are taken
+    l1, p_norm_x = trace(operator_abs(x_final)), schatten_norm(x_final, p)
+    del x_final
+    p_norm_y = schatten_norm(y_final, p)
+    weak = trace(spectral_projection(operator_abs(y_final), Interval.at_least(1.0)).op)
     return CounterexampleReport(
         N=N,
         p=float(p),
         weak_y=float(weak),
         l1_x=float(l1),
-        p_norm_y=schatten_norm(y_final, p),
-        p_norm_x=schatten_norm(x_final, p),
+        p_norm_y=p_norm_y,
+        p_norm_x=p_norm_x,
         expected_weak=float(N + 1),
         expected_l1=2.0 * math.sqrt(N),
         ratio=(N + 1) / (2.0 * math.sqrt(N)),
@@ -622,19 +617,28 @@ def verify_dominated(x: Martingale, y: Martingale, p: float,
          "hypothesis": "verified" if hyp_ok else "unverified"})
 
 
+def tangency_status(u, v, filtration: Filtration) -> str:
+    """The hypothesis label of :func:`verify_positive_tangent` in full mode:
+    "tangent" when :func:`check_tangent` passes, else "unverified"."""
+    return "tangent" if check_tangent(u, v, filtration)[0] else "unverified"
+
+
 def verify_positive_tangent(u, v, filtration: Filtration, p: float,
-                            kappa: float = 1.0,
-                            relaxed: bool = False) -> VerifyReport:
+                            kappa: float = 1.0, relaxed: bool = False,
+                            hypothesis: str | None = None) -> VerifyReport:
     """|| sum v_n ||_p <= C_p || sum u_n ||_p for tangent positive sequences.
 
     With `relaxed=True` only the first-moment identity, the conditional
     square domination and the kappa-norm comparison are required (v_n may be
-    merely self-adjoint); otherwise full tangency is checked.
+    merely self-adjoint); otherwise full tangency is checked.  A precomputed
+    `hypothesis` label (see :func:`tangency_status`) skips the check.
     """
     if p < 1:
         raise DomainError("needs p >= 1")
     scale = _require_positive(u, "the u_n must be positive")
-    if relaxed:
+    if hypothesis is not None:
+        hyp = hypothesis
+    elif relaxed:
         hyp_ok = True
         for n, (un, vn) in enumerate(zip(u, v)):
             first = (cond_exp(filtration, n - 1, vn - un)).entry_max()
@@ -646,8 +650,7 @@ def verify_positive_tangent(u, v, filtration: Filtration, p: float,
                 hyp_ok = False
         hyp = "relaxed-verified" if hyp_ok else "unverified"
     else:
-        ok, dev = check_tangent(u, v, filtration)
-        hyp = "tangent" if ok else "unverified"
+        hyp = tangency_status(u, v, filtration)
     const = positive_tangent_constant(p, kappa)
     lhs = schatten_norm(_sum_ops(v), p)
     rhs = const * schatten_norm(_sum_ops(u), p)

@@ -226,8 +226,10 @@ def _suite_positive_tangent(cfg, trial):
     mdim = int(cfg.dims.get("matrix_dim", 2))
     u, v, filt = classical_tangent_positive_pair(depth, mdim,
                                                  stream(cfg.seed, 9, trial))
+    hyp = apps.tangency_status(u, v, filt)
     return [
-        _row(cfg, f"t{trial}:p={p}", apps.verify_positive_tangent(u, v, filt, p))
+        _row(cfg, f"t{trial}:p={p}",
+             apps.verify_positive_tangent(u, v, filt, p, hypothesis=hyp))
         for p in cfg.p_grid
     ]
 

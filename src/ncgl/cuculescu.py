@@ -58,8 +58,7 @@ def _normalized(p: Projection) -> Projection:
 def _snap_projection(raw: Operator) -> Projection:
     """Re-symmetrize and round a near-projection; abort on real drift."""
     spectrum, tol = _spectrum(raw.symmetrized(), "_snap_projection")
-    drift = max((float(np.abs(e - (e >= 0.5)).max()) for e, _ in spectrum if e.size),
-                default=0.0)
+    drift = max(float(np.abs(e - (e >= 0.5)).max()) for e, _ in spectrum)
     if drift > _DRIFT_LIMIT:
         raise NumericalInstabilityError(
             f"projection drifted by {drift:.2e} from idempotency"

@@ -108,13 +108,8 @@ class AlgebraLayout:
 
 
 def _matrix_units(d: int) -> list[np.ndarray]:
-    units = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            units.append(e)
-    return units
+    """E_ij for i, j < d, in row-major order."""
+    return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
 
 
 def _factor_range_basis(op) -> list[np.ndarray]:
@@ -125,70 +120,69 @@ def _factor_range_basis(op) -> list[np.ndarray]:
         return [np.eye(op[1], dtype=complex)]
     if kind == "corner":
         d, k = op[1], op[2]
-        basis = []
-        for i in range(k):
-            for j in range(k):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                basis.append(e)
+        basis = [np.pad(e, (0, d - k)) for e in _matrix_units(k)]
         if k < d:
-            tail = np.zeros((d, d), dtype=complex)
-            for j in range(k, d):
-                tail[j, j] = 1.0
-            basis.append(tail)
+            basis.append(np.diag((np.arange(d) >= k).astype(complex)))
         return basis
     raise StructureError(f"unknown factor op {op!r}")
 
 
-def _apply_factor_op(mat: np.ndarray, dims: Sequence[int], axis: int, op) -> np.ndarray:
-    """Apply one factor action to a block matrix of shape (prod(dims),) ** 2."""
+def _apply_factor_op(stack: np.ndarray, dims: Sequence[int], axis: int, op) -> np.ndarray:
+    """Apply one factor action to every block of a (count, prod(dims), prod(dims))
+    stack."""
     kind = op[0]
     if kind == "full":
-        return mat
+        return stack
     pre = int(np.prod(dims[:axis], dtype=int))
     d = dims[axis]
     post = int(np.prod(dims[axis + 1 :], dtype=int))
-    t = mat.reshape(pre, d, post, pre, d, post)
+    t = stack.reshape(len(stack), pre, d, post, pre, d, post)
     out = np.zeros_like(t)
     if kind == "trivial":
-        diag = np.einsum("ajbcjd->abcd", t) / d
+        diag = np.einsum("zajbcjd->zabcd", t) / d
         idx = np.arange(d)
-        out[:, idx, :, :, idx, :] = diag[None]
+        out[:, :, idx, :, :, idx, :] = diag[None]
     elif kind == "corner":
         k = op[2]
-        out[:, :k, :, :, :k, :] = t[:, :k, :, :, :k, :]
+        out[:, :, :k, :, :, :k, :] = t[:, :, :k, :, :, :k, :]
         if k < d:
-            tail = np.einsum("ajbcjd->abcd", t[:, k:, :, :, k:, :]) / (d - k)
+            tail = np.einsum("zajbcjd->zabcd", t[:, :, k:, :, :, k:, :]) / (d - k)
             idx = np.arange(k, d)
-            out[:, idx, :, :, idx, :] = tail[None]
+            out[:, :, idx, :, :, idx, :] = tail[None]
     else:
         raise StructureError(f"unknown factor op {op!r}")
-    return out.reshape(mat.shape)
+    return out.reshape(stack.shape)
+
+
+def _supported_on(alg: TracialAlgebra, blocks, m: np.ndarray) -> Operator:
+    """The operator equal to m on the given blocks and zero on the others."""
+    return alg.operator([m if b in blocks else np.zeros((d, d))
+                         for b, d in enumerate(alg.dims)])
 
 
 @dataclass(frozen=True, eq=False)
 class _StructuredLevel:
-    """Per-block factor maps followed by weighted averaging over block groups."""
+    """Per-block factor maps followed by weighted averaging over block groups.
+
+    Every group has the same size (groups are sign-prefix classes), so the
+    averaging is one weighted mean over the group axis of a (groups, size)
+    index array.
+    """
 
     groups: tuple[tuple[int, ...], ...]
     factor_dims: tuple[int, ...]
     factor_ops: tuple
 
     def apply(self, x: Operator) -> Operator:
-        alg = x.algebra
-        mapped = []
-        for b in x.data:
-            m = b
-            for axis, op in enumerate(self.factor_ops):
-                m = _apply_factor_op(m, self.factor_dims, axis, op)
-            mapped.append(m)
-        out: list = [None] * alg.n_blocks
-        for grp in self.groups:
-            wsum = sum(alg.weights[b] for b in grp)
-            avg = sum(alg.weights[b] * mapped[b] for b in grp) / wsum
-            for b in grp:
-                out[b] = avg
-        return alg.operator(out)
+        (m,) = x.stacks  # structured levels live on uniform algebras
+        for axis, op in enumerate(self.factor_ops):
+            m = _apply_factor_op(m, self.factor_dims, axis, op)
+        idx = np.asarray(self.groups)
+        w = np.asarray(x.algebra.weights)[idx]
+        avg = (w[:, :, None, None] * m[idx]).sum(axis=1) / w.sum(axis=1)[:, None, None]
+        out = np.empty_like(m)
+        out[idx] = avg[:, None]
+        return x.algebra.operator(out)
 
     def range_basis(self, alg: TracialAlgebra) -> list[Operator]:
         factor_bases = [_factor_range_basis(op) for op in self.factor_ops]
@@ -196,15 +190,7 @@ class _StructuredLevel:
             reduce(np.kron, combo)
             for combo in itertools.product(*factor_bases)
         ]
-        ops = []
-        for grp in self.groups:
-            for m in mat_basis:
-                blocks = [
-                    m if b in grp else np.zeros((alg.dims[b],) * 2, dtype=complex)
-                    for b in range(alg.n_blocks)
-                ]
-                ops.append(alg.operator(blocks))
-        return ops
+        return [_supported_on(alg, grp, m) for grp in self.groups for m in mat_basis]
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,15 +210,8 @@ class _FullLevel:
         return x
 
     def range_basis(self, alg: TracialAlgebra) -> list[Operator]:
-        ops = []
-        for b, d in enumerate(alg.dims):
-            for m in _matrix_units(d):
-                blocks = [
-                    m if bb == b else np.zeros((alg.dims[bb],) * 2, dtype=complex)
-                    for bb in range(alg.n_blocks)
-                ]
-                ops.append(alg.operator(blocks))
-        return ops
+        return [_supported_on(alg, (b,), m)
+                for b, d in enumerate(alg.dims) for m in _matrix_units(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +543,11 @@ def sign_matrix_filtration(outer_dim: int, depth: int, base: Filtration,
 def rademacher_operator(filtration: Filtration, j: int) -> Operator:
     """The j-th sign variable as a block-diagonal +-1 operator."""
     alg = filtration.algebra
-    blocks = []
-    for b, lab in enumerate(filtration.layout.atom_labels):
-        if j >= len(lab):
-            raise DomainError(f"sign coordinate {j} not present")
-        blocks.append(float(lab[j]) * np.eye(alg.dims[b], dtype=complex))
-    return alg.operator(blocks)
+    labels = filtration.layout.atom_labels
+    if any(j >= len(lab) for lab in labels):
+        raise DomainError(f"sign coordinate {j} not present")
+    return alg.operator([float(lab[j]) * np.eye(d, dtype=complex)
+                         for lab, d in zip(labels, alg.dims)])
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,22 @@
 
 An algebra here is a finite direct sum of full matrix blocks M_{d_1} + ... +
 M_{d_m}, each block carrying a positive weight; the trace of an element is the
-weighted sum of the ordinary block traces.  All elements are kept as dense
-complex matrices, one per block.  This is enough to model every finite
-von Neumann algebra with a faithful trace, including classical probability
-spaces (all blocks of dimension one) and their tensor products with matrix
-factors.
+weighted sum of the ordinary block traces.  An element is stored as one
+complex (count, d, d) stack per maximal run of consecutive blocks of equal
+dimension d, so every uniform algebra has a single stack and all block-wise
+work runs as batched NumPy calls over the stacks.  This is enough to model
+every finite von Neumann algebra with a faithful trace, including classical
+probability spaces (all blocks of dimension one) and their tensor products
+with matrix factors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -37,13 +41,17 @@ __all__ = [
     "cluster_eigenvalues",
 ]
 
-# Hermitian flag detection; entrywise, stricter than the operator-norm bound
-# the flag promises.
+# Hermitian detection; entrywise, stricter than the operator-norm bound the
+# flag promises.
 _HERM_TOL = 1e-12
 
 # Eigenvalues closer than this (relative) are treated as one spectral cluster
 # wherever distinct spectral projections are extracted.
 _CLUSTER_TOL = 1e-8
+
+# Batched kernels take at most this many blocks per call, so the temporaries
+# of an 8,192-block stack stay an eighth of its size.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,56 +83,107 @@ class TracialAlgebra:
     def total_dim(self) -> int:
         return sum(self.dims)
 
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """(count, d) of each maximal run of consecutive equal block dims."""
+        return tuple((len(list(g)), d) for d, g in itertools.groupby(self.dims))
+
     def trace_identity(self) -> float:
         return float(sum(w * d for w, d in zip(self.weights, self.dims)))
 
     def identity(self) -> "Operator":
-        return Operator(self, tuple(np.eye(d, dtype=complex) for d in self.dims), True)
+        return Operator(self, tuple(
+            np.repeat(np.eye(d, dtype=complex)[None], n, axis=0) for n, d in self.runs))
 
     def zero(self) -> "Operator":
-        return Operator(
-            self, tuple(np.zeros((d, d), dtype=complex) for d in self.dims), True
-        )
+        return Operator(self, tuple(
+            np.zeros((n, d, d), dtype=complex) for n, d in self.runs))
 
-    def operator(self, blocks: Iterable[np.ndarray]) -> "Operator":
-        """Wrap raw block matrices, auto-detecting the Hermitian flag."""
-        data = []
-        for d, b in zip(self.dims, blocks):
-            m = np.asarray(b, dtype=complex)
-            if m.shape != (d, d):
-                raise StructureError(f"block shape {m.shape} does not match dim {d}")
-            data.append(m)
-        if len(data) != self.n_blocks:
-            raise StructureError("wrong number of blocks")
-        return Operator(self, tuple(data), _detect_hermitian(data))
+    def operator(self, blocks) -> "Operator":
+        """Wrap block matrices given in algebra order.
+
+        ``blocks`` holds one matrix per block; on an algebra with a single run
+        it may also be the whole (n_blocks, d, d) stack, which is kept without
+        copying when it is already complex.
+        """
+        if isinstance(blocks, np.ndarray) and blocks.ndim == 3:
+            stacks = (np.asarray(blocks, dtype=complex),)
+            shapes = [s.shape for s in stacks]
+            if shapes != [(n, d, d) for n, d in self.runs]:
+                raise StructureError(f"stack shape {shapes[0]} does not match dims {self.dims}")
+        else:
+            mats = [np.asarray(b, dtype=complex) for b in blocks]
+            shapes = [m.shape for m in mats]
+            if shapes != [(d, d) for d in self.dims]:
+                raise StructureError(f"block shapes {shapes} do not match dims {self.dims}")
+            it = iter(mats)
+            stacks = tuple(np.stack(list(itertools.islice(it, n))) for n, _ in self.runs)
+        return Operator(self, stacks)
 
     def diagonal_operator(self, diagonals: Iterable[np.ndarray]) -> "Operator":
         return self.operator(
             [np.diag(np.asarray(v, dtype=complex)) for v in diagonals]
         )
 
-    def tensor(self, other: "TracialAlgebra") -> "TracialAlgebra":
-        """Tensor product algebra, blocks ordered self-major."""
-        dims = tuple(d1 * d2 for d1 in self.dims for d2 in other.dims)
-        weights = tuple(w1 * w2 for w1 in self.weights for w2 in other.weights)
-        return TracialAlgebra(dims, weights)
+
+def _weighted_sum(alg: TracialAlgebra, per_run: list[np.ndarray]):
+    """sum_b w_b t_b over per-block values given as one array per run, added
+    one by one in block order as a Python sum (NumPy sums pairwise, which
+    rounds differently)."""
+    return sum((np.asarray(alg.weights) * np.concatenate(per_run)).tolist())
 
 
-def _detect_hermitian(blocks: Sequence[np.ndarray]) -> bool:
-    for b in blocks:
-        scale = 1.0 + (np.abs(b).max() if b.size else 0.0)
-        if np.abs(b - b.conj().T).max() > _HERM_TOL * scale:
-            return False
-    return True
+def _h(s: np.ndarray) -> np.ndarray:
+    """Blockwise adjoint of a stack."""
+    return s.conj().swapaxes(-1, -2)
+
+
+def _sym(s: np.ndarray) -> np.ndarray:
+    return 0.5 * (s + _h(s))
+
+
+def _per_block(kernel: Callable, *stacks: np.ndarray):
+    """kernel(*stacks) for a kernel that maps blocks to per-block results (an
+    array, or a tuple of arrays), run on slices of at most _CHUNK blocks."""
+    n = len(stacks[0])
+    if n <= _CHUNK:
+        return kernel(*stacks)
+    out = None
+    for i in range(0, n, _CHUNK):
+        part = kernel(*(s[i:i + _CHUNK] for s in stacks))
+        parts = part if isinstance(part, tuple) else (part,)
+        if out is None:
+            out = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in parts)
+        for o, p in zip(out, parts):
+            o[i:i + _CHUNK] = p
+    return out if isinstance(part, tuple) else out[0]
+
+
+def _non_hermitian_blocks(s: np.ndarray) -> np.ndarray:
+    scale = 1.0 + np.abs(s).max(axis=(1, 2))
+    return np.abs(s - _h(s)).max(axis=(1, 2)) > _HERM_TOL * scale
 
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Element of a :class:`TracialAlgebra`: one complex matrix per block."""
+    """Element of a :class:`TracialAlgebra`: one complex (count, d, d) stack
+    per run of equal block dimension (``TracialAlgebra.runs``)."""
 
     algebra: TracialAlgebra
-    data: tuple[np.ndarray, ...]
-    hermitian: bool
+    stacks: tuple[np.ndarray, ...]
+
+    @cached_property
+    def hermitian(self) -> bool:
+        """Every block within 1e-12 (1 + max|block|) of its adjoint, entrywise."""
+        return not any(_per_block(_non_hermitian_blocks, s).any() for s in self.stacks)
+
+    @cached_property
+    def data(self):
+        """Read-only blocks in algebra order; the stack itself for one run."""
+        views = [s.view() for s in self.stacks]
+        for v in views:
+            v.flags.writeable = False
+        return views[0] if len(views) == 1 else tuple(itertools.chain(*views))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -132,29 +191,22 @@ class Operator:
         if self.algebra.dims != other.algebra.dims:
             raise StructureError("operands live on different algebras")
 
-    def __add__(self, other: "Operator") -> "Operator":
+    def _binary(self, op: Callable, other: "Operator") -> "Operator":
         self._same_algebra(other)
-        return Operator(
-            self.algebra,
-            tuple(a + b for a, b in zip(self.data, other.data)),
-            self.hermitian and other.hermitian,
-        )
+        return Operator(self.algebra, tuple(map(op, self.stacks, other.stacks)))
+
+    def __add__(self, other: "Operator") -> "Operator":
+        return self._binary(np.add, other)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        self._same_algebra(other)
-        return Operator(
-            self.algebra,
-            tuple(a - b for a, b in zip(self.data, other.data)),
-            self.hermitian and other.hermitian,
-        )
+        return self._binary(np.subtract, other)
 
     def __neg__(self) -> "Operator":
-        return Operator(self.algebra, tuple(-a for a in self.data), self.hermitian)
+        return Operator(self.algebra, tuple(-a for a in self.stacks))
 
     def __mul__(self, c) -> "Operator":
         c = complex(c)
-        herm = self.hermitian and c.imag == 0.0
-        return Operator(self.algebra, tuple(c * a for a in self.data), herm)
+        return Operator(self.algebra, tuple(c * a for a in self.stacks))
 
     __rmul__ = __mul__
 
@@ -162,28 +214,23 @@ class Operator:
         return self * (1.0 / complex(c))
 
     def __matmul__(self, other: "Operator") -> "Operator":
-        self._same_algebra(other)
-        data = tuple(a @ b for a, b in zip(self.data, other.data))
-        return Operator(self.algebra, data, _detect_hermitian(data))
+        return self._binary(np.matmul, other)
 
     def adjoint(self) -> "Operator":
-        return Operator(
-            self.algebra, tuple(a.conj().T for a in self.data), self.hermitian
-        )
+        return Operator(self.algebra, tuple(_h(a) for a in self.stacks))
 
     def symmetrized(self) -> "Operator":
-        data = tuple(0.5 * (a + a.conj().T) for a in self.data)
-        return Operator(self.algebra, data, True)
+        return Operator(self.algebra, tuple(_sym(a) for a in self.stacks))
 
     # -- misc ---------------------------------------------------------------
 
     def entry_max(self) -> float:
-        return max(float(np.abs(b).max()) if b.size else 0.0 for b in self.data)
+        return max(float(np.abs(s).max()) for s in self.stacks)
 
     def allclose(self, other: "Operator", tol: float = 1e-10) -> bool:
         self._same_algebra(other)
         return all(
-            np.abs(a - b).max() <= tol for a, b in zip(self.data, other.data)
+            np.abs(a - b).max() <= tol for a, b in zip(self.stacks, other.stacks)
         )
 
 
@@ -242,33 +289,64 @@ def _tie_compare(eigs: np.ndarray, c: float, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _is_exact_diagonal(block: np.ndarray) -> bool:
-    if block.shape[0] <= 1:
-        return True
-    off = block.copy()
-    np.fill_diagonal(off, 0.0)
-    return not np.any(off)
+def _exact_diagonal(s: np.ndarray) -> np.ndarray:
+    """Mask of the blocks of a stack whose off-diagonal entries are all zero."""
+    return (np.count_nonzero(s, axis=(1, 2))
+            == np.count_nonzero(np.diagonal(s, axis1=1, axis2=2), axis=1))
 
 
-def _eigh_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh with an exact fast path for diagonal blocks.
+def _diagonal_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a stack of exactly diagonal blocks, with no rounding at all."""
+    n, d, _ = s.shape
+    vals = np.diagonal(s, axis1=1, axis2=2).real
+    order = np.argsort(vals, axis=1, kind="stable")
+    vecs = np.zeros(s.shape, dtype=complex)
+    vecs[np.arange(n)[:, None], order, np.arange(d)] = 1.0
+    return np.take_along_axis(vals, order, axis=1), vecs
 
-    The fast path keeps classical (all-diagonal) computations exact, which is
+
+def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched eigh of the Hermitian part of a stack, exact on exactly
+    diagonal blocks.
+
+    The exact path keeps classical (all-diagonal) computations exact, which is
     what makes the commutative coincidences in the projection machinery hold
     with equality instead of to rounding error.
     """
-    if _is_exact_diagonal(block):
-        d = block.shape[0]
-        eigs = np.real(np.diag(block)).astype(float)
-        order = np.argsort(eigs, kind="stable")
-        vecs = np.zeros((d, d), dtype=complex)
-        vecs[order, np.arange(d)] = 1.0
-        return eigs[order], vecs
-    return np.linalg.eigh(block)
+    s = _sym(s)
+    diag = _exact_diagonal(s)
+    if diag.all():
+        return _diagonal_eigh(s)
+    eigs, vecs = np.linalg.eigh(s)
+    if diag.any():
+        eigs[diag], vecs[diag] = _diagonal_eigh(s[diag])
+    return eigs, vecs
 
 
-def _spectrum(a: Operator, what: str) -> tuple[list, float]:
-    """Per-block eigendecomposition of a Hermitian operator and its tie tolerance.
+def _compose(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The blocks V diag(vals) V* of a stack of eigenvector matrices."""
+    return (vecs * vals[:, None, :]) @ _h(vecs)
+
+
+def _span(vecs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The blocks V_S V_S*, V_S the eigenvector columns that `mask` selects.
+
+    Blocks are grouped by |S| so that every product has inner dimension |S|;
+    padding with zero columns instead would round differently.
+    """
+    order = np.argsort(~mask, axis=1, kind="stable")
+    ranks = mask.sum(axis=1)
+    out = np.zeros(vecs.shape, dtype=complex)
+    for r in np.unique(ranks[ranks > 0]):
+        sel = ranks == r
+        v = np.take_along_axis(vecs[sel], order[sel, None, :r], axis=2)
+        out[sel] = v @ _h(v)
+    return out
+
+
+def _spectrum(a: Operator, what: str) -> tuple[tuple, float]:
+    """Per-run (eigenvalues, eigenvectors) of a Hermitian operator, with its
+    tie tolerance.
 
     Every eigenvector-based helper solves its operator here, once.  The
     tolerance 1e-10 * (1 + ||a||) is read off the same eigenvalues, ||a||
@@ -276,23 +354,22 @@ def _spectrum(a: Operator, what: str) -> tuple[list, float]:
     """
     if not a.hermitian:
         raise DomainError(f"{what} requires a Hermitian operator")
-    spectrum = [_eigh_block(0.5 * (b + b.conj().T)) for b in a.data]
-    norm = max((float(np.abs(e).max()) for e, _ in spectrum if e.size), default=0.0)
+    spectrum = tuple(_per_block(_eigh, s) for s in a.stacks)
+    norm = max(float(np.abs(e).max()) for e, _ in spectrum)
     return spectrum, 1e-10 * (1.0 + norm)
 
 
-def _projection(algebra: TracialAlgebra, spectrum: list, interval: Interval,
+def _projection(algebra: TracialAlgebra, spectrum: tuple, interval: Interval,
                 tol: float, check: bool = True) -> "Projection":
     """Spectral projection onto `interval` assembled from a computed spectrum."""
-    blocks = []
-    for eigs, vecs in spectrum:
-        v = vecs[:, interval.contains(eigs, tol)]
-        blocks.append(v @ v.conj().T)
-    return Projection(Operator(algebra, tuple(blocks), True), check=check)
+    stacks = tuple(_per_block(_span, vecs, interval.contains(eigs, tol))
+                   for eigs, vecs in spectrum)
+    return Projection(Operator(algebra, stacks), check=check)
 
 
-def _eigvalsh_blocks(x: Operator) -> list[np.ndarray]:
-    return [np.linalg.eigvalsh(0.5 * (b + b.conj().T)) for b in x.data]
+def _eigvalsh(x: Operator) -> list[np.ndarray]:
+    """(count, d) eigenvalues of each run of the symmetrized operator."""
+    return [_per_block(lambda c: np.linalg.eigvalsh(_sym(c)), s) for s in x.stacks]
 
 
 # ---------------------------------------------------------------------------
@@ -302,31 +379,26 @@ def _eigvalsh_blocks(x: Operator) -> list[np.ndarray]:
 
 def trace(x: Operator):
     """Weighted sum of block traces; returns a float for Hermitian input."""
-    val = sum(
-        w * complex(np.trace(b)) for w, b in zip(x.algebra.weights, x.data)
-    )
+    val = _weighted_sum(x.algebra, [np.trace(s, axis1=1, axis2=2) for s in x.stacks])
     return float(val.real) if x.hermitian else val
 
 
 def trace_pair(x: Operator, y: Operator):
     """tau(x y) without forming the full product."""
     x._same_algebra(y)
-    val = sum(
-        w * complex(np.einsum("ij,ji->", a, b))
-        for w, a, b in zip(x.algebra.weights, x.data, y.data)
-    )
-    return val
+    return _weighted_sum(x.algebra, [np.einsum("bij,bji->b", a, b)
+                                     for a, b in zip(x.stacks, y.stacks)])
 
 
 def _singular_values(x: Operator) -> list[np.ndarray]:
     if x.hermitian:
-        return [np.abs(e) for e in _eigvalsh_blocks(x)]
-    return [np.linalg.svd(b, compute_uv=False) for b in x.data]
+        return [np.abs(e) for e in _eigvalsh(x)]
+    return [np.linalg.svd(s, compute_uv=False) for s in x.stacks]
 
 
 def operator_norm(x: Operator) -> float:
     """Largest singular value across blocks (weights are irrelevant here)."""
-    return max(float(s.max()) if s.size else 0.0 for s in _singular_values(x))
+    return max(float(s.max()) for s in _singular_values(x))
 
 
 def schatten_norm(x: Operator, p: float) -> float:
@@ -335,10 +407,7 @@ def schatten_norm(x: Operator, p: float) -> float:
         raise DomainError("Schatten norms are only supported for p >= 1")
     if p == math.inf:
         return operator_norm(x)
-    sv = _singular_values(x)
-    total = sum(
-        w * float(np.sum(s**p)) for w, s in zip(x.algebra.weights, sv)
-    )
+    total = _weighted_sum(x.algebra, [np.sum(s**p, axis=1) for s in _singular_values(x)])
     return total ** (1.0 / p)
 
 
@@ -346,7 +415,7 @@ def min_eigenvalue(a: Operator) -> float:
     """Smallest eigenvalue over all blocks of a Hermitian operator."""
     if not a.hermitian:
         raise DomainError("min_eigenvalue requires a Hermitian operator")
-    return min(float(e.min()) for e in _eigvalsh_blocks(a))
+    return min(float(e.min()) for e in _eigvalsh(a))
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +433,26 @@ def spectral_projection(a: Operator, interval: Interval) -> "Projection":
     return _projection(a.algebra, spectrum, interval, tol)
 
 
-def _apply(a: Operator, spectrum: list,
+def _apply(a: Operator, spectrum: tuple,
            f: Callable[[np.ndarray], np.ndarray]) -> Operator:
     """f applied eigenvalue-wise to a spectrum computed by :func:`_spectrum`."""
-    out = []
-    all_real = True
+    stacks = []
     for eigs, vecs in spectrum:
         vals = np.asarray(f(eigs), dtype=complex)
         if vals.shape != eigs.shape:
             raise DomainError("f must map the spectrum array to an array")
         if not np.all(np.isfinite(vals)):
             raise DomainError("f is undefined at an eigenvalue of the operator")
-        all_real = all_real and not np.any(vals.imag)
-        out.append((vecs * vals) @ vecs.conj().T)
-    return Operator(a.algebra, tuple(out), all_real)
+        stacks.append(_per_block(_compose, vecs, vals))
+    return Operator(a.algebra, tuple(stacks))
 
 
 def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
     """Apply a scalar function to a Hermitian operator eigenvalue-wise.
 
-    ``f`` must accept a float array; NaN/inf in the result means the function
-    is undefined somewhere on the spectrum and raises DomainError.
+    ``f`` must act elementwise on a float array; NaN/inf in the result means
+    the function is undefined somewhere on the spectrum and raises
+    DomainError.
     """
     return _apply(a, _spectrum(a, "func_calculus")[0], f)
 
@@ -393,7 +461,7 @@ def _psd_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray],
                   what: str) -> Operator:
     """f of a PSD operator; eigenvalues down to -1e-10 (1 + ||a||) clip to 0."""
     spectrum, tol = _spectrum(a, what)
-    if any(e.size and e.min() < -tol for e, _ in spectrum):
+    if any(e.min() < -tol for e, _ in spectrum):
         raise DomainError(f"{what} needs a positive semidefinite operator")
     return _apply(a, spectrum, lambda e: f(np.clip(e, 0.0, None)))
 
@@ -422,14 +490,8 @@ def cluster_eigenvalues(values: np.ndarray, scale: float) -> list[np.ndarray]:
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size == 0:
         return []
-    tol = _CLUSTER_TOL * (1.0 + scale)
-    clusters = [[vals[0]]]
-    for v in vals[1:]:
-        if v - clusters[-1][-1] <= tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [np.asarray(c) for c in clusters]
+    gaps = np.diff(vals) > _CLUSTER_TOL * (1.0 + scale)
+    return np.split(vals, np.flatnonzero(gaps) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,24 +511,18 @@ class Projection:
             return
         if not self.op.hermitian:
             raise DomainError("projections must be Hermitian")
-        for eigs in _eigvalsh_blocks(self.op):
-            if eigs.size and np.abs(eigs - np.round(eigs)).max() > 1e-10:
-                raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
-            if eigs.size and (eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10):
+        for eigs in _eigvalsh(self.op):
+            if (np.abs(eigs - np.round(eigs)).max() > 1e-10
+                    or eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10):
                 raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
 
     @property
     def algebra(self) -> TracialAlgebra:
         return self.op.algebra
 
-    def complement(self) -> "Projection":
-        return Projection(self.op.algebra.identity() - self.op, check=False)
-
-    def trace(self) -> float:
-        return trace(self.op)
-
     def rank(self) -> int:
-        return int(round(sum(float(np.trace(b).real) for b in self.op.data)))
+        return int(round(sum(float(np.trace(s, axis1=1, axis2=2).real.sum())
+                             for s in self.op.stacks)))
 
     def allclose(self, other: "Projection", tol: float = 1e-10) -> bool:
         return self.op.allclose(other.op, tol)
@@ -480,13 +536,15 @@ def proj_meet(e: Projection, f: Projection) -> Projection:
     (which keeps diagonals that are 0/1 only to rounding as they are).
     """
     e.op._same_algebra(f.op)
-    out = []
-    for be, bf in zip(e.op.data, f.op.data):
-        if _is_exact_diagonal(be) and _is_exact_diagonal(bf):
-            out.append(np.diag(np.minimum(np.diag(be).real, np.diag(bf).real)).astype(complex))
-            continue
-        m = 2.0 * np.eye(be.shape[0]) - be - bf
-        eigs, vecs = _eigh_block(0.5 * (m + m.conj().T))
-        v = vecs[:, eigs < 1e-8]
-        out.append(v @ v.conj().T)
-    return Projection(Operator(e.op.algebra, tuple(out), True), check=False)
+    stacks = []
+    for se, sf in zip(e.op.stacks, f.op.stacks):
+        d = se.shape[1]
+        out = np.zeros_like(se)
+        out[:, range(d), range(d)] = np.minimum(
+            np.diagonal(se, axis1=1, axis2=2).real, np.diagonal(sf, axis1=1, axis2=2).real)
+        rest = ~(_exact_diagonal(se) & _exact_diagonal(sf))
+        if rest.any():
+            eigs, vecs = _per_block(_eigh, 2.0 * np.eye(d) - se[rest] - sf[rest])
+            out[rest] = _per_block(_span, vecs, eigs < 1e-8)
+        stacks.append(out)
+    return Projection(Operator(e.op.algebra, tuple(stacks)), check=False)

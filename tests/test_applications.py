@@ -344,6 +344,18 @@ class TestTangency:
         ok, dev = check_tangent(*_non_tangent_case())
         assert not ok
 
+    def test_moment_deviation_clusters_like_check_tangent(self):
+        # eigenvalues 0 and g are one cluster at 1e-8 (2 + ||a||) but two at
+        # 1e-8 (1 + ||a||), the rule of check_tangent; E_0 of the first
+        # moments then differs by g/2.
+        g = 1.5e-8
+        filt = make_filtration("trivial_full", dims=(2,))
+        zero = filt.algebra.zero()
+        a = [zero, filt.algebra.diagonal_operator([[0.0, g]])]
+        b = [zero, filt.algebra.diagonal_operator([[g, g]])]
+        assert check_tangent(a, b, filt)[1] == pytest.approx(0.5)
+        assert tangent_moment_deviation(a, b, filt) == pytest.approx(0.5 * g / (1.0 + g))
+
 
 class TestCounterexample:
     @pytest.mark.parametrize("N,expected", [(3, 4.0), (9, 10.0)])

@@ -86,6 +86,22 @@ class TestRun:
                 os.environ["NCGL_THREADS"] = old
         assert rows1 == rows2
 
+    def test_positive_tangent_checks_tangency_once_per_trial(self, monkeypatch):
+        import ncgl.applications as apps
+
+        calls = []
+        original = apps.check_tangent
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(apps, "check_tangent", counted)
+        monkeypatch.setenv("NCGL_THREADS", "1")
+        rows, summary = run(small("positive-tangent", trials=12, seed=0))
+        assert len(calls) == 12
+        assert len(rows) == 24 and summary["failures"] == 0
+
     def test_run_looks_up_swapped_suite(self, monkeypatch):
         # callers may wrap SUITES entries; run and the p-grid defaults must
         # both keep working with the swapped callable

@@ -339,3 +339,128 @@ class TestProjectionType:
     def test_interval_validation(self):
         with pytest.raises(DomainError):
             Interval(2.0, 1.0)
+
+
+# three runs of equal block dimension, with dimension 3 coming back after a break
+RUNS = TracialAlgebra((3, 3, 2, 3), (0.5, 1.0, 0.25, 2.0))
+
+
+def _draw(alg, rng, hermitian=False):
+    blocks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+              for d in alg.dims]
+    return [(b + b.conj().T) / 2 for b in blocks] if hermitian else blocks
+
+
+def _weight_diagonal(alg):
+    """Diagonal of the dense weight matrix W, so that tau(x) = Tr(W x)."""
+    return np.repeat(alg.weights, alg.dims)
+
+
+def _dense_meet(e, f):
+    """Projection onto range(e) & range(f) from one dense eigh."""
+    n = e.shape[0]
+    w, v = np.linalg.eigh(2.0 * np.eye(n) - e - f)
+    v = v[:, w < 1e-8]
+    return v @ v.conj().T
+
+
+class TestRunStacks:
+    """Run-wise stack storage against the dense block-diagonal matrix."""
+
+    def test_runs_and_block_order(self):
+        assert RUNS.runs == ((2, 3), (1, 2), (1, 3))
+        blocks = _draw(RUNS, stream(14))
+        x = RUNS.operator(blocks)
+        assert [s.shape for s in x.stacks] == [(2, 3, 3), (1, 2, 2), (1, 3, 3)]
+        assert len(x.data) == 4
+        for got, want in zip(x.data, blocks):
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            x.data[0][0, 0] = 1.0
+
+    def test_stack_input(self):
+        alg = TracialAlgebra((2,) * 4, (0.25,) * 4)
+        stack = np.zeros((4, 2, 2), dtype=complex)
+        assert alg.operator(stack).stacks[0] is stack
+        assert alg.operator(stack).data.shape == (4, 2, 2)
+        with pytest.raises(StructureError):
+            RUNS.operator(np.zeros((4, 3, 3)))
+
+    def test_arithmetic(self):
+        rng = stream(15)
+        x, y = (RUNS.operator(_draw(RUNS, rng)) for _ in range(2))
+        dx, dy = _dense(x), _dense(y)
+        assert np.array_equal(_dense(x + y), dx + dy)
+        assert np.array_equal(_dense(x - y * 2.0), dx - 2.0 * dy)
+        assert np.array_equal(_dense(x.adjoint()), dx.conj().T)
+        assert np.allclose(_dense(x @ y), dx @ dy, atol=1e-12)
+
+    def test_traces_and_norms(self):
+        rng = stream(16)
+        x, y = (RUNS.operator(_draw(RUNS, rng)) for _ in range(2))
+        dx, dy = _dense(x), _dense(y)
+        w = _weight_diagonal(RUNS)
+        assert trace(x) == pytest.approx(np.sum(w * np.diag(dx)), rel=1e-12)
+        assert trace_pair(x, y) == pytest.approx(np.sum(w * np.diag(dx @ dy)), rel=1e-12)
+        for p in (1.0, 2.5, 4.0):
+            sv = np.linalg.svd(w[:, None] ** (1.0 / p) * dx, compute_uv=False)
+            assert schatten_norm(x, p) == pytest.approx(np.sum(sv**p) ** (1.0 / p),
+                                                        rel=1e-12)
+        assert schatten_norm(x, math.inf) == pytest.approx(
+            np.linalg.svd(dx, compute_uv=False).max(), rel=1e-12)
+
+    @pytest.mark.parametrize("interval", [Interval.below(0.0), Interval(-1.0, 1.0)])
+    def test_spectral_projection(self, interval):
+        a = RUNS.operator(_draw(RUNS, stream(17), hermitian=True))
+        ref = _dense_calculus(a, lambda t: interval.contains(t, 0.0).astype(float))
+        assert np.abs(_dense(spectral_projection(a, interval).op) - ref).max() < 1e-10
+
+    def test_proj_meet(self):
+        rng = stream(18)
+        pe, pf = [], []
+        for d in RUNS.dims:
+            # two subspaces of dimension d - 1 sharing one random direction
+            shared = rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1))
+            for out in (pe, pf):
+                g = rng.standard_normal((d, d - 2)) + 1j * rng.standard_normal((d, d - 2))
+                q = np.linalg.qr(np.column_stack([shared, g]))[0]
+                out.append(q @ q.conj().T)
+        pe[2], pf[2] = np.diag([1.0, 0.0]), np.diag([1.0, 1.0])  # the exact path
+        e, f = Projection(RUNS.operator(pe)), Projection(RUNS.operator(pf))
+        m = proj_meet(e, f)
+        assert np.abs(_dense(m.op) - _dense_meet(_dense(e.op), _dense(f.op))).max() < 1e-9
+        assert m.rank() == 4
+        assert np.array_equal(m.op.data[2], np.diag([1.0, 0.0]))
+
+    def test_derived_hermitian_flag(self):
+        x = RUNS.operator(_draw(RUNS, stream(19)))
+        assert not x.hermitian
+        s = x + x.adjoint()
+        assert s.hermitian
+        assert isinstance(trace(s), float)
+        assert trace(s) == pytest.approx(2.0 * trace(x).real)
+
+    def test_hermitian_tolerance_is_per_block(self):
+        blocks = _draw(RUNS, stream(20), hermitian=True)
+        blocks[0] = 1e6 * blocks[0]
+        blocks[2] = blocks[2] + 1e-9 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert not RUNS.operator(blocks).hermitian
+        blocks[2] = (blocks[2] + blocks[2].conj().T) / 2
+        assert RUNS.operator(blocks).hermitian
+
+    def test_chunked_kernels_match_one_call(self, monkeypatch):
+        import ncgl.opalgebra as oa
+
+        alg = TracialAlgebra((4,) * 5, (0.2,) * 5)
+        blocks = _draw(alg, stream(21), hermitian=True)
+        blocks[1] = np.diag([2.0, -1.0, 0.5, 0.0]).astype(complex)
+
+        def results():
+            b = alg.operator(blocks)
+            return (spectral_projection(b, Interval.below(0.2)).op.stacks[0],
+                    func_calculus(b, np.exp).stacks[0], min_eigenvalue(b), b.hermitian)
+
+        whole = results()
+        monkeypatch.setattr(oa, "_CHUNK", 2)
+        for got, want in zip(results(), whole):
+            assert np.array_equal(got, want)
