@@ -57,7 +57,6 @@ from .cuculescu import (
     CuculescuSeq,
     WeakMax,
     corrected_p,
-    cuculescu_q,
     cuculescu_r,
     fubini_identity_gap,
     weak_max,

@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -335,37 +333,18 @@ SUITES = {name: suite.trial for name, suite in _REGISTRY.items()}
 # ---------------------------------------------------------------------------
 
 
-def _pool_size() -> int:
-    cap = os.environ.get("NCGL_THREADS")
-    n = os.cpu_count() or 1
-    if cap:
-        try:
-            n = min(n, max(int(cap), 1))
-        except ValueError:
-            raise NCGLError(f"NCGL_THREADS must be an integer, got {cap!r}") from None
-    return min(n, 8)
-
-
 def run(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
-    """Execute a suite; returns rows in trial order and a summary."""
+    """Execute a suite trial by trial; returns rows in trial order and a summary."""
     suite = SUITES[config.suite]
-
-    def one(trial: int) -> list[ReportRow]:
+    t_start = time.perf_counter()
+    rows = []
+    for trial in range(config.trials):
         t0 = time.perf_counter()
-        rows = suite(config, trial)
+        got = suite(config, trial)
         if config.timing:
             ms = int(round((time.perf_counter() - t0) * 1000.0))
-            rows = [replace(r, ms=ms) for r in rows]
-        return rows
-
-    t_start = time.perf_counter()
-    workers = _pool_size()
-    if workers > 1 and config.trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one, range(config.trials)))
-    else:
-        chunks = [one(t) for t in range(config.trials)]
-    rows = [r for chunk in chunks for r in chunk]
+            got = [replace(r, ms=ms) for r in got]
+        rows += got
     failures = sum(not r.passed for r in rows)
     summary = {
         "suite": config.suite,

@@ -35,7 +35,6 @@ __all__ = [
     "CorrectedSeq",
     "WeakMax",
     "cuculescu_r",
-    "cuculescu_q",
     "corrected_p",
     "weak_max",
     "fubini_identity_gap",
@@ -90,9 +89,10 @@ class CuculescuSeq:
 
 
 def _validate_step(
-    y: Martingale, level: float, n: int, r_prev: Projection, r_n: Projection
+    y: Martingale, n: int, yn: Operator, compressed: Operator,
+    r_prev: Projection, r_n: Projection,
 ) -> None:
-    yn = y.values[n] / level
+    """Check R_n against y_n/level (`yn`) and R_{n-1} yn R_{n-1} (`compressed`)."""
     scale = 1.0 + operator_norm(yn)
     # membership in M_n
     adapted = (cond_exp(y.filtration, n, r_n.op) - r_n.op).entry_max()
@@ -102,7 +102,6 @@ def _validate_step(
     if min_eigenvalue(r_prev.op - r_n.op) < -1e-9:
         raise NumericalInstabilityError(f"R_{n} is not below R_{n-1}")
     # commutation with the compressed martingale value
-    compressed = (r_prev.op @ yn @ r_prev.op).symmetrized()
     comm = (r_n.op @ compressed - compressed @ r_n.op).entry_max()
     if comm > 1e-8 * scale:
         raise NumericalInstabilityError(f"R_{n} fails to commute at step {n}")
@@ -112,7 +111,7 @@ def _validate_step(
         raise NumericalInstabilityError(f"R_{n} y_n R_{n} exceeds R_{n}")
 
 
-def cuculescu_r(y: Martingale, level: float, validate: bool = True) -> CuculescuSeq:
+def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
     """The level-`level` Cuculescu sequence of a self-adjoint martingale."""
     if not (level > 0):
         raise DomainError("the cut level must be positive")
@@ -122,24 +121,17 @@ def cuculescu_r(y: Martingale, level: float, validate: bool = True) -> Cuculescu
     r_prev = Projection(alg.identity(), check=False)
     out = []
     for n, yn in enumerate(y.values):
+        yn = yn / level
+        compressed = (r_prev.op @ yn @ r_prev.op).symmetrized()
         if r_prev.rank() == 0:
             r_n = r_prev
         else:
-            compressed = (r_prev.op @ (yn / level) @ r_prev.op).symmetrized()
             e = spectral_projection(compressed, Interval.below(1.0))
             r_n = _snap_projection(r_prev.op @ e.op)
-        if validate:
-            _validate_step(y, level, n, r_prev, r_n)
+        _validate_step(y, n, yn, compressed, r_prev, r_n)
         out.append(r_n)
         r_prev = r_n
     return CuculescuSeq(y, float(level), tuple(out))
-
-
-def cuculescu_q(y: Martingale, beta: float, validate: bool = True) -> CuculescuSeq:
-    """Tail sequence Q_n at threshold beta > 1 (same recursion, level beta)."""
-    if not (beta > 1):
-        raise DomainError("the tail threshold must exceed 1")
-    return cuculescu_r(y, beta, validate=validate)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +176,6 @@ def corrected_p(
     B: float,
     k_min: int | None = None,
     final_only: bool = False,
-    validate: bool = True,
 ) -> CorrectedSeq:
     """Compute the grid P_n^{B^k} for k in [k_min, k_top].
 
@@ -207,7 +198,7 @@ def corrected_p(
             for n in rows:
                 grid[(n, k)] = prev_col[n]
             continue
-        seq = cuculescu_r(y, B ** k, validate=validate)
+        seq = cuculescu_r(y, B ** k)
         col = {}
         for n in rows:
             above = prev_col[n]
@@ -236,7 +227,7 @@ class WeakMax:
 
 
 def weak_max(y: Martingale, B: float, sign: str = "+",
-             k_min: int | None = None, validate: bool = True) -> WeakMax:
+             k_min: int | None = None) -> WeakMax:
     """a_N^+ = sum_k B^k (P_N^{B^{k+1}} - P_N^{B^k}); a_N^- = a_N^+(-y).
 
     Spectral mass below B^{k_min} is assigned to the residual kernel
@@ -246,7 +237,7 @@ def weak_max(y: Martingale, B: float, sign: str = "+",
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
     base_y = y if sign == "+" else -y
-    cp = corrected_p(base_y, B, k_min=k_min, final_only=True, validate=validate)
+    cp = corrected_p(base_y, B, k_min=k_min, final_only=True)
     N = base_y.N
     acc = y.algebra.zero()
     for k in range(cp.k_min, cp.k_top + 1):

@@ -476,6 +476,8 @@ def lift_with_matrix_factor(base: Filtration, outer_dim: int,
     classical labels, dimensions multiply by outer_dim.
     """
     alg = base.algebra
+    if len(set(alg.dims)) > 1 and not all(isinstance(v, _FullLevel) for v in base.levels):
+        raise StructureError("structured levels need uniform block dims")
     big = TracialAlgebra(tuple(outer_dim * d for d in alg.dims), alg.weights)
     layout = AlgebraLayout(base.layout.atom_labels,
                            (outer_dim,) + base.layout.factor_dims)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cuculescu import cuculescu_q, cuculescu_r, weak_max
+from .cuculescu import cuculescu_r, weak_max
 from .errors import DomainError
 from .filtration import Martingale, cond_exp
 from .instances import gaussian_hermitian, stream
@@ -90,20 +90,19 @@ def check_testing(
     t: Triple,
     seed: int = 0,
     n_random: int = 50,
-    beta_for_q: float = 2.0,
 ) -> tuple[bool, float, float]:
     """Check the two trace testing conditions of the triple.
 
     Condition (i) is the exact double-sum domination by tau((I-R_N) x_N^2).
     Condition (ii) quantifies over all projections in the level subalgebras;
-    it is sampled over a structured family (identity, the R_j and Q_j for
-    j <= k, and seeded random spectral projections in the range of E_k), so a
-    pass here is a "sampled-pass", not a certificate.  Returns
+    it is sampled over a structured family (identity, the R_j and the level-2
+    Q_j for j <= k, and seeded random spectral projections in the range of
+    E_k), so a pass here is a "sampled-pass", not a certificate.  Returns
     (passed, slack_i, slack_ii) where the slacks are the worst margins seen.
     """
     y = t.y
     seq = cuculescu_r(y, 1.0)
-    qseq = cuculescu_q(y, beta_for_q)
+    qseq = cuculescu_r(y, 2.0)
     ident = t.algebra.identity()
 
     x_sq = (t.x @ t.x).symmetrized()

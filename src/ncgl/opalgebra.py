@@ -127,10 +127,8 @@ class TracialAlgebra:
 
 
 def _weighted_sum(alg: TracialAlgebra, per_run: list[np.ndarray]):
-    """sum_b w_b t_b over per-block values given as one array per run, added
-    one by one in block order as a Python sum (NumPy sums pairwise, which
-    rounds differently)."""
-    return sum((np.asarray(alg.weights) * np.concatenate(per_run)).tolist())
+    """sum_b w_b t_b over per-block values given as one array per run."""
+    return (np.asarray(alg.weights) * np.concatenate(per_run)).sum()
 
 
 def _h(s: np.ndarray) -> np.ndarray:
@@ -324,24 +322,8 @@ def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compose(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The blocks V diag(vals) V* of a stack of eigenvector matrices."""
+    """V diag(vals) V* per block; spectral projections, meets and calculus."""
     return (vecs * vals[:, None, :]) @ _h(vecs)
-
-
-def _span(vecs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The blocks V_S V_S*, V_S the eigenvector columns that `mask` selects.
-
-    Blocks are grouped by |S| so that every product has inner dimension |S|;
-    padding with zero columns instead would round differently.
-    """
-    order = np.argsort(~mask, axis=1, kind="stable")
-    ranks = mask.sum(axis=1)
-    out = np.zeros(vecs.shape, dtype=complex)
-    for r in np.unique(ranks[ranks > 0]):
-        sel = ranks == r
-        v = np.take_along_axis(vecs[sel], order[sel, None, :r], axis=2)
-        out[sel] = v @ _h(v)
-    return out
 
 
 def _spectrum(a: Operator, what: str) -> tuple[tuple, float]:
@@ -362,8 +344,9 @@ def _spectrum(a: Operator, what: str) -> tuple[tuple, float]:
 def _projection(algebra: TracialAlgebra, spectrum: tuple, interval: Interval,
                 tol: float, check: bool = True) -> "Projection":
     """Spectral projection onto `interval` assembled from a computed spectrum."""
-    stacks = tuple(_per_block(_span, vecs, interval.contains(eigs, tol))
-                   for eigs, vecs in spectrum)
+    stacks = tuple(
+        _per_block(_compose, vecs, interval.contains(eigs, tol).astype(float))
+        for eigs, vecs in spectrum)
     return Projection(Operator(algebra, stacks), check=check)
 
 
@@ -528,23 +511,19 @@ class Projection:
         return self.op.allclose(other.op, tol)
 
 
+def _meet_blocks(se: np.ndarray, sf: np.ndarray) -> np.ndarray:
+    eigs, vecs = _eigh(2.0 * np.eye(se.shape[1]) - se - sf)
+    return _compose(vecs, (eigs < 1e-8).astype(float))
+
+
 def proj_meet(e: Projection, f: Projection) -> Projection:
     """Projection onto range(e) & range(f).
 
     Computed blockwise as the eigenvalue-0 eigenspace of (I-e) + (I-f) with
-    threshold 1e-8; exact entrywise minimum when both are exactly diagonal
-    (which keeps diagonals that are 0/1 only to rounding as they are).
+    threshold 1e-8; exact for exactly diagonal 0/1 inputs, through the exact
+    diagonal path of the eigensolve.
     """
     e.op._same_algebra(f.op)
-    stacks = []
-    for se, sf in zip(e.op.stacks, f.op.stacks):
-        d = se.shape[1]
-        out = np.zeros_like(se)
-        out[:, range(d), range(d)] = np.minimum(
-            np.diagonal(se, axis1=1, axis2=2).real, np.diagonal(sf, axis1=1, axis2=2).real)
-        rest = ~(_exact_diagonal(se) & _exact_diagonal(sf))
-        if rest.any():
-            eigs, vecs = _per_block(_eigh, 2.0 * np.eye(d) - se[rest] - sf[rest])
-            out[rest] = _per_block(_span, vecs, eigs < 1e-8)
-        stacks.append(out)
-    return Projection(Operator(e.op.algebra, tuple(stacks)), check=False)
+    stacks = tuple(_per_block(_meet_blocks, se, sf)
+                   for se, sf in zip(e.op.stacks, f.op.stacks))
+    return Projection(Operator(e.op.algebra, stacks), check=False)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -71,21 +70,6 @@ class TestRun:
         assert any("fubini" in r.instance for r in rows)
         assert summary["failures"] == 0
 
-    def test_rows_deterministic_across_pool_sizes(self):
-        cfg = small("bg", trials=4, p_grid=(3.0,))
-        old = os.environ.get("NCGL_THREADS")
-        try:
-            os.environ["NCGL_THREADS"] = "1"
-            rows1, _ = run(cfg)
-            os.environ["NCGL_THREADS"] = "4"
-            rows2, _ = run(cfg)
-        finally:
-            if old is None:
-                os.environ.pop("NCGL_THREADS", None)
-            else:
-                os.environ["NCGL_THREADS"] = old
-        assert rows1 == rows2
-
     def test_positive_tangent_checks_tangency_once_per_trial(self, monkeypatch):
         import ncgl.applications as apps
 
@@ -97,7 +81,6 @@ class TestRun:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(apps, "check_tangent", counted)
-        monkeypatch.setenv("NCGL_THREADS", "1")
         rows, summary = run(small("positive-tangent", trials=12, seed=0))
         assert len(calls) == 12
         assert len(rows) == 24 and summary["failures"] == 0
@@ -177,13 +160,6 @@ class TestMainEntry:
 
     def test_exit_two_on_missing_suite(self):
         assert main([]) == 2
-
-    @pytest.mark.parametrize("value", ["abc", "2.5"])
-    def test_exit_two_on_non_integer_threads(self, value, monkeypatch, capsys):
-        monkeypatch.setenv("NCGL_THREADS", value)
-        assert main(["--suite", "bg", "--trials", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "NCGL_THREADS" in err
 
     def test_exit_two_on_bad_out(self):
         code = main(["--suite", "goodlambda-core", "--trials", "1",

@@ -3,7 +3,6 @@ import pytest
 
 from ncgl.cuculescu import (
     corrected_p,
-    cuculescu_q,
     cuculescu_r,
     fubini_identity_gap,
     weak_max,
@@ -83,21 +82,11 @@ class TestCuculescuSequence:
         for n in range(y.N + 1):
             assert (a.R(n).op - b.R(n).op).entry_max() < 1e-10
 
-    def test_q_is_r_at_beta(self):
-        filt = make_filtration("corner", dim=4)
-        y = random_martingale(filt, stream(44), sup_norm=3.0)
-        q = cuculescu_q(y, 2.0)
-        r = cuculescu_r(y, 2.0)
-        for n in range(y.N + 1):
-            assert q.R(n).allclose(r.R(n), 0.0)
-            assert min_eigenvalue(q.R(n - 1).op - q.R(n).op) > -1e-9
-        assert trace(q.final().op) >= 0.0
-
     def test_q_diagonal_matches_classical_indicator(self):
         filt = make_filtration("rademacher", depth=4)
         y = random_martingale(filt, stream(445), sup_norm=3.0)
         beta = 2.0
-        q = cuculescu_q(y, beta)
+        q = cuculescu_r(y, beta)
         vals = np.array([[v.data[b][0, 0].real for b in range(16)]
                          for v in y.values])
         classical = (vals.max(axis=0) < beta).astype(float)
@@ -107,7 +96,7 @@ class TestCuculescuSequence:
     def test_q_trivial_when_bounded(self):
         filt = make_filtration("corner", dim=3)
         y = random_martingale(filt, stream(45), sup_norm=1.5)
-        q = cuculescu_q(y, 4.0)
+        q = cuculescu_r(y, 4.0)
         assert trace(y.algebra.identity() - q.final().op) == pytest.approx(0.0)
 
     def test_rejects_bad_inputs(self):
@@ -115,8 +104,6 @@ class TestCuculescuSequence:
         y = random_martingale(filt, stream(46))
         with pytest.raises(DomainError):
             cuculescu_r(y, 0.0)
-        with pytest.raises(DomainError):
-            cuculescu_q(y, 1.0)
 
     def test_counterexample_rank_matches_scalar_recursion(self):
         # the weak-type pair's y-martingale is diagonal: the rank of I - R_N

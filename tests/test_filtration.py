@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncgl.errors import DomainError
+from ncgl.errors import DomainError, StructureError
 from ncgl.filtration import (
     ce_oracle,
     cond_exp,
@@ -255,6 +255,12 @@ class TestLiftedFiltrations:
         big = lift_with_matrix_factor(base, 2)
         dev = big.validate(stream(38), samples=4)
         assert max(dev.values()) < 1e-9
+
+    def test_matrix_lift_rejects_non_uniform_base(self):
+        # the lifted trivial level is structured, which needs uniform blocks
+        base = make_filtration("trivial_full", dims=(4, 2))
+        with pytest.raises(StructureError):
+            lift_with_matrix_factor(base, 2)
 
     def test_sign_matrix_axioms(self):
         base = make_filtration("corner", dim=2)

@@ -400,14 +400,14 @@ class TestRunStacks:
         x, y = (RUNS.operator(_draw(RUNS, rng)) for _ in range(2))
         dx, dy = _dense(x), _dense(y)
         w = _weight_diagonal(RUNS)
-        assert trace(x) == pytest.approx(np.sum(w * np.diag(dx)), rel=1e-12)
-        assert trace_pair(x, y) == pytest.approx(np.sum(w * np.diag(dx @ dy)), rel=1e-12)
+        assert trace(x) == pytest.approx(np.sum(w * np.diag(dx)), rel=1e-14)
+        assert trace_pair(x, y) == pytest.approx(np.sum(w * np.diag(dx @ dy)), rel=1e-14)
         for p in (1.0, 2.5, 4.0):
             sv = np.linalg.svd(w[:, None] ** (1.0 / p) * dx, compute_uv=False)
             assert schatten_norm(x, p) == pytest.approx(np.sum(sv**p) ** (1.0 / p),
-                                                        rel=1e-12)
+                                                        rel=1e-14)
         assert schatten_norm(x, math.inf) == pytest.approx(
-            np.linalg.svd(dx, compute_uv=False).max(), rel=1e-12)
+            np.linalg.svd(dx, compute_uv=False).max(), rel=1e-14)
 
     @pytest.mark.parametrize("interval", [Interval.below(0.0), Interval(-1.0, 1.0)])
     def test_spectral_projection(self, interval):
@@ -431,6 +431,21 @@ class TestRunStacks:
         assert np.abs(_dense(m.op) - _dense_meet(_dense(e.op), _dense(f.op))).max() < 1e-9
         assert m.rank() == 4
         assert np.array_equal(m.op.data[2], np.diag([1.0, 0.0]))
+        # exactly diagonal pairs: exact 0/1 entries meet bitwise in the
+        # entrywise minimum; entries that are 1 only to rounding (as Cuculescu
+        # projections can have) meet in a projection within 1e-15 of it
+        def diagonal(v):
+            return RUNS.operator([np.diag(v[:d]) for d in RUNS.dims])
+
+        for top in (1.0, 1.0 - 1.1e-16 + 7e-21j):
+            e = Projection(diagonal([top, top, 0.0]))
+            f = Projection(diagonal([top, 0.0, top]))
+            got = _dense(proj_meet(e, f).op)
+            want = _dense(diagonal([top.real, 0.0, 0.0]))
+            if top == 1.0:
+                assert np.array_equal(got, want)
+            assert np.abs(got - want).max() < 1e-15
+            assert np.abs(got @ got - got).max() < 1e-15
 
     def test_derived_hermitian_flag(self):
         x = RUNS.operator(_draw(RUNS, stream(19)))
