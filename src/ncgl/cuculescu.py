@@ -10,6 +10,7 @@ increments of that family.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,13 +22,13 @@ from .opalgebra import (
     Interval,
     Operator,
     Projection,
+    _TIE_TOL,
     _projection,
     _spectrum,
     min_eigenvalue,
     operator_norm,
     proj_meet,
     psd_power,
-    spectral_projection,
 )
 
 __all__ = [
@@ -41,6 +42,8 @@ __all__ = [
 ]
 
 _DRIFT_LIMIT = 1e-6
+
+_BELOW_ONE = Interval.below(1.0)
 
 
 def _normalized(p: Projection) -> Projection:
@@ -88,50 +91,116 @@ class CuculescuSeq:
         return self.projections[-1]
 
 
-def _validate_step(
-    y: Martingale, n: int, yn: Operator, compressed: Operator,
-    r_prev: Projection, r_n: Projection,
-) -> None:
-    """Check R_n against y_n/level (`yn`) and R_{n-1} yn R_{n-1} (`compressed`)."""
-    scale = 1.0 + operator_norm(yn)
-    # membership in M_n
-    adapted = (cond_exp(y.filtration, n, r_n.op) - r_n.op).entry_max()
-    if adapted > 1e-9 * scale:
-        raise NumericalInstabilityError(f"R_{n} left the level-{n} subalgebra")
-    # monotone
-    if min_eigenvalue(r_prev.op - r_n.op) < -1e-9:
-        raise NumericalInstabilityError(f"R_{n} is not below R_{n-1}")
-    # commutation with the compressed martingale value
-    comm = (r_n.op @ compressed - compressed @ r_n.op).entry_max()
-    if comm > 1e-8 * scale:
-        raise NumericalInstabilityError(f"R_{n} fails to commute at step {n}")
-    # cut-off bound, relative: products with yn carry rounding of size ||yn||
-    cut = min_eigenvalue(r_n.op - (r_n.op @ yn @ r_n.op).symmetrized())
-    if cut < -1e-8 * scale:
-        raise NumericalInstabilityError(f"R_{n} y_n R_{n} exceeds R_{n}")
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """The level-free measurements of one step R_{n-1} -> R_n."""
+
+    norm: float        # ||y_n||
+    adapted: float     # entry_max(E_n(R_n) - R_n)
+    monotone: float    # min_eig(R_{n-1} - R_n)
+    commutator: float  # entry_max([R_n, R_{n-1} y_n R_{n-1}])
+    cut: Operator      # R_n y_n R_n, symmetrized
+
+
+@dataclass(frozen=True, eq=False)
+class _Sequence:
+    """R_0..R_N with their measurements, and the levels lo < level < hi at
+    which every step makes the same spectral cut."""
+
+    lo: float
+    hi: float
+    projections: tuple[Projection, ...]
+    steps: tuple[_Step, ...]
+
+
+def _check_level(seq: _Sequence, level: float) -> None:
+    """The Lemma invariants of `seq` as a level-`level` sequence.
+
+    Tolerances scale with 1 + ||y_n||/level: products with y_n/level carry
+    rounding of that size.
+    """
+    for n, (r_n, s) in enumerate(zip(seq.projections, seq.steps)):
+        scale = 1.0 + s.norm / level
+        # membership in M_n
+        if s.adapted > 1e-9 * scale:
+            raise NumericalInstabilityError(f"R_{n} left the level-{n} subalgebra")
+        if s.monotone < -1e-9:
+            raise NumericalInstabilityError(f"R_{n} is not below R_{n-1}")
+        # commutation with the compressed martingale value
+        if s.commutator / level > 1e-8 * scale:
+            raise NumericalInstabilityError(f"R_{n} fails to commute at step {n}")
+        if min_eigenvalue(r_n.op - s.cut / level) < -1e-8 * scale:
+            raise NumericalInstabilityError(f"R_{n} y_n R_{n} exceeds R_{n}")
+
+
+def _step_window(spectrum: tuple, tol: float, level: float,
+                 norm: float) -> tuple[float, float]:
+    """Levels (lo, hi) at which the cut of R_{n-1} y_n R_{n-1} below 1 keeps
+    the eigenvectors it keeps at `level`; `spectrum` and its tie tolerance
+    `tol` are those of the operator scaled by 1/level.
+
+    With m the largest absolute eigenvalue, tol = _TIE_TOL (1 + m), and at
+    level l an eigenvalue e is kept iff e level/l < 1 - _TIE_TOL (1 + m level/l),
+    that is iff l > t(e) = level (e + _TIE_TOL m) / (1 - _TIE_TOL).  Each
+    bound is shrunk by 1e-8 relative (100x the tie tolerance) plus
+    1e-12 ||y_n||, far above the rounding of the eigenvalues at other levels.
+    """
+    eigs = np.concatenate([e.ravel() for e, _ in spectrum])
+    kept = _BELOW_ONE.contains(eigs, tol)
+    t = level * (eigs + tol - _TIE_TOL) / (1.0 - _TIE_TOL)
+    lo = float(t[kept].max(initial=0.0))
+    hi = float(t[~kept].min(initial=math.inf))
+    return (lo + 1e-8 * abs(lo) + 1e-12 * norm,
+            hi - 1e-8 * abs(hi) - 1e-12 * norm)
+
+
+def _fresh_sequence(y: Martingale, level: float) -> _Sequence:
+    alg = y.algebra
+    r_prev = Projection(alg.identity(), check=False)
+    lo, hi = 0.0, math.inf
+    projections, steps = [], []
+    for n, y_n in enumerate(y.values):
+        norm = operator_norm(y_n)
+        compressed = (r_prev.op @ (y_n / level) @ r_prev.op).symmetrized()
+        if r_prev.rank() == 0:
+            r_n = r_prev
+        else:
+            spectrum, tol = _spectrum(compressed, "cuculescu_r")
+            e = _projection(alg, spectrum, _BELOW_ONE, tol)
+            r_n = _snap_projection(r_prev.op @ e.op)
+            step_lo, step_hi = _step_window(spectrum, tol, level, norm)
+            lo, hi = max(lo, step_lo), min(hi, step_hi)
+        steps.append(_Step(
+            norm=norm,
+            adapted=(cond_exp(y.filtration, n, r_n.op) - r_n.op).entry_max(),
+            monotone=min_eigenvalue(r_prev.op - r_n.op),
+            commutator=(r_n.op @ compressed - compressed @ r_n.op).entry_max() * level,
+            cut=(r_n.op @ y_n @ r_n.op).symmetrized(),
+        ))
+        projections.append(r_n)
+        r_prev = r_n
+    return _Sequence(lo, hi, tuple(projections), tuple(steps))
 
 
 def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
-    """The level-`level` Cuculescu sequence of a self-adjoint martingale."""
+    """The level-`level` Cuculescu sequence of a self-adjoint martingale.
+
+    R_n only changes where the level crosses an eigenvalue of
+    R_{n-1} y_n R_{n-1}, so each computed sequence is kept on the martingale
+    with the window of levels it serves and returned again for any level
+    inside it.  The Lemma invariants are checked at every level returned.
+    """
     if not (level > 0):
         raise DomainError("the cut level must be positive")
     if not y.is_selfadjoint():
         raise DomainError("Cuculescu projections need a self-adjoint martingale")
-    alg = y.algebra
-    r_prev = Projection(alg.identity(), check=False)
-    out = []
-    for n, yn in enumerate(y.values):
-        yn = yn / level
-        compressed = (r_prev.op @ yn @ r_prev.op).symmetrized()
-        if r_prev.rank() == 0:
-            r_n = r_prev
-        else:
-            e = spectral_projection(compressed, Interval.below(1.0))
-            r_n = _snap_projection(r_prev.op @ e.op)
-        _validate_step(y, n, yn, compressed, r_prev, r_n)
-        out.append(r_n)
-        r_prev = r_n
-    return CuculescuSeq(y, float(level), tuple(out))
+    cache = y.cuculescu_cache
+    seq = next((s for s in cache if s.lo < level < s.hi), None)
+    if seq is None:
+        seq = _fresh_sequence(y, level)
+        cache.append(seq)
+    _check_level(seq, level)
+    return CuculescuSeq(y, float(level), seq.projections)
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +262,27 @@ def corrected_p(
     rows = (y.N,) if final_only else tuple(range(y.N + 1))
     grid: dict = {}
     prev_col = {n: ident for n in rows}
+    prev_r = None
     for k in range(top, lo - 1, -1):
         if all(prev_col[n].rank() == 0 for n in rows):
             for n in rows:
                 grid[(n, k)] = prev_col[n]
             continue
         seq = cuculescu_r(y, B ** k)
-        col = {}
-        for n in rows:
-            above = prev_col[n]
-            if above.rank() == 0:
-                col[n] = above
-            else:
-                col[n] = _normalized(proj_meet(seq.R(n), above))
+        if seq.projections is prev_r:
+            # P^{k+1} <= R^{k+1} = R^k, so the meet is P^{k+1} itself
+            col = prev_col
+        else:
+            col = {}
+            for n in rows:
+                above = prev_col[n]
+                if above.rank() == 0:
+                    col[n] = above
+                else:
+                    col[n] = _normalized(proj_meet(seq.R(n), above))
         for n in rows:
             grid[(n, k)] = col[n]
-        prev_col = col
+        prev_col, prev_r = col, seq.projections
     return CorrectedSeq(y, float(B), lo, top, rows, grid)
 
 
@@ -241,8 +315,9 @@ def weak_max(y: Martingale, B: float, sign: str = "+",
     N = base_y.N
     acc = y.algebra.zero()
     for k in range(cp.k_min, cp.k_top + 1):
-        diff = cp.P(N, k + 1).op - cp.P(N, k).op
-        acc = acc + diff * (B ** k)
+        upper, lower = cp.P(N, k + 1), cp.P(N, k)
+        if upper is not lower:
+            acc = acc + (upper.op - lower.op) * (B ** k)
     return WeakMax(acc.symmetrized(), cp.P(N, cp.k_min), cp, sign)
 
 
@@ -261,8 +336,10 @@ def fubini_identity_gap(wm: WeakMax, p: float) -> float:
     alg = cp.martingale.algebra
     ident = alg.identity()
     lhs = alg.zero()
-    for k in range(cp.k_min, cp.k_top + 1):
-        lhs = lhs + (ident - cp.P(N, k).op) * (B ** (k * (p - 2.0)))
+    # one multiply-add per run of levels that share one projection object
+    for proj, ks in itertools.groupby(range(cp.k_min, cp.k_top + 1),
+                                      key=lambda k: cp.P(N, k)):
+        lhs = lhs + (ident - proj.op) * sum(B ** (k * (p - 2.0)) for k in ks)
     tail_coeff = B ** (cp.k_min * (p - 2.0)) / (1.0 - B ** (-(p - 2.0)))
     lhs = lhs + (ident - cp.P(N, cp.k_min).op) * tail_coeff
     rhs = psd_power(wm.operator, p - 2.0) * (1.0 / (1.0 - B ** (2.0 - p)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -581,11 +581,23 @@ class Martingale:
         return all(v.hermitian for v in self.values)
 
     def __neg__(self) -> "Martingale":
+        return self._negated
+
+    @cached_property
+    def _negated(self) -> "Martingale":
+        # built once, so both signs keep their own Cuculescu cache across calls
         return Martingale(
             self.filtration,
             tuple(-v for v in self.values),
             tuple(-d for d in self.diffs),
         )
+
+    @cached_property
+    def cuculescu_cache(self) -> list:
+        """Cuculescu sequences computed on this martingale, each with the
+        window of levels it serves; filled and read by
+        :func:`ncgl.cuculescu.cuculescu_r` and freed with the martingale."""
+        return []
 
     def scale(self, c: float) -> "Martingale":
         return Martingale(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cuculescu import cuculescu_r, weak_max
+from .cuculescu import corrected_p, cuculescu_r, weak_max
 from .errors import DomainError
 from .filtration import Martingale, cond_exp
 from .instances import gaussian_hermitian, stream
@@ -240,8 +240,6 @@ def verify_good_hom(t: Triple, B: float, k: int,
     tau(P_N^{B^{k+2}} - P_N^{B^{k+1}})
         <= 4 B^{-2k} (B-1)^{-2} tau((I - P_N^{B^k})(x_N^2 + z_N^2)).
     """
-    from .cuculescu import corrected_p
-
     cp = corrected_p(t.y, B, k_min=k, final_only=True)
     N = t.y.N
     lhs = trace(cp.P(N, k + 2).op - cp.P(N, k + 1).op)

@@ -49,6 +49,10 @@ _HERM_TOL = 1e-12
 # wherever distinct spectral projections are extracted.
 _CLUSTER_TOL = 1e-8
 
+# Relative tie tolerance of spectral cuts: an eigenvalue within
+# _TIE_TOL * (1 + ||a||) of an interval endpoint sits on it.
+_TIE_TOL = 1e-10
+
 # Batched kernels take at most this many blocks per call, so the temporaries
 # of an 8,192-block stack stay an eighth of its size.
 _CHUNK = 1024
@@ -338,7 +342,7 @@ def _spectrum(a: Operator, what: str) -> tuple[tuple, float]:
         raise DomainError(f"{what} requires a Hermitian operator")
     spectrum = tuple(_per_block(_eigh, s) for s in a.stacks)
     norm = max(float(np.abs(e).max()) for e, _ in spectrum)
-    return spectrum, 1e-10 * (1.0 + norm)
+    return spectrum, _TIE_TOL * (1.0 + norm)
 
 
 def _projection(algebra: TracialAlgebra, spectrum: tuple, interval: Interval,
@@ -504,6 +508,10 @@ class Projection:
         return self.op.algebra
 
     def rank(self) -> int:
+        return self._rank
+
+    @cached_property
+    def _rank(self) -> int:
         return int(round(sum(float(np.trace(s, axis1=1, axis2=2).real.sum())
                              for s in self.op.stacks)))
 

@@ -14,7 +14,13 @@ import pytest
 from ncgl.applications import tangent_counterexample
 from ncgl.cli import ExperimentConfig, emit, run
 from ncgl.cuculescu import corrected_p, cuculescu_r
-from ncgl.filtration import ce_oracle, cond_exp, make_filtration, sign_matrix_filtration
+from ncgl.filtration import (
+    Martingale,
+    ce_oracle,
+    cond_exp,
+    make_filtration,
+    sign_matrix_filtration,
+)
 from ncgl.goodlambda import moment_constant
 from ncgl.instances import (
     gaussian_hermitian,
@@ -196,7 +202,8 @@ def test_criterion_09_cuculescu_invariants():
         y = random_martingale(filt, stream(SEED, 90, seed), sup_norm=2.0)
         cp = corrected_p(y, 2.0)
         for k in range(cp.k_min, cp.k_top + 1):
-            seq = cuculescu_r(y, 2.0**k)
+            # an independent recursion at this level, not y's cache
+            seq = cuculescu_r(Martingale(y.filtration, y.values, y.diffs), 2.0**k)
             for n in range(y.N + 1):
                 a = np.concatenate([b.ravel() for b in cp.P(n, k).op.data])
                 b = np.concatenate([b.ravel() for b in seq.R(n).op.data])

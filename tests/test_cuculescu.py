@@ -1,13 +1,23 @@
+import dataclasses
+import functools
+import gc
+import random
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ncgl.cuculescu as cuculescu
 from ncgl.cuculescu import (
+    _k_range,
     corrected_p,
     cuculescu_r,
     fubini_identity_gap,
     weak_max,
 )
-from ncgl.errors import DomainError
+from ncgl.errors import DomainError, NumericalInstabilityError
 from ncgl.filtration import (
     AlgebraLayout,
     Filtration,
@@ -17,7 +27,7 @@ from ncgl.filtration import (
     make_filtration,
     martingale_from_final,
 )
-from ncgl.instances import random_martingale, stream
+from ncgl.instances import random_martingale, stream, triple_family
 from ncgl.opalgebra import (
     Interval,
     TracialAlgebra,
@@ -34,6 +44,11 @@ def _one_step(y0_diag):
                             (Full(),), label="one_step")
     y0 = alg.operator([np.diag(np.asarray(y0_diag, dtype=float))])
     return Martingale(filt, (y0,), (y0,))
+
+
+def _fresh_copy(y):
+    """The same martingale with an empty Cuculescu cache."""
+    return Martingale(y.filtration, y.values, y.diffs)
 
 
 class TestCuculescuSequence:
@@ -132,13 +147,119 @@ class TestCuculescuSequence:
             _snap_projection(half)
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_case(family, sign):
+    """A triple_family martingale (or its negative), every grid level of
+    B = 1 + 1/p for p in {3, 8} in descending order, and the sequence at each
+    level computed on a fresh copy."""
+    base = random_martingale(triple_family(family), stream(57, family),
+                             sup_norm=2.5)
+    y = base if sign > 0 else -base
+    levels = set()
+    for p in (3.0, 8.0):
+        B = 1.0 + 1.0 / p
+        lo, top, _ = _k_range(y, B, None)
+        levels.update(B**k for k in range(lo, top + 1))
+    levels = sorted(levels, reverse=True)
+    refs = [cuculescu_r(_fresh_copy(y), level).projections for level in levels]
+    return y, levels, refs
+
+
+class TestCachedSequences:
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("family", range(6))
+    @settings(max_examples=3, deadline=None)
+    @given(order=st.integers(0, 2**32 - 1))
+    def test_cache_matches_fresh_recursion(self, family, sign, order):
+        y, levels, refs = _grid_case(family, sign)
+        shuffled = list(zip(levels, refs))
+        random.Random(order).shuffle(shuffled)
+        cached = _fresh_copy(y)          # descending, then shuffled
+        unordered = _fresh_copy(y)       # shuffled from an empty cache
+        queries = ([(cached, q) for q in zip(levels, refs)]
+                   + [(cached, q) for q in shuffled]
+                   + [(unordered, q) for q in shuffled])
+        for m, (level, ref) in queries:
+            got = cuculescu_r(m, level).projections
+            for n, (a, b) in enumerate(zip(got, ref)):
+                assert a.op.allclose(b.op, 1e-10), (level, n)
+        # the grid is served by far fewer sequences than it has levels
+        assert len(cached.cuculescu_cache) < len(levels)
+
+    @pytest.mark.parametrize("factor", [1.25, 1 + 1e-6, 1 + 1e-9, 1 + 2e-10,
+                                        1 + 1e-10, 1 + 1e-12, 1 - 1e-12,
+                                        1 - 1e-10, 1 - 1e-9, 1 - 1e-6, 0.75])
+    @pytest.mark.parametrize("eig", [2.0, 2.0 * (1 - 5e-11)])
+    def test_tie_is_cut_after_a_neighbouring_level(self, eig, factor):
+        # an eigenvalue on the level 2, or within the tie tolerance
+        # 1e-10 (1 + ||y_0/2||) of it: the tie rule cuts it
+        y = _one_step([eig, 0.5])
+        fresh = cuculescu_r(_one_step([eig, 0.5]), 2.0).R(0).op.data[0]
+        assert np.array_equal(fresh, np.diag([0.0, 1.0]))
+        cuculescu_r(y, 2.0 * factor)
+        got = cuculescu_r(y, 2.0).R(0).op.data[0]
+        assert np.array_equal(got, fresh)
+
+    def test_every_returned_sequence_is_checked(self, monkeypatch):
+        calls = {"check": 0, "fresh": 0}
+        check, fresh = cuculescu._check_level, cuculescu._fresh_sequence
+
+        def counted_check(seq, level):
+            calls["check"] += 1
+            return check(seq, level)
+
+        def counted_fresh(y, level):
+            calls["fresh"] += 1
+            return fresh(y, level)
+
+        monkeypatch.setattr(cuculescu, "_check_level", counted_check)
+        monkeypatch.setattr(cuculescu, "_fresh_sequence", counted_fresh)
+        y = _one_step([2.0, 0.5])
+        first = cuculescu_r(y, 1.0)
+        for level in (1.0, 1.5, 0.7):      # between the eigenvalues 0.5 and 2
+            assert cuculescu_r(y, level).projections is first.projections
+        assert calls == {"check": 4, "fresh": 1}
+        cuculescu_r(y, 3.0)                # above both: outside every window
+        cuculescu_r(y, 0.25)               # below both
+        cuculescu_r(y, 5.0)
+        assert calls == {"check": 7, "fresh": 3}
+        assert len(y.cuculescu_cache) == 3
+
+    def test_hits_are_validated(self):
+        y = _one_step([2.0, 0.5])
+        cuculescu_r(y, 1.0)
+        seq = y.cuculescu_cache[0]
+        bad = dataclasses.replace(seq.steps[0], adapted=1.0)
+        y.cuculescu_cache[0] = dataclasses.replace(seq, steps=(bad,))
+        with pytest.raises(NumericalInstabilityError):
+            cuculescu_r(y, 1.5)
+
+    def test_cache_dies_with_the_martingale(self):
+        y = random_martingale(make_filtration("corner", dim=3), stream(58),
+                              sup_norm=2.0)
+        ref = weakref.ref(y)
+        corrected_p(y, 1.5)
+        weak_max(y, 1.5, "-")
+        assert y.cuculescu_cache and (-y).cuculescu_cache
+        del y
+        gc.collect()
+        assert ref() is None
+
+    def test_negation_is_built_once(self):
+        y = random_martingale(make_filtration("corner", dim=3), stream(59))
+        assert -y is -y
+        assert all(np.array_equal(a.data, -b.data)
+                   for a, b in zip((-y).values, y.values))
+
+
 class TestCorrectedProjections:
     def test_diagonal_p_equals_r_exactly(self):
         filt = make_filtration("rademacher", depth=3)
         y = random_martingale(filt, stream(47), sup_norm=2.0)
         cp = corrected_p(y, 2.0)
         for k in range(cp.k_min, cp.k_top + 1):
-            seq = cuculescu_r(y, 2.0**k)
+            # an independent recursion at this level, not y's cache
+            seq = cuculescu_r(_fresh_copy(y), 2.0**k)
             for n in range(y.N + 1):
                 got = np.concatenate([b.ravel() for b in cp.P(n, k).op.data])
                 ref = np.concatenate([b.ravel() for b in seq.R(n).op.data])

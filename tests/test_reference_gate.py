@@ -4,7 +4,7 @@ perfbench/run.py checks every pass at seed 0 against perfbench/reference.json:
 the same (suite, instance) rows and pass flags, margins within 1e-9 relative.
 This test runs one seed-0 pass of each workload through that same check, so a
 margin drift beyond the bound fails here, not only in a benchmark run.  The
-four passes take about 40 s together.
+four passes take about 15 s together.
 """
 
 import os
