@@ -34,13 +34,8 @@ from .opalgebra import (
     trace,
 )
 from .filtration import (
-    Corner,
     Filtration,
-    Full,
     Martingale,
-    RademacherAverage,
-    Tensor,
-    Trivial,
     ce_oracle,
     cond_exp,
     conditioned_square_function,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -64,6 +65,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise NCGLError(f"unknown suite {self.suite!r}")
+        for name, kind in (("trials", numbers.Integral), ("seed", numbers.Integral),
+                           ("dims", dict), ("tolerances", dict)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                expected = "an integer" if kind is numbers.Integral else "an object"
+                raise NCGLError(f"{name} must be {expected}, got {value!r}")
         if self.trials < 1:
             raise NCGLError("trials must be at least 1")
         info = _REGISTRY[self.suite]

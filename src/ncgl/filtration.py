@@ -1,19 +1,19 @@
 """Structured filtrations, conditional expectations and martingales.
 
-Supported filtration levels are built from four structured ingredients:
+Every structured algebra is a classical algebra, one block per atom (a sign
+pattern, or an unlabelled block), tensor matrix factors
+M_{d_1} (x) ... (x) M_{d_r}.  On each matrix factor a filtration level acts as
+the corner expectation at an index k in [0, d]: the upper-left k x k corner is
+kept, the remaining diagonal is replaced by its mean and everything else is
+zeroed, so k = 0 is the normalised trace and k = d the identity.  A level
+(``_StructuredLevel``) is one corner index per matrix factor followed by a
+weighted average over groups of classical blocks (sign patterns that agree on
+a prefix, or all blocks).  Its range is spanned by tensor products of the
+factors' corner matrix units and trailing identities; that basis feeds the
+independent Gram-projection oracle :func:`ce_oracle`.
 
-* ``Trivial``      -- x maps to tau(x)/tau(I) * I,
-* ``Full``         -- the identity map,
-* ``Corner(k)``    -- the corner conditional expectation on a matrix factor
-                      (upper-left k x k corner kept, remaining diagonal
-                      replaced by its mean, everything else zeroed),
-* ``RademacherAverage(n)`` -- averaging over classical sign-pattern blocks
-                      that agree on the first n sign coordinates,
-
-and their tensor combinations (``Tensor``).  Every level is compiled into a
-concrete map consisting of a per-block factor action plus a weighted average
-over groups of classical blocks, together with a spanning basis of its range
-used by the independent Gram-projection oracle.
+The ``trivial_full`` family on blocks of mixed dimension has no such tensor
+layout and uses the plain normalised-trace and identity levels instead.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ from .errors import DomainError, NumericalRankError, StructureError
 from .opalgebra import Operator, TracialAlgebra, psd_power, psd_sqrt, trace
 
 __all__ = [
-    "Trivial",
-    "Full",
-    "Corner",
-    "RademacherAverage",
-    "Tensor",
     "AlgebraLayout",
     "Filtration",
     "Martingale",
@@ -52,42 +47,6 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# descriptors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Trivial:
-    """x -> tau(x)/tau(I) * I."""
-
-
-@dataclass(frozen=True)
-class Full:
-    """Identity map."""
-
-
-@dataclass(frozen=True)
-class Corner:
-    """Corner conditional expectation at level k on a matrix factor."""
-
-    k: int
-
-
-@dataclass(frozen=True)
-class RademacherAverage:
-    """Average over blocks agreeing on the first n classical sign coordinates."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """One descriptor per layout factor (classical factor first, if any)."""
-
-    factors: tuple
-
-
 @dataclass(frozen=True)
 class AlgebraLayout:
     """How an algebra's blocks decompose into classical atoms and matrix factors.
@@ -103,7 +62,7 @@ class AlgebraLayout:
 
 
 # ---------------------------------------------------------------------------
-# compiled levels
+# levels
 # ---------------------------------------------------------------------------
 
 
@@ -112,45 +71,30 @@ def _matrix_units(d: int) -> list[np.ndarray]:
     return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
 
 
-def _factor_range_basis(op) -> list[np.ndarray]:
-    kind = op[0]
-    if kind == "full":
-        return _matrix_units(op[1])
-    if kind == "trivial":
-        return [np.eye(op[1], dtype=complex)]
-    if kind == "corner":
-        d, k = op[1], op[2]
-        basis = [np.pad(e, (0, d - k)) for e in _matrix_units(k)]
-        if k < d:
-            basis.append(np.diag((np.arange(d) >= k).astype(complex)))
-        return basis
-    raise StructureError(f"unknown factor op {op!r}")
+def _factor_range_basis(d: int, k: int) -> list[np.ndarray]:
+    """Spanning set of the corner range at index k on M_d: the k x k matrix
+    units, then the identity on the trailing diagonal (if any)."""
+    basis = [np.pad(e, (0, d - k)) for e in _matrix_units(k)]
+    if k < d:
+        basis.append(np.diag((np.arange(d) >= k).astype(complex)))
+    return basis
 
 
-def _apply_factor_op(stack: np.ndarray, dims: Sequence[int], axis: int, op) -> np.ndarray:
-    """Apply one factor action to every block of a (count, prod(dims), prod(dims))
-    stack."""
-    kind = op[0]
-    if kind == "full":
+def _apply_factor_op(stack: np.ndarray, dims: Sequence[int], axis: int, k: int) -> np.ndarray:
+    """Apply the corner expectation at index k on factor `axis` to every block
+    of a (count, prod(dims), prod(dims)) stack; k = dims[axis] returns the
+    stack itself."""
+    d = dims[axis]
+    if k == d:
         return stack
     pre = int(np.prod(dims[:axis], dtype=int))
-    d = dims[axis]
     post = int(np.prod(dims[axis + 1 :], dtype=int))
     t = stack.reshape(len(stack), pre, d, post, pre, d, post)
     out = np.zeros_like(t)
-    if kind == "trivial":
-        diag = np.einsum("zajbcjd->zabcd", t) / d
-        idx = np.arange(d)
-        out[:, :, idx, :, :, idx, :] = diag[None]
-    elif kind == "corner":
-        k = op[2]
-        out[:, :, :k, :, :, :k, :] = t[:, :, :k, :, :, :k, :]
-        if k < d:
-            tail = np.einsum("zajbcjd->zabcd", t[:, :, k:, :, :, k:, :]) / (d - k)
-            idx = np.arange(k, d)
-            out[:, :, idx, :, :, idx, :] = tail[None]
-    else:
-        raise StructureError(f"unknown factor op {op!r}")
+    out[:, :, :k, :, :, :k, :] = t[:, :, :k, :, :, :k, :]
+    tail = np.einsum("zajbcjd->zabcd", t[:, :, k:, :, :, k:, :]) / (d - k)
+    idx = np.arange(k, d)
+    out[:, :, idx, :, :, idx, :] = tail[None]
     return out.reshape(stack.shape)
 
 
@@ -162,7 +106,8 @@ def _supported_on(alg: TracialAlgebra, blocks, m: np.ndarray) -> Operator:
 
 @dataclass(frozen=True, eq=False)
 class _StructuredLevel:
-    """Per-block factor maps followed by weighted averaging over block groups.
+    """The corner expectations at indices ``ks`` (one per matrix factor) on
+    every block, followed by weighted averaging over block groups.
 
     Every group has the same size (groups are sign-prefix classes), so the
     averaging is one weighted mean over the group axis of a (groups, size)
@@ -171,12 +116,12 @@ class _StructuredLevel:
 
     groups: tuple[tuple[int, ...], ...]
     factor_dims: tuple[int, ...]
-    factor_ops: tuple
+    ks: tuple[int, ...]
 
     def apply(self, x: Operator) -> Operator:
         (m,) = x.stacks  # structured levels live on uniform algebras
-        for axis, op in enumerate(self.factor_ops):
-            m = _apply_factor_op(m, self.factor_dims, axis, op)
+        for axis, k in enumerate(self.ks):
+            m = _apply_factor_op(m, self.factor_dims, axis, k)
         idx = np.asarray(self.groups)
         w = np.asarray(x.algebra.weights)[idx]
         avg = (w[:, :, None, None] * m[idx]).sum(axis=1) / w.sum(axis=1)[:, None, None]
@@ -185,12 +130,16 @@ class _StructuredLevel:
         return x.algebra.operator(out)
 
     def range_basis(self, alg: TracialAlgebra) -> list[Operator]:
-        factor_bases = [_factor_range_basis(op) for op in self.factor_ops]
+        factor_bases = [_factor_range_basis(d, k)
+                        for d, k in zip(self.factor_dims, self.ks)]
         mat_basis = [
             reduce(np.kron, combo)
             for combo in itertools.product(*factor_bases)
         ]
         return [_supported_on(alg, grp, m) for grp in self.groups for m in mat_basis]
+
+
+# The two levels of ``trivial_full`` on blocks of mixed dimension.
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,86 +168,15 @@ class _FullLevel:
 # ---------------------------------------------------------------------------
 
 
-def _compile_descriptor(desc, layout: AlgebraLayout, n_blocks: int):
-    if isinstance(desc, Trivial):
-        return _TrivialLevel()
-    if isinstance(desc, Full):
-        return _FullLevel()
-    singletons = tuple((b,) for b in range(n_blocks))
-    all_full = tuple(("full", d) for d in layout.factor_dims)
-    if isinstance(desc, Corner):
-        if len(layout.factor_dims) != 1:
-            raise StructureError("Corner on a multi-factor layout needs Tensor")
-        d = layout.factor_dims[0]
-        if not 0 <= desc.k <= d:
-            raise DomainError("corner index out of range")
-        return _StructuredLevel(
-            singletons, layout.factor_dims, (("corner", d, desc.k),)
-        )
-    if isinstance(desc, RademacherAverage):
-        groups = _prefix_groups(layout.atom_labels, desc.n)
-        return _StructuredLevel(groups, layout.factor_dims, all_full)
-    if isinstance(desc, Tensor):
-        mat_descs = list(desc.factors)
-        groups = singletons
-        if mat_descs and isinstance(mat_descs[0], RademacherAverage):
-            groups = _prefix_groups(layout.atom_labels, mat_descs[0].n)
-            mat_descs = mat_descs[1:]
-        if len(mat_descs) != len(layout.factor_dims):
-            raise StructureError("one tensor factor per matrix factor expected")
-        ops = []
-        for d, sub in zip(layout.factor_dims, mat_descs):
-            if isinstance(sub, Full):
-                ops.append(("full", d))
-            elif isinstance(sub, Trivial):
-                ops.append(("trivial", d))
-            elif isinstance(sub, Corner):
-                if not 0 <= sub.k <= d:
-                    raise DomainError("corner index out of range")
-                ops.append(("corner", d, sub.k))
-            else:
-                raise StructureError(f"unsupported tensor factor {sub!r}")
-        return _StructuredLevel(groups, layout.factor_dims, tuple(ops))
-    raise StructureError(f"unknown descriptor {desc!r}")
-
-
-def _prefix_groups(labels, n: int):
-    buckets: dict = {}
-    for b, lab in enumerate(labels):
-        buckets.setdefault(tuple(lab[:n]), []).append(b)
-    return tuple(tuple(v) for v in buckets.values())
-
-
 @dataclass(frozen=True, eq=False)
 class Filtration:
     """Ordered family E_0 <= E_1 <= ... <= E_N of conditional expectations."""
 
     algebra: TracialAlgebra
     layout: AlgebraLayout
-    descriptors: tuple
     levels: tuple
     label: str = ""
     _oracle_cache: dict = field(default_factory=dict, repr=False)
-
-    @staticmethod
-    def build(
-        algebra: TracialAlgebra,
-        layout: AlgebraLayout,
-        descriptors: Sequence,
-        label: str = "",
-    ) -> "Filtration":
-        if len(layout.atom_labels) != algebra.n_blocks:
-            raise StructureError("one atom label per block expected")
-        block_dim = int(np.prod(layout.factor_dims, dtype=int))
-        if any(d != block_dim for d in algebra.dims):
-            if not all(isinstance(d, (Trivial, Full)) for d in descriptors):
-                raise StructureError("structured levels need uniform block dims")
-        levels = tuple(
-            _compile_descriptor(d, layout, algebra.n_blocks) for d in descriptors
-        )
-        if not levels:
-            raise StructureError("a filtration needs at least one level")
-        return Filtration(algebra, layout, tuple(descriptors), levels, label)
 
     @property
     def n_levels(self) -> int:
@@ -350,15 +228,21 @@ class Filtration:
         return dev
 
 
-def cond_exp(filtration: Filtration, n: int, x: Operator) -> Operator:
-    """Apply E_n; n = -1 is aliased to level 0."""
+def _checked_level(filtration: Filtration, n: int, x: Operator) -> int:
+    """Level index n, with -1 aliased to 0, once n is in range and x lives on
+    the filtration's algebra."""
     if n == -1:
         n = 0
     if not 0 <= n < filtration.n_levels:
         raise DomainError(f"level {n} outside 0..{filtration.N}")
     if x.algebra.dims != filtration.algebra.dims:
         raise StructureError("operator does not live on the filtration's algebra")
-    return filtration.levels[n].apply(x)
+    return n
+
+
+def cond_exp(filtration: Filtration, n: int, x: Operator) -> Operator:
+    """Apply E_n; n = -1 is aliased to level 0."""
+    return filtration.levels[_checked_level(filtration, n, x)].apply(x)
 
 
 def ce_oracle(filtration: Filtration, n: int, x: Operator) -> Operator:
@@ -368,10 +252,7 @@ def ce_oracle(filtration: Filtration, n: int, x: Operator) -> Operator:
     basis of the range subalgebra in the inner product <a, b> = tau(a* b) and
     solves it directly.
     """
-    if n == -1:
-        n = 0
-    if not 0 <= n < filtration.n_levels:
-        raise DomainError(f"level {n} outside 0..{filtration.N}")
+    n = _checked_level(filtration, n, x)
     alg = filtration.algebra
     sqw = [np.sqrt(w) for w in alg.weights]
 
@@ -405,6 +286,21 @@ def _sign_patterns(depth: int) -> tuple:
     return tuple(itertools.product((1, -1), repeat=depth))
 
 
+def _prefix_groups(labels, n: int):
+    buckets: dict = {}
+    for b, lab in enumerate(labels):
+        buckets.setdefault(tuple(lab[:n]), []).append(b)
+    return tuple(tuple(v) for v in buckets.values())
+
+
+def _corner_levels(layout: AlgebraLayout, steps) -> tuple:
+    """One structured level per (sign prefix length, corner indices) step."""
+    return tuple(
+        _StructuredLevel(_prefix_groups(layout.atom_labels, n), layout.factor_dims, ks)
+        for n, ks in steps
+    )
+
+
 def make_filtration(kind: str, **params) -> Filtration:
     """Construct one of the supported structured filtration families.
 
@@ -424,95 +320,66 @@ def make_filtration(kind: str, **params) -> Filtration:
         weights = tuple(params.get("weights", (1.0,) * len(dims)))
         alg = TracialAlgebra(dims, weights)
         layout = AlgebraLayout(((),) * len(dims), (dims[0],))
-        return Filtration.build(alg, layout, (Trivial(), Full()),
-                                label=f"trivial_full{dims}")
+        if len(set(dims)) > 1:
+            levels = (_TrivialLevel(), _FullLevel())
+        else:
+            levels = (_StructuredLevel((tuple(range(len(dims))),), (dims[0],), (0,)),
+                      _StructuredLevel(tuple((b,) for b in range(len(dims))),
+                                       (dims[0],), (dims[0],)))
+        return Filtration(alg, layout, levels, f"trivial_full{dims}")
     if kind == "corner":
         d = int(params["dim"])
         weight = float(params.get("weight", 1.0))
         alg = TracialAlgebra((d,), (weight,))
         layout = AlgebraLayout(((),), (d,))
-        descs = tuple(Corner(k) for k in range(d + 1))
-        return Filtration.build(alg, layout, descs, label=f"corner(M_{d})")
+        levels = _corner_levels(layout, ((0, (k,)) for k in range(d + 1)))
+        return Filtration(alg, layout, levels, f"corner(M_{d})")
     if kind == "rademacher":
         depth = int(params["depth"])
         d = int(params.get("matrix_dim", 1))
         labels = _sign_patterns(depth)
         alg = TracialAlgebra((d,) * len(labels), (2.0**-depth,) * len(labels))
         layout = AlgebraLayout(labels, (d,))
-        descs = tuple(
-            Tensor((RademacherAverage(n), Full())) for n in range(depth + 1)
-        )
-        return Filtration.build(alg, layout, descs,
-                                label=f"rademacher(depth={depth},M_{d})")
+        levels = _corner_levels(layout, ((n, (d,)) for n in range(depth + 1)))
+        return Filtration(alg, layout, levels, f"rademacher(depth={depth},M_{d})")
     if kind == "rademacher_corner":
         depth = int(params["depth"])
         d = int(params["matrix_dim"])
         labels = _sign_patterns(depth)
         alg = TracialAlgebra((d,) * len(labels), (2.0**-depth,) * len(labels))
         layout = AlgebraLayout(labels, (d,))
-        n_levels = max(depth, d) + 1
-        descs = tuple(
-            Tensor((RademacherAverage(min(n, depth)), Corner(min(n, d))))
-            for n in range(n_levels)
-        )
-        return Filtration.build(alg, layout, descs,
-                                label=f"rademacher_corner(depth={depth},M_{d})")
+        levels = _corner_levels(layout, ((min(n, depth), (min(n, d),))
+                                         for n in range(max(depth, d) + 1)))
+        return Filtration(alg, layout, levels,
+                          f"rademacher_corner(depth={depth},M_{d})")
     if kind == "matrix_corner":
         m = int(params["outer_dim"])
         d = int(params["dim"])
         alg = TracialAlgebra((m * d,), (1.0,))
         layout = AlgebraLayout(((),), (m, d))
-        descs = tuple(Tensor((Full(), Corner(k))) for k in range(d + 1))
-        return Filtration.build(alg, layout, descs,
-                                label=f"matrix_corner(M_{m}xM_{d})")
+        levels = _corner_levels(layout, ((0, (m, k)) for k in range(d + 1)))
+        return Filtration(alg, layout, levels, f"matrix_corner(M_{m}xM_{d})")
     raise DomainError(f"unknown filtration kind {kind!r}")
 
 
 def lift_with_matrix_factor(base: Filtration, outer_dim: int,
                             label: str = "") -> Filtration:
-    """Tensor a full (unfiltered) M_outer factor onto every level of `base`.
+    """Lift every level of `base` by a full (unfiltered) M_outer tensor factor.
 
     The lifted level n is id_{M_outer} (x) E_n; blocks keep their weights and
-    classical labels, dimensions multiply by outer_dim.
+    classical labels, dimensions multiply by outer_dim.  The base must have
+    uniform block dimensions.
     """
     alg = base.algebra
-    if len(set(alg.dims)) > 1 and not all(isinstance(v, _FullLevel) for v in base.levels):
+    if len(set(alg.dims)) > 1:
         raise StructureError("structured levels need uniform block dims")
     big = TracialAlgebra(tuple(outer_dim * d for d in alg.dims), alg.weights)
     layout = AlgebraLayout(base.layout.atom_labels,
                            (outer_dim,) + base.layout.factor_dims)
-    outer_full = ("full", outer_dim)
-    levels = []
-    for lvl in base.levels:
-        if isinstance(lvl, _FullLevel):
-            levels.append(_FullLevel())
-        elif isinstance(lvl, _TrivialLevel):
-            groups = (tuple(range(alg.n_blocks)),)
-            ops = (outer_full,) + tuple(("trivial", d) for d in base.layout.factor_dims)
-            levels.append(_StructuredLevel(groups, layout.factor_dims, ops))
-        elif isinstance(lvl, _StructuredLevel):
-            levels.append(_StructuredLevel(
-                lvl.groups, layout.factor_dims, (outer_full,) + lvl.factor_ops))
-        else:
-            raise StructureError("cannot lift this level type")
-    descs = tuple(("lifted", outer_dim, d) for d in base.descriptors)
-    return Filtration(big, layout, descs, tuple(levels),
-                      label or f"M_{outer_dim}(x){base.label}")
-
-
-def _base_factor_ops(base: Filtration, n: int):
-    """Per-factor actions of base level n (base must have no classical mixing)."""
-    lvl = base.levels[n]
-    dims = base.layout.factor_dims
-    if isinstance(lvl, _FullLevel):
-        return tuple(("full", d) for d in dims)
-    if isinstance(lvl, _TrivialLevel):
-        return tuple(("trivial", d) for d in dims)
-    if isinstance(lvl, _StructuredLevel):
-        if any(len(g) != 1 for g in lvl.groups):
-            raise StructureError("base level mixes classical blocks")
-        return lvl.factor_ops
-    raise StructureError("unsupported base level")
+    levels = tuple(_StructuredLevel(lvl.groups, layout.factor_dims,
+                                    (outer_dim,) + lvl.ks)
+                   for lvl in base.levels)
+    return Filtration(big, layout, levels, label or f"M_{outer_dim}(x){base.label}")
 
 
 def sign_matrix_filtration(outer_dim: int, depth: int, base: Filtration,
@@ -532,13 +399,9 @@ def sign_matrix_filtration(outer_dim: int, depth: int, base: Filtration,
     big = TracialAlgebra((outer_dim * d_base,) * len(labels),
                          (base.algebra.weights[0] * 2.0 ** -depth,) * len(labels))
     layout = AlgebraLayout(labels, (outer_dim,) + base.layout.factor_dims)
-    levels = []
-    for k in range(depth):
-        groups = _prefix_groups(labels, k + 1)
-        ops = (("full", outer_dim),) + tuple(_base_factor_ops(base, k))
-        levels.append(_StructuredLevel(groups, layout.factor_dims, ops))
-    descs = tuple(("sign_matrix", outer_dim, k) for k in range(depth))
-    return Filtration(big, layout, descs, tuple(levels),
+    levels = _corner_levels(layout, ((k + 1, (outer_dim,) + base.levels[k].ks)
+                                     for k in range(depth)))
+    return Filtration(big, layout, levels,
                       label or f"M_{outer_dim}(x)Omega_{depth}(x){base.label}")
 
 

@@ -44,12 +44,11 @@ from ncgl.opalgebra import cluster_eigenvalues, operator_norm, schatten_norm
 class TestBGEmbedding:
     def test_single_step_scalar(self):
         # one-step martingale with dx_0 = 1: y_0 = e_{12} + e_{21} in M_2
-        from ncgl.filtration import AlgebraLayout, Filtration, Full
-        from ncgl.opalgebra import TracialAlgebra
+        from ncgl.filtration import Filtration
 
-        alg = TracialAlgebra((1,), (1.0,))
-        filt = Filtration.build(alg, AlgebraLayout(((),), (1,)), (Full(),))
-        inst = bg_embed(martingale_from_final(filt, alg.identity()))
+        c = make_filtration("corner", dim=1)
+        filt = Filtration(c.algebra, c.layout, c.levels[-1:])
+        inst = bg_embed(martingale_from_final(filt, c.algebra.identity()))
         eigs = np.linalg.eigvalsh(inst.y.final.data[0])
         assert np.allclose(sorted(eigs), [-1.0, 1.0])
         assert np.allclose(sorted(np.abs(eigs)), [1.0, 1.0])

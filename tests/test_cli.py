@@ -184,6 +184,19 @@ class TestMainEntry:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 3  # three rows per (trial, p)
 
+    @pytest.mark.parametrize("fields", [
+        {"suite": "bg", "dims": 5},
+        {"suite": "moment", "tolerances": 5},
+        {"suite": "bg", "seed": "abc"},
+        {"suite": "bg", "trials": 2.5},
+    ], ids=["dims", "tolerances", "seed", "trials"])
+    def test_exit_two_on_mistyped_field(self, tmp_path, capsys, fields):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(fields))
+        assert main([str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_unknown_config_field(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"suite": "bg", "bogus": 1}))

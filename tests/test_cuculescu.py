@@ -19,9 +19,7 @@ from ncgl.cuculescu import (
 )
 from ncgl.errors import DomainError, NumericalInstabilityError
 from ncgl.filtration import (
-    AlgebraLayout,
     Filtration,
-    Full,
     Martingale,
     cond_exp,
     make_filtration,
@@ -30,7 +28,6 @@ from ncgl.filtration import (
 from ncgl.instances import random_martingale, stream, triple_family
 from ncgl.opalgebra import (
     Interval,
-    TracialAlgebra,
     min_eigenvalue,
     operator_norm,
     spectral_projection,
@@ -39,10 +36,10 @@ from ncgl.opalgebra import (
 
 
 def _one_step(y0_diag):
-    alg = TracialAlgebra((len(y0_diag),), (1.0,))
-    filt = Filtration.build(alg, AlgebraLayout(((),), (len(y0_diag),)),
-                            (Full(),), label="one_step")
-    y0 = alg.operator([np.diag(np.asarray(y0_diag, dtype=float))])
+    # a one-level filtration: the top (identity) level of the corner family
+    c = make_filtration("corner", dim=len(y0_diag))
+    filt = Filtration(c.algebra, c.layout, c.levels[-1:], label="one_step")
+    y0 = c.algebra.operator([np.diag(np.asarray(y0_diag, dtype=float))])
     return Martingale(filt, (y0,), (y0,))
 
 
@@ -301,11 +298,8 @@ class TestCorrectedProjections:
 class TestWeakMax:
     def test_classical_staircase_value(self):
         # a coordinate whose running maximum is 5 gets value 4 at base 2
-        from ncgl.filtration import AlgebraLayout, Filtration, Trivial
-
-        alg = TracialAlgebra((1, 1), (0.5, 0.5))
-        filt = Filtration.build(alg, AlgebraLayout(((), ()), (1,)),
-                                (Trivial(), Full()), label="tf")
+        filt = make_filtration("trivial_full", dims=(1, 1), weights=(0.5, 0.5))
+        alg = filt.algebra
         f = alg.operator([np.array([[5.0]]), np.array([[-1.0]])])
         m = martingale_from_final(filt, f)
         wm = weak_max(m, 2.0, "+")

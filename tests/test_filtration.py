@@ -40,11 +40,31 @@ def family(request):
     return make_filtration(kind, **params)
 
 
+# every family, every family lifted by a full M_2 factor, and every one-block
+# family under a depth-2 sign layer and a full M_2 factor
+WRAPPED = ([("", kind, params) for kind, params in FAMILIES]
+           + [("lift", kind, params) for kind, params in FAMILIES]
+           + [("sign_matrix", kind, params) for kind, params in FAMILIES
+              if make_filtration(kind, **params).algebra.n_blocks == 1])
+
+
+@pytest.fixture(scope="module", params=range(len(WRAPPED)),
+                ids=lambda i: "-".join(filter(None, WRAPPED[i][:2])) + str(i))
+def any_family(request):
+    wrap, kind, params = WRAPPED[request.param]
+    base = make_filtration(kind, **params)
+    if wrap == "lift":
+        return lift_with_matrix_factor(base, 2)
+    if wrap == "sign_matrix":
+        return sign_matrix_filtration(2, 2, base)
+    return base
+
+
 class TestConditionalExpectationAxioms:
-    def test_axioms_on_samples(self, family):
-        dev = family.validate(stream(20), samples=5)
+    def test_axioms_on_samples(self, any_family):
+        dev = any_family.validate(stream(20), samples=5)
         for key, val in dev.items():
-            assert val < 1e-9, (family.label, key, val)
+            assert val < 1e-9, (any_family.label, key, val)
 
     def test_lp_contraction(self, family):
         rng = stream(21)
@@ -124,12 +144,13 @@ class TestRademacherFamily:
 
 
 class TestOracle:
-    def test_matches_structured_map(self, family):
+    def test_matches_structured_map(self, any_family):
         rng = stream(26)
         for _ in range(25):
-            n = int(rng.integers(0, family.n_levels))
-            x = gaussian_hermitian(family.algebra, rng)
-            assert (cond_exp(family, n, x) - ce_oracle(family, n, x)).entry_max() < 1e-9
+            n = int(rng.integers(0, any_family.n_levels))
+            x = gaussian_hermitian(any_family.algebra, rng)
+            assert (cond_exp(any_family, n, x)
+                    - ce_oracle(any_family, n, x)).entry_max() < 1e-9
 
     def test_trivial_level_returns_mean(self):
         filt = make_filtration("trivial_full", dims=(3,))
@@ -141,6 +162,15 @@ class TestOracle:
         filt = make_filtration("trivial_full", dims=(3,))
         x = gaussian_hermitian(filt.algebra, stream(28))
         assert (ce_oracle(filt, 1, x) - x).entry_max() < 1e-12
+
+    @pytest.mark.parametrize("dims", [(4, 4), (3,)])
+    def test_rejects_operator_on_other_algebra(self, dims):
+        from ncgl.opalgebra import TracialAlgebra
+
+        filt = make_filtration("corner", dim=4)
+        x = gaussian_hermitian(TracialAlgebra(dims, (1.0,) * len(dims)), stream(282))
+        with pytest.raises(StructureError):
+            ce_oracle(filt, 1, x)
 
     def test_singular_gram_raises(self):
         from ncgl.errors import NumericalRankError
@@ -156,7 +186,7 @@ class TestOracle:
                 b = lvl.range_basis(alg)
                 return b + b  # duplicated spanning set: singular Gram matrix
 
-        broken = type(filt)(filt.algebra, filt.layout, filt.descriptors,
+        broken = type(filt)(filt.algebra, filt.layout,
                             (Degenerate(),) + filt.levels[1:], filt.label)
         x = gaussian_hermitian(filt.algebra, stream(280))
         with pytest.raises(NumericalRankError):
@@ -209,12 +239,12 @@ class TestMartingale:
 class TestSquareFunctions:
     def test_one_step_is_modulus(self):
         # for a single-level filtration, S_0 = |x_0|
-        from ncgl.filtration import AlgebraLayout, Filtration, Full
-        from ncgl.opalgebra import TracialAlgebra, operator_abs
+        from ncgl.filtration import Filtration
+        from ncgl.opalgebra import operator_abs
 
-        alg = TracialAlgebra((3,), (1.0,))
-        filt = Filtration.build(alg, AlgebraLayout(((),), (3,)), (Full(),))
-        m = martingale_from_final(filt, gaussian_hermitian(alg, stream(33)))
+        c = make_filtration("corner", dim=3)
+        filt = Filtration(c.algebra, c.layout, c.levels[-1:])
+        m = martingale_from_final(filt, gaussian_hermitian(c.algebra, stream(33)))
         assert (square_function(m) - operator_abs(m.final)).entry_max() < 1e-10
 
     def test_diagonal_matches_classical(self):
@@ -247,6 +277,20 @@ class TestSquareFunctions:
         assert min_eigenvalue(z) > -1e-10
         with pytest.raises(DomainError):
             diagonal_p_function(m, 1.5)
+
+
+class TestStructuredTrivialFull:
+    def test_matches_plain_levels(self):
+        # on equal block dims trivial_full is built from corner levels at
+        # k = 0 and k = d; the plain trace and identity levels are the reference
+        from ncgl.filtration import _FullLevel, _TrivialLevel
+
+        filt = make_filtration("trivial_full", dims=(3, 3), weights=(0.25, 0.75))
+        assert [lvl.ks for lvl in filt.levels] == [(0,), (3,)]
+        x = gaussian_hermitian(filt.algebra, stream(283))
+        for lvl, ref in zip(filt.levels, (_TrivialLevel(), _FullLevel())):
+            got, want = lvl.apply(x), ref.apply(x)
+            assert (got - want).entry_max() <= 1e-15 * want.entry_max()
 
 
 class TestLiftedFiltrations:
