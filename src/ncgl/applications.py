@@ -72,6 +72,9 @@ __all__ = [
     "refined_doob",
 ]
 
+# duality pairings sampled by verify_transform at 1 < p < 2
+_DUAL_SAMPLES = 20
+
 
 # ---------------------------------------------------------------------------
 # constants, assembled from the proofs
@@ -346,8 +349,7 @@ def verify_bg(x: Martingale, p: float) -> BGReports:
     return BGReports(r1, r2, interp_bound(x, p))
 
 
-def verify_transform(x: Martingale, v, p: float,
-                     n_dual_samples: int = 20, seed: int = 0) -> VerifyReport:
+def verify_transform(x: Martingale, v, p: float, seed: int = 0) -> VerifyReport:
     """Martingale transform dy_n = v_n dx_n with scalar multipliers in [-1,1].
 
     For p >= 2 the transform bound is checked directly; for 1 < p < 2 only
@@ -372,14 +374,14 @@ def verify_transform(x: Martingale, v, p: float,
     const = transform_constant(p_dual)
     rng = stream(seed, 4242)
     lhs = 0.0
-    for _ in range(n_dual_samples):
+    for _ in range(_DUAL_SAMPLES):
         w = gaussian_hermitian(x.algebra, rng)
         lhs = max(lhs, abs(float(trace_pair(y.final, w).real))
                   / max(schatten_norm(w, p_dual), 1e-300))
     rhs = const * schatten_norm(x.final, p)
     return VerifyReport.compare(lhs, rhs, const,
                                 {"p": p, "mode": "duality-sampled",
-                                 "samples": n_dual_samples})
+                                 "samples": _DUAL_SAMPLES})
 
 
 # ---------------------------------------------------------------------------

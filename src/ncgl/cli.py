@@ -65,12 +65,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise NCGLError(f"unknown suite {self.suite!r}")
-        for name, kind in (("trials", numbers.Integral), ("seed", numbers.Integral),
-                           ("dims", dict), ("tolerances", dict)):
-            value = getattr(self, name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                expected = "an integer" if kind is numbers.Integral else "an object"
-                raise NCGLError(f"{name} must be {expected}, got {value!r}")
+        integer = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        number = lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+        for name, ok, expected in (
+            ("trials", integer(self.trials), "an integer"),
+            ("seed", integer(self.seed), "an integer"),
+            ("dims", isinstance(self.dims, dict) and all(
+                isinstance(v, (list, tuple)) and all(map(integer, v)) if k == "N_list"
+                else integer(v) for k, v in self.dims.items()),
+             "an object of integers (N_list a list of them)"),
+            ("tolerances", isinstance(self.tolerances, dict), "an object"),
+            ("B", self.B is None or number(self.B), "a number"),
+            ("beta_grid", all(map(number, self.beta_grid)), "a list of numbers"),
+        ):
+            if not ok:
+                raise NCGLError(f"{name} must be {expected}, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise NCGLError("trials must be at least 1")
         info = _REGISTRY[self.suite]

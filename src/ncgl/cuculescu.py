@@ -71,16 +71,35 @@ def _snap_projection(raw: Operator) -> Projection:
 
 
 @dataclass(frozen=True, eq=False)
-class CuculescuSeq:
-    """R_{-1} = I together with R_0..R_N at a fixed positive level."""
+class _Step:
+    """The level-free measurements of one step R_{n-1} -> R_n.
 
-    martingale: Martingale
-    level: float
+    `top` comes from its own eigensolve of the snapped C = R_n y_n R_n, not
+    from the spectrum that set the cut.  C kills ker R_n and maps into
+    range R_n, so R_n - C/level is 1 - C/level on the range and 0 on the
+    kernel; its smallest eigenvalue is below a negative threshold iff
+    1 - top/level is."""
+
+    norm: float        # ||y_n||
+    adapted: float     # entry_max(E_n(R_n) - R_n)
+    monotone: float    # min_eig(R_{n-1} - R_n)
+    commutator: float  # entry_max([R_n, R_{n-1} y_n R_{n-1}])
+    top: float         # max_eig(R_n y_n R_n)
+
+
+@dataclass(frozen=True, eq=False)
+class CuculescuSeq:
+    """R_{-1} = I and R_0..R_N with their measurements, and the levels
+    lo < level < hi at which every step makes the same spectral cut."""
+
+    lo: float
+    hi: float
     projections: tuple[Projection, ...]
+    steps: tuple[_Step, ...]
 
     def R(self, n: int) -> Projection:
         if n == -1:
-            return Projection(self.martingale.algebra.identity(), check=False)
+            return Projection(self.projections[0].algebra.identity(), check=False)
         return self.projections[n]
 
     @property
@@ -91,35 +110,14 @@ class CuculescuSeq:
         return self.projections[-1]
 
 
-@dataclass(frozen=True, eq=False)
-class _Step:
-    """The level-free measurements of one step R_{n-1} -> R_n."""
-
-    norm: float        # ||y_n||
-    adapted: float     # entry_max(E_n(R_n) - R_n)
-    monotone: float    # min_eig(R_{n-1} - R_n)
-    commutator: float  # entry_max([R_n, R_{n-1} y_n R_{n-1}])
-    cut: Operator      # R_n y_n R_n, symmetrized
-
-
-@dataclass(frozen=True, eq=False)
-class _Sequence:
-    """R_0..R_N with their measurements, and the levels lo < level < hi at
-    which every step makes the same spectral cut."""
-
-    lo: float
-    hi: float
-    projections: tuple[Projection, ...]
-    steps: tuple[_Step, ...]
-
-
-def _check_level(seq: _Sequence, level: float) -> None:
-    """The Lemma invariants of `seq` as a level-`level` sequence.
+def _check_level(seq: CuculescuSeq, level: float) -> None:
+    """The Lemma invariants of `seq` as a level-`level` sequence, from its
+    stored measurements (the cut-off bound through `_Step.top`).
 
     Tolerances scale with 1 + ||y_n||/level: products with y_n/level carry
     rounding of that size.
     """
-    for n, (r_n, s) in enumerate(zip(seq.projections, seq.steps)):
+    for n, s in enumerate(seq.steps):
         scale = 1.0 + s.norm / level
         # membership in M_n
         if s.adapted > 1e-9 * scale:
@@ -129,7 +127,7 @@ def _check_level(seq: _Sequence, level: float) -> None:
         # commutation with the compressed martingale value
         if s.commutator / level > 1e-8 * scale:
             raise NumericalInstabilityError(f"R_{n} fails to commute at step {n}")
-        if min_eigenvalue(r_n.op - s.cut / level) < -1e-8 * scale:
+        if 1.0 - s.top / level < -1e-8 * scale:
             raise NumericalInstabilityError(f"R_{n} y_n R_{n} exceeds R_{n}")
 
 
@@ -154,7 +152,7 @@ def _step_window(spectrum: tuple, tol: float, level: float,
             hi - 1e-8 * abs(hi) - 1e-12 * norm)
 
 
-def _fresh_sequence(y: Martingale, level: float) -> _Sequence:
+def _fresh_sequence(y: Martingale, level: float) -> CuculescuSeq:
     alg = y.algebra
     r_prev = Projection(alg.identity(), check=False)
     lo, hi = 0.0, math.inf
@@ -175,11 +173,11 @@ def _fresh_sequence(y: Martingale, level: float) -> _Sequence:
             adapted=(cond_exp(y.filtration, n, r_n.op) - r_n.op).entry_max(),
             monotone=min_eigenvalue(r_prev.op - r_n.op),
             commutator=(r_n.op @ compressed - compressed @ r_n.op).entry_max() * level,
-            cut=(r_n.op @ y_n @ r_n.op).symmetrized(),
+            top=-min_eigenvalue(-(r_n.op @ y_n @ r_n.op).symmetrized()),
         ))
         projections.append(r_n)
         r_prev = r_n
-    return _Sequence(lo, hi, tuple(projections), tuple(steps))
+    return CuculescuSeq(lo, hi, tuple(projections), tuple(steps))
 
 
 def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
@@ -187,8 +185,9 @@ def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
 
     R_n only changes where the level crosses an eigenvalue of
     R_{n-1} y_n R_{n-1}, so each computed sequence is kept on the martingale
-    with the window of levels it serves and returned again for any level
-    inside it.  The Lemma invariants are checked at every level returned.
+    with the window of levels it serves and returned itself for any level
+    inside it.  The Lemma invariants are checked from its stored
+    measurements at every level returned.
     """
     if not (level > 0):
         raise DomainError("the cut level must be positive")
@@ -200,7 +199,7 @@ def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
         seq = _fresh_sequence(y, level)
         cache.append(seq)
     _check_level(seq, level)
-    return CuculescuSeq(y, float(level), seq.projections)
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +261,14 @@ def corrected_p(
     rows = (y.N,) if final_only else tuple(range(y.N + 1))
     grid: dict = {}
     prev_col = {n: ident for n in rows}
-    prev_r = None
+    prev_seq = None
     for k in range(top, lo - 1, -1):
         if all(prev_col[n].rank() == 0 for n in rows):
             for n in rows:
                 grid[(n, k)] = prev_col[n]
             continue
         seq = cuculescu_r(y, B ** k)
-        if seq.projections is prev_r:
+        if seq is prev_seq:
             # P^{k+1} <= R^{k+1} = R^k, so the meet is P^{k+1} itself
             col = prev_col
         else:
@@ -282,7 +281,7 @@ def corrected_p(
                     col[n] = _normalized(proj_meet(seq.R(n), above))
         for n in rows:
             grid[(n, k)] = col[n]
-        prev_col, prev_r = col, seq.projections
+        prev_col, prev_seq = col, seq
     return CorrectedSeq(y, float(B), lo, top, rows, grid)
 
 

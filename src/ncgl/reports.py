@@ -23,20 +23,9 @@ class VerifyReport:
 
     @staticmethod
     def compare(lhs: float, rhs: float, constant: float,
-                meta: dict | None = None, tol: float | None = None) -> "VerifyReport":
+                meta: dict | None = None) -> "VerifyReport":
         lhs = float(lhs)
         rhs = float(rhs)
         margin = rhs - lhs
-        if tol is None:
-            tol = report_tolerance(rhs)
         return VerifyReport(lhs, rhs, float(constant), margin,
-                            margin >= -tol, dict(meta or {}))
-
-    @staticmethod
-    def equality(lhs: float, rhs: float, tol: float,
-                 meta: dict | None = None) -> "VerifyReport":
-        lhs = float(lhs)
-        rhs = float(rhs)
-        margin = rhs - lhs
-        return VerifyReport(lhs, rhs, 0.0, margin,
-                            abs(margin) <= tol, dict(meta or {}))
+                            margin >= -report_tolerance(rhs), dict(meta or {}))

@@ -189,7 +189,10 @@ class TestMainEntry:
         {"suite": "moment", "tolerances": 5},
         {"suite": "bg", "seed": "abc"},
         {"suite": "bg", "trials": 2.5},
-    ], ids=["dims", "tolerances", "seed", "trials"])
+        {"suite": "moment", "B": "x"},
+        {"suite": "goodlambda-tail", "beta_grid": ["a"]},
+        {"suite": "bg", "dims": {"dim": "abc"}},
+    ], ids=["dims", "tolerances", "seed", "trials", "B", "beta_grid", "dims_value"])
     def test_exit_two_on_mistyped_field(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(fields))

@@ -222,14 +222,51 @@ class TestCachedSequences:
         assert calls == {"check": 7, "fresh": 3}
         assert len(y.cuculescu_cache) == 3
 
-    def test_hits_are_validated(self):
+    @pytest.mark.parametrize("field, value", [("adapted", 1.0), ("top", 1e3)])
+    def test_hits_are_validated(self, field, value):
         y = _one_step([2.0, 0.5])
         cuculescu_r(y, 1.0)
         seq = y.cuculescu_cache[0]
-        bad = dataclasses.replace(seq.steps[0], adapted=1.0)
+        bad = dataclasses.replace(seq.steps[0], **{field: value})
         y.cuculescu_cache[0] = dataclasses.replace(seq, steps=(bad,))
         with pytest.raises(NumericalInstabilityError):
             cuculescu_r(y, 1.5)
+
+    def test_returns_the_stored_record(self):
+        y = _one_step([2.0, 0.5])
+        assert cuculescu_r(y, 1.0) is y.cuculescu_cache[0]
+        assert cuculescu_r(y, 1.5) is y.cuculescu_cache[0]
+        assert cuculescu_r(y, 1.0).R(-1).op.allclose(y.algebra.identity(), 0.0)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("family", range(6))
+    def test_cut_off_certificate_matches_eigensolve(self, family, sign):
+        # min_eig(R_n - R_n y_n R_n/level) against 1 - top/level, and 0 on a
+        # nonzero kernel, at every grid level (cache hits included)
+        y, levels, _ = _grid_case(family, sign)
+        m = _fresh_copy(y)
+        total = y.algebra.total_dim
+        for level in levels:
+            seq = cuculescu_r(m, level)
+            for n, (r, s) in enumerate(zip(seq.projections, seq.steps)):
+                cut = (r.op @ y.values[n] @ r.op).symmetrized()
+                direct = min_eigenvalue(r.op - cut / level)
+                cert = 1.0 - s.top / level
+                if r.rank() < total:
+                    cert = min(cert, 0.0)
+                assert abs(direct - cert) <= 1e-12 * (1.0 + s.norm / level), (level, n)
+
+    @pytest.mark.parametrize("mu", (0.5, 4.0))
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("family", range(6))
+    def test_scale_covariance(self, family, sign, mu):
+        # R^{mu level}(mu y) = R^{level}(y): the windows scale with mu
+        y, levels, refs = _grid_case(family, sign)
+        scaled = y.scale(mu)
+        for level, ref in zip(levels, refs):
+            got = cuculescu_r(scaled, mu * level).projections
+            for n, (a, b) in enumerate(zip(got, ref)):
+                assert a.op.allclose(b.op, 1e-10), (level, n)
 
     def test_cache_dies_with_the_martingale(self):
         y = random_martingale(make_filtration("corner", dim=3), stream(58),
