@@ -22,6 +22,7 @@ from .filtration import (
     lift_with_matrix_factor,
     make_filtration,
     martingale_from_diffs,
+    martingale_from_final,
     sign_matrix_filtration,
     square_function,
 )
@@ -205,8 +206,7 @@ def _embed_outer(big_filt: Filtration, outer: int, i: int, j: int,
         raise DomainError("base operator does not match the lifted block layout")
     base = base_op.stacks[0]
     if sign_coord is not None:
-        signs = np.asarray(big_filt.layout.atom_labels, dtype=float)[:, sign_coord]
-        base = base * signs[:, None, None]
+        base = base * big_filt.signs[:, sign_coord, None, None]
     d = base.shape[1]
     out = np.zeros((n, outer * d, outer * d), dtype=complex)
     out[:, i * d:(i + 1) * d, j * d:(j + 1) * d] = base
@@ -506,55 +506,36 @@ class CounterexampleReport:
     ratio: float             # (N+1) / (2 sqrt(N))
 
 
-def _counterexample_blocks(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked blocks of sum_n eps_n (x) (e_{1,n+1} + e_{n+1,1}) and of
-    sum_n eps_n (x) (e_{11} + e_{n+1,n+1}), one block per row of eps."""
-    blocks, N = eps.shape
-    idx = np.arange(1, N + 1)
-    x_stack = np.zeros((blocks, N + 1, N + 1), dtype=complex)
-    x_stack[:, 0, idx] = eps
-    x_stack[:, idx, 0] = eps
-    y_stack = np.zeros((blocks, N + 1, N + 1), dtype=complex)
-    y_stack[:, 0, 0] = eps.sum(axis=1)
-    y_stack[:, idx, idx] = eps
-    return x_stack, y_stack
-
-
 def counterexample_pair(N: int) -> tuple[Martingale, Martingale, Filtration]:
     """The tangent martingale pair of the weak-type counterexample.
 
-    dx_n = eps_n (x) (e_{1,n+1} + e_{n+1,1}),  dy_n = eps_n (x) (e_{11} +
-    e_{n+1,n+1}) on L^inf(signs) (x) M_{N+1}; intended for moderate N.
+    dx_0 = dy_0 = 0 and, for 1 <= n <= N, dx_n = eps_n (x) (e_{1,n+1} +
+    e_{n+1,1}),  dy_n = eps_n (x) (e_{11} + e_{n+1,n+1}) on L^inf(signs) (x)
+    M_{N+1}; intended for moderate N.
     """
     if N > 11:
         raise DomainError("full martingale storage is limited to N <= 11; "
                           "tangent_counterexample handles larger N")
+    x_final, y_final, filt = _counterexample_finals(N)
+    return (martingale_from_final(filt, x_final),
+            martingale_from_final(filt, y_final), filt)
+
+
+def _counterexample_finals(N: int) -> tuple[Operator, Operator, Filtration]:
+    """Final operators x_N = sum_n eps_n (x) (e_{1,n+1} + e_{n+1,1}) and
+    y_N = sum_n eps_n (x) (e_{11} + e_{n+1,n+1}) of the pair, with their
+    filtration; built without the 2(N+1) martingale levels, which matters
+    once the sign algebra has thousands of blocks."""
     filt = make_filtration("rademacher", depth=N, matrix_dim=N + 1)
-    alg = filt.algebra
-    eps = np.asarray(filt.layout.atom_labels, dtype=float)  # (blocks, N)
-    dxs, dys = [alg.zero()], [alg.zero()]
-    for n in range(N):
-        step = np.zeros_like(eps)
-        step[:, n] = eps[:, n]
-        x_stack, y_stack = _counterexample_blocks(step)
-        dxs.append(alg.operator(x_stack))
-        dys.append(alg.operator(y_stack))
-    x = martingale_from_diffs(filt, dxs, validate=False)
-    y = martingale_from_diffs(filt, dys, validate=False)
-    return x, y, filt
-
-
-def _counterexample_finals(N: int) -> tuple[Operator, Operator]:
-    """Final operators x_N, y_N of the pair, built in one stacked allocation.
-
-    Equivalent to summing the differences of :func:`counterexample_pair`,
-    but without materializing the 2(N+1) intermediate martingale levels,
-    which matters once the sign algebra has thousands of blocks.
-    """
-    filt = make_filtration("rademacher", depth=N, matrix_dim=N + 1)
-    eps = np.asarray(filt.layout.atom_labels, dtype=float)
-    x_stack, y_stack = _counterexample_blocks(eps)
-    return filt.algebra.operator(x_stack), filt.algebra.operator(y_stack)
+    eps = filt.signs  # (blocks, N)
+    idx = np.arange(1, N + 1)
+    x_stack = np.zeros((len(eps), N + 1, N + 1), dtype=complex)
+    x_stack[:, 0, idx] = eps
+    x_stack[:, idx, 0] = eps
+    y_stack = np.zeros((len(eps), N + 1, N + 1), dtype=complex)
+    y_stack[:, 0, 0] = eps.sum(axis=1)
+    y_stack[:, idx, idx] = eps
+    return filt.algebra.operator(x_stack), filt.algebra.operator(y_stack), filt
 
 
 def tangent_counterexample(N: int, p: float) -> CounterexampleReport:
@@ -567,7 +548,7 @@ def tangent_counterexample(N: int, p: float) -> CounterexampleReport:
         raise DomainError("the construction needs N odd")
     if not 1 <= N <= 13:
         raise DomainError("N must lie in 1..13")
-    x_final, y_final = _counterexample_finals(N)
+    x_final, y_final, _ = _counterexample_finals(N)
     # 2^N blocks each: x_N is released before the spectra of y_N are taken
     l1, p_norm_x = trace(operator_abs(x_final)), schatten_norm(x_final, p)
     del x_final

@@ -71,10 +71,11 @@ class ExperimentConfig:
             ("trials", integer(self.trials), "an integer"),
             ("seed", integer(self.seed), "an integer"),
             ("dims", isinstance(self.dims, dict) and all(
-                isinstance(v, (list, tuple)) and all(map(integer, v)) if k == "N_list"
-                else integer(v) for k, v in self.dims.items()),
-             "an object of integers (N_list a list of them)"),
-            ("tolerances", isinstance(self.tolerances, dict), "an object"),
+                isinstance(v, (list, tuple)) and len(v) > 0 and all(map(integer, v))
+                if k == "N_list" else integer(v) for k, v in self.dims.items()),
+             "an object of integers (N_list a non-empty list of them)"),
+            ("tolerances", isinstance(self.tolerances, dict)
+             and all(map(number, self.tolerances.values())), "an object of numbers"),
             ("B", self.B is None or number(self.B), "a number"),
             ("beta_grid", all(map(number, self.beta_grid)), "a list of numbers"),
         ):
@@ -83,6 +84,13 @@ class ExperimentConfig:
         if self.trials < 1:
             raise NCGLError("trials must be at least 1")
         info = _REGISTRY[self.suite]
+        for name in ("dims", "tolerances"):
+            given, defaults = getattr(self, name), getattr(info, name)
+            unknown = sorted(set(given) - set(defaults))
+            if unknown:
+                raise NCGLError(f"suite {self.suite} reads no {name} {unknown}"
+                                f" (it reads {sorted(defaults) or 'none'})")
+            object.__setattr__(self, name, {**defaults, **given})
         ps = tuple(float(p) for p in self.p_grid) or info.default_p
         object.__setattr__(self, "p_grid", ps)
         for p in ps:
@@ -156,14 +164,13 @@ def _suite_moment(cfg, trial):
         ]
         if p > 2:
             gap = fubini_identity_gap(reps.weak_plus, p)
-            tol = cfg.tolerances.get("fubini", 1e-6)
+            tol = cfg.tolerances["fubini"]
             rows.append(ReportRow(cfg.suite, f"{tag}:fubini", cfg.seed,
                                   gap, tol, 0.0, tol - gap, gap <= tol))
     return rows
 
 def _suite_bg(cfg, trial):
-    dim = int(cfg.dims.get("dim", 5))
-    filt = make_filtration("corner", dim=dim)
+    filt = make_filtration("corner", dim=cfg.dims["dim"])
     m = random_martingale(filt, stream(cfg.seed, 4, trial))
     rows = []
     for p in cfg.p_grid:
@@ -177,8 +184,7 @@ def _suite_bg(cfg, trial):
     return rows
 
 def _suite_transform(cfg, trial):
-    dim = int(cfg.dims.get("dim", 5))
-    filt = make_filtration("corner", dim=dim)
+    filt = make_filtration("corner", dim=cfg.dims["dim"])
     rng = stream(cfg.seed, 5, trial)
     m = random_martingale(filt, rng)
     kind = trial % 3
@@ -194,8 +200,9 @@ def _suite_transform(cfg, trial):
     ]
 
 def _suite_doob(cfg, trial, stein=False):
-    dim = int(cfg.dims.get("dim", 3))
-    steps = int(cfg.dims.get("steps", dim + 1))
+    dim, steps = cfg.dims["dim"], cfg.dims["steps"]
+    if steps is None:
+        steps = dim + 1
     filt = make_filtration("corner", dim=dim)
     rng = stream(cfg.seed, 6 if not stein else 7, trial)
     u = [gaussian_psd(filt.algebra, rng) for _ in range(steps)]
@@ -209,14 +216,12 @@ def _suite_doob(cfg, trial, stein=False):
     return rows
 
 def _suite_counterexample(cfg, trial):
-    n_list = cfg.dims.get("N_list", (3, 5, 7, 9, 11, 13))
-    n_values = [int(n) for n in (n_list if hasattr(n_list, "__iter__") else (n_list,))]
-    N = n_values[trial % len(n_values)]
+    n_list = cfg.dims["N_list"]
+    N = n_list[trial % len(n_list)]
     rows = []
     for p in cfg.p_grid:
         r = apps.tangent_counterexample(N, p)
-        tol_w = cfg.tolerances.get("weak", 1e-8)
-        tol_l1 = cfg.tolerances.get("l1", 1e-9)
+        tol_w, tol_l1 = cfg.tolerances["weak"], cfg.tolerances["l1"]
         ok = (abs(r.weak_y - r.expected_weak) <= tol_w
               and abs(r.l1_x - r.expected_l1) <= tol_l1)
         rows.append(ReportRow(cfg.suite, f"N={N}:tau", cfg.seed, r.weak_y,
@@ -228,18 +233,15 @@ def _suite_counterexample(cfg, trial):
     return rows
 
 def _suite_dominated(cfg, trial):
-    dim = int(cfg.dims.get("dim", 6))
-    x, y, _ = arrow_martingale_pair(dim, stream(cfg.seed, 8, trial))
+    x, y, _ = arrow_martingale_pair(cfg.dims["dim"], stream(cfg.seed, 8, trial))
     return [
         _row(cfg, f"t{trial}:p={p}", apps.verify_dominated(x, y, p))
         for p in cfg.p_grid
     ]
 
 def _suite_positive_tangent(cfg, trial):
-    depth = int(cfg.dims.get("depth", 4))
-    mdim = int(cfg.dims.get("matrix_dim", 2))
-    u, v, filt = classical_tangent_positive_pair(depth, mdim,
-                                                 stream(cfg.seed, 9, trial))
+    u, v, filt = classical_tangent_positive_pair(
+        cfg.dims["depth"], cfg.dims["matrix_dim"], stream(cfg.seed, 9, trial))
     hyp = apps.tangency_status(u, v, filt)
     return [
         _row(cfg, f"t{trial}:p={p}",
@@ -248,8 +250,7 @@ def _suite_positive_tangent(cfg, trial):
     ]
 
 def _suite_refined_doob(cfg, trial):
-    dim = int(cfg.dims.get("dim", 4))
-    filt = make_filtration("corner", dim=dim)
+    filt = make_filtration("corner", dim=cfg.dims["dim"])
     u = adapted_psd_sequence(filt, stream(cfg.seed, 10, trial))
     return [
         _row(cfg, f"t{trial}:p={p}", apps.refined_doob(u, filt, p))
@@ -257,7 +258,7 @@ def _suite_refined_doob(cfg, trial):
     ]
 
 def _suite_schur_reversed_l(cfg, trial):
-    dim = int(cfg.dims.get("dim", 8))
+    dim = cfg.dims["dim"]
     rng = stream(cfg.seed, 11, trial)
     pat = reversed_l_pattern(rng.integers(0, 2, size=dim - 1),
                              rng.integers(0, 2, size=dim))
@@ -271,15 +272,14 @@ def _suite_schur_norms(cfg, trial):
     # one trial covers the whole warm-started p sweep
     if trial > 0:
         return []
-    dim = int(cfg.dims.get("dim", 32))
-    budget = int(cfg.dims.get("budget", 20))
+    dim = cfg.dims["dim"]
     pat = triangular_pattern(dim)
     rows = []
     prev = None
     prev_val = 0.0
     for p in sorted(cfg.p_grid):
         starts = [prev] if prev is not None else None
-        val, arg = schur_norm_lower(pat, p, budget=budget, restarts=2,
+        val, arg = schur_norm_lower(pat, p, budget=cfg.dims["budget"], restarts=2,
                                     seed=cfg.seed, starts=starts,
                                     return_argmax=True)
         ub = reversed_l_bound(p)
@@ -292,8 +292,9 @@ def _suite_schur_norms(cfg, trial):
 
 @dataclass(frozen=True)
 class _Suite:
-    """One registry record: trial callable, default p grid, p domain and the
-    constants string of the summary."""
+    """One registry record: trial callable, default p grid, p domain, the
+    constants string of the summary, and the ``dims`` and ``tolerances`` keys
+    the suite reads with their defaults."""
 
     trial: Callable
     default_p: tuple[float, ...]
@@ -301,6 +302,8 @@ class _Suite:
     p_min: float = -math.inf
     strict: bool = False    # p > p_min instead of p >= p_min
     finite: bool = False    # p = inf is out of the domain
+    dims: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)
 
 
 _REGISTRY = {
@@ -310,33 +313,44 @@ _REGISTRY = {
         _suite_moment, (3.0, 4.0, 8.0),
         "C_{p,B} = (2p B^{p-1}(B-1)/(1-B^-p))^{1/p} "
         "* 2 B^{p/2}/((B-1) sqrt(1-B^{2-p})); simplified "
-        "12p/sqrt(1-(1+1/p)^{2-p})", 2.0, strict=True),
+        "12p/sqrt(1-(1+1/p)^{2-p})", 2.0, strict=True,
+        tolerances={"fubini": 1e-6}),
     "bg": _Suite(
         _suite_bg, (3.0, 4.0, 8.0),
         "sqrt(2)*12p/sqrt(1-(1+1/p)^{2-p}) and "
-        "12p sqrt(1+2^{2-4/p}) (1+2^{p-2})^{1/p} / sqrt(1-(1+1/p)^{2-p})", 2.0),
+        "12p sqrt(1+2^{2-4/p}) (1+2^{p-2})^{1/p} / sqrt(1-(1+1/p)^{2-p})", 2.0,
+        dims={"dim": 5}),
     "transform": _Suite(
         _suite_transform, (3.0, 4.0),
-        "12p sqrt(1+2^{2-4/p}) / sqrt(1-(1+1/p)^{2-p})", 1.0, strict=True),
+        "12p sqrt(1+2^{2-4/p}) / sqrt(1-(1+1/p)^{2-p})", 1.0, strict=True,
+        dims={"dim": 5}),
+    # steps None: one step per corner level, dim + 1
     "doob": _Suite(
         lambda cfg, t: _suite_doob(cfg, t, stein=False), (3.0, 4.0),
-        "(sqrt(2) * 24p/sqrt(1-(1+1/(2p))^{2-2p}) * 2^{1/(2p)})^2", 1.0),
+        "(sqrt(2) * 24p/sqrt(1-(1+1/(2p))^{2-2p}) * 2^{1/(2p)})^2", 1.0,
+        dims={"dim": 3, "steps": None}),
     "stein": _Suite(lambda cfg, t: _suite_doob(cfg, t, stein=True), (3.0, 4.0),
-                    "sqrt(dual-Doob constant at p/2)", 2.0),
-    "tangent-counterexample": _Suite(_suite_counterexample, (1.5,),
-                                     "(N+1)/(2 sqrt(N))", 1.0),
+                    "sqrt(dual-Doob constant at p/2)", 2.0,
+                    dims={"dim": 3, "steps": None}),
+    "tangent-counterexample": _Suite(
+        _suite_counterexample, (1.5,), "(N+1)/(2 sqrt(N))", 1.0,
+        dims={"N_list": (3, 5, 7, 9, 11, 13)},
+        tolerances={"weak": 1e-8, "l1": 1e-9}),
     "dominated": _Suite(
         _suite_dominated, (3.0, 4.0),
-        "kappa * 12p sqrt(1+2^{2-4/p}) / sqrt(1-(1+1/p)^{2-p})", 2.0),
+        "kappa * 12p sqrt(1+2^{2-4/p}) / sqrt(1-(1+1/p)^{2-p})", 2.0,
+        dims={"dim": 6}),
     "positive-tangent": _Suite(
         _suite_positive_tangent, (3.0, 4.0),
-        "1 + (1+kappa) C_p (p>2); BG-squared route (p<=2)", 1.0),
+        "1 + (1+kappa) C_p (p>2); BG-squared route (p<=2)", 1.0,
+        dims={"depth": 4, "matrix_dim": 2}),
     "refined-doob": _Suite(_suite_refined_doob, (3.0, 4.0),
-                           "(1 + 3(1 + 2 C_p))/2", 1.0),
-    "schur-reversed-l": _Suite(_suite_schur_reversed_l, (4.0,), "(1 + C_p)/2", 2.0),
+                           "(1 + 3(1 + 2 C_p))/2", 1.0, dims={"dim": 4}),
+    "schur-reversed-l": _Suite(_suite_schur_reversed_l, (4.0,), "(1 + C_p)/2", 2.0,
+                               dims={"dim": 8}),
     "schur-norms": _Suite(_suite_schur_norms, (4.0, 8.0, 16.0),
                           "(1 + C_p)/2 as upper reference", 1.0, strict=True,
-                          finite=True),
+                          finite=True, dims={"dim": 32, "budget": 20}),
 }
 
 # run() looks its callable up here on every call, so callers may swap entries;

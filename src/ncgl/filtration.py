@@ -7,9 +7,14 @@ the corner expectation at an index k in [0, d]: the upper-left k x k corner is
 kept, the remaining diagonal is replaced by its mean and everything else is
 zeroed, so k = 0 is the normalised trace and k = d the identity.  A level
 (``_StructuredLevel``) is one corner index per matrix factor followed by a
-weighted average over groups of classical blocks (sign patterns that agree on
-a prefix, or all blocks).  Its range is spanned by tensor products of the
-factors' corner matrix units and trailing identities; that basis feeds the
+weighted average over runs of classical blocks.
+
+Block order carries the classical conditioning: the sign patterns of depth m
+are listed with the first sign varying slowest (``Filtration.signs``), so the
+blocks that agree on their first n signs form 2**n contiguous runs of
+2**(m - n) blocks each, and a level conditioning on n signs averages over
+those runs.  A level's range is spanned by tensor products of the factors'
+corner matrix units and trailing identities on each run; that basis feeds the
 independent Gram-projection oracle :func:`ce_oracle`.
 
 The ``trivial_full`` family on blocks of mixed dimension has no such tensor
@@ -29,7 +34,6 @@ from .errors import DomainError, NumericalRankError, StructureError
 from .opalgebra import Operator, TracialAlgebra, psd_power, psd_sqrt, trace
 
 __all__ = [
-    "AlgebraLayout",
     "Filtration",
     "Martingale",
     "make_filtration",
@@ -45,20 +49,6 @@ __all__ = [
     "lift_with_matrix_factor",
     "sign_matrix_filtration",
 ]
-
-
-@dataclass(frozen=True)
-class AlgebraLayout:
-    """How an algebra's blocks decompose into classical atoms and matrix factors.
-
-    ``atom_labels`` has one hashable label per block (sign tuples for
-    Rademacher factors, a single ``()`` when there is no classical part);
-    ``factor_dims`` are the matrix tensor-factor dimensions whose product is
-    the common block dimension.
-    """
-
-    atom_labels: tuple
-    factor_dims: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +97,16 @@ def _supported_on(alg: TracialAlgebra, blocks, m: np.ndarray) -> Operator:
 @dataclass(frozen=True, eq=False)
 class _StructuredLevel:
     """The corner expectations at indices ``ks`` (one per matrix factor) on
-    every block, followed by weighted averaging over block groups.
+    every block, followed by the weighted mean over each of ``groups``
+    contiguous, equally long runs of blocks.
 
-    Every group has the same size (groups are sign-prefix classes), so the
-    averaging is one weighted mean over the group axis of a (groups, size)
-    index array.
+    The runs are the conditioning classes because of block order: with the
+    first sign varying slowest, the blocks that agree on their first n signs
+    are the 2**n runs of a depth-m sign algebra (groups = 2**n), and one run
+    holds every block when nothing classical is conditioned on.
     """
 
-    groups: tuple[tuple[int, ...], ...]
+    groups: int
     factor_dims: tuple[int, ...]
     ks: tuple[int, ...]
 
@@ -122,12 +114,10 @@ class _StructuredLevel:
         (m,) = x.stacks  # structured levels live on uniform algebras
         for axis, k in enumerate(self.ks):
             m = _apply_factor_op(m, self.factor_dims, axis, k)
-        idx = np.asarray(self.groups)
-        w = np.asarray(x.algebra.weights)[idx]
-        avg = (w[:, :, None, None] * m[idx]).sum(axis=1) / w.sum(axis=1)[:, None, None]
-        out = np.empty_like(m)
-        out[idx] = avg[:, None]
-        return x.algebra.operator(out)
+        t = m.reshape(self.groups, -1, *m.shape[1:])
+        w = np.asarray(x.algebra.weights).reshape(self.groups, -1)
+        avg = (w[:, :, None, None] * t).sum(axis=1) / w.sum(axis=1)[:, None, None]
+        return x.algebra.operator(np.repeat(avg, t.shape[1], axis=0))
 
     def range_basis(self, alg: TracialAlgebra) -> list[Operator]:
         factor_bases = [_factor_range_basis(d, k)
@@ -136,7 +126,9 @@ class _StructuredLevel:
             reduce(np.kron, combo)
             for combo in itertools.product(*factor_bases)
         ]
-        return [_supported_on(alg, grp, m) for grp in self.groups for m in mat_basis]
+        size = alg.n_blocks // self.groups
+        return [_supported_on(alg, range(g * size, (g + 1) * size), m)
+                for g in range(self.groups) for m in mat_basis]
 
 
 # The two levels of ``trivial_full`` on blocks of mixed dimension.
@@ -170,13 +162,22 @@ class _FullLevel:
 
 @dataclass(frozen=True, eq=False)
 class Filtration:
-    """Ordered family E_0 <= E_1 <= ... <= E_N of conditional expectations."""
+    """Ordered family E_0 <= E_1 <= ... <= E_N of conditional expectations.
+
+    ``signs`` holds the classical atom of each block as a read-only
+    (n_blocks, depth) array of +-1, depth 0 when there is no classical part.
+    """
 
     algebra: TracialAlgebra
-    layout: AlgebraLayout
+    signs: np.ndarray
     levels: tuple
     label: str = ""
     _oracle_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        signs = np.asarray(self.signs, dtype=float).view()
+        signs.flags.writeable = False
+        object.__setattr__(self, "signs", signs)
 
     @property
     def n_levels(self) -> int:
@@ -282,23 +283,16 @@ def ce_oracle(filtration: Filtration, n: int, x: Operator) -> Operator:
 # ---------------------------------------------------------------------------
 
 
-def _sign_patterns(depth: int) -> tuple:
-    return tuple(itertools.product((1, -1), repeat=depth))
+def _sign_patterns(depth: int) -> np.ndarray:
+    """Every +-1 vector of length depth, one per row, the first coordinate
+    varying slowest (row 0 is all +1)."""
+    bits = np.arange(2**depth)[:, None] >> np.arange(depth - 1, -1, -1)
+    return 1.0 - 2.0 * (bits & 1)
 
 
-def _prefix_groups(labels, n: int):
-    buckets: dict = {}
-    for b, lab in enumerate(labels):
-        buckets.setdefault(tuple(lab[:n]), []).append(b)
-    return tuple(tuple(v) for v in buckets.values())
-
-
-def _corner_levels(layout: AlgebraLayout, steps) -> tuple:
-    """One structured level per (sign prefix length, corner indices) step."""
-    return tuple(
-        _StructuredLevel(_prefix_groups(layout.atom_labels, n), layout.factor_dims, ks)
-        for n, ks in steps
-    )
+def _corner_levels(factor_dims: tuple[int, ...], steps) -> tuple:
+    """One structured level per (number of leading signs, corner indices) step."""
+    return tuple(_StructuredLevel(2**n, factor_dims, ks) for n, ks in steps)
 
 
 def make_filtration(kind: str, **params) -> Filtration:
@@ -319,46 +313,39 @@ def make_filtration(kind: str, **params) -> Filtration:
         dims = tuple(params.get("dims", (2,)))
         weights = tuple(params.get("weights", (1.0,) * len(dims)))
         alg = TracialAlgebra(dims, weights)
-        layout = AlgebraLayout(((),) * len(dims), (dims[0],))
         if len(set(dims)) > 1:
             levels = (_TrivialLevel(), _FullLevel())
         else:
-            levels = (_StructuredLevel((tuple(range(len(dims))),), (dims[0],), (0,)),
-                      _StructuredLevel(tuple((b,) for b in range(len(dims))),
-                                       (dims[0],), (dims[0],)))
-        return Filtration(alg, layout, levels, f"trivial_full{dims}")
+            levels = (_StructuredLevel(1, (dims[0],), (0,)),
+                      _StructuredLevel(len(dims), (dims[0],), (dims[0],)))
+        return Filtration(alg, np.zeros((len(dims), 0)), levels, f"trivial_full{dims}")
     if kind == "corner":
         d = int(params["dim"])
         weight = float(params.get("weight", 1.0))
         alg = TracialAlgebra((d,), (weight,))
-        layout = AlgebraLayout(((),), (d,))
-        levels = _corner_levels(layout, ((0, (k,)) for k in range(d + 1)))
-        return Filtration(alg, layout, levels, f"corner(M_{d})")
+        levels = _corner_levels((d,), ((0, (k,)) for k in range(d + 1)))
+        return Filtration(alg, _sign_patterns(0), levels, f"corner(M_{d})")
     if kind == "rademacher":
         depth = int(params["depth"])
         d = int(params.get("matrix_dim", 1))
-        labels = _sign_patterns(depth)
-        alg = TracialAlgebra((d,) * len(labels), (2.0**-depth,) * len(labels))
-        layout = AlgebraLayout(labels, (d,))
-        levels = _corner_levels(layout, ((n, (d,)) for n in range(depth + 1)))
-        return Filtration(alg, layout, levels, f"rademacher(depth={depth},M_{d})")
+        alg = TracialAlgebra((d,) * 2**depth, (2.0**-depth,) * 2**depth)
+        levels = _corner_levels((d,), ((n, (d,)) for n in range(depth + 1)))
+        return Filtration(alg, _sign_patterns(depth), levels,
+                          f"rademacher(depth={depth},M_{d})")
     if kind == "rademacher_corner":
         depth = int(params["depth"])
         d = int(params["matrix_dim"])
-        labels = _sign_patterns(depth)
-        alg = TracialAlgebra((d,) * len(labels), (2.0**-depth,) * len(labels))
-        layout = AlgebraLayout(labels, (d,))
-        levels = _corner_levels(layout, ((min(n, depth), (min(n, d),))
-                                         for n in range(max(depth, d) + 1)))
-        return Filtration(alg, layout, levels,
+        alg = TracialAlgebra((d,) * 2**depth, (2.0**-depth,) * 2**depth)
+        levels = _corner_levels((d,), ((min(n, depth), (min(n, d),))
+                                       for n in range(max(depth, d) + 1)))
+        return Filtration(alg, _sign_patterns(depth), levels,
                           f"rademacher_corner(depth={depth},M_{d})")
     if kind == "matrix_corner":
         m = int(params["outer_dim"])
         d = int(params["dim"])
         alg = TracialAlgebra((m * d,), (1.0,))
-        layout = AlgebraLayout(((),), (m, d))
-        levels = _corner_levels(layout, ((0, (m, k)) for k in range(d + 1)))
-        return Filtration(alg, layout, levels, f"matrix_corner(M_{m}xM_{d})")
+        levels = _corner_levels((m, d), ((0, (m, k)) for k in range(d + 1)))
+        return Filtration(alg, _sign_patterns(0), levels, f"matrix_corner(M_{m}xM_{d})")
     raise DomainError(f"unknown filtration kind {kind!r}")
 
 
@@ -367,19 +354,17 @@ def lift_with_matrix_factor(base: Filtration, outer_dim: int,
     """Lift every level of `base` by a full (unfiltered) M_outer tensor factor.
 
     The lifted level n is id_{M_outer} (x) E_n; blocks keep their weights and
-    classical labels, dimensions multiply by outer_dim.  The base must have
-    uniform block dimensions.
+    signs, dimensions multiply by outer_dim.  The base must have uniform block
+    dimensions.
     """
     alg = base.algebra
     if len(set(alg.dims)) > 1:
         raise StructureError("structured levels need uniform block dims")
     big = TracialAlgebra(tuple(outer_dim * d for d in alg.dims), alg.weights)
-    layout = AlgebraLayout(base.layout.atom_labels,
-                           (outer_dim,) + base.layout.factor_dims)
-    levels = tuple(_StructuredLevel(lvl.groups, layout.factor_dims,
+    levels = tuple(_StructuredLevel(lvl.groups, (outer_dim,) + lvl.factor_dims,
                                     (outer_dim,) + lvl.ks)
                    for lvl in base.levels)
-    return Filtration(big, layout, levels, label or f"M_{outer_dim}(x){base.label}")
+    return Filtration(big, base.signs, levels, label or f"M_{outer_dim}(x){base.label}")
 
 
 def sign_matrix_filtration(outer_dim: int, depth: int, base: Filtration,
@@ -395,24 +380,22 @@ def sign_matrix_filtration(outer_dim: int, depth: int, base: Filtration,
     if depth > base.n_levels:
         raise StructureError("base filtration is too short")
     d_base = base.algebra.dims[0]
-    labels = _sign_patterns(depth)
-    big = TracialAlgebra((outer_dim * d_base,) * len(labels),
-                         (base.algebra.weights[0] * 2.0 ** -depth,) * len(labels))
-    layout = AlgebraLayout(labels, (outer_dim,) + base.layout.factor_dims)
-    levels = _corner_levels(layout, ((k + 1, (outer_dim,) + base.levels[k].ks)
-                                     for k in range(depth)))
-    return Filtration(big, layout, levels,
+    big = TracialAlgebra((outer_dim * d_base,) * 2**depth,
+                         (base.algebra.weights[0] * 2.0 ** -depth,) * 2**depth)
+    levels = tuple(_StructuredLevel(2 ** (k + 1), (outer_dim,) + lvl.factor_dims,
+                                    (outer_dim,) + lvl.ks)
+                   for k, lvl in enumerate(base.levels[:depth]))
+    return Filtration(big, _sign_patterns(depth), levels,
                       label or f"M_{outer_dim}(x)Omega_{depth}(x){base.label}")
 
 
 def rademacher_operator(filtration: Filtration, j: int) -> Operator:
     """The j-th sign variable as a block-diagonal +-1 operator."""
-    alg = filtration.algebra
-    labels = filtration.layout.atom_labels
-    if any(j >= len(lab) for lab in labels):
+    signs = filtration.signs
+    if j >= signs.shape[1]:
         raise DomainError(f"sign coordinate {j} not present")
-    return alg.operator([float(lab[j]) * np.eye(d, dtype=complex)
-                         for lab, d in zip(labels, alg.dims)])
+    return filtration.algebra.operator(
+        signs[:, j, None, None] * np.eye(filtration.algebra.dims[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ class TestBGEmbedding:
         from ncgl.filtration import Filtration
 
         c = make_filtration("corner", dim=1)
-        filt = Filtration(c.algebra, c.layout, c.levels[-1:])
+        filt = Filtration(c.algebra, c.signs, c.levels[-1:])
         inst = bg_embed(martingale_from_final(filt, c.algebra.identity()))
         eigs = np.linalg.eigvalsh(inst.y.final.data[0])
         assert np.allclose(sorted(eigs), [-1.0, 1.0])
@@ -389,13 +389,22 @@ class TestCounterexample:
         with pytest.raises(DomainError):
             tangent_counterexample(4, 2.0)
 
-    def test_finals_match_martingale_construction(self):
-        x, y, _ = counterexample_pair(5)
-        from ncgl.applications import _counterexample_finals
-
-        xf, yf = _counterexample_finals(5)
-        assert xf.allclose(x.final, 0.0)
-        assert yf.allclose(y.final, 0.0)
+    @pytest.mark.parametrize("N", [1, 3, 5])
+    def test_pair_diffs_match_formula(self, N):
+        # dx_0 = dy_0 = 0; dx_n = eps_n (e_{1,n+1} + e_{n+1,1}) and
+        # dy_n = eps_n (e_{11} + e_{n+1,n+1}), exactly, from the signs
+        x, y, filt = counterexample_pair(N)
+        eps = filt.signs
+        assert eps.shape == (2**N, N)
+        assert x.N == y.N == N
+        for n in range(N + 1):
+            dx = np.zeros((2**N, N + 1, N + 1), dtype=complex)
+            dy = np.zeros_like(dx)
+            if n > 0:
+                dx[:, 0, n] = dx[:, n, 0] = eps[:, n - 1]
+                dy[:, 0, 0] = dy[:, n, n] = eps[:, n - 1]
+            assert np.array_equal(x.diffs[n].stacks[0], dx), n
+            assert np.array_equal(y.diffs[n].stacks[0], dy), n
 
 
 class TestDominated:

@@ -41,6 +41,13 @@ class TestConfig:
         cfg = ExperimentConfig(suite="bg", trials=1)
         assert cfg.p_grid == (3.0, 4.0, 8.0)
 
+    def test_suite_defaults_fill_dims_and_tolerances(self):
+        cfg = ExperimentConfig(suite="tangent-counterexample",
+                               dims={"N_list": (9,)}, tolerances={"l1": 1e-6})
+        assert cfg.dims == {"N_list": (9,)}
+        assert cfg.tolerances == {"weak": 1e-8, "l1": 1e-6}
+        assert ExperimentConfig(suite="doob").dims == {"dim": 3, "steps": None}
+
 
 class TestRun:
     def test_core_suite_passes(self):
@@ -192,13 +199,23 @@ class TestMainEntry:
         {"suite": "moment", "B": "x"},
         {"suite": "goodlambda-tail", "beta_grid": ["a"]},
         {"suite": "bg", "dims": {"dim": "abc"}},
-    ], ids=["dims", "tolerances", "seed", "trials", "B", "beta_grid", "dims_value"])
+        {"suite": "moment", "tolerances": {"fubini": "x"}},
+        {"suite": "tangent-counterexample", "dims": {"N_list": []}},
+        {"suite": "bg", "dims": {"dimm": 7}},
+        {"suite": "moment", "tolerances": {"fubbini": 1e-30}},
+    ], ids=["dims", "tolerances", "seed", "trials", "B", "beta_grid", "dims_value",
+            "tolerances_value", "empty_N_list", "dims_key_not_read",
+            "tolerances_key_not_read"])
     def test_exit_two_on_mistyped_field(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(fields))
         assert main([str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_exit_two_on_dim_flag_for_suite_without_dim(self, capsys):
+        assert main(["--suite", "goodlambda-core", "--dim", "9"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_unknown_config_field(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -38,7 +38,7 @@ from ncgl.opalgebra import (
 def _one_step(y0_diag):
     # a one-level filtration: the top (identity) level of the corner family
     c = make_filtration("corner", dim=len(y0_diag))
-    filt = Filtration(c.algebra, c.layout, c.levels[-1:], label="one_step")
+    filt = Filtration(c.algebra, c.signs, c.levels[-1:], label="one_step")
     y0 = c.algebra.operator([np.diag(np.asarray(y0_diag, dtype=float))])
     return Martingale(filt, (y0,), (y0,))
 

@@ -118,17 +118,51 @@ class TestRademacherFamily:
         assert filt.algebra.n_blocks == 8
         assert all(w == pytest.approx(1 / 8) for w in filt.algebra.weights)
 
-    def test_level_two_averages_pairs(self):
-        # classical conditional expectation oracle on the sign algebra
-        filt = make_filtration("rademacher", depth=3)
-        rng = stream(25)
-        x = gaussian_hermitian(filt.algebra, rng)
-        e2 = cond_exp(filt, 2, x)
-        labels = filt.layout.atom_labels
-        for i, lab in enumerate(labels):
-            grp = [j for j, l2 in enumerate(labels) if l2[:2] == lab[:2]]
-            expected = np.mean([x.data[j][0, 0] for j in grp])
-            assert e2.data[i][0, 0] == pytest.approx(expected)
+    # (filtration, number of leading signs that level n conditions on)
+    SIGN_LEVELS = {
+        "rademacher-3": (lambda: make_filtration("rademacher", depth=3),
+                         lambda n: n),
+        "rademacher-2xM2": (
+            lambda: make_filtration("rademacher", depth=2, matrix_dim=2),
+            lambda n: n),
+        "rademacher_corner-2xM2": (
+            lambda: make_filtration("rademacher_corner", depth=2, matrix_dim=2),
+            lambda n: min(n, 2)),
+        "rademacher_corner-3xM3": (
+            lambda: make_filtration("rademacher_corner", depth=3, matrix_dim=3),
+            lambda n: min(n, 3)),
+        "sign_matrix-2x2xcorner2": (
+            lambda: sign_matrix_filtration(2, 2, make_filtration("corner", dim=2)),
+            lambda n: n + 1),
+        "lift-M2xrademacher-2xM2": (
+            lambda: lift_with_matrix_factor(
+                make_filtration("rademacher", depth=2, matrix_dim=2), 2),
+            lambda n: n),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SIGN_LEVELS))
+    def test_levels_average_blocks_sharing_leading_signs(self, name):
+        # classical conditional expectation oracle on the sign algebra: on a
+        # block-scalar operator c_b I, E_n is the weighted mean of c over the
+        # blocks whose first m signs agree, read from the signs themselves
+        build, leading = self.SIGN_LEVELS[name]
+        filt = build()
+        alg = filt.algebra
+        signs = filt.signs
+        assert not signs.flags.writeable
+        w = np.asarray(alg.weights)
+        c = stream(25).uniform(1.0, 2.0, size=alg.n_blocks)
+        eye = np.eye(alg.dims[0])
+        x = alg.operator(c[:, None, None] * eye)
+        for n in range(filt.n_levels):
+            m = leading(n)
+            got = cond_exp(filt, n, x).stacks[0]
+            for b in range(alg.n_blocks):
+                same = (signs[:, :m] == signs[b, :m]).all(axis=1)
+                expected = (w[same] * c[same]).sum() / w[same].sum()
+                np.testing.assert_allclose(got[b], expected * eye,
+                                           rtol=1e-14, atol=0.0,
+                                           err_msg=f"level {n}, block {b}")
 
     def test_sign_operator_squares_to_identity(self):
         filt = make_filtration("rademacher", depth=3, matrix_dim=2)
@@ -186,7 +220,7 @@ class TestOracle:
                 b = lvl.range_basis(alg)
                 return b + b  # duplicated spanning set: singular Gram matrix
 
-        broken = type(filt)(filt.algebra, filt.layout,
+        broken = type(filt)(filt.algebra, filt.signs,
                             (Degenerate(),) + filt.levels[1:], filt.label)
         x = gaussian_hermitian(filt.algebra, stream(280))
         with pytest.raises(NumericalRankError):
@@ -243,7 +277,7 @@ class TestSquareFunctions:
         from ncgl.opalgebra import operator_abs
 
         c = make_filtration("corner", dim=3)
-        filt = Filtration(c.algebra, c.layout, c.levels[-1:])
+        filt = Filtration(c.algebra, c.signs, c.levels[-1:])
         m = martingale_from_final(filt, gaussian_hermitian(c.algebra, stream(33)))
         assert (square_function(m) - operator_abs(m.final)).entry_max() < 1e-10
 
