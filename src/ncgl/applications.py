@@ -10,7 +10,7 @@ assert their structural identities on the spot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .filtration import (
     sign_matrix_filtration,
     square_function,
 )
+from .goodlambda import _moment_factor
 from .instances import gaussian_hermitian, stream
 from .opalgebra import (
     Interval,
@@ -80,13 +81,6 @@ _DUAL_SAMPLES = 20
 # ---------------------------------------------------------------------------
 # constants, assembled from the proofs
 # ---------------------------------------------------------------------------
-
-
-def _moment_factor(p: float) -> float:
-    """12p / (1 - (1+1/p)^{2-p})^{1/2}, the simplified moment constant."""
-    if not (p > 2):
-        raise DomainError("this constant needs p > 2")
-    return 12.0 * p / math.sqrt(1.0 - (1.0 + 1.0 / p) ** (2.0 - p))
 
 
 def bg_constant_norm_by_square(p: float) -> float:
@@ -193,9 +187,7 @@ class EmbeddedInstance:
     big_filtration: Filtration
     y: Martingale
     x_tilde: object  # Martingale or Operator
-    z: Operator | None
-    provenance: str
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
 
 def _embed_outer(big_filt: Filtration, outer: int, i: int, j: int,
@@ -246,8 +238,7 @@ def bg_embed(x: Martingale) -> EmbeddedInstance:
         dd = (dys[n] @ dys[n] - dxts[n] @ dxts[n]).entry_max()
         if dd > 1e-10 * scale:
             raise DomainError("embedding identity dy_n^2 = dx~_n^2 failed")
-    return EmbeddedInstance(big.algebra, big, y, x_tilde, None, "bg",
-                            {"base": x})
+    return EmbeddedInstance(big.algebra, big, y, x_tilde, {"base": x})
 
 
 def doob_embed(u: list[Operator], filtration: Filtration) -> EmbeddedInstance:
@@ -290,7 +281,7 @@ def doob_embed(u: list[Operator], filtration: Filtration) -> EmbeddedInstance:
     gap = (y.final @ y.final).symmetrized() - corner
     if min_eigenvalue(gap) < -1e-9 * (1.0 + operator_norm(y.final) ** 2):
         raise DomainError("embedding identity y_N^2 >= e11 (x) sum E_n(u_n) failed")
-    return EmbeddedInstance(big.algebra, big, y, x_big, x_big, "doob",
+    return EmbeddedInstance(big.algebra, big, y, x_big,
                             {"u": tuple(u), "conditional": tuple(ceus)})
 
 
@@ -440,14 +431,13 @@ def _step_spectra(an: Operator, bn: Operator):
     return sa, sb, eigs, float(np.abs(eigs).max()) if eigs.size else 0.0
 
 
-def check_tangent(a, b, filtration: Filtration,
-                  tol: float = 1e-8) -> tuple[bool, float]:
+def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
     """Tangency of two adapted Hermitian sequences.
 
     For every step n, the union spectrum of a_n and b_n is clustered (merging
     eigenvalues closer than the clustering rule allows) and the conditional
     expectations of the cluster indicators are compared; the sequences are
-    tangent when the worst deviation stays below `tol`.
+    tangent when the worst deviation stays below 1e-8.
     """
     if len(a) != len(b):
         raise DomainError("sequences must have the same length")
@@ -463,7 +453,7 @@ def check_tangent(a, b, filtration: Filtration,
             dev = operator_norm(cond_exp(filtration, n - 1, ia)
                                 - cond_exp(filtration, n - 1, ib))
             worst = max(worst, dev)
-    return bool(worst <= tol), float(worst)
+    return bool(worst <= 1e-8), float(worst)
 
 
 def tangent_moment_deviation(a, b, filtration: Filtration) -> float:

@@ -27,7 +27,7 @@ from . import applications as apps
 from . import goodlambda as gl
 from .cuculescu import fubini_identity_gap
 from .errors import NCGLError
-from .filtration import make_filtration
+from .filtration import make_filtration, square_function
 from .instances import (
     adapted_psd_sequence,
     arrow_martingale_pair,
@@ -49,6 +49,11 @@ from .schur import (
 
 __all__ = ["ExperimentConfig", "ReportRow", "run", "emit", "main", "SUITES"]
 
+# The smallest value of each ``dims`` key (every entry, for N_list); a key
+# means the same thing in every suite that reads it.
+_DIMS_MIN = {"dim": 1, "steps": 1, "depth": 0, "matrix_dim": 1, "budget": 1,
+             "N_list": 1}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -67,6 +72,7 @@ class ExperimentConfig:
             raise NCGLError(f"unknown suite {self.suite!r}")
         integer = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
         number = lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+        grid = lambda v: isinstance(v, (list, tuple)) and all(map(number, v))
         for name, ok, expected in (
             ("trials", integer(self.trials), "an integer"),
             ("seed", integer(self.seed), "an integer"),
@@ -77,7 +83,9 @@ class ExperimentConfig:
             ("tolerances", isinstance(self.tolerances, dict)
              and all(map(number, self.tolerances.values())), "an object of numbers"),
             ("B", self.B is None or number(self.B), "a number"),
-            ("beta_grid", all(map(number, self.beta_grid)), "a list of numbers"),
+            ("p_grid", grid(self.p_grid), "a list of numbers"),
+            ("beta_grid", grid(self.beta_grid), "a list of numbers"),
+            ("timing", isinstance(self.timing, bool), "true or false"),
         ):
             if not ok:
                 raise NCGLError(f"{name} must be {expected}, got {getattr(self, name)!r}")
@@ -91,6 +99,11 @@ class ExperimentConfig:
                 raise NCGLError(f"suite {self.suite} reads no {name} {unknown}"
                                 f" (it reads {sorted(defaults) or 'none'})")
             object.__setattr__(self, name, {**defaults, **given})
+        for key, value in self.dims.items():
+            low = _DIMS_MIN[key]
+            if value is not None and min(value if key == "N_list" else (value,)) < low:
+                raise NCGLError(f"dims {key} must be at least {low}, got {value!r}")
+        object.__setattr__(self, "beta_grid", tuple(self.beta_grid))
         ps = tuple(float(p) for p in self.p_grid) or info.default_p
         object.__setattr__(self, "p_grid", ps)
         for p in ps:
@@ -136,25 +149,18 @@ def _suite_goodlambda_tail(cfg, trial):
     filt = triple_family(trial)
     x, y, z = strong_triple_parts(filt, stream(cfg.seed, 2, trial))
     t = gl.Triple(x, y, z)
-    hyp = gl.hypothesis_status(t)
-    return [
-        _row(cfg, f"t{trial}:beta={beta}", gl.verify_tail(t, beta, hypothesis=hyp))
-        for beta in cfg.beta_grid
-    ]
+    return [_row(cfg, f"t{trial}:beta={beta}", gl.verify_tail(t, beta))
+            for beta in cfg.beta_grid]
 
 def _suite_moment(cfg, trial):
-    from .filtration import square_function
-
     filt = triple_family(trial)
     rng = stream(cfg.seed, 3, trial)
     y = random_martingale(filt, rng, sup_norm=float(rng.uniform(0.5, 4.0)))
     s = square_function(y)
     t = gl.Triple(s, y, s)
-    hyp = gl.hypothesis_status(t)
     rows = []
     for p in cfg.p_grid:
-        B = cfg.B if cfg.B is not None else 1.0 + 1.0 / p
-        reps = gl.verify_moment(t, p, B, hypothesis=hyp)
+        reps = gl.verify_moment(t, p, cfg.B)
         tag = f"t{trial}:p={p}"
         rows += [
             _row(cfg, f"{tag}:max+", reps.max_plus),
@@ -200,9 +206,8 @@ def _suite_transform(cfg, trial):
     ]
 
 def _suite_doob(cfg, trial, stein=False):
-    dim, steps = cfg.dims["dim"], cfg.dims["steps"]
-    if steps is None:
-        steps = dim + 1
+    dim = cfg.dims["dim"]
+    steps = cfg.dims["steps"] or dim + 1
     filt = make_filtration("corner", dim=dim)
     rng = stream(cfg.seed, 6 if not stein else 7, trial)
     u = [gaussian_psd(filt.algebra, rng) for _ in range(steps)]
@@ -469,10 +474,6 @@ def _build_config(args) -> ExperimentConfig:
     extra = set(base) - known
     if extra:
         raise NCGLError(f"unknown config fields: {sorted(extra)}")
-    if "p_grid" in base:
-        base["p_grid"] = tuple(base["p_grid"])
-    if "beta_grid" in base:
-        base["beta_grid"] = tuple(base["beta_grid"])
     return ExperimentConfig(**base)
 
 

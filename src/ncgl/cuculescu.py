@@ -292,32 +292,26 @@ class WeakMax:
     operator: Operator
     residual: Projection
     corrected: CorrectedSeq
-    sign: str
-
-    @property
-    def base(self) -> float:
-        return self.corrected.base
 
 
-def weak_max(y: Martingale, B: float, sign: str = "+",
-             k_min: int | None = None) -> WeakMax:
+def weak_max(y: Martingale, B: float, sign: str = "+") -> WeakMax:
     """a_N^+ = sum_k B^k (P_N^{B^{k+1}} - P_N^{B^k}); a_N^- = a_N^+(-y).
 
-    Spectral mass below B^{k_min} is assigned to the residual kernel
-    projection; the moment verifications account for it with an analytic
-    geometric tail.
+    Spectral mass below the truncation point B^{k_min} of `corrected_p` is
+    assigned to the residual kernel projection; the moment verifications
+    account for it with an analytic geometric tail.
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
     base_y = y if sign == "+" else -y
-    cp = corrected_p(base_y, B, k_min=k_min, final_only=True)
+    cp = corrected_p(base_y, B, final_only=True)
     N = base_y.N
     acc = y.algebra.zero()
     for k in range(cp.k_min, cp.k_top + 1):
         upper, lower = cp.P(N, k + 1), cp.P(N, k)
         if upper is not lower:
             acc = acc + (upper.op - lower.op) * (B ** k)
-    return WeakMax(acc.symmetrized(), cp.P(N, cp.k_min), cp, sign)
+    return WeakMax(acc.symmetrized(), cp.P(N, cp.k_min), cp)
 
 
 def fubini_identity_gap(wm: WeakMax, p: float) -> float:

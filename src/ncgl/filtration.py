@@ -321,8 +321,7 @@ def make_filtration(kind: str, **params) -> Filtration:
         return Filtration(alg, np.zeros((len(dims), 0)), levels, f"trivial_full{dims}")
     if kind == "corner":
         d = int(params["dim"])
-        weight = float(params.get("weight", 1.0))
-        alg = TracialAlgebra((d,), (weight,))
+        alg = TracialAlgebra((d,), (1.0,))
         levels = _corner_levels((d,), ((0, (k,)) for k in range(d + 1)))
         return Filtration(alg, _sign_patterns(0), levels, f"corner(M_{d})")
     if kind == "rademacher":
@@ -349,8 +348,7 @@ def make_filtration(kind: str, **params) -> Filtration:
     raise DomainError(f"unknown filtration kind {kind!r}")
 
 
-def lift_with_matrix_factor(base: Filtration, outer_dim: int,
-                            label: str = "") -> Filtration:
+def lift_with_matrix_factor(base: Filtration, outer_dim: int) -> Filtration:
     """Lift every level of `base` by a full (unfiltered) M_outer tensor factor.
 
     The lifted level n is id_{M_outer} (x) E_n; blocks keep their weights and
@@ -364,11 +362,10 @@ def lift_with_matrix_factor(base: Filtration, outer_dim: int,
     levels = tuple(_StructuredLevel(lvl.groups, (outer_dim,) + lvl.factor_dims,
                                     (outer_dim,) + lvl.ks)
                    for lvl in base.levels)
-    return Filtration(big, base.signs, levels, label or f"M_{outer_dim}(x){base.label}")
+    return Filtration(big, base.signs, levels, f"M_{outer_dim}(x){base.label}")
 
 
-def sign_matrix_filtration(outer_dim: int, depth: int, base: Filtration,
-                           label: str = "") -> Filtration:
+def sign_matrix_filtration(outer_dim: int, depth: int, base: Filtration) -> Filtration:
     """Filtration on M_outer (x) L^inf({-1,1}^depth) (x) base.
 
     Level k (0 <= k < depth) is full on the outer factor, conditions on the
@@ -386,7 +383,7 @@ def sign_matrix_filtration(outer_dim: int, depth: int, base: Filtration,
                                     (outer_dim,) + lvl.ks)
                    for k, lvl in enumerate(base.levels[:depth]))
     return Filtration(big, _sign_patterns(depth), levels,
-                      label or f"M_{outer_dim}(x)Omega_{depth}(x){base.label}")
+                      f"M_{outer_dim}(x)Omega_{depth}(x){base.label}")
 
 
 def rademacher_operator(filtration: Filtration, j: int) -> Operator:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .cuculescu import corrected_p, cuculescu_r, weak_max
+from .cuculescu import WeakMax, corrected_p, cuculescu_r, weak_max
 from .errors import DomainError
 from .filtration import Martingale, cond_exp
 from .instances import gaussian_hermitian, stream
@@ -76,6 +77,11 @@ class Triple:
     @property
     def algebra(self):
         return self.y.algebra
+
+    @cached_property
+    def hypothesis(self) -> str:
+        """The label of :func:`hypothesis_status`, computed once per triple."""
+        return hypothesis_status(self)
 
     def scale(self, mu: float) -> "Triple":
         return Triple(self.x * mu, self.y.scale(mu), self.z * mu)
@@ -177,11 +183,11 @@ def check_strong_testing(t: Triple) -> tuple[bool, float, float]:
     return bool(passed), float(margin_x), float(margin_z)
 
 
-def hypothesis_status(t: Triple, seed: int = 0) -> str:
+def hypothesis_status(t: Triple) -> str:
     """'strong-pass' (certificate), 'sampled-pass', or 'unverified'."""
     if check_strong_testing(t)[0]:
         return "strong-pass"
-    if check_testing(t, seed=seed)[0]:
+    if check_testing(t)[0]:
         return "sampled-pass"
     return "unverified"
 
@@ -197,8 +203,7 @@ def _rhs_weight(t: Triple, proj: Operator) -> float:
     return float(trace_pair(x_sq + z_sq, proj).real)
 
 
-def verify_core(t: Triple, level: float = 1.0,
-                hypothesis: str | None = None) -> VerifyReport:
+def verify_core(t: Triple, level: float = 1.0) -> VerifyReport:
     """tau((I-R_N)(y_N - level)^2) <= 2 tau((I-R_N)(x_N^2 + z_N^2))."""
     seq = cuculescu_r(t.y, level)
     ident = t.algebra.identity()
@@ -206,14 +211,11 @@ def verify_core(t: Triple, level: float = 1.0,
     dev = t.y.final - ident * level
     lhs = float(trace_pair(dev @ tail @ dev, ident).real)
     rhs = 2.0 * _rhs_weight(t, tail)
-    meta = {"level": level,
-            "hypothesis": hypothesis if hypothesis is not None
-            else hypothesis_status(t)}
+    meta = {"level": level, "hypothesis": t.hypothesis}
     return VerifyReport.compare(lhs, rhs, 2.0, meta)
 
 
-def verify_tail(t: Triple, beta: float, level: float = 1.0,
-                hypothesis: str | None = None) -> VerifyReport:
+def verify_tail(t: Triple, beta: float, level: float = 1.0) -> VerifyReport:
     """tau(I - Q_N^{level*beta}) <= 4 ((beta-1) level)^{-2} tau((I-R_N^{level})
     (x_N^2 + z_N^2)); at level = 1 this is the plain tail bound."""
     if not (beta > 1):
@@ -227,14 +229,11 @@ def verify_tail(t: Triple, beta: float, level: float = 1.0,
     lhs = trace(ident - qseq.final().op)
     const = 4.0 / ((beta - 1.0) * level) ** 2
     rhs = const * _rhs_weight(t, ident - rseq.final().op)
-    meta = {"beta": beta, "level": level,
-            "hypothesis": hypothesis if hypothesis is not None
-            else hypothesis_status(t)}
+    meta = {"beta": beta, "level": level, "hypothesis": t.hypothesis}
     return VerifyReport.compare(lhs, rhs, const, meta)
 
 
-def verify_good_hom(t: Triple, B: float, k: int,
-                    hypothesis: str | None = None) -> VerifyReport:
+def verify_good_hom(t: Triple, B: float, k: int) -> VerifyReport:
     """Homogenized tail bound on the corrected projections at scale B^k.
 
     tau(P_N^{B^{k+2}} - P_N^{B^{k+1}})
@@ -245,15 +244,25 @@ def verify_good_hom(t: Triple, B: float, k: int,
     lhs = trace(cp.P(N, k + 2).op - cp.P(N, k + 1).op)
     const = 4.0 * B ** (-2.0 * k) / (B - 1.0) ** 2
     rhs = const * _rhs_weight(t, t.algebra.identity() - cp.P(N, k).op)
-    meta = {"B": B, "k": k,
-            "hypothesis": hypothesis if hypothesis is not None
-            else hypothesis_status(t)}
+    meta = {"B": B, "k": k, "hypothesis": t.hypothesis}
     return VerifyReport.compare(lhs, rhs, const, meta)
 
 
 # ---------------------------------------------------------------------------
 # moment estimates
 # ---------------------------------------------------------------------------
+
+
+def _weak_max_constant(p: float, B: float) -> float:
+    """2 B^{p/2} / ((B-1) (1 - B^{2-p})^{1/2}), the bound on ||a_N^±||_p."""
+    return 2.0 * B ** (p / 2.0) / ((B - 1.0) * math.sqrt(1.0 - B ** (2.0 - p)))
+
+
+def _moment_factor(p: float) -> float:
+    """12p / (1 - (1+1/p)^{2-p})^{1/2}, the simplified moment constant."""
+    if not (p > 2):
+        raise DomainError("the moment bound needs p > 2")
+    return 12.0 * p / math.sqrt(1.0 - (1.0 + 1.0 / p) ** (2.0 - p))
 
 
 def moment_constant(p: float, B: float) -> tuple[float, float]:
@@ -263,30 +272,27 @@ def moment_constant(p: float, B: float) -> tuple[float, float]:
     if not (B > 1):
         raise DomainError("the base B must exceed 1")
     first = (2.0 * p * B ** (p - 1.0) * (B - 1.0) / (1.0 - B ** (-p))) ** (1.0 / p)
-    second = 2.0 * B ** (p / 2.0) / ((B - 1.0) * math.sqrt(1.0 - B ** (2.0 - p)))
-    c_pb = first * second
-    simplified = 12.0 * p / math.sqrt(1.0 - (1.0 + 1.0 / p) ** (2.0 - p))
-    return float(c_pb), float(simplified)
+    c_pb = first * _weak_max_constant(p, B)
+    return float(c_pb), float(_moment_factor(p))
 
 
 @dataclass(frozen=True, eq=False)
 class MomentReports:
-    """Sub-reports of the moment verification: a_N^+, a_N^-, final bounds."""
+    """Sub-reports of the moment verification: a_N^+, a_N^-, final bounds,
+    and the weak maximal operator a_N^+ they were measured on."""
 
     max_plus: VerifyReport
     max_minus: VerifyReport
     moment: VerifyReport
     moment_simplified: VerifyReport
-    weak_plus: object = None
-    weak_minus: object = None
+    weak_plus: WeakMax
 
     def all_passed(self) -> bool:
         return (self.max_plus.passed and self.max_minus.passed
                 and self.moment.passed and self.moment_simplified.passed)
 
 
-def verify_moment(t: Triple, p: float, B: float | None = None,
-                  hypothesis: str | None = None) -> MomentReports:
+def verify_moment(t: Triple, p: float, B: float | None = None) -> MomentReports:
     """Verify the weak-maximal and final moment bounds at exponent p > 2.
 
     B defaults to 1 + 1/p, the choice under which C_{p,B} collapses to the
@@ -299,15 +305,13 @@ def verify_moment(t: Triple, p: float, B: float | None = None,
         B = 1.0 + 1.0 / p
     if not (B > 1):
         raise DomainError("the base B must exceed 1")
-    hyp = hypothesis if hypothesis is not None else hypothesis_status(t)
-
     hyp_norm = math.sqrt(schatten_norm(t.x, p) ** 2 + schatten_norm(t.z, p) ** 2)
-    max_const = 2.0 * B ** (p / 2.0) / ((B - 1.0) * math.sqrt(1.0 - B ** (2.0 - p)))
+    max_const = _weak_max_constant(p, B)
     c_pb, simplified = moment_constant(p, B)
 
     wm_plus = weak_max(t.y, B, "+")
     wm_minus = weak_max(t.y, B, "-")
-    meta = {"p": p, "B": B, "hypothesis": hyp}
+    meta = {"p": p, "B": B, "hypothesis": t.hypothesis}
 
     rep_plus = VerifyReport.compare(
         schatten_norm(wm_plus.operator, p), max_const * hyp_norm, max_const,
@@ -324,5 +328,4 @@ def verify_moment(t: Triple, p: float, B: float | None = None,
     rep_simple = VerifyReport.compare(
         y_norm, simplified * hyp_norm, simplified, {**meta, "bound": "12p"},
     )
-    return MomentReports(rep_plus, rep_minus, rep_final, rep_simple,
-                         weak_plus=wm_plus, weak_minus=wm_minus)
+    return MomentReports(rep_plus, rep_minus, rep_final, rep_simple, wm_plus)

@@ -18,7 +18,7 @@ from .filtration import (
     martingale_from_final,
     rademacher_operator,
 )
-from .opalgebra import Operator, TracialAlgebra, operator_norm, psd_sqrt, schatten_norm
+from .opalgebra import Operator, TracialAlgebra, operator_norm, psd_sqrt
 
 __all__ = [
     "stream",
@@ -42,13 +42,11 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def gaussian_hermitian(
-    alg: TracialAlgebra, rng: np.random.Generator, scale: float = 1.0
-) -> Operator:
+def gaussian_hermitian(alg: TracialAlgebra, rng: np.random.Generator) -> Operator:
     blocks = []
     for d in alg.dims:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        blocks.append(scale * (g + g.conj().T) / 2.0)
+        blocks.append((g + g.conj().T) / 2.0)
     return alg.operator(blocks)
 
 
@@ -67,15 +65,12 @@ def random_martingale(
     filtration: Filtration,
     rng: np.random.Generator,
     sup_norm: float | None = None,
-    p_norm: tuple[float, float] | None = None,
 ) -> Martingale:
-    """Martingale of a Gaussian Hermitian draw, optionally norm-normalized."""
+    """Martingale of a Gaussian Hermitian draw, optionally rescaled to a
+    given operator norm."""
     f = gaussian_hermitian(filtration.algebra, rng)
     if sup_norm is not None:
         f = f * (sup_norm / max(operator_norm(f), 1e-12))
-    elif p_norm is not None:
-        p, target = p_norm
-        f = f * (target / max(schatten_norm(f, p), 1e-12))
     return martingale_from_final(filtration, f)
 
 
@@ -172,13 +167,12 @@ def classical_tangent_positive_pair(
 
 
 def adapted_psd_sequence(
-    filtration: Filtration, rng: np.random.Generator, steps: int | None = None
+    filtration: Filtration, rng: np.random.Generator
 ) -> list[Operator]:
-    """Adapted positive operators u_n = E_n(PSD draw)."""
-    steps = filtration.n_levels if steps is None else steps
+    """Adapted positive operators u_n = E_n(PSD draw), one per level."""
     return [
         cond_exp(filtration, n, gaussian_psd(filtration.algebra, rng))
-        for n in range(steps)
+        for n in range(filtration.n_levels)
     ]
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from ncgl.cli import (
+    _REGISTRY,
     SUITES,
     ExperimentConfig,
     ReportRow,
@@ -47,6 +48,17 @@ class TestConfig:
         assert cfg.dims == {"N_list": (9,)}
         assert cfg.tolerances == {"weak": 1e-8, "l1": 1e-6}
         assert ExperimentConfig(suite="doob").dims == {"dim": 3, "steps": None}
+
+    @pytest.mark.parametrize("suite", sorted(s for s, v in _REGISTRY.items() if v.dims))
+    def test_dims_minimum_of_every_key(self, suite):
+        # depth may be 0, every other dims key (each N_list entry) must be >= 1
+        for key in _REGISTRY[suite].dims:
+            low = 0 if key == "depth" else 1
+            value = (lambda v: [v]) if key == "N_list" else (lambda v: v)
+            cfg = ExperimentConfig(suite=suite, dims={key: value(low)})
+            assert cfg.dims[key] == value(low)
+            with pytest.raises(NCGLError, match=f"dims {key} must be at least {low}"):
+                ExperimentConfig(suite=suite, dims={key: value(low - 1)})
 
 
 class TestRun:
@@ -203,9 +215,16 @@ class TestMainEntry:
         {"suite": "tangent-counterexample", "dims": {"N_list": []}},
         {"suite": "bg", "dims": {"dimm": 7}},
         {"suite": "moment", "tolerances": {"fubbini": 1e-30}},
+        {"suite": "doob", "trials": 1, "dims": {"steps": 0}},
+        {"suite": "stein", "trials": 1, "dims": {"steps": -2}},
+        {"suite": "positive-tangent", "trials": 1, "dims": {"depth": -1}},
+        {"suite": "schur-norms", "trials": 1, "dims": {"dim": 0}},
+        {"suite": "bg", "trials": 1, "p_grid": "34"},
+        {"suite": "bg", "trials": 1, "timing": "yes"},
     ], ids=["dims", "tolerances", "seed", "trials", "B", "beta_grid", "dims_value",
             "tolerances_value", "empty_N_list", "dims_key_not_read",
-            "tolerances_key_not_read"])
+            "tolerances_key_not_read", "steps_zero", "steps_negative",
+            "depth_negative", "dim_zero", "p_grid_string", "timing_string"])
     def test_exit_two_on_mistyped_field(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(fields))

@@ -143,6 +143,40 @@ class TestCuculescuSequence:
         with pytest.raises(NumericalInstabilityError):
             _snap_projection(half)
 
+    def test_snapped_diagonal_blocks_round_to_zero_or_one(self):
+        # Pins the rounding of `_snap_projection` on the moment suite's trial 2
+        # at seed 0, family rademacher(depth=2, M_2), whose projections have
+        # exactly diagonal blocks with entries such as 1 + 2.2e-16 - 1.7e-17j,
+        # not exactly 0/1: the blocks come from `V diag V*` of eigenvectors
+        # that carry phases.  Bound pinned: every diagonal entry of an
+        # exactly diagonal block has its real part within 2 ulp(1) = 4.4e-16
+        # of 0 or 1 and its imaginary part below ulp(1)/8 = 2.8e-17 (worst
+        # seen 2.2e-16 and 1.75e-17, over 86 blocks of 12 sequences).
+        from ncgl.filtration import square_function
+        from ncgl.goodlambda import Triple, verify_moment
+
+        rng = stream(0, 3, 2)
+        y = random_martingale(triple_family(2), rng,
+                              sup_norm=float(rng.uniform(0.5, 4.0)))
+        s = square_function(y)
+        t = Triple(s, y, s)
+        for p in (3.0, 4.0, 8.0):
+            verify_moment(t, p)
+        eps = np.finfo(float).eps
+        diagonal = 0
+        for m in (y, -y):
+            for seq in m.cuculescu_cache:
+                for proj in seq.projections:
+                    for block in proj.op.data:
+                        d = np.diag(block)
+                        if np.count_nonzero(block - np.diag(d)):
+                            continue
+                        diagonal += 1
+                        assert np.abs(d.real - np.round(d.real)).max() <= 2 * eps
+                        assert set(np.round(d.real)) <= {0.0, 1.0}
+                        assert np.abs(d.imag).max() <= eps / 8
+        assert diagonal > 0
+
 
 @functools.lru_cache(maxsize=None)
 def _grid_case(family, sign):

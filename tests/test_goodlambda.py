@@ -126,14 +126,14 @@ class TestCoreInequality:
         for i in range(40):
             filt = triple_family(i)
             x, y, z = strong_triple_parts(filt, stream(66, i))
-            rep = verify_core(Triple(x, y, z), hypothesis="strong-pass")
+            rep = verify_core(Triple(x, y, z))
             assert rep.passed, (i, rep)
 
     def test_diagonal_reproduces_classical_bound(self):
         # on a diagonal algebra every quantity is a classical expectation
         filt = make_filtration("rademacher", depth=4)
         x, y, z = strong_triple_parts(filt, stream(67))
-        rep = verify_core(Triple(x, y, z), hypothesis="strong-pass")
+        rep = verify_core(Triple(x, y, z))
         vals = np.array([[v.data[b][0, 0].real for b in range(16)]
                          for v in y.values])
         tail = (vals.max(axis=0) >= 1.0).astype(float)  # 1 - R_N classically
@@ -150,10 +150,9 @@ class TestCoreInequality:
     def test_scale_invariance(self):
         filt = triple_family(3)
         x, y, z = strong_triple_parts(filt, stream(68))
-        base = verify_core(Triple(x, y, z), hypothesis="skip")
+        base = verify_core(Triple(x, y, z))
         for mu in (0.5, 2.0, 7.0):
-            scaled = verify_core(Triple(x, y, z).scale(mu), level=mu,
-                                 hypothesis="skip")
+            scaled = verify_core(Triple(x, y, z).scale(mu), level=mu)
             assert scaled.margin == pytest.approx(base.margin * mu * mu,
                                                   rel=1e-8, abs=1e-12)
 
@@ -163,7 +162,7 @@ class TestTailInequality:
         filt = make_filtration("corner", dim=4)
         y = random_martingale(filt, stream(69), sup_norm=1.2)
         s = square_function(y)
-        rep = verify_tail(Triple(s, y, s), beta=4.0, hypothesis="strong-pass")
+        rep = verify_tail(Triple(s, y, s), beta=4.0)
         assert rep.lhs == pytest.approx(0.0)
         assert rep.passed
 
@@ -172,13 +171,13 @@ class TestTailInequality:
         for i in range(15):
             filt = triple_family(i)
             x, y, z = strong_triple_parts(filt, stream(70, i))
-            rep = verify_tail(Triple(x, y, z), beta, hypothesis="strong-pass")
+            rep = verify_tail(Triple(x, y, z), beta)
             assert rep.passed, (i, beta, rep)
 
     def test_constant_value(self):
         filt = triple_family(0)
         x, y, z = strong_triple_parts(filt, stream(71))
-        rep = verify_tail(Triple(x, y, z), 3.0, hypothesis="skip")
+        rep = verify_tail(Triple(x, y, z), 3.0)
         assert rep.constant == pytest.approx(1.0)
 
     def test_good_hom_across_scales(self):
@@ -187,7 +186,7 @@ class TestTailInequality:
             x, y, z = strong_triple_parts(filt, stream(72, i))
             t = Triple(x, y, z)
             for k in range(-2, 3):
-                rep = verify_good_hom(t, 2.0, k, hypothesis="strong-pass")
+                rep = verify_good_hom(t, 2.0, k)
                 assert rep.passed, (i, k, rep)
 
     def test_beta_validation(self):
@@ -201,10 +200,9 @@ class TestTailInequality:
         # of the triple and the level (the lhs is a projection trace)
         filt = triple_family(1)
         x, y, z = strong_triple_parts(filt, stream(731))
-        base = verify_tail(Triple(x, y, z), 2.0, hypothesis="skip")
+        base = verify_tail(Triple(x, y, z), 2.0)
         for mu in (0.5, 3.0):
-            scaled = verify_tail(Triple(x, y, z).scale(mu), 2.0, level=mu,
-                                 hypothesis="skip")
+            scaled = verify_tail(Triple(x, y, z).scale(mu), 2.0, level=mu)
             assert scaled.lhs == pytest.approx(base.lhs, abs=1e-10)
             assert scaled.margin == pytest.approx(base.margin, rel=1e-8)
 
@@ -237,8 +235,7 @@ class TestMomentVerification:
         filt = triple_family(4)
         zero = martingale_from_final(filt, filt.algebra.zero())
         reps = verify_moment(Triple(filt.algebra.zero(), zero,
-                                    filt.algebra.zero()), 4.0,
-                             hypothesis="strong-pass")
+                                    filt.algebra.zero()), 4.0)
         assert reps.max_plus.lhs == pytest.approx(0.0)
         assert reps.max_minus.lhs == pytest.approx(0.0)
         assert reps.moment.lhs == pytest.approx(0.0)
@@ -249,22 +246,22 @@ class TestMomentVerification:
         for i in range(6):
             filt = triple_family(i)
             t = bg_triple(filt, stream(74, i))
-            reps = verify_moment(t, p, hypothesis="strong-pass")
+            reps = verify_moment(t, p)
             assert reps.all_passed(), (i, p)
 
     def test_diagonal_instances_pass_with_room(self):
         filt = make_filtration("rademacher", depth=3)
         t = bg_triple(filt, stream(75))
-        reps = verify_moment(t, 4.0, hypothesis="strong-pass")
+        reps = verify_moment(t, 4.0)
         assert reps.all_passed()
         assert reps.moment.lhs < 0.25 * reps.moment.rhs
 
     def test_scale_invariance_of_moment_margin(self):
         filt = triple_family(5)
         t = bg_triple(filt, stream(76))
-        base = verify_moment(t, 3.0, hypothesis="skip")
+        base = verify_moment(t, 3.0)
         mu = 3.0
-        scaled = verify_moment(t.scale(mu), 3.0, hypothesis="skip")
+        scaled = verify_moment(t.scale(mu), 3.0)
         assert scaled.moment.margin == pytest.approx(base.moment.margin * mu,
                                                      rel=1e-8)
 
@@ -286,3 +283,37 @@ class TestHypothesisStatus:
         x, y, z = strong_triple_parts(filt, stream(79))
         status = hypothesis_status(Triple(x * 1e-3, y.scale(20.0), z * 1e-3))
         assert status == "unverified"
+
+    def test_label_computed_once_per_triple(self, monkeypatch):
+        import ncgl.goodlambda as gl
+
+        calls = []
+        original = gl.hypothesis_status
+
+        def counted(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(gl, "hypothesis_status", counted)
+        filt = triple_family(1)
+        t = Triple(*strong_triple_parts(filt, stream(80)))
+        reps = [verify_core(t)]
+        reps += [verify_tail(t, beta) for beta in (1.5, 2.0, 4.0)]
+        reps.append(verify_good_hom(t, 2.0, 0))
+        moment = verify_moment(t, 3.0)
+        reps += [moment.max_plus, moment.max_minus, moment.moment,
+                 moment.moment_simplified]
+        assert calls == [t]
+        assert {r.meta["hypothesis"] for r in reps} == {"strong-pass"}
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["strong", "unverified"])
+    def test_reports_carry_the_computed_label(self, scaled):
+        filt = triple_family(0)
+        x, y, z = strong_triple_parts(filt, stream(79))
+        t = Triple(x * 1e-3, y.scale(20.0), z * 1e-3) if scaled else Triple(x, y, z)
+        expected = hypothesis_status(t)
+        assert expected == ("unverified" if scaled else "strong-pass")
+        assert verify_core(t).meta["hypothesis"] == expected
+        assert verify_tail(t, 2.0).meta["hypothesis"] == expected
+        assert verify_good_hom(t, 2.0, 0).meta["hypothesis"] == expected
+        assert verify_moment(t, 4.0).moment.meta["hypothesis"] == expected
