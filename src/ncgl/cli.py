@@ -103,6 +103,9 @@ class ExperimentConfig:
             low = _DIMS_MIN[key]
             if value is not None and min(value if key == "N_list" else (value,)) < low:
                 raise NCGLError(f"dims {key} must be at least {low}, got {value!r}")
+        steps, dim = self.dims.get("steps"), self.dims.get("dim")
+        if steps is not None and steps > dim + 1:  # one step per corner level
+            raise NCGLError(f"dims steps must be at most dim + 1 = {dim + 1}, got {steps}")
         object.__setattr__(self, "beta_grid", tuple(self.beta_grid))
         ps = tuple(float(p) for p in self.p_grid) or info.default_p
         object.__setattr__(self, "p_grid", ps)

@@ -295,6 +295,12 @@ def _corner_levels(factor_dims: tuple[int, ...], steps) -> tuple:
     return tuple(_StructuredLevel(2**n, factor_dims, ks) for n, ks in steps)
 
 
+_FILTRATION_KEYS = {"trivial_full": {"dims", "weights"}, "corner": {"dim"},
+                    "rademacher": {"depth", "matrix_dim"},
+                    "rademacher_corner": {"depth", "matrix_dim"},
+                    "matrix_corner": {"outer_dim", "dim"}}
+
+
 def make_filtration(kind: str, **params) -> Filtration:
     """Construct one of the supported structured filtration families.
 
@@ -309,6 +315,12 @@ def make_filtration(kind: str, **params) -> Filtration:
       - ``matrix_corner``: M_m tensor corner-filtered M_d (first factor always
         full); params ``outer_dim``, ``dim``.
     """
+    if kind not in _FILTRATION_KEYS:
+        raise DomainError(f"unknown filtration kind {kind!r}")
+    unknown = sorted(set(params) - _FILTRATION_KEYS[kind])
+    if unknown:
+        raise DomainError(f"filtration kind {kind!r} reads no {unknown}"
+                          f" (it reads {sorted(_FILTRATION_KEYS[kind])})")
     if kind == "trivial_full":
         dims = tuple(params.get("dims", (2,)))
         weights = tuple(params.get("weights", (1.0,) * len(dims)))
@@ -339,13 +351,11 @@ def make_filtration(kind: str, **params) -> Filtration:
                                        for n in range(max(depth, d) + 1)))
         return Filtration(alg, _sign_patterns(depth), levels,
                           f"rademacher_corner(depth={depth},M_{d})")
-    if kind == "matrix_corner":
-        m = int(params["outer_dim"])
-        d = int(params["dim"])
-        alg = TracialAlgebra((m * d,), (1.0,))
-        levels = _corner_levels((m, d), ((0, (m, k)) for k in range(d + 1)))
-        return Filtration(alg, _sign_patterns(0), levels, f"matrix_corner(M_{m}xM_{d})")
-    raise DomainError(f"unknown filtration kind {kind!r}")
+    m = int(params["outer_dim"])  # matrix_corner
+    d = int(params["dim"])
+    alg = TracialAlgebra((m * d,), (1.0,))
+    levels = _corner_levels((m, d), ((0, (m, k)) for k in range(d + 1)))
+    return Filtration(alg, _sign_patterns(0), levels, f"matrix_corner(M_{m}xM_{d})")
 
 
 def lift_with_matrix_factor(base: Filtration, outer_dim: int) -> Filtration:

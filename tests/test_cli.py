@@ -221,10 +221,12 @@ class TestMainEntry:
         {"suite": "schur-norms", "trials": 1, "dims": {"dim": 0}},
         {"suite": "bg", "trials": 1, "p_grid": "34"},
         {"suite": "bg", "trials": 1, "timing": "yes"},
+        {"suite": "doob", "trials": 1, "dims": {"dim": 2, "steps": 9}},
     ], ids=["dims", "tolerances", "seed", "trials", "B", "beta_grid", "dims_value",
             "tolerances_value", "empty_N_list", "dims_key_not_read",
             "tolerances_key_not_read", "steps_zero", "steps_negative",
-            "depth_negative", "dim_zero", "p_grid_string", "timing_string"])
+            "depth_negative", "dim_zero", "p_grid_string", "timing_string",
+            "steps_beyond_levels"])
     def test_exit_two_on_mistyped_field(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(fields))

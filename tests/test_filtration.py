@@ -106,6 +106,15 @@ class TestCornerFormula:
         with pytest.raises(DomainError):
             cond_exp(filt, 4, x)
 
+    @pytest.mark.parametrize("kind, params, key", [
+        ("rademacher", {"depth": 2, "matrix_dimm": 3}, "matrix_dimm"),
+        ("corner", {"dim": 3, "weight": 2.0}, "weight"),
+    ])
+    def test_unread_keyword_rejected(self, kind, params, key):
+        # a misspelled or unread keyword would silently build another instance
+        with pytest.raises(DomainError, match=key):
+            make_filtration(kind, **params)
+
     def test_minus_one_aliases_zero(self):
         filt = make_filtration("corner", dim=3)
         x = gaussian_hermitian(filt.algebra, stream(24))

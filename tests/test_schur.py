@@ -13,6 +13,8 @@ from ncgl.schur import (
     reversed_l_bound,
     reversed_l_pattern,
     schur_multiply,
+    _norm_quotient,
+    _ratio_quotient,
     schur_norm_lower,
     triangular_pattern,
     triangular_projection,
@@ -22,6 +24,25 @@ from ncgl.schur import (
 
 def _random_matrix(n, rng):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _perturbed_quotient(x, p, h):
+    """(||x + hE||_p - ||x||_p)/h over E = e_i e_j^T (real part) and
+    i e_i e_j^T (imaginary part), from one batched SVD of 2 n^2 perturbed
+    copies: the reference for the closed-form quotient."""
+    n = x.shape[0]
+    stack = np.repeat(x[None], 2 * n * n, axis=0)
+    for t in range(n * n):
+        stack[2 * t, t // n, t % n] += h
+        stack[2 * t + 1, t // n, t % n] += 1j * h
+    vals = np.sum(np.linalg.svd(stack, compute_uv=False) ** p, axis=1) ** (1.0 / p)
+    diff = (vals - matrix_p_norm(x, p)).reshape(n, n, 2) / h
+    return diff[..., 0] + 1j * diff[..., 1]
+
+
+def _max_rel_dev(got, ref):
+    return max(np.abs(got.real - ref.real).max(),
+               np.abs(got.imag - ref.imag).max()) / np.abs(ref).max()
 
 
 class TestSchurMultiply:
@@ -118,11 +139,18 @@ class TestNormLowerBounds:
         assert schur_norm_lower(np.ones((5, 5)), 3.0, budget=4,
                                 restarts=1) == pytest.approx(1.0)
 
-    def test_diagonal_pattern_at_most_one(self):
+    def test_zero_pattern_is_zero(self):
+        # m*a = 0 has no positive singular value for the closed-form quotient
+        assert schur_norm_lower(np.zeros((4, 4)), 3.0, budget=4, restarts=1) == 0.0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_diagonal_pattern_at_most_one(self, p):
+        # m*a has exactly zero singular values, where phi' (p < 2) or phi''
+        # (p < 4) of the closed-form quotient is infinite
         rng = stream(128)
         diag = np.diag((rng.random(6) < 0.5).astype(float))
-        lb = schur_norm_lower(diag, 4.0, budget=8, restarts=2)
-        assert lb <= 1.0 + 1e-9
+        lb = schur_norm_lower(diag, p, budget=8, restarts=2)
+        assert math.isfinite(lb) and lb <= 1.0 + 1e-9
 
     def test_triangular_growth_in_p(self):
         pat = triangular_pattern(12)
@@ -159,6 +187,28 @@ class TestNormLowerBounds:
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             schur_norm_lower(np.ones((3, 3)), 4.0, budget=0)
+
+
+class TestClosedFormQuotient:
+    @pytest.mark.parametrize("n", [5, 16])
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 3.0, 4.0, 16.0])
+    def test_matches_perturbed_copies(self, n, p):
+        x = _random_matrix(n, stream(131, n))
+        x /= np.linalg.norm(x)
+        norm, quotient = _norm_quotient(x, p, 1e-6)
+        assert norm == pytest.approx(matrix_p_norm(x, p), rel=1e-13)
+        # the first-order gradient alone is about 1e-6 away
+        assert _max_rel_dev(quotient, _perturbed_quotient(x, p, 1e-6)) <= 1e-7
+
+    def test_ratio_quotient_rule(self):
+        m = triangular_pattern(5).entries
+        a = _random_matrix(5, stream(132))
+        a /= np.linalg.norm(a)
+        p, h = 3.0, 1e-6
+        num, den = matrix_p_norm(m * a, p), matrix_p_norm(a, p)
+        ref = (m * _perturbed_quotient(m * a, p, h) * den
+               - num * _perturbed_quotient(a, p, h)) / den**2
+        assert _max_rel_dev(_ratio_quotient(m, a, p, h), ref) <= 1e-7
 
 
 class TestReversedLTheorem:

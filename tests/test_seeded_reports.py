@@ -1,5 +1,6 @@
 """Seed-0 report gate for the CLI suites that the benchmark reference gate
-(tests/test_reference_gate.py) does not run.
+(tests/test_reference_gate.py) does not run, and for schur-norms at its
+default dims (the reference gate runs it at dim 16).
 
 Each suite runs through ``ncgl.cli.run`` at seed 0 with 6 trials and its
 default grids and dims, and must give the rows in seeded_reports.json: the
@@ -17,7 +18,7 @@ import pytest
 from ncgl.cli import ExperimentConfig, run
 
 SUITES = ("bg", "transform", "doob", "stein", "dominated", "refined-doob",
-          "schur-reversed-l")
+          "schur-reversed-l", "schur-norms")
 EXPECTED = Path(__file__).with_name("seeded_reports.json")
 
 
