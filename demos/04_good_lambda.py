@@ -25,17 +25,17 @@ filt = triple_family(3)
 x, y, z = strong_triple_parts(filt, stream(7))
 t = Triple(x, y, z)
 
-ok, mx, mz = check_strong_testing(t)
+(ok,), (mx,), (mz,) = check_strong_testing(t)  # one entry per summand
 print(f"strong testing conditions: {ok} (PSD margins {mx:.1e}, {mz:.1e})")
 ok, s1, s2 = check_testing(t, seed=7)
 print(f"sampled testing conditions: {ok} (slacks {s1:.3e}, {s2:.3e})")
 
-rep = verify_core(t)
+(rep,) = verify_core(t)
 print(f"core bound: {rep.lhs:.4f} <= {rep.rhs:.4f} "
       f"({rep.meta['hypothesis']})")
 
 for beta in (1.5, 2.0, 4.0):
-    rep = verify_tail(t, beta)
+    (rep,) = verify_tail(t, beta)
     print(f"tail bound at beta={beta}: tau(I-Q_N) = {rep.lhs:.4f} <= "
           f"{rep.rhs:.4f} (constant {rep.constant:.2f})")
 

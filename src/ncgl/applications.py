@@ -61,7 +61,6 @@ __all__ = [
     "verify_dual_doob",
     "verify_stein",
     "check_tangent",
-    "tangent_moment_deviation",
     "tangent_counterexample",
     "CounterexampleReport",
     "counterexample_pair",
@@ -454,28 +453,6 @@ def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
                                 - cond_exp(filtration, n - 1, ib))
             worst = max(worst, dev)
     return bool(worst <= 1e-8), float(worst)
-
-
-def tangent_moment_deviation(a, b, filtration: Filtration) -> float:
-    """Cross-validation of tangency through conditional moments.
-
-    Compares E_{n-1}(a_n^m) and E_{n-1}(b_n^m) for m up to the number of
-    spectral clusters minus one, normalized by the m-th power of the scale.
-    """
-    worst = 0.0
-    for n, (an, bn) in enumerate(zip(a, b)):
-        _, _, eigs, norm = _step_spectra(an, bn)
-        scale = 1.0 + norm
-        n_clusters = len(cluster_eigenvalues(eigs, norm))
-        pa = an.algebra.identity()
-        pb = bn.algebra.identity()
-        for m in range(1, n_clusters):
-            pa = pa @ an
-            pb = pb @ bn
-            dev = operator_norm(cond_exp(filtration, n - 1, pa)
-                                - cond_exp(filtration, n - 1, pb))
-            worst = max(worst, dev / scale ** m)
-    return float(worst)
 
 
 # ---------------------------------------------------------------------------

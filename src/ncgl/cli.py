@@ -10,11 +10,16 @@ line flags override it.  Exit code 0 means every emitted row passed, 1 means
 at least one verification row failed, 2 signals a configuration error.
 Reports are byte-identical across runs for a fixed config and seed; wall
 times only enter the emitted rows with --timing.
+
+The good-lambda suites verify a filtration family's trials as one direct sum,
+computed on the family's first trial; with --timing that trial carries the
+family's whole time, the others about 0 ms.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import math
 import numbers
@@ -29,6 +34,7 @@ from .cuculescu import fubini_identity_gap
 from .errors import NCGLError
 from .filtration import make_filtration, square_function
 from .instances import (
+    FAMILY_TEMPLATES,
     adapted_psd_sequence,
     arrow_martingale_pair,
     classical_tangent_positive_pair,
@@ -117,7 +123,7 @@ class ExperimentConfig:
                 raise NCGLError(f"{self.suite} needs finite p")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     suite: str
     instance: str
@@ -141,19 +147,36 @@ def _row(cfg: ExperimentConfig, instance: str, rep: VerifyReport,
 # ---------------------------------------------------------------------------
 
 
-def _suite_goodlambda_core(cfg, trial):
-    filt = triple_family(trial)
-    x, y, z = strong_triple_parts(filt, stream(cfg.seed, 1, trial))
-    t = gl.Triple(x, y, z)
-    rep = gl.verify_core(t)
-    return [_row(cfg, f"t{trial}:{filt.label}", rep)]
+# The rows a family batch computed for later trials, set for the length of
+# one `run` call.
+_pending = contextvars.ContextVar("pending_rows", default=None)
 
-def _suite_goodlambda_tail(cfg, trial):
-    filt = triple_family(trial)
-    x, y, z = strong_triple_parts(filt, stream(cfg.seed, 2, trial))
-    t = gl.Triple(x, y, z)
-    return [_row(cfg, f"t{trial}:beta={beta}", gl.verify_tail(t, beta))
-            for beta in cfg.beta_grid]
+
+def _family_batched(key, rows_of):
+    """Trial callable verifying the strong triples of one filtration family
+    (equal trial % 6) as one direct sum: in `run` the family's first trial
+    computes every later one's rows, elsewhere a trial is a batch of one."""
+    def trial_rows(cfg, trial):
+        pending = _pending.get()
+        if pending is None:  # outside `run`
+            pending, group = {}, [trial]
+        else:
+            group = list(range(trial, max(cfg.trials, trial + 1), len(FAMILY_TEMPLATES)))
+        if trial not in pending:
+            filt = triple_family(trial)
+            rngs = (stream(cfg.seed, key, i) for i in group)
+            t = gl.Triple(*strong_triple_parts(filt, *rngs))
+            pending.update(zip(group, rows_of(cfg, group, filt, t)))
+        return pending.pop(trial)
+    return trial_rows
+
+def _goodlambda_core(cfg, trials, filt, t):
+    return [[_row(cfg, f"t{i}:{filt.label}", r)] for i, r in zip(trials, gl.verify_core(t))]
+
+def _goodlambda_tail(cfg, trials, filt, t):
+    by_beta = [gl.verify_tail(t, beta) for beta in cfg.beta_grid]
+    return [[_row(cfg, f"t{i}:beta={beta}", reps[k])
+             for beta, reps in zip(cfg.beta_grid, by_beta)] for k, i in enumerate(trials)]
 
 def _suite_moment(cfg, trial):
     filt = triple_family(trial)
@@ -315,8 +338,8 @@ class _Suite:
 
 
 _REGISTRY = {
-    "goodlambda-core": _Suite(_suite_goodlambda_core, (), "2"),
-    "goodlambda-tail": _Suite(_suite_goodlambda_tail, (), "4/(beta-1)^2"),
+    "goodlambda-core": _Suite(_family_batched(1, _goodlambda_core), (), "2"),
+    "goodlambda-tail": _Suite(_family_batched(2, _goodlambda_tail), (), "4/(beta-1)^2"),
     "moment": _Suite(
         _suite_moment, (3.0, 4.0, 8.0),
         "C_{p,B} = (2p B^{p-1}(B-1)/(1-B^-p))^{1/p} "
@@ -376,13 +399,17 @@ def run(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     suite = SUITES[config.suite]
     t_start = time.perf_counter()
     rows = []
-    for trial in range(config.trials):
-        t0 = time.perf_counter()
-        got = suite(config, trial)
-        if config.timing:
-            ms = int(round((time.perf_counter() - t0) * 1000.0))
-            got = [replace(r, ms=ms) for r in got]
-        rows += got
+    token = _pending.set({})
+    try:
+        for trial in range(config.trials):
+            t0 = time.perf_counter()
+            got = suite(config, trial)
+            if config.timing:
+                ms = int(round((time.perf_counter() - t0) * 1000.0))
+                got = [replace(r, ms=ms) for r in got]
+            rows += got
+    finally:
+        _pending.reset(token)
     failures = sum(not r.passed for r in rows)
     summary = {
         "suite": config.suite,
@@ -431,17 +458,6 @@ def emit(rows: list[ReportRow], format: str, path: str) -> None:
         raise NCGLError(f"unknown format {format!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def rows_from_json(path: str) -> list[ReportRow]:
-    """Parse a JSON report back into rows (suite name set from the file)."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return [
-        ReportRow(d["suite"], d["instance"], d["seed"], d["lhs"], d["rhs"],
-                  d["constant"], d["margin"], d["pass"], d["ms"])
-        for d in payload
-    ]
 
 
 # ---------------------------------------------------------------------------

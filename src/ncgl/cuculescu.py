@@ -22,7 +22,9 @@ from .opalgebra import (
     Interval,
     Operator,
     Projection,
+    TracialAlgebra,
     _TIE_TOL,
+    _by_summand,
     _projection,
     _spectrum,
     min_eigenvalue,
@@ -47,14 +49,17 @@ _BELOW_ONE = Interval.below(1.0)
 
 
 def _normalized(p: Projection) -> Projection:
-    """Snap full-rank / rank-zero projections to exact I / 0."""
+    """Snap each full-rank / rank-zero summand to exact I / 0."""
     alg = p.op.algebra
-    r = p.rank()
-    if r == 0:
+    if p.rank() == 0:
         return Projection(alg.zero(), check=False)
-    if r == alg.total_dim:
+    if p.rank() == alg.total_dim:
         return Projection(alg.identity(), check=False)
-    return p
+    ranks, size = p.summand_ranks, alg.total_dim // alg.summands
+    if 0 not in ranks and size not in ranks:
+        return p
+    return Projection(p.op.summand_scaled([0 < r < size for r in ranks])
+                      + alg.identity().summand_scaled([r == size for r in ranks]), check=False)
 
 
 def _snap_projection(raw: Operator) -> Projection:
@@ -72,7 +77,8 @@ def _snap_projection(raw: Operator) -> Projection:
 
 @dataclass(frozen=True, eq=False)
 class _Step:
-    """The level-free measurements of one step R_{n-1} -> R_n.
+    """The level-free measurements of one step R_{n-1} -> R_n, one float per
+    summand of the algebra.
 
     `top` comes from its own eigensolve of the snapped C = R_n y_n R_n, not
     from the spectrum that set the cut.  C kills ker R_n and maps into
@@ -80,11 +86,16 @@ class _Step:
     kernel; its smallest eigenvalue is below a negative threshold iff
     1 - top/level is."""
 
-    norm: float        # ||y_n||
-    adapted: float     # entry_max(E_n(R_n) - R_n)
-    monotone: float    # min_eig(R_{n-1} - R_n)
-    commutator: float  # entry_max([R_n, R_{n-1} y_n R_{n-1}])
-    top: float         # max_eig(R_n y_n R_n)
+    norm: list[float]        # ||y_n||
+    adapted: list[float]     # entry_max(E_n(R_n) - R_n)
+    monotone: list[float]    # min_eig(R_{n-1} - R_n)
+    commutator: list[float]  # entry_max([R_n, R_{n-1} y_n R_{n-1}])
+    top: list[float]         # max_eig(R_n y_n R_n)
+
+    def __post_init__(self):
+        # the five measurements of each summand, as _check_level reads them
+        object.__setattr__(self, "summands", tuple(zip(
+            self.norm, self.adapted, self.monotone, self.commutator, self.top)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,42 +125,50 @@ def _check_level(seq: CuculescuSeq, level: float) -> None:
     """The Lemma invariants of `seq` as a level-`level` sequence, from its
     stored measurements (the cut-off bound through `_Step.top`).
 
-    Tolerances scale with 1 + ||y_n||/level: products with y_n/level carry
-    rounding of that size.
+    Tolerances scale with 1 + ||y_n||/level of each summand: products with
+    y_n/level carry rounding of that size.  Messages name the summand.
     """
+    fail = NumericalInstabilityError
     for n, s in enumerate(seq.steps):
-        scale = 1.0 + s.norm / level
-        # membership in M_n
-        if s.adapted > 1e-9 * scale:
-            raise NumericalInstabilityError(f"R_{n} left the level-{n} subalgebra")
-        if s.monotone < -1e-9:
-            raise NumericalInstabilityError(f"R_{n} is not below R_{n-1}")
-        # commutation with the compressed martingale value
-        if s.commutator / level > 1e-8 * scale:
-            raise NumericalInstabilityError(f"R_{n} fails to commute at step {n}")
-        if 1.0 - s.top / level < -1e-8 * scale:
-            raise NumericalInstabilityError(f"R_{n} y_n R_{n} exceeds R_{n}")
+        for i, (norm, adapted, monotone, commutator, top) in enumerate(s.summands):
+            scale = 1.0 + norm / level
+            # membership in M_n
+            if adapted > 1e-9 * scale:
+                raise fail(f"R_{n} left the level-{n} subalgebra (summand {i})")
+            if monotone < -1e-9:
+                raise fail(f"R_{n} is not below R_{n-1} (summand {i})")
+            # commutation with the compressed martingale value
+            if commutator / level > 1e-8 * scale:
+                raise fail(f"R_{n} fails to commute at step {n} (summand {i})")
+            if 1.0 - top / level < -1e-8 * scale:
+                raise fail(f"R_{n} y_n R_{n} exceeds R_{n} (summand {i})")
 
 
-def _step_window(spectrum: tuple, tol: float, level: float,
-                 norm: float) -> tuple[float, float]:
+def _step_window(alg: TracialAlgebra, spectrum: tuple, tol: tuple, level: float,
+                 norm: list[float], live: list[bool]) -> tuple[float, float]:
     """Levels (lo, hi) at which the cut of R_{n-1} y_n R_{n-1} below 1 keeps
-    the eigenvectors it keeps at `level`; `spectrum` and its tie tolerance
-    `tol` are those of the operator scaled by 1/level.
+    the eigenvectors it keeps at `level`, on every live summand; `spectrum`
+    and its per-block tie tolerances `tol` are those of the operator scaled
+    by 1/level, and `norm` holds ||y_n|| per summand of the algebra `alg`.
 
-    With m the largest absolute eigenvalue, tol = _TIE_TOL (1 + m), and at
-    level l an eigenvalue e is kept iff e level/l < 1 - _TIE_TOL (1 + m level/l),
+    With m the largest absolute eigenvalue of a summand, tol = _TIE_TOL (1 + m),
+    and at level l an eigenvalue e is kept iff e level/l < 1 - _TIE_TOL (1 + m level/l),
     that is iff l > t(e) = level (e + _TIE_TOL m) / (1 - _TIE_TOL).  Each
-    bound is shrunk by 1e-8 relative (100x the tie tolerance) plus
-    1e-12 ||y_n||, far above the rounding of the eigenvalues at other levels.
+    summand's bounds are shrunk by 1e-8 relative (100x the tie tolerance) plus
+    1e-12 ||y_n||, far above the rounding of the eigenvalues at other levels;
+    the window is the intersection of the summands' windows.
     """
-    eigs = np.concatenate([e.ravel() for e, _ in spectrum])
-    kept = _BELOW_ONE.contains(eigs, tol)
-    t = level * (eigs + tol - _TIE_TOL) / (1.0 - _TIE_TOL)
-    lo = float(t[kept].max(initial=0.0))
-    hi = float(t[~kept].min(initial=math.inf))
-    return (lo + 1e-8 * abs(lo) + 1e-12 * norm,
-            hi - 1e-8 * abs(hi) - 1e-12 * norm)
+    kept_t, cut_t = [], []
+    for (eigs, _), t_col in zip(spectrum, tol):
+        kept = _BELOW_ONE.contains(eigs, t_col)
+        t = level * (eigs + t_col - _TIE_TOL) / (1.0 - _TIE_TOL)
+        kept_t.append(np.where(kept, t, 0.0))
+        cut_t.append(np.where(kept, math.inf, t))
+    bounds = [(lo, hi, n) for lo, hi, n, ok in zip(
+        _by_summand(alg, kept_t, "max"), _by_summand(alg, cut_t, "min"), norm, live) if ok]
+    return (max(lo + 1e-8 * abs(lo) + 1e-12 * n for lo, _, n in bounds),
+            min((hi - 1e-8 * abs(hi) - 1e-12 * n for _, hi, n in bounds if hi < math.inf),
+                default=math.inf))
 
 
 def _fresh_sequence(y: Martingale, level: float) -> CuculescuSeq:
@@ -158,22 +177,27 @@ def _fresh_sequence(y: Martingale, level: float) -> CuculescuSeq:
     lo, hi = 0.0, math.inf
     projections, steps = [], []
     for n, y_n in enumerate(y.values):
-        norm = operator_norm(y_n)
+        norm = operator_norm(y_n, per_summand=True)
         compressed = (r_prev.op @ (y_n / level) @ r_prev.op).symmetrized()
-        if r_prev.rank() == 0:
+        # a summand cut down to 0 stays 0 (the snap below keeps it exactly 0)
+        # and no longer bounds the window
+        live = [r > 0 for r in r_prev.summand_ranks]
+        if not any(live):
             r_n = r_prev
         else:
             spectrum, tol = _spectrum(compressed, "cuculescu_r")
             e = _projection(alg, spectrum, _BELOW_ONE, tol)
             r_n = _snap_projection(r_prev.op @ e.op)
-            step_lo, step_hi = _step_window(spectrum, tol, level, norm)
+            step_lo, step_hi = _step_window(alg, spectrum, tol, level, norm, live)
             lo, hi = max(lo, step_lo), min(hi, step_hi)
         steps.append(_Step(
             norm=norm,
-            adapted=(cond_exp(y.filtration, n, r_n.op) - r_n.op).entry_max(),
-            monotone=min_eigenvalue(r_prev.op - r_n.op),
-            commutator=(r_n.op @ compressed - compressed @ r_n.op).entry_max() * level,
-            top=-min_eigenvalue(-(r_n.op @ y_n @ r_n.op).symmetrized()),
+            adapted=(cond_exp(y.filtration, n, r_n.op) - r_n.op).entry_max(per_summand=True),
+            monotone=min_eigenvalue(r_prev.op - r_n.op, per_summand=True),
+            commutator=[c * level for c in (r_n.op @ compressed - compressed @ r_n.op)
+                        .entry_max(per_summand=True)],
+            top=[-t for t in min_eigenvalue(-(r_n.op @ y_n @ r_n.op).symmetrized(),
+                                            per_summand=True)],
         ))
         projections.append(r_n)
         r_prev = r_n

@@ -173,6 +173,7 @@ class Filtration:
     levels: tuple
     label: str = ""
     _oracle_cache: dict = field(default_factory=dict, repr=False)
+    base: "Filtration | None" = field(default=None, repr=False)  # of a direct sum
 
     def __post_init__(self):
         signs = np.asarray(self.signs, dtype=float).view()
@@ -187,46 +188,17 @@ class Filtration:
     def N(self) -> int:
         return len(self.levels) - 1
 
-    def validate(self, rng: np.random.Generator, samples: int = 6) -> dict:
-        """Run the conditional-expectation axioms on random samples.
-
-        Returns the worst deviation observed for each axiom; the caller
-        decides on tolerances.
-        """
-        from .instances import gaussian_hermitian  # local import, no cycle at runtime
-        from .opalgebra import min_eigenvalue
-
-        alg = self.algebra
-        ident = alg.identity()
-        dev = {k: 0.0 for k in
-               ("unital", "trace", "idempotent", "commute", "positive",
-                "hermitian", "bimodule")}
-
-        def _upd(key, val):
-            dev[key] = max(dev[key], float(val))
-
-        for n, lvl in enumerate(self.levels):
-            en_i = lvl.apply(ident)
-            _upd("unital", (en_i - ident).entry_max())
-            for _ in range(samples):
-                x = gaussian_hermitian(alg, rng)
-                ex = lvl.apply(x)
-                _upd("trace", abs(trace(ex) - trace(x)))
-                _upd("idempotent", (lvl.apply(ex) - ex).entry_max())
-                _upd("hermitian", (ex - ex.adjoint()).entry_max())
-                psd = x @ x
-                _upd("positive", max(0.0, -min_eigenvalue(lvl.apply(psd))))
-                a = lvl.apply(gaussian_hermitian(alg, rng))
-                b = lvl.apply(gaussian_hermitian(alg, rng))
-                _upd("bimodule", (lvl.apply(a @ x @ b) - a @ ex @ b).entry_max())
-            for m in range(self.n_levels):
-                if m == n:
-                    continue
-                lo = self.levels[min(m, n)]
-                x = gaussian_hermitian(alg, rng)
-                _upd("commute",
-                     (self.levels[m].apply(lvl.apply(x)) - lo.apply(x)).entry_max())
-        return dev
+    def direct_sum(self, copies: int) -> "Filtration":
+        """`copies` copies side by side, one per trial of a batch: blocks,
+        weights and signs repeat, and each level averages over `copies` times
+        as many runs, so it conditions every copy on its own."""
+        if copies == 1:
+            return self
+        alg = self.algebra.direct_sum(copies)  # equal blocks: structured levels only
+        levels = tuple(_StructuredLevel(lvl.groups * copies, lvl.factor_dims, lvl.ks)
+                       for lvl in self.levels)
+        return Filtration(alg, np.tile(self.signs, (copies, 1)), levels,
+                          f"{copies}x{self.label}", base=self)
 
 
 def _checked_level(filtration: Filtration, n: int, x: Operator) -> int:
@@ -458,6 +430,11 @@ class Martingale:
             tuple(v * c for v in self.values),
             tuple(d * c for d in self.diffs),
         )
+
+    def summand(self, i: int) -> "Martingale":
+        return Martingale(self.filtration.base or self.filtration,
+                          tuple(v.summand(i) for v in self.values),
+                          tuple(d.summand(i) for d in self.diffs))
 
 
 def _check_martingale(filtration: Filtration, values, tol: float = 1e-9) -> None:

@@ -14,6 +14,9 @@ holds for every beta > 1, and for p > 2 the weak maximal operators obey the
 explicit moment estimates that combine into
 
     ||y_N||_p <= C_{p,B} (||x_N||_p^2 + ||z_N||_p^2)^{1/2}.
+
+On a direct sum of trials the strong conditions, the labels and the core and
+tail bounds run once and give one result per trial.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .cuculescu import WeakMax, corrected_p, cuculescu_r, weak_max
 from .errors import DomainError
@@ -55,7 +60,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Triple:
-    """(x_N, y, z_N) on one filtered algebra; x_N, z_N and all y_n Hermitian."""
+    """(x_N, y, z_N) on one filtered algebra; x_N, z_N and all y_n Hermitian;
+    on a direct sum of trials each summand is one trial's triple."""
 
     x: Operator
     y: Martingale
@@ -79,12 +85,21 @@ class Triple:
         return self.y.algebra
 
     @cached_property
-    def hypothesis(self) -> str:
-        """The label of :func:`hypothesis_status`, computed once per triple."""
+    def hypothesis(self) -> tuple[str, ...]:
+        """The labels of :func:`hypothesis_status`, computed once per triple."""
         return hypothesis_status(self)
 
     def scale(self, mu: float) -> "Triple":
         return Triple(self.x * mu, self.y.scale(mu), self.z * mu)
+
+    def summand(self, i: int) -> "Triple":
+        return Triple(self.x.summand(i), self.y.summand(i), self.z.summand(i))
+
+
+def _one_trial(t: Triple) -> None:
+    """For the checks that reduce over the whole algebra."""
+    if t.algebra.summands > 1:
+        raise DomainError("this check takes one trial: see Triple.summand")
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +121,7 @@ def check_testing(
     E_k), so a pass here is a "sampled-pass", not a certificate.  Returns
     (passed, slack_i, slack_ii) where the slacks are the worst margins seen.
     """
+    _one_trial(t)
     y = t.y
     seq = cuculescu_r(y, 1.0)
     qseq = cuculescu_r(y, 2.0)
@@ -152,12 +168,12 @@ def check_testing(
     return bool(pass_i and pass_ii), float(slack_i), float(slack_ii)
 
 
-def check_strong_testing(t: Triple) -> tuple[bool, float, float]:
+def check_strong_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """PSD form of the testing conditions, checked for every level k.
 
-    Returns (passed, margin_x, margin_z): the minimum eigenvalues of
-    E_k(x_N^2) - sum_{m>k} E_k(dy_m^2) and E_k(z_N^2) - dy_k^2 over k; both
-    must be >= -1e-8.
+    Returns (passed, margin_x, margin_z), arrays over the summands: the minimum
+    eigenvalues of E_k(x_N^2) - sum_{m>k} E_k(dy_m^2) and E_k(z_N^2) - dy_k^2
+    over k; both must be >= -1e-8.
     """
     y = t.y
     filt = t.filtration
@@ -172,24 +188,25 @@ def check_strong_testing(t: Triple) -> tuple[bool, float, float]:
         suffixes.append(suffix)
     suffixes = suffixes[::-1]  # suffixes[k] = sum_{m>k} dy_m^2
 
-    margin_x = math.inf
-    margin_z = math.inf
+    margin_x = np.full(t.algebra.summands, math.inf)
+    margin_z = np.full(t.algebra.summands, math.inf)
     for k in range(y.N + 1):
         gap_x = cond_exp(filt, k, x_sq - suffixes[k])
-        margin_x = min(margin_x, min_eigenvalue(gap_x))
+        margin_x = np.minimum(margin_x, min_eigenvalue(gap_x, per_summand=True))
         gap_z = cond_exp(filt, k, z_sq) - dy_sq[k]
-        margin_z = min(margin_z, min_eigenvalue(gap_z))
-    passed = margin_x >= -1e-8 and margin_z >= -1e-8
-    return bool(passed), float(margin_x), float(margin_z)
+        margin_z = np.minimum(margin_z, min_eigenvalue(gap_z, per_summand=True))
+    passed = (margin_x >= -1e-8) & (margin_z >= -1e-8)
+    return passed, margin_x, margin_z
 
 
-def hypothesis_status(t: Triple) -> str:
-    """'strong-pass' (certificate), 'sampled-pass', or 'unverified'."""
-    if check_strong_testing(t)[0]:
-        return "strong-pass"
-    if check_testing(t)[0]:
-        return "sampled-pass"
-    return "unverified"
+def hypothesis_status(t: Triple) -> tuple[str, ...]:
+    """'strong-pass' (certificate), 'sampled-pass', or 'unverified' per
+    summand; one without the certificate is sampled on its own triple."""
+    return tuple(
+        "strong-pass" if strong
+        else "sampled-pass" if check_testing(t.summand(i))[0]
+        else "unverified"
+        for i, strong in enumerate(check_strong_testing(t)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -197,27 +214,31 @@ def hypothesis_status(t: Triple) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _rhs_weight(t: Triple, proj: Operator) -> float:
+def _rhs_weights(t: Triple, proj: Operator) -> np.ndarray:
     x_sq = (t.x @ t.x).symmetrized()
     z_sq = (t.z @ t.z).symmetrized()
-    return float(trace_pair(x_sq + z_sq, proj).real)
+    return trace_pair(x_sq + z_sq, proj, per_summand=True).real
 
 
-def verify_core(t: Triple, level: float = 1.0) -> VerifyReport:
-    """tau((I-R_N)(y_N - level)^2) <= 2 tau((I-R_N)(x_N^2 + z_N^2))."""
+def _reports(lhs, rhs, constant: float, meta: dict, t: Triple) -> tuple[VerifyReport, ...]:
+    return tuple(VerifyReport.compare(a, b, constant, {**meta, "hypothesis": label})
+                 for a, b, label in zip(lhs, rhs, t.hypothesis))
+
+
+def verify_core(t: Triple, level: float = 1.0) -> tuple[VerifyReport, ...]:
+    """tau((I-R_N)(y_N - level)^2) <= 2 tau((I-R_N)(x_N^2 + z_N^2)) per summand."""
     seq = cuculescu_r(t.y, level)
     ident = t.algebra.identity()
     tail = ident - seq.final().op
     dev = t.y.final - ident * level
-    lhs = float(trace_pair(dev @ tail @ dev, ident).real)
-    rhs = 2.0 * _rhs_weight(t, tail)
-    meta = {"level": level, "hypothesis": t.hypothesis}
-    return VerifyReport.compare(lhs, rhs, 2.0, meta)
+    lhs = trace_pair(dev @ tail @ dev, ident, per_summand=True).real
+    rhs = 2.0 * _rhs_weights(t, tail)
+    return _reports(lhs, rhs, 2.0, {"level": level}, t)
 
 
-def verify_tail(t: Triple, beta: float, level: float = 1.0) -> VerifyReport:
+def verify_tail(t: Triple, beta: float, level: float = 1.0) -> tuple[VerifyReport, ...]:
     """tau(I - Q_N^{level*beta}) <= 4 ((beta-1) level)^{-2} tau((I-R_N^{level})
-    (x_N^2 + z_N^2)); at level = 1 this is the plain tail bound."""
+    (x_N^2 + z_N^2)) per summand; at level = 1 this is the plain tail bound."""
     if not (beta > 1):
         raise DomainError("beta must exceed 1")
     if not (level > 0):
@@ -226,11 +247,10 @@ def verify_tail(t: Triple, beta: float, level: float = 1.0) -> VerifyReport:
     qseq = cuculescu_r(t.y, beta * level)
     rseq = cuculescu_r(t.y, level)
     ident = t.algebra.identity()
-    lhs = trace(ident - qseq.final().op)
+    lhs = trace(ident - qseq.final().op, per_summand=True)
     const = 4.0 / ((beta - 1.0) * level) ** 2
-    rhs = const * _rhs_weight(t, ident - rseq.final().op)
-    meta = {"beta": beta, "level": level, "hypothesis": t.hypothesis}
-    return VerifyReport.compare(lhs, rhs, const, meta)
+    rhs = const * _rhs_weights(t, ident - rseq.final().op)
+    return _reports(lhs, rhs, const, {"beta": beta, "level": level}, t)
 
 
 def verify_good_hom(t: Triple, B: float, k: int) -> VerifyReport:
@@ -239,12 +259,13 @@ def verify_good_hom(t: Triple, B: float, k: int) -> VerifyReport:
     tau(P_N^{B^{k+2}} - P_N^{B^{k+1}})
         <= 4 B^{-2k} (B-1)^{-2} tau((I - P_N^{B^k})(x_N^2 + z_N^2)).
     """
+    _one_trial(t)
     cp = corrected_p(t.y, B, k_min=k, final_only=True)
     N = t.y.N
     lhs = trace(cp.P(N, k + 2).op - cp.P(N, k + 1).op)
     const = 4.0 * B ** (-2.0 * k) / (B - 1.0) ** 2
-    rhs = const * _rhs_weight(t, t.algebra.identity() - cp.P(N, k).op)
-    meta = {"B": B, "k": k, "hypothesis": t.hypothesis}
+    rhs = const * _rhs_weights(t, t.algebra.identity() - cp.P(N, k).op)[0]
+    meta = {"B": B, "k": k, "hypothesis": t.hypothesis[0]}
     return VerifyReport.compare(lhs, rhs, const, meta)
 
 
@@ -301,6 +322,7 @@ def verify_moment(t: Triple, p: float, B: float | None = None) -> MomentReports:
     """
     if not (p > 2):
         raise DomainError("the moment bound needs p > 2")
+    _one_trial(t)
     if B is None:
         B = 1.0 + 1.0 / p
     if not (B > 1):
@@ -311,7 +333,7 @@ def verify_moment(t: Triple, p: float, B: float | None = None) -> MomentReports:
 
     wm_plus = weak_max(t.y, B, "+")
     wm_minus = weak_max(t.y, B, "-")
-    meta = {"p": p, "B": B, "hypothesis": t.hypothesis}
+    meta = {"p": p, "B": B, "hypothesis": t.hypothesis[0]}
 
     rep_plus = VerifyReport.compare(
         schatten_norm(wm_plus.operator, p), max_const * hyp_norm, max_const,

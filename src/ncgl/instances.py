@@ -18,7 +18,7 @@ from .filtration import (
     martingale_from_final,
     rademacher_operator,
 )
-from .opalgebra import Operator, TracialAlgebra, operator_norm, psd_sqrt
+from .opalgebra import Operator, TracialAlgebra, direct_sum, operator_norm, psd_sqrt
 
 __all__ = [
     "stream",
@@ -61,6 +61,12 @@ def gaussian_psd(
     return alg.operator(blocks)
 
 
+def _rescaled(f: Operator, sup_norms) -> Operator:
+    """f with summand i rescaled to operator norm sup_norms[i]."""
+    norms = operator_norm(f, per_summand=True)
+    return f.summand_scaled(np.asarray(sup_norms) / np.maximum(norms, 1e-12))
+
+
 def random_martingale(
     filtration: Filtration,
     rng: np.random.Generator,
@@ -70,29 +76,38 @@ def random_martingale(
     given operator norm."""
     f = gaussian_hermitian(filtration.algebra, rng)
     if sup_norm is not None:
-        f = f * (sup_norm / max(operator_norm(f), 1e-12))
+        f = _rescaled(f, [sup_norm])
     return martingale_from_final(filtration, f)
 
 
 def strong_triple_parts(
-    filtration: Filtration, rng: np.random.Generator
+    filtration: Filtration, *rngs: np.random.Generator
 ) -> tuple[Operator, Martingale, Operator]:
-    """(x_N, y, z_N) built to satisfy the strong testing conditions.
+    """(x_N, y, z_N) built to satisfy the strong testing conditions, one
+    summand per generator on ``filtration.direct_sum(len(rngs))``.
 
     y is a Gaussian martingale with sup norm drawn in [0.5, 4] so that the
     level-1 projection machinery is exercised nontrivially; x and z are square
     roots of sum(dy_k^2) plus independent PSD bumps, which dominate the
-    required conditional sums termwise.
+    required conditional sums termwise.  Each generator draws its summand's
+    parts in the order of a lone trial; the algebra then runs once.
     """
-    y = random_martingale(filtration, rng, sup_norm=float(rng.uniform(0.5, 4.0)))
-    sq = filtration.algebra.zero()
+    alg = filtration.algebra
+    sups, finals, bumps_x, bumps_z = [], [], [], []
+    for rng in rngs:
+        sups.append(float(rng.uniform(0.5, 4.0)))
+        finals.append(gaussian_hermitian(alg, rng))
+        sizes = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))
+        bumps_x.append(gaussian_psd(alg, rng, sizes[0]))
+        bumps_z.append(gaussian_psd(alg, rng, sizes[1]))
+    filt = filtration.direct_sum(len(rngs))
+    y = martingale_from_final(filt, _rescaled(direct_sum(finals), sups))
+    sq = filt.algebra.zero()
     for d in y.diffs:
         sq = sq + d @ d
     sq = sq.symmetrized()
-    bump_x = float(rng.uniform(0.0, 1.0))
-    bump_z = float(rng.uniform(0.0, 1.0))
-    x = psd_sqrt((sq + gaussian_psd(filtration.algebra, rng, bump_x)).symmetrized())
-    z = psd_sqrt((sq + gaussian_psd(filtration.algebra, rng, bump_z)).symmetrized())
+    x = psd_sqrt((sq + direct_sum(bumps_x)).symmetrized())
+    z = psd_sqrt((sq + direct_sum(bumps_z)).symmetrized())
     return x, y, z
 
 

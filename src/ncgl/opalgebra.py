@@ -9,6 +9,9 @@ work runs as batched NumPy calls over the stacks.  This is enough to model
 every finite von Neumann algebra with a faithful trace, including classical
 probability spaces (all blocks of dimension one) and their tensor products
 with matrix factors.
+An algebra may be the direct sum of ``summands`` equal copies, one per trial
+of a batch: reductions with ``per_summand=True`` give one value per copy, and
+tie tolerances are taken per copy, so each trial is decided as it is alone.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +32,7 @@ __all__ = [
     "Projection",
     "Interval",
     "trace",
+    "direct_sum",
     "schatten_norm",
     "operator_norm",
     "spectral_projection",
@@ -50,7 +54,7 @@ _HERM_TOL = 1e-12
 _CLUSTER_TOL = 1e-8
 
 # Relative tie tolerance of spectral cuts: an eigenvalue within
-# _TIE_TOL * (1 + ||a||) of an interval endpoint sits on it.
+# _TIE_TOL * (1 + ||a||) of an interval endpoint sits on it, ||a|| per summand.
 _TIE_TOL = 1e-10
 
 # Batched kernels take at most this many blocks per call, so the temporaries
@@ -60,10 +64,12 @@ _CHUNK = 1024
 
 @dataclass(frozen=True, eq=False)
 class TracialAlgebra:
-    """Finite direct sum of matrix blocks with positive block weights."""
+    """Finite direct sum of matrix blocks with positive block weights; with
+    ``summands`` = T > 1 the blocks are equal and the weights T copies."""
 
     dims: tuple[int, ...]
     weights: tuple[float, ...]
+    summands: int = 1
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -78,6 +84,10 @@ class TracialAlgebra:
             raise StructureError("block dimensions must be positive")
         if any(not (w > 0) for w in weights):
             raise StructureError("block weights must be positive")
+        copies = self.summands
+        if copies != 1 and (len(set(dims)) > 1 or
+                            weights != weights[:len(dims) // max(copies, 1)] * copies):
+            raise StructureError("a direct sum of trials needs equal blocks, weights repeated")
 
     @property
     def n_blocks(self) -> int:
@@ -91,6 +101,12 @@ class TracialAlgebra:
     def runs(self) -> tuple[tuple[int, int], ...]:
         """(count, d) of each maximal run of consecutive equal block dims."""
         return tuple((len(list(g)), d) for d, g in itertools.groupby(self.dims))
+
+    def direct_sum(self, copies: int) -> "TracialAlgebra":
+        """`copies` copies side by side, each keeping its block weights."""
+        if copies == 1:
+            return self
+        return TracialAlgebra(self.dims * copies, self.weights * copies, self.summands * copies)
 
     def trace_identity(self) -> float:
         return float(sum(w * d for w, d in zip(self.weights, self.dims)))
@@ -124,15 +140,33 @@ class TracialAlgebra:
             stacks = tuple(np.stack(list(itertools.islice(it, n))) for n, _ in self.runs)
         return Operator(self, stacks)
 
-    def diagonal_operator(self, diagonals: Iterable[np.ndarray]) -> "Operator":
-        return self.operator(
-            [np.diag(np.asarray(v, dtype=complex)) for v in diagonals]
-        )
+
+def _total(alg: TracialAlgebra, per_run: list[np.ndarray], per_summand: bool = False):
+    """sum_b w_b t_b for per-block values t given as one array per run, over
+    all blocks or over those of each summand."""
+    t = np.asarray(alg.weights) * np.concatenate(per_run)
+    return t.reshape(alg.summands, -1).sum(axis=1) if per_summand else t.sum()
 
 
-def _weighted_sum(alg: TracialAlgebra, per_run: list[np.ndarray]):
-    """sum_b w_b t_b over per-block values given as one array per run."""
-    return (np.asarray(alg.weights) * np.concatenate(per_run)).sum()
+_REDUCE = {"max": max, "min": min, "sum": sum}
+
+
+def _by_summand(alg: TracialAlgebra, per_run: list[np.ndarray], kind: str) -> list[float]:
+    """The max, min or sum (`kind`) of the entries of each summand, for
+    per-block arrays given as one per run (a direct sum of several summands
+    has a single run)."""
+    if alg.summands == 1:
+        vals = [float(getattr(v, kind)()) for v in per_run]
+        return vals if len(vals) == 1 else [_REDUCE[kind](vals)]
+    return getattr(per_run[0].reshape(alg.summands, -1), kind)(axis=1).tolist()
+
+
+def _block_columns(alg: TracialAlgebra, per_summand) -> tuple:
+    """One value per summand as a column over its blocks, one per run; the
+    value itself for a single summand."""
+    if alg.summands == 1:
+        return (per_summand[0],) * len(alg.runs)
+    return (np.repeat(per_summand, alg.n_blocks // alg.summands)[:, None],)
 
 
 def _h(s: np.ndarray) -> np.ndarray:
@@ -222,18 +256,43 @@ class Operator:
         return Operator(self.algebra, tuple(_h(a) for a in self.stacks))
 
     def symmetrized(self) -> "Operator":
-        return Operator(self.algebra, tuple(_sym(a) for a in self.stacks))
+        out = Operator(self.algebra, tuple(_sym(a) for a in self.stacks))
+        out.__dict__["hermitian"] = True  # conj flips signs only: exactly Hermitian
+        return out
+
+    def summand_scaled(self, factors) -> "Operator":
+        """Summand i multiplied by factors[i]."""
+        cols = _block_columns(self.algebra, np.asarray(factors, dtype=complex))
+        return Operator(self.algebra, tuple(s * np.asarray(c)[..., None]
+                                            for s, c in zip(self.stacks, cols)))
+
+    def summand(self, i: int) -> "Operator":
+        """Summand i on the algebra of one summand."""
+        alg = self.algebra
+        size = alg.n_blocks // alg.summands
+        return TracialAlgebra(alg.dims[:size], alg.weights[:size]).operator(
+            self.stacks[0][i * size:(i + 1) * size]) if alg.summands > 1 else self
 
     # -- misc ---------------------------------------------------------------
 
-    def entry_max(self) -> float:
-        return max(float(np.abs(s).max()) for s in self.stacks)
+    def entry_max(self, per_summand: bool = False):
+        m = _by_summand(self.algebra, [np.abs(s) for s in self.stacks], "max")
+        return m if per_summand else max(m)
 
     def allclose(self, other: "Operator", tol: float = 1e-10) -> bool:
         self._same_algebra(other)
         return all(
             np.abs(a - b).max() <= tol for a, b in zip(self.stacks, other.stacks)
         )
+
+
+def direct_sum(ops) -> Operator:
+    """Operators of one algebra side by side; a single operator is itself."""
+    for op in ops[1:]:
+        ops[0]._same_algebra(op)
+    alg = ops[0].algebra.direct_sum(len(ops))
+    return ops[0] if len(ops) == 1 else \
+        Operator(alg, (np.concatenate([op.stacks[0] for op in ops]),))
 
 
 @dataclass(frozen=True)
@@ -257,16 +316,12 @@ class Interval:
     def at_least(a: float) -> "Interval":
         return Interval(a, math.inf, True, False)
 
-    @staticmethod
-    def above(a: float) -> "Interval":
-        return Interval(a, math.inf, False, False)
-
     def contains(self, eigs: np.ndarray, tol: float) -> np.ndarray:
         """Membership mask under the boundary tie rule.
 
         An eigenvalue within ``tol`` of an endpoint is treated as sitting
         exactly on the endpoint, so the pair (-inf, c) / [c, inf) always
-        partitions the spectrum exactly.
+        partitions the spectrum exactly; ``tol`` may broadcast per block.
         """
         eigs = np.asarray(eigs, dtype=float)
         mask = np.ones(eigs.shape, dtype=bool)
@@ -330,27 +385,27 @@ def _compose(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (vecs * vals[:, None, :]) @ _h(vecs)
 
 
-def _spectrum(a: Operator, what: str) -> tuple[tuple, float]:
+def _spectrum(a: Operator, what: str) -> tuple[tuple, tuple]:
     """Per-run (eigenvalues, eigenvectors) of a Hermitian operator, with its
-    tie tolerance.
+    tie tolerances.
 
     Every eigenvector-based helper solves its operator here, once.  The
     tolerance 1e-10 * (1 + ||a||) is read off the same eigenvalues, ||a||
-    being the largest absolute eigenvalue over all blocks.
+    being the largest absolute eigenvalue of each summand (_block_columns).
     """
     if not a.hermitian:
         raise DomainError(f"{what} requires a Hermitian operator")
     spectrum = tuple(_per_block(_eigh, s) for s in a.stacks)
-    norm = max(float(np.abs(e).max()) for e, _ in spectrum)
-    return spectrum, _TIE_TOL * (1.0 + norm)
+    norms = _by_summand(a.algebra, [np.abs(e) for e, _ in spectrum], "max")
+    return spectrum, _block_columns(a.algebra, [_TIE_TOL * (1.0 + m) for m in norms])
 
 
 def _projection(algebra: TracialAlgebra, spectrum: tuple, interval: Interval,
-                tol: float, check: bool = True) -> "Projection":
+                tol: tuple, check: bool = True) -> "Projection":
     """Spectral projection onto `interval` assembled from a computed spectrum."""
     stacks = tuple(
-        _per_block(_compose, vecs, interval.contains(eigs, tol).astype(float))
-        for eigs, vecs in spectrum)
+        _per_block(_compose, vecs, interval.contains(eigs, t).astype(float))
+        for (eigs, vecs), t in zip(spectrum, tol))
     return Projection(Operator(algebra, stacks), check=check)
 
 
@@ -364,17 +419,18 @@ def _eigvalsh(x: Operator) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def trace(x: Operator):
-    """Weighted sum of block traces; returns a float for Hermitian input."""
-    val = _weighted_sum(x.algebra, [np.trace(s, axis1=1, axis2=2) for s in x.stacks])
-    return float(val.real) if x.hermitian else val
+def trace(x: Operator, per_summand: bool = False):
+    """Weighted sum of block traces (one per summand on request); real, and a
+    float when whole, for Hermitian input."""
+    val = _total(x.algebra, [np.trace(s, axis1=1, axis2=2) for s in x.stacks], per_summand)
+    return (val.real if per_summand else float(val.real)) if x.hermitian else val
 
 
-def trace_pair(x: Operator, y: Operator):
-    """tau(x y) without forming the full product."""
+def trace_pair(x: Operator, y: Operator, per_summand: bool = False):
+    """tau(x y) without forming the full product (per summand on request)."""
     x._same_algebra(y)
-    return _weighted_sum(x.algebra, [np.einsum("bij,bji->b", a, b)
-                                     for a, b in zip(x.stacks, y.stacks)])
+    return _total(x.algebra, [np.einsum("bij,bji->b", a, b)
+                              for a, b in zip(x.stacks, y.stacks)], per_summand)
 
 
 def _singular_values(x: Operator) -> list[np.ndarray]:
@@ -383,9 +439,11 @@ def _singular_values(x: Operator) -> list[np.ndarray]:
     return [np.linalg.svd(s, compute_uv=False) for s in x.stacks]
 
 
-def operator_norm(x: Operator) -> float:
-    """Largest singular value across blocks (weights are irrelevant here)."""
-    return max(float(s.max()) for s in _singular_values(x))
+def operator_norm(x: Operator, per_summand: bool = False):
+    """Largest singular value across blocks (weights are irrelevant here), or
+    of each summand."""
+    norms = _by_summand(x.algebra, _singular_values(x), "max")
+    return norms if per_summand else max(norms)
 
 
 def schatten_norm(x: Operator, p: float) -> float:
@@ -394,15 +452,17 @@ def schatten_norm(x: Operator, p: float) -> float:
         raise DomainError("Schatten norms are only supported for p >= 1")
     if p == math.inf:
         return operator_norm(x)
-    total = _weighted_sum(x.algebra, [np.sum(s**p, axis=1) for s in _singular_values(x)])
+    total = _total(x.algebra, [np.sum(s**p, axis=1) for s in _singular_values(x)])
     return total ** (1.0 / p)
 
 
-def min_eigenvalue(a: Operator) -> float:
-    """Smallest eigenvalue over all blocks of a Hermitian operator."""
+def min_eigenvalue(a: Operator, per_summand: bool = False):
+    """Smallest eigenvalue over all blocks of a Hermitian operator, or of
+    each summand."""
     if not a.hermitian:
         raise DomainError("min_eigenvalue requires a Hermitian operator")
-    return min(float(e.min()) for e in _eigvalsh(a))
+    lows = _by_summand(a.algebra, _eigvalsh(a), "min")
+    return lows if per_summand else min(lows)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +474,8 @@ def spectral_projection(a: Operator, interval: Interval) -> "Projection":
     """Spectral projection of a Hermitian operator onto an interval.
 
     Eigenvalue membership at the endpoints follows the tie rule of
-    :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm).
+    :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm), the
+    norm per summand.
     """
     spectrum, tol = _spectrum(a, "spectral_projection")
     return _projection(a.algebra, spectrum, interval, tol)
@@ -448,7 +509,7 @@ def _psd_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray],
                   what: str) -> Operator:
     """f of a PSD operator; eigenvalues down to -1e-10 (1 + ||a||) clip to 0."""
     spectrum, tol = _spectrum(a, what)
-    if any(e.min() < -tol for e, _ in spectrum):
+    if any((e < -t).any() for (e, _), t in zip(spectrum, tol)):
         raise DomainError(f"{what} needs a positive semidefinite operator")
     return _apply(a, spectrum, lambda e: f(np.clip(e, 0.0, None)))
 
@@ -508,12 +569,12 @@ class Projection:
         return self.op.algebra
 
     def rank(self) -> int:
-        return self._rank
+        return sum(self.summand_ranks)
 
     @cached_property
-    def _rank(self) -> int:
-        return int(round(sum(float(np.trace(s, axis1=1, axis2=2).real.sum())
-                             for s in self.op.stacks)))
+    def summand_ranks(self) -> tuple[int, ...]:
+        traces = [np.trace(s, axis1=1, axis2=2).real for s in self.op.stacks]
+        return tuple(map(round, _by_summand(self.algebra, traces, "sum")))
 
     def allclose(self, other: "Projection", tol: float = 1e-10) -> bool:
         return self.op.allclose(other.op, tol)

@@ -13,7 +13,6 @@ from ncgl.applications import (
     refined_doob,
     stein_constant,
     tangent_counterexample,
-    tangent_moment_deviation,
     verify_bg,
     verify_dominated,
     verify_dual_doob,
@@ -39,6 +38,8 @@ from ncgl.instances import (
     stream,
 )
 from ncgl.opalgebra import cluster_eigenvalues, operator_norm, schatten_norm
+
+from helpers import diagonal_operator, tangent_moment_deviation
 
 
 class TestBGEmbedding:
@@ -350,8 +351,8 @@ class TestTangency:
         g = 1.5e-8
         filt = make_filtration("trivial_full", dims=(2,))
         zero = filt.algebra.zero()
-        a = [zero, filt.algebra.diagonal_operator([[0.0, g]])]
-        b = [zero, filt.algebra.diagonal_operator([[g, g]])]
+        a = [zero, diagonal_operator(filt.algebra, [[0.0, g]])]
+        b = [zero, diagonal_operator(filt.algebra, [[g, g]])]
         assert check_tangent(a, b, filt)[1] == pytest.approx(0.5)
         assert tangent_moment_deviation(a, b, filt) == pytest.approx(0.5 * g / (1.0 + g))
 

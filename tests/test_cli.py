@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -11,10 +12,11 @@ from ncgl.cli import (
     ReportRow,
     emit,
     main,
-    rows_from_json,
     run,
 )
 from ncgl.errors import NCGLError
+
+from helpers import rows_from_json
 
 
 def small(suite, **kw):
@@ -119,6 +121,64 @@ class TestRun:
         assert calls == [0, 1]
         assert summary["p_grid"] == [3.0, 4.0, 8.0]
         assert summary["constants"].startswith("sqrt(2)*12p")
+
+
+class TestFamilyBatches:
+    """The good-lambda suites verify each filtration family's trials as one
+    direct sum; every trial must still get the rows it gets alone."""
+
+    @pytest.mark.parametrize("suite", ["goodlambda-core", "goodlambda-tail"])
+    def test_rows_match_each_trial_alone(self, suite):
+        cfg = ExperimentConfig(suite=suite, trials=100, seed=0)
+        rows, _ = run(cfg)
+        # outside run, a trial is a batch of one
+        alone = [r for trial in range(100) for r in SUITES[suite](cfg, trial)]
+        assert [(r.instance, r.passed) for r in rows] == \
+            [(r.instance, r.passed) for r in alone]
+        if suite == "goodlambda-core":
+            assert rows == alone
+        # a tail batch may serve a level from another cached sequence than
+        # the trial alone does: values agree to the 1e-9 margin contract
+        for got, want in zip(rows, alone):
+            scale = max(1.0, abs(want.lhs), abs(want.rhs))
+            for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs),
+                         (got.margin, want.margin)):
+                assert abs(a - b) <= 1e-9 * scale, (got, want)
+
+    def test_run_calls_every_trial_in_order(self, monkeypatch):
+        calls = []
+        original = SUITES["goodlambda-core"]
+
+        def wrapped(cfg, trial):
+            calls.append(trial)
+            return original(cfg, trial)
+
+        monkeypatch.setitem(SUITES, "goodlambda-core", wrapped)
+        rows, _ = run(small("goodlambda-core", trials=15))
+        assert calls == list(range(15))
+        assert [r.instance.split(":")[0] for r in rows] == [f"t{i}" for i in range(15)]
+
+    def test_timing_charges_the_batch_to_its_first_trial(self, monkeypatch):
+        import ncgl.cli as cli
+
+        clock = [0.0]
+        build = cli.strong_triple_parts
+
+        def slow_build(*args):
+            clock[0] += 1.0  # one second per family batch
+            return build(*args)
+
+        monkeypatch.setattr(cli, "strong_triple_parts", slow_build)
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        rows, _ = run(small("goodlambda-tail", trials=14, timing=True,
+                            beta_grid=(2.0,)))
+        assert [r.ms for r in rows] == [1000] * 6 + [0] * 8
+
+    def test_nothing_outlives_a_run(self):
+        import ncgl.cli as cli
+
+        run(small("goodlambda-core", trials=8))
+        assert cli._pending.get() is None
 
 
 class TestEmit:

@@ -256,12 +256,49 @@ class TestCachedSequences:
         assert calls == {"check": 7, "fresh": 3}
         assert len(y.cuculescu_cache) == 3
 
+    @pytest.mark.parametrize("diagonals", [
+        [(e, -0.5) for e in np.arange(0.05, 0.95, 0.01)],   # the relative slack
+        [(0.0, top) for top in np.arange(0.5, 3.0, 0.05)],  # the 1e-12 ||y_n|| term
+    ], ids=["relative", "near-zero"])
+    def test_window_slack_covers_rounding_at_the_edge(self, diagonals):
+        # y_0 = U diag(e, f) U* keeps e at level 1; without the slack the
+        # sequence would serve every level above t(e) = (e + 1e-10 m) /
+        # (1 - 1e-10), m = max(|e|, |f|).  Recomputed a few ulps above t(e),
+        # e sits on the tie band and the rounding of the rotated eigenvalues
+        # can cut it (for e = 0, t(e) ~ 1e-10 m and the relative part of the
+        # slack is below that rounding): the slack sends such levels to a
+        # fresh recursion.
+        from ncgl.cuculescu import _BELOW_ONE, _TIE_TOL
+        from ncgl.opalgebra import _spectrum
+
+        u = np.linalg.qr(np.array([[1.0, 0.3 + 0.2j], [-0.4j, 1.0]]))[0]
+
+        def rotated(diagonal):
+            y = _one_step([1.0, 1.0])
+            y0 = y.algebra.operator([(u * np.array(diagonal)) @ u.conj().T])
+            return Martingale(y.filtration, (y0,), (y0,))
+
+        flipped = 0
+        for diagonal in diagonals:
+            y = rotated(diagonal)
+            seq = cuculescu_r(y, 1.0)
+            (spectrum,), (tol,) = _spectrum(y.values[0].symmetrized(), "test")
+            kept = _BELOW_ONE.contains(spectrum[0], tol)
+            level = float(((spectrum[0] + tol - _TIE_TOL) / (1.0 - _TIE_TOL))[kept].max())
+            for _ in range(3):
+                level = np.nextafter(level, np.inf)  # inside the unslacked window
+                fresh = cuculescu_r(rotated(diagonal), level).R(0)
+                assert cuculescu_r(y, level).R(0).allclose(fresh, 0.0), (diagonal, level)
+                flipped += fresh.rank() != seq.R(0).rank()
+        assert flipped > 0
+
     @pytest.mark.parametrize("field, value", [("adapted", 1.0), ("top", 1e3)])
     def test_hits_are_validated(self, field, value):
         y = _one_step([2.0, 0.5])
         cuculescu_r(y, 1.0)
         seq = y.cuculescu_cache[0]
-        bad = dataclasses.replace(seq.steps[0], **{field: value})
+        # one measurement per summand; this algebra has one
+        bad = dataclasses.replace(seq.steps[0], **{field: [value]})
         y.cuculescu_cache[0] = dataclasses.replace(seq, steps=(bad,))
         with pytest.raises(NumericalInstabilityError):
             cuculescu_r(y, 1.5)
@@ -283,12 +320,13 @@ class TestCachedSequences:
         for level in levels:
             seq = cuculescu_r(m, level)
             for n, (r, s) in enumerate(zip(seq.projections, seq.steps)):
+                (top,), (norm,) = s.top, s.norm
                 cut = (r.op @ y.values[n] @ r.op).symmetrized()
                 direct = min_eigenvalue(r.op - cut / level)
-                cert = 1.0 - s.top / level
+                cert = 1.0 - top / level
                 if r.rank() < total:
                     cert = min(cert, 0.0)
-                assert abs(direct - cert) <= 1e-12 * (1.0 + s.norm / level), (level, n)
+                assert abs(direct - cert) <= 1e-12 * (1.0 + norm / level), (level, n)
 
     @pytest.mark.parametrize("mu", (0.5, 4.0))
     @pytest.mark.parametrize("sign", (1, -1))

@@ -24,6 +24,8 @@ from ncgl.opalgebra import (
     trace_pair,
 )
 
+from helpers import validate_filtration
+
 FAMILIES = [
     ("corner", {"dim": 4}),
     ("rademacher", {"depth": 3}),
@@ -62,7 +64,7 @@ def any_family(request):
 
 class TestConditionalExpectationAxioms:
     def test_axioms_on_samples(self, any_family):
-        dev = any_family.validate(stream(20), samples=5)
+        dev = validate_filtration(any_family, stream(20), samples=5)
         for key, val in dev.items():
             assert val < 1e-9, (any_family.label, key, val)
 
@@ -340,7 +342,7 @@ class TestLiftedFiltrations:
     def test_matrix_lift_axioms(self):
         base = make_filtration("corner", dim=3)
         big = lift_with_matrix_factor(base, 2)
-        dev = big.validate(stream(38), samples=4)
+        dev = validate_filtration(big, stream(38), samples=4)
         assert max(dev.values()) < 1e-9
 
     def test_matrix_lift_rejects_non_uniform_base(self):
@@ -352,7 +354,7 @@ class TestLiftedFiltrations:
     def test_sign_matrix_axioms(self):
         base = make_filtration("corner", dim=2)
         big = sign_matrix_filtration(3, 2, base)
-        dev = big.validate(stream(39), samples=4)
+        dev = validate_filtration(big, stream(39), samples=4)
         assert max(dev.values()) < 1e-9
         assert big.algebra.n_blocks == 4
         assert big.algebra.dims[0] == 6

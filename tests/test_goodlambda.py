@@ -118,7 +118,7 @@ class TestCoreInequality:
     def test_zero_case(self):
         filt = triple_family(2)
         zero = martingale_from_final(filt, filt.algebra.zero())
-        rep = verify_core(Triple(filt.algebra.zero(), zero, filt.algebra.zero()))
+        (rep,) = verify_core(Triple(filt.algebra.zero(), zero, filt.algebra.zero()))
         assert rep.passed and rep.lhs == pytest.approx(0.0) \
             and rep.rhs == pytest.approx(0.0)
 
@@ -126,14 +126,14 @@ class TestCoreInequality:
         for i in range(40):
             filt = triple_family(i)
             x, y, z = strong_triple_parts(filt, stream(66, i))
-            rep = verify_core(Triple(x, y, z))
+            (rep,) = verify_core(Triple(x, y, z))
             assert rep.passed, (i, rep)
 
     def test_diagonal_reproduces_classical_bound(self):
         # on a diagonal algebra every quantity is a classical expectation
         filt = make_filtration("rademacher", depth=4)
         x, y, z = strong_triple_parts(filt, stream(67))
-        rep = verify_core(Triple(x, y, z))
+        (rep,) = verify_core(Triple(x, y, z))
         vals = np.array([[v.data[b][0, 0].real for b in range(16)]
                          for v in y.values])
         tail = (vals.max(axis=0) >= 1.0).astype(float)  # 1 - R_N classically
@@ -150,9 +150,9 @@ class TestCoreInequality:
     def test_scale_invariance(self):
         filt = triple_family(3)
         x, y, z = strong_triple_parts(filt, stream(68))
-        base = verify_core(Triple(x, y, z))
+        (base,) = verify_core(Triple(x, y, z))
         for mu in (0.5, 2.0, 7.0):
-            scaled = verify_core(Triple(x, y, z).scale(mu), level=mu)
+            (scaled,) = verify_core(Triple(x, y, z).scale(mu), level=mu)
             assert scaled.margin == pytest.approx(base.margin * mu * mu,
                                                   rel=1e-8, abs=1e-12)
 
@@ -162,7 +162,7 @@ class TestTailInequality:
         filt = make_filtration("corner", dim=4)
         y = random_martingale(filt, stream(69), sup_norm=1.2)
         s = square_function(y)
-        rep = verify_tail(Triple(s, y, s), beta=4.0)
+        (rep,) = verify_tail(Triple(s, y, s), beta=4.0)
         assert rep.lhs == pytest.approx(0.0)
         assert rep.passed
 
@@ -171,13 +171,13 @@ class TestTailInequality:
         for i in range(15):
             filt = triple_family(i)
             x, y, z = strong_triple_parts(filt, stream(70, i))
-            rep = verify_tail(Triple(x, y, z), beta)
+            (rep,) = verify_tail(Triple(x, y, z), beta)
             assert rep.passed, (i, beta, rep)
 
     def test_constant_value(self):
         filt = triple_family(0)
         x, y, z = strong_triple_parts(filt, stream(71))
-        rep = verify_tail(Triple(x, y, z), 3.0)
+        (rep,) = verify_tail(Triple(x, y, z), 3.0)
         assert rep.constant == pytest.approx(1.0)
 
     def test_good_hom_across_scales(self):
@@ -200,9 +200,9 @@ class TestTailInequality:
         # of the triple and the level (the lhs is a projection trace)
         filt = triple_family(1)
         x, y, z = strong_triple_parts(filt, stream(731))
-        base = verify_tail(Triple(x, y, z), 2.0)
+        (base,) = verify_tail(Triple(x, y, z), 2.0)
         for mu in (0.5, 3.0):
-            scaled = verify_tail(Triple(x, y, z).scale(mu), 2.0, level=mu)
+            (scaled,) = verify_tail(Triple(x, y, z).scale(mu), 2.0, level=mu)
             assert scaled.lhs == pytest.approx(base.lhs, abs=1e-10)
             assert scaled.margin == pytest.approx(base.margin, rel=1e-8)
 
@@ -276,13 +276,13 @@ class TestHypothesisStatus:
     def test_strong_certificate(self):
         filt = triple_family(0)
         x, y, z = strong_triple_parts(filt, stream(78))
-        assert hypothesis_status(Triple(x, y, z)) == "strong-pass"
+        assert hypothesis_status(Triple(x, y, z)) == ("strong-pass",)
 
     def test_unverified_when_scaled(self):
         filt = triple_family(0)
         x, y, z = strong_triple_parts(filt, stream(79))
         status = hypothesis_status(Triple(x * 1e-3, y.scale(20.0), z * 1e-3))
-        assert status == "unverified"
+        assert status == ("unverified",)
 
     def test_label_computed_once_per_triple(self, monkeypatch):
         import ncgl.goodlambda as gl
@@ -297,8 +297,8 @@ class TestHypothesisStatus:
         monkeypatch.setattr(gl, "hypothesis_status", counted)
         filt = triple_family(1)
         t = Triple(*strong_triple_parts(filt, stream(80)))
-        reps = [verify_core(t)]
-        reps += [verify_tail(t, beta) for beta in (1.5, 2.0, 4.0)]
+        reps = list(verify_core(t))
+        reps += [rep for beta in (1.5, 2.0, 4.0) for rep in verify_tail(t, beta)]
         reps.append(verify_good_hom(t, 2.0, 0))
         moment = verify_moment(t, 3.0)
         reps += [moment.max_plus, moment.max_minus, moment.moment,
@@ -311,9 +311,9 @@ class TestHypothesisStatus:
         filt = triple_family(0)
         x, y, z = strong_triple_parts(filt, stream(79))
         t = Triple(x * 1e-3, y.scale(20.0), z * 1e-3) if scaled else Triple(x, y, z)
-        expected = hypothesis_status(t)
+        (expected,) = hypothesis_status(t)
         assert expected == ("unverified" if scaled else "strong-pass")
-        assert verify_core(t).meta["hypothesis"] == expected
-        assert verify_tail(t, 2.0).meta["hypothesis"] == expected
+        assert verify_core(t)[0].meta["hypothesis"] == expected
+        assert verify_tail(t, 2.0)[0].meta["hypothesis"] == expected
         assert verify_good_hom(t, 2.0, 0).meta["hypothesis"] == expected
         assert verify_moment(t, 4.0).moment.meta["hypothesis"] == expected

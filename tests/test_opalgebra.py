@@ -22,6 +22,8 @@ from ncgl.opalgebra import (
     trace_pair,
 )
 
+from helpers import diagonal_operator
+
 
 def alg1(d, w=1.0):
     return TracialAlgebra((d,), (w,))
@@ -159,7 +161,7 @@ class TestDenseOracle:
     """The per-block spectral path against one dense eigh of the whole matrix."""
 
     INTERVALS = [Interval.below(0.3), Interval.at_least(-0.5),
-                 Interval(-1.0, 1.0, False, True), Interval.above(2.0)]
+                 Interval(-1.0, 1.0, False, True), Interval(2.0, math.inf, False, False)]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("interval", INTERVALS)
@@ -182,7 +184,7 @@ class TestDenseOracle:
 
     def test_diagonal_is_exact(self):
         vals = ([4.0, 0.25, 1.0], [9.0, 0.0])
-        a = MIXED.diagonal_operator(vals)
+        a = diagonal_operator(MIXED, vals)
         assert np.array_equal(_dense(psd_sqrt(a)), np.diag(np.sqrt(np.concatenate(vals))))
         assert np.array_equal(_dense(func_calculus(a, lambda t: t ** 2)),
                               np.diag(np.concatenate(vals) ** 2))
@@ -196,12 +198,12 @@ class TestDenseOracle:
         (Interval.below(1.0), 2),
         (Interval.below(1.0, closed=True), 4),
         (Interval.at_least(1.0), 3),
-        (Interval.above(1.0), 1),
+        (Interval(1.0, math.inf, False, False), 1),
     ])
     @pytest.mark.parametrize("rotate", [False, True])
     def test_eigenvalue_on_endpoint(self, interval, rank, rotate):
         vals = ([1.0, -3.0, 5.0], [1.0, 0.5])
-        a = _rotated(vals, 0) if rotate else MIXED.diagonal_operator(vals)
+        a = _rotated(vals, 0) if rotate else diagonal_operator(MIXED, vals)
         e = spectral_projection(a, interval)
         assert e.rank() == rank
         if not rotate:
@@ -479,3 +481,24 @@ class TestRunStacks:
         monkeypatch.setattr(oa, "_CHUNK", 2)
         for got, want in zip(results(), whole):
             assert np.array_equal(got, want)
+
+
+class TestSymmetrized:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_symmetrized_is_hermitian_to_the_bit(self, seed, monkeypatch):
+        import ncgl.opalgebra as oa
+
+        rng = stream(23, seed)
+        for alg in (RUNS, TracialAlgebra((4,) * 6, (0.5,) * 6)):
+            x = alg.operator(_draw(alg, rng))
+            s = x.symmetrized()
+            # every entry equals the conjugate of its transpose exactly (a
+            # zero imaginary part may differ from it in sign only)
+            for a, b in zip(s.stacks, s.adjoint().stacks):
+                assert np.array_equal(a, b)
+                assert np.array_equal(a.real.view(np.uint64), b.real.view(np.uint64))
+            assert not any(oa._non_hermitian_blocks(a).any() for a in s.stacks)
+            # so the flag is set without measuring it
+            monkeypatch.setattr(oa, "_non_hermitian_blocks", None)
+            assert s.hermitian
+            monkeypatch.undo()
