@@ -31,8 +31,6 @@ from .instances import gaussian_hermitian, stream
 from .opalgebra import (
     Interval,
     Operator,
-    _projection,
-    _spectrum,
     cluster_eigenvalues,
     min_eigenvalue,
     operator_abs,
@@ -422,14 +420,6 @@ def _check_adapted(seq, filtration: Filtration, name: str) -> None:
             raise DomainError(f"{name}_{n} is not adapted")
 
 
-def _step_spectra(an: Operator, bn: Operator):
-    """(spectrum, tie tolerance) of a_n and of b_n, one eigensolve each, with
-    the union of their eigenvalues and max(||a_n||, ||b_n||)."""
-    sa, sb = _spectrum(an, "tangency"), _spectrum(bn, "tangency")
-    eigs = np.concatenate([e.ravel() for e, _ in sa[0] + sb[0]])
-    return sa, sb, eigs, float(np.abs(eigs).max()) if eigs.size else 0.0
-
-
 def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
     """Tangency of two adapted Hermitian sequences.
 
@@ -444,13 +434,12 @@ def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
     _check_adapted(b, filtration, "b")
     worst = 0.0
     for n, (an, bn) in enumerate(zip(a, b)):
-        (spec_a, tol_a), (spec_b, tol_b), eigs, scale = _step_spectra(an, bn)
-        for cluster in cluster_eigenvalues(eigs, scale):
+        eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
+        for cluster in cluster_eigenvalues(eigs, float(np.abs(eigs).max())):
             window = Interval(float(cluster.min()), float(cluster.max()), True, True)
-            ia = _projection(an.algebra, spec_a, window, tol_a).op
-            ib = _projection(bn.algebra, spec_b, window, tol_b).op
-            dev = operator_norm(cond_exp(filtration, n - 1, ia)
-                                - cond_exp(filtration, n - 1, ib))
+            dev = operator_norm(
+                cond_exp(filtration, n - 1, spectral_projection(an, window).op)
+                - cond_exp(filtration, n - 1, spectral_projection(bn, window).op))
             worst = max(worst, dev)
     return bool(worst <= 1e-8), float(worst)
 
@@ -516,11 +505,12 @@ def tangent_counterexample(N: int, p: float) -> CounterexampleReport:
     if not 1 <= N <= 13:
         raise DomainError("N must lie in 1..13")
     x_final, y_final, _ = _counterexample_finals(N)
-    # 2^N blocks each: x_N is released before the spectra of y_N are taken
+    # 2^N blocks each: x_N and y_N are released, with their spectra, once read
     l1, p_norm_x = trace(operator_abs(x_final)), schatten_norm(x_final, p)
     del x_final
-    p_norm_y = schatten_norm(y_final, p)
-    weak = trace(spectral_projection(operator_abs(y_final), Interval.at_least(1.0)).op)
+    p_norm_y, abs_y = schatten_norm(y_final, p), operator_abs(y_final)
+    del y_final
+    weak = trace(spectral_projection(abs_y, Interval.at_least(1.0)).op)
     return CounterexampleReport(
         N=N,
         p=float(p),

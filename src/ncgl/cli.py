@@ -77,7 +77,8 @@ class ExperimentConfig:
         if self.suite not in SUITES:
             raise NCGLError(f"unknown suite {self.suite!r}")
         integer = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
-        number = lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+        number = lambda v: (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                            and math.isfinite(v))
         grid = lambda v: isinstance(v, (list, tuple)) and all(map(number, v))
         for name, ok, expected in (
             ("trials", integer(self.trials), "an integer"),
@@ -87,10 +88,10 @@ class ExperimentConfig:
                 if k == "N_list" else integer(v) for k, v in self.dims.items()),
              "an object of integers (N_list a non-empty list of them)"),
             ("tolerances", isinstance(self.tolerances, dict)
-             and all(map(number, self.tolerances.values())), "an object of numbers"),
-            ("B", self.B is None or number(self.B), "a number"),
-            ("p_grid", grid(self.p_grid), "a list of numbers"),
-            ("beta_grid", grid(self.beta_grid), "a list of numbers"),
+             and all(map(number, self.tolerances.values())), "an object of finite numbers"),
+            ("B", self.B is None or number(self.B), "a finite number"),
+            ("p_grid", grid(self.p_grid), "a list of finite numbers"),
+            ("beta_grid", grid(self.beta_grid), "a list of finite numbers"),
             ("timing", isinstance(self.timing, bool), "true or false"),
         ):
             if not ok:
@@ -119,8 +120,6 @@ class ExperimentConfig:
             if p < info.p_min or (info.strict and p == info.p_min):
                 relation = ">" if info.strict else ">="
                 raise NCGLError(f"suite {self.suite} needs p {relation} {info.p_min}")
-            if info.finite and not math.isfinite(p):
-                raise NCGLError(f"{self.suite} needs finite p")
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,7 +331,6 @@ class _Suite:
     constants: str
     p_min: float = -math.inf
     strict: bool = False    # p > p_min instead of p >= p_min
-    finite: bool = False    # p = inf is out of the domain
     dims: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
 
@@ -381,7 +379,7 @@ _REGISTRY = {
                                dims={"dim": 8}),
     "schur-norms": _Suite(_suite_schur_norms, (4.0, 8.0, 16.0),
                           "(1 + C_p)/2 as upper reference", 1.0, strict=True,
-                          finite=True, dims={"dim": 32, "budget": 20}),
+                          dims={"dim": 32, "budget": 20}),
 }
 
 # run() looks its callable up here on every call, so callers may swap entries;

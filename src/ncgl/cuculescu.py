@@ -22,11 +22,9 @@ from .opalgebra import (
     Interval,
     Operator,
     Projection,
-    TracialAlgebra,
     _TIE_TOL,
     _by_summand,
     _projection,
-    _spectrum,
     min_eigenvalue,
     operator_norm,
     proj_meet,
@@ -64,15 +62,13 @@ def _normalized(p: Projection) -> Projection:
 
 def _snap_projection(raw: Operator) -> Projection:
     """Re-symmetrize and round a near-projection; abort on real drift."""
-    spectrum, tol = _spectrum(raw.symmetrized(), "_snap_projection")
-    drift = max(float(np.abs(e - (e >= 0.5)).max()) for e, _ in spectrum)
+    sym = raw.symmetrized()
+    drift = max(float(np.abs(e - (e >= 0.5)).max()) for e, _ in sym.spectrum[0])
     if drift > _DRIFT_LIMIT:
         raise NumericalInstabilityError(
             f"projection drifted by {drift:.2e} from idempotency"
         )
-    return _normalized(
-        _projection(raw.algebra, spectrum, Interval.at_least(0.5), tol, check=False)
-    )
+    return _normalized(_projection(sym, Interval.at_least(0.5), check=False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +140,11 @@ def _check_level(seq: CuculescuSeq, level: float) -> None:
                 raise fail(f"R_{n} y_n R_{n} exceeds R_{n} (summand {i})")
 
 
-def _step_window(alg: TracialAlgebra, spectrum: tuple, tol: tuple, level: float,
+def _step_window(compressed: Operator, level: float,
                  norm: list[float], live: list[bool]) -> tuple[float, float]:
     """Levels (lo, hi) at which the cut of R_{n-1} y_n R_{n-1} below 1 keeps
-    the eigenvectors it keeps at `level`, on every live summand; `spectrum`
-    and its per-block tie tolerances `tol` are those of the operator scaled
-    by 1/level, and `norm` holds ||y_n|| per summand of the algebra `alg`.
+    the eigenvectors it keeps at `level`, on every live summand; `compressed`
+    is that operator scaled by 1/level, and `norm` holds ||y_n|| per summand.
 
     With m the largest absolute eigenvalue of a summand, tol = _TIE_TOL (1 + m),
     and at level l an eigenvalue e is kept iff e level/l < 1 - _TIE_TOL (1 + m level/l),
@@ -158,6 +153,7 @@ def _step_window(alg: TracialAlgebra, spectrum: tuple, tol: tuple, level: float,
     1e-12 ||y_n||, far above the rounding of the eigenvalues at other levels;
     the window is the intersection of the summands' windows.
     """
+    spectrum, tol = compressed.spectrum
     kept_t, cut_t = [], []
     for (eigs, _), t_col in zip(spectrum, tol):
         kept = _BELOW_ONE.contains(eigs, t_col)
@@ -165,15 +161,15 @@ def _step_window(alg: TracialAlgebra, spectrum: tuple, tol: tuple, level: float,
         kept_t.append(np.where(kept, t, 0.0))
         cut_t.append(np.where(kept, math.inf, t))
     bounds = [(lo, hi, n) for lo, hi, n, ok in zip(
-        _by_summand(alg, kept_t, "max"), _by_summand(alg, cut_t, "min"), norm, live) if ok]
+        _by_summand(compressed.algebra, kept_t, "max"),
+        _by_summand(compressed.algebra, cut_t, "min"), norm, live) if ok]
     return (max(lo + 1e-8 * abs(lo) + 1e-12 * n for lo, _, n in bounds),
             min((hi - 1e-8 * abs(hi) - 1e-12 * n for _, hi, n in bounds if hi < math.inf),
                 default=math.inf))
 
 
 def _fresh_sequence(y: Martingale, level: float) -> CuculescuSeq:
-    alg = y.algebra
-    r_prev = Projection(alg.identity(), check=False)
+    r_prev = Projection(y.algebra.identity(), check=False)
     lo, hi = 0.0, math.inf
     projections, steps = [], []
     for n, y_n in enumerate(y.values):
@@ -185,10 +181,9 @@ def _fresh_sequence(y: Martingale, level: float) -> CuculescuSeq:
         if not any(live):
             r_n = r_prev
         else:
-            spectrum, tol = _spectrum(compressed, "cuculescu_r")
-            e = _projection(alg, spectrum, _BELOW_ONE, tol)
+            e = _projection(compressed, _BELOW_ONE)
             r_n = _snap_projection(r_prev.op @ e.op)
-            step_lo, step_hi = _step_window(alg, spectrum, tol, level, norm, live)
+            step_lo, step_hi = _step_window(compressed, level, norm, live)
             lo, hi = max(lo, step_lo), min(hi, step_hi)
         steps.append(_Step(
             norm=norm,

@@ -89,6 +89,12 @@ class Triple:
         """The labels of :func:`hypothesis_status`, computed once per triple."""
         return hypothesis_status(self)
 
+    @cached_property
+    def squares(self) -> tuple[Operator, Operator, tuple[Operator, ...]]:
+        """x_N^2, z_N^2 and the dy_n^2, formed once per triple."""
+        square = lambda a: (a @ a).symmetrized()
+        return square(self.x), square(self.z), tuple(map(square, self.y.diffs))
+
     def scale(self, mu: float) -> "Triple":
         return Triple(self.x * mu, self.y.scale(mu), self.z * mu)
 
@@ -126,10 +132,7 @@ def check_testing(
     seq = cuculescu_r(y, 1.0)
     qseq = cuculescu_r(y, 2.0)
     ident = t.algebra.identity()
-
-    x_sq = (t.x @ t.x).symmetrized()
-    z_sq = (t.z @ t.z).symmetrized()
-    dy_sq = [(d @ d).symmetrized() for d in y.diffs]
+    x_sq, z_sq, dy_sq = t.squares
 
     # (i)
     double_sum = 0.0
@@ -177,9 +180,7 @@ def check_strong_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     y = t.y
     filt = t.filtration
-    x_sq = (t.x @ t.x).symmetrized()
-    z_sq = (t.z @ t.z).symmetrized()
-    dy_sq = [(d @ d).symmetrized() for d in y.diffs]
+    x_sq, z_sq, dy_sq = t.squares
 
     suffix = t.algebra.zero()
     suffixes = [suffix]  # suffixes[j] = sum_{m > N-j} dy_m^2, built backwards
@@ -215,9 +216,7 @@ def hypothesis_status(t: Triple) -> tuple[str, ...]:
 
 
 def _rhs_weights(t: Triple, proj: Operator) -> np.ndarray:
-    x_sq = (t.x @ t.x).symmetrized()
-    z_sq = (t.z @ t.z).symmetrized()
-    return trace_pair(x_sq + z_sq, proj, per_summand=True).real
+    return trace_pair(t.squares[0] + t.squares[1], proj, per_summand=True).real
 
 
 def _reports(lhs, rhs, constant: float, meta: dict, t: Triple) -> tuple[VerifyReport, ...]:

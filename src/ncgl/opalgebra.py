@@ -166,7 +166,12 @@ def _block_columns(alg: TracialAlgebra, per_summand) -> tuple:
     value itself for a single summand."""
     if alg.summands == 1:
         return (per_summand[0],) * len(alg.runs)
-    return (np.repeat(per_summand, alg.n_blocks // alg.summands)[:, None],)
+    return (_readonly(np.repeat(per_summand, alg.n_blocks // alg.summands)[:, None]),)
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _h(s: np.ndarray) -> np.ndarray:
@@ -216,10 +221,28 @@ class Operator:
     @cached_property
     def data(self):
         """Read-only blocks in algebra order; the stack itself for one run."""
-        views = [s.view() for s in self.stacks]
-        for v in views:
-            v.flags.writeable = False
+        views = [_readonly(s.view()) for s in self.stacks]
         return views[0] if len(views) == 1 else tuple(itertools.chain(*views))
+
+    # -- spectra, each solved at most once per operator ----------------------
+
+    @cached_property
+    def eigenvalues(self) -> tuple[np.ndarray, ...]:
+        """Read-only (count, d) eigenvalues of each run of the symmetrized
+        operator, from a values-only solve."""
+        return tuple(_readonly(_per_block(lambda c: np.linalg.eigvalsh(_sym(c)), s))
+                     for s in self.stacks)
+
+    @cached_property
+    def spectrum(self) -> tuple[tuple, tuple]:
+        """Read-only per-run (eigenvalues, eigenvectors) of a Hermitian
+        operator, and its tie tolerances 1e-10 * (1 + ||a||) per block, ||a||
+        the largest absolute eigenvalue of its summand (_block_columns)."""
+        if not self.hermitian:
+            raise DomainError("spectral calculus requires a Hermitian operator")
+        runs = tuple(tuple(map(_readonly, _per_block(_eigh, s))) for s in self.stacks)
+        norms = _by_summand(self.algebra, [np.abs(e) for e, _ in runs], "max")
+        return runs, _block_columns(self.algebra, [_TIE_TOL * (1.0 + m) for m in norms])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -348,8 +371,9 @@ def _tie_compare(eigs: np.ndarray, c: float, tol: float) -> np.ndarray:
 
 def _exact_diagonal(s: np.ndarray) -> np.ndarray:
     """Mask of the blocks of a stack whose off-diagonal entries are all zero."""
-    return (np.count_nonzero(s, axis=(1, 2))
-            == np.count_nonzero(np.diagonal(s, axis1=1, axis2=2), axis=1))
+    n, d, _ = s.shape
+    # row by row and less its last entry, a block is d - 1 runs of (diagonal, d off-diagonal)
+    return ~s.reshape(n, d * d)[:, :-1].reshape(n, d - 1, d + 1)[:, :, 1:].any(axis=(1, 2))
 
 
 def _diagonal_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,33 +409,18 @@ def _compose(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (vecs * vals[:, None, :]) @ _h(vecs)
 
 
-def _spectrum(a: Operator, what: str) -> tuple[tuple, tuple]:
-    """Per-run (eigenvalues, eigenvectors) of a Hermitian operator, with its
-    tie tolerances.
-
-    Every eigenvector-based helper solves its operator here, once.  The
-    tolerance 1e-10 * (1 + ||a||) is read off the same eigenvalues, ||a||
-    being the largest absolute eigenvalue of each summand (_block_columns).
-    """
-    if not a.hermitian:
-        raise DomainError(f"{what} requires a Hermitian operator")
-    spectrum = tuple(_per_block(_eigh, s) for s in a.stacks)
-    norms = _by_summand(a.algebra, [np.abs(e) for e, _ in spectrum], "max")
-    return spectrum, _block_columns(a.algebra, [_TIE_TOL * (1.0 + m) for m in norms])
-
-
-def _projection(algebra: TracialAlgebra, spectrum: tuple, interval: Interval,
-                tol: tuple, check: bool = True) -> "Projection":
-    """Spectral projection onto `interval` assembled from a computed spectrum."""
+def _projection(a: Operator, interval: Interval, check: bool = True) -> "Projection":
+    """Spectral projection of a Hermitian operator onto `interval`, from its
+    cached spectrum; exactly diagonal blocks get an exact 0/1 diagonal."""
+    spectrum, tol = a.spectrum
     stacks = tuple(
         _per_block(_compose, vecs, interval.contains(eigs, t).astype(float))
         for (eigs, vecs), t in zip(spectrum, tol))
-    return Projection(Operator(algebra, stacks), check=check)
-
-
-def _eigvalsh(x: Operator) -> list[np.ndarray]:
-    """(count, d) eigenvalues of each run of the symmetrized operator."""
-    return [_per_block(lambda c: np.linalg.eigvalsh(_sym(c)), s) for s in x.stacks]
+    for s in stacks:
+        blocks, i = np.flatnonzero(_exact_diagonal(s))[:, None], np.arange(s.shape[1])
+        if blocks.size:
+            s[blocks, i, i] = np.round(s[blocks, i, i].real)
+    return Projection(Operator(a.algebra, stacks), check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +444,7 @@ def trace_pair(x: Operator, y: Operator, per_summand: bool = False):
 
 def _singular_values(x: Operator) -> list[np.ndarray]:
     if x.hermitian:
-        return [np.abs(e) for e in _eigvalsh(x)]
+        return [np.abs(e) for e in x.eigenvalues]
     return [np.linalg.svd(s, compute_uv=False) for s in x.stacks]
 
 
@@ -461,7 +470,7 @@ def min_eigenvalue(a: Operator, per_summand: bool = False):
     each summand."""
     if not a.hermitian:
         raise DomainError("min_eigenvalue requires a Hermitian operator")
-    lows = _by_summand(a.algebra, _eigvalsh(a), "min")
+    lows = _by_summand(a.algebra, a.eigenvalues, "min")
     return lows if per_summand else min(lows)
 
 
@@ -477,15 +486,18 @@ def spectral_projection(a: Operator, interval: Interval) -> "Projection":
     :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm), the
     norm per summand.
     """
-    spectrum, tol = _spectrum(a, "spectral_projection")
-    return _projection(a.algebra, spectrum, interval, tol)
+    return _projection(a, interval)
 
 
-def _apply(a: Operator, spectrum: tuple,
-           f: Callable[[np.ndarray], np.ndarray]) -> Operator:
-    """f applied eigenvalue-wise to a spectrum computed by :func:`_spectrum`."""
+def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
+    """Apply a scalar function to a Hermitian operator eigenvalue-wise.
+
+    ``f`` must act elementwise on a float array, which it must not write to;
+    NaN/inf in the result means the function is undefined somewhere on the
+    spectrum and raises DomainError.
+    """
     stacks = []
-    for eigs, vecs in spectrum:
+    for eigs, vecs in a.spectrum[0]:
         vals = np.asarray(f(eigs), dtype=complex)
         if vals.shape != eigs.shape:
             raise DomainError("f must map the spectrum array to an array")
@@ -495,23 +507,13 @@ def _apply(a: Operator, spectrum: tuple,
     return Operator(a.algebra, tuple(stacks))
 
 
-def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
-    """Apply a scalar function to a Hermitian operator eigenvalue-wise.
-
-    ``f`` must act elementwise on a float array; NaN/inf in the result means
-    the function is undefined somewhere on the spectrum and raises
-    DomainError.
-    """
-    return _apply(a, _spectrum(a, "func_calculus")[0], f)
-
-
 def _psd_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray],
                   what: str) -> Operator:
     """f of a PSD operator; eigenvalues down to -1e-10 (1 + ||a||) clip to 0."""
-    spectrum, tol = _spectrum(a, what)
+    spectrum, tol = a.spectrum
     if any((e < -t).any() for (e, _), t in zip(spectrum, tol)):
         raise DomainError(f"{what} needs a positive semidefinite operator")
-    return _apply(a, spectrum, lambda e: f(np.clip(e, 0.0, None)))
+    return func_calculus(a, lambda e: f(np.clip(e, 0.0, None)))
 
 
 def psd_sqrt(a: Operator) -> Operator:
@@ -559,7 +561,7 @@ class Projection:
             return
         if not self.op.hermitian:
             raise DomainError("projections must be Hermitian")
-        for eigs in _eigvalsh(self.op):
+        for eigs in self.op.eigenvalues:
             if (np.abs(eigs - np.round(eigs)).max() > 1e-10
                     or eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10):
                 raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")

@@ -150,13 +150,6 @@ def matrix_p_norm(a: np.ndarray, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ratio(m: np.ndarray, a: np.ndarray, p: float) -> float:
-    na = matrix_p_norm(a, p)
-    if na < 1e-300:
-        return 0.0
-    return matrix_p_norm(m * a, p) / na
-
-
 def _norm_quotient(x: np.ndarray, p: float, h: float) -> tuple[float, np.ndarray]:
     """||x||_p and its forward-difference quotient (||x + hE||_p - ||x||_p)/h,
     real part for E = e_i e_j^T and imaginary part for E = i e_i e_j^T.
@@ -190,12 +183,16 @@ def _norm_quotient(x: np.ndarray, p: float, h: float) -> tuple[float, np.ndarray
     return float(F ** (1.0 / p)), F ** (1.0 / p - 1.0) * (w + h / (2 * p) * second)
 
 
-def _ratio_quotient(m: np.ndarray, a: np.ndarray, p: float, h: float) -> np.ndarray:
-    """Forward-difference quotient of ||m*a||_p / ||a||_p by the quotient rule
-    from the two norm quotients; the numerator only moves where m is nonzero."""
+def _ratio_quotient(m: np.ndarray, a: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+    """||m*a||_p / ||a||_p and its forward-difference quotient at step
+    h = 1e-6 ||a||_2, by the quotient rule from the two norm quotients (one
+    SVD each); the numerator only moves where m is nonzero."""
+    h = 1e-6 * np.linalg.norm(a)
     num, g_num = _norm_quotient(m * a, p, h)
     den, g_den = _norm_quotient(a, p, h)
-    return (m * g_num * den - num * g_den) / den**2
+    if den < 1e-300:
+        return 0.0, np.zeros_like(a)
+    return num / den, (m * g_num * den - num * g_den) / den**2
 
 
 def _hilbert_start(n: int) -> np.ndarray:
@@ -212,8 +209,10 @@ def schur_norm_lower(m, p: float, budget: int = 40, restarts: int = 3,
     Maximizes ||m*a||_p / ||a||_p by normalized gradient ascent along the
     forward-difference quotient (step h = 1e-6 ||a||_2), computed in closed
     form to second order in h from one SVD per norm, from `restarts` seeded
-    random starts plus one deterministic Cauchy-kernel start; the returned
-    value is an attained ratio, hence a genuine lower bound.
+    random starts plus one deterministic Cauchy-kernel start; each candidate
+    costs one SVD pair, which gives its ratio and, once accepted, its
+    quotient.  The returned value is an attained ratio, hence a genuine
+    lower bound.
     """
     if budget <= 0:
         raise DomainError("the iteration budget must be positive")
@@ -235,18 +234,16 @@ def schur_norm_lower(m, p: float, budget: int = 40, restarts: int = 3,
     best_arg = start_list[0]
     for a0 in start_list:
         a = a0 / max(np.linalg.norm(a0), 1e-300)
-        val = _ratio(mm, a, p)
+        val, g = _ratio_quotient(mm, a, p)
         lr = 0.5
         for _ in range(budget):
-            h = 1e-6 * np.linalg.norm(a)
-            g = _ratio_quotient(mm, a, p, h)
             gn = np.linalg.norm(g)
             if gn < 1e-14:
                 break
             cand = a + lr * np.linalg.norm(a) * g / gn
-            cand_val = _ratio(mm, cand, p)
+            cand_val, cand_g = _ratio_quotient(mm, cand, p)
             if cand_val > val:
-                a, val = cand, cand_val
+                a, val, g = cand, cand_val, cand_g
                 lr = min(lr * 1.3, 1.0)
             else:
                 lr *= 0.5
@@ -309,8 +306,7 @@ def verify_reversed_L(m: Pattern, p: float, trials: int = 200,
         scale = 1.0 + np.abs(a).max()
         if identity_dev > 1e-12 * scale:
             raise DomainError("the martingale splitting identity failed")
-        ratio = _ratio(m.entries, a, p)
-        worst_ratio = max(worst_ratio, ratio)
+        worst_ratio = max(worst_ratio, matrix_p_norm(m.entries * a, p) / matrix_p_norm(a, p))
     return VerifyReport.compare(
         worst_ratio, const, const,
         {"p": p, "trials": trials, "identity_dev": worst_identity},

@@ -6,7 +6,6 @@ import json
 
 import numpy as np
 
-from ncgl.applications import _step_spectra
 from ncgl.cli import ReportRow
 from ncgl.filtration import Filtration, cond_exp
 from ncgl.instances import gaussian_hermitian
@@ -75,7 +74,8 @@ def tangent_moment_deviation(a, b, filtration: Filtration) -> float:
     """
     worst = 0.0
     for n, (an, bn) in enumerate(zip(a, b)):
-        _, _, eigs, norm = _step_spectra(an, bn)
+        eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
+        norm = float(np.abs(eigs).max())
         scale = 1.0 + norm
         n_clusters = len(cluster_eigenvalues(eigs, norm))
         pa = an.algebra.identity()

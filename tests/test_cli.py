@@ -19,6 +19,10 @@ from ncgl.errors import NCGLError
 from helpers import rows_from_json
 
 
+# the suites that read p are those with a default p grid
+_READS_P = [name for name, info in _REGISTRY.items() if info.default_p]
+
+
 def small(suite, **kw):
     defaults = dict(trials=4, seed=11)
     defaults.update(kw)
@@ -282,11 +286,16 @@ class TestMainEntry:
         {"suite": "bg", "trials": 1, "p_grid": "34"},
         {"suite": "bg", "trials": 1, "timing": "yes"},
         {"suite": "doob", "trials": 1, "dims": {"dim": 2, "steps": 9}},
-    ], ids=["dims", "tolerances", "seed", "trials", "B", "beta_grid", "dims_value",
-            "tolerances_value", "empty_N_list", "dims_key_not_read",
-            "tolerances_key_not_read", "steps_zero", "steps_negative",
-            "depth_negative", "dim_zero", "p_grid_string", "timing_string",
-            "steps_beyond_levels"])
+        {"suite": "bg", "trials": 1, "p_grid": [float("nan")]},
+        {"suite": "moment", "trials": 1, "B": float("nan")},
+        {"suite": "goodlambda-tail", "trials": 1, "beta_grid": [float("nan")]},
+    ] + [{"suite": s, "trials": 1, "p_grid": [float("inf")]} for s in _READS_P],
+        ids=["dims", "tolerances", "seed", "trials", "B", "beta_grid", "dims_value",
+             "tolerances_value", "empty_N_list", "dims_key_not_read",
+             "tolerances_key_not_read", "steps_zero", "steps_negative",
+             "depth_negative", "dim_zero", "p_grid_string", "timing_string",
+             "steps_beyond_levels", "p_nan", "B_nan", "beta_nan"]
+        + [f"p_inf-{s}" for s in _READS_P])
     def test_exit_two_on_mistyped_field(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(fields))

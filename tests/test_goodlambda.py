@@ -306,6 +306,25 @@ class TestHypothesisStatus:
         assert calls == [t]
         assert {r.meta["hypothesis"] for r in reps} == {"strong-pass"}
 
+    def test_squares_formed_once_per_triple(self, monkeypatch):
+        from ncgl.opalgebra import Operator
+
+        filt = triple_family(1)
+        t = Triple(*strong_triple_parts(filt, stream(80)))
+        products = []
+        original = Operator.__matmul__
+
+        def counted(a, b):
+            products.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(Operator, "__matmul__", counted)
+        verify_core(t)
+        for beta in (1.5, 2.0, 4.0):
+            verify_tail(t, beta)
+        for op in (t.x, t.z, *t.y.diffs):
+            assert sum(a is op and b is op for a, b in products) == 1
+
     @pytest.mark.parametrize("scaled", [False, True], ids=["strong", "unverified"])
     def test_reports_carry_the_computed_label(self, scaled):
         filt = triple_family(0)

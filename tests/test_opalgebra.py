@@ -11,6 +11,7 @@ from ncgl.opalgebra import (
     Interval,
     Projection,
     TracialAlgebra,
+    direct_sum,
     func_calculus,
     min_eigenvalue,
     operator_norm,
@@ -502,3 +503,54 @@ class TestSymmetrized:
             monkeypatch.setattr(oa, "_non_hermitian_blocks", None)
             assert s.hermitian
             monkeypatch.undo()
+
+
+class TestSpectrumCache:
+    def test_one_solve_of_each_kind_per_run(self, monkeypatch):
+        rng = stream(24)
+        x = RUNS.operator(_draw(RUNS, rng))
+        a = (x.adjoint() @ x).symmetrized()  # PSD, with no diagonal block
+        own = {"eigvalsh": 0, "eigh": 0}
+        for name in own:
+            solve = getattr(np.linalg, name)
+
+            def counted(m, *args, _solve=solve, _name=name, **kwargs):
+                # solves of the projections' own checks do not count
+                own[_name] += any(m.shape == s.shape and np.array_equal(m, s)
+                                  for s in a.stacks)
+                return _solve(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        operator_norm(a)
+        min_eigenvalue(a)
+        schatten_norm(a, 3.0)
+        spectral_projection(a, Interval.below(1.0))
+        spectral_projection(a, Interval.at_least(1.0))
+        psd_sqrt(a)
+        func_calculus(a, np.exp)
+        assert own == {"eigvalsh": len(RUNS.runs), "eigh": len(RUNS.runs)}
+
+    def test_cached_arrays_reject_writes(self):
+        rng = stream(25)
+        a = RUNS.operator(_draw(RUNS, rng, hermitian=True))
+        # a direct sum of two trials carries its tie tolerances as an array
+        batch = direct_sum([alg1(3).operator(_draw(alg1(3), rng, hermitian=True))
+                            for _ in range(2)])
+        arrays = [*a.eigenvalues, *batch.spectrum[1]]
+        arrays += [m for op in (a, batch) for run in op.spectrum[0] for m in run]
+        for m in arrays:
+            with pytest.raises(ValueError):
+                m.flat[0] = 0.0
+
+    def test_exact_diagonal_mask_matches_entrywise_check(self):
+        from ncgl.opalgebra import _exact_diagonal
+
+        rng = stream(26)
+        for d in (1, 2, 5):
+            s = np.zeros((12, d, d), dtype=complex)
+            s[:, range(d), range(d)] = rng.standard_normal((12, d))
+            # one entry per block made nonzero; off the diagonal when i != j
+            s[np.arange(12), rng.integers(0, d, 12), rng.integers(0, d, 12)] += 1j
+            expected = [not np.count_nonzero(b - np.diag(np.diag(b))) for b in s]
+            assert _exact_diagonal(s).tolist() == expected
+            assert 0 < sum(expected) < 12 or d == 1

@@ -204,11 +204,13 @@ class TestClosedFormQuotient:
         m = triangular_pattern(5).entries
         a = _random_matrix(5, stream(132))
         a /= np.linalg.norm(a)
-        p, h = 3.0, 1e-6
+        p, h = 3.0, 1e-6  # the step 1e-6 ||a||_2 of the ascent
         num, den = matrix_p_norm(m * a, p), matrix_p_norm(a, p)
         ref = (m * _perturbed_quotient(m * a, p, h) * den
                - num * _perturbed_quotient(a, p, h)) / den**2
-        assert _max_rel_dev(_ratio_quotient(m, a, p, h), ref) <= 1e-7
+        ratio, quotient = _ratio_quotient(m, a, p)
+        assert _max_rel_dev(quotient, ref) <= 1e-7
+        assert ratio == pytest.approx(num / den, rel=1e-14)
 
 
 class TestReversedLTheorem:
