@@ -32,7 +32,7 @@ a = gaussian_hermitian(alg, stream(1))
 low = spectral_projection(a, Interval.below(0.0))
 high = spectral_projection(a, Interval.at_least(0.0))
 print("negative-part rank:", low.rank(),
-      "| complement exact:", (low.op + high.op).allclose(alg.identity(), 1e-12))
+      "| complement exact:", (low + high).allclose(alg.identity(), 1e-12))
 
 # functional calculus: square root of a PSD operator squares back
 psd = a @ a

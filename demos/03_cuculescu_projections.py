@@ -19,9 +19,9 @@ y = random_martingale(filt, stream(5), sup_norm=2.5)
 
 seq = cuculescu_r(y, level=1.0)
 print("tau(I - R_N) at level 1:",
-      round(trace(filt.algebra.identity() - seq.final().op), 6))
+      round(trace(filt.algebra.identity() - seq.final()), 6))
 print("monotone: min eig of R_{n-1} - R_n >= ",
-      f"{min(min_eigenvalue(seq.R(n - 1).op - seq.R(n).op) for n in range(y.N + 1)):.1e}")
+      f"{min(min_eigenvalue(seq.R(n - 1) - seq.R(n)) for n in range(y.N + 1)):.1e}")
 
 # on a classical (diagonal) algebra the recursion is the indicator of the
 # running maximum staying below the level, and P coincides with R exactly
@@ -30,7 +30,7 @@ dy = random_martingale(dfilt, stream(6), sup_norm=2.0)
 dseq = cuculescu_r(dy, 1.0)
 vals = np.array([[v.data[b][0, 0].real for b in range(16)] for v in dy.values])
 classical = (vals.max(axis=0) < 1.0).astype(float)
-got = np.array([dseq.final().op.data[b][0, 0].real for b in range(16)])
+got = np.array([dseq.final().data[b][0, 0].real for b in range(16)])
 print("diagonal recursion equals the classical indicator:",
       bool(np.array_equal(classical, got)))
 

@@ -44,9 +44,9 @@ print(f"arrow pair with signs {gammas}: tangent={ok}, "
 # sums of tangent positive operators
 u, v, f = classical_tangent_positive_pair(depth=4, matrix_dim=2,
                                           rng=stream(11))
-rep = verify_positive_tangent(u, v, f, p=3.0)
-print(f"positive tangent sums p=3: {rep.lhs:.3f} <= {rep.rhs:.3f} "
-      f"({rep.meta['hypothesis']})")
+for rep in verify_positive_tangent(u, v, f, p_grid=(3.0, 4.0)):
+    print(f"positive tangent sums p={rep.meta['p']:g}: {rep.lhs:.3f} <= {rep.rhs:.3f} "
+          f"({rep.meta['hypothesis']})")
 
 # the adapted refinement of Doob's inequality: O(p) instead of O(p^2)
 base = make_filtration("corner", dim=4)

@@ -20,8 +20,8 @@ from .errors import (
 from .opalgebra import (
     Interval,
     Operator,
-    Projection,
     TracialAlgebra,
+    check_projection,
     func_calculus,
     min_eigenvalue,
     operator_abs,

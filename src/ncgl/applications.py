@@ -65,7 +65,6 @@ __all__ = [
     "dominated_constant",
     "verify_dominated",
     "positive_tangent_constant",
-    "tangency_status",
     "verify_positive_tangent",
     "refined_doob_constant",
     "refined_doob",
@@ -438,8 +437,8 @@ def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
         for cluster in cluster_eigenvalues(eigs, float(np.abs(eigs).max())):
             window = Interval(float(cluster.min()), float(cluster.max()), True, True)
             dev = operator_norm(
-                cond_exp(filtration, n - 1, spectral_projection(an, window).op)
-                - cond_exp(filtration, n - 1, spectral_projection(bn, window).op))
+                cond_exp(filtration, n - 1, spectral_projection(an, window))
+                - cond_exp(filtration, n - 1, spectral_projection(bn, window)))
             worst = max(worst, dev)
     return bool(worst <= 1e-8), float(worst)
 
@@ -510,7 +509,7 @@ def tangent_counterexample(N: int, p: float) -> CounterexampleReport:
     del x_final
     p_norm_y, abs_y = schatten_norm(y_final, p), operator_abs(y_final)
     del y_final
-    weak = trace(spectral_projection(abs_y, Interval.at_least(1.0)).op)
+    weak = trace(spectral_projection(abs_y, Interval.at_least(1.0)))
     return CounterexampleReport(
         N=N,
         p=float(p),
@@ -557,45 +556,40 @@ def verify_dominated(x: Martingale, y: Martingale, p: float,
          "hypothesis": "verified" if hyp_ok else "unverified"})
 
 
-def tangency_status(u, v, filtration: Filtration) -> str:
-    """The hypothesis label of :func:`verify_positive_tangent` in full mode:
-    "tangent" when :func:`check_tangent` passes, else "unverified"."""
-    return "tangent" if check_tangent(u, v, filtration)[0] else "unverified"
-
-
-def verify_positive_tangent(u, v, filtration: Filtration, p: float,
-                            kappa: float = 1.0, relaxed: bool = False,
-                            hypothesis: str | None = None) -> VerifyReport:
-    """|| sum v_n ||_p <= C_p || sum u_n ||_p for tangent positive sequences.
+def verify_positive_tangent(u, v, filtration: Filtration, p_grid,
+                            kappa: float = 1.0,
+                            relaxed: bool = False) -> tuple[VerifyReport, ...]:
+    """|| sum v_n ||_p <= C_p || sum u_n ||_p for tangent positive sequences,
+    one report per p of `p_grid`.
 
     With `relaxed=True` only the first-moment identity, the conditional
     square domination and the kappa-norm comparison are required (v_n may be
-    merely self-adjoint); otherwise full tangency is checked.  A precomputed
-    `hypothesis` label (see :func:`tangency_status`) skips the check.
+    merely self-adjoint), the last at each p; otherwise full tangency is
+    checked, once for the whole grid.
     """
-    if p < 1:
+    if any(p < 1 for p in p_grid):
         raise DomainError("needs p >= 1")
     scale = _require_positive(u, "the u_n must be positive")
-    if hypothesis is not None:
-        hyp = hypothesis
-    elif relaxed:
-        hyp_ok = True
-        for n, (un, vn) in enumerate(zip(u, v)):
-            first = (cond_exp(filtration, n - 1, vn - un)).entry_max()
-            sq = cond_exp(filtration, n - 1,
-                          (un @ un - vn @ vn).symmetrized())
-            if first > 1e-8 * scale or min_eigenvalue(sq) < -1e-8 * scale ** 2:
-                hyp_ok = False
-            if schatten_norm(vn, p) > kappa * schatten_norm(un, p) * (1 + 1e-8):
-                hyp_ok = False
-        hyp = "relaxed-verified" if hyp_ok else "unverified"
+    if relaxed:
+        moments_ok = all(
+            cond_exp(filtration, n - 1, vn - un).entry_max() <= 1e-8 * scale
+            and min_eigenvalue(cond_exp(filtration, n - 1, (un @ un - vn @ vn)
+                                        .symmetrized())) >= -1e-8 * scale ** 2
+            for n, (un, vn) in enumerate(zip(u, v)))
     else:
-        hyp = tangency_status(u, v, filtration)
-    const = positive_tangent_constant(p, kappa)
-    lhs = schatten_norm(_sum_ops(v), p)
-    rhs = const * schatten_norm(_sum_ops(u), p)
-    return VerifyReport.compare(lhs, rhs, const,
-                                {"p": p, "kappa": kappa, "hypothesis": hyp})
+        label = "tangent" if check_tangent(u, v, filtration)[0] else "unverified"
+    sum_u, sum_v = _sum_ops(u), _sum_ops(v)
+    reports = []
+    for p in p_grid:
+        if relaxed:
+            label = "relaxed-verified" if moments_ok and all(
+                schatten_norm(vn, p) <= kappa * schatten_norm(un, p) * (1 + 1e-8)
+                for un, vn in zip(u, v)) else "unverified"
+        const = positive_tangent_constant(p, kappa)
+        reports.append(VerifyReport.compare(
+            schatten_norm(sum_v, p), const * schatten_norm(sum_u, p), const,
+            {"p": p, "kappa": kappa, "hypothesis": label}))
+    return tuple(reports)
 
 
 def refined_doob(u, filtration: Filtration, p: float) -> VerifyReport:

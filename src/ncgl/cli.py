@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+import numpy as np
+
 from . import applications as apps
 from . import goodlambda as gl
 from .cuculescu import fubini_identity_gap
@@ -60,6 +62,8 @@ __all__ = ["ExperimentConfig", "ReportRow", "run", "emit", "main", "SUITES"]
 _DIMS_MIN = {"dim": 1, "steps": 1, "depth": 0, "matrix_dim": 1, "budget": 1,
              "N_list": 1}
 
+_DEFAULT_BETA = (1.5, 2.0, 4.0)  # every suite accepts it; goodlambda-tail reads it
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -69,7 +73,7 @@ class ExperimentConfig:
     trials: int = 10
     seed: int = 0
     B: float | None = None
-    beta_grid: tuple[float, ...] = (1.5, 2.0, 4.0)
+    beta_grid: tuple[float, ...] = _DEFAULT_BETA
     tolerances: dict = field(default_factory=dict)
     timing: bool = False
 
@@ -99,6 +103,12 @@ class ExperimentConfig:
         if self.trials < 1:
             raise NCGLError("trials must be at least 1")
         info = _REGISTRY[self.suite]
+        for name, given, read in (
+                ("p_grid", self.p_grid, info.default_p),
+                ("B", self.B is not None, "B" in info.reads),
+                ("beta_grid", tuple(self.beta_grid) != _DEFAULT_BETA, "beta_grid" in info.reads)):
+            if given and not read:
+                raise NCGLError(f"suite {self.suite} reads no {name}")
         for name in ("dims", "tolerances"):
             given, defaults = getattr(self, name), getattr(info, name)
             unknown = sorted(set(given) - set(defaults))
@@ -272,12 +282,8 @@ def _suite_dominated(cfg, trial):
 def _suite_positive_tangent(cfg, trial):
     u, v, filt = classical_tangent_positive_pair(
         cfg.dims["depth"], cfg.dims["matrix_dim"], stream(cfg.seed, 9, trial))
-    hyp = apps.tangency_status(u, v, filt)
-    return [
-        _row(cfg, f"t{trial}:p={p}",
-             apps.verify_positive_tangent(u, v, filt, p, hypothesis=hyp))
-        for p in cfg.p_grid
-    ]
+    return [_row(cfg, f"t{trial}:p={p}", rep)
+            for p, rep in zip(cfg.p_grid, apps.verify_positive_tangent(u, v, filt, cfg.p_grid))]
 
 def _suite_refined_doob(cfg, trial):
     filt = make_filtration("corner", dim=cfg.dims["dim"])
@@ -322,9 +328,9 @@ def _suite_schur_norms(cfg, trial):
 
 @dataclass(frozen=True)
 class _Suite:
-    """One registry record: trial callable, default p grid, p domain, the
-    constants string of the summary, and the ``dims`` and ``tolerances`` keys
-    the suite reads with their defaults."""
+    """One registry record: trial callable, default p grid (empty: the suite
+    reads no p), p domain, constants string of the summary, and the ``dims``
+    and ``tolerances`` keys the suite reads with their defaults."""
 
     trial: Callable
     default_p: tuple[float, ...]
@@ -333,17 +339,19 @@ class _Suite:
     strict: bool = False    # p > p_min instead of p >= p_min
     dims: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
+    reads: tuple[str, ...] = ()  # which of the fields B and beta_grid it reads
 
 
 _REGISTRY = {
     "goodlambda-core": _Suite(_family_batched(1, _goodlambda_core), (), "2"),
-    "goodlambda-tail": _Suite(_family_batched(2, _goodlambda_tail), (), "4/(beta-1)^2"),
+    "goodlambda-tail": _Suite(_family_batched(2, _goodlambda_tail), (), "4/(beta-1)^2",
+                              reads=("beta_grid",)),
     "moment": _Suite(
         _suite_moment, (3.0, 4.0, 8.0),
         "C_{p,B} = (2p B^{p-1}(B-1)/(1-B^-p))^{1/p} "
         "* 2 B^{p/2}/((B-1) sqrt(1-B^{2-p})); simplified "
         "12p/sqrt(1-(1+1/p)^{2-p})", 2.0, strict=True,
-        tolerances={"fubini": 1e-6}),
+        tolerances={"fubini": 1e-6}, reads=("B",)),
     "bg": _Suite(
         _suite_bg, (3.0, 4.0, 8.0),
         "sqrt(2)*12p/sqrt(1-(1+1/p)^{2-p}) and "
@@ -521,9 +529,10 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        rows, summary = run(config)
-    except NCGLError as e:
-        print(f"run error: {e}", file=sys.stderr)
+        with np.errstate(over="ignore"):  # an overflowed report side raises
+            rows, summary = run(config)
+    except (NCGLError, ArithmeticError) as e:
+        print(f"run error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
     if args.out:

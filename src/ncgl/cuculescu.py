@@ -21,7 +21,6 @@ from .filtration import Martingale, cond_exp
 from .opalgebra import (
     Interval,
     Operator,
-    Projection,
     _TIE_TOL,
     _by_summand,
     _projection,
@@ -29,6 +28,7 @@ from .opalgebra import (
     operator_norm,
     proj_meet,
     psd_power,
+    spectral_projection,
 )
 
 __all__ = [
@@ -46,21 +46,21 @@ _DRIFT_LIMIT = 1e-6
 _BELOW_ONE = Interval.below(1.0)
 
 
-def _normalized(p: Projection) -> Projection:
-    """Snap each full-rank / rank-zero summand to exact I / 0."""
-    alg = p.op.algebra
+def _normalized(p: Operator) -> Operator:
+    """Snap each full-rank / rank-zero summand of a projection to exact I / 0."""
+    alg = p.algebra
     if p.rank() == 0:
-        return Projection(alg.zero(), check=False)
+        return alg.zero()
     if p.rank() == alg.total_dim:
-        return Projection(alg.identity(), check=False)
+        return alg.identity()
     ranks, size = p.summand_ranks, alg.total_dim // alg.summands
     if 0 not in ranks and size not in ranks:
         return p
-    return Projection(p.op.summand_scaled([0 < r < size for r in ranks])
-                      + alg.identity().summand_scaled([r == size for r in ranks]), check=False)
+    return (p.summand_scaled([0 < r < size for r in ranks])
+            + alg.identity().summand_scaled([r == size for r in ranks]))
 
 
-def _snap_projection(raw: Operator) -> Projection:
+def _snap_projection(raw: Operator) -> Operator:
     """Re-symmetrize and round a near-projection; abort on real drift."""
     sym = raw.symmetrized()
     drift = max(float(np.abs(e - (e >= 0.5)).max()) for e, _ in sym.spectrum[0])
@@ -68,7 +68,7 @@ def _snap_projection(raw: Operator) -> Projection:
         raise NumericalInstabilityError(
             f"projection drifted by {drift:.2e} from idempotency"
         )
-    return _normalized(_projection(sym, Interval.at_least(0.5), check=False))
+    return _normalized(_projection(sym, Interval.at_least(0.5)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,19 +101,19 @@ class CuculescuSeq:
 
     lo: float
     hi: float
-    projections: tuple[Projection, ...]
+    projections: tuple[Operator, ...]
     steps: tuple[_Step, ...]
 
-    def R(self, n: int) -> Projection:
+    def R(self, n: int) -> Operator:
         if n == -1:
-            return Projection(self.projections[0].algebra.identity(), check=False)
+            return self.projections[0].algebra.identity()
         return self.projections[n]
 
     @property
     def N(self) -> int:
         return len(self.projections) - 1
 
-    def final(self) -> Projection:
+    def final(self) -> Operator:
         return self.projections[-1]
 
 
@@ -169,29 +169,29 @@ def _step_window(compressed: Operator, level: float,
 
 
 def _fresh_sequence(y: Martingale, level: float) -> CuculescuSeq:
-    r_prev = Projection(y.algebra.identity(), check=False)
+    r_prev = y.algebra.identity()
     lo, hi = 0.0, math.inf
     projections, steps = [], []
     for n, y_n in enumerate(y.values):
         norm = operator_norm(y_n, per_summand=True)
-        compressed = (r_prev.op @ (y_n / level) @ r_prev.op).symmetrized()
+        compressed = (r_prev @ (y_n / level) @ r_prev).symmetrized()
         # a summand cut down to 0 stays 0 (the snap below keeps it exactly 0)
         # and no longer bounds the window
         live = [r > 0 for r in r_prev.summand_ranks]
         if not any(live):
             r_n = r_prev
         else:
-            e = _projection(compressed, _BELOW_ONE)
-            r_n = _snap_projection(r_prev.op @ e.op)
+            e = spectral_projection(compressed, _BELOW_ONE)
+            r_n = _snap_projection(r_prev @ e)
             step_lo, step_hi = _step_window(compressed, level, norm, live)
             lo, hi = max(lo, step_lo), min(hi, step_hi)
         steps.append(_Step(
             norm=norm,
-            adapted=(cond_exp(y.filtration, n, r_n.op) - r_n.op).entry_max(per_summand=True),
-            monotone=min_eigenvalue(r_prev.op - r_n.op, per_summand=True),
-            commutator=[c * level for c in (r_n.op @ compressed - compressed @ r_n.op)
+            adapted=(cond_exp(y.filtration, n, r_n) - r_n).entry_max(per_summand=True),
+            monotone=min_eigenvalue(r_prev - r_n, per_summand=True),
+            commutator=[c * level for c in (r_n @ compressed - compressed @ r_n)
                         .entry_max(per_summand=True)],
-            top=[-t for t in min_eigenvalue(-(r_n.op @ y_n @ r_n.op).symmetrized(),
+            top=[-t for t in min_eigenvalue(-(r_n @ y_n @ r_n).symmetrized(),
                                             per_summand=True)],
         ))
         projections.append(r_n)
@@ -237,9 +237,9 @@ class CorrectedSeq:
     rows: tuple[int, ...]          # which n indices the grid carries
     grid: dict
 
-    def P(self, n: int, k: int) -> Projection:
+    def P(self, n: int, k: int) -> Operator:
         if k > self.k_top:
-            return Projection(self.martingale.algebra.identity(), check=False)
+            return self.martingale.algebra.identity()
         if k < self.k_min:
             raise DomainError(f"k={k} below the truncation point {self.k_min}")
         if n not in self.rows:
@@ -276,7 +276,7 @@ def corrected_p(
         raise DomainError("corrected projections need a self-adjoint martingale")
     lo, top, sup = _k_range(y, B, k_min)
     alg = y.algebra
-    ident = Projection(alg.identity(), check=False)
+    ident = alg.identity()
     rows = (y.N,) if final_only else tuple(range(y.N + 1))
     grid: dict = {}
     prev_col = {n: ident for n in rows}
@@ -309,7 +309,7 @@ class WeakMax:
     """One-sided weak maximal operator a_N^± with its residual kernel."""
 
     operator: Operator
-    residual: Projection
+    residual: Operator
     corrected: CorrectedSeq
 
 
@@ -329,7 +329,7 @@ def weak_max(y: Martingale, B: float, sign: str = "+") -> WeakMax:
     for k in range(cp.k_min, cp.k_top + 1):
         upper, lower = cp.P(N, k + 1), cp.P(N, k)
         if upper is not lower:
-            acc = acc + (upper.op - lower.op) * (B ** k)
+            acc = acc + (upper - lower) * (B ** k)
     return WeakMax(acc.symmetrized(), cp.P(N, cp.k_min), cp)
 
 
@@ -351,8 +351,8 @@ def fubini_identity_gap(wm: WeakMax, p: float) -> float:
     # one multiply-add per run of levels that share one projection object
     for proj, ks in itertools.groupby(range(cp.k_min, cp.k_top + 1),
                                       key=lambda k: cp.P(N, k)):
-        lhs = lhs + (ident - proj.op) * sum(B ** (k * (p - 2.0)) for k in ks)
+        lhs = lhs + (ident - proj) * sum(B ** (k * (p - 2.0)) for k in ks)
     tail_coeff = B ** (cp.k_min * (p - 2.0)) / (1.0 - B ** (-(p - 2.0)))
-    lhs = lhs + (ident - cp.P(N, cp.k_min).op) * tail_coeff
+    lhs = lhs + (ident - cp.P(N, cp.k_min)) * tail_coeff
     rhs = psd_power(wm.operator, p - 2.0) * (1.0 / (1.0 - B ** (2.0 - p)))
     return operator_norm(lhs - rhs) / (1.0 + operator_norm(rhs))

@@ -34,7 +34,6 @@ from .instances import gaussian_hermitian, stream
 from .opalgebra import (
     Interval,
     Operator,
-    Projection,
     min_eigenvalue,
     operator_norm,
     schatten_norm,
@@ -137,14 +136,14 @@ def check_testing(
     # (i)
     double_sum = 0.0
     for n in range(y.N + 1):
-        d_n = seq.R(n - 1).op - seq.R(n).op
+        d_n = seq.R(n - 1) - seq.R(n)
         if d_n.entry_max() == 0.0:
             continue
-        r_prev = seq.R(n - 1).op
+        r_prev = seq.R(n - 1)
         for k in range(n + 1, y.N + 1):
             inner = y.diffs[k] @ r_prev @ y.diffs[k]
             double_sum += float(trace_pair(inner, d_n).real)
-    rhs_i = float(trace_pair(x_sq, ident - seq.final().op).real)
+    rhs_i = float(trace_pair(x_sq, ident - seq.final()).real)
     slack_i = rhs_i - double_sum
     pass_i = slack_i >= -report_tolerance(rhs_i)
 
@@ -154,7 +153,7 @@ def check_testing(
     pass_ii = True
     for k in range(y.N + 1):
         w = z_sq - dy_sq[k]
-        candidates: list[Projection] = [Projection(ident, check=False)]
+        candidates = [ident]
         candidates += [seq.R(j) for j in range(k + 1)]
         candidates += [qseq.R(j) for j in range(k + 1)]
         for _ in range(n_random):
@@ -163,8 +162,8 @@ def check_testing(
             cut = float(rng.uniform(-hi, hi)) if hi > 0.0 else 0.0
             candidates.append(spectral_projection(h, Interval.at_least(cut)))
         for p in candidates:
-            gain = float(trace_pair(w, p.op).real)
-            ref = float(trace_pair(z_sq, p.op).real)
+            gain = float(trace_pair(w, p).real)
+            ref = float(trace_pair(z_sq, p).real)
             slack_ii = min(slack_ii, gain)
             if gain < -report_tolerance(ref):
                 pass_ii = False
@@ -228,7 +227,7 @@ def verify_core(t: Triple, level: float = 1.0) -> tuple[VerifyReport, ...]:
     """tau((I-R_N)(y_N - level)^2) <= 2 tau((I-R_N)(x_N^2 + z_N^2)) per summand."""
     seq = cuculescu_r(t.y, level)
     ident = t.algebra.identity()
-    tail = ident - seq.final().op
+    tail = ident - seq.final()
     dev = t.y.final - ident * level
     lhs = trace_pair(dev @ tail @ dev, ident, per_summand=True).real
     rhs = 2.0 * _rhs_weights(t, tail)
@@ -246,9 +245,9 @@ def verify_tail(t: Triple, beta: float, level: float = 1.0) -> tuple[VerifyRepor
     qseq = cuculescu_r(t.y, beta * level)
     rseq = cuculescu_r(t.y, level)
     ident = t.algebra.identity()
-    lhs = trace(ident - qseq.final().op, per_summand=True)
+    lhs = trace(ident - qseq.final(), per_summand=True)
     const = 4.0 / ((beta - 1.0) * level) ** 2
-    rhs = const * _rhs_weights(t, ident - rseq.final().op)
+    rhs = const * _rhs_weights(t, ident - rseq.final())
     return _reports(lhs, rhs, const, {"beta": beta, "level": level}, t)
 
 
@@ -261,9 +260,9 @@ def verify_good_hom(t: Triple, B: float, k: int) -> VerifyReport:
     _one_trial(t)
     cp = corrected_p(t.y, B, k_min=k, final_only=True)
     N = t.y.N
-    lhs = trace(cp.P(N, k + 2).op - cp.P(N, k + 1).op)
+    lhs = trace(cp.P(N, k + 2) - cp.P(N, k + 1))
     const = 4.0 * B ** (-2.0 * k) / (B - 1.0) ** 2
-    rhs = const * _rhs_weights(t, t.algebra.identity() - cp.P(N, k).op)[0]
+    rhs = const * _rhs_weights(t, t.algebra.identity() - cp.P(N, k))[0]
     meta = {"B": B, "k": k, "hypothesis": t.hypothesis[0]}
     return VerifyReport.compare(lhs, rhs, const, meta)
 

@@ -29,7 +29,6 @@ from .errors import DomainError, StructureError
 __all__ = [
     "TracialAlgebra",
     "Operator",
-    "Projection",
     "Interval",
     "trace",
     "direct_sum",
@@ -37,6 +36,7 @@ __all__ = [
     "operator_norm",
     "spectral_projection",
     "func_calculus",
+    "check_projection",
     "proj_meet",
     "operator_abs",
     "psd_sqrt",
@@ -298,6 +298,16 @@ class Operator:
 
     # -- misc ---------------------------------------------------------------
 
+    @cached_property
+    def summand_ranks(self) -> tuple[int, ...]:
+        """Rounded block-trace sum per summand: each one's rank for a projection."""
+        traces = [np.trace(s, axis1=1, axis2=2).real for s in self.stacks]
+        return tuple(map(round, _by_summand(self.algebra, traces, "sum")))
+
+    def rank(self) -> int:
+        """Sum of :attr:`summand_ranks`: the rank for a projection."""
+        return sum(self.summand_ranks)
+
     def entry_max(self, per_summand: bool = False):
         m = _by_summand(self.algebra, [np.abs(s) for s in self.stacks], "max")
         return m if per_summand else max(m)
@@ -409,7 +419,7 @@ def _compose(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (vecs * vals[:, None, :]) @ _h(vecs)
 
 
-def _projection(a: Operator, interval: Interval, check: bool = True) -> "Projection":
+def _projection(a: Operator, interval: Interval) -> Operator:
     """Spectral projection of a Hermitian operator onto `interval`, from its
     cached spectrum; exactly diagonal blocks get an exact 0/1 diagonal."""
     spectrum, tol = a.spectrum
@@ -420,7 +430,7 @@ def _projection(a: Operator, interval: Interval, check: bool = True) -> "Project
         blocks, i = np.flatnonzero(_exact_diagonal(s))[:, None], np.arange(s.shape[1])
         if blocks.size:
             s[blocks, i, i] = np.round(s[blocks, i, i].real)
-    return Projection(Operator(a.algebra, stacks), check=check)
+    return Operator(a.algebra, stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +489,15 @@ def min_eigenvalue(a: Operator, per_summand: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def spectral_projection(a: Operator, interval: Interval) -> "Projection":
-    """Spectral projection of a Hermitian operator onto an interval.
+def spectral_projection(a: Operator, interval: Interval) -> Operator:
+    """Spectral projection of a Hermitian operator onto an interval, checked
+    by :func:`check_projection`.
 
     Eigenvalue membership at the endpoints follows the tie rule of
     :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm), the
     norm per summand.
     """
-    return _projection(a, interval)
+    return check_projection(_projection(a, interval))
 
 
 def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
@@ -549,37 +560,16 @@ def cluster_eigenvalues(values: np.ndarray, scale: float) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Projection:
-    """Hermitian idempotent wrapped with a validity check on construction."""
-
-    op: Operator
-    check: bool = True
-
-    def __post_init__(self):
-        if not self.check:
-            return
-        if not self.op.hermitian:
-            raise DomainError("projections must be Hermitian")
-        for eigs in self.op.eigenvalues:
-            if (np.abs(eigs - np.round(eigs)).max() > 1e-10
-                    or eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10):
-                raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
-
-    @property
-    def algebra(self) -> TracialAlgebra:
-        return self.op.algebra
-
-    def rank(self) -> int:
-        return sum(self.summand_ranks)
-
-    @cached_property
-    def summand_ranks(self) -> tuple[int, ...]:
-        traces = [np.trace(s, axis1=1, axis2=2).real for s in self.op.stacks]
-        return tuple(map(round, _by_summand(self.algebra, traces, "sum")))
-
-    def allclose(self, other: "Projection", tol: float = 1e-10) -> bool:
-        return self.op.allclose(other.op, tol)
+def check_projection(op: Operator) -> Operator:
+    """`op` itself once it is Hermitian with every eigenvalue within 1e-10
+    of {0, 1}; DomainError otherwise."""
+    if not op.hermitian:
+        raise DomainError("projections must be Hermitian")
+    for eigs in op.eigenvalues:
+        if (np.abs(eigs - np.round(eigs)).max() > 1e-10
+                or eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10):
+            raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
+    return op
 
 
 def _meet_blocks(se: np.ndarray, sf: np.ndarray) -> np.ndarray:
@@ -587,14 +577,14 @@ def _meet_blocks(se: np.ndarray, sf: np.ndarray) -> np.ndarray:
     return _compose(vecs, (eigs < 1e-8).astype(float))
 
 
-def proj_meet(e: Projection, f: Projection) -> Projection:
+def proj_meet(e: Operator, f: Operator) -> Operator:
     """Projection onto range(e) & range(f).
 
     Computed blockwise as the eigenvalue-0 eigenspace of (I-e) + (I-f) with
     threshold 1e-8; exact for exactly diagonal 0/1 inputs, through the exact
     diagonal path of the eigensolve.
     """
-    e.op._same_algebra(f.op)
+    e._same_algebra(f)
     stacks = tuple(_per_block(_meet_blocks, se, sf)
-                   for se, sf in zip(e.op.stacks, f.op.stacks))
-    return Projection(Operator(e.op.algebra, stacks), check=False)
+                   for se, sf in zip(e.stacks, f.stacks))
+    return Operator(e.algebra, stacks)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from .errors import NumericalInstabilityError
 
 
 def report_tolerance(rhs: float) -> float:
@@ -12,7 +15,8 @@ def report_tolerance(rhs: float) -> float:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of one inequality check: lhs <= rhs up to the tolerance."""
+    """Outcome of one inequality check: lhs <= rhs up to the tolerance; both
+    sides finite, since a check cannot pass or fail on an overflowed side."""
 
     lhs: float
     rhs: float
@@ -26,6 +30,8 @@ class VerifyReport:
                 meta: dict | None = None) -> "VerifyReport":
         lhs = float(lhs)
         rhs = float(rhs)
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise NumericalInstabilityError(f"a side is not finite: {lhs} <= {rhs} at {meta}")
         margin = rhs - lhs
         return VerifyReport(lhs, rhs, float(constant), margin,
                             margin >= -report_tolerance(rhs), dict(meta or {}))

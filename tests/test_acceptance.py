@@ -187,15 +187,15 @@ def test_criterion_09_cuculescu_invariants():
         seq = cuculescu_r(y, 1.0)
         for n in range(y.N + 1):
             r = seq.R(n)
-            worst = max(worst, (cond_exp(filt, n, r.op) - r.op).entry_max())
-            worst = max(worst, -min_eigenvalue(seq.R(n - 1).op - r.op))
+            worst = max(worst, (cond_exp(filt, n, r) - r).entry_max())
+            worst = max(worst, -min_eigenvalue(seq.R(n - 1) - r))
             yn = y.values[n]
-            comp = (seq.R(n - 1).op @ yn @ seq.R(n - 1).op).symmetrized()
+            comp = (seq.R(n - 1) @ yn @ seq.R(n - 1)).symmetrized()
             worst = max(worst,
-                        (r.op @ comp - comp @ r.op).entry_max()
+                        (r @ comp - comp @ r).entry_max()
                         / (1.0 + operator_norm(yn)))
             worst = max(worst,
-                        -min_eigenvalue(r.op - (r.op @ yn @ r.op).symmetrized()))
+                        -min_eigenvalue(r - (r @ yn @ r).symmetrized()))
     diag_exact = True
     filt = make_filtration("rademacher", depth=3)
     for seed in range(5):
@@ -205,8 +205,8 @@ def test_criterion_09_cuculescu_invariants():
             # an independent recursion at this level, not y's cache
             seq = cuculescu_r(Martingale(y.filtration, y.values, y.diffs), 2.0**k)
             for n in range(y.N + 1):
-                a = np.concatenate([b.ravel() for b in cp.P(n, k).op.data])
-                b = np.concatenate([b.ravel() for b in seq.R(n).op.data])
+                a = np.concatenate([b.ravel() for b in cp.P(n, k).data])
+                b = np.concatenate([b.ravel() for b in seq.R(n).data])
                 diag_exact &= bool(np.array_equal(a, b))
     ok = worst <= 1e-8 and diag_exact
     _report(9, ok, f"Lemma invariants re-checked on 25 sequences (worst "

@@ -437,19 +437,19 @@ class TestPositiveTangent:
     def test_equal_sequences_constant_route(self):
         filt = make_filtration("corner", dim=3)
         u = adapted_psd_sequence(filt, stream(107))
-        rep = verify_positive_tangent(u, u, filt, 4.0)
+        rep, = verify_positive_tangent(u, u, filt, [4.0])
         assert rep.passed and rep.meta["hypothesis"] == "tangent"
 
     @pytest.mark.parametrize("p", [3.0, 4.0])
     def test_classical_pairs(self, p):
         for seed in range(6):
             u, v, filt = classical_tangent_positive_pair(4, 2, stream(108, seed))
-            rep = verify_positive_tangent(u, v, filt, p)
+            rep, = verify_positive_tangent(u, v, filt, [p])
             assert rep.passed and rep.meta["hypothesis"] == "tangent"
 
     def test_low_exponent_route(self):
         u, v, filt = classical_tangent_positive_pair(3, 2, stream(109))
-        rep = verify_positive_tangent(u, v, filt, 1.5)
+        rep, = verify_positive_tangent(u, v, filt, [1.5])
         assert rep.passed
 
     def test_arrow_squared_pairs(self):
@@ -457,7 +457,7 @@ class TestPositiveTangent:
 
         for seed in range(5):
             u, v, filt = arrow_squared_positive_pair(5, stream(1090, seed))
-            rep = verify_positive_tangent(u, v, filt, 3.0)
+            rep, = verify_positive_tangent(u, v, filt, [3.0])
             assert rep.passed and rep.meta["hypothesis"] == "tangent"
 
     def test_relaxed_mode(self):
@@ -466,14 +466,14 @@ class TestPositiveTangent:
         filt = make_filtration("corner", dim=4)
         u = adapted_psd_sequence(filt, stream(110))
         v = [cond_exp(filt, n - 1, un) * 2.0 - un for n, un in enumerate(u)]
-        rep = verify_positive_tangent(u, v, filt, 4.0, kappa=3.0, relaxed=True)
+        rep, = verify_positive_tangent(u, v, filt, [4.0], kappa=3.0, relaxed=True)
         assert rep.passed and rep.meta["hypothesis"] == "relaxed-verified"
 
     def test_needs_positive_u(self):
         filt = make_filtration("corner", dim=3)
         h = gaussian_hermitian(filt.algebra, stream(111))
         with pytest.raises(DomainError):
-            verify_positive_tangent([h], [h], filt, 3.0)
+            verify_positive_tangent([h], [h], filt, [3.0])
 
 
 class TestRefinedDoob:

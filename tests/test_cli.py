@@ -289,12 +289,16 @@ class TestMainEntry:
         {"suite": "bg", "trials": 1, "p_grid": [float("nan")]},
         {"suite": "moment", "trials": 1, "B": float("nan")},
         {"suite": "goodlambda-tail", "trials": 1, "beta_grid": [float("nan")]},
+        {"suite": "bg", "trials": 1, "B": 2.0},
+        {"suite": "moment", "trials": 1, "beta_grid": [3.0]},
+        {"suite": "goodlambda-core", "trials": 1, "p_grid": [3.0]},
     ] + [{"suite": s, "trials": 1, "p_grid": [float("inf")]} for s in _READS_P],
         ids=["dims", "tolerances", "seed", "trials", "B", "beta_grid", "dims_value",
              "tolerances_value", "empty_N_list", "dims_key_not_read",
              "tolerances_key_not_read", "steps_zero", "steps_negative",
              "depth_negative", "dim_zero", "p_grid_string", "timing_string",
-             "steps_beyond_levels", "p_nan", "B_nan", "beta_nan"]
+             "steps_beyond_levels", "p_nan", "B_nan", "beta_nan", "B_not_read",
+             "beta_grid_not_read", "p_grid_not_read"]
         + [f"p_inf-{s}" for s in _READS_P])
     def test_exit_two_on_mistyped_field(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "cfg.json"
@@ -302,6 +306,22 @@ class TestMainEntry:
         assert main([str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_default_beta_grid_accepted_by_every_suite(self):
+        for suite in _REGISTRY:
+            assert ExperimentConfig(suite=suite, beta_grid=[1.5, 2, 4]).beta_grid == \
+                (1.5, 2, 4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        [f"--suite={s}", "--p=1100"] for s in ("bg", "transform", "doob", "stein",
+                                               "dominated", "positive-tangent",
+                                               "refined-doob")
+    ] + [["--suite=moment", "--p=1e4"]], ids=lambda a: a[0].split("=")[1])
+    def test_overflow_is_a_run_error(self, capsys, argv):
+        assert main(argv + ["--trials=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run error:") and err.count("\n") == 1
 
     def test_exit_two_on_dim_flag_for_suite_without_dim(self, capsys):
         assert main(["--suite", "goodlambda-core", "--dim", "9"]) == 2

@@ -58,7 +58,7 @@ class TestCuculescuSequence:
 
     def test_one_step_cut(self):
         seq = cuculescu_r(_one_step([2.0, 0.5]), 1.0)
-        assert np.allclose(seq.R(0).op.data[0], np.diag([0.0, 1.0]))
+        assert np.allclose(seq.R(0).data[0], np.diag([0.0, 1.0]))
 
     def test_diagonal_matches_classical_recursion(self):
         filt = make_filtration("rademacher", depth=4)
@@ -68,7 +68,7 @@ class TestCuculescuSequence:
                          for v in y.values])
         for n in range(5):
             classical = (vals[: n + 1].max(axis=0) < 1.0).astype(float)
-            got = np.array([seq.R(n).op.data[b][0, 0].real for b in range(16)])
+            got = np.array([seq.R(n).data[b][0, 0].real for b in range(16)])
             assert np.array_equal(classical, got)
 
     def test_lemma_invariants_on_random_instances(self):
@@ -78,13 +78,13 @@ class TestCuculescuSequence:
             seq = cuculescu_r(y, 1.0)  # validation is built in
             for n in range(y.N + 1):
                 r = seq.R(n)
-                assert (cond_exp(filt, n, r.op) - r.op).entry_max() < 1e-9
-                assert min_eigenvalue(seq.R(n - 1).op - r.op) > -1e-9
+                assert (cond_exp(filt, n, r) - r).entry_max() < 1e-9
+                assert min_eigenvalue(seq.R(n - 1) - r) > -1e-9
                 yn = y.values[n]
-                compressed = (seq.R(n - 1).op @ yn @ seq.R(n - 1).op).symmetrized()
-                comm = (r.op @ compressed - compressed @ r.op).entry_max()
+                compressed = (seq.R(n - 1) @ yn @ seq.R(n - 1)).symmetrized()
+                comm = (r @ compressed - compressed @ r).entry_max()
                 assert comm < 1e-8 * (1 + operator_norm(yn))
-                assert min_eigenvalue(r.op - (r.op @ yn @ r.op).symmetrized()) > -1e-8
+                assert min_eigenvalue(r - (r @ yn @ r).symmetrized()) > -1e-8
 
     def test_homogeneity(self):
         filt = make_filtration("corner", dim=4)
@@ -92,7 +92,7 @@ class TestCuculescuSequence:
         a = cuculescu_r(y, 1.7)
         b = cuculescu_r(y.scale(1.0 / 1.7), 1.0)
         for n in range(y.N + 1):
-            assert (a.R(n).op - b.R(n).op).entry_max() < 1e-10
+            assert (a.R(n) - b.R(n)).entry_max() < 1e-10
 
     def test_q_diagonal_matches_classical_indicator(self):
         filt = make_filtration("rademacher", depth=4)
@@ -102,14 +102,14 @@ class TestCuculescuSequence:
         vals = np.array([[v.data[b][0, 0].real for b in range(16)]
                          for v in y.values])
         classical = (vals.max(axis=0) < beta).astype(float)
-        got = np.array([q.final().op.data[b][0, 0].real for b in range(16)])
+        got = np.array([q.final().data[b][0, 0].real for b in range(16)])
         assert np.array_equal(classical, got)
 
     def test_q_trivial_when_bounded(self):
         filt = make_filtration("corner", dim=3)
         y = random_martingale(filt, stream(45), sup_norm=1.5)
         q = cuculescu_r(y, 4.0)
-        assert trace(y.algebra.identity() - q.final().op) == pytest.approx(0.0)
+        assert trace(y.algebra.identity() - q.final()) == pytest.approx(0.0)
 
     def test_rejects_bad_inputs(self):
         filt = make_filtration("corner", dim=3)
@@ -163,7 +163,7 @@ class TestCuculescuSequence:
         for m in (y, -y):
             for seq in m.cuculescu_cache:
                 for proj in seq.projections:
-                    for block in proj.op.data:
+                    for block in proj.data:
                         d = np.diag(block)
                         if np.count_nonzero(block - np.diag(d)):
                             continue
@@ -207,7 +207,7 @@ class TestCachedSequences:
         for m, (level, ref) in queries:
             got = cuculescu_r(m, level).projections
             for n, (a, b) in enumerate(zip(got, ref)):
-                assert a.op.allclose(b.op, 1e-10), (level, n)
+                assert a.allclose(b, 1e-10), (level, n)
         # the grid is served by far fewer sequences than it has levels
         assert len(cached.cuculescu_cache) < len(levels)
 
@@ -219,10 +219,10 @@ class TestCachedSequences:
         # an eigenvalue on the level 2, or within the tie tolerance
         # 1e-10 (1 + ||y_0/2||) of it: the tie rule cuts it
         y = _one_step([eig, 0.5])
-        fresh = cuculescu_r(_one_step([eig, 0.5]), 2.0).R(0).op.data[0]
+        fresh = cuculescu_r(_one_step([eig, 0.5]), 2.0).R(0).data[0]
         assert np.array_equal(fresh, np.diag([0.0, 1.0]))
         cuculescu_r(y, 2.0 * factor)
-        got = cuculescu_r(y, 2.0).R(0).op.data[0]
+        got = cuculescu_r(y, 2.0).R(0).data[0]
         assert np.array_equal(got, fresh)
 
     def test_every_returned_sequence_is_checked(self, monkeypatch):
@@ -296,11 +296,26 @@ class TestCachedSequences:
         with pytest.raises(NumericalInstabilityError):
             cuculescu_r(y, 1.5)
 
+    def test_cut_is_checked_as_a_projection(self, monkeypatch):
+        # eigenvectors that are not orthonormal make the first cut, I(y_0 < 1),
+        # a rank-one operator of trace 1.01: no projection
+        import ncgl.opalgebra as opalgebra
+
+        eigh = opalgebra._eigh
+
+        def skewed(s):
+            eigs, vecs = eigh(s)
+            return eigs, vecs @ (np.eye(s.shape[1]) + 0.1)
+
+        monkeypatch.setattr(opalgebra, "_eigh", skewed)
+        with pytest.raises(DomainError, match="not within 1e-10 of"):
+            cuculescu_r(_one_step([2.0, 0.5]), 1.0)
+
     def test_returns_the_stored_record(self):
         y = _one_step([2.0, 0.5])
         assert cuculescu_r(y, 1.0) is y.cuculescu_cache[0]
         assert cuculescu_r(y, 1.5) is y.cuculescu_cache[0]
-        assert cuculescu_r(y, 1.0).R(-1).op.allclose(y.algebra.identity(), 0.0)
+        assert cuculescu_r(y, 1.0).R(-1).allclose(y.algebra.identity(), 0.0)
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))
@@ -314,8 +329,8 @@ class TestCachedSequences:
             seq = cuculescu_r(m, level)
             for n, (r, s) in enumerate(zip(seq.projections, seq.steps)):
                 (top,), (norm,) = s.top, s.norm
-                cut = (r.op @ y.values[n] @ r.op).symmetrized()
-                direct = min_eigenvalue(r.op - cut / level)
+                cut = (r @ y.values[n] @ r).symmetrized()
+                direct = min_eigenvalue(r - cut / level)
                 cert = 1.0 - top / level
                 if r.rank() < total:
                     cert = min(cert, 0.0)
@@ -331,7 +346,7 @@ class TestCachedSequences:
         for level, ref in zip(levels, refs):
             got = cuculescu_r(scaled, mu * level).projections
             for n, (a, b) in enumerate(zip(got, ref)):
-                assert a.op.allclose(b.op, 1e-10), (level, n)
+                assert a.allclose(b, 1e-10), (level, n)
 
     def test_cache_dies_with_the_martingale(self):
         y = random_martingale(make_filtration("corner", dim=3), stream(58),
@@ -360,8 +375,8 @@ class TestCorrectedProjections:
             # an independent recursion at this level, not y's cache
             seq = cuculescu_r(_fresh_copy(y), 2.0**k)
             for n in range(y.N + 1):
-                got = np.concatenate([b.ravel() for b in cp.P(n, k).op.data])
-                ref = np.concatenate([b.ravel() for b in seq.R(n).op.data])
+                got = np.concatenate([b.ravel() for b in cp.P(n, k).data])
+                ref = np.concatenate([b.ravel() for b in seq.R(n).data])
                 assert np.array_equal(got, ref), (n, k)
 
     def test_above_top_is_identity(self):
@@ -369,7 +384,7 @@ class TestCorrectedProjections:
         y = random_martingale(filt, stream(48), sup_norm=2.0)
         cp = corrected_p(y, 2.0)
         ident = y.algebra.identity()
-        assert cp.P(y.N, cp.k_top + 5).op.allclose(ident, 0.0)
+        assert cp.P(y.N, cp.k_top + 5).allclose(ident, 0.0)
 
     def test_p_below_r(self):
         filt = make_filtration("matrix_corner", outer_dim=2, dim=3)
@@ -378,7 +393,7 @@ class TestCorrectedProjections:
         for k in range(max(cp.k_min, -4), cp.k_top + 1):
             seq = cuculescu_r(y, 1.5**k)
             for n in range(y.N + 1):
-                assert min_eigenvalue(seq.R(n).op - cp.P(n, k).op) > -1e-9
+                assert min_eigenvalue(seq.R(n) - cp.P(n, k)) > -1e-9
 
     def test_monotone_both_parameters(self):
         filt = make_filtration("matrix_corner", outer_dim=2, dim=3)
@@ -387,8 +402,8 @@ class TestCorrectedProjections:
         for n in range(y.N + 1):
             for k in range(-4, cp.k_top + 1):
                 if n + 1 <= y.N:
-                    assert min_eigenvalue(cp.P(n, k).op - cp.P(n + 1, k).op) > -1e-9
-                assert min_eigenvalue(cp.P(n, k + 1).op - cp.P(n, k).op) > -1e-9
+                    assert min_eigenvalue(cp.P(n, k) - cp.P(n + 1, k)) > -1e-9
+                assert min_eigenvalue(cp.P(n, k + 1) - cp.P(n, k)) > -1e-9
 
     def test_base_validation(self):
         filt = make_filtration("corner", dim=3)
@@ -427,7 +442,7 @@ class TestWeakMax:
         assert min_eigenvalue(wm.operator) > -1e-10
         cp = wm.corrected
         for k in range(cp.k_min, cp.k_top + 1):
-            p = cp.P(y.N, k).op
+            p = cp.P(y.N, k)
             assert (wm.operator @ p - p @ wm.operator).entry_max() < 1e-8
 
     def test_weak_distribution_domination(self):
@@ -439,9 +454,9 @@ class TestWeakMax:
             wn = weak_max(y, 2.0, "-")
             for k in range(-3, 3):
                 lam = 2.0**k
-                lhs = trace(spectral_projection(y.final, Interval.at_least(lam)).op)
-                rhs = (trace(spectral_projection(wp.operator, Interval.at_least(lam)).op)
-                       + trace(spectral_projection(wn.operator, Interval.at_least(lam)).op))
+                lhs = trace(spectral_projection(y.final, Interval.at_least(lam)))
+                rhs = (trace(spectral_projection(wp.operator, Interval.at_least(lam)))
+                       + trace(spectral_projection(wn.operator, Interval.at_least(lam))))
                 assert lhs <= rhs + 1e-8
 
     def test_fubini_identity(self):

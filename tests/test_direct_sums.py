@@ -112,7 +112,7 @@ class TestDirectSumFiltration:
             assert tail[t] == verify_tail(alone, 2.0)[0]
             fresh = cuculescu_r(alone.y, level)
             for r, s in zip(seq.projections, fresh.projections):
-                assert _same(r.op.summand(t), s.op)
+                assert _same(r.summand(t), s)
 
 
 def _batch(*triples):
@@ -163,7 +163,7 @@ class TestPerSummandTolerances:
         for i, trial in enumerate((small, large)):
             alone = cuculescu_r(trial.y, self.LEVEL)
             for r, s in zip(seq.projections, alone.projections):
-                assert _same(r.op.summand(i), s.op)
+                assert _same(r.summand(i), s)
             assert verify_core(batch, self.LEVEL)[i] == verify_core(trial, self.LEVEL)[0]
         # the small trial keeps its top eigenvector, the large one only the other
         assert seq.final().summand_ranks == (2, 1)

@@ -9,8 +9,8 @@ from ncgl.errors import DomainError, StructureError
 from ncgl.instances import gaussian_hermitian, stream
 from ncgl.opalgebra import (
     Interval,
-    Projection,
     TracialAlgebra,
+    check_projection,
     direct_sum,
     func_calculus,
     min_eigenvalue,
@@ -91,17 +91,17 @@ class TestSpectralProjection:
     def test_diagonal_below(self):
         a = alg1(2).operator([np.diag([0.5, 2.0])])
         e = spectral_projection(a, Interval.below(1.0))
-        assert np.allclose(e.op.data[0], np.diag([1.0, 0.0]))
+        assert np.allclose(e.data[0], np.diag([1.0, 0.0]))
 
     def test_zero_operator_at_least_zero(self):
         e = spectral_projection(alg1(3).zero(), Interval.at_least(0.0))
-        assert np.allclose(e.op.data[0], np.eye(3))
+        assert np.allclose(e.data[0], np.eye(3))
 
     def test_random_projection_properties(self):
         # independent oracle: the output must be idempotent and commute
         for seed in range(5):
             a = gaussian_hermitian(alg1(6), stream(2, seed))
-            e = spectral_projection(a, Interval.below(0.2)).op
+            e = spectral_projection(a, Interval.below(0.2))
             assert operator_norm(e @ e - e) < 1e-9
             assert operator_norm(e @ a - a @ e) < 1e-9
 
@@ -110,14 +110,14 @@ class TestSpectralProjection:
         lam = 0.1
         lo = spectral_projection(a, Interval.below(lam))
         hi = spectral_projection(a, Interval.at_least(lam))
-        assert (lo.op + hi.op).allclose(a.algebra.identity(), 1e-12)
+        assert (lo + hi).allclose(a.algebra.identity(), 1e-12)
 
     def test_tie_rule_pushes_boundary_up(self):
         # an eigenvalue within the snap tolerance of an open upper endpoint
         # is excluded from (-inf, beta)
         a = alg1(2).operator([np.diag([1.0 - 1e-13, 0.0])])
         e = spectral_projection(a, Interval.below(1.0))
-        assert np.allclose(e.op.data[0], np.diag([0.0, 1.0]))
+        assert np.allclose(e.data[0], np.diag([0.0, 1.0]))
 
     def test_non_hermitian_rejected(self):
         a = alg1(2).operator([np.array([[0.0, 1.0], [0.0, 0.0]])])
@@ -171,7 +171,7 @@ class TestDenseOracle:
         e = spectral_projection(a, interval)
         want = _dense_calculus(
             a, lambda w: ((w < interval.upper) & (w > interval.lower)).astype(float))
-        assert np.abs(_dense(e.op) - want).max() < 1e-10
+        assert np.abs(_dense(e) - want).max() < 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
     def test_func_calculus_and_sqrt(self, seed):
@@ -190,7 +190,7 @@ class TestDenseOracle:
         assert np.array_equal(_dense(func_calculus(a, lambda t: t ** 2)),
                               np.diag(np.concatenate(vals) ** 2))
         e = spectral_projection(a, Interval.below(1.0))
-        assert np.array_equal(_dense(e.op), np.diag([0.0, 1.0, 0.0, 0.0, 1.0]))
+        assert np.array_equal(_dense(e), np.diag([0.0, 1.0, 0.0, 0.0, 1.0]))
 
     # spectrum {1, -3, 5} + {1, 0.5}: the two eigenvalues 1.0 sit exactly on
     # the endpoint (to rounding once rotated); the tie rule counts them in
@@ -208,7 +208,7 @@ class TestDenseOracle:
         e = spectral_projection(a, interval)
         assert e.rank() == rank
         if not rotate:
-            assert all(np.array_equal(b, np.diag(np.diag(b))) for b in e.op.data)
+            assert all(np.array_equal(b, np.diag(np.diag(b))) for b in e.data)
 
 
 class TestFuncCalculus:
@@ -255,14 +255,14 @@ class TestProjMeet:
     def test_meet_with_itself(self):
         rng = stream(6)
         alg = alg1(5)
-        e = Projection(alg.operator([self._random_projection(5, 2, rng)]))
+        e = check_projection(alg.operator([self._random_projection(5, 2, rng)]))
         assert proj_meet(e, e).allclose(e, 1e-9)
 
     def test_orthogonal_meet_is_zero(self):
         alg = alg1(2)
-        e = Projection(alg.operator([np.diag([1.0, 0.0])]))
-        f = Projection(alg.operator([np.diag([0.0, 1.0])]))
-        assert proj_meet(e, f).op.entry_max() == 0.0
+        e = check_projection(alg.operator([np.diag([1.0, 0.0])]))
+        f = check_projection(alg.operator([np.diag([0.0, 1.0])]))
+        assert proj_meet(e, f).entry_max() == 0.0
 
     def test_rank_matches_svd_oracle(self):
         alg = alg1(7)
@@ -278,19 +278,19 @@ class TestProjMeet:
                 be = be @ be.conj().T
                 bf = np.linalg.qr(np.column_stack([shared, bf]))[0][:, :4]
                 bf = bf @ bf.conj().T
-            e = Projection(alg.operator([be]))
-            f = Projection(alg.operator([bf]))
+            e = check_projection(alg.operator([be]))
+            f = check_projection(alg.operator([bf]))
             m = proj_meet(e, f)
             assert m.rank() == _subspace_intersection_dim(be, bf)
 
     def test_meet_below_both(self):
         rng = stream(8)
         alg = alg1(6)
-        e = Projection(alg.operator([self._random_projection(6, 4, rng)]))
-        f = Projection(alg.operator([self._random_projection(6, 4, rng)]))
+        e = check_projection(alg.operator([self._random_projection(6, 4, rng)]))
+        f = check_projection(alg.operator([self._random_projection(6, 4, rng)]))
         m = proj_meet(e, f)
-        assert min_eigenvalue(e.op - m.op) > -1e-9
-        assert min_eigenvalue(f.op - m.op) > -1e-9
+        assert min_eigenvalue(e - m) > -1e-9
+        assert min_eigenvalue(f - m) > -1e-9
         assert proj_meet(f, e).allclose(m, 1e-9)
 
 
@@ -331,13 +331,17 @@ class TestTraceProperties:
 
 
 class TestProjectionType:
+    def test_accepts_a_projection_as_itself(self):
+        e = alg1(2).operator([np.diag([0.0, 1.0])])
+        assert check_projection(e) is e
+
     def test_rejects_non_idempotent(self):
         with pytest.raises(DomainError):
-            Projection(alg1(2).operator([np.diag([0.5, 1.0])]))
+            check_projection(alg1(2).operator([np.diag([0.5, 1.0])]))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
-            Projection(alg1(2).operator([np.array([[1.0, 0.3], [0.0, 0.0]])]))
+            check_projection(alg1(2).operator([np.array([[1.0, 0.3], [0.0, 0.0]])]))
 
     def test_interval_validation(self):
         with pytest.raises(DomainError):
@@ -416,7 +420,7 @@ class TestRunStacks:
     def test_spectral_projection(self, interval):
         a = RUNS.operator(_draw(RUNS, stream(17), hermitian=True))
         ref = _dense_calculus(a, lambda t: interval.contains(t, 0.0).astype(float))
-        assert np.abs(_dense(spectral_projection(a, interval).op) - ref).max() < 1e-10
+        assert np.abs(_dense(spectral_projection(a, interval)) - ref).max() < 1e-10
 
     def test_proj_meet(self):
         rng = stream(18)
@@ -429,11 +433,11 @@ class TestRunStacks:
                 q = np.linalg.qr(np.column_stack([shared, g]))[0]
                 out.append(q @ q.conj().T)
         pe[2], pf[2] = np.diag([1.0, 0.0]), np.diag([1.0, 1.0])  # the exact path
-        e, f = Projection(RUNS.operator(pe)), Projection(RUNS.operator(pf))
+        e, f = check_projection(RUNS.operator(pe)), check_projection(RUNS.operator(pf))
         m = proj_meet(e, f)
-        assert np.abs(_dense(m.op) - _dense_meet(_dense(e.op), _dense(f.op))).max() < 1e-9
+        assert np.abs(_dense(m) - _dense_meet(_dense(e), _dense(f))).max() < 1e-9
         assert m.rank() == 4
-        assert np.array_equal(m.op.data[2], np.diag([1.0, 0.0]))
+        assert np.array_equal(m.data[2], np.diag([1.0, 0.0]))
         # exactly diagonal pairs: exact 0/1 entries meet bitwise in the
         # entrywise minimum; entries that are 1 only to rounding (as Cuculescu
         # projections can have) meet in a projection within 1e-15 of it
@@ -441,9 +445,9 @@ class TestRunStacks:
             return RUNS.operator([np.diag(v[:d]) for d in RUNS.dims])
 
         for top in (1.0, 1.0 - 1.1e-16 + 7e-21j):
-            e = Projection(diagonal([top, top, 0.0]))
-            f = Projection(diagonal([top, 0.0, top]))
-            got = _dense(proj_meet(e, f).op)
+            e = check_projection(diagonal([top, top, 0.0]))
+            f = check_projection(diagonal([top, 0.0, top]))
+            got = _dense(proj_meet(e, f))
             want = _dense(diagonal([top.real, 0.0, 0.0]))
             if top == 1.0:
                 assert np.array_equal(got, want)
@@ -475,7 +479,7 @@ class TestRunStacks:
 
         def results():
             b = alg.operator(blocks)
-            return (spectral_projection(b, Interval.below(0.2)).op.stacks[0],
+            return (spectral_projection(b, Interval.below(0.2)).stacks[0],
                     func_calculus(b, np.exp).stacks[0], min_eigenvalue(b), b.hermitian)
 
         whole = results()
