@@ -96,13 +96,20 @@ class _Step:
 
 @dataclass(frozen=True, eq=False)
 class CuculescuSeq:
-    """R_{-1} = I and R_0..R_N with their measurements, and the levels
-    lo < level < hi at which every step makes the same spectral cut."""
+    """R_{-1} = I and R_0..R_N with their measurements, and per step n the
+    window (lo, hi) of levels lo < level < hi at which steps 0..n all make
+    the same spectral cut; the windows are nested."""
 
-    lo: float
-    hi: float
+    windows: tuple[tuple[float, float], ...]
     projections: tuple[Operator, ...]
     steps: tuple[_Step, ...]
+
+    lo = property(lambda self: self.windows[-1][0])
+    hi = property(lambda self: self.windows[-1][1])
+
+    def shared(self, level: float) -> int:
+        """How many leading steps make the same cut at `level` as here."""
+        return sum(lo < level < hi for lo, hi in self.windows)
 
     def R(self, n: int) -> Operator:
         if n == -1:
@@ -168,11 +175,18 @@ def _step_window(compressed: Operator, level: float,
                 default=math.inf))
 
 
-def _fresh_sequence(y: Martingale, level: float) -> CuculescuSeq:
-    r_prev = y.algebra.identity()
-    lo, hi = 0.0, math.inf
-    projections, steps = [], []
-    for n, y_n in enumerate(y.values):
+def _fresh_sequence(y: Martingale, level: float,
+                    prefix: CuculescuSeq | None) -> CuculescuSeq:
+    """The level-`level` recursion, resumed after the leading steps that the
+    cached `prefix` shares at this level (the same cuts, so the same
+    projections and level-free measurements), or from R_{-1} = I."""
+    k = prefix.shared(level) if prefix else 0
+    windows, projections, steps = (
+        [list(part[:k]) for part in (prefix.windows, prefix.projections, prefix.steps)]
+        if k else ([], [], []))
+    lo, hi = windows[-1] if k else (0.0, math.inf)
+    r_prev = projections[-1] if k else y.algebra.identity()
+    for n, y_n in enumerate(y.values[k:], k):
         norm = operator_norm(y_n, per_summand=True)
         compressed = (r_prev @ (y_n / level) @ r_prev).symmetrized()
         # a summand cut down to 0 stays 0 (the snap below keeps it exactly 0)
@@ -195,8 +209,9 @@ def _fresh_sequence(y: Martingale, level: float) -> CuculescuSeq:
                                             per_summand=True)],
         ))
         projections.append(r_n)
+        windows.append((lo, hi))
         r_prev = r_n
-    return CuculescuSeq(lo, hi, tuple(projections), tuple(steps))
+    return CuculescuSeq(tuple(windows), tuple(projections), tuple(steps))
 
 
 def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
@@ -204,9 +219,10 @@ def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
 
     R_n only changes where the level crosses an eigenvalue of
     R_{n-1} y_n R_{n-1}, so each computed sequence is kept on the martingale
-    with the window of levels it serves and returned itself for any level
-    inside it.  The Lemma invariants are checked from its stored
-    measurements at every level returned.
+    with the window of levels each of its steps serves, and returned itself
+    for any level inside its last window; any other level resumes after the
+    most leading steps a cached sequence shares.  The Lemma invariants are
+    checked from the stored measurements at every level returned.
     """
     if not (level > 0):
         raise DomainError("the cut level must be positive")
@@ -215,7 +231,8 @@ def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
     cache = y.cuculescu_cache
     seq = next((s for s in cache if s.lo < level < s.hi), None)
     if seq is None:
-        seq = _fresh_sequence(y, level)
+        prefix = max(cache, key=lambda s: s.shared(level), default=None)
+        seq = _fresh_sequence(y, level, prefix)
         cache.append(seq)
     _check_level(seq, level)
     return seq

@@ -48,6 +48,17 @@ def _fresh_copy(y):
     return Martingale(y.filtration, y.values, y.diffs)
 
 
+def _assert_same_sequence(got, want, level):
+    """Projections within 1e-10, and the five measurements of each step and
+    summand within 1e-12 (1 + ||y_n||/level)."""
+    for n, (a, b) in enumerate(zip(got.projections, want.projections)):
+        assert a.allclose(b, 1e-10), (level, n)
+    for n, (s, t) in enumerate(zip(got.steps, want.steps)):
+        for a, b in zip(s.summands, t.summands):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12 * (1.0 + b[0] / level)), \
+                (level, n, a, b)
+
+
 class TestCuculescuSequence:
     def test_bounded_martingale_keeps_identity(self):
         filt = make_filtration("corner", dim=4)
@@ -176,7 +187,7 @@ class TestCuculescuSequence:
 def _grid_case(family, sign):
     """A triple_family martingale (or its negative), every grid level of
     B = 1 + 1/p for p in {3, 8} in descending order, and the sequence at each
-    level computed on a fresh copy."""
+    level computed from R_{-1} = I on a fresh copy."""
     base = random_martingale(triple_family(family), stream(57, family),
                              sup_norm=2.5)
     y = base if sign > 0 else -base
@@ -186,7 +197,7 @@ def _grid_case(family, sign):
         lo, top, _ = _k_range(y, B, None)
         levels.update(B**k for k in range(lo, top + 1))
     levels = sorted(levels, reverse=True)
-    refs = [cuculescu_r(_fresh_copy(y), level).projections for level in levels]
+    refs = [cuculescu_r(_fresh_copy(y), level) for level in levels]
     return y, levels, refs
 
 
@@ -206,10 +217,66 @@ class TestCachedSequences:
                    + [(unordered, q) for q in shuffled])
         for m, (level, ref) in queries:
             got = cuculescu_r(m, level).projections
-            for n, (a, b) in enumerate(zip(got, ref)):
+            for n, (a, b) in enumerate(zip(got, ref.projections)):
                 assert a.allclose(b, 1e-10), (level, n)
         # the grid is served by far fewer sequences than it has levels
         assert len(cached.cuculescu_cache) < len(levels)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("family", range(6))
+    def test_resumed_sequences_match_the_recursion_from_scratch(self, family, sign):
+        # a level outside every cached sequence's last window resumes after
+        # the leading steps that one of them shares at it
+        y, levels, refs = _grid_case(family, sign)
+        m = _fresh_copy(y)
+        for level, ref in zip(levels, refs):
+            _assert_same_sequence(cuculescu_r(m, level), ref, level)
+        cache = m.cuculescu_cache
+        assert any(s.projections[0] is t.projections[0]
+                   for i, s in enumerate(cache) for t in cache[:i])
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("family", range(6))
+    def test_step_windows_are_nested(self, family, sign):
+        y, levels, _ = _grid_case(family, sign)
+        m = _fresh_copy(y)
+        for level in levels:
+            cuculescu_r(m, level)
+        for seq in m.cuculescu_cache:
+            assert len(seq.windows) == y.N + 1
+            assert (seq.lo, seq.hi) == seq.windows[-1]
+            for (lo, hi), (inner_lo, inner_hi) in zip(seq.windows, seq.windows[1:]):
+                assert lo <= inner_lo and inner_hi <= hi
+
+    def test_resume_computes_only_the_steps_not_shared(self, monkeypatch):
+        # y_0 = 1.25 I and y_1 = U diag(3, -0.5) U*: at level 2 the second
+        # step cuts the eigenvalue 3, at level 4 it cuts nothing
+        filt = make_filtration("trivial_full", dims=(2,))
+        u = np.linalg.qr(np.array([[1.0, 0.3 + 0.2j], [-0.4j, 1.0]]))[0]
+        final = filt.algebra.operator([(u * np.array([3.0, -0.5])) @ u.conj().T])
+        y = martingale_from_final(filt, final)
+        first = cuculescu_r(y, 2.0)
+        (lo0, hi0), (lo1, hi1) = first.windows
+        assert lo0 < 4.0 < hi0 and not lo1 < 4.0 < hi1
+        calls = {"spectral_projection": 0, "cond_exp": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cuculescu, name, counted(name, getattr(cuculescu, name)))
+        seq = cuculescu_r(y, 4.0)
+        assert calls == {"spectral_projection": 1, "cond_exp": 1}
+        assert seq.projections[0] is first.projections[0]
+        assert seq.steps[0] is first.steps[0]
+        assert seq.windows[0] == first.windows[0]
+        monkeypatch.undo()
+        fresh = cuculescu_r(_fresh_copy(y), 4.0)
+        assert seq.final().rank() == 2 and first.final().rank() == 1
+        _assert_same_sequence(seq, fresh, 4.0)
 
     @pytest.mark.parametrize("factor", [1.25, 1 + 1e-6, 1 + 1e-9, 1 + 2e-10,
                                         1 + 1e-10, 1 + 1e-12, 1 - 1e-12,
@@ -233,9 +300,9 @@ class TestCachedSequences:
             calls["check"] += 1
             return check(seq, level)
 
-        def counted_fresh(y, level):
+        def counted_fresh(y, level, prefix):
             calls["fresh"] += 1
-            return fresh(y, level)
+            return fresh(y, level, prefix)
 
         monkeypatch.setattr(cuculescu, "_check_level", counted_check)
         monkeypatch.setattr(cuculescu, "_fresh_sequence", counted_fresh)
@@ -345,7 +412,7 @@ class TestCachedSequences:
         scaled = y.scale(mu)
         for level, ref in zip(levels, refs):
             got = cuculescu_r(scaled, mu * level).projections
-            for n, (a, b) in enumerate(zip(got, ref)):
+            for n, (a, b) in enumerate(zip(got, ref.projections)):
                 assert a.allclose(b, 1e-10), (level, n)
 
     def test_cache_dies_with_the_martingale(self):

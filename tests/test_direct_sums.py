@@ -115,6 +115,31 @@ class TestDirectSumFiltration:
                 assert _same(r.summand(t), s)
 
 
+@pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+def test_resumed_tail_batch_is_the_trials_alone(family):
+    # six goodlambda-tail trials of one family as one batch, as `cli.run`
+    # builds it: some level resumes after the leading steps that a cached
+    # sequence shares on every summand, and each summand is still decided
+    # as its trial alone (to the 1e-9 margin contract)
+    filt = triple_family(family)
+    trials = range(family, 36, len(FAMILY_TEMPLATES))
+    batch = Triple(*strong_triple_parts(filt, *(stream(0, 2, i) for i in trials)))
+    betas = (1.5, 2.0, 4.0)
+    reports = [verify_tail(batch, beta) for beta in betas]
+    cache = batch.y.cuculescu_cache
+    assert any(s.projections[0] is t.projections[0]
+               for i, s in enumerate(cache) for t in cache[:i])
+    for k, i in enumerate(trials):
+        alone = Triple(*strong_triple_parts(filt, stream(0, 2, i)))
+        for beta, reps in zip(betas, reports):
+            got, want = reps[k], verify_tail(alone, beta)[0]
+            assert got.passed == want.passed
+            scale = max(1.0, abs(want.lhs), abs(want.rhs))
+            for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs),
+                         (got.margin, want.margin)):
+                assert abs(a - b) <= 1e-9 * scale, (i, beta, got, want)
+
+
 def _batch(*triples):
     filt = triples[0].filtration.direct_sum(len(triples))
     y = martingale_from_final(filt, direct_sum([t.y.final for t in triples]))
