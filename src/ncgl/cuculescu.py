@@ -10,7 +10,6 @@ increments of that family.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -245,34 +244,37 @@ def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
 
 @dataclass(frozen=True, eq=False)
 class CorrectedSeq:
-    """Meets P_n^{B^k} of Cuculescu projections over all levels >= B^k."""
+    """Meets P_n^{B^k} of Cuculescu projections over all levels >= B^k, as
+    bands (high, low, column) from k_top down to k_min without gaps: every k
+    in [low, high] has the column {n: P_n^{B^k}}, and a new band starts only
+    where the Cuculescu sequence changes."""
 
     martingale: Martingale
     base: float
-    k_min: int
-    k_top: int
-    rows: tuple[int, ...]          # which n indices the grid carries
-    grid: dict
+    bands: tuple[tuple[int, int, dict], ...]
+
+    k_top = property(lambda self: self.bands[0][0])
+    k_min = property(lambda self: self.bands[-1][1])
 
     def P(self, n: int, k: int) -> Operator:
         if k > self.k_top:
             return self.martingale.algebra.identity()
         if k < self.k_min:
             raise DomainError(f"k={k} below the truncation point {self.k_min}")
-        if n not in self.rows:
+        column = next(col for _, low, col in self.bands if low <= k)
+        if n not in column:
             raise DomainError(f"row n={n} was not computed")
-        return self.grid[(n, k)]
+        return column[n]
 
 
-def _k_range(y: Martingale, B: float, k_min: int | None) -> tuple[int, int, float]:
+def _k_range(y: Martingale, B: float, k_min: int | None) -> tuple[int, int]:
     sup = max(operator_norm(v) for v in y.values)
     if sup <= 0.0:
         top = 0
     else:
         top = int(math.ceil(math.log(sup, B))) + 1
     lo = int(math.floor(math.log(1e-8 * (1.0 + sup), B))) if k_min is None else int(k_min)
-    lo = min(lo, top)
-    return lo, top, sup
+    return min(lo, top), top
 
 
 def corrected_p(
@@ -281,44 +283,34 @@ def corrected_p(
     k_min: int | None = None,
     final_only: bool = False,
 ) -> CorrectedSeq:
-    """Compute the grid P_n^{B^k} for k in [k_min, k_top].
+    """Compute the bands of P_n^{B^k} for k in [k_min, k_top].
 
     The lattice meet over l >= k is truncated at k_top, above which every
     R_n^{B^l} equals the identity because the martingale is bounded; this is
-    exact, not an approximation.
+    exact, not an approximation.  The first all-zero column is P at every
+    lower level, so its band reaches k_min.
     """
     if not (B > 1):
         raise DomainError("the base B must exceed 1")
     if not y.is_selfadjoint():
         raise DomainError("corrected projections need a self-adjoint martingale")
-    lo, top, sup = _k_range(y, B, k_min)
-    alg = y.algebra
-    ident = alg.identity()
+    lo, top = _k_range(y, B, k_min)
+    ident = y.algebra.identity()
     rows = (y.N,) if final_only else tuple(range(y.N + 1))
-    grid: dict = {}
-    prev_col = {n: ident for n in rows}
-    prev_seq = None
+    col, prev, starts = {n: ident for n in rows}, None, []
     for k in range(top, lo - 1, -1):
-        if all(prev_col[n].rank() == 0 for n in rows):
-            for n in rows:
-                grid[(n, k)] = prev_col[n]
-            continue
+        if all(p.rank() == 0 for p in col.values()):
+            break
         seq = cuculescu_r(y, B ** k)
-        if seq is prev_seq:
-            # P^{k+1} <= R^{k+1} = R^k, so the meet is P^{k+1} itself
-            col = prev_col
-        else:
-            col = {}
-            for n in rows:
-                above = prev_col[n]
-                if above.rank() == 0:
-                    col[n] = above
-                else:
-                    col[n] = _normalized(proj_meet(seq.R(n), above))
-        for n in rows:
-            grid[(n, k)] = col[n]
-        prev_col, prev_seq = col, seq
-    return CorrectedSeq(y, float(B), lo, top, rows, grid)
+        # within a band P^{k+1} <= R^{k+1} = R^k, so the meet is P^{k+1} itself
+        if seq is not prev:
+            col = {n: above if above.rank() == 0 else _normalized(proj_meet(seq.R(n), above))
+                   for n, above in col.items()}
+            starts.append((k, col))
+        prev = seq
+    lows = [high + 1 for high, _ in starts[1:]] + [lo]
+    return CorrectedSeq(y, float(B), tuple(
+        (high, low, col) for (high, col), low in zip(starts, lows)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,16 +318,21 @@ class WeakMax:
     """One-sided weak maximal operator a_N^± with its residual kernel."""
 
     operator: Operator
-    residual: Operator
     corrected: CorrectedSeq
+
+    @property
+    def residual(self) -> Operator:
+        """P_N^{B^{k_min}}, the kernel left below the truncation point."""
+        return self.corrected.bands[-1][2][self.corrected.martingale.N]
 
 
 def weak_max(y: Martingale, B: float, sign: str = "+") -> WeakMax:
     """a_N^+ = sum_k B^k (P_N^{B^{k+1}} - P_N^{B^k}); a_N^- = a_N^+(-y).
 
-    Spectral mass below the truncation point B^{k_min} of `corrected_p` is
-    assigned to the residual kernel projection; the moment verifications
-    account for it with an analytic geometric tail.
+    Only the top level of each band of `corrected_p` has a nonzero term.
+    Spectral mass below the truncation point B^{k_min} is assigned to the
+    residual kernel projection; the moment verifications account for it
+    with an analytic geometric tail.
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
@@ -343,11 +340,9 @@ def weak_max(y: Martingale, B: float, sign: str = "+") -> WeakMax:
     cp = corrected_p(base_y, B, final_only=True)
     N = base_y.N
     acc = y.algebra.zero()
-    for k in range(cp.k_min, cp.k_top + 1):
-        upper, lower = cp.P(N, k + 1), cp.P(N, k)
-        if upper is not lower:
-            acc = acc + (upper - lower) * (B ** k)
-    return WeakMax(acc.symmetrized(), cp.P(N, cp.k_min), cp)
+    for high, _, col in reversed(cp.bands):
+        acc = acc + (cp.P(N, high + 1) - col[N]) * (B ** high)
+    return WeakMax(acc.symmetrized(), cp)
 
 
 def fubini_identity_gap(wm: WeakMax, p: float) -> float:
@@ -365,11 +360,9 @@ def fubini_identity_gap(wm: WeakMax, p: float) -> float:
     alg = cp.martingale.algebra
     ident = alg.identity()
     lhs = alg.zero()
-    # one multiply-add per run of levels that share one projection object
-    for proj, ks in itertools.groupby(range(cp.k_min, cp.k_top + 1),
-                                      key=lambda k: cp.P(N, k)):
-        lhs = lhs + (ident - proj) * sum(B ** (k * (p - 2.0)) for k in ks)
+    for high, low, col in reversed(cp.bands):
+        lhs = lhs + (ident - col[N]) * sum(B ** (k * (p - 2.0)) for k in range(low, high + 1))
     tail_coeff = B ** (cp.k_min * (p - 2.0)) / (1.0 - B ** (-(p - 2.0)))
-    lhs = lhs + (ident - cp.P(N, cp.k_min)) * tail_coeff
+    lhs = lhs + (ident - wm.residual) * tail_coeff
     rhs = psd_power(wm.operator, p - 2.0) * (1.0 / (1.0 - B ** (2.0 - p)))
     return operator_norm(lhs - rhs) / (1.0 + operator_norm(rhs))

@@ -194,7 +194,7 @@ def _grid_case(family, sign):
     levels = set()
     for p in (3.0, 8.0):
         B = 1.0 + 1.0 / p
-        lo, top, _ = _k_range(y, B, None)
+        lo, top = _k_range(y, B, None)
         levels.update(B**k for k in range(lo, top + 1))
     levels = sorted(levels, reverse=True)
     refs = [cuculescu_r(_fresh_copy(y), level) for level in levels]
