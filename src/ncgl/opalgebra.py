@@ -466,13 +466,15 @@ def operator_norm(x: Operator, per_summand: bool = False):
 
 
 def schatten_norm(x: Operator, p: float) -> float:
-    """Weighted Schatten norm (tau(|x|^p))^(1/p); p = inf is the operator norm."""
+    """Weighted Schatten norm (tau(|x|^p))^(1/p); p = inf is the operator norm.
+    The largest singular value is factored out, so no power overflows at large p."""
     if p != math.inf and p < 1:
         raise DomainError("Schatten norms are only supported for p >= 1")
-    if p == math.inf:
-        return operator_norm(x)
-    total = _total(x.algebra, [np.sum(s**p, axis=1) for s in _singular_values(x)])
-    return total ** (1.0 / p)
+    sv = _singular_values(x)
+    top = max(float(s.max()) for s in sv)
+    if p == math.inf or top == 0.0:
+        return top
+    return top * _total(x.algebra, [np.sum((s / top) ** p, axis=1) for s in sv]) ** (1.0 / p)
 
 
 def min_eigenvalue(a: Operator, per_summand: bool = False):

@@ -136,13 +136,15 @@ def interlace_t(a: np.ndarray) -> np.ndarray:
 
 
 def matrix_p_norm(a: np.ndarray, p: float) -> float:
-    """Schatten p-norm of a plain matrix (usual trace)."""
+    """Schatten p-norm of a plain matrix (usual trace), with the largest
+    singular value factored out so that no power overflows at large p."""
     if p != math.inf and p < 1:
         raise DomainError("needs p >= 1")
     sv = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    if p == math.inf:
-        return float(sv.max()) if sv.size else 0.0
-    return float(np.sum(sv**p) ** (1.0 / p))
+    top = float(sv.max()) if sv.size else 0.0
+    if p == math.inf or top == 0.0:
+        return top
+    return top * float(np.sum((sv / top) ** p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import itertools
 import random
 import weakref
 
@@ -30,6 +31,8 @@ from ncgl.opalgebra import (
     Interval,
     min_eigenvalue,
     operator_norm,
+    proj_meet,
+    psd_power,
     spectral_projection,
     trace,
 )
@@ -199,6 +202,58 @@ def _grid_case(family, sign):
     levels = sorted(levels, reverse=True)
     refs = [cuculescu_r(_fresh_copy(y), level) for level in levels]
     return y, levels, refs
+
+
+def _flat_bytes(op):
+    return np.concatenate([b.ravel() for b in op.data]).tobytes()
+
+
+def _per_level_grid(y, B, k_min=None, final_only=False):
+    """The corrected projections as one column per level, the loop that the
+    bands replaced: the (n, k) dict, and the sequence returned at each level
+    that called cuculescu_r."""
+    lo, top = _k_range(y, B, k_min)
+    rows = (y.N,) if final_only else tuple(range(y.N + 1))
+    grid, seqs = {}, []
+    prev_col = {n: y.algebra.identity() for n in rows}
+    prev_seq = None
+    for k in range(top, lo - 1, -1):
+        if all(prev_col[n].rank() == 0 for n in rows):
+            for n in rows:
+                grid[(n, k)] = prev_col[n]
+            continue
+        seq = cuculescu_r(y, B ** k)
+        seqs.append(seq)
+        if seq is prev_seq:
+            col = prev_col
+        else:
+            col = {}
+            for n in rows:
+                above = prev_col[n]
+                if above.rank() == 0:
+                    col[n] = above
+                else:
+                    col[n] = cuculescu._normalized(proj_meet(seq.R(n), above))
+        for n in rows:
+            grid[(n, k)] = col[n]
+        prev_col, prev_seq = col, seq
+    return grid, seqs
+
+
+def _groupby_fubini_gap(wm, p):
+    """fubini_identity_gap as it was computed before the bands: one
+    multiply-add per run of levels sharing one projection object."""
+    cp = wm.corrected
+    B, N, alg = cp.base, cp.martingale.N, cp.martingale.algebra
+    ident = alg.identity()
+    lhs = alg.zero()
+    for proj, ks in itertools.groupby(range(cp.k_min, cp.k_top + 1),
+                                      key=lambda k: cp.P(N, k)):
+        lhs = lhs + (ident - proj) * sum(B ** (k * (p - 2.0)) for k in ks)
+    tail_coeff = B ** (cp.k_min * (p - 2.0)) / (1.0 - B ** (-(p - 2.0)))
+    lhs = lhs + (ident - cp.P(N, cp.k_min)) * tail_coeff
+    rhs = psd_power(wm.operator, p - 2.0) * (1.0 / (1.0 - B ** (2.0 - p)))
+    return operator_norm(lhs - rhs) / (1.0 + operator_norm(rhs))
 
 
 class TestCachedSequences:
@@ -478,6 +533,30 @@ class TestCorrectedProjections:
         with pytest.raises(DomainError):
             corrected_p(y, 1.0)
 
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("family", range(6))
+    def test_bands_match_the_per_level_grid(self, family, sign):
+        y = _fresh_copy(_grid_case(family, sign)[0])
+        for p, k_min, final_only in itertools.product((3.0, 8.0), (None, -6),
+                                                      (False, True)):
+            B = 1.0 + 1.0 / p
+            cp = corrected_p(y, B, k_min=k_min, final_only=final_only)
+            grid, seqs = _per_level_grid(y, B, k_min, final_only)
+            # the bands tile [k_min, k_top], one per run of one sequence
+            highs, lows, cols = zip(*cp.bands)
+            assert (cp.k_min, cp.k_top) == (lows[-1], highs[0]) == _k_range(y, B, k_min)
+            assert all(h >= low for h, low in zip(highs, lows))
+            assert highs[1:] == tuple(low - 1 for low in lows[:-1])
+            assert all(a is not b for a, b in zip(cols, cols[1:]))
+            assert len(cp.bands) == len(list(itertools.groupby(seqs, key=id)))
+            for (n, k), want in grid.items():
+                assert _flat_bytes(cp.P(n, k)) == _flat_bytes(want), (p, k_min, n, k)
+            with pytest.raises(DomainError):
+                cp.P(y.N, cp.k_min - 1)
+            if final_only:
+                with pytest.raises(DomainError):
+                    cp.P(0, cp.k_top)
+
 
 class TestWeakMax:
     def test_classical_staircase_value(self):
@@ -532,6 +611,33 @@ class TestWeakMax:
             y = random_martingale(filt, stream(55, seed), sup_norm=2.0)
             wm = weak_max(y, 2.0, "+")
             assert fubini_identity_gap(wm, p) < 1e-6
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("family", range(6))
+    def test_bands_match_the_per_level_sum(self, family, sign):
+        y = _fresh_copy(_grid_case(family, sign)[0])
+        for B in (4.0 / 3.0, 9.0 / 8.0):
+            wm = weak_max(y, B, "+")
+            cp, N = wm.corrected, y.N
+            per_level = y.algebra.zero()
+            for k in range(cp.k_min, cp.k_top + 1):
+                per_level = per_level + (cp.P(N, k + 1) - cp.P(N, k)) * B**k
+            assert operator_norm(wm.operator - per_level.symmetrized()) <= 1e-12
+            assert wm.residual is cp.P(N, cp.k_min)
+            for p in (3.0, 4.0, 8.0):
+                assert fubini_identity_gap(wm, p) == _groupby_fubini_gap(wm, p)
+
+    @pytest.mark.parametrize("sign", ("+", "-"))
+    @pytest.mark.parametrize("B", (1.5, 2.0, 4.0 / 3.0))
+    @pytest.mark.parametrize("family", range(6))
+    def test_scale_covariance(self, family, B, sign):
+        # a^±(B^j y) = B^j a^±(y): scaling by B^j shifts the level grid by j
+        y = random_martingale(triple_family(family), stream(60, family), sup_norm=2.5)
+        a = weak_max(y, B, sign).operator
+        for j in (-3, 2, 5):
+            scaled = weak_max(y.scale(B**j), B, sign).operator
+            assert operator_norm(scaled - a * B**j) <= \
+                1e-10 * B**j * (1.0 + operator_norm(a)), j
 
     def test_sign_validation(self):
         filt = make_filtration("corner", dim=3)

@@ -78,6 +78,14 @@ class TestSchattenNorm:
         with pytest.raises(DomainError):
             schatten_norm(alg1(2).identity(), 0.5)
 
+    def test_large_p_does_not_overflow(self):
+        # 999^1100 is far beyond the float range
+        x = TracialAlgebra((3,), (0.5,)).operator([np.diag([999.0, -998.0, 1.0])])
+        p = 1100.0
+        closed = 999.0 * (0.5 * (1.0 + (998.0 / 999.0) ** p)) ** (1.0 / p)
+        assert schatten_norm(x, p) == pytest.approx(closed, rel=1e-12)
+        assert schatten_norm(alg1(2).zero(), p) == 0.0
+
     def test_two_norm_squared_is_trace(self):
         rng = stream(1)
         alg = TracialAlgebra((3, 2), (1.0, 0.5))

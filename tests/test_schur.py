@@ -134,6 +134,16 @@ class TestPatternValidation:
         assert list(np.diag(e)) == [0.0, 1.0, 1.0, 0.0]
 
 
+class TestMatrixPNorm:
+    def test_large_p_does_not_overflow(self):
+        # 999^1100 is far beyond the float range
+        p = 1100.0
+        closed = 999.0 * (1.0 + (998.0 / 999.0) ** p) ** (1.0 / p)
+        assert matrix_p_norm(np.diag([999.0, -998.0j, 1.0]), p) == \
+            pytest.approx(closed, rel=1e-12)
+        assert matrix_p_norm(np.zeros((2, 2)), p) == 0.0
+
+
 class TestNormLowerBounds:
     def test_all_ones_is_exactly_one(self):
         assert schur_norm_lower(np.ones((5, 5)), 3.0, budget=4,
