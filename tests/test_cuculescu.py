@@ -210,8 +210,8 @@ def _flat_bytes(op):
 
 def _per_level_grid(y, B, k_min=None, final_only=False):
     """The corrected projections as one column per level, the loop that the
-    bands replaced: the (n, k) dict, and the sequence returned at each level
-    that called cuculescu_r."""
+    bands replaced: the (n, k) dict, and the sequences cuculescu_r returned,
+    one per level that asked for one."""
     lo, top = _k_range(y, B, k_min)
     rows = (y.N,) if final_only else tuple(range(y.N + 1))
     grid, seqs = {}, []
