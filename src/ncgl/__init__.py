@@ -21,7 +21,7 @@ from .opalgebra import (
     Interval,
     Operator,
     TracialAlgebra,
-    check_projection,
+    abs_spectral_trace,
     func_calculus,
     min_eigenvalue,
     operator_abs,

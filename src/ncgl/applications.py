@@ -31,14 +31,13 @@ from .instances import gaussian_hermitian, stream
 from .opalgebra import (
     Interval,
     Operator,
+    abs_spectral_trace,
     cluster_eigenvalues,
     min_eigenvalue,
-    operator_abs,
     operator_norm,
     psd_sqrt,
     schatten_norm,
     spectral_projection,
-    trace,
     trace_pair,
 )
 from .reports import VerifyReport
@@ -436,9 +435,10 @@ def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
         eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
         for cluster in cluster_eigenvalues(eigs, float(np.abs(eigs).max())):
             window = Interval(float(cluster.min()), float(cluster.max()), True, True)
-            dev = operator_norm(
-                cond_exp(filtration, n - 1, spectral_projection(an, window))
-                - cond_exp(filtration, n - 1, spectral_projection(bn, window)))
+            # cond_exp is linear: one application to the difference of the cuts
+            dev = operator_norm(cond_exp(
+                filtration, n - 1,
+                spectral_projection(an, window) - spectral_projection(bn, window)))
             worst = max(worst, dev)
     return bool(worst <= 1e-8), float(worst)
 
@@ -496,27 +496,22 @@ def _counterexample_finals(N: int) -> tuple[Operator, Operator, Filtration]:
 def tangent_counterexample(N: int, p: float) -> CounterexampleReport:
     """Evaluate the weak-type and L^p quantities of the counterexample pair.
 
-    All four quantities are computed by blockwise eigensolves of the actual
-    final operators; N must be odd and at most 13 (2^N sign blocks).
+    All four come from one values-only eigensolve of each final operator:
+    tau(|x_N|) is the Schatten 1-norm, and abs_spectral_trace counts |y_N|'s
+    eigenvalues in [1, inf) without forming |y_N|; N odd, at most 13.
     """
     if N % 2 == 0:
         raise DomainError("the construction needs N odd")
     if not 1 <= N <= 13:
         raise DomainError("N must lie in 1..13")
     x_final, y_final, _ = _counterexample_finals(N)
-    # 2^N blocks each: x_N and y_N are released, with their spectra, once read
-    l1, p_norm_x = trace(operator_abs(x_final)), schatten_norm(x_final, p)
-    del x_final
-    p_norm_y, abs_y = schatten_norm(y_final, p), operator_abs(y_final)
-    del y_final
-    weak = trace(spectral_projection(abs_y, Interval.at_least(1.0)))
     return CounterexampleReport(
         N=N,
         p=float(p),
-        weak_y=float(weak),
-        l1_x=float(l1),
-        p_norm_y=p_norm_y,
-        p_norm_x=p_norm_x,
+        weak_y=abs_spectral_trace(y_final, Interval.at_least(1.0)),
+        l1_x=schatten_norm(x_final, 1),
+        p_norm_y=schatten_norm(y_final, p),
+        p_norm_x=schatten_norm(x_final, p),
         expected_weak=float(N + 1),
         expected_l1=2.0 * math.sqrt(N),
         ratio=(N + 1) / (2.0 * math.sqrt(N)),

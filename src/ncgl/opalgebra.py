@@ -36,7 +36,7 @@ __all__ = [
     "operator_norm",
     "spectral_projection",
     "func_calculus",
-    "check_projection",
+    "abs_spectral_trace",
     "proj_meet",
     "operator_abs",
     "psd_sqrt",
@@ -169,6 +169,12 @@ def _block_columns(alg: TracialAlgebra, per_summand) -> tuple:
     return (_readonly(np.repeat(per_summand, alg.n_blocks // alg.summands)[:, None]),)
 
 
+def _tie_tols(alg: TracialAlgebra, magnitudes: list[np.ndarray]) -> tuple:
+    """1e-10 * (1 + m) per block, m the largest magnitude of its summand."""
+    norms = _by_summand(alg, magnitudes, "max")
+    return _block_columns(alg, [_TIE_TOL * (1.0 + m) for m in norms])
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -241,8 +247,15 @@ class Operator:
         if not self.hermitian:
             raise DomainError("spectral calculus requires a Hermitian operator")
         runs = tuple(tuple(map(_readonly, _per_block(_eigh, s))) for s in self.stacks)
-        norms = _by_summand(self.algebra, [np.abs(e) for e, _ in runs], "max")
-        return runs, _block_columns(self.algebra, [_TIE_TOL * (1.0 + m) for m in norms])
+        return runs, _tie_tols(self.algebra, [np.abs(e) for e, _ in runs])
+
+    @cached_property
+    def basis_ok(self) -> bool:
+        """|V*V - I| <= 1e-10/d entrywise in each d x d block of the eigenbasis V, so
+        (Gershgorin on V_S*V_S) every cut V_S V_S* is within 1e-10 of {0, 1}."""
+        return all(
+            _per_block(lambda v: np.abs(_h(v) @ v - np.eye(v.shape[1])).max(axis=(1, 2)), vecs)
+            .max() <= 1e-10 / vecs.shape[1] for _, vecs in self.spectrum[0])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -492,14 +505,25 @@ def min_eigenvalue(a: Operator, per_summand: bool = False):
 
 
 def spectral_projection(a: Operator, interval: Interval) -> Operator:
-    """Spectral projection of a Hermitian operator onto an interval, checked
-    by :func:`check_projection`.
+    """Spectral projection of a Hermitian operator onto an interval.
 
     Eigenvalue membership at the endpoints follows the tie rule of
     :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm), the
-    norm per summand.
+    norm per summand.  The cut is checked through ``a.basis_ok``, once per
+    eigenbasis: every cut of `a` then lies within 1e-10 of {0, 1}.
     """
-    return check_projection(_projection(a, interval))
+    if not a.basis_ok:
+        raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
+    return _projection(a, interval)
+
+
+def abs_spectral_trace(x: Operator, interval: Interval) -> float:
+    """tau(I_interval(|x|)), counting singular values without forming |x|, under
+    the tie rule :func:`spectral_projection` applies to |x| (of norm ||x||)."""
+    sv = _singular_values(x)
+    counts = [interval.contains(s, t).sum(axis=1)
+              for s, t in zip(sv, _tie_tols(x.algebra, sv))]
+    return float(_total(x.algebra, counts))
 
 
 def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:
@@ -560,18 +584,6 @@ def cluster_eigenvalues(values: np.ndarray, scale: float) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
-
-
-def check_projection(op: Operator) -> Operator:
-    """`op` itself once it is Hermitian with every eigenvalue within 1e-10
-    of {0, 1}; DomainError otherwise."""
-    if not op.hermitian:
-        raise DomainError("projections must be Hermitian")
-    for eigs in op.eigenvalues:
-        if (np.abs(eigs - np.round(eigs)).max() > 1e-10
-                or eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10):
-            raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
-    return op
 
 
 def _meet_blocks(se: np.ndarray, sf: np.ndarray) -> np.ndarray:

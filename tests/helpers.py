@@ -1,12 +1,14 @@
-"""Helpers that only the tests use: diagonal operators, reading a JSON report
-back into rows, the conditional-expectation axioms of a filtration, sampled,
-and a cross-check of tangency through conditional moments."""
+"""Helpers that only the tests use: diagonal operators, the projection
+oracle and the cuts to feed it, reading a JSON report back into rows, the
+conditional-expectation axioms of a filtration, sampled, and a cross-check
+of tangency through conditional moments."""
 
 import json
 
 import numpy as np
 
 from ncgl.cli import ReportRow
+from ncgl.errors import DomainError
 from ncgl.filtration import Filtration, cond_exp
 from ncgl.instances import gaussian_hermitian
 from ncgl.opalgebra import cluster_eigenvalues, min_eigenvalue, operator_norm, trace
@@ -14,6 +16,31 @@ from ncgl.opalgebra import cluster_eigenvalues, min_eigenvalue, operator_norm, t
 
 def diagonal_operator(alg, diagonals):
     return alg.operator([np.diag(np.asarray(v, dtype=complex)) for v in diagonals])
+
+
+def check_projection(op):
+    """`op` itself once it is Hermitian with every eigenvalue within 1e-10
+    of {0, 1}, from its own eigensolve; DomainError otherwise."""
+    if not op.hermitian:
+        raise DomainError("projections must be Hermitian")
+    for eigs in op.eigenvalues:
+        if (np.abs(eigs - np.round(eigs)).max() > 1e-10
+                or eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10):
+            raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
+    return op
+
+
+def recorded_cuts(monkeypatch, module) -> list:
+    """The list that every cut `module`'s spectral_projection returns is
+    appended to, from this call on."""
+    cuts, cut = [], module.spectral_projection
+
+    def recording(a, interval):
+        cuts.append(cut(a, interval))
+        return cuts[-1]
+
+    monkeypatch.setattr(module, "spectral_projection", recording)
+    return cuts
 
 
 def rows_from_json(path: str) -> list[ReportRow]:

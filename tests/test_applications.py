@@ -1,9 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import ncgl.applications as apps
 from ncgl.applications import (
+    _counterexample_finals,
     bg_embed,
     check_tangent,
     counterexample_pair,
@@ -37,9 +40,23 @@ from ncgl.instances import (
     random_martingale,
     stream,
 )
-from ncgl.opalgebra import cluster_eigenvalues, operator_norm, schatten_norm
+from ncgl.opalgebra import (
+    Interval,
+    cluster_eigenvalues,
+    operator_abs,
+    operator_norm,
+    psd_power,
+    schatten_norm,
+    spectral_projection,
+    trace,
+)
 
-from helpers import diagonal_operator, tangent_moment_deviation
+from helpers import (
+    check_projection,
+    diagonal_operator,
+    recorded_cuts,
+    tangent_moment_deviation,
+)
 
 
 class TestBGEmbedding:
@@ -302,6 +319,28 @@ def _non_tangent_case():
     return a, [x * 2.0 for x in a], filt
 
 
+@functools.lru_cache(maxsize=None)
+def _positive_tangent_pairs():
+    """The 12 (u, v, filtration) trials of a seed-0 `positive-tangent` run at
+    depth 4 and matrix_dim 2, the benchmark's tangent-spectral workload."""
+    return tuple(classical_tangent_positive_pair(4, 2, stream(0, 9, trial))
+                 for trial in range(12))
+
+
+def _two_call_tangent(a, b, filt):
+    """check_tangent with E_{n-1} applied to each cluster cut separately, the
+    form that one cond_exp of their difference replaced."""
+    worst = 0.0
+    for n, (an, bn) in enumerate(zip(a, b)):
+        eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
+        for cluster in cluster_eigenvalues(eigs, float(np.abs(eigs).max())):
+            window = Interval(float(cluster.min()), float(cluster.max()), True, True)
+            worst = max(worst, operator_norm(
+                cond_exp(filt, n - 1, spectral_projection(an, window))
+                - cond_exp(filt, n - 1, spectral_projection(bn, window))))
+    return bool(worst <= 1e-8), float(worst)
+
+
 class TestTangency:
     @pytest.mark.parametrize("case,tangent", [
         (_arrow_case, True), (_classical_case, True), (_non_tangent_case, False)])
@@ -340,6 +379,28 @@ class TestTangency:
         with pytest.raises(DomainError):
             check_tangent(bad, bad, filt)
 
+    @pytest.mark.parametrize("case", [*range(12), "counterexample", "non-tangent"])
+    def test_one_cond_exp_per_cluster_matches_two(self, case):
+        if case == "counterexample":
+            x, y, filt = counterexample_pair(5)
+            a, b = x.diffs, y.diffs
+        elif case == "non-tangent":
+            a, b, filt = _non_tangent_case()
+        else:
+            a, b, filt = _positive_tangent_pairs()[case]
+        ok, dev = check_tangent(a, b, filt)
+        ref_ok, ref_dev = _two_call_tangent(a, b, filt)
+        assert ok is ref_ok and ok is (case != "non-tangent")
+        assert abs(dev - ref_dev) <= 1e-14 * max(1.0, ref_dev)
+
+    def test_every_cut_passes_the_projection_oracle(self, monkeypatch):
+        cuts = recorded_cuts(monkeypatch, apps)
+        for u, v, filt in _positive_tangent_pairs():
+            check_tangent(u, v, filt)
+        assert cuts
+        for e in cuts:
+            check_projection(e)
+
     def test_detects_non_tangent(self):
         ok, dev = check_tangent(*_non_tangent_case())
         assert not ok
@@ -357,7 +418,30 @@ class TestTangency:
         assert tangent_moment_deviation(a, b, filt) == pytest.approx(0.5 * g / (1.0 + g))
 
 
+def _composed_counterexample(N, p_grid):
+    """tangent_counterexample's quantities along the path the values-only
+    count replaced: |x_N| and |y_N| formed by functional calculus, the weak
+    trace as the trace of a spectral cut of |y_N|, and the p-norms as traces
+    of powers of them."""
+    x, y, _ = _counterexample_finals(N)
+    abs_x, abs_y = operator_abs(x), operator_abs(y)
+    weak = trace(spectral_projection(abs_y, Interval.at_least(1.0)))
+    p_norms = {p: (trace(psd_power(abs_x, p)) ** (1.0 / p),
+                   trace(psd_power(abs_y, p)) ** (1.0 / p)) for p in p_grid}
+    return weak, trace(abs_x), p_norms
+
+
 class TestCounterexample:
+    @pytest.mark.parametrize("N", [1, 3, 5, 7, 9, 11, 13])
+    def test_matches_the_composed_path(self, N):
+        weak, l1, p_norms = _composed_counterexample(N, (1.5, 3.0))
+        for p, (p_norm_x, p_norm_y) in p_norms.items():
+            r = tangent_counterexample(N, p)
+            assert r.weak_y == weak
+            assert r.l1_x == pytest.approx(l1, rel=1e-12, abs=0.0)
+            assert r.p_norm_x == pytest.approx(p_norm_x, rel=1e-12, abs=0.0)
+            assert r.p_norm_y == pytest.approx(p_norm_y, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("N,expected", [(3, 4.0), (9, 10.0)])
     def test_weak_trace(self, N, expected):
         r = tangent_counterexample(N, 1.5)

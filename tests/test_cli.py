@@ -323,6 +323,14 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("run error:") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_eigensolve_is_a_run_error(self, capsys):
+        # at p = 1100 the Schur ascent's quotient underflows, its step turns
+        # NaN and the next SVD does not converge: numpy's LinAlgError
+        assert main(["--suite=schur-norms", "--p=1100", "--trials=1", "--dim=8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run error: LinAlgError") and err.count("\n") == 1
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("suite", ("transform", "doob", "stein", "dominated",
                                        "positive-tangent", "refined-doob"))

@@ -37,6 +37,8 @@ from ncgl.opalgebra import (
     trace,
 )
 
+from helpers import check_projection, recorded_cuts
+
 
 def _one_step(y0_diag):
     # a one-level filtration: the top (identity) level of the corner family
@@ -202,6 +204,24 @@ def _grid_case(family, sign):
     levels = sorted(levels, reverse=True)
     refs = [cuculescu_r(_fresh_copy(y), level) for level in levels]
     return y, levels, refs
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("family", range(6))
+def test_every_cut_passes_the_projection_oracle(monkeypatch, family, sign):
+    # every cut E = I(compressed < 1) of the descending grid on one fresh
+    # copy, which resumes cached prefixes as weak_max does, and of every
+    # tenth level from R_{-1} = I, checked by its own eigensolve
+    y, levels, _ = _grid_case(family, sign)
+    cuts = recorded_cuts(monkeypatch, cuculescu)
+    fresh = _fresh_copy(y)
+    for level in levels:
+        cuculescu_r(fresh, level)
+    for level in levels[::10]:
+        cuculescu_r(_fresh_copy(y), level)
+    assert len(cuts) >= y.N + 1
+    for e in cuts:
+        check_projection(e)
 
 
 def _flat_bytes(op):

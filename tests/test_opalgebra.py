@@ -10,7 +10,6 @@ from ncgl.instances import gaussian_hermitian, stream
 from ncgl.opalgebra import (
     Interval,
     TracialAlgebra,
-    check_projection,
     direct_sum,
     func_calculus,
     min_eigenvalue,
@@ -23,7 +22,7 @@ from ncgl.opalgebra import (
     trace_pair,
 )
 
-from helpers import diagonal_operator
+from helpers import check_projection, diagonal_operator
 
 
 def alg1(d, w=1.0):
@@ -356,6 +355,41 @@ class TestProjectionType:
             Interval(2.0, 1.0)
 
 
+class TestBasisCheck:
+    """spectral_projection checks the eigenbasis V of its operator once:
+    every entry of V*V - I at most 1e-10/d in each d x d block."""
+
+    @staticmethod
+    def _with_defect(defect):
+        # column 0 of the cached V scaled so that (V*V)_00 = 1 + defect
+        a = gaussian_hermitian(alg1(4), stream(31))
+        ((eigs, vecs),), tols = a.spectrum
+        vecs = vecs.copy()
+        vecs[:, :, 0] *= math.sqrt(1.0 + defect)
+        a.__dict__["spectrum"] = (((eigs, vecs),), tols)
+        return a
+
+    def test_defect_just_above_the_bound_raises(self):
+        a = self._with_defect(1.02e-10 / 4)
+        with pytest.raises(DomainError, match="eigenvalues are not within 1e-10 of"):
+            spectral_projection(a, Interval.below(0.0))
+
+    def test_defect_just_below_the_bound_passes_the_oracle(self):
+        a = self._with_defect(0.98e-10 / 4)
+        for interval in (Interval.below(0.0), Interval.at_least(-math.inf)):
+            check_projection(spectral_projection(a, interval))
+
+    def test_cuts_are_checked_once_per_eigenbasis(self, monkeypatch):
+        a = gaussian_hermitian(RUNS, stream(32))
+        a.spectrum  # solved before the count starts
+        solves = []
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, **kw: solves.append(args))
+        for c in (-1.0, 0.0, 1.0):
+            spectral_projection(a, Interval.below(c))
+        assert solves == [] and a.basis_ok
+
+
 # three runs of equal block dimension, with dimension 3 coming back after a break
 RUNS = TracialAlgebra((3, 3, 2, 3), (0.5, 1.0, 0.25, 2.0))
 
@@ -527,7 +561,7 @@ class TestSpectrumCache:
             solve = getattr(np.linalg, name)
 
             def counted(m, *args, _solve=solve, _name=name, **kwargs):
-                # solves of the projections' own checks do not count
+                # only solves of a's own stacks count
                 own[_name] += any(m.shape == s.shape and np.array_equal(m, s)
                                   for s in a.stacks)
                 return _solve(m, *args, **kwargs)
