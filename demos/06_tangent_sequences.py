@@ -27,7 +27,7 @@ from ncgl.filtration import make_filtration
 # the counterexample: tangent martingales whose weak-type ratio grows
 print("N   tau(I_[1,inf)(|y|))   tau(|x|)    ratio")
 for N in (3, 5, 7, 9, 11, 13):
-    r = tangent_counterexample(N, p=1.5)
+    (r,) = tangent_counterexample(N, p_grid=(1.5,))
     print(f"{N:2d}   {r.weak_y:8.1f}             {r.l1_x:8.4f}   {r.ratio:.4f}")
 
 x, y, filt = counterexample_pair(5)

@@ -26,7 +26,7 @@ from .filtration import (
     sign_matrix_filtration,
     square_function,
 )
-from .goodlambda import _moment_factor
+from .goodlambda import simplified_moment_constant
 from .instances import gaussian_hermitian, stream
 from .opalgebra import (
     Interval,
@@ -84,7 +84,7 @@ def bg_constant_norm_by_square(p: float) -> float:
         raise DomainError("needs p >= 2")
     if p == 2:
         return 1.0
-    return math.sqrt(2.0) * _moment_factor(p)
+    return math.sqrt(2.0) * simplified_moment_constant(p)
 
 
 def bg_constant_square_by_norm(p: float) -> float:
@@ -93,10 +93,11 @@ def bg_constant_square_by_norm(p: float) -> float:
         raise DomainError("needs p >= 2")
     if p == 2:
         return 1.0
+    # (1 + 2^{p-2})^{1/p} = 2^{1-2/p} (1 + 2^{2-p})^{1/p}, finite at any p
     return (
-        _moment_factor(p)
+        simplified_moment_constant(p)
         * math.sqrt(1.0 + 2.0 ** (2.0 - 4.0 / p))
-        * (1.0 + 2.0 ** (p - 2.0)) ** (1.0 / p)
+        * 2.0 ** (1.0 - 2.0 / p) * (1.0 + 2.0 ** (2.0 - p)) ** (1.0 / p)
     )
 
 
@@ -106,7 +107,7 @@ def transform_constant(p: float) -> float:
         raise DomainError("needs p >= 2")
     if p == 2:
         return 1.0
-    return _moment_factor(p) * math.sqrt(1.0 + 2.0 ** (2.0 - 4.0 / p))
+    return simplified_moment_constant(p) * math.sqrt(1.0 + 2.0 ** (2.0 - 4.0 / p))
 
 
 def dominated_constant(p: float) -> float:
@@ -127,7 +128,7 @@ def dual_doob_constant(p: float) -> float:
     if p == 1:
         return 1.0
     q = 2.0 * p
-    return (math.sqrt(2.0) * _moment_factor(q) * 2.0 ** (1.0 / q)) ** 2
+    return (math.sqrt(2.0) * simplified_moment_constant(q) * 2.0 ** (1.0 / q)) ** 2
 
 
 def stein_constant(p: float) -> float:
@@ -315,7 +316,9 @@ def interp_bound(m: Martingale, p: float) -> VerifyReport:
     """(sum_k ||dx_k||_p^p)^{1/p} <= 2^{1-2/p} ||x_N||_p."""
     if p < 2:
         raise DomainError("the interpolation bound needs p >= 2")
-    lhs = sum(schatten_norm(d, p) ** p for d in m.diffs) ** (1.0 / p)
+    norms = [schatten_norm(d, p) for d in m.diffs]
+    top = max(norms)  # factored out, so no power overflows at large p
+    lhs = top * sum((v / top) ** p for v in norms) ** (1.0 / p) if top else 0.0
     const = 2.0 ** (1.0 - 2.0 / p)
     rhs = const * schatten_norm(m.final, p)
     return VerifyReport.compare(lhs, rhs, const, {"p": p})
@@ -323,13 +326,11 @@ def interp_bound(m: Martingale, p: float) -> VerifyReport:
 
 def verify_bg(x: Martingale, p: float) -> BGReports:
     """Both Burkholder-Gundy directions plus the interpolation inequality."""
-    if p < 2:
-        raise DomainError("the square-function bounds need p >= 2")
+    c1 = bg_constant_norm_by_square(p)
+    c2 = bg_constant_square_by_norm(p)
     s = square_function(x)
     nx = schatten_norm(x.final, p)
     ns = schatten_norm(s, p)
-    c1 = bg_constant_norm_by_square(p)
-    c2 = bg_constant_square_by_norm(p)
     r1 = VerifyReport.compare(nx, c1 * ns, c1, {"p": p, "direction": "norm<=C*S"})
     r2 = VerifyReport.compare(ns, c2 * nx, c2, {"p": p, "direction": "S<=C*norm"})
     return BGReports(r1, r2, interp_bound(x, p))
@@ -379,8 +380,6 @@ def verify_dual_doob(u: list[Operator], filtration: Filtration,
                      p: float) -> VerifyReport:
     """|| sum E_n(u_n) ||_p <= C_p || sum u_n ||_p for positive u_n, p >= 1."""
     _require_positive(u, "dual Doob needs positive operators")
-    if p < 1:
-        raise DomainError("needs p >= 1")
     const = dual_doob_constant(p)
     ce = [cond_exp(filtration, n, ui) for n, ui in enumerate(u)]
     lhs = schatten_norm(_sum_ops(ce), p)
@@ -391,9 +390,7 @@ def verify_dual_doob(u: list[Operator], filtration: Filtration,
 def verify_stein(u: list[Operator], filtration: Filtration,
                  p: float) -> VerifyReport:
     """|| (sum |E_n(u_n)|^2)^{1/2} ||_p <= C_p || (sum |u_n|^2)^{1/2} ||_p."""
-    if p < 2:
-        raise DomainError("the duality range p < 2 is out of numerical scope")
-    const = stein_constant(p)
+    const = stein_constant(p)  # the duality range p < 2 is out of scope
     sq_ce = _sum_ops([
         (lambda e: (e.adjoint() @ e))(cond_exp(filtration, n, ui))
         for n, ui in enumerate(u)
@@ -493,29 +490,33 @@ def _counterexample_finals(N: int) -> tuple[Operator, Operator, Filtration]:
     return filt.algebra.operator(x_stack), filt.algebra.operator(y_stack), filt
 
 
-def tangent_counterexample(N: int, p: float) -> CounterexampleReport:
-    """Evaluate the weak-type and L^p quantities of the counterexample pair.
+def tangent_counterexample(N: int, p_grid) -> tuple[CounterexampleReport, ...]:
+    """Evaluate the weak-type and L^p quantities of the counterexample pair,
+    one report per p of `p_grid`.
 
-    All four come from one values-only eigensolve of each final operator:
-    tau(|x_N|) is the Schatten 1-norm, and abs_spectral_trace counts |y_N|'s
-    eigenvalues in [1, inf) without forming |y_N|; N odd, at most 13.
+    All of them come from one values-only eigensolve of each final operator,
+    built once for the grid: tau(|x_N|) is the Schatten 1-norm, and
+    abs_spectral_trace counts |y_N|'s eigenvalues in [1, inf) without forming
+    |y_N|; N odd, at most 13.
     """
     if N % 2 == 0:
         raise DomainError("the construction needs N odd")
     if not 1 <= N <= 13:
         raise DomainError("N must lie in 1..13")
     x_final, y_final, _ = _counterexample_finals(N)
-    return CounterexampleReport(
+    weak_y = abs_spectral_trace(y_final, Interval.at_least(1.0))
+    l1_x = schatten_norm(x_final, 1)
+    return tuple(CounterexampleReport(
         N=N,
         p=float(p),
-        weak_y=abs_spectral_trace(y_final, Interval.at_least(1.0)),
-        l1_x=schatten_norm(x_final, 1),
+        weak_y=weak_y,
+        l1_x=l1_x,
         p_norm_y=schatten_norm(y_final, p),
         p_norm_x=schatten_norm(x_final, p),
         expected_weak=float(N + 1),
         expected_l1=2.0 * math.sqrt(N),
         ratio=(N + 1) / (2.0 * math.sqrt(N)),
-    )
+    ) for p in p_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +528,9 @@ def verify_dominated(x: Martingale, y: Martingale, p: float,
                      kappa: float = 1.0) -> VerifyReport:
     """||y_N||_p <= C_p kappa ||x_N||_p under conditional square domination
     E_{n-1}(dy_n^2) <= E_{n-1}(dx_n^2) and ||dy_n||_p <= kappa ||dx_n||_p."""
-    if p < 2:
-        raise DomainError("fails for p < 2; needs p >= 2")
     if kappa < 1:
         raise DomainError("kappa must be at least 1")
+    const = dominated_constant(p) * kappa  # the bound fails for p < 2: DomainError
     hyp_ok = True
     filt = x.filtration
     for n in range(x.N + 1):
@@ -542,7 +542,6 @@ def verify_dominated(x: Martingale, y: Martingale, p: float,
         if schatten_norm(y.diffs[n], p) > kappa * schatten_norm(x.diffs[n], p) \
                 * (1.0 + 1e-8) + 1e-12:
             hyp_ok = False
-    const = dominated_constant(p) * kappa if p > 2 else kappa
     lhs = schatten_norm(y.final, p)
     rhs = const * schatten_norm(x.final, p)
     return VerifyReport.compare(
@@ -589,13 +588,9 @@ def verify_positive_tangent(u, v, filtration: Filtration, p_grid,
 
 def refined_doob(u, filtration: Filtration, p: float) -> VerifyReport:
     """|| sum E_{n-1}(u_n) ||_p <= c_p || sum u_n ||_p for adapted positive u."""
-    if p < 1:
-        raise DomainError("needs p >= 1")
-    scale = _require_positive(u, "refined Doob needs positive operators")
-    for n, ui in enumerate(u):
-        if (cond_exp(filtration, n, ui) - ui).entry_max() > 1e-9 * scale:
-            raise DomainError("refined Doob needs an adapted sequence")
     const = refined_doob_constant(p)
+    _require_positive(u, "refined Doob needs positive operators")
+    _check_adapted(u, filtration, "u")
     ce = [cond_exp(filtration, n - 1, ui) for n, ui in enumerate(u)]
     lhs = schatten_norm(_sum_ops(ce), p)
     rhs = const * schatten_norm(_sum_ops(u), p)

@@ -283,7 +283,7 @@ def make_filtration(kind: str, **params) -> Filtration:
       - ``rademacher``: depth-m sign algebra tensor a full matrix factor;
         params ``depth``, ``matrix_dim`` (default 1).
       - ``rademacher_corner``: sign algebra tensor a corner-filtered matrix
-        factor, levels advance both; params ``depth``, ``matrix_dim``.
+        factor, levels advance both; params as for ``rademacher``.
       - ``matrix_corner``: M_m tensor corner-filtered M_d (first factor always
         full); params ``outer_dim``, ``dim``.
     """
@@ -308,21 +308,16 @@ def make_filtration(kind: str, **params) -> Filtration:
         alg = TracialAlgebra((d,), (1.0,))
         levels = _corner_levels((d,), ((0, (k,)) for k in range(d + 1)))
         return Filtration(alg, _sign_patterns(0), levels, f"corner(M_{d})")
-    if kind == "rademacher":
+    if kind in ("rademacher", "rademacher_corner"):
         depth = int(params["depth"])
         d = int(params.get("matrix_dim", 1))
         alg = TracialAlgebra((d,) * 2**depth, (2.0**-depth,) * 2**depth)
-        levels = _corner_levels((d,), ((n, (d,)) for n in range(depth + 1)))
-        return Filtration(alg, _sign_patterns(depth), levels,
-                          f"rademacher(depth={depth},M_{d})")
-    if kind == "rademacher_corner":
-        depth = int(params["depth"])
-        d = int(params["matrix_dim"])
-        alg = TracialAlgebra((d,) * 2**depth, (2.0**-depth,) * 2**depth)
-        levels = _corner_levels((d,), ((min(n, depth), (min(n, d),))
-                                       for n in range(max(depth, d) + 1)))
-        return Filtration(alg, _sign_patterns(depth), levels,
-                          f"rademacher_corner(depth={depth},M_{d})")
+        if kind == "rademacher":
+            steps = ((n, (d,)) for n in range(depth + 1))
+        else:  # the corner steps advance both factors
+            steps = ((min(n, depth), (min(n, d),)) for n in range(max(depth, d) + 1))
+        return Filtration(alg, _sign_patterns(depth), _corner_levels((d,), steps),
+                          f"{kind}(depth={depth},M_{d})")
     m = int(params["outer_dim"])  # matrix_corner
     d = int(params["dim"])
     alg = TracialAlgebra((m * d,), (1.0,))

@@ -51,6 +51,7 @@ __all__ = [
     "verify_core",
     "verify_tail",
     "verify_good_hom",
+    "simplified_moment_constant",
     "moment_constant",
     "verify_moment",
     "MomentReports",
@@ -277,7 +278,7 @@ def _weak_max_constant(p: float, B: float) -> float:
     return 2.0 * B ** (p / 2.0) / ((B - 1.0) * math.sqrt(1.0 - B ** (2.0 - p)))
 
 
-def _moment_factor(p: float) -> float:
+def simplified_moment_constant(p: float) -> float:
     """12p / (1 - (1+1/p)^{2-p})^{1/2}, the simplified moment constant."""
     if not (p > 2):
         raise DomainError("the moment bound needs p > 2")
@@ -292,7 +293,7 @@ def moment_constant(p: float, B: float) -> tuple[float, float]:
         raise DomainError("the base B must exceed 1")
     first = (2.0 * p * B ** (p - 1.0) * (B - 1.0) / (1.0 - B ** (-p))) ** (1.0 / p)
     c_pb = first * _weak_max_constant(p, B)
-    return float(c_pb), float(_moment_factor(p))
+    return float(c_pb), float(simplified_moment_constant(p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,29 +324,18 @@ def verify_moment(t: Triple, p: float, B: float | None = None) -> MomentReports:
     _one_trial(t)
     if B is None:
         B = 1.0 + 1.0 / p
-    if not (B > 1):
-        raise DomainError("the base B must exceed 1")
-    hyp_norm = math.sqrt(schatten_norm(t.x, p) ** 2 + schatten_norm(t.z, p) ** 2)
-    max_const = _weak_max_constant(p, B)
     c_pb, simplified = moment_constant(p, B)
+    max_const = _weak_max_constant(p, B)
+    hyp_norm = math.sqrt(schatten_norm(t.x, p) ** 2 + schatten_norm(t.z, p) ** 2)
 
-    wm_plus = weak_max(t.y, B, "+")
-    wm_minus = weak_max(t.y, B, "-")
+    maxima = [weak_max(t.y, B, side) for side in "+-"]
     meta = {"p": p, "B": B, "hypothesis": t.hypothesis[0]}
-
-    rep_plus = VerifyReport.compare(
-        schatten_norm(wm_plus.operator, p), max_const * hyp_norm, max_const,
-        {**meta, "side": "+"},
-    )
-    rep_minus = VerifyReport.compare(
-        schatten_norm(wm_minus.operator, p), max_const * hyp_norm, max_const,
-        {**meta, "side": "-"},
-    )
+    rep_plus, rep_minus = (
+        VerifyReport.compare(schatten_norm(wm.operator, p), max_const * hyp_norm,
+                             max_const, {**meta, "side": side})
+        for wm, side in zip(maxima, "+-"))
     y_norm = schatten_norm(t.y.final, p)
-    rep_final = VerifyReport.compare(
-        y_norm, c_pb * hyp_norm, c_pb, {**meta, "bound": "C_pB"},
-    )
-    rep_simple = VerifyReport.compare(
-        y_norm, simplified * hyp_norm, simplified, {**meta, "bound": "12p"},
-    )
-    return MomentReports(rep_plus, rep_minus, rep_final, rep_simple, wm_plus)
+    rep_final, rep_simple = (
+        VerifyReport.compare(y_norm, c * hyp_norm, c, {**meta, "bound": bound})
+        for c, bound in ((c_pb, "C_pB"), (simplified, "12p")))
+    return MomentReports(rep_plus, rep_minus, rep_final, rep_simple, maxima[0])

@@ -7,6 +7,8 @@ complex-Gaussian Hermitian ensembles over a named, stable generator, so a
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .filtration import (
@@ -28,6 +30,7 @@ __all__ = [
     "strong_triple_parts",
     "triple_family",
     "FAMILY_TEMPLATES",
+    "hook_flipped",
     "arrow_martingale_pair",
     "classical_tangent_positive_pair",
     "adapted_psd_sequence",
@@ -122,24 +125,29 @@ FAMILY_TEMPLATES: tuple[tuple[str, dict], ...] = (
     ("trivial_full", {"dims": (3,)}),
 )
 
-_FAMILY_CACHE: dict = {}
+
+@cache
+def _family(index: int) -> Filtration:
+    kind, params = FAMILY_TEMPLATES[index]
+    return make_filtration(kind, **params)
 
 
 def triple_family(index: int) -> Filtration:
-    """Deterministic rotation through the small family templates."""
-    kind, params = FAMILY_TEMPLATES[index % len(FAMILY_TEMPLATES)]
-    key = (kind, tuple(sorted(params.items())))
-    if key not in _FAMILY_CACHE:
-        _FAMILY_CACHE[key] = make_filtration(kind, **params)
-    return _FAMILY_CACHE[key]
+    """Deterministic rotation through the small family templates, each
+    filtration built once."""
+    return _family(index % len(FAMILY_TEMPLATES))
 
 
-def _flip_hook(da: np.ndarray, k: int, gamma: float) -> np.ndarray:
-    """diag(1,..,gamma,..,1) da diag(1,..,gamma,..,1), gamma in slot k (1-based):
-    multiplies the hook of a step-k arrow matrix by gamma."""
-    d = np.ones(da.shape[0])
-    d[k - 1] = gamma
-    return (d[:, None] * da) * d[None, :]
+def hook_flipped(a: Martingale, signs) -> Martingale:
+    """The tangent partner of a corner-filtration martingale: each step-k
+    difference (k >= 2) conjugated by diag(1,..,signs[k],..,1), the sign in
+    slot k (1-based), which multiplies the hook of that arrow matrix by it."""
+    db = list(a.diffs[:2])
+    for k in range(2, a.N + 1):
+        s = np.ones(a.algebra.dims[0])
+        s[k - 1] = signs[k]
+        db.append(a.algebra.operator((s[:, None] * a.diffs[k].data) * s[None, :]))
+    return martingale_from_diffs(a.filtration, db, validate=False)
 
 
 def arrow_martingale_pair(
@@ -155,14 +163,7 @@ def arrow_martingale_pair(
     filt = make_filtration("corner", dim=dim)
     a = martingale_from_final(filt, gaussian_hermitian(filt.algebra, rng))
     gammas = tuple(int(g) for g in rng.choice((-1, 1), size=dim + 1))
-    db = [a.diffs[0]]
-    for k in range(1, dim + 1):
-        if k >= 2 and gammas[k] == -1:
-            db.append(filt.algebra.operator([_flip_hook(a.diffs[k].data[0], k, -1.0)]))
-        else:
-            db.append(a.diffs[k])
-    b = martingale_from_diffs(filt, db, validate=False)
-    return a, b, gammas
+    return a, hook_flipped(a, gammas), gammas
 
 
 def classical_tangent_positive_pair(

@@ -18,7 +18,8 @@ import numpy as np
 from .applications import dominated_constant
 from .errors import DomainError, StructureError
 from .filtration import make_filtration, martingale_from_final
-from .instances import _flip_hook, stream
+from .instances import hook_flipped, stream
+from .opalgebra import TracialAlgebra, schatten_norm
 from .reports import VerifyReport
 
 __all__ = [
@@ -136,15 +137,10 @@ def interlace_t(a: np.ndarray) -> np.ndarray:
 
 
 def matrix_p_norm(a: np.ndarray, p: float) -> float:
-    """Schatten p-norm of a plain matrix (usual trace), with the largest
-    singular value factored out so that no power overflows at large p."""
-    if p != math.inf and p < 1:
-        raise DomainError("needs p >= 1")
-    sv = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    top = float(sv.max()) if sv.size else 0.0
-    if p == math.inf or top == 0.0:
-        return top
-    return top * float(np.sum((sv / top) ** p) ** (1.0 / p))
+    """Schatten p-norm of a square matrix (usual trace): schatten_norm on the
+    one-block algebra of weight 1."""
+    a = np.asarray(a)
+    return schatten_norm(TracialAlgebra(a.shape[:1], (1.0,)).operator(a[None]), p)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +295,7 @@ def verify_reversed_L(m: Pattern, p: float, trials: int = 200,
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = (g + g.conj().T) / 2.0
         mart = martingale_from_final(filt, alg.operator([a]))
-        b_final = mart.diffs[0].data[0].copy()
-        for k in range(1, n + 1):
-            da = mart.diffs[k].data[0]
-            b_final = b_final + (_flip_hook(da, k, gammas[k - 2]) if k >= 2 else da)
+        b_final = hook_flipped(mart, (1, 1, *gammas)).final.data[0]
         identity_dev = np.abs(m_unit * a - (a + b_final) / 2.0).max()
         worst_identity = max(worst_identity, float(identity_dev))
         scale = 1.0 + np.abs(a).max()

@@ -7,6 +7,7 @@ import pytest
 import ncgl.applications as apps
 from ncgl.applications import (
     _counterexample_finals,
+    bg_constant_square_by_norm,
     bg_embed,
     check_tangent,
     counterexample_pair,
@@ -31,12 +32,14 @@ from ncgl.filtration import (
     martingale_from_final,
     square_function,
 )
+from ncgl.goodlambda import simplified_moment_constant
 from ncgl.instances import (
     adapted_psd_sequence,
     arrow_martingale_pair,
     classical_tangent_positive_pair,
     gaussian_hermitian,
     gaussian_psd,
+    hook_flipped,
     random_martingale,
     stream,
 )
@@ -152,6 +155,41 @@ class TestVerifyBG:
         m = random_martingale(filt, stream(87))
         with pytest.raises(DomainError):
             verify_bg(m, 1.5)
+
+    def test_square_by_norm_constant_is_finite_at_large_p(self):
+        assert math.isfinite(bg_constant_square_by_norm(1100.0))
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 8.0])
+    def test_square_by_norm_constant_matches_unscaled_form(self, p):
+        # the form with (1 + 2^{p-2})^{1/p}, which overflows near p = 1026
+        unscaled = (simplified_moment_constant(p)
+                    * math.sqrt(1.0 + 2.0 ** (2.0 - 4.0 / p))
+                    * (1.0 + 2.0 ** (p - 2.0)) ** (1.0 / p))
+        assert bg_constant_square_by_norm(p) == pytest.approx(unscaled, rel=1e-15, abs=0.0)
+
+    @staticmethod
+    def _interp_martingale(p):
+        """A corner martingale whose largest ||dx_k||_p is 3."""
+        m = random_martingale(make_filtration("corner", dim=4), stream(89))
+        return m.scale(3.0 / max(schatten_norm(d, p) for d in m.diffs))
+
+    @staticmethod
+    def _unscaled_interp_lhs(m, p):
+        return sum(schatten_norm(d, p) ** p for d in m.diffs) ** (1.0 / p)
+
+    def test_interp_bound_is_finite_at_large_p(self):
+        m = self._interp_martingale(1100.0)
+        with np.errstate(over="ignore"):  # 3^1100 is beyond the float range
+            assert math.isinf(self._unscaled_interp_lhs(m, 1100.0))
+        rep = interp_bound(m, 1100.0)
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+        assert 3.0 - 1e-12 <= rep.lhs <= 3.0 * len(m.diffs) ** (1.0 / 1100.0) + 1e-12
+        assert rep.passed
+
+    def test_interp_bound_matches_unscaled_form(self):
+        m = self._interp_martingale(8.0)
+        assert interp_bound(m, 8.0).lhs == pytest.approx(
+            self._unscaled_interp_lhs(m, 8.0), rel=1e-14, abs=0.0)
 
 
 class TestTransforms:
@@ -269,6 +307,12 @@ class TestDualDoobAndStein:
         u = [gaussian_psd(filt.algebra, stream(100))]
         with pytest.raises(DomainError):
             verify_stein(u, filt, 1.5)
+
+    def test_dual_doob_domain(self):
+        filt = make_filtration("corner", dim=3)
+        u = [gaussian_psd(filt.algebra, stream(100))]
+        with pytest.raises(DomainError):
+            verify_dual_doob(u, filt, 0.5)
 
     def test_doob_constant_order(self):
         # the dual Doob constant grows like p^2
@@ -435,8 +479,9 @@ class TestCounterexample:
     @pytest.mark.parametrize("N", [1, 3, 5, 7, 9, 11, 13])
     def test_matches_the_composed_path(self, N):
         weak, l1, p_norms = _composed_counterexample(N, (1.5, 3.0))
-        for p, (p_norm_x, p_norm_y) in p_norms.items():
-            r = tangent_counterexample(N, p)
+        for r, (p, (p_norm_x, p_norm_y)) in zip(tangent_counterexample(N, (1.5, 3.0)),
+                                                p_norms.items()):
+            assert r.p == p
             assert r.weak_y == weak
             assert r.l1_x == pytest.approx(l1, rel=1e-12, abs=0.0)
             assert r.p_norm_x == pytest.approx(p_norm_x, rel=1e-12, abs=0.0)
@@ -444,27 +489,27 @@ class TestCounterexample:
 
     @pytest.mark.parametrize("N,expected", [(3, 4.0), (9, 10.0)])
     def test_weak_trace(self, N, expected):
-        r = tangent_counterexample(N, 1.5)
+        (r,) = tangent_counterexample(N, (1.5,))
         assert r.weak_y == pytest.approx(expected, abs=1e-10)
 
     def test_l1_values(self):
-        assert tangent_counterexample(3, 1.5).l1_x == pytest.approx(
+        assert tangent_counterexample(3, (1.5,))[0].l1_x == pytest.approx(
             2 * math.sqrt(3), abs=1e-12)
-        assert tangent_counterexample(9, 1.5).l1_x == pytest.approx(6.0, abs=1e-12)
+        assert tangent_counterexample(9, (1.5,))[0].l1_x == pytest.approx(6.0, abs=1e-12)
 
     def test_ratio_increases(self):
-        rs = [tangent_counterexample(N, 1.5) for N in (3, 5, 7, 9)]
+        rs = [tangent_counterexample(N, (1.5,))[0] for N in (3, 5, 7, 9)]
         ratios = [r.ratio for r in rs]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
     def test_ratio_exceeds_any_constant_eventually(self):
-        assert tangent_counterexample(13, 1.5).ratio > 1.8
+        assert tangent_counterexample(13, (1.5,))[0].ratio > 1.8
 
     def test_p_norm_ratio_grows(self):
         p = 1.5
         vals = []
         for N in (3, 5, 7, 9, 11, 13):
-            r = tangent_counterexample(N, p)
+            (r,) = tangent_counterexample(N, (p,))
             assert r.p_norm_y >= (N + 1) ** (1 / p) - 1e-9
             assert r.p_norm_x == pytest.approx(2 ** (1 / p) * math.sqrt(N))
             vals.append((N + 1) ** (1 / p) / (2 ** (1 / p) * math.sqrt(N)))
@@ -472,7 +517,7 @@ class TestCounterexample:
 
     def test_even_n_rejected(self):
         with pytest.raises(DomainError):
-            tangent_counterexample(4, 2.0)
+            tangent_counterexample(4, (2.0,))
 
     @pytest.mark.parametrize("N", [1, 3, 5])
     def test_pair_diffs_match_formula(self, N):
@@ -490,6 +535,50 @@ class TestCounterexample:
                 dy[:, 0, 0] = dy[:, n, n] = eps[:, n - 1]
             assert np.array_equal(x.diffs[n].stacks[0], dx), n
             assert np.array_equal(y.diffs[n].stacks[0], dy), n
+
+
+def _flip(da, k, gamma):
+    """diag(1,..,gamma,..,1) da diag(1,..,gamma,..,1), gamma in slot k (1-based)."""
+    d = np.ones(da.shape[0])
+    d[k - 1] = gamma
+    return (d[:, None] * da) * d[None, :]
+
+
+class TestHookFlipped:
+    """hook_flipped against the two loops it replaced: the partner built in
+    arrow_martingale_pair and the final operator b_N of verify_reversed_L."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_matches_the_arrow_pair_loop(self, dim):
+        filt = make_filtration("corner", dim=dim)
+        for seed in range(20):
+            rng = stream(117, dim, seed)
+            a = martingale_from_final(filt, gaussian_hermitian(filt.algebra, rng))
+            gammas = tuple(int(g) for g in rng.choice((-1, 1), size=dim + 1))
+            db = [a.diffs[0]]
+            for k in range(1, dim + 1):
+                if k >= 2 and gammas[k] == -1:
+                    db.append(filt.algebra.operator([_flip(a.diffs[k].data[0], k, -1.0)]))
+                else:
+                    db.append(a.diffs[k])
+            ref = martingale_from_diffs(filt, db, validate=False)
+            b = hook_flipped(a, gammas)
+            for got, want in zip(b.values + b.diffs, ref.values + ref.diffs):
+                assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_matches_the_reversed_l_loop(self, dim):
+        filt = make_filtration("corner", dim=dim)
+        for seed in range(20):
+            rng = stream(118, dim, seed)
+            a = martingale_from_final(filt, gaussian_hermitian(filt.algebra, rng))
+            gammas = rng.choice((-1.0, 1.0), size=dim - 1)  # the hooks m_2..m_N
+            b_final = a.diffs[0].data[0].copy()
+            for k in range(1, dim + 1):
+                da = a.diffs[k].data[0]
+                b_final = b_final + (_flip(da, k, gammas[k - 2]) if k >= 2 else da)
+            got = hook_flipped(a, (1, 1, *gammas)).final.data[0]
+            assert got.tobytes() == b_final.tobytes()
 
 
 class TestDominated:
@@ -588,6 +677,12 @@ class TestRefinedDoob:
         u = [gaussian_psd(filt.algebra, rng) for _ in range(4)]
         with pytest.raises(DomainError):
             refined_doob(u, filt, 3.0)
+
+    def test_p_domain(self):
+        filt = make_filtration("corner", dim=3)
+        u = adapted_psd_sequence(filt, stream(115))
+        with pytest.raises(DomainError):
+            refined_doob(u, filt, 0.5)
 
 
 class TestUnitaryConjugationInvariance:

@@ -111,6 +111,27 @@ class TestRun:
         assert len(calls) == 12
         assert len(rows) == 24 and summary["failures"] == 0
 
+    def test_counterexample_builds_the_pair_once_per_trial(self, monkeypatch):
+        import ncgl.applications as apps
+
+        calls = []
+        original = apps._counterexample_finals
+
+        def counted(N):
+            calls.append(N)
+            return original(N)
+
+        grid = (1.5, 3.0, 4.0)
+        monkeypatch.setattr(apps, "_counterexample_finals", counted)
+        rows, summary = run(small("tangent-counterexample", trials=3, seed=0,
+                                  p_grid=grid))
+        assert calls == [3, 5, 7] and summary["failures"] == 0
+        # the rows are those of one evaluation per p, interleaved per trial
+        per_p = [run(small("tangent-counterexample", trials=3, seed=0,
+                           p_grid=(p,)))[0] for p in grid]
+        assert rows == [row for trial in range(3) for rows_p in per_p
+                        for row in rows_p[2 * trial:2 * trial + 2]]
+
     def test_run_looks_up_swapped_suite(self, monkeypatch):
         # callers may wrap SUITES entries; run and the p-grid defaults must
         # both keep working with the swapped callable
@@ -314,12 +335,9 @@ class TestMainEntry:
                 (1.5, 2, 4)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("argv", [["--suite=bg", "--p=1100"],
-                                      ["--suite=moment", "--p=1e4"]],
-                             ids=lambda a: a[0].split("=")[1])
-    def test_overflow_is_a_run_error(self, capsys, argv):
-        # the suite's constant overflows, not a norm
-        assert main(argv + ["--trials=1"]) == 2
+    def test_overflow_is_a_run_error(self, capsys):
+        # fubini_identity_gap's B^{k(p-2)} overflows, not a norm
+        assert main(["--suite=moment", "--p=1e4", "--trials=1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("run error:") and err.count("\n") == 1
 
@@ -332,7 +350,7 @@ class TestMainEntry:
         assert err.startswith("run error: LinAlgError") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("suite", ("transform", "doob", "stein", "dominated",
+    @pytest.mark.parametrize("suite", ("bg", "transform", "doob", "stein", "dominated",
                                        "positive-tangent", "refined-doob"))
     def test_norms_stay_finite_at_large_p(self, tmp_path, suite):
         path = tmp_path / "r.json"

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from ncgl.errors import DomainError
-from ncgl.filtration import make_filtration, martingale_from_final, square_function
+from ncgl.cuculescu import cuculescu_r
+from ncgl.filtration import (
+    Martingale,
+    make_filtration,
+    martingale_from_final,
+    square_function,
+)
 from ncgl.goodlambda import (
     Triple,
     check_strong_testing,
@@ -265,11 +271,13 @@ class TestMomentVerification:
         assert scaled.moment.margin == pytest.approx(base.moment.margin * mu,
                                                      rel=1e-8)
 
-    def test_p_validation(self):
+    @pytest.mark.parametrize("p, B", [(2.0, None), (0.0, None), (3.0, 1.0), (3.0, 0.5)])
+    def test_domain(self, p, B):
+        # p = 0 must fail before the default B = 1 + 1/p is formed
         filt = triple_family(0)
         t = bg_triple(filt, stream(77))
         with pytest.raises(DomainError):
-            verify_moment(t, 2.0)
+            verify_moment(t, p, B)
 
 
 class TestHypothesisStatus:
@@ -336,3 +344,39 @@ class TestHypothesisStatus:
         assert verify_tail(t, 2.0)[0].meta["hypothesis"] == expected
         assert verify_good_hom(t, 2.0, 0).meta["hypothesis"] == expected
         assert verify_moment(t, 4.0).moment.meta["hypothesis"] == expected
+
+
+class TestSymmetry:
+    """Conjugation by u (x) I on M_2 (x) corner-filtered M_3 commutes with every
+    E_n and keeps the trace, so the Cuculescu projections move with it and
+    every margin, pass flag and hypothesis label stays."""
+
+    @staticmethod
+    def _conjugated(t, u):
+        big = t.algebra.operator(np.kron(u, np.eye(3))[None])
+        conj = lambda a: (big @ a @ big.adjoint()).symmetrized()
+        y = Martingale(t.filtration, tuple(map(conj, t.y.values)),
+                       tuple(map(conj, t.y.diffs)))
+        return Triple(conj(t.x), y, conj(t.z)), conj
+
+    @staticmethod
+    def _reports(t):
+        m = verify_moment(t, 3.0)
+        return (*verify_core(t), *verify_tail(t, 2.0),
+                m.max_plus, m.max_minus, m.moment, m.moment_simplified)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unitary_on_the_full_factor(self, seed):
+        filt = make_filtration("matrix_corner", outer_dim=2, dim=3)
+        rng = stream(78, seed)
+        t = Triple(*strong_triple_parts(filt, rng))
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                            + 1j * rng.standard_normal((2, 2)))
+        moved, conj = self._conjugated(t, u)
+        seq, moved_seq = cuculescu_r(t.y, 1.0), cuculescu_r(moved.y, 1.0)
+        for n in range(t.y.N + 1):
+            assert (moved_seq.R(n) - conj(seq.R(n))).entry_max() <= 1e-10
+        assert moved.hypothesis == t.hypothesis
+        for a, b in zip(self._reports(t), self._reports(moved)):
+            assert b.passed == a.passed and b.meta == a.meta
+            assert abs(b.margin - a.margin) <= 1e-9 * max(1.0, abs(a.lhs), abs(a.rhs))

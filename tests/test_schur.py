@@ -5,6 +5,7 @@ import pytest
 
 from ncgl.errors import DomainError, StructureError
 from ncgl.instances import stream
+from ncgl.opalgebra import TracialAlgebra
 from ncgl.schur import (
     Pattern,
     interlace_pattern,
@@ -142,6 +143,35 @@ class TestMatrixPNorm:
         assert matrix_p_norm(np.diag([999.0, -998.0j, 1.0]), p) == \
             pytest.approx(closed, rel=1e-12)
         assert matrix_p_norm(np.zeros((2, 2)), p) == 0.0
+
+    @staticmethod
+    def _svd_p_norm(a, p):
+        """The SVD-and-scale form matrix_p_norm had before it became
+        schatten_norm on one block: the reference."""
+        sv = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
+        top = float(sv.max()) if sv.size else 0.0
+        if p == math.inf or top == 0.0:
+            return top
+        return top * float(np.sum((sv / top) ** p) ** (1.0 / p))
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 16.0, math.inf])
+    def test_matches_the_svd_form(self, p):
+        for seed in range(20):
+            rng = stream(139, seed)
+            a = _random_matrix(int(rng.integers(1, 13)), rng)
+            assert matrix_p_norm(a, p) == pytest.approx(
+                self._svd_p_norm(a, p), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 16.0, math.inf])
+    def test_near_hermitian_takes_the_eigenvalue_path(self, p):
+        for seed in range(20):
+            rng = stream(140, seed)
+            n = int(rng.integers(1, 13))
+            g = _random_matrix(n, rng)
+            a = (g + g.conj().T) / 2.0 + 1e-13 * _random_matrix(n, rng)
+            assert TracialAlgebra((n,), (1.0,)).operator(a[None]).hermitian
+            assert matrix_p_norm(a, p) == pytest.approx(
+                self._svd_p_norm(a, p), rel=1e-12, abs=0.0)
 
 
 class TestNormLowerBounds:
