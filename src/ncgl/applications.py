@@ -253,7 +253,7 @@ def doob_embed(u: list[Operator], filtration: Filtration) -> EmbeddedInstance:
     big = sign_matrix_filtration(outer, N + 1, filtration)
 
     ident_base = filtration.algebra.identity()
-    x_big = _embed_outer(big, outer, 0, 0, psd_sqrt(_sum_ops(u).symmetrized()))
+    x_big = _embed_outer(big, outer, 0, 0, psd_sqrt(sum(u[1:], u[0]).symmetrized()))
     dys = []
     ceus = []
     for k, uk in enumerate(u):
@@ -273,7 +273,7 @@ def doob_embed(u: list[Operator], filtration: Filtration) -> EmbeddedInstance:
         rhs = cond_exp(big, k, probe)
         if (lhs - rhs).entry_max() > 1e-10 * scale:
             raise DomainError("embedding identity for dy_k^2 failed")
-    corner = _embed_outer(big, outer, 0, 0, _sum_ops(ceus).symmetrized())
+    corner = _embed_outer(big, outer, 0, 0, sum(ceus[1:], ceus[0]).symmetrized())
     gap = (y.final @ y.final).symmetrized() - corner
     if min_eigenvalue(gap) < -1e-9 * (1.0 + operator_norm(y.final) ** 2):
         raise DomainError("embedding identity y_N^2 >= e11 (x) sum E_n(u_n) failed")
@@ -287,13 +287,6 @@ def _require_positive(u, message: str) -> float:
     if any(not ui.hermitian or min_eigenvalue(ui) < -1e-10 * scale for ui in u):
         raise DomainError(message)
     return scale
-
-
-def _sum_ops(ops) -> Operator:
-    acc = ops[0]
-    for o in ops[1:]:
-        acc = acc + o
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +375,8 @@ def verify_dual_doob(u: list[Operator], filtration: Filtration,
     _require_positive(u, "dual Doob needs positive operators")
     const = dual_doob_constant(p)
     ce = [cond_exp(filtration, n, ui) for n, ui in enumerate(u)]
-    lhs = schatten_norm(_sum_ops(ce), p)
-    rhs = const * schatten_norm(_sum_ops(u), p)
+    lhs = schatten_norm(sum(ce[1:], ce[0]), p)
+    rhs = const * schatten_norm(sum(u[1:], u[0]), p)
     return VerifyReport.compare(lhs, rhs, const, {"p": p})
 
 
@@ -391,13 +384,10 @@ def verify_stein(u: list[Operator], filtration: Filtration,
                  p: float) -> VerifyReport:
     """|| (sum |E_n(u_n)|^2)^{1/2} ||_p <= C_p || (sum |u_n|^2)^{1/2} ||_p."""
     const = stein_constant(p)  # the duality range p < 2 is out of scope
-    sq_ce = _sum_ops([
-        (lambda e: (e.adjoint() @ e))(cond_exp(filtration, n, ui))
-        for n, ui in enumerate(u)
-    ])
-    sq_u = _sum_ops([ui.adjoint() @ ui for ui in u])
-    lhs = schatten_norm(psd_sqrt(sq_ce.symmetrized()), p)
-    rhs = const * schatten_norm(psd_sqrt(sq_u.symmetrized()), p)
+    sq_ce = [e.adjoint() @ e for e in (cond_exp(filtration, n, ui) for n, ui in enumerate(u))]
+    sq_u = [ui.adjoint() @ ui for ui in u]
+    lhs = schatten_norm(psd_sqrt(sum(sq_ce[1:], sq_ce[0]).symmetrized()), p)
+    rhs = const * schatten_norm(psd_sqrt(sum(sq_u[1:], sq_u[0]).symmetrized()), p)
     return VerifyReport.compare(lhs, rhs, const, {"p": p})
 
 
@@ -572,7 +562,7 @@ def verify_positive_tangent(u, v, filtration: Filtration, p_grid,
             for n, (un, vn) in enumerate(zip(u, v)))
     else:
         label = "tangent" if check_tangent(u, v, filtration)[0] else "unverified"
-    sum_u, sum_v = _sum_ops(u), _sum_ops(v)
+    sum_u, sum_v = sum(u[1:], u[0]), sum(v[1:], v[0])
     reports = []
     for p in p_grid:
         if relaxed:
@@ -592,6 +582,6 @@ def refined_doob(u, filtration: Filtration, p: float) -> VerifyReport:
     _require_positive(u, "refined Doob needs positive operators")
     _check_adapted(u, filtration, "u")
     ce = [cond_exp(filtration, n - 1, ui) for n, ui in enumerate(u)]
-    lhs = schatten_norm(_sum_ops(ce), p)
-    rhs = const * schatten_norm(_sum_ops(u), p)
+    lhs = schatten_norm(sum(ce[1:], ce[0]), p)
+    rhs = const * schatten_norm(sum(u[1:], u[0]), p)
     return VerifyReport.compare(lhs, rhs, const, {"p": p})

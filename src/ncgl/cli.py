@@ -25,7 +25,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -145,10 +145,9 @@ class ReportRow:
     ms: int = 0
 
 
-def _row(cfg: ExperimentConfig, instance: str, rep: VerifyReport,
-         ms: int = 0) -> ReportRow:
+def _row(cfg: ExperimentConfig, instance: str, rep: VerifyReport) -> ReportRow:
     return ReportRow(cfg.suite, instance, cfg.seed, rep.lhs, rep.rhs,
-                     rep.constant, rep.margin, rep.passed, ms)
+                     rep.constant, rep.margin, rep.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +260,15 @@ def _suite_counterexample(cfg, trial):
     rows = []
     for p, r in zip(cfg.p_grid, apps.tangent_counterexample(N, cfg.p_grid)):
         tol_w, tol_l1 = cfg.tolerances["weak"], cfg.tolerances["l1"]
-        ok = (abs(r.weak_y - r.expected_weak) <= tol_w
-              and abs(r.l1_x - r.expected_l1) <= tol_l1)
+        # the norms are NumPy floats: bool() keeps the flags JSON-writable
+        ok = bool(abs(r.weak_y - r.expected_weak) <= tol_w
+                  and abs(r.l1_x - r.expected_l1) <= tol_l1)
         rows.append(ReportRow(cfg.suite, f"N={N}:tau", cfg.seed, r.weak_y,
                               r.l1_x, r.ratio, r.l1_x - r.weak_y, ok))
         rows.append(ReportRow(cfg.suite, f"N={N}:p={p}:lp", cfg.seed,
                               (N + 1) ** (1.0 / p), r.p_norm_y, 0.0,
                               r.p_norm_y - (N + 1) ** (1.0 / p),
-                              r.p_norm_y >= (N + 1) ** (1.0 / p) - 1e-9))
+                              bool(r.p_norm_y >= (N + 1) ** (1.0 / p) - 1e-9)))
     return rows
 
 def _suite_dominated(cfg, trial):
@@ -441,23 +441,14 @@ def _fmt(x: float) -> str:
 
 
 def emit(rows: list[ReportRow], format: str, path: str) -> None:
-    """Write rows to a CSV or JSON file; floats carry 17 significant digits."""
+    """Write rows to a CSV or JSON file, one cell per field; floats carry 17 significant digits."""
     if format == "csv":
-        lines = [_CSV_HEADER]
-        for r in rows:
-            lines.append(",".join([
-                r.suite, r.instance, str(r.seed), _fmt(r.lhs), _fmt(r.rhs),
-                _fmt(r.constant), _fmt(r.margin), str(r.passed), str(r.ms),
-            ]))
-        text = "\n".join(lines) + "\n"
+        lines = [",".join(_fmt(v) if f.type == "float" else str(v)
+                          for f, v in zip(fields(ReportRow), astuple(r))) for r in rows]
+        text = "\n".join([_CSV_HEADER, *lines]) + "\n"
     elif format == "json":
-        payload = [
-            {"suite": r.suite, "instance": r.instance, "seed": r.seed,
-             "lhs": float(_fmt(r.lhs)), "rhs": float(_fmt(r.rhs)),
-             "constant": float(_fmt(r.constant)),
-             "margin": float(_fmt(r.margin)), "pass": r.passed, "ms": r.ms}
-            for r in rows
-        ]
+        # json writes a float's repr, the same double as the CSV's 17 digits
+        payload = [dict(zip(_CSV_HEADER.split(","), astuple(r))) for r in rows]
         text = json.dumps(payload, indent=1) + "\n"
     else:
         raise NCGLError(f"unknown format {format!r}")
@@ -470,32 +461,19 @@ def emit(rows: list[ReportRow], format: str, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_config(args) -> ExperimentConfig:
+def _build_config(flags: dict) -> ExperimentConfig:
+    """The config file's fields, overridden by each flag given (its dest is the
+    field it sets; --dim sets dims["dim"])."""
     base: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            base = json.load(fh)
-    if args.suite:
-        base["suite"] = args.suite
+    if "config" in flags:
+        with open(flags.pop("config"), encoding="utf-8") as fh:
+            base = {**json.load(fh)}  # TypeError unless a JSON object
+    if "dim" in flags:
+        base["dims"] = dict(base.get("dims", {}), dim=flags.pop("dim"))
+    base.update(flags)
     if "suite" not in base:
         raise NCGLError("a suite must be given (config file or --suite)")
-    if args.p:
-        base["p_grid"] = tuple(args.p)
-    if args.trials is not None:
-        base["trials"] = args.trials
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.dim is not None:
-        base.setdefault("dims", {})
-        base["dims"] = dict(base["dims"], dim=args.dim)
-    if args.B is not None:
-        base["B"] = args.B
-    if args.beta:
-        base["beta_grid"] = tuple(args.beta)
-    if args.timing:
-        base["timing"] = True
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    extra = set(base) - known
+    extra = set(base) - set(ExperimentConfig.__dataclass_fields__)
     if extra:
         raise NCGLError(f"unknown config fields: {sorted(extra)}")
     return ExperimentConfig(**base)
@@ -503,26 +481,27 @@ def _build_config(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="ncgl",
+        prog="ncgl", argument_default=argparse.SUPPRESS,
         description="Run a martingale-inequality verification suite.")
     parser.add_argument("config", nargs="?", help="JSON config file")
     parser.add_argument("--suite", choices=sorted(SUITES))
-    parser.add_argument("--p", action="append", type=float,
+    parser.add_argument("--p", dest="p_grid", metavar="P", action="append", type=float,
                         help="exponent (repeatable)")
     parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--dim", type=int)
     parser.add_argument("--B", type=float)
-    parser.add_argument("--beta", action="append", type=float)
-    parser.add_argument("--out", help="report file path")
+    parser.add_argument("--beta", dest="beta_grid", metavar="BETA", action="append", type=float)
+    parser.add_argument("--out", default=None, help="report file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--timing", action="store_true",
                         help="record wall time per trial (breaks byte-level "
                              "reproducibility of the report)")
-    args = parser.parse_args(argv)
+    flags = vars(parser.parse_args(argv))
+    out, fmt = flags.pop("out"), flags.pop("format")
 
     try:
-        config = _build_config(args)
+        config = _build_config(flags)
     except (NCGLError, OSError, json.JSONDecodeError, TypeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -534,9 +513,9 @@ def main(argv=None) -> int:
         print(f"run error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
-    if args.out:
+    if out:
         try:
-            emit(rows, args.format, args.out)
+            emit(rows, fmt, out)
         except (OSError, NCGLError) as e:
             print(f"output error: {e}", file=sys.stderr)
             return 2

@@ -115,10 +115,6 @@ class CuculescuSeq:
             return self.projections[0].algebra.identity()
         return self.projections[n]
 
-    @property
-    def N(self) -> int:
-        return len(self.projections) - 1
-
     def final(self) -> Operator:
         return self.projections[-1]
 
@@ -326,43 +322,46 @@ class WeakMax:
         return self.corrected.bands[-1][2][self.corrected.martingale.N]
 
 
-def weak_max(y: Martingale, B: float, sign: str = "+") -> WeakMax:
-    """a_N^+ = sum_k B^k (P_N^{B^{k+1}} - P_N^{B^k}); a_N^- = a_N^+(-y).
+def weak_max(y: Martingale, B: float) -> WeakMax:
+    """a_N^+ = sum_k B^k (P_N^{B^{k+1}} - P_N^{B^k}); a_N^- is weak_max(-y, B).
 
     Only the top level of each band of `corrected_p` has a nonzero term.
     Spectral mass below the truncation point B^{k_min} is assigned to the
     residual kernel projection; the moment verifications account for it
     with an analytic geometric tail.
     """
-    if sign not in ("+", "-"):
-        raise DomainError("sign must be '+' or '-'")
-    base_y = y if sign == "+" else -y
-    cp = corrected_p(base_y, B, final_only=True)
-    N = base_y.N
-    acc = y.algebra.zero()
-    for high, _, col in reversed(cp.bands):
-        acc = acc + (cp.P(N, high + 1) - col[N]) * (B ** high)
+    cp = corrected_p(y, B, final_only=True)
+    acc = sum(((cp.P(y.N, high + 1) - col[y.N]) * (B ** high)
+               for high, _, col in reversed(cp.bands)), y.algebra.zero())
     return WeakMax(acc.symmetrized(), cp)
 
 
 def fubini_identity_gap(wm: WeakMax, p: float) -> float:
-    """Relative gap in the summation identity linking P_N^{B^k} and a_N^+.
+    """Relative gap ||lhs - rhs|| / (1 + ||rhs||) in the summation identity
+    linking P_N^{B^k} and a_N^+.
 
     lhs: sum over the truncated k-range of B^{k(p-2)} (I - P_N^{B^k}) plus the
     analytic geometric tail below the truncation point; rhs is
-    (a_N^+)^{p-2} / (1 - B^{2-p}).
+    (a_N^+)^{p-2} / (1 - B^{2-p}).  Both are formed divided by c = B^{h(p-2)},
+    B^h = ||a_N^+||, as l and r, and the gap is c ||l - r|| / (1 + c ||r||): at
+    large p no power overflows and no top term underflows.
     """
     if p <= 2:
         raise DomainError("the identity needs p > 2")
     cp = wm.corrected
-    B = cp.base
-    N = cp.martingale.N
+    B, N, q = cp.base, cp.martingale.N, p - 2.0
     alg = cp.martingale.algebra
     ident = alg.identity()
-    lhs = alg.zero()
-    for high, low, col in reversed(cp.bands):
-        lhs = lhs + (ident - col[N]) * sum(B ** (k * (p - 2.0)) for k in range(low, high + 1))
-    tail_coeff = B ** (cp.k_min * (p - 2.0)) / (1.0 - B ** (-(p - 2.0)))
+    # P_N^{B^k} falls with k, so the bands where it is not I are the lowest
+    bands = [(hi, lo, col) for hi, lo, col in cp.bands if col[N].rank() < alg.total_dim]
+    if not bands:  # a_N^+ = 0 and P_N^{B^k} = I: both sides are 0
+        return 0.0
+    h = bands[0][0]
+    lhs = sum(((ident - col[N]) * sum(B ** ((k - h) * q) for k in range(low, high + 1))
+               for high, low, col in reversed(bands)), alg.zero())
+    tail_coeff = B ** ((cp.k_min - h) * q) / (1.0 - B ** (-q))
     lhs = lhs + (ident - wm.residual) * tail_coeff
-    rhs = psd_power(wm.operator, p - 2.0) * (1.0 / (1.0 - B ** (2.0 - p)))
-    return operator_norm(lhs - rhs) / (1.0 + operator_norm(rhs))
+    rhs = psd_power(wm.operator / B ** h, q) * (1.0 / (1.0 - B ** (2.0 - p)))
+    # c = up / down, with the factor that would overflow kept at 1
+    up, down = B ** (min(h, 0) * q), B ** (-max(h, 0) * q)
+    return up * operator_norm(lhs - rhs) / (down + up * operator_norm(rhs))

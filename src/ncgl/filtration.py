@@ -244,10 +244,7 @@ def ce_oracle(filtration: Filtration, n: int, x: Operator) -> Operator:
         filtration._oracle_cache[n] = cached
     basis, V, G = cached
     coeff = np.linalg.solve(G, V.conj().T @ vec(x))
-    out = alg.zero()
-    for c, op in zip(coeff, basis):
-        out = out + op * complex(c)
-    return out
+    return sum((op * complex(c) for c, op in zip(coeff, basis)), alg.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +429,14 @@ class Martingale:
                           tuple(d.summand(i) for d in self.diffs))
 
 
-def _check_martingale(filtration: Filtration, values, tol: float = 1e-9) -> None:
-    scale = 1.0 + max(v.entry_max() for v in values)
+def _check_martingale(filtration: Filtration, values) -> None:
+    tol = 1e-9 * (1.0 + max(v.entry_max() for v in values))
     for n, v in enumerate(values):
-        if (cond_exp(filtration, n, v) - v).entry_max() > tol * scale:
+        if (cond_exp(filtration, n, v) - v).entry_max() > tol:
             raise DomainError(f"value at level {n} is not adapted")
         if n + 1 < len(values):
             drift = (cond_exp(filtration, n, values[n + 1]) - v).entry_max()
-            if drift > tol * scale:
+            if drift > tol:
                 raise DomainError(f"martingale property fails at level {n}")
 
 
@@ -477,17 +474,14 @@ def martingale_from_diffs(
 
 def square_function(m: Martingale) -> Operator:
     """S_N = (sum_k dx_k* dx_k)^(1/2)."""
-    acc = m.algebra.zero()
-    for d in m.diffs:
-        acc = acc + d.adjoint() @ d
+    acc = sum((d.adjoint() @ d for d in m.diffs), m.algebra.zero())
     return psd_sqrt(acc.symmetrized())
 
 
 def conditioned_square_function(m: Martingale) -> Operator:
     """s_N = (sum_k E_{k-1} |dx_k|^2)^(1/2), with E_{-1} aliased to E_0."""
-    acc = m.algebra.zero()
-    for k, d in enumerate(m.diffs):
-        acc = acc + cond_exp(m.filtration, k - 1, d.adjoint() @ d)
+    acc = sum((cond_exp(m.filtration, k - 1, d.adjoint() @ d) for k, d in enumerate(m.diffs)),
+              m.algebra.zero())
     return psd_sqrt(acc.symmetrized())
 
 
@@ -495,9 +489,8 @@ def diagonal_p_function(m: Martingale, p: float) -> Operator:
     """z_N = (sum_k |dx_k|^p)^(1/p)."""
     if p < 2:
         raise DomainError("the diagonal p-function needs p >= 2")
-    acc = m.algebra.zero()
-    for d in m.diffs:
-        acc = acc + psd_power((d.adjoint() @ d).symmetrized(), p / 2.0)
+    acc = sum((psd_power((d.adjoint() @ d).symmetrized(), p / 2.0) for d in m.diffs),
+              m.algebra.zero())
     return psd_power(acc.symmetrized(), 1.0 / p)
 
 

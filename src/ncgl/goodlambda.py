@@ -21,6 +21,7 @@ tail bounds run once and give one result per trial.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -178,20 +179,15 @@ def check_strong_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     eigenvalues of E_k(x_N^2) - sum_{m>k} E_k(dy_m^2) and E_k(z_N^2) - dy_k^2
     over k; both must be >= -1e-8.
     """
-    y = t.y
     filt = t.filtration
     x_sq, z_sq, dy_sq = t.squares
 
-    suffix = t.algebra.zero()
-    suffixes = [suffix]  # suffixes[j] = sum_{m > N-j} dy_m^2, built backwards
-    for m in range(y.N, 0, -1):
-        suffix = suffix + dy_sq[m]
-        suffixes.append(suffix)
-    suffixes = suffixes[::-1]  # suffixes[k] = sum_{m>k} dy_m^2
+    # suffixes[k] = sum_{m>k} dy_m^2, accumulated from m = N down
+    suffixes = list(itertools.accumulate(reversed(dy_sq[1:]), initial=t.algebra.zero()))[::-1]
 
     margin_x = np.full(t.algebra.summands, math.inf)
     margin_z = np.full(t.algebra.summands, math.inf)
-    for k in range(y.N + 1):
+    for k in range(t.y.N + 1):
         gap_x = cond_exp(filt, k, x_sq - suffixes[k])
         margin_x = np.minimum(margin_x, min_eigenvalue(gap_x, per_summand=True))
         gap_z = cond_exp(filt, k, z_sq) - dy_sq[k]
@@ -328,7 +324,7 @@ def verify_moment(t: Triple, p: float, B: float | None = None) -> MomentReports:
     max_const = _weak_max_constant(p, B)
     hyp_norm = math.sqrt(schatten_norm(t.x, p) ** 2 + schatten_norm(t.z, p) ** 2)
 
-    maxima = [weak_max(t.y, B, side) for side in "+-"]
+    maxima = [weak_max(y, B) for y in (t.y, -t.y)]
     meta = {"p": p, "B": B, "hypothesis": t.hypothesis[0]}
     rep_plus, rep_minus = (
         VerifyReport.compare(schatten_norm(wm.operator, p), max_const * hyp_norm,

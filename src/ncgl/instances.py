@@ -105,10 +105,7 @@ def strong_triple_parts(
         bumps_z.append(gaussian_psd(alg, rng, sizes[1]))
     filt = filtration.direct_sum(len(rngs))
     y = martingale_from_final(filt, _rescaled(direct_sum(finals), sups))
-    sq = filt.algebra.zero()
-    for d in y.diffs:
-        sq = sq + d @ d
-    sq = sq.symmetrized()
+    sq = sum((d @ d for d in y.diffs), filt.algebra.zero()).symmetrized()
     x = psd_sqrt((sq + direct_sum(bumps_x)).symmetrized())
     z = psd_sqrt((sq + direct_sum(bumps_z)).symmetrized())
     return x, y, z

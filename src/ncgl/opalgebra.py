@@ -148,16 +148,13 @@ def _total(alg: TracialAlgebra, per_run: list[np.ndarray], per_summand: bool = F
     return t.reshape(alg.summands, -1).sum(axis=1) if per_summand else t.sum()
 
 
-_REDUCE = {"max": max, "min": min, "sum": sum}
-
-
 def _by_summand(alg: TracialAlgebra, per_run: list[np.ndarray], kind: str) -> list[float]:
     """The max, min or sum (`kind`) of the entries of each summand, for
     per-block arrays given as one per run (a direct sum of several summands
     has a single run)."""
     if alg.summands == 1:
         vals = [float(getattr(v, kind)()) for v in per_run]
-        return vals if len(vals) == 1 else [_REDUCE[kind](vals)]
+        return vals if len(vals) == 1 else [float(getattr(np, kind)(vals))]
     return getattr(per_run[0].reshape(alg.summands, -1), kind)(axis=1).tolist()
 
 
@@ -370,21 +367,10 @@ class Interval:
         partitions the spectrum exactly; ``tol`` may broadcast per block.
         """
         eigs = np.asarray(eigs, dtype=float)
-        mask = np.ones(eigs.shape, dtype=bool)
-        if np.isfinite(self.lower):
-            side = _tie_compare(eigs, self.lower, tol)
-            mask &= (side >= 0) if self.lower_closed else (side > 0)
-        if np.isfinite(self.upper):
-            side = _tie_compare(eigs, self.upper, tol)
-            mask &= (side <= 0) if self.upper_closed else (side < 0)
-        return mask
-
-
-def _tie_compare(eigs: np.ndarray, c: float, tol: float) -> np.ndarray:
-    """-1 / 0 / +1 comparison of eigenvalues against an endpoint with snapping."""
-    side = np.sign(eigs - c).astype(int)
-    side[np.abs(eigs - c) <= tol] = 0
-    return side
+        # signed distances to the ends; an infinite end gives +-inf, inside both
+        lo, hi = eigs - self.lower, eigs - self.upper
+        return ((lo >= -tol) if self.lower_closed else (lo > tol)) & \
+            ((hi <= tol) if self.upper_closed else (hi < -tol))
 
 
 # ---------------------------------------------------------------------------

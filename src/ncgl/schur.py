@@ -161,6 +161,9 @@ def _norm_quotient(x: np.ndarray, p: float, h: float) -> tuple[float, np.ndarray
     u, s, vh = np.linalg.svd(x)  # s is sorted in decreasing order
     if not s.any():
         return 0.0, np.zeros_like(x)
+    # at x / s[0] F >= 1 for any p; the norm has degree 1, the quotient 0 (h scaled too)
+    top = s[0]
+    s, h = s / top, h / top
     F = np.sum(s**p)
     w = (u * s ** (p - 1.0)) @ vh
     keep = s > s[0] * x.shape[0] * np.finfo(float).eps
@@ -178,7 +181,7 @@ def _norm_quotient(x: np.ndarray, p: float, h: float) -> tuple[float, np.ndarray
     cross = 2.0 * np.sum((q @ psi) * q, axis=-1).real
     second = ((1 + 1j) * both + (1 - 1j) * cross
               + p * (1.0 - p) * (w.real**2 + 1j * w.imag**2) / F)
-    return float(F ** (1.0 / p)), F ** (1.0 / p - 1.0) * (w + h / (2 * p) * second)
+    return float(top * F ** (1.0 / p)), F ** (1.0 / p - 1.0) * (w + h / (2 * p) * second)
 
 
 def _ratio_quotient(m: np.ndarray, a: np.ndarray, p: float) -> tuple[float, np.ndarray]:

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: diagonal operators, the projection
-oracle and the cuts to feed it, reading a JSON report back into rows, the
-conditional-expectation axioms of a filtration, sampled, and a cross-check
-of tangency through conditional moments."""
+oracle and the cuts to feed it, the tie rule as it was first written,
+reading a JSON report back into rows, the conditional-expectation axioms of
+a filtration, sampled, and a cross-check of tangency through conditional
+moments."""
 
 import json
 
@@ -28,6 +29,28 @@ def check_projection(op):
                 or eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10):
             raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
     return op
+
+
+def _tie_compare(eigs: np.ndarray, c: float, tol) -> np.ndarray:
+    """-1 / 0 / +1 comparison of eigenvalues against an endpoint with snapping."""
+    side = np.sign(eigs - c).astype(int)
+    side[np.abs(eigs - c) <= tol] = 0
+    return side
+
+
+def tie_rule_contains(interval, eigs, tol) -> np.ndarray:
+    """The membership mask of Interval.contains as it was first written, the
+    reference for the tie rule: at each finite end, eigenvalues within `tol`
+    are snapped onto it, then compared by sign."""
+    eigs = np.asarray(eigs, dtype=float)
+    mask = np.ones(eigs.shape, dtype=bool)
+    if np.isfinite(interval.lower):
+        side = _tie_compare(eigs, interval.lower, tol)
+        mask &= (side >= 0) if interval.lower_closed else (side > 0)
+    if np.isfinite(interval.upper):
+        side = _tie_compare(eigs, interval.upper, tol)
+        mask &= (side <= 0) if interval.upper_closed else (side < 0)
+    return mask
 
 
 def recorded_cuts(monkeypatch, module) -> list:

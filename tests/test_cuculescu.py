@@ -262,16 +262,36 @@ def _per_level_grid(y, B, k_min=None, final_only=False):
 
 def _groupby_fubini_gap(wm, p):
     """fubini_identity_gap as it was computed before the bands: one
-    multiply-add per run of levels sharing one projection object."""
+    multiply-add per run of levels sharing one projection object, over the
+    levels below ||a_N^+|| = B^h, both sides divided by B^{h(p-2)}."""
+    cp = wm.corrected
+    B, N, alg, q = cp.base, cp.martingale.N, cp.martingale.algebra, p - 2.0
+    ident = alg.identity()
+    h = max((k for k in range(cp.k_min, cp.k_top + 1)
+             if cp.P(N, k).rank() < alg.total_dim), default=None)
+    if h is None:
+        return 0.0
+    lhs = alg.zero()
+    for proj, ks in itertools.groupby(range(cp.k_min, h + 1), key=lambda k: cp.P(N, k)):
+        lhs = lhs + (ident - proj) * sum(B ** ((k - h) * q) for k in ks)
+    tail_coeff = B ** ((cp.k_min - h) * q) / (1.0 - B ** (-q))
+    lhs = lhs + (ident - cp.P(N, cp.k_min)) * tail_coeff
+    rhs = psd_power(wm.operator / B ** h, q) * (1.0 / (1.0 - B ** (2.0 - p)))
+    up, down = B ** (min(h, 0) * q), B ** (-max(h, 0) * q)
+    return up * operator_norm(lhs - rhs) / (down + up * operator_norm(rhs))
+
+
+def _unscaled_fubini_gap(wm, p):
+    """fubini_identity_gap with both sides unscaled, as it was before the
+    scaling (B^{k(p-2)} overflows a float at large p)."""
     cp = wm.corrected
     B, N, alg = cp.base, cp.martingale.N, cp.martingale.algebra
     ident = alg.identity()
     lhs = alg.zero()
-    for proj, ks in itertools.groupby(range(cp.k_min, cp.k_top + 1),
-                                      key=lambda k: cp.P(N, k)):
-        lhs = lhs + (ident - proj) * sum(B ** (k * (p - 2.0)) for k in ks)
+    for high, low, col in reversed(cp.bands):
+        lhs = lhs + (ident - col[N]) * sum(B ** (k * (p - 2.0)) for k in range(low, high + 1))
     tail_coeff = B ** (cp.k_min * (p - 2.0)) / (1.0 - B ** (-(p - 2.0)))
-    lhs = lhs + (ident - cp.P(N, cp.k_min)) * tail_coeff
+    lhs = lhs + (ident - wm.residual) * tail_coeff
     rhs = psd_power(wm.operator, p - 2.0) * (1.0 / (1.0 - B ** (2.0 - p)))
     return operator_norm(lhs - rhs) / (1.0 + operator_norm(rhs))
 
@@ -495,7 +515,7 @@ class TestCachedSequences:
                               sup_norm=2.0)
         ref = weakref.ref(y)
         corrected_p(y, 1.5)
-        weak_max(y, 1.5, "-")
+        weak_max(-y, 1.5)
         assert y.cuculescu_cache and (-y).cuculescu_cache
         del y
         gc.collect()
@@ -585,7 +605,7 @@ class TestWeakMax:
         alg = filt.algebra
         f = alg.operator([np.array([[5.0]]), np.array([[-1.0]])])
         m = martingale_from_final(filt, f)
-        wm = weak_max(m, 2.0, "+")
+        wm = weak_max(m, 2.0)
         assert wm.operator.data[0][0, 0].real == pytest.approx(4.0)
         # the second coordinate sees max(y_0, y_1) = max(2, -1) = 2
         assert wm.operator.data[1][0, 0].real == pytest.approx(2.0)
@@ -597,14 +617,14 @@ class TestWeakMax:
         # shifts every level; all values are then strictly negative
         shifted = martingale_from_final(filt, y.final - filt.algebra.identity() * 3.0)
         assert all(min_eigenvalue(-v) > 0 for v in shifted.values)
-        wm = weak_max(shifted, 2.0, "+")
+        wm = weak_max(shifted, 2.0)
         assert wm.operator.entry_max() < 1e-12
         assert wm.residual.rank() == filt.algebra.total_dim
 
     def test_psd_and_commutes_with_grid(self):
         filt = make_filtration("matrix_corner", outer_dim=2, dim=2)
         y = random_martingale(filt, stream(53), sup_norm=2.0)
-        wm = weak_max(y, 1.5, "+")
+        wm = weak_max(y, 1.5)
         assert min_eigenvalue(wm.operator) > -1e-10
         cp = wm.corrected
         for k in range(cp.k_min, cp.k_top + 1):
@@ -616,8 +636,8 @@ class TestWeakMax:
         filt = make_filtration("matrix_corner", outer_dim=2, dim=3)
         for seed in range(4):
             y = random_martingale(filt, stream(54, seed), sup_norm=2.5)
-            wp = weak_max(y, 2.0, "+")
-            wn = weak_max(y, 2.0, "-")
+            wp = weak_max(y, 2.0)
+            wn = weak_max(-y, 2.0)
             for k in range(-3, 3):
                 lam = 2.0**k
                 lhs = trace(spectral_projection(y.final, Interval.at_least(lam)))
@@ -629,7 +649,7 @@ class TestWeakMax:
         for seed, p in [(0, 3.0), (1, 4.0), (2, 6.0)]:
             filt = make_filtration("rademacher_corner", depth=2, matrix_dim=2)
             y = random_martingale(filt, stream(55, seed), sup_norm=2.0)
-            wm = weak_max(y, 2.0, "+")
+            wm = weak_max(y, 2.0)
             assert fubini_identity_gap(wm, p) < 1e-6
 
     @pytest.mark.parametrize("sign", (1, -1))
@@ -637,7 +657,7 @@ class TestWeakMax:
     def test_bands_match_the_per_level_sum(self, family, sign):
         y = _fresh_copy(_grid_case(family, sign)[0])
         for B in (4.0 / 3.0, 9.0 / 8.0):
-            wm = weak_max(y, B, "+")
+            wm = weak_max(y, B)
             cp, N = wm.corrected, y.N
             per_level = y.algebra.zero()
             for k in range(cp.k_min, cp.k_top + 1):
@@ -647,20 +667,29 @@ class TestWeakMax:
             for p in (3.0, 4.0, 8.0):
                 assert fubini_identity_gap(wm, p) == _groupby_fubini_gap(wm, p)
 
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("family", range(6))
+    def test_scaled_gap_matches_the_unscaled_sum(self, family, sign):
+        # dividing both sides by B^{h(p-2)} gives the same relative gap, and a
+        # finite one where B^{k(p-2)} overflows
+        y = _fresh_copy(_grid_case(family, sign)[0])
+        for p in (3.0, 4.0, 8.0):
+            wm = weak_max(y, 1.0 + 1.0 / p)
+            assert abs(fubini_identity_gap(wm, p) - _unscaled_fubini_gap(wm, p)) <= 1e-13
+        wm = weak_max(y, 1.0 + 1e-4)
+        with pytest.raises(OverflowError):
+            _unscaled_fubini_gap(wm, 1e4)
+        assert 0.0 <= fubini_identity_gap(wm, 1e4) < 1e-6
+
     @pytest.mark.parametrize("sign", ("+", "-"))
     @pytest.mark.parametrize("B", (1.5, 2.0, 4.0 / 3.0))
     @pytest.mark.parametrize("family", range(6))
     def test_scale_covariance(self, family, B, sign):
         # a^±(B^j y) = B^j a^±(y): scaling by B^j shifts the level grid by j
         y = random_martingale(triple_family(family), stream(60, family), sup_norm=2.5)
-        a = weak_max(y, B, sign).operator
+        signed = (lambda m: m) if sign == "+" else (lambda m: -m)
+        a = weak_max(signed(y), B).operator
         for j in (-3, 2, 5):
-            scaled = weak_max(y.scale(B**j), B, sign).operator
+            scaled = weak_max(signed(y.scale(B**j)), B).operator
             assert operator_norm(scaled - a * B**j) <= \
                 1e-10 * B**j * (1.0 + operator_norm(a)), j
-
-    def test_sign_validation(self):
-        filt = make_filtration("corner", dim=3)
-        y = random_martingale(filt, stream(56))
-        with pytest.raises(DomainError):
-            weak_max(y, 2.0, "x")

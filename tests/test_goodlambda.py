@@ -5,6 +5,7 @@ from ncgl.errors import DomainError
 from ncgl.cuculescu import cuculescu_r
 from ncgl.filtration import (
     Martingale,
+    lift_with_matrix_factor,
     make_filtration,
     martingale_from_final,
     square_function,
@@ -347,23 +348,28 @@ class TestHypothesisStatus:
 
 
 class TestSymmetry:
-    """Conjugation by u (x) I on M_2 (x) corner-filtered M_3 commutes with every
-    E_n and keeps the trace, so the Cuculescu projections move with it and
-    every margin, pass flag and hypothesis label stays."""
-
-    @staticmethod
-    def _conjugated(t, u):
-        big = t.algebra.operator(np.kron(u, np.eye(3))[None])
-        conj = lambda a: (big @ a @ big.adjoint()).symmetrized()
-        y = Martingale(t.filtration, tuple(map(conj, t.y.values)),
-                       tuple(map(conj, t.y.diffs)))
-        return Triple(conj(t.x), y, conj(t.z)), conj
+    """Maps that commute with every E_n and keep the trace move the Cuculescu
+    projections with them, and keep every margin, pass flag and hypothesis
+    label: conjugation by u (x) I on M_2 (x) corner-filtered M_3, and the
+    block permutation of a Rademacher sign flip."""
 
     @staticmethod
     def _reports(t):
         m = verify_moment(t, 3.0)
         return (*verify_core(t), *verify_tail(t, 2.0),
                 m.max_plus, m.max_minus, m.moment, m.moment_simplified)
+
+    def _assert_moves_with(self, t, move):
+        moved_y = Martingale(t.filtration, tuple(map(move, t.y.values)),
+                             tuple(map(move, t.y.diffs)))
+        moved = Triple(move(t.x), moved_y, move(t.z))
+        seq, moved_seq = cuculescu_r(t.y, 1.0), cuculescu_r(moved.y, 1.0)
+        for n in range(t.y.N + 1):
+            assert (moved_seq.R(n) - move(seq.R(n))).entry_max() <= 1e-10
+        assert moved.hypothesis == t.hypothesis
+        for a, b in zip(self._reports(t), self._reports(moved)):
+            assert b.passed == a.passed and b.meta == a.meta
+            assert abs(b.margin - a.margin) <= 1e-9 * max(1.0, abs(a.lhs), abs(a.rhs))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_unitary_on_the_full_factor(self, seed):
@@ -372,11 +378,26 @@ class TestSymmetry:
         t = Triple(*strong_triple_parts(filt, rng))
         u, _ = np.linalg.qr(rng.standard_normal((2, 2))
                             + 1j * rng.standard_normal((2, 2)))
-        moved, conj = self._conjugated(t, u)
-        seq, moved_seq = cuculescu_r(t.y, 1.0), cuculescu_r(moved.y, 1.0)
-        for n in range(t.y.N + 1):
-            assert (moved_seq.R(n) - conj(seq.R(n))).entry_max() <= 1e-10
-        assert moved.hypothesis == t.hypothesis
-        for a, b in zip(self._reports(t), self._reports(moved)):
-            assert b.passed == a.passed and b.meta == a.meta
-            assert abs(b.margin - a.margin) <= 1e-9 * max(1.0, abs(a.lhs), abs(a.rhs))
+        big = t.algebra.operator(np.kron(u, np.eye(3))[None])
+        self._assert_moves_with(t, lambda a: (big @ a @ big.adjoint()).symmetrized())
+
+    _SIGN_FAMILIES = {
+        "rademacher3": lambda: make_filtration("rademacher", depth=3),
+        "rademacher2xM2": lambda: make_filtration("rademacher", depth=2, matrix_dim=2),
+        "corner2xM2": lambda: make_filtration("rademacher_corner", depth=2, matrix_dim=2),
+        "M2(x)rademacher2xM2": lambda: lift_with_matrix_factor(
+            make_filtration("rademacher", depth=2, matrix_dim=2), 2),
+    }
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("family", sorted(_SIGN_FAMILIES))
+    def test_sign_flip_permutes_the_blocks(self, family, seed):
+        # flipping sign j sends each block to the one whose signs differ in
+        # coordinate j only; the blocks' weights are equal
+        filt = self._SIGN_FAMILIES[family]()
+        t = Triple(*strong_triple_parts(filt, stream(79, seed)))
+        index = {tuple(s): b for b, s in enumerate(filt.signs)}
+        for j in range(filt.signs.shape[1]):
+            flip = np.where(np.arange(filt.signs.shape[1]) == j, -1.0, 1.0)
+            perm = [index[tuple(s * flip)] for s in filt.signs]
+            self._assert_moves_with(t, lambda a: t.algebra.operator(a.stacks[0][perm]))

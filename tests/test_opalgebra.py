@@ -22,7 +22,7 @@ from ncgl.opalgebra import (
     trace_pair,
 )
 
-from helpers import check_projection, diagonal_operator
+from helpers import check_projection, diagonal_operator, tie_rule_contains
 
 
 def alg1(d, w=1.0):
@@ -216,6 +216,32 @@ class TestDenseOracle:
         assert e.rank() == rank
         if not rotate:
             assert all(np.array_equal(b, np.diag(np.diag(b))) for b in e.data)
+
+
+def _tie_intervals():
+    """Every open/closed combination of ends on finite, infinite and
+    degenerate intervals."""
+    ends = [(-1.5, 2.0), (0.0, 0.0), (2.0, 1e3), (1e3, 1e3), (-math.inf, 0.0),
+            (2.0, math.inf), (-math.inf, math.inf)]
+    return [Interval(lo, hi, lo_closed, hi_closed) for lo, hi in ends
+            for lo_closed in (True, False) for hi_closed in (True, False)]
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("interval", _tie_intervals(), ids=str)
+    def test_matches_the_snapping_rule(self, interval):
+        # the endpoints, values tol and 2 tol from them and each of those
+        # values' neighbouring floats, and random values; a scalar tol, and
+        # a column of one tol per block
+        tols = np.array([0.0, 1e-10, 3e-10, 1e-10 * (1.0 + 1e3)])
+        ends = [e for e in (interval.lower, interval.upper) if math.isfinite(e)]
+        near = np.array([c + k * t for c in ends for t in tols for k in (-2, -1, 0, 1, 2)])
+        eigs = np.concatenate([near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf),
+                               3.0 * stream(70).standard_normal(64)])
+        for tol in (*tols, tols[:, None]):
+            blocks = np.broadcast_to(eigs, (len(tols), len(eigs)))
+            assert np.array_equal(interval.contains(blocks, tol),
+                                  tie_rule_contains(interval, blocks, tol)), tol
 
 
 class TestFuncCalculus:
