@@ -27,8 +27,8 @@ t = Triple(x, y, z)
 
 (ok,), (mx,), (mz,) = check_strong_testing(t)  # one entry per summand
 print(f"strong testing conditions: {ok} (PSD margins {mx:.1e}, {mz:.1e})")
-ok, s1, s2 = check_testing(t, seed=7)
-print(f"sampled testing conditions: {ok} (slacks {s1:.3e}, {s2:.3e})")
+ok, s1, s2 = check_testing(t)
+print(f"trace testing conditions: {ok} (slack {s1:.3e}, least eigenvalue {s2:.3e})")
 
 (rep,) = verify_core(t)
 print(f"core bound: {rep.lhs:.4f} <= {rep.rhs:.4f} "

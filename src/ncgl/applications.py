@@ -27,7 +27,6 @@ from .filtration import (
     square_function,
 )
 from .goodlambda import simplified_moment_constant
-from .instances import gaussian_hermitian, stream
 from .opalgebra import (
     Interval,
     Operator,
@@ -38,7 +37,6 @@ from .opalgebra import (
     psd_sqrt,
     schatten_norm,
     spectral_projection,
-    trace_pair,
 )
 from .reports import VerifyReport
 
@@ -68,10 +66,6 @@ __all__ = [
     "refined_doob_constant",
     "refined_doob",
 ]
-
-# duality pairings sampled by verify_transform at 1 < p < 2
-_DUAL_SAMPLES = 20
-
 
 # ---------------------------------------------------------------------------
 # constants, assembled from the proofs
@@ -329,12 +323,11 @@ def verify_bg(x: Martingale, p: float) -> BGReports:
     return BGReports(r1, r2, interp_bound(x, p))
 
 
-def verify_transform(x: Martingale, v, p: float, seed: int = 0) -> VerifyReport:
-    """Martingale transform dy_n = v_n dx_n with scalar multipliers in [-1,1].
-
-    For p >= 2 the transform bound is checked directly; for 1 < p < 2 only
-    the duality pairing |tau(y_N w)| <= C_{p'} ||x_N||_p ||w||_{p'} is checked
-    on seeded samples (flagged in the report metadata).
+def verify_transform(x: Martingale, v, p: float) -> VerifyReport:
+    """Martingale transform dy_n = v_n dx_n with scalar multipliers in [-1,1]:
+    ||y_N||_p <= C ||x_N||_p at every p > 1, with C the transform constant at
+    max(p, p'); below 2 the bound holds by duality, the transform being its
+    own adjoint.
     """
     v = [float(c) for c in v]
     if len(v) != x.N + 1:
@@ -345,23 +338,10 @@ def verify_transform(x: Martingale, v, p: float, seed: int = 0) -> VerifyReport:
         raise DomainError("needs p > 1")
     dys = [d * c for d, c in zip(x.diffs, v)]
     y = martingale_from_diffs(x.filtration, dys, validate=False)
-    if p >= 2:
-        const = transform_constant(p)
-        lhs = schatten_norm(y.final, p)
-        rhs = const * schatten_norm(x.final, p)
-        return VerifyReport.compare(lhs, rhs, const, {"p": p, "mode": "direct"})
-    p_dual = p / (p - 1.0)
-    const = transform_constant(p_dual)
-    rng = stream(seed, 4242)
-    lhs = 0.0
-    for _ in range(_DUAL_SAMPLES):
-        w = gaussian_hermitian(x.algebra, rng)
-        lhs = max(lhs, abs(float(trace_pair(y.final, w).real))
-                  / max(schatten_norm(w, p_dual), 1e-300))
+    const = transform_constant(max(p, p / (p - 1.0)))
+    lhs = schatten_norm(y.final, p)
     rhs = const * schatten_norm(x.final, p)
-    return VerifyReport.compare(lhs, rhs, const,
-                                {"p": p, "mode": "duality-sampled",
-                                 "samples": _DUAL_SAMPLES})
+    return VerifyReport.compare(lhs, rhs, const, {"p": p})
 
 
 # ---------------------------------------------------------------------------

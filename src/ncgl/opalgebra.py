@@ -473,7 +473,8 @@ def schatten_norm(x: Operator, p: float) -> float:
     top = max(float(s.max()) for s in sv)
     if p == math.inf or top == 0.0:
         return top
-    return top * _total(x.algebra, [np.sum((s / top) ** p, axis=1) for s in sv]) ** (1.0 / p)
+    total = _total(x.algebra, [np.sum((s / top) ** p, axis=1) for s in sv])
+    return float(top * total ** (1.0 / p))
 
 
 def min_eigenvalue(a: Operator, per_summand: bool = False):

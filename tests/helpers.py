@@ -1,18 +1,30 @@
 """Helpers that only the tests use: diagonal operators, the projection
 oracle and the cuts to feed it, the tie rule as it was first written,
 reading a JSON report back into rows, the conditional-expectation axioms of
-a filtration, sampled, and a cross-check of tangency through conditional
-moments."""
+a filtration, sampled, a cross-check of tangency through conditional
+moments, and the sampled forms of testing condition (ii) and of the transform
+norm below 2 that the exact checks replaced."""
 
 import json
 
 import numpy as np
 
 from ncgl.cli import ReportRow
+from ncgl.cuculescu import cuculescu_r
 from ncgl.errors import DomainError
-from ncgl.filtration import Filtration, cond_exp
-from ncgl.instances import gaussian_hermitian
-from ncgl.opalgebra import cluster_eigenvalues, min_eigenvalue, operator_norm, trace
+from ncgl.filtration import Filtration, cond_exp, martingale_from_diffs
+from ncgl.instances import gaussian_hermitian, stream
+from ncgl.opalgebra import (
+    Interval,
+    cluster_eigenvalues,
+    min_eigenvalue,
+    operator_norm,
+    schatten_norm,
+    spectral_projection,
+    trace,
+    trace_pair,
+)
+from ncgl.reports import report_tolerance
 
 
 def diagonal_operator(alg, diagonals):
@@ -95,7 +107,7 @@ def validate_filtration(filtration, rng: np.random.Generator, samples: int = 6) 
     for n, lvl in enumerate(filtration.levels):
         en_i = lvl.apply(ident)
         _upd("unital", (en_i - ident).entry_max())
-        for _ in range(samples):
+        for _ in range(20):
             x = gaussian_hermitian(alg, rng)
             ex = lvl.apply(x)
             _upd("trace", abs(trace(ex) - trace(x)))
@@ -137,3 +149,51 @@ def tangent_moment_deviation(a, b, filtration: Filtration) -> float:
                                 - cond_exp(filtration, n - 1, pb))
             worst = max(worst, dev / scale ** m)
     return float(worst)
+
+
+def sampled_condition_ii(t, seed: int = 0, n_random: int = 50) -> tuple[bool, float]:
+    """Testing condition (ii), tau(dy_k^2 p) <= tau(z_N^2 p), sampled over
+    the identity, the R_j and the level-2 Q_j for j <= k, and `n_random`
+    seeded spectral projections in the range of E_k per level k.  Returns
+    (passed, worst tau((z_N^2 - dy_k^2) p) seen).  A pass is no certificate:
+    it can miss the negative spectral projection of E_k(z_N^2) - dy_k^2."""
+    y = t.y
+    seq = cuculescu_r(y, 1.0)
+    qseq = cuculescu_r(y, 2.0)
+    ident = t.algebra.identity()
+    _, z_sq, dy_sq = t.squares
+    rng = stream(seed, 7701)
+    slack = np.inf
+    passed = True
+    for k in range(y.N + 1):
+        w = z_sq - dy_sq[k]
+        candidates = [ident]
+        candidates += [seq.R(j) for j in range(k + 1)]
+        candidates += [qseq.R(j) for j in range(k + 1)]
+        for _ in range(n_random):
+            h = cond_exp(t.filtration, k, gaussian_hermitian(t.algebra, rng))
+            hi = operator_norm(h)
+            cut = float(rng.uniform(-hi, hi)) if hi > 0.0 else 0.0
+            candidates.append(spectral_projection(h, Interval.at_least(cut)))
+        for p in candidates:
+            gain = float(trace_pair(w, p).real)
+            ref = float(trace_pair(z_sq, p).real)
+            slack = min(slack, gain)
+            if gain < -report_tolerance(ref):
+                passed = False
+    return passed, float(slack)
+
+
+def sampled_transform_lhs(x, v, p: float, seed: int = 0) -> float:
+    """The duality lower bound max_w |tau(y_N w)| / ||w||_{p'} for
+    ||y_N||_p, dy_n = v_n dx_n, over 20 seeded Gaussian w."""
+    y = martingale_from_diffs(x.filtration, [d * float(c) for d, c in zip(x.diffs, v)],
+                              validate=False)
+    p_dual = p / (p - 1.0)
+    rng = stream(seed, 4242)
+    lhs = 0.0
+    for _ in range(20):
+        w = gaussian_hermitian(x.algebra, rng)
+        lhs = max(lhs, abs(float(trace_pair(y.final, w).real))
+                  / max(schatten_norm(w, p_dual), 1e-300))
+    return lhs

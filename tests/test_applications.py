@@ -58,6 +58,7 @@ from helpers import (
     check_projection,
     diagonal_operator,
     recorded_cuts,
+    sampled_transform_lhs,
     tangent_moment_deviation,
 )
 
@@ -175,7 +176,8 @@ class TestVerifyBG:
 
     @staticmethod
     def _unscaled_interp_lhs(m, p):
-        return sum(schatten_norm(d, p) ** p for d in m.diffs) ** (1.0 / p)
+        # NumPy floats, so a power beyond the float range is inf, not an error
+        return sum(np.float64(schatten_norm(d, p)) ** p for d in m.diffs) ** (1.0 / p)
 
     def test_interp_bound_is_finite_at_large_p(self):
         m = self._interp_martingale(1100.0)
@@ -220,8 +222,23 @@ class TestTransforms:
         m = random_martingale(filt, stream(91))
         v = [(-1.0) ** n for n in range(m.N + 1)]
         rep = verify_transform(m, v, 1.5)
-        assert rep.meta["mode"] == "duality-sampled"
         assert rep.passed
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 1.75])
+    def test_exact_norm_below_two_bounds_the_sampled_one(self, p):
+        # below 2 the lhs is the exact ||y_N||_p, which the sampled duality
+        # pairing it replaced only bounds from below
+        filt = make_filtration("corner", dim=4)
+        for seed in range(6):
+            rng = stream(93, seed)
+            m = random_martingale(filt, rng)
+            v = [float(c) for c in rng.uniform(-1.0, 1.0, size=m.N + 1)]
+            rep = verify_transform(m, v, p)
+            y = martingale_from_diffs(filt, [d * c for d, c in zip(m.diffs, v)],
+                                      validate=False)
+            assert rep.lhs == schatten_norm(y.final, p)
+            assert rep.lhs >= sampled_transform_lhs(m, v, p, seed=seed)
+            assert rep.passed
 
     def test_multiplier_validation(self):
         filt = make_filtration("corner", dim=3)

@@ -315,13 +315,14 @@ class TestMainEntry:
         {"suite": "bg", "trials": 1, "B": 2.0},
         {"suite": "moment", "trials": 1, "beta_grid": [3.0]},
         {"suite": "goodlambda-core", "trials": 1, "p_grid": [3.0]},
+        {"suite": "schur-norms", "trials": 1, "p_grid": [1.5]},
     ] + [{"suite": s, "trials": 1, "p_grid": [float("inf")]} for s in _READS_P],
         ids=["dims", "tolerances", "seed", "trials", "B", "beta_grid", "dims_value",
              "tolerances_value", "empty_N_list", "dims_key_not_read",
              "tolerances_key_not_read", "steps_zero", "steps_negative",
              "depth_negative", "dim_zero", "p_grid_string", "timing_string",
              "steps_beyond_levels", "p_nan", "B_nan", "beta_nan", "B_not_read",
-             "beta_grid_not_read", "p_grid_not_read"]
+             "beta_grid_not_read", "p_grid_not_read", "p_below_domain"]
         + [f"p_inf-{s}" for s in _READS_P])
     def test_exit_two_on_mistyped_field(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "cfg.json"
