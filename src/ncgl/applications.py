@@ -36,6 +36,9 @@ from .opalgebra import (
     operator_norm,
     psd_sqrt,
     schatten_norm,
+    singular_schatten_norm,
+    singular_spectral_trace,
+    sliced_singular_values,
     spectral_projection,
 )
 from .reports import VerifyReport
@@ -445,19 +448,42 @@ def counterexample_pair(N: int) -> tuple[Martingale, Martingale, Filtration]:
 
 def _counterexample_finals(N: int) -> tuple[Operator, Operator, Filtration]:
     """Final operators x_N = sum_n eps_n (x) (e_{1,n+1} + e_{n+1,1}) and
-    y_N = sum_n eps_n (x) (e_{11} + e_{n+1,n+1}) of the pair, with their
-    filtration; built without the 2(N+1) martingale levels, which matters
-    once the sign algebra has thousands of blocks."""
+    y_N = sum_n eps_n (x) (e_{11} + e_{n+1,n+1}) of the pair, whole, with
+    their filtration; built without the 2(N+1) martingale levels.
+    tangent_counterexample builds the same blocks a slice at a time."""
     filt = make_filtration("rademacher", depth=N, matrix_dim=N + 1)
-    eps = filt.signs  # (blocks, N)
+    return (filt.algebra.operator(_x_blocks(filt.signs)),
+            filt.algebra.operator(_y_blocks(filt.signs)), filt)
+
+
+def _x_blocks(eps: np.ndarray) -> np.ndarray:
+    """The blocks of x_N at the sign rows `eps` (blocks, N)."""
+    n, N = eps.shape
     idx = np.arange(1, N + 1)
-    x_stack = np.zeros((len(eps), N + 1, N + 1), dtype=complex)
-    x_stack[:, 0, idx] = eps
-    x_stack[:, idx, 0] = eps
-    y_stack = np.zeros((len(eps), N + 1, N + 1), dtype=complex)
-    y_stack[:, 0, 0] = eps.sum(axis=1)
-    y_stack[:, idx, idx] = eps
-    return filt.algebra.operator(x_stack), filt.algebra.operator(y_stack), filt
+    out = np.zeros((n, N + 1, N + 1), dtype=complex)
+    out[:, 0, idx] = eps
+    out[:, idx, 0] = eps
+    return out
+
+
+def _y_blocks(eps: np.ndarray) -> np.ndarray:
+    """The blocks of y_N at the sign rows `eps` (blocks, N)."""
+    n, N = eps.shape
+    idx = np.arange(1, N + 1)
+    out = np.zeros((n, N + 1, N + 1), dtype=complex)
+    out[:, 0, 0] = eps.sum(axis=1)
+    out[:, idx, idx] = eps
+    return out
+
+
+def _counterexample_singular_values(N: int):
+    """The algebra of the pair and the per-run singular values of x_N and
+    y_N, each operator built and solved a slice of sign rows at a time."""
+    filt = make_filtration("rademacher", depth=N, matrix_dim=N + 1)
+    eps = filt.signs
+    return (filt.algebra,
+            sliced_singular_values(filt.algebra, lambda part: _x_blocks(eps[part])),
+            sliced_singular_values(filt.algebra, lambda part: _y_blocks(eps[part])))
 
 
 def tangent_counterexample(N: int, p_grid) -> tuple[CounterexampleReport, ...]:
@@ -465,24 +491,27 @@ def tangent_counterexample(N: int, p_grid) -> tuple[CounterexampleReport, ...]:
     one report per p of `p_grid`.
 
     All of them come from one values-only eigensolve of each final operator,
-    built once for the grid: tau(|x_N|) is the Schatten 1-norm, and
-    abs_spectral_trace counts |y_N|'s eigenvalues in [1, inf) without forming
-    |y_N|; N odd, at most 13.
+    built and solved a slice of blocks at a time, so neither is held whole:
+    tau(|x_N|) is the Schatten 1-norm, and the weak trace counts |y_N|'s
+    eigenvalues in [1, inf).  The reductions take the whole operators' tie
+    tolerance and scale, so each value equals abs_spectral_trace or
+    schatten_norm of the operators of _counterexample_finals; N odd, at
+    most 13.
     """
     if N % 2 == 0:
         raise DomainError("the construction needs N odd")
     if not 1 <= N <= 13:
         raise DomainError("N must lie in 1..13")
-    x_final, y_final, _ = _counterexample_finals(N)
-    weak_y = abs_spectral_trace(y_final, Interval.at_least(1.0))
-    l1_x = schatten_norm(x_final, 1)
+    alg, sv_x, sv_y = _counterexample_singular_values(N)
+    weak_y = singular_spectral_trace(alg, sv_y, Interval.at_least(1.0))
+    l1_x = singular_schatten_norm(alg, sv_x, 1)
     return tuple(CounterexampleReport(
         N=N,
         p=float(p),
         weak_y=weak_y,
         l1_x=l1_x,
-        p_norm_y=schatten_norm(y_final, p),
-        p_norm_x=schatten_norm(x_final, p),
+        p_norm_y=singular_schatten_norm(alg, sv_y, p),
+        p_norm_x=singular_schatten_norm(alg, sv_x, p),
         expected_weak=float(N + 1),
         expected_l1=2.0 * math.sqrt(N),
         ratio=(N + 1) / (2.0 * math.sqrt(N)),

@@ -109,6 +109,10 @@ class ExperimentConfig:
                 ("beta_grid", tuple(self.beta_grid) != _DEFAULT_BETA, "beta_grid" in info.reads)):
             if given and not read:
                 raise NCGLError(f"suite {self.suite} reads no {name}")
+        if self.B is not None and self.B <= 1:
+            raise NCGLError(f"B must exceed 1, got {self.B!r}")
+        if any(beta <= 1 for beta in self.beta_grid):
+            raise NCGLError(f"every beta must exceed 1, got {list(self.beta_grid)!r}")
         for name in ("dims", "tolerances"):
             given, defaults = getattr(self, name), getattr(info, name)
             unknown = sorted(set(given) - set(defaults))

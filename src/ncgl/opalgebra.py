@@ -37,6 +37,9 @@ __all__ = [
     "spectral_projection",
     "func_calculus",
     "abs_spectral_trace",
+    "sliced_singular_values",
+    "singular_schatten_norm",
+    "singular_spectral_trace",
     "proj_meet",
     "operator_abs",
     "psd_sqrt",
@@ -57,9 +60,12 @@ _CLUSTER_TOL = 1e-8
 # _TIE_TOL * (1 + ||a||) of an interval endpoint sits on it, ||a|| per summand.
 _TIE_TOL = 1e-10
 
-# Batched kernels take at most this many blocks per call, so the temporaries
-# of an 8,192-block stack stay an eighth of its size.
-_CHUNK = 1024
+# Batched kernels take at most this many blocks per call, and
+# sliced_singular_values builds this many at a time.  Slicing the N = 13
+# counterexample (8,192 blocks of 14 x 14) at 512 or 1,024 blocks took about
+# 50k minor page faults a call, at 256 about 1.3k, fewer than the 3.7k of
+# building it whole; no other stack in the benchmark reaches 256 blocks.
+_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,6 +463,29 @@ def _singular_values(x: Operator) -> list[np.ndarray]:
     return [np.linalg.svd(s, compute_uv=False) for s in x.stacks]
 
 
+def sliced_singular_values(alg: TracialAlgebra,
+                           build: Callable[[slice], np.ndarray]) -> list[np.ndarray]:
+    """The (count, d) singular values of each run of the operator on `alg`
+    whose blocks ``build(s)`` returns as a stack for each slice `s` of at most
+    _CHUNK blocks of one run, so the whole operator never exists at once.
+
+    Each slice is solved as an operator on its own sub-algebra, from its
+    eigenvalues when it is Hermitian; the reductions singular_schatten_norm
+    and singular_spectral_trace then take the tolerances and scales of the
+    whole operator.
+    """
+    out, start = [], 0
+    for count, d in alg.runs:
+        sv = np.empty((count, d))
+        for i in range(0, count, _CHUNK):
+            part = slice(start + i, start + min(i + _CHUNK, count))
+            sub = TracialAlgebra(alg.dims[part], alg.weights[part])
+            sv[i:i + _CHUNK] = _singular_values(sub.operator(build(part)))[0]
+        out.append(sv)
+        start += count
+    return out
+
+
 def operator_norm(x: Operator, per_summand: bool = False):
     """Largest singular value across blocks (weights are irrelevant here), or
     of each summand."""
@@ -465,15 +494,20 @@ def operator_norm(x: Operator, per_summand: bool = False):
 
 
 def schatten_norm(x: Operator, p: float) -> float:
-    """Weighted Schatten norm (tau(|x|^p))^(1/p); p = inf is the operator norm.
-    The largest singular value is factored out, so no power overflows at large p."""
+    """Weighted Schatten norm (tau(|x|^p))^(1/p); p = inf is the operator norm."""
+    return singular_schatten_norm(x.algebra, _singular_values(x), p)
+
+
+def singular_schatten_norm(alg: TracialAlgebra, sv: list[np.ndarray], p: float) -> float:
+    """:func:`schatten_norm` of the operator on `alg` with per-run singular
+    values `sv`.  The largest one is factored out, so no power overflows at
+    large p."""
     if p != math.inf and p < 1:
         raise DomainError("Schatten norms are only supported for p >= 1")
-    sv = _singular_values(x)
     top = max(float(s.max()) for s in sv)
     if p == math.inf or top == 0.0:
         return top
-    total = _total(x.algebra, [np.sum((s / top) ** p, axis=1) for s in sv])
+    total = _total(alg, [np.sum((s / top) ** p, axis=1) for s in sv])
     return float(top * total ** (1.0 / p))
 
 
@@ -507,10 +541,15 @@ def spectral_projection(a: Operator, interval: Interval) -> Operator:
 def abs_spectral_trace(x: Operator, interval: Interval) -> float:
     """tau(I_interval(|x|)), counting singular values without forming |x|, under
     the tie rule :func:`spectral_projection` applies to |x| (of norm ||x||)."""
-    sv = _singular_values(x)
-    counts = [interval.contains(s, t).sum(axis=1)
-              for s, t in zip(sv, _tie_tols(x.algebra, sv))]
-    return float(_total(x.algebra, counts))
+    return singular_spectral_trace(x.algebra, _singular_values(x), interval)
+
+
+def singular_spectral_trace(alg: TracialAlgebra, sv: list[np.ndarray],
+                            interval: Interval) -> float:
+    """:func:`abs_spectral_trace` of the operator on `alg` with per-run
+    singular values `sv`, its tie tolerance taken from all of them."""
+    counts = [interval.contains(s, t).sum(axis=1) for s, t in zip(sv, _tie_tols(alg, sv))]
+    return float(_total(alg, counts))
 
 
 def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from ncgl.instances import (
 )
 from ncgl.opalgebra import (
     Interval,
+    abs_spectral_trace,
     cluster_eigenvalues,
     operator_abs,
     operator_norm,
@@ -503,6 +505,27 @@ class TestCounterexample:
             assert r.l1_x == pytest.approx(l1, rel=1e-12, abs=0.0)
             assert r.p_norm_x == pytest.approx(p_norm_x, rel=1e-12, abs=0.0)
             assert r.p_norm_y == pytest.approx(p_norm_y, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("N", [1, 3, 5, 7, 9, 11, 13])
+    def test_slices_match_the_whole_operators(self, N):
+        # N >= 9 spans several slices; every value is the whole operators'
+        grid = (1.5, 3.0, 100.0, 1100.0)
+        x, y, _ = _counterexample_finals(N)
+        for r, p in zip(tangent_counterexample(N, grid), grid):
+            assert r.weak_y == abs_spectral_trace(y, Interval.at_least(1.0))
+            assert r.l1_x == schatten_norm(x, 1)
+            assert r.p_norm_x == schatten_norm(x, p)
+            assert r.p_norm_y == schatten_norm(y, p)
+
+    def test_peak_memory_is_a_few_slices(self):
+        # x_13 and y_13 whole are 8,192 blocks of 14 x 14 each, 25 MiB apiece
+        tracemalloc.start()
+        try:
+            tangent_counterexample(13, (1.5,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("N,expected", [(3, 4.0), (9, 10.0)])
     def test_weak_trace(self, N, expected):

@@ -116,14 +116,14 @@ class TestRun:
         import ncgl.applications as apps
 
         calls = []
-        original = apps._counterexample_finals
+        original = apps._counterexample_singular_values
 
         def counted(N):
             calls.append(N)
             return original(N)
 
         grid = (1.5, 3.0, 4.0)
-        monkeypatch.setattr(apps, "_counterexample_finals", counted)
+        monkeypatch.setattr(apps, "_counterexample_singular_values", counted)
         rows, summary = run(small("tangent-counterexample", trials=3, seed=0,
                                   p_grid=grid))
         assert calls == [3, 5, 7] and summary["failures"] == 0
@@ -358,6 +358,15 @@ class TestMainEntry:
         assert rows and all(math.isfinite(r.lhs) and math.isfinite(r.rhs) for r in rows)
         # a tau row's margin is 2 sqrt(N) - (N + 1) < 0 by construction
         assert all(r.margin > 0 for r in rows if not r.instance.endswith(":tau"))
+
+    @pytest.mark.parametrize("suite,flag", [("moment", "--B=1"),
+                                            ("goodlambda-tail", "--beta=1")])
+    def test_exit_two_on_base_or_beta_at_most_one(self, monkeypatch, capsys, suite, flag):
+        # a config error, raised before any trial runs
+        trials = []
+        monkeypatch.setitem(SUITES, suite, lambda cfg, trial: trials.append(trial) or [])
+        assert main([f"--suite={suite}", flag, "--trials=1"]) == 2
+        assert capsys.readouterr().err.startswith("config error:") and trials == []
 
     def test_exit_two_on_dim_flag_for_suite_without_dim(self, capsys):
         assert main(["--suite", "goodlambda-core", "--dim", "9"]) == 2
