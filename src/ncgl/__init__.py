@@ -24,7 +24,6 @@ from .opalgebra import (
     abs_spectral_trace,
     func_calculus,
     min_eigenvalue,
-    operator_abs,
     operator_norm,
     proj_meet,
     psd_power,

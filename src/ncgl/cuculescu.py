@@ -124,21 +124,22 @@ def _check_level(seq: CuculescuSeq, level: float) -> None:
     stored measurements (the cut-off bound through `_Step.top`).
 
     Tolerances scale with 1 + ||y_n||/level of each summand: products with
-    y_n/level carry rounding of that size.  Messages name the summand.
+    y_n/level carry rounding of that size.  As computed, the adapted test fails
+    on an up-set of levels, the commutation and cut-off tests on a down-set,
+    and the monotone test on all or none: a run's two ends decide for it all.
     """
     fail = NumericalInstabilityError
     for n, s in enumerate(seq.steps):
         for i, (norm, adapted, monotone, commutator, top) in enumerate(s.summands):
-            scale = 1.0 + norm / level
             # membership in M_n
-            if adapted > 1e-9 * scale:
+            if adapted > 1e-9 * (1.0 + norm / level):
                 raise fail(f"R_{n} left the level-{n} subalgebra (summand {i})")
             if monotone < -1e-9:
                 raise fail(f"R_{n} is not below R_{n-1} (summand {i})")
             # commutation with the compressed martingale value
-            if commutator / level > 1e-8 * scale:
+            if commutator > 1e-8 * (level + norm):
                 raise fail(f"R_{n} fails to commute at step {n} (summand {i})")
-            if 1.0 - top / level < -1e-8 * scale:
+            if level - top < -1e-8 * (level + norm):
                 raise fail(f"R_{n} y_n R_{n} exceeds R_{n} (summand {i})")
 
 
@@ -283,30 +284,29 @@ def corrected_p(
 
     The lattice meet over l >= k is truncated at k_top, above which every
     R_n^{B^l} equals the identity because the martingale is bounded; this is
-    exact, not an approximation.  The first all-zero column is P at every
-    lower level, so its band reaches k_min.
+    exact, not an approximation.  A band is one pass: one sequence, one meet,
+    its ends checked (see `_check_level`).  An all-zero column holds to k_min.
     """
     if not (B > 1):
         raise DomainError("the base B must exceed 1")
     if not y.is_selfadjoint():
         raise DomainError("corrected projections need a self-adjoint martingale")
-    lo, top = _k_range(y, B, k_min)
-    ident = y.algebra.identity()
+    lo, k = _k_range(y, B, k_min)
     rows = (y.N,) if final_only else tuple(range(y.N + 1))
-    col, prev, starts = {n: ident for n in rows}, None, []
-    for k in range(top, lo - 1, -1):
-        if all(p.rank() == 0 for p in col.values()):
-            break
+    col, bands = {n: y.algebra.identity() for n in rows}, []
+    while k >= lo:
         seq = cuculescu_r(y, B ** k)
-        # within a band P^{k+1} <= R^{k+1} = R^k, so the meet is P^{k+1} itself
-        if seq is not prev:
-            col = {n: above if above.rank() == 0 else _normalized(proj_meet(seq.R(n), above))
-                   for n, above in col.items()}
-            starts.append((k, col))
-        prev = seq
-    lows = [high + 1 for high, _ in starts[1:]] + [lo]
-    return CorrectedSeq(y, float(B), tuple(
-        (high, low, col) for (high, col), low in zip(starts, lows)))
+        col = {n: above if above.rank() == 0 else _normalized(proj_meet(seq.R(n), above))
+               for n, above in col.items()}
+        low = lo
+        if any(p.rank() > 0 for p in col.values()):
+            # the band's bottom, the lowest level above seq.lo, sought from below it
+            start = math.floor(math.log(seq.lo, B)) - 1 if seq.lo > 0 else lo
+            low = next((j for j in range(max(lo, start), k) if B ** j > seq.lo), k)
+            _check_level(seq, B ** low)
+        bands.append((k, low, col))
+        k = low - 1
+    return CorrectedSeq(y, float(B), tuple(bands))
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,7 +41,6 @@ __all__ = [
     "singular_schatten_norm",
     "singular_spectral_trace",
     "proj_meet",
-    "operator_abs",
     "psd_sqrt",
     "psd_power",
     "min_eigenvalue",
@@ -589,13 +588,6 @@ def psd_power(a: Operator, p: float) -> Operator:
     if p <= 0:
         raise DomainError("psd_power expects a positive exponent")
     return _psd_calculus(a, lambda e: e ** p, "psd_power")
-
-
-def operator_abs(x: Operator) -> Operator:
-    """|x| = (x* x)^(1/2); eigenvalue-wise for Hermitian input."""
-    if x.hermitian:
-        return func_calculus(x, np.abs)
-    return psd_sqrt(x.adjoint() @ x)
 
 
 def cluster_eigenvalues(values: np.ndarray, scale: float) -> list[np.ndarray]:

@@ -48,7 +48,7 @@ from ncgl.opalgebra import (
     Interval,
     abs_spectral_trace,
     cluster_eigenvalues,
-    operator_abs,
+    func_calculus,
     operator_norm,
     psd_power,
     schatten_norm,
@@ -487,7 +487,7 @@ def _composed_counterexample(N, p_grid):
     trace as the trace of a spectral cut of |y_N|, and the p-norms as traces
     of powers of them."""
     x, y, _ = _counterexample_finals(N)
-    abs_x, abs_y = operator_abs(x), operator_abs(y)
+    abs_x, abs_y = func_calculus(x, np.abs), func_calculus(y, np.abs)
     weak = trace(spectral_projection(abs_y, Interval.at_least(1.0)))
     p_norms = {p: (trace(psd_power(abs_x, p)) ** (1.0 / p),
                    trace(psd_power(abs_y, p)) ** (1.0 / p)) for p in p_grid}

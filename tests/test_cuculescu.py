@@ -260,6 +260,84 @@ def _per_level_grid(y, B, k_min=None, final_only=False):
     return grid, seqs
 
 
+def _per_level_corrected(y, B, final_only=False):
+    """_per_level_grid's walk as a CorrectedSeq: one band per run of levels
+    at which cuculescu_r returned one sequence, the last reaching k_min."""
+    grid, seqs = _per_level_grid(y, B, None, final_only)
+    lo, high = _k_range(y, B, None)
+    rows, bands = sorted({n for n, _ in grid}), []
+    for _, run in itertools.groupby(seqs, key=id):
+        low = high - len(list(run)) + 1
+        bands.append((high, low, {n: grid[(n, high)] for n in rows}))
+        high = low - 1
+    top, _, col = bands.pop()
+    return cuculescu.CorrectedSeq(y, float(B), (*bands, (top, lo, col)))
+
+
+def _counted_calls(monkeypatch):
+    """The levels of the cuculescu_r calls that corrected_p makes from here on."""
+    levels, call = [], cuculescu.cuculescu_r
+
+    def counted(y, level):
+        levels.append(level)
+        return call(y, level)
+
+    monkeypatch.setattr(cuculescu, "cuculescu_r", counted)
+    return levels
+
+
+def _raises(seq, level):
+    try:
+        cuculescu._check_level(seq, level)
+    except NumericalInstabilityError:
+        return True
+    return False
+
+
+# each level-dependent test of _check_level: the value of its measurement, as a
+# function of a cut c and ||y_n||, at which it fails exactly on the levels on
+# one side of c (+1 above, -1 below)
+_MOVED = {
+    "adapted": (lambda c, norm: 1e-9 * (1.0 + norm / c), 1),
+    "commutator": (lambda c, norm: 1e-8 * (c + norm), -1),
+    "top": (lambda c, norm: c + 1e-8 * (c + norm), -1),
+}
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("family", range(6))
+def test_band_ends_decide_what_every_level_decides(family, sign):
+    # each band's sequence as stored, and with one measurement of its step of
+    # largest ||y_n|| moved so that its test fails first at the band's top,
+    # strictly inside the band or at its bottom: checking the band's two ends
+    # raises exactly when checking some level of it does
+    y = _fresh_copy(_grid_case(family, sign)[0])
+    inside = 0
+    for p in (3.0, 8.0):
+        B = 1.0 + 1.0 / p
+        for high, low, col in corrected_p(y, B).bands:
+            if all(proj.rank() == 0 for proj in col.values()):
+                continue  # only its top is a level of its sequence
+            seq, ks = cuculescu_r(y, B ** high), range(low, high + 1)
+            n = max(range(y.N + 1), key=lambda n: seq.steps[n].norm[0])
+            step, variants = seq.steps[n], [seq]
+            inside += high - low >= 2
+            for field, (moved, side) in _MOVED.items():
+                for first in {high, (high + low) // 2, low}:
+                    value = [moved(B ** (first - side / 2), step.norm[0])]
+                    value += getattr(step, field)[1:]
+                    steps = list(seq.steps)
+                    steps[n] = dataclasses.replace(step, **{field: value})
+                    moved_seq = dataclasses.replace(seq, steps=tuple(steps))
+                    assert [k for k in ks if _raises(moved_seq, B ** k)] == \
+                        [k for k in ks if side * (k - first) >= 0], (field, high, low, first)
+                    variants.append(moved_seq)
+            for v in variants:
+                assert (_raises(v, B ** high) or _raises(v, B ** low)) == \
+                    any(_raises(v, B ** k) for k in ks), (high, low)
+    assert inside > 0
+
+
 def _groupby_fubini_gap(wm, p):
     """fubini_identity_gap as it was computed before the bands: one
     multiply-add per run of levels sharing one projection object, over the
@@ -575,12 +653,16 @@ class TestCorrectedProjections:
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))
-    def test_bands_match_the_per_level_grid(self, family, sign):
+    def test_bands_match_the_per_level_grid(self, monkeypatch, family, sign):
         y = _fresh_copy(_grid_case(family, sign)[0])
+        calls = _counted_calls(monkeypatch)
         for p, k_min, final_only in itertools.product((3.0, 8.0), (None, -6),
                                                       (False, True)):
             B = 1.0 + 1.0 / p
+            calls.clear()
             cp = corrected_p(y, B, k_min=k_min, final_only=final_only)
+            # one sequence per band, asked for at the band's top
+            assert calls == [B ** high for high, _, _ in cp.bands]
             grid, seqs = _per_level_grid(y, B, k_min, final_only)
             # the bands tile [k_min, k_top], one per run of one sequence
             highs, lows, cols = zip(*cp.bands)
@@ -596,6 +678,41 @@ class TestCorrectedProjections:
             if final_only:
                 with pytest.raises(DomainError):
                     cp.P(0, cp.k_top)
+
+    @pytest.mark.parametrize("field", ("commutator", "top"))
+    def test_band_bottom_is_checked(self, field):
+        # y_0 = diag(1.5, 0.3) at B = 2: the sequence cut at level 1 serves
+        # the band of levels 1 and 0.5; moved to fail below 0.75, it fails at
+        # the band's bottom only
+        y = _one_step([1.5, 0.3])
+        seq = cuculescu_r(y, 1.0)
+        moved = dataclasses.replace(seq.steps[0], **{field: [_MOVED[field][0](0.75, 1.5)]})
+        y.cuculescu_cache[0] = dataclasses.replace(seq, steps=(moved,))
+        assert not _raises(y.cuculescu_cache[0], 1.0)
+        with pytest.raises(NumericalInstabilityError):
+            corrected_p(y, 2.0)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("family", range(6))
+    def test_power_of_two_scaling_is_exact(self, family, sign):
+        # at B = 2, y -> 2y and every level B^k -> B^{k+1} are exact in floating
+        # point: each band moves up one level with the same columns, bit for
+        # bit, except the top band's high and the bottom band's low, which
+        # follow k_top and k_min
+        for seed in range(5):
+            y = random_martingale(triple_family(family), stream(63, family, seed),
+                                  sup_norm=2.5)
+            y = y if sign > 0 else -y
+            cp, up = corrected_p(y, 2.0), corrected_p(y.scale(2.0), 2.0)
+            assert len(up.bands) == len(cp.bands), seed
+            for i, ((h, low, col), (h2, low2, col2)) in enumerate(zip(cp.bands, up.bands)):
+                assert i == 0 or h2 == h + 1, (seed, i)
+                assert i == len(cp.bands) - 1 or low2 == low + 1, (seed, i)
+                assert col2.keys() == col.keys()
+                for n in col:
+                    assert _flat_bytes(col2[n]) == _flat_bytes(col[n]), (seed, i, n)
+            a, a2 = weak_max(y, 2.0).operator, weak_max(y.scale(2.0), 2.0).operator
+            assert all(np.array_equal(b2, 2.0 * b) for b, b2 in zip(a.data, a2.data)), seed
 
 
 class TestWeakMax:
@@ -680,6 +797,20 @@ class TestWeakMax:
         with pytest.raises(OverflowError):
             _unscaled_fubini_gap(wm, 1e4)
         assert 0.0 <= fubini_identity_gap(wm, 1e4) < 1e-6
+
+    def test_large_p_makes_one_call_per_band(self, monkeypatch):
+        # at p = 1e4 the grid has 180,854 levels, and this martingale's
+        # column never reaches 0: the per-level walk asks for all of them
+        y = random_martingale(triple_family(2), stream(57, 2), sup_norm=2.5)
+        B, p = 1.0 + 1e-4, 1e4
+        calls = _counted_calls(monkeypatch)
+        wm = weak_max(y, B)
+        assert len(calls) == len(wm.corrected.bands) == 5
+        per_level = _per_level_corrected(_fresh_copy(y), B, final_only=True)
+        monkeypatch.setattr(cuculescu, "corrected_p", lambda *args, **kwargs: per_level)
+        want = weak_max(y, B)
+        assert _flat_bytes(wm.operator) == _flat_bytes(want.operator)
+        assert fubini_identity_gap(wm, p) == fubini_identity_gap(want, p)
 
     @pytest.mark.parametrize("sign", ("+", "-"))
     @pytest.mark.parametrize("B", (1.5, 2.0, 4.0 / 3.0))

@@ -18,6 +18,7 @@ from ncgl.filtration import (
 )
 from ncgl.instances import gaussian_hermitian, stream
 from ncgl.opalgebra import (
+    func_calculus,
     min_eigenvalue,
     schatten_norm,
     trace,
@@ -285,12 +286,11 @@ class TestSquareFunctions:
     def test_one_step_is_modulus(self):
         # for a single-level filtration, S_0 = |x_0|
         from ncgl.filtration import Filtration
-        from ncgl.opalgebra import operator_abs
 
         c = make_filtration("corner", dim=3)
         filt = Filtration(c.algebra, c.signs, c.levels[-1:])
         m = martingale_from_final(filt, gaussian_hermitian(c.algebra, stream(33)))
-        assert (square_function(m) - operator_abs(m.final)).entry_max() < 1e-10
+        assert (square_function(m) - func_calculus(m.final, np.abs)).entry_max() < 1e-10
 
     def test_diagonal_matches_classical(self):
         filt = make_filtration("rademacher", depth=4)

@@ -1,6 +1,7 @@
 """Module boundaries of the package: no module imports another's private names,
-apart from the listed opalgebra internals, and only the listed modules draw
-random instances."""
+apart from the listed opalgebra internals, only the listed modules draw
+random instances, and every public name is used in the package or a demo,
+or listed."""
 
 import ast
 import pathlib
@@ -59,3 +60,50 @@ def _modules_importing(target: str):
 
 def test_only_listed_modules_draw_instances():
     assert set(_modules_importing("ncgl.instances")) == INSTANCE_IMPORTERS.keys()
+
+
+DEMOS = SRC.parents[1] / "demos"
+
+# public names that no other module, no demo and nothing else in their own
+# module uses, each with the reason it stays
+UNREACHED = {
+    "goodlambda.verify_good_hom":
+        "the paper's homogenised tail bound, checked by tests/test_goodlambda.py",
+    "instances.arrow_squared_positive_pair":
+        "a wrap target of perfbench/tracer.py, resolved by tests/test_trace_targets.py",
+}
+
+
+def _names_used(tree, skip=None):
+    """The names `tree` reads, imports or takes as attributes, outside the
+    top-level function or class named `skip`."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name == skip:
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+
+def _unreached():
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    used = {module: set(_names_used(tree)) for module, tree in trees.items()}
+    for path in DEMOS.glob("*.py"):
+        used[path.name] = set(_names_used(ast.parse(path.read_text(), str(path))))
+    for module, tree in trees.items():
+        public = next((stmt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                       and getattr(stmt.targets[0], "id", None) == "__all__"), None)
+        for name in ast.literal_eval(public) if public else ():
+            if not (name in set(_names_used(tree, skip=name))
+                    or any(name in names for m, names in used.items() if m != module)):
+                yield f"{module}.{name}"
+
+
+def test_every_public_name_is_reached():
+    # and a listed name that is reached now goes from the list
+    assert set(_unreached()) == UNREACHED.keys()
