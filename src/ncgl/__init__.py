@@ -62,7 +62,6 @@ from .goodlambda import (
     check_testing,
     moment_constant,
     verify_core,
-    verify_good_hom,
     verify_moment,
     verify_tail,
 )

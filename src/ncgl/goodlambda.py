@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cuculescu import WeakMax, corrected_p, cuculescu_r, weak_max
+from .cuculescu import WeakMax, cuculescu_r, weak_max
 from .errors import DomainError
 from .filtration import Martingale, cond_exp
 from .opalgebra import Operator, min_eigenvalue, schatten_norm, trace, trace_pair
@@ -41,7 +41,6 @@ __all__ = [
     "hypothesis_status",
     "verify_core",
     "verify_tail",
-    "verify_good_hom",
     "simplified_moment_constant",
     "moment_constant",
     "verify_moment",
@@ -210,22 +209,6 @@ def verify_tail(t: Triple, beta: float, level: float = 1.0) -> tuple[VerifyRepor
     const = 4.0 / ((beta - 1.0) * level) ** 2
     rhs = const * _rhs_weights(t, ident - rseq.final())
     return _reports(lhs, rhs, const, {"beta": beta, "level": level}, t)
-
-
-def verify_good_hom(t: Triple, B: float, k: int) -> VerifyReport:
-    """Homogenized tail bound on the corrected projections at scale B^k.
-
-    tau(P_N^{B^{k+2}} - P_N^{B^{k+1}})
-        <= 4 B^{-2k} (B-1)^{-2} tau((I - P_N^{B^k})(x_N^2 + z_N^2)).
-    """
-    _one_trial(t)
-    cp = corrected_p(t.y, B, k_min=k, final_only=True)
-    N = t.y.N
-    lhs = trace(cp.P(N, k + 2) - cp.P(N, k + 1))
-    const = 4.0 * B ** (-2.0 * k) / (B - 1.0) ** 2
-    rhs = const * _rhs_weights(t, t.algebra.identity() - cp.P(N, k))[0]
-    meta = {"B": B, "k": k, "hypothesis": t.hypothesis[0]}
-    return VerifyReport.compare(lhs, rhs, const, meta)
 
 
 # ---------------------------------------------------------------------------

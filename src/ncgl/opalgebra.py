@@ -222,9 +222,15 @@ class Operator:
     stacks: tuple[np.ndarray, ...]
 
     @cached_property
+    def exactly_hermitian(self) -> bool:
+        """Every block == its adjoint entrywise (IEEE, so a +-0 pair is equal)."""
+        return all(_per_block(lambda c: (c == _h(c)).all((1, 2)), s).all() for s in self.stacks)
+
+    @cached_property
     def hermitian(self) -> bool:
-        """Every block within 1e-12 (1 + max|block|) of its adjoint, entrywise."""
-        return not any(_per_block(_non_hermitian_blocks, s).any() for s in self.stacks)
+        """Exactly Hermitian, or entrywise within 1e-12 (1 + max|block|) of the adjoint."""
+        return self.exactly_hermitian or \
+            not any(_per_block(_non_hermitian_blocks, s).any() for s in self.stacks)
 
     @cached_property
     def data(self):
@@ -234,21 +240,26 @@ class Operator:
 
     # -- spectra, each solved at most once per operator ----------------------
 
+    def _solve(self, kernel: Callable) -> list:
+        """`kernel` per run: of the stacks if exactly Hermitian, else of 0.5 (s + s*)."""
+        solve = kernel if self.exactly_hermitian else lambda c: kernel(_sym(c))
+        return [_per_block(solve, s) for s in self.stacks]
+
     @cached_property
     def eigenvalues(self) -> tuple[np.ndarray, ...]:
-        """Read-only (count, d) eigenvalues of each run of the symmetrized
-        operator, from a values-only solve."""
-        return tuple(_readonly(_per_block(lambda c: np.linalg.eigvalsh(_sym(c)), s))
-                     for s in self.stacks)
+        """Read-only (count, d) eigenvalues of each run from a values-only solve,
+        _eigvalsh, of the Hermitian part 0.5 (s + s*), or of the stacks themselves
+        when exactly Hermitian; exactly diagonal blocks are read off their diagonal."""
+        return tuple(map(_readonly, self._solve(_eigvalsh)))
 
     @cached_property
     def spectrum(self) -> tuple[tuple, tuple]:
-        """Read-only per-run (eigenvalues, eigenvectors) of a Hermitian
-        operator, and its tie tolerances 1e-10 * (1 + ||a||) per block, ||a||
-        the largest absolute eigenvalue of its summand (_block_columns)."""
+        """Read-only per-run (eigenvalues, eigenvectors) of a Hermitian operator,
+        solved as :attr:`eigenvalues` with vectors (_eigh), and its tie tolerances
+        1e-10 (1 + ||a||) per block, ||a|| its summand's largest |eigenvalue|."""
         if not self.hermitian:
             raise DomainError("spectral calculus requires a Hermitian operator")
-        runs = tuple(tuple(map(_readonly, _per_block(_eigh, s))) for s in self.stacks)
+        runs = tuple(tuple(map(_readonly, run)) for run in self._solve(_eigh))
         return runs, _tie_tols(self.algebra, [np.abs(e) for e, _ in runs])
 
     @cached_property
@@ -295,7 +306,7 @@ class Operator:
 
     def symmetrized(self) -> "Operator":
         out = Operator(self.algebra, tuple(_sym(a) for a in self.stacks))
-        out.__dict__["hermitian"] = True  # conj flips signs only: exactly Hermitian
+        out.__dict__["exactly_hermitian"] = True  # conj flips signs: a fixed point of _sym
         return out
 
     def summand_scaled(self, factors) -> "Operator":
@@ -401,14 +412,10 @@ def _diagonal_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched eigh of the Hermitian part of a stack, exact on exactly
-    diagonal blocks.
-
-    The exact path keeps classical (all-diagonal) computations exact, which is
-    what makes the commutative coincidences in the projection machinery hold
-    with equality instead of to rounding error.
-    """
-    s = _sym(s)
+    """Batched eigh of a stack of Hermitian blocks (the caller passes the Hermitian
+    part of a stack that is not), exact on exactly diagonal blocks.  That keeps
+    classical computations exact, so the commutative coincidences in the
+    projection machinery hold with equality instead of to rounding error."""
     diag = _exact_diagonal(s)
     if diag.all():
         return _diagonal_eigh(s)
@@ -416,6 +423,19 @@ def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if diag.any():
         eigs[diag], vecs[diag] = _diagonal_eigh(s[diag])
     return eigs, vecs
+
+
+def _eigvalsh(s: np.ndarray) -> np.ndarray:
+    """Batched eigvalsh of a stack of Hermitian blocks; an exactly diagonal block
+    gives its sorted real diagonal, the values LAPACK returns for it, and a stack
+    of such blocks makes no LAPACK call."""
+    diag = _exact_diagonal(s)
+    if diag.all():
+        return np.sort(np.diagonal(s, axis1=1, axis2=2).real, axis=1)
+    eigs = np.linalg.eigvalsh(s)
+    if diag.any():
+        eigs[diag] = _eigvalsh(s[diag])
+    return eigs
 
 
 def _compose(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -605,7 +625,7 @@ def cluster_eigenvalues(values: np.ndarray, scale: float) -> list[np.ndarray]:
 
 
 def _meet_blocks(se: np.ndarray, sf: np.ndarray) -> np.ndarray:
-    eigs, vecs = _eigh(2.0 * np.eye(se.shape[1]) - se - sf)
+    eigs, vecs = _eigh(_sym(2.0 * np.eye(se.shape[1]) - se - sf))
     return _compose(vecs, (eigs < 1e-8).astype(float))
 
 

@@ -1,16 +1,18 @@
 """Helpers that only the tests use: diagonal operators, the projection
-oracle and the cuts to feed it, the tie rule as it was first written,
+oracle and the cuts to feed it, the tie rule as it was first written, the
+eigensolves of the Hermitian part that the exact solve paths replaced,
 reading a JSON report back into rows, the conditional-expectation axioms of
 a filtration, sampled, a cross-check of tangency through conditional
-moments, and the sampled forms of testing condition (ii) and of the transform
-norm below 2 that the exact checks replaced."""
+moments, the sampled forms of testing condition (ii) and of the transform
+norm below 2 that the exact checks replaced, and the homogenised tail bound
+on the corrected projections."""
 
 import json
 
 import numpy as np
 
 from ncgl.cli import ReportRow
-from ncgl.cuculescu import cuculescu_r
+from ncgl.cuculescu import corrected_p, cuculescu_r
 from ncgl.errors import DomainError
 from ncgl.filtration import Filtration, cond_exp, martingale_from_diffs
 from ncgl.instances import gaussian_hermitian, stream
@@ -24,7 +26,7 @@ from ncgl.opalgebra import (
     trace,
     trace_pair,
 )
-from ncgl.reports import report_tolerance
+from ncgl.reports import VerifyReport, report_tolerance
 
 
 def diagonal_operator(alg, diagonals):
@@ -63,6 +65,23 @@ def tie_rule_contains(interval, eigs, tol) -> np.ndarray:
         side = _tie_compare(eigs, interval.upper, tol)
         mask &= (side <= 0) if interval.upper_closed else (side < 0)
     return mask
+
+
+def _hermitian_part(s: np.ndarray) -> np.ndarray:
+    return 0.5 * (s + s.conj().swapaxes(-1, -2))
+
+
+def reference_eigenvalues(op) -> list[np.ndarray]:
+    """Per-run eigenvalues as Operator.eigenvalues solved them before it read
+    exactness: np.linalg.eigvalsh of the Hermitian part 0.5 (s + s*)."""
+    return [np.linalg.eigvalsh(_hermitian_part(s)) for s in op.stacks]
+
+
+def reference_spectrum(op) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-run (eigenvalues, eigenvectors) as Operator.spectrum solved them,
+    on blocks that are not exactly diagonal: np.linalg.eigh of the Hermitian
+    part."""
+    return [tuple(np.linalg.eigh(_hermitian_part(s))) for s in op.stacks]
 
 
 def recorded_cuts(monkeypatch, module) -> list:
@@ -197,3 +216,22 @@ def sampled_transform_lhs(x, v, p: float, seed: int = 0) -> float:
         lhs = max(lhs, abs(float(trace_pair(y.final, w).real))
                   / max(schatten_norm(w, p_dual), 1e-300))
     return lhs
+
+
+def verify_good_hom(t, B: float, k: int) -> VerifyReport:
+    """Homogenized tail bound on the corrected projections at scale B^k, for
+    a triple of one trial:
+
+    tau(P_N^{B^{k+2}} - P_N^{B^{k+1}})
+        <= 4 B^{-2k} (B-1)^{-2} tau((I - P_N^{B^k})(x_N^2 + z_N^2)).
+    """
+    if t.algebra.summands > 1:
+        raise DomainError("this check takes one trial: see Triple.summand")
+    cp = corrected_p(t.y, B, k_min=k, final_only=True)
+    N = t.y.N
+    x_sq, z_sq, _ = t.squares
+    lhs = trace(cp.P(N, k + 2) - cp.P(N, k + 1))
+    const = 4.0 * B ** (-2.0 * k) / (B - 1.0) ** 2
+    rhs = const * float(trace_pair(x_sq + z_sq, t.algebra.identity() - cp.P(N, k)).real)
+    meta = {"B": B, "k": k, "hypothesis": t.hypothesis[0]}
+    return VerifyReport.compare(lhs, rhs, const, meta)

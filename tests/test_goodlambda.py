@@ -18,11 +18,11 @@ from ncgl.goodlambda import (
     hypothesis_status,
     moment_constant,
     verify_core,
-    verify_good_hom,
     verify_moment,
     verify_tail,
 )
 from ncgl.instances import (
+    FAMILY_TEMPLATES,
     random_martingale,
     stream,
     strong_triple_parts,
@@ -37,7 +37,7 @@ from ncgl.opalgebra import (
     trace_pair,
 )
 
-from helpers import sampled_condition_ii
+from helpers import sampled_condition_ii, verify_good_hom
 
 
 def bg_triple(filt, rng, sup=2.5):
@@ -242,6 +242,26 @@ class TestTailInequality:
             (scaled,) = verify_tail(Triple(x, y, z).scale(mu), 2.0, level=mu)
             assert scaled.lhs == pytest.approx(base.lhs, abs=1e-10)
             assert scaled.margin == pytest.approx(base.margin, rel=1e-8)
+
+    @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+    def test_power_of_two_scaling_is_exact(self, family):
+        # scaling by 2 rounds nothing, so the Cuculescu cuts at 2 level are
+        # those at level: the core sides scale by exactly 4, the tail sides
+        # not at all, and every flag and label stays
+        for seed in range(5):
+            t = Triple(*strong_triple_parts(triple_family(family), stream(seed, 77, family)))
+            doubled = t.scale(2.0)
+            for level in (0.5, 1.0, 1.7):
+                pairs = [(verify_core(t, level)[0], verify_core(doubled, 2 * level)[0], 4.0)]
+                pairs += [(verify_tail(t, beta, level)[0],
+                           verify_tail(doubled, beta, 2 * level)[0], 1.0)
+                          for beta in (1.5, 2.0)]
+                for base, scaled, factor in pairs:
+                    where = (seed, level, base.meta)
+                    assert scaled.lhs == factor * base.lhs, where
+                    assert scaled.rhs == factor * base.rhs, where
+                    assert scaled.passed == base.passed, where
+                    assert scaled.meta["hypothesis"] == base.meta["hypothesis"], where
 
 
 class TestMomentConstant:

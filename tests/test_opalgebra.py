@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgl.errors import DomainError, StructureError
-from ncgl.instances import gaussian_hermitian, stream
+from ncgl.instances import FAMILY_TEMPLATES, gaussian_hermitian, stream, triple_family
 from ncgl.opalgebra import (
     Interval,
+    Operator,
     TracialAlgebra,
     abs_spectral_trace,
     direct_sum,
@@ -26,7 +27,13 @@ from ncgl.opalgebra import (
     trace_pair,
 )
 
-from helpers import check_projection, diagonal_operator, tie_rule_contains
+from helpers import (
+    check_projection,
+    diagonal_operator,
+    reference_eigenvalues,
+    reference_spectrum,
+    tie_rule_contains,
+)
 
 
 def alg1(d, w=1.0):
@@ -679,3 +686,96 @@ class TestSpectrumCache:
             expected = [not np.count_nonzero(b - np.diag(np.diag(b))) for b in s]
             assert _exact_diagonal(s).tolist() == expected
             assert 0 < sum(expected) < 12 or d == 1
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _block(kind, d, rng):
+    if kind == "zero":
+        return np.zeros((d, d))
+    if kind == "repeated":
+        return np.diag(np.resize([0.5, 0.5, -1.25], d))
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(d))
+    return _draw(alg1(d), rng, hermitian=True)[0]
+
+
+class TestExactHermitianSolves:
+    """The exact solve paths against the solves they replaced, LAPACK on the
+    Hermitian part 0.5 (s + s*) of every block (tests/helpers.py): an exactly
+    Hermitian operator is solved as it is, and an exactly diagonal block is
+    read off its diagonal."""
+
+    @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+    def test_symmetrized_operators_solve_as_before(self, family):
+        alg = triple_family(family).algebra
+        a = alg.operator(_draw(alg, stream(27, family))).symmetrized()
+        assert a.exactly_hermitian
+        for new, old in zip(a.eigenvalues, reference_eigenvalues(a)):
+            assert _same_bits(new, old)
+        for (eigs, vecs), (old_eigs, old_vecs) in zip(a.spectrum[0], reference_spectrum(a)):
+            assert _same_bits(eigs, old_eigs) and _same_bits(vecs, old_vecs)
+
+    @pytest.mark.parametrize("dims, kinds", [
+        ((3, 3, 3), ("zero", "repeated", "diagonal")),
+        ((3, 3, 3, 3), ("dense", "zero", "dense", "repeated")),
+        ((3, 3), ("dense", "dense")),
+        ((1, 1, 1), ("zero", "diagonal", "repeated")),
+        ((1, 2, 2, 3, 3), ("diagonal", "repeated", "dense", "zero", "dense")),
+    ], ids=["all", "some", "none", "1x1", "runs"])
+    def test_diagonal_blocks_give_the_lapack_values(self, dims, kinds, monkeypatch):
+        rng = stream(28, len(dims))
+        alg = TracialAlgebra(dims, (1.0,) * len(dims))
+        a = alg.operator([_block(kind, d, rng) for kind, d in zip(kinds, dims)])
+        old = reference_eigenvalues(a)
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda s: solves.append(len(s)) or eigvalsh(s))
+        assert a.exactly_hermitian
+        assert all(_same_bits(new, o) for new, o in zip(a.eigenvalues, old))
+        # LAPACK sees only the runs with a block that is not exactly diagonal
+        ends = np.cumsum([n for n, _ in alg.runs])
+        assert solves == [n for (n, _), end in zip(alg.runs, ends)
+                          if "dense" in kinds[end - n:end]]
+
+    def test_hermitian_within_the_tolerance_solves_its_hermitian_part(self):
+        a = gaussian_hermitian(RUNS, stream(29))
+        s = [b.copy() for b in a.stacks]
+        s[0][1, 0, 2] += 1e-14
+        near = Operator(RUNS, tuple(s))
+        assert not near.exactly_hermitian and near.hermitian
+        assert all(_same_bits(new, old)
+                   for new, old in zip(near.eigenvalues, reference_eigenvalues(near)))
+        for (eigs, vecs), (old_eigs, old_vecs) in zip(near.spectrum[0],
+                                                      reference_spectrum(near)):
+            assert _same_bits(eigs, old_eigs) and _same_bits(vecs, old_vecs)
+
+    def test_signed_zero_pairs_count_as_equal(self):
+        # the seed-0 schur-reversed-l trial-0 matrix m*a: its zeros come in
+        # +-0 pairs, so it is solved as it is, which LAPACK rounds a little
+        # differently from its Hermitian part
+        from ncgl.schur import reversed_l_pattern
+
+        rng = stream(0, 11, 0)
+        pattern = reversed_l_pattern(rng.integers(0, 2, size=7), rng.integers(0, 2, size=8))
+        rng = stream(0, 5501)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        a = (g + g.conj().T) / 2.0
+        ma = pattern.entries * a
+        assert (np.signbit(ma.real) != np.signbit(ma.real.T)).any()
+        op = alg1(8).operator([ma])
+        assert op.exactly_hermitian
+        (old,) = reference_eigenvalues(op)
+        assert np.abs(op.eigenvalues[0] - old).max() <= 1e-15 * np.linalg.norm(a, 2)
+
+    def test_non_hermitian_operators_are_rejected(self):
+        a = RUNS.operator(_draw(RUNS, stream(30)))
+        assert not a.exactly_hermitian and not a.hermitian
+        with pytest.raises(DomainError):
+            min_eigenvalue(a)
+        with pytest.raises(DomainError):
+            a.spectrum

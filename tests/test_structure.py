@@ -1,7 +1,7 @@
 """Module boundaries of the package: no module imports another's private names,
-apart from the listed opalgebra internals, only the listed modules draw
-random instances, and every public name is used in the package or a demo,
-or listed."""
+apart from the listed opalgebra internals, Hermitian eigensolves run only in
+the listed kernels, only the listed modules draw random instances, and every
+public name is used in the package or a demo, or listed."""
 
 import ast
 import pathlib
@@ -37,6 +37,34 @@ def test_allowed_list_is_current():
     assert ALLOWED.keys() <= set(_private_imports())
 
 
+# every Hermitian eigensolve of an operator runs in the kernels that apply the
+# exactness rules (exactly diagonal blocks read off their diagonal); ce_oracle
+# solves the Gram matrix of the independent oracle, no operator
+EIGENSOLVE_SITES = {("opalgebra", "_eigh"), ("opalgebra", "_eigvalsh"),
+                    ("filtration", "ce_oracle")}
+
+
+def _eigensolve_sites():
+    """(module, innermost enclosing function) of every reference to a
+    Hermitian eigensolver, as an attribute (np.linalg.eigh) or an import."""
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh") or \
+                isinstance(node, ast.alias) and node.name.split(".")[-1] in ("eigh", "eigvalsh"):
+            yield module, where
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, module, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+
+
+def test_hermitian_solves_go_through_the_kernels():
+    # and a listed site that no longer solves goes from the list
+    assert set(_eigensolve_sites()) == EIGENSOLVE_SITES
+
+
 # every verifier computes what it checks, so it draws no random numbers
 INSTANCE_IMPORTERS = {
     "cli": "draws the random instance of each trial",
@@ -67,8 +95,6 @@ DEMOS = SRC.parents[1] / "demos"
 # public names that no other module, no demo and nothing else in their own
 # module uses, each with the reason it stays
 UNREACHED = {
-    "goodlambda.verify_good_hom":
-        "the paper's homogenised tail bound, checked by tests/test_goodlambda.py",
     "instances.arrow_squared_positive_pair":
         "a wrap target of perfbench/tracer.py, resolved by tests/test_trace_targets.py",
 }
