@@ -21,7 +21,6 @@ from .opalgebra import (
     Interval,
     Operator,
     TracialAlgebra,
-    abs_spectral_trace,
     func_calculus,
     min_eigenvalue,
     operator_norm,
@@ -35,7 +34,6 @@ from .opalgebra import (
 from .filtration import (
     Filtration,
     Martingale,
-    ce_oracle,
     cond_exp,
     conditioned_square_function,
     diagonal_p_function,

@@ -30,7 +30,6 @@ from .goodlambda import simplified_moment_constant
 from .opalgebra import (
     Interval,
     Operator,
-    abs_spectral_trace,
     cluster_eigenvalues,
     min_eigenvalue,
     operator_norm,
@@ -494,9 +493,8 @@ def tangent_counterexample(N: int, p_grid) -> tuple[CounterexampleReport, ...]:
     built and solved a slice of blocks at a time, so neither is held whole:
     tau(|x_N|) is the Schatten 1-norm, and the weak trace counts |y_N|'s
     eigenvalues in [1, inf).  The reductions take the whole operators' tie
-    tolerance and scale, so each value equals abs_spectral_trace or
-    schatten_norm of the operators of _counterexample_finals; N odd, at
-    most 13.
+    tolerance and scale, so each value equals that of the operators of
+    _counterexample_finals, solved whole; N odd, at most 13.
     """
     if N % 2 == 0:
         raise DomainError("the construction needs N odd")

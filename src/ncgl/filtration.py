@@ -13,9 +13,7 @@ Block order carries the classical conditioning: the sign patterns of depth m
 are listed with the first sign varying slowest (``Filtration.signs``), so the
 blocks that agree on their first n signs form 2**n contiguous runs of
 2**(m - n) blocks each, and a level conditioning on n signs averages over
-those runs.  A level's range is spanned by tensor products of the factors'
-corner matrix units and trailing identities on each run; that basis feeds the
-independent Gram-projection oracle :func:`ce_oracle`.
+those runs.
 
 The ``trivial_full`` family on blocks of mixed dimension has no such tensor
 layout and uses the plain normalised-trace and identity levels instead.
@@ -23,14 +21,13 @@ layout and uses the plain normalised-trace and identity levels instead.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalRankError, StructureError
+from .errors import DomainError, StructureError
 from .opalgebra import Operator, TracialAlgebra, psd_power, psd_sqrt, trace
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "Martingale",
     "make_filtration",
     "cond_exp",
-    "ce_oracle",
     "martingale_from_final",
     "martingale_from_diffs",
     "square_functions",
@@ -54,20 +50,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # levels
 # ---------------------------------------------------------------------------
-
-
-def _matrix_units(d: int) -> list[np.ndarray]:
-    """E_ij for i, j < d, in row-major order."""
-    return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
-
-
-def _factor_range_basis(d: int, k: int) -> list[np.ndarray]:
-    """Spanning set of the corner range at index k on M_d: the k x k matrix
-    units, then the identity on the trailing diagonal (if any)."""
-    basis = [np.pad(e, (0, d - k)) for e in _matrix_units(k)]
-    if k < d:
-        basis.append(np.diag((np.arange(d) >= k).astype(complex)))
-    return basis
 
 
 def _apply_factor_op(stack: np.ndarray, dims: Sequence[int], axis: int, k: int) -> np.ndarray:
@@ -86,12 +68,6 @@ def _apply_factor_op(stack: np.ndarray, dims: Sequence[int], axis: int, k: int) 
     idx = np.arange(k, d)
     out[:, :, idx, :, :, idx, :] = tail[None]
     return out.reshape(stack.shape)
-
-
-def _supported_on(alg: TracialAlgebra, blocks, m: np.ndarray) -> Operator:
-    """The operator equal to m on the given blocks and zero on the others."""
-    return alg.operator([m if b in blocks else np.zeros((d, d))
-                         for b, d in enumerate(alg.dims)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,17 +95,6 @@ class _StructuredLevel:
         avg = (w[:, :, None, None] * t).sum(axis=1) / w.sum(axis=1)[:, None, None]
         return x.algebra.operator(np.repeat(avg, t.shape[1], axis=0))
 
-    def range_basis(self, alg: TracialAlgebra) -> list[Operator]:
-        factor_bases = [_factor_range_basis(d, k)
-                        for d, k in zip(self.factor_dims, self.ks)]
-        mat_basis = [
-            reduce(np.kron, combo)
-            for combo in itertools.product(*factor_bases)
-        ]
-        size = alg.n_blocks // self.groups
-        return [_supported_on(alg, range(g * size, (g + 1) * size), m)
-                for g in range(self.groups) for m in mat_basis]
-
 
 # The two levels of ``trivial_full`` on blocks of mixed dimension.
 
@@ -141,18 +106,11 @@ class _TrivialLevel:
         c = trace(x) / alg.trace_identity()
         return alg.identity() * c
 
-    def range_basis(self, alg: TracialAlgebra) -> list[Operator]:
-        return [alg.identity()]
-
 
 @dataclass(frozen=True, eq=False)
 class _FullLevel:
     def apply(self, x: Operator) -> Operator:
         return x
-
-    def range_basis(self, alg: TracialAlgebra) -> list[Operator]:
-        return [_supported_on(alg, (b,), m)
-                for b, d in enumerate(alg.dims) for m in _matrix_units(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +130,6 @@ class Filtration:
     signs: np.ndarray
     levels: tuple
     label: str = ""
-    _oracle_cache: dict = field(default_factory=dict, repr=False)
     base: "Filtration | None" = field(default=None, repr=False)  # of a direct sum
 
     def __post_init__(self):
@@ -216,35 +173,6 @@ def _checked_level(filtration: Filtration, n: int, x: Operator) -> int:
 def cond_exp(filtration: Filtration, n: int, x: Operator) -> Operator:
     """Apply E_n; n = -1 is aliased to level 0."""
     return filtration.levels[_checked_level(filtration, n, x)].apply(x)
-
-
-def ce_oracle(filtration: Filtration, n: int, x: Operator) -> Operator:
-    """Trace-orthogonal projection of x onto the range of E_n.
-
-    Independent of :func:`cond_exp`: builds the Gram system of a spanning
-    basis of the range subalgebra in the inner product <a, b> = tau(a* b) and
-    solves it directly.
-    """
-    n = _checked_level(filtration, n, x)
-    alg = filtration.algebra
-    sqw = [np.sqrt(w) for w in alg.weights]
-
-    def vec(op: Operator) -> np.ndarray:
-        return np.concatenate([s * b.ravel() for s, b in zip(sqw, op.data)])
-
-    cached = filtration._oracle_cache.get(n)
-    if cached is None:
-        basis = filtration.levels[n].range_basis(alg)
-        V = np.column_stack([vec(op) for op in basis])
-        G = V.conj().T @ V
-        eigs = np.linalg.eigvalsh(G)
-        if eigs.min() <= 1e-12 * max(eigs.max(), 1.0):
-            raise NumericalRankError("Gram matrix of the range basis is singular")
-        cached = (basis, V, G)
-        filtration._oracle_cache[n] = cached
-    basis, V, G = cached
-    coeff = np.linalg.solve(G, V.conj().T @ vec(x))
-    return sum((op * complex(c) for c, op in zip(coeff, basis)), alg.zero())
 
 
 # ---------------------------------------------------------------------------

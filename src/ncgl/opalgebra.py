@@ -36,7 +36,6 @@ __all__ = [
     "operator_norm",
     "spectral_projection",
     "func_calculus",
-    "abs_spectral_trace",
     "sliced_singular_values",
     "singular_schatten_norm",
     "singular_spectral_trace",
@@ -59,11 +58,10 @@ _CLUSTER_TOL = 1e-8
 # _TIE_TOL * (1 + ||a||) of an interval endpoint sits on it, ||a|| per summand.
 _TIE_TOL = 1e-10
 
-# Batched kernels take at most this many blocks per call, and
-# sliced_singular_values builds this many at a time.  Slicing the N = 13
-# counterexample (8,192 blocks of 14 x 14) at 512 or 1,024 blocks took about
-# 50k minor page faults a call, at 256 about 1.3k, fewer than the 3.7k of
-# building it whole; no other stack in the benchmark reaches 256 blocks.
+# Blocks per slice of sliced_singular_values, the only code that slices; every
+# other kernel runs once on a whole stack.  Slicing the N = 13 counterexample
+# (8,192 blocks of 14 x 14) at 512 or 1,024 blocks took about 50k minor page
+# faults a call, at 256 about 1.3k, fewer than the 3.7k of building it whole.
 _CHUNK = 256
 
 
@@ -191,23 +189,6 @@ def _sym(s: np.ndarray) -> np.ndarray:
     return 0.5 * (s + _h(s))
 
 
-def _per_block(kernel: Callable, *stacks: np.ndarray):
-    """kernel(*stacks) for a kernel that maps blocks to per-block results (an
-    array, or a tuple of arrays), run on slices of at most _CHUNK blocks."""
-    n = len(stacks[0])
-    if n <= _CHUNK:
-        return kernel(*stacks)
-    out = None
-    for i in range(0, n, _CHUNK):
-        part = kernel(*(s[i:i + _CHUNK] for s in stacks))
-        parts = part if isinstance(part, tuple) else (part,)
-        if out is None:
-            out = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in parts)
-        for o, p in zip(out, parts):
-            o[i:i + _CHUNK] = p
-    return out if isinstance(part, tuple) else out[0]
-
-
 def _non_hermitian_blocks(s: np.ndarray) -> np.ndarray:
     scale = 1.0 + np.abs(s).max(axis=(1, 2))
     return np.abs(s - _h(s)).max(axis=(1, 2)) > _HERM_TOL * scale
@@ -224,13 +205,13 @@ class Operator:
     @cached_property
     def exactly_hermitian(self) -> bool:
         """Every block == its adjoint entrywise (IEEE, so a +-0 pair is equal)."""
-        return all(_per_block(lambda c: (c == _h(c)).all((1, 2)), s).all() for s in self.stacks)
+        return all((s == _h(s)).all() for s in self.stacks)
 
     @cached_property
     def hermitian(self) -> bool:
         """Exactly Hermitian, or entrywise within 1e-12 (1 + max|block|) of the adjoint."""
         return self.exactly_hermitian or \
-            not any(_per_block(_non_hermitian_blocks, s).any() for s in self.stacks)
+            not any(_non_hermitian_blocks(s).any() for s in self.stacks)
 
     @cached_property
     def data(self):
@@ -242,8 +223,7 @@ class Operator:
 
     def _solve(self, kernel: Callable) -> list:
         """`kernel` per run: of the stacks if exactly Hermitian, else of 0.5 (s + s*)."""
-        solve = kernel if self.exactly_hermitian else lambda c: kernel(_sym(c))
-        return [_per_block(solve, s) for s in self.stacks]
+        return [kernel(s if self.exactly_hermitian else _sym(s)) for s in self.stacks]
 
     @cached_property
     def eigenvalues(self) -> tuple[np.ndarray, ...]:
@@ -266,9 +246,8 @@ class Operator:
     def basis_ok(self) -> bool:
         """|V*V - I| <= 1e-10/d entrywise in each d x d block of the eigenbasis V, so
         (Gershgorin on V_S*V_S) every cut V_S V_S* is within 1e-10 of {0, 1}."""
-        return all(
-            _per_block(lambda v: np.abs(_h(v) @ v - np.eye(v.shape[1])).max(axis=(1, 2)), vecs)
-            .max() <= 1e-10 / vecs.shape[1] for _, vecs in self.spectrum[0])
+        return all(np.abs(_h(v) @ v - np.eye(v.shape[1])).max() <= 1e-10 / v.shape[1]
+                   for _, v in self.spectrum[0])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -426,16 +405,13 @@ def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigvalsh(s: np.ndarray) -> np.ndarray:
-    """Batched eigvalsh of a stack of Hermitian blocks; an exactly diagonal block
-    gives its sorted real diagonal, the values LAPACK returns for it, and a stack
-    of such blocks makes no LAPACK call."""
-    diag = _exact_diagonal(s)
-    if diag.all():
+    """Batched eigvalsh of a stack of Hermitian blocks, one decision per stack: a
+    stack of exactly diagonal blocks gives their sorted real diagonals with no
+    LAPACK call, any other stack one LAPACK call, which returns those same values
+    for each exactly diagonal block in it."""
+    if _exact_diagonal(s).all():
         return np.sort(np.diagonal(s, axis1=1, axis2=2).real, axis=1)
-    eigs = np.linalg.eigvalsh(s)
-    if diag.any():
-        eigs[diag] = _eigvalsh(s[diag])
-    return eigs
+    return np.linalg.eigvalsh(s)
 
 
 def _compose(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -447,9 +423,8 @@ def _projection(a: Operator, interval: Interval) -> Operator:
     """Spectral projection of a Hermitian operator onto `interval`, from its
     cached spectrum; exactly diagonal blocks get an exact 0/1 diagonal."""
     spectrum, tol = a.spectrum
-    stacks = tuple(
-        _per_block(_compose, vecs, interval.contains(eigs, t).astype(float))
-        for (eigs, vecs), t in zip(spectrum, tol))
+    stacks = tuple(_compose(vecs, interval.contains(eigs, t).astype(float))
+                   for (eigs, vecs), t in zip(spectrum, tol))
     for s in stacks:
         blocks, i = np.flatnonzero(_exact_diagonal(s))[:, None], np.arange(s.shape[1])
         if blocks.size:
@@ -557,16 +532,12 @@ def spectral_projection(a: Operator, interval: Interval) -> Operator:
     return _projection(a, interval)
 
 
-def abs_spectral_trace(x: Operator, interval: Interval) -> float:
-    """tau(I_interval(|x|)), counting singular values without forming |x|, under
-    the tie rule :func:`spectral_projection` applies to |x| (of norm ||x||)."""
-    return singular_spectral_trace(x.algebra, _singular_values(x), interval)
-
-
 def singular_spectral_trace(alg: TracialAlgebra, sv: list[np.ndarray],
                             interval: Interval) -> float:
-    """:func:`abs_spectral_trace` of the operator on `alg` with per-run
-    singular values `sv`, its tie tolerance taken from all of them."""
+    """tau(I_interval(|x|)) of the operator x on `alg` with per-run singular
+    values `sv`, counting them without forming |x| under the tie rule
+    :func:`spectral_projection` applies to |x|, its tie tolerance taken from
+    all of them (the norm ||x||)."""
     counts = [interval.contains(s, t).sum(axis=1) for s, t in zip(sv, _tie_tols(alg, sv))]
     return float(_total(alg, counts))
 
@@ -585,7 +556,7 @@ def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operato
             raise DomainError("f must map the spectrum array to an array")
         if not np.all(np.isfinite(vals)):
             raise DomainError("f is undefined at an eigenvalue of the operator")
-        stacks.append(_per_block(_compose, vecs, vals))
+        stacks.append(_compose(vecs, vals))
     return Operator(a.algebra, tuple(stacks))
 
 
@@ -637,6 +608,4 @@ def proj_meet(e: Operator, f: Operator) -> Operator:
     diagonal path of the eigensolve.
     """
     e._same_algebra(f)
-    stacks = tuple(_per_block(_meet_blocks, se, sf)
-                   for se, sf in zip(e.stacks, f.stacks))
-    return Operator(e.algebra, stacks)
+    return Operator(e.algebra, tuple(map(_meet_blocks, e.stacks, f.stacks)))

@@ -1,27 +1,40 @@
 """Helpers that only the tests use: diagonal operators, the projection
-oracle and the cuts to feed it, the tie rule as it was first written, the
-eigensolves of the Hermitian part that the exact solve paths replaced,
-reading a JSON report back into rows, the conditional-expectation axioms of
-a filtration, sampled, a cross-check of tangency through conditional
-moments, the sampled forms of testing condition (ii) and of the transform
-norm below 2 that the exact checks replaced, and the homogenised tail bound
-on the corrected projections."""
+oracle and the cuts to feed it, the per-operator weak trace tau(I(|x|)), the
+tie rule as it was first written, the eigensolves of the Hermitian part that
+the exact solve paths replaced, reading a JSON report back into rows, the
+Gram-projection oracle for conditional expectations and the
+conditional-expectation axioms of a filtration, sampled, a cross-check of
+tangency through conditional moments, the sampled forms of testing condition
+(ii) and of the transform norm below 2 that the exact checks replaced, and
+the homogenised tail bound on the corrected projections."""
 
+import itertools
 import json
+import weakref
+from functools import reduce
 
 import numpy as np
 
 from ncgl.cli import ReportRow
 from ncgl.cuculescu import corrected_p, cuculescu_r
-from ncgl.errors import DomainError
-from ncgl.filtration import Filtration, cond_exp, martingale_from_diffs
+from ncgl.errors import DomainError, NumericalRankError
+from ncgl.filtration import (
+    Filtration,
+    _checked_level,
+    _FullLevel,
+    _TrivialLevel,
+    cond_exp,
+    martingale_from_diffs,
+)
 from ncgl.instances import gaussian_hermitian, stream
 from ncgl.opalgebra import (
     Interval,
+    _singular_values,
     cluster_eigenvalues,
     min_eigenvalue,
     operator_norm,
     schatten_norm,
+    singular_spectral_trace,
     spectral_projection,
     trace,
     trace_pair,
@@ -43,6 +56,12 @@ def check_projection(op):
                 or eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10):
             raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
     return op
+
+
+def abs_spectral_trace(x, interval) -> float:
+    """tau(I_interval(|x|)) of one whole operator: the reference for
+    singular_spectral_trace of singular values solved a slice at a time."""
+    return singular_spectral_trace(x.algebra, _singular_values(x), interval)
 
 
 def _tie_compare(eigs: np.ndarray, c: float, tol) -> np.ndarray:
@@ -106,6 +125,78 @@ def rows_from_json(path: str) -> list[ReportRow]:
                   d["constant"], d["margin"], d["pass"], d["ms"])
         for d in payload
     ]
+
+
+def _matrix_units(d: int) -> list[np.ndarray]:
+    """E_ij for i, j < d, in row-major order."""
+    return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
+
+
+def _factor_range_basis(d: int, k: int) -> list[np.ndarray]:
+    """Spanning set of the corner range at index k on M_d: the k x k matrix
+    units, then the identity on the trailing diagonal (if any)."""
+    basis = [np.pad(e, (0, d - k)) for e in _matrix_units(k)]
+    if k < d:
+        basis.append(np.diag((np.arange(d) >= k).astype(complex)))
+    return basis
+
+
+def _supported_on(alg, blocks, m: np.ndarray):
+    """The operator equal to m on the given blocks and zero on the others."""
+    return alg.operator([m if b in blocks else np.zeros((d, d))
+                         for b, d in enumerate(alg.dims)])
+
+
+def range_basis(level, alg) -> list:
+    """Spanning set of the range of a filtration level, read off its data, not
+    its map: on each of its ``groups`` runs of blocks, the tensor products of
+    the corner matrix units and trailing identities at its indices ``ks`` on
+    ``factor_dims``; the identity, or every block's matrix units, for the two
+    levels of trivial_full on mixed dimensions."""
+    if isinstance(level, _TrivialLevel):
+        return [alg.identity()]
+    if isinstance(level, _FullLevel):
+        return [_supported_on(alg, (b,), m)
+                for b, d in enumerate(alg.dims) for m in _matrix_units(d)]
+    factor_bases = [_factor_range_basis(d, k) for d, k in zip(level.factor_dims, level.ks)]
+    mat_basis = [reduce(np.kron, combo) for combo in itertools.product(*factor_bases)]
+    size = alg.n_blocks // level.groups
+    return [_supported_on(alg, range(g * size, (g + 1) * size), m)
+            for g in range(level.groups) for m in mat_basis]
+
+
+# per filtration, the (basis, V, G) of each level the oracle has solved
+_GRAM_SYSTEMS = weakref.WeakKeyDictionary()
+
+
+def ce_oracle(filtration, n: int, x):
+    """Trace-orthogonal projection of x onto the range of E_n, the reference
+    for cond_exp.
+
+    Independent of it: builds the Gram system of :func:`range_basis` in the
+    inner product <a, b> = tau(a* b) and solves it directly;
+    NumericalRankError when the Gram matrix is singular.  The system of each
+    level is built once per filtration.
+    """
+    n = _checked_level(filtration, n, x)
+    alg = filtration.algebra
+    sqw = [np.sqrt(w) for w in alg.weights]
+
+    def vec(op) -> np.ndarray:
+        return np.concatenate([s * b.ravel() for s, b in zip(sqw, op.data)])
+
+    systems = _GRAM_SYSTEMS.setdefault(filtration, {})
+    if n not in systems:
+        basis = range_basis(filtration.levels[n], alg)
+        V = np.column_stack([vec(op) for op in basis])
+        G = V.conj().T @ V
+        eigs = np.linalg.eigvalsh(G)
+        if eigs.min() <= 1e-12 * max(eigs.max(), 1.0):
+            raise NumericalRankError("Gram matrix of the range basis is singular")
+        systems[n] = basis, V, G
+    basis, V, G = systems[n]
+    coeff = np.linalg.solve(G, V.conj().T @ vec(x))
+    return sum((op * complex(c) for c, op in zip(coeff, basis)), alg.zero())
 
 
 def validate_filtration(filtration, rng: np.random.Generator, samples: int = 6) -> dict:

@@ -16,7 +16,6 @@ from ncgl.cli import ExperimentConfig, emit, run
 from ncgl.cuculescu import corrected_p, cuculescu_r
 from ncgl.filtration import (
     Martingale,
-    ce_oracle,
     cond_exp,
     make_filtration,
     sign_matrix_filtration,
@@ -41,6 +40,8 @@ from ncgl.schur import (
     triangular_projection,
     verify_reversed_L,
 )
+
+from helpers import ce_oracle
 
 SEED = 20260808
 

@@ -46,7 +46,6 @@ from ncgl.instances import (
 )
 from ncgl.opalgebra import (
     Interval,
-    abs_spectral_trace,
     cluster_eigenvalues,
     func_calculus,
     operator_norm,
@@ -57,6 +56,7 @@ from ncgl.opalgebra import (
 )
 
 from helpers import (
+    abs_spectral_trace,
     check_projection,
     diagonal_operator,
     recorded_cuts,

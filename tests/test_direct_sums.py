@@ -14,7 +14,7 @@ import pytest
 
 from ncgl.cuculescu import _check_level, cuculescu_r
 from ncgl.errors import DomainError, NumericalInstabilityError, StructureError
-from ncgl.filtration import ce_oracle, cond_exp, make_filtration, martingale_from_final
+from ncgl.filtration import cond_exp, make_filtration, martingale_from_final
 from ncgl.goodlambda import (
     Triple,
     check_strong_testing,
@@ -38,6 +38,8 @@ from ncgl.opalgebra import (
     trace,
     trace_pair,
 )
+
+from helpers import ce_oracle
 
 
 def _same(a, b):

@@ -232,16 +232,27 @@ class TestTailInequality:
         with pytest.raises(DomainError):
             verify_tail(Triple(x, y, z), 1.0)
 
-    def test_tail_scale_invariance(self):
-        # both sides of the tail bound are invariant under joint rescaling
-        # of the triple and the level (the lhs is a projection trace)
-        filt = triple_family(1)
-        x, y, z = strong_triple_parts(filt, stream(731))
-        (base,) = verify_tail(Triple(x, y, z), 2.0)
-        for mu in (0.5, 3.0):
-            (scaled,) = verify_tail(Triple(x, y, z).scale(mu), 2.0, level=mu)
-            assert scaled.lhs == pytest.approx(base.lhs, abs=1e-10)
-            assert scaled.margin == pytest.approx(base.margin, rel=1e-8)
+    @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+    def test_scale_covariance(self, family):
+        # rescaling the triple and the level by mu scales both core sides by
+        # mu^2 and leaves both tail sides (the lhs a projection trace) as they
+        # are, to rounding, at every mu; every flag and label stays
+        for seed in range(5):
+            t = Triple(*strong_triple_parts(triple_family(family), stream(seed, 77, family)))
+            for mu in (1e-3, 0.1, 3.0, 10.0, 1e3):
+                scaled = t.scale(mu)
+                for level in (0.5, 1.0, 1.7):
+                    pairs = [(verify_core(t, level)[0], verify_core(scaled, mu * level)[0],
+                              mu * mu, 1e-10)]
+                    pairs += [(verify_tail(t, beta, level)[0],
+                               verify_tail(scaled, beta, mu * level)[0], 1.0, 1e-13)
+                              for beta in (1.5, 2.0)]
+                    for base, got, factor, rel in pairs:
+                        where = (seed, mu, level, base.meta)
+                        for side, want in ((got.lhs, base.lhs), (got.rhs, base.rhs)):
+                            assert abs(side - factor * want) <= rel * abs(factor * want), where
+                        assert got.passed == base.passed, where
+                        assert got.meta["hypothesis"] == base.meta["hypothesis"], where
 
     @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
     def test_power_of_two_scaling_is_exact(self, family):

@@ -11,7 +11,6 @@ from ncgl.opalgebra import (
     Interval,
     Operator,
     TracialAlgebra,
-    abs_spectral_trace,
     direct_sum,
     func_calculus,
     min_eigenvalue,
@@ -28,6 +27,7 @@ from ncgl.opalgebra import (
 )
 
 from helpers import (
+    abs_spectral_trace,
     check_projection,
     diagonal_operator,
     reference_eigenvalues,
@@ -549,22 +549,46 @@ class TestRunStacks:
         blocks[2] = (blocks[2] + blocks[2].conj().T) / 2
         assert RUNS.operator(blocks).hermitian
 
-    def test_chunked_kernels_match_one_call(self, monkeypatch):
-        import ncgl.opalgebra as oa
+    @pytest.mark.parametrize("exact", [True, False], ids=["symmetrized", "near"])
+    def test_whole_stack_kernels_are_batch_independent(self, exact):
+        # 3 * 256 + 5 blocks of Gaussian Hermitian, exactly diagonal and zero
+        # kinds; the kernels run once on the whole stack, which must give the
+        # bits of the same calls on runs of at most 256 consecutive blocks
+        n, size = 773, 256
+        alg = TracialAlgebra((4,) * n, (1.0 / n,) * n)
+        rng = stream(21)
+        kinds = ("dense", "diagonal", "dense", "zero")
 
-        alg = TracialAlgebra((4,) * 5, (0.2,) * 5)
-        blocks = _draw(alg, stream(21), hermitian=True)
-        blocks[1] = np.diag([2.0, -1.0, 0.5, 0.0]).astype(complex)
+        def blocks():
+            out = np.stack([_block(kinds[i % 4], 4, rng) for i in range(n)]).astype(complex)
+            if not exact:
+                # one 1e-14 asymmetry per slice: the whole operator and each
+                # slice are Hermitian within the tolerance, not exactly
+                out[::size, 0, 1] += 1e-14
+            return out
 
-        def results():
-            b = alg.operator(blocks)
-            return (spectral_projection(b, Interval.below(0.2)).stacks[0],
-                    func_calculus(b, np.exp).stacks[0], min_eigenvalue(b), b.hermitian)
+        x, y = blocks(), blocks()
+        parts = [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+        def op(stack, part=slice(None)):
+            a = TracialAlgebra(alg.dims[part], alg.weights[part]).operator(stack[part])
+            return a.symmetrized() if exact else a
+
+        def results(part=slice(None)):
+            a, b = op(x, part), op(y, part)
+            assert a.exactly_hermitian == exact and a.hermitian
+            (eigs, vecs), = a.spectrum[0]
+            cut_a = spectral_projection(a, Interval.below(0.2))
+            cut_b = spectral_projection(b, Interval.below(0.2))
+            return (a.eigenvalues[0], eigs, vecs, cut_a.stacks[0],
+                    func_calculus(a, np.exp).stacks[0], proj_meet(cut_a, cut_b).stacks[0],
+                    np.array([a.hermitian, a.basis_ok]))
 
         whole = results()
-        monkeypatch.setattr(oa, "_CHUNK", 2)
-        for got, want in zip(results(), whole):
-            assert np.array_equal(got, want)
+        sliced = [np.concatenate(r) for r in zip(*map(results, parts))]
+        assert whole[-1].all() and sliced[-1].all()
+        for got, want in zip(sliced[:-1], whole[:-1]):
+            assert _same_bits(got, want)
 
 
 class TestSlicedReductions:

@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module imports another's private names,
 apart from the listed opalgebra internals, Hermitian eigensolves run only in
-the listed kernels, only the listed modules draw random instances, and every
-public name is used in the package or a demo, or listed."""
+the listed kernels, only the singular-value slicer slices stacks, only the
+listed modules draw random instances, and every public name is used in the
+package or a demo, or listed."""
 
 import ast
 import pathlib
@@ -38,20 +39,19 @@ def test_allowed_list_is_current():
 
 
 # every Hermitian eigensolve of an operator runs in the kernels that apply the
-# exactness rules (exactly diagonal blocks read off their diagonal); ce_oracle
-# solves the Gram matrix of the independent oracle, no operator
-EIGENSOLVE_SITES = {("opalgebra", "_eigh"), ("opalgebra", "_eigvalsh"),
-                    ("filtration", "ce_oracle")}
+# exactness rules (exactly diagonal blocks read off their diagonal)
+EIGENSOLVE_SITES = {("opalgebra", "_eigh"), ("opalgebra", "_eigvalsh")}
 
 
-def _eigensolve_sites():
-    """(module, innermost enclosing function) of every reference to a
-    Hermitian eigensolver, as an attribute (np.linalg.eigh) or an import."""
+def _reference_sites(names):
+    """(module, innermost enclosing function) of every reference to one of
+    `names`, as a name read, an attribute (np.linalg.eigh) or an import."""
     def visit(node, module, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh") or \
-                isinstance(node, ast.alias) and node.name.split(".")[-1] in ("eigh", "eigvalsh"):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names \
+                or isinstance(node, ast.Attribute) and node.attr in names \
+                or isinstance(node, ast.alias) and node.name.split(".")[-1] in names:
             yield module, where
         for child in ast.iter_child_nodes(node):
             yield from visit(child, module, where)
@@ -62,7 +62,14 @@ def _eigensolve_sites():
 
 def test_hermitian_solves_go_through_the_kernels():
     # and a listed site that no longer solves goes from the list
-    assert set(_eigensolve_sites()) == EIGENSOLVE_SITES
+    assert set(_reference_sites({"eigh", "eigvalsh"})) == EIGENSOLVE_SITES
+
+
+def test_only_the_slicer_slices():
+    # every other kernel runs once on a whole stack: stacked eigensolves,
+    # products and reductions treat each block on its own, so slicing them
+    # changes no bit and only adds a loop
+    assert set(_reference_sites({"_CHUNK"})) == {("opalgebra", "sliced_singular_values")}
 
 
 # every verifier computes what it checks, so it draws no random numbers
@@ -101,8 +108,8 @@ UNREACHED = {
 
 
 def _names_used(tree, skip=None):
-    """The names `tree` reads, imports or takes as attributes, outside the
-    top-level function or class named `skip`."""
+    """The names `tree` reads or takes as attributes, outside the top-level
+    function or class named `skip`; an import alone is no use."""
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name == skip:
             continue
@@ -111,8 +118,6 @@ def _names_used(tree, skip=None):
                 yield node.id
             elif isinstance(node, ast.Attribute):
                 yield node.attr
-            elif isinstance(node, ast.alias):
-                yield node.name
 
 
 def _unreached():
