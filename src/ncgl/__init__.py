@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     NCGLError,
     NumericalInstabilityError,
-    NumericalRankError,
     StructureError,
 )
 from .opalgebra import (

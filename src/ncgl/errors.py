@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "NCGLError",
+    "StructureError",
+    "DomainError",
+    "NumericalInstabilityError",
+]
+
 
 class NCGLError(Exception):
     """Base class for all package errors."""
@@ -11,10 +18,6 @@ class StructureError(NCGLError, ValueError):
 
 class DomainError(NCGLError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
-
-
-class NumericalRankError(NCGLError, ArithmeticError):
-    """A Gram system or subspace computation is numerically rank deficient."""
 
 
 class NumericalInstabilityError(NCGLError, ArithmeticError):

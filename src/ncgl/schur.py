@@ -11,6 +11,7 @@ theorem's upper bounds.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,52 +149,66 @@ def matrix_p_norm(a: np.ndarray, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _norm_quotient(x: np.ndarray, p: float, h: float) -> tuple[float, np.ndarray]:
-    """||x||_p and its forward-difference quotient (||x + hE||_p - ||x||_p)/h,
-    real part for E = e_i e_j^T and imaginary part for E = i e_i e_j^T.
+def _norm_quotient(x: np.ndarray, p: float) -> tuple[float, Callable[[float], np.ndarray]]:
+    """||x||_p from one SVD x = U S V*, and a callable giving its
+    forward-difference quotient (||x + hE||_p - ||x||_p)/h at step h, real
+    part for E = e_i e_j^T and imaginary part for E = i e_i e_j^T.
 
-    Closed form to second order in h, f'(E) + (h/2) f''(E, E), from one SVD
-    x = U S V*: f = F^{1/p}, F = tr phi(x*x), phi(t) = t^{p/2}, F' = p U S^{p-1} V*,
-    and F'' from the Daleckii-Krein divided differences psi of phi' on S^2
-    (phi'' on pairs within 1e-8 relative).  Only numerically positive singular
-    values, where phi' and phi'' are finite, enter the h/2 term.
+    The norm needs only the SVD; the callable keeps U, S, V* and forms the
+    quotient from them each time it is called, never before.  Closed form to
+    second order in h, f'(E) + (h/2) f''(E, E): f = F^{1/p}, F = tr phi(x*x),
+    phi(t) = t^{p/2}, F' = p U S^{p-1} V*, and F'' from the Daleckii-Krein
+    divided differences psi of phi' on S^2 (phi'' on pairs within 1e-8
+    relative).  Only numerically positive singular values, where phi' and
+    phi'' are finite, enter the h/2 term.
     """
     u, s, vh = np.linalg.svd(x)  # s is sorted in decreasing order
     if not s.any():
-        return 0.0, np.zeros_like(x)
+        return 0.0, lambda h: np.zeros_like(x)
     # at x / s[0] F >= 1 for any p; the norm has degree 1, the quotient 0 (h scaled too)
     top = s[0]
-    s, h = s / top, h / top
+    s = s / top
     F = np.sum(s**p)
-    w = (u * s ** (p - 1.0)) @ vh
-    keep = s > s[0] * x.shape[0] * np.finfo(float).eps
-    us, vbar, lam = u[:, keep] * s[keep], vh[keep].T, s[keep] ** 2
-    d1 = 0.5 * p * lam ** (0.5 * p - 1.0)
-    d2 = 0.5 * p * (0.5 * p - 1.0) * lam ** (0.5 * p - 2.0)
-    gap = lam[:, None] - lam[None, :]
-    close = np.abs(gap) <= 1e-8 * np.maximum(lam[:, None], lam[None, :])
-    psi = np.where(close, 0.5 * (d2[:, None] + d2[None, :]),
-                   (d1[:, None] - d1[None, :]) / np.where(close, 1.0, gap))
-    v2 = np.abs(vbar) ** 2
-    # F'' = both + cross for the real direction, both - cross for the imaginary
-    both = 2.0 * (v2 @ d1)[None, :] + 2.0 * (np.abs(us) ** 2 @ psi @ v2.T)
-    q = us[:, None, :] * vbar[None, :, :]  # q[i, j, k] = (U S)_ik conj(V)_jk
-    cross = 2.0 * np.sum((q @ psi) * q, axis=-1).real
-    second = ((1 + 1j) * both + (1 - 1j) * cross
-              + p * (1.0 - p) * (w.real**2 + 1j * w.imag**2) / F)
-    return float(top * F ** (1.0 / p)), F ** (1.0 / p - 1.0) * (w + h / (2 * p) * second)
+
+    def quotient(h: float) -> np.ndarray:
+        h = h / top
+        w = (u * s ** (p - 1.0)) @ vh
+        keep = s > s[0] * x.shape[0] * np.finfo(float).eps
+        us, vbar, lam = u[:, keep] * s[keep], vh[keep].T, s[keep] ** 2
+        d1 = 0.5 * p * lam ** (0.5 * p - 1.0)
+        d2 = 0.5 * p * (0.5 * p - 1.0) * lam ** (0.5 * p - 2.0)
+        gap = lam[:, None] - lam[None, :]
+        close = np.abs(gap) <= 1e-8 * np.maximum(lam[:, None], lam[None, :])
+        psi = np.where(close, 0.5 * (d2[:, None] + d2[None, :]),
+                       (d1[:, None] - d1[None, :]) / np.where(close, 1.0, gap))
+        v2 = np.abs(vbar) ** 2
+        # F'' = both + cross for the real direction, both - cross for the imaginary
+        both = 2.0 * (v2 @ d1)[None, :] + 2.0 * (np.abs(us) ** 2 @ psi @ v2.T)
+        q = us[:, None, :] * vbar[None, :, :]  # q[i, j, k] = (U S)_ik conj(V)_jk
+        cross = 2.0 * np.sum((q @ psi) * q, axis=-1).real
+        second = ((1 + 1j) * both + (1 - 1j) * cross
+                  + p * (1.0 - p) * (w.real**2 + 1j * w.imag**2) / F)
+        return F ** (1.0 / p - 1.0) * (w + h / (2 * p) * second)
+
+    return float(top * F ** (1.0 / p)), quotient
 
 
-def _ratio_quotient(m: np.ndarray, a: np.ndarray, p: float) -> tuple[float, np.ndarray]:
-    """||m*a||_p / ||a||_p and its forward-difference quotient at step
-    h = 1e-6 ||a||_2, by the quotient rule from the two norm quotients (one
-    SVD each); the numerator only moves where m is nonzero."""
-    h = 1e-6 * np.linalg.norm(a)
-    num, g_num = _norm_quotient(m * a, p, h)
-    den, g_den = _norm_quotient(a, p, h)
+def _ratio_quotient(m: np.ndarray, a: np.ndarray,
+                    p: float) -> tuple[float, Callable[[], np.ndarray]]:
+    """||m*a||_p / ||a||_p from one SVD pair, and a callable giving its
+    forward-difference quotient at step h = 1e-6 ||a||_2, by the quotient
+    rule from the two norm quotients; the numerator only moves where m is
+    nonzero."""
+    num, num_quotient = _norm_quotient(m * a, p)
+    den, den_quotient = _norm_quotient(a, p)
     if den < 1e-300:
-        return 0.0, np.zeros_like(a)
-    return num / den, (m * g_num * den - num * g_den) / den**2
+        return 0.0, lambda: np.zeros_like(a)
+
+    def quotient() -> np.ndarray:
+        h = 1e-6 * np.linalg.norm(a)
+        return (m * num_quotient(h) * den - num * den_quotient(h)) / den**2
+
+    return num / den, quotient
 
 
 def _hilbert_start(n: int) -> np.ndarray:
@@ -209,11 +224,13 @@ def schur_norm_lower(m, p: float, budget: int = 40, restarts: int = 3,
 
     Maximizes ||m*a||_p / ||a||_p by normalized gradient ascent along the
     forward-difference quotient (step h = 1e-6 ||a||_2), computed in closed
-    form to second order in h from one SVD per norm, from `restarts` seeded
-    random starts plus one deterministic Cauchy-kernel start; each candidate
-    costs one SVD pair, which gives its ratio and, once accepted, its
-    quotient.  The returned value is an attained ratio, hence a genuine
-    lower bound.
+    form to second order in h, from `restarts` seeded random starts plus one
+    deterministic Cauchy-kernel start.  Every start and every candidate costs
+    one SVD pair (m*a and a), which gives its ratio; a rejected candidate
+    costs nothing more.  The quotient pair is formed from the kept SVDs of
+    an iterate only when a step is taken from it: once for each start, and
+    once for each accepted candidate that the budget leaves a further step.
+    The returned value is an attained ratio, hence a genuine lower bound.
     """
     if budget <= 0:
         raise DomainError("the iteration budget must be positive")
@@ -235,16 +252,18 @@ def schur_norm_lower(m, p: float, budget: int = 40, restarts: int = 3,
     best_arg = start_list[0]
     for a0 in start_list:
         a = a0 / max(np.linalg.norm(a0), 1e-300)
-        val, g = _ratio_quotient(mm, a, p)
-        lr = 0.5
+        val, quotient = _ratio_quotient(mm, a, p)
+        g, lr = None, 0.5
         for _ in range(budget):
+            if g is None:  # a new iterate: its quotient is formed now
+                g = quotient()
             gn = np.linalg.norm(g)
             if gn < 1e-14:
                 break
             cand = a + lr * np.linalg.norm(a) * g / gn
-            cand_val, cand_g = _ratio_quotient(mm, cand, p)
+            cand_val, cand_quotient = _ratio_quotient(mm, cand, p)
             if cand_val > val:
-                a, val, g = cand, cand_val, cand_g
+                a, val, quotient, g = cand, cand_val, cand_quotient, None
                 lr = min(lr * 1.3, 1.0)
             else:
                 lr *= 0.5

@@ -2,11 +2,13 @@
 oracle and the cuts to feed it, the per-operator weak trace tau(I(|x|)), the
 tie rule as it was first written, the eigensolves of the Hermitian part that
 the exact solve paths replaced, reading a JSON report back into rows, the
-Gram-projection oracle for conditional expectations and the
-conditional-expectation axioms of a filtration, sampled, a cross-check of
-tangency through conditional moments, the sampled forms of testing condition
-(ii) and of the transform norm below 2 that the exact checks replaced, and
-the homogenised tail bound on the corrected projections."""
+Gram-projection oracle for conditional expectations (and the error it raises
+on a singular Gram system) and the conditional-expectation axioms of a
+filtration, sampled, a cross-check of tangency through conditional moments,
+the sampled forms of testing condition (ii) and of the transform norm below 2
+that the exact checks replaced, the homogenised tail bound on the corrected
+projections, and the Schur ascent as it was when every candidate's quotient
+was formed with its ratio."""
 
 import itertools
 import json
@@ -17,7 +19,7 @@ import numpy as np
 
 from ncgl.cli import ReportRow
 from ncgl.cuculescu import corrected_p, cuculescu_r
-from ncgl.errors import DomainError, NumericalRankError
+from ncgl.errors import DomainError, NCGLError
 from ncgl.filtration import (
     Filtration,
     _checked_level,
@@ -40,6 +42,7 @@ from ncgl.opalgebra import (
     trace_pair,
 )
 from ncgl.reports import VerifyReport, report_tolerance
+from ncgl.schur import Pattern
 
 
 def diagonal_operator(alg, diagonals):
@@ -163,6 +166,11 @@ def range_basis(level, alg) -> list:
     size = alg.n_blocks // level.groups
     return [_supported_on(alg, range(g * size, (g + 1) * size), m)
             for g in range(level.groups) for m in mat_basis]
+
+
+class NumericalRankError(NCGLError, ArithmeticError):
+    """The Gram system of the oracle's range basis is numerically rank
+    deficient."""
 
 
 # per filtration, the (basis, V, G) of each level the oracle has solved
@@ -326,3 +334,76 @@ def verify_good_hom(t, B: float, k: int) -> VerifyReport:
     rhs = const * float(trace_pair(x_sq + z_sq, t.algebra.identity() - cp.P(N, k)).real)
     meta = {"B": B, "k": k, "hypothesis": t.hypothesis[0]}
     return VerifyReport.compare(lhs, rhs, const, meta)
+
+
+def _eager_norm_quotient(x, p, h):
+    """||x||_p and its closed-form forward-difference quotient at step h,
+    both formed from one SVD as soon as the norm is asked for."""
+    u, s, vh = np.linalg.svd(x)
+    if not s.any():
+        return 0.0, np.zeros_like(x)
+    top = s[0]
+    s, h = s / top, h / top
+    F = np.sum(s**p)
+    w = (u * s ** (p - 1.0)) @ vh
+    keep = s > s[0] * x.shape[0] * np.finfo(float).eps
+    us, vbar, lam = u[:, keep] * s[keep], vh[keep].T, s[keep] ** 2
+    d1 = 0.5 * p * lam ** (0.5 * p - 1.0)
+    d2 = 0.5 * p * (0.5 * p - 1.0) * lam ** (0.5 * p - 2.0)
+    gap = lam[:, None] - lam[None, :]
+    close = np.abs(gap) <= 1e-8 * np.maximum(lam[:, None], lam[None, :])
+    psi = np.where(close, 0.5 * (d2[:, None] + d2[None, :]),
+                   (d1[:, None] - d1[None, :]) / np.where(close, 1.0, gap))
+    v2 = np.abs(vbar) ** 2
+    both = 2.0 * (v2 @ d1)[None, :] + 2.0 * (np.abs(us) ** 2 @ psi @ v2.T)
+    q = us[:, None, :] * vbar[None, :, :]
+    cross = 2.0 * np.sum((q @ psi) * q, axis=-1).real
+    second = ((1 + 1j) * both + (1 - 1j) * cross
+              + p * (1.0 - p) * (w.real**2 + 1j * w.imag**2) / F)
+    return float(top * F ** (1.0 / p)), F ** (1.0 / p - 1.0) * (w + h / (2 * p) * second)
+
+
+def _eager_ratio_quotient(m, a, p):
+    h = 1e-6 * np.linalg.norm(a)
+    num, g_num = _eager_norm_quotient(m * a, p, h)
+    den, g_den = _eager_norm_quotient(a, p, h)
+    if den < 1e-300:
+        return 0.0, np.zeros_like(a)
+    return num / den, (m * g_num * den - num * g_den) / den**2
+
+
+def eager_schur_norm_lower(m, p, budget=40, restarts=3, seed=0, starts=None):
+    """(value, argmax) of schur_norm_lower as it was when every candidate's
+    quotient was formed with its ratio, accepted or not: the reference for
+    the ascent that forms a quotient only where it takes a step."""
+    mm = (m.entries if isinstance(m, Pattern) else np.asarray(m)).astype(float)
+    n = mm.shape[0]
+    rng = stream(seed, 3301)
+    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    start_list = [(1.0 / (i - j + 0.5)).astype(complex)]
+    for _ in range(max(restarts, 0)):
+        start_list.append(rng.standard_normal((n, n))
+                          + 1j * rng.standard_normal((n, n)))
+    if starts is not None:
+        start_list.extend(np.asarray(s, dtype=complex) for s in starts)
+    best_val, best_arg = 0.0, start_list[0]
+    for a0 in start_list:
+        a = a0 / max(np.linalg.norm(a0), 1e-300)
+        val, g = _eager_ratio_quotient(mm, a, p)
+        lr = 0.5
+        for _ in range(budget):
+            gn = np.linalg.norm(g)
+            if gn < 1e-14:
+                break
+            cand = a + lr * np.linalg.norm(a) * g / gn
+            cand_val, cand_g = _eager_ratio_quotient(mm, cand, p)
+            if cand_val > val:
+                a, val, g = cand, cand_val, cand_g
+                lr = min(lr * 1.3, 1.0)
+            else:
+                lr *= 0.5
+                if lr < 1e-6:
+                    break
+        if val > best_val:
+            best_val, best_arg = val, a
+    return float(best_val), best_arg

@@ -219,14 +219,12 @@ class TestOracle:
             ce_oracle(filt, 1, x)
 
     def test_singular_gram_raises(self, monkeypatch):
-        from ncgl.errors import NumericalRankError
-
         filt = make_filtration("trivial_full", dims=(3,))
         basis = helpers.range_basis
         # a duplicated spanning set: singular Gram matrix
         monkeypatch.setattr(helpers, "range_basis", lambda level, alg: 2 * basis(level, alg))
         x = gaussian_hermitian(filt.algebra, stream(280))
-        with pytest.raises(NumericalRankError):
+        with pytest.raises(helpers.NumericalRankError):
             ce_oracle(filt, 0, x)
 
 

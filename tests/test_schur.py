@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ncgl import schur
+from ncgl.cli import ExperimentConfig, run
 from ncgl.errors import DomainError, StructureError
 from ncgl.instances import stream
 from ncgl.opalgebra import TracialAlgebra
@@ -21,6 +23,7 @@ from ncgl.schur import (
     triangular_projection,
     verify_reversed_L,
 )
+from helpers import eager_schur_norm_lower
 
 
 def _random_matrix(n, rng):
@@ -235,10 +238,10 @@ class TestClosedFormQuotient:
     def test_matches_perturbed_copies(self, n, p):
         x = _random_matrix(n, stream(131, n))
         x /= np.linalg.norm(x)
-        norm, quotient = _norm_quotient(x, p, 1e-6)
+        norm, quotient = _norm_quotient(x, p)
         assert norm == pytest.approx(matrix_p_norm(x, p), rel=1e-13)
         # the first-order gradient alone is about 1e-6 away
-        assert _max_rel_dev(quotient, _perturbed_quotient(x, p, 1e-6)) <= 1e-7
+        assert _max_rel_dev(quotient(1e-6), _perturbed_quotient(x, p, 1e-6)) <= 1e-7
 
     def test_ratio_quotient_rule(self):
         m = triangular_pattern(5).entries
@@ -249,8 +252,73 @@ class TestClosedFormQuotient:
         ref = (m * _perturbed_quotient(m * a, p, h) * den
                - num * _perturbed_quotient(a, p, h)) / den**2
         ratio, quotient = _ratio_quotient(m, a, p)
-        assert _max_rel_dev(quotient, ref) <= 1e-7
+        assert _max_rel_dev(quotient(), ref) <= 1e-7
         assert ratio == pytest.approx(num / den, rel=1e-14)
+
+
+class TestDeferredQuotient:
+    """The ascent forms a quotient only where it takes a step; every value
+    and argmax must be those of the ascent that formed it for every
+    candidate."""
+
+    @staticmethod
+    def _assert_same(m, p, **kw):
+        val, arg = schur_norm_lower(m, p, return_argmax=True, **kw)
+        ref_val, ref_arg = eager_schur_norm_lower(m, p, **kw)
+        assert val == ref_val
+        assert arg.tobytes() == ref_arg.tobytes()
+        return arg
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_triangular_warm_started_sweep(self, n):
+        # as cli._suite_schur_norms runs it: each p starts from the last argmax
+        prev = None
+        for p in (1.5, 3.0, 4.0, 8.0, 16.0):
+            prev = self._assert_same(triangular_pattern(n), p, budget=20, restarts=2,
+                                     starts=[prev] if prev is not None else None)
+
+    def test_seeded_reversed_l(self):
+        rng = stream(133)
+        pat = reversed_l_pattern(rng.integers(0, 2, size=9), rng.integers(0, 2, size=10))
+        for p in (1.5, 4.0):
+            self._assert_same(pat, p, budget=20, restarts=2, seed=5)
+
+    def test_zero_pattern(self):
+        self._assert_same(np.zeros((4, 4)), 3.0, budget=4, restarts=1)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_diagonal_pattern_with_zero_singular_values(self, p):
+        rng = stream(128)
+        diag = np.diag((rng.random(6) < 0.5).astype(float))
+        self._assert_same(diag, p, budget=8, restarts=2)
+
+    def test_work_counts_of_the_schur_ascent_pass(self, monkeypatch):
+        # perfbench's schur-ascent pass at seed 0: two SVDs per ratio (231
+        # ratios), but a quotient pair only for the 11 starts and the 123
+        # accepted iterates that the budget leaves a further step
+        svds, quotients = [], []
+        svd, norm_quotient = np.linalg.svd, schur._norm_quotient
+
+        def counted_svd(*args, **kwargs):
+            svds.append(1)
+            return svd(*args, **kwargs)
+
+        def counted_norm_quotient(x, p):
+            norm, quotient = norm_quotient(x, p)
+
+            def counted(h):
+                quotients.append(1)
+                return quotient(h)
+            return norm, counted
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(schur, "_norm_quotient", counted_norm_quotient)
+        rows, _ = run(ExperimentConfig(suite="schur-norms", trials=1, seed=0,
+                                       p_grid=(4.0, 8.0, 16.0),
+                                       dims={"dim": 16, "budget": 20}))
+        assert len(rows) == 3
+        assert len(svds) == 462
+        assert len(quotients) == 2 * 134
 
 
 class TestReversedLTheorem:
