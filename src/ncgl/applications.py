@@ -38,7 +38,7 @@ from .opalgebra import (
     singular_schatten_norm,
     singular_spectral_trace,
     sliced_singular_values,
-    spectral_projection,
+    spectral_projections,
 )
 from .reports import VerifyReport
 
@@ -393,7 +393,10 @@ def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
     For every step n, the union spectrum of a_n and b_n is clustered (merging
     eigenvalues closer than the clustering rule allows) and the conditional
     expectations of the cluster indicators are compared; the sequences are
-    tangent when the worst deviation stays below 1e-8.
+    tangent when the worst deviation stays below 1e-8.  A step is one batch:
+    the cuts of a_n and of b_n onto all C cluster windows, each one operator
+    on a direct sum of C copies, their difference conditioned once on
+    ``filtration.direct_sum(C)`` and one operator norm over all clusters.
     """
     if len(a) != len(b):
         raise DomainError("sequences must have the same length")
@@ -402,12 +405,16 @@ def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
     worst = 0.0
     for n, (an, bn) in enumerate(zip(a, b)):
         eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
-        for cluster in cluster_eigenvalues(eigs, float(np.abs(eigs).max())):
-            window = Interval(float(cluster.min()), float(cluster.max()), True, True)
+        windows = [Interval(float(c.min()), float(c.max()), True, True)
+                   for c in cluster_eigenvalues(eigs, float(np.abs(eigs).max()))]
+        # blocks of unequal dimension have no direct sum: one cluster per batch
+        size = len(windows) if len(an.algebra.runs) == 1 else 1
+        for i in range(0, len(windows), size):
+            batch = windows[i:i + size]
             # cond_exp is linear: one application to the difference of the cuts
             dev = operator_norm(cond_exp(
-                filtration, n - 1,
-                spectral_projection(an, window) - spectral_projection(bn, window)))
+                filtration.direct_sum(len(batch)), n - 1,
+                spectral_projections(an, batch) - spectral_projections(bn, batch)))
             worst = max(worst, dev)
     return bool(worst <= 1e-8), float(worst)
 

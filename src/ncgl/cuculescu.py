@@ -67,7 +67,7 @@ def _snap_projection(raw: Operator) -> Operator:
         raise NumericalInstabilityError(
             f"projection drifted by {drift:.2e} from idempotency"
         )
-    return _normalized(_projection(sym, Interval.at_least(0.5)))
+    return _normalized(_projection(sym, (Interval.at_least(0.5),)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,6 +336,14 @@ def weak_max(y: Martingale, B: float) -> WeakMax:
     return WeakMax(acc.symmetrized(), cp)
 
 
+def _band_sum(B: float, q: float, top: int, n: int) -> float:
+    """sum_{j=0}^{n-1} B^{(top - j) q}, in closed form from the top term down:
+    B^{top q} (1 - B^{-n q}) / (1 - B^{-q}).  With top <= 0 nothing overflows,
+    and expm1 keeps both factors exact to rounding as q -> 0."""
+    ln_b = math.log(B)
+    return B ** (top * q) * math.expm1(-n * q * ln_b) / math.expm1(-q * ln_b)
+
+
 def fubini_identity_gap(wm: WeakMax, p: float) -> float:
     """Relative gap ||lhs - rhs|| / (1 + ||rhs||) in the summation identity
     linking P_N^{B^k} and a_N^+.
@@ -344,7 +352,8 @@ def fubini_identity_gap(wm: WeakMax, p: float) -> float:
     analytic geometric tail below the truncation point; rhs is
     (a_N^+)^{p-2} / (1 - B^{2-p}).  Both are formed divided by c = B^{h(p-2)},
     B^h = ||a_N^+||, as l and r, and the gap is c ||l - r|| / (1 + c ||r||): at
-    large p no power overflows and no top term underflows.
+    large p no power overflows and no top term underflows.  Each band's levels
+    share one projection, and their geometric sum is one closed-form term.
     """
     if p <= 2:
         raise DomainError("the identity needs p > 2")
@@ -357,7 +366,7 @@ def fubini_identity_gap(wm: WeakMax, p: float) -> float:
     if not bands:  # a_N^+ = 0 and P_N^{B^k} = I: both sides are 0
         return 0.0
     h = bands[0][0]
-    lhs = sum(((ident - col[N]) * sum(B ** ((k - h) * q) for k in range(low, high + 1))
+    lhs = sum(((ident - col[N]) * _band_sum(B, q, high - h, high - low + 1)
                for high, low, col in reversed(bands)), alg.zero())
     tail_coeff = B ** ((cp.k_min - h) * q) / (1.0 - B ** (-q))
     lhs = lhs + (ident - wm.residual) * tail_coeff

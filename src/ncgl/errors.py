@@ -21,4 +21,6 @@ class DomainError(NCGLError, ValueError):
 
 
 class NumericalInstabilityError(NCGLError, ArithmeticError):
-    """An iterated projection drifted too far from idempotency to be trusted."""
+    """A computed value cannot be trusted: an iterated projection drifted too
+    far from idempotency, a Cuculescu invariant failed, or a side of a report
+    is not finite."""

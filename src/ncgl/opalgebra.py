@@ -35,6 +35,7 @@ __all__ = [
     "schatten_norm",
     "operator_norm",
     "spectral_projection",
+    "spectral_projections",
     "func_calculus",
     "sliced_singular_values",
     "singular_schatten_norm",
@@ -415,21 +416,27 @@ def _eigvalsh(s: np.ndarray) -> np.ndarray:
 
 
 def _compose(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """V diag(vals) V* per block; spectral projections, meets and calculus."""
-    return (vecs * vals[:, None, :]) @ _h(vecs)
+    """V diag(vals) V* per block; spectral projections, meets and calculus.  A
+    (k, count, d) `vals` gives k such stacks from one (count, d, d) `vecs`."""
+    return (vecs * vals[..., None, :]) @ _h(vecs)
 
 
-def _projection(a: Operator, interval: Interval) -> Operator:
-    """Spectral projection of a Hermitian operator onto `interval`, from its
-    cached spectrum; exactly diagonal blocks get an exact 0/1 diagonal."""
+def _projection(a: Operator, intervals) -> Operator:
+    """Spectral projections of a Hermitian operator onto each of `intervals`,
+    side by side on ``a.algebra.direct_sum(len(intervals))``, from its cached
+    spectrum and tie tolerances; exactly diagonal blocks get an exact 0/1
+    diagonal."""
+    alg = a.algebra.direct_sum(len(intervals))
     spectrum, tol = a.spectrum
-    stacks = tuple(_compose(vecs, interval.contains(eigs, t).astype(float))
-                   for (eigs, vecs), t in zip(spectrum, tol))
-    for s in stacks:
-        blocks, i = np.flatnonzero(_exact_diagonal(s))[:, None], np.arange(s.shape[1])
+    stacks = []
+    for (eigs, vecs), t in zip(spectrum, tol):
+        keep = np.array([interval.contains(eigs, t) for interval in intervals], dtype=float)
+        s = _compose(vecs, keep).reshape(-1, *vecs.shape[1:])
+        blocks, i = _exact_diagonal(s).nonzero()[0][:, None], np.arange(s.shape[1])
         if blocks.size:
             s[blocks, i, i] = np.round(s[blocks, i, i].real)
-    return Operator(a.algebra, stacks)
+        stacks.append(s)
+    return Operator(alg, tuple(stacks))
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +526,27 @@ def min_eigenvalue(a: Operator, per_summand: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def spectral_projection(a: Operator, interval: Interval) -> Operator:
-    """Spectral projection of a Hermitian operator onto an interval.
+def spectral_projections(a: Operator, intervals) -> Operator:
+    """Spectral projections of a Hermitian operator onto each of `intervals`,
+    as one operator on ``a.algebra.direct_sum(len(intervals))`` whose i-th
+    copy of ``a.algebra`` is the cut onto ``intervals[i]``.
 
     Eigenvalue membership at the endpoints follows the tie rule of
     :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm), the
-    norm per summand.  The cut is checked through ``a.basis_ok``, once per
-    eigenbasis: every cut of `a` then lies within 1e-10 of {0, 1}.
+    norm per summand of `a`.  The cuts are checked through ``a.basis_ok``,
+    once per eigenbasis: every cut of `a` then lies within 1e-10 of {0, 1}.
+    An algebra of blocks of unequal dimension has no direct sum, so it takes
+    one interval at a time.
     """
     if not a.basis_ok:
         raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
-    return _projection(a, interval)
+    return _projection(a, intervals)
+
+
+def spectral_projection(a: Operator, interval: Interval) -> Operator:
+    """Spectral projection of a Hermitian operator onto an interval: the
+    one-interval case of :func:`spectral_projections`."""
+    return spectral_projections(a, (interval,))
 
 
 def singular_spectral_trace(alg: TracialAlgebra, sv: list[np.ndarray],

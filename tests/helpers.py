@@ -5,8 +5,9 @@ the exact solve paths replaced, reading a JSON report back into rows, the
 Gram-projection oracle for conditional expectations (and the error it raises
 on a singular Gram system) and the conditional-expectation axioms of a
 filtration, sampled, a cross-check of tangency through conditional moments,
-the sampled forms of testing condition (ii) and of the transform norm below 2
-that the exact checks replaced, the homogenised tail bound on the corrected
+the tangency check as it was, one spectral cluster at a time, the sampled
+forms of testing condition (ii) and of the transform norm below 2 that the
+exact checks replaced, the homogenised tail bound on the corrected
 projections, and the Schur ascent as it was when every candidate's quotient
 was formed with its ratio."""
 
@@ -107,16 +108,37 @@ def reference_spectrum(op) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def recorded_cuts(monkeypatch, module) -> list:
-    """The list that every cut `module`'s spectral_projection returns is
-    appended to, from this call on."""
-    cuts, cut = [], module.spectral_projection
+    """The list that every cut `module`'s spectral_projection returns, and
+    every batch of cuts its spectral_projections returns, is appended to, from
+    this call on; a batch is one operator, one summand per cut."""
+    cuts = []
 
-    def recording(a, interval):
-        cuts.append(cut(a, interval))
-        return cuts[-1]
+    def recording(kernel):
+        def record(*args):
+            cuts.append(kernel(*args))
+            return cuts[-1]
+        return record
 
-    monkeypatch.setattr(module, "spectral_projection", recording)
+    for name in ("spectral_projection", "spectral_projections"):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
     return cuts
+
+
+def per_cluster_tangent(a, b, filtration) -> tuple[bool, float]:
+    """check_tangent as it was before it took a step as one batch: per step,
+    per cluster of the union spectrum, the two cuts onto its window, their
+    difference conditioned by E_{n-1} and its operator norm."""
+    worst = 0.0
+    for n, (an, bn) in enumerate(zip(a, b)):
+        eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
+        for cluster in cluster_eigenvalues(eigs, float(np.abs(eigs).max())):
+            window = Interval(float(cluster.min()), float(cluster.max()), True, True)
+            dev = operator_norm(cond_exp(
+                filtration, n - 1,
+                spectral_projection(an, window) - spectral_projection(bn, window)))
+            worst = max(worst, dev)
+    return bool(worst <= 1e-8), float(worst)
 
 
 def rows_from_json(path: str) -> list[ReportRow]:

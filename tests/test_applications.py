@@ -25,6 +25,7 @@ from ncgl.applications import (
     verify_stein,
     verify_transform,
 )
+from ncgl.cli import ExperimentConfig, run
 from ncgl.errors import DomainError
 from ncgl.filtration import (
     cond_exp,
@@ -47,6 +48,7 @@ from ncgl.instances import (
 from ncgl.opalgebra import (
     Interval,
     cluster_eigenvalues,
+    direct_sum,
     func_calculus,
     operator_norm,
     psd_power,
@@ -59,6 +61,7 @@ from helpers import (
     abs_spectral_trace,
     check_projection,
     diagonal_operator,
+    per_cluster_tangent,
     recorded_cuts,
     sampled_transform_lhs,
     tangent_moment_deviation,
@@ -404,6 +407,36 @@ def _two_call_tangent(a, b, filt):
     return bool(worst <= 1e-8), float(worst)
 
 
+def _mixed_dims_case():
+    """trivial_full on blocks of dims (4, 2), which have no direct sum: a_1
+    and its conjugate by a block unitary are tangent."""
+    filt = make_filtration("trivial_full", dims=(4, 2), weights=(0.5, 1.5))
+    rng = stream(105)
+    a1 = gaussian_hermitian(filt.algebra, rng)
+    u = filt.algebra.operator([np.linalg.qr(rng.standard_normal((d, d))
+                                            + 1j * rng.standard_normal((d, d)))[0]
+                               for d in filt.algebra.dims])
+    a0 = cond_exp(filt, 0, gaussian_hermitian(filt.algebra, rng))
+    return [a0, a1], [a0, (u @ a1 @ u.adjoint()).symmetrized()], filt
+
+
+def _direct_sum_case():
+    """Two benchmark trials side by side on their filtration's 2-copy sum."""
+    (u1, v1, filt), (u2, v2, _) = _positive_tangent_pairs()[:2]
+    return ([direct_sum([x, y]) for x, y in zip(u1, u2)],
+            [direct_sum([x, y]) for x, y in zip(v1, v2)], filt.direct_sum(2))
+
+
+def _counterexample_case():
+    x, y, filt = counterexample_pair(5)
+    return x.diffs, y.diffs, filt
+
+
+_BATCH_CASES = {"arrow": _arrow_case, "counterexample": _counterexample_case,
+                "non-tangent": _non_tangent_case, "mixed-dims": _mixed_dims_case,
+                "direct-sum": _direct_sum_case}
+
+
 class TestTangency:
     @pytest.mark.parametrize("case,tangent", [
         (_arrow_case, True), (_classical_case, True), (_non_tangent_case, False)])
@@ -456,13 +489,48 @@ class TestTangency:
         assert ok is ref_ok and ok is (case != "non-tangent")
         assert abs(dev - ref_dev) <= 1e-14 * max(1.0, ref_dev)
 
+    @pytest.mark.parametrize("case", [*range(12), "arrow", "counterexample", "non-tangent",
+                                      "mixed-dims", "direct-sum"])
+    def test_batched_steps_match_the_per_cluster_loop(self, case):
+        if isinstance(case, int):
+            a, b, filt = _positive_tangent_pairs()[case]
+        else:
+            a, b, filt = _BATCH_CASES[case]()
+        ok, dev = check_tangent(a, b, filt)
+        assert (ok, dev) == per_cluster_tangent(a, b, filt)
+        assert ok is (case != "non-tangent")
+
+    def test_work_counts_of_the_positive_tangent_call(self, monkeypatch):
+        # perfbench's seed-0 positive-tangent call: 60 steps, 432 clusters.
+        # applications conditions 120 operators in the adaptedness checks and
+        # one batch per step; each operator's spectrum is solved once
+        counts = {"cond_exp": 0, "eigh": 0, "eigvalsh": 0, "cuts": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(apps, "cond_exp", counted("cond_exp", apps.cond_exp))
+        monkeypatch.setattr(apps, "spectral_projections",
+                            counted("cuts", apps.spectral_projections))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        rows, _ = run(ExperimentConfig(suite="positive-tangent", trials=12, seed=0,
+                                       p_grid=(3.0, 4.0), dims={"depth": 4, "matrix_dim": 2}))
+        assert len(rows) == 24
+        assert counts == {"cond_exp": 180, "eigh": 108, "eigvalsh": 156, "cuts": 120}
+
     def test_every_cut_passes_the_projection_oracle(self, monkeypatch):
+        # check_tangent cuts a whole step as one batch: every summand of it is a cut
         cuts = recorded_cuts(monkeypatch, apps)
         for u, v, filt in _positive_tangent_pairs():
             check_tangent(u, v, filt)
         assert cuts
-        for e in cuts:
-            check_projection(e)
+        for batch in cuts:
+            for i in range(batch.algebra.summands):
+                check_projection(batch.summand(i))
 
     def test_detects_non_tangent(self):
         ok, dev = check_tangent(*_non_tangent_case())

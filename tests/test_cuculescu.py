@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import itertools
+import math
 import random
 import weakref
 
@@ -782,7 +783,25 @@ class TestWeakMax:
             assert operator_norm(wm.operator - per_level.symmetrized()) <= 1e-12
             assert wm.residual is cp.P(N, cp.k_min)
             for p in (3.0, 4.0, 8.0):
-                assert fubini_identity_gap(wm, p) == _groupby_fubini_gap(wm, p)
+                # a band's closed-form sum rounds unlike the per-level sum
+                assert abs(fubini_identity_gap(wm, p) - _groupby_fubini_gap(wm, p)) <= 1e-14
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("family", range(6))
+    def test_band_sums_match_the_per_level_fsum(self, family, sign):
+        # the closed form anchored at the band's top neither overflows at
+        # p = 1e4 (180,854 levels) nor cancels near p = 2, where the form
+        # with 1 - B^{-q} in place of expm1 is 5.5e-14 off
+        base = random_martingale(triple_family(family), stream(57, family), sup_norm=2.5)
+        y = base if sign > 0 else -base
+        for p in (2.001, 3.0, 8.0, 1e4):
+            B, q = 1.0 + 1.0 / p, p - 2.0
+            bands = weak_max(y, B).corrected.bands
+            h = bands[0][0]
+            for high, low, _ in bands:
+                want = math.fsum(B ** ((k - h) * q) for k in range(low, high + 1))
+                got = cuculescu._band_sum(B, q, high - h, high - low + 1)
+                assert abs(got - want) <= 1e-14 * want, (p, high, low)
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))
