@@ -30,14 +30,13 @@ from .goodlambda import simplified_moment_constant
 from .opalgebra import (
     Interval,
     Operator,
+    TracialAlgebra,
+    abs_spectral_trace,
     cluster_eigenvalues,
     min_eigenvalue,
     operator_norm,
     psd_sqrt,
     schatten_norm,
-    singular_schatten_norm,
-    singular_spectral_trace,
-    sliced_singular_values,
     spectral_projections,
 )
 from .reports import VerifyReport
@@ -378,13 +377,20 @@ def verify_stein(u: list[Operator], filtration: Filtration,
 # ---------------------------------------------------------------------------
 
 
-def _check_adapted(seq, filtration: Filtration, name: str) -> None:
+def _check_adapted(seq, filtration: Filtration, name: str, norm=operator_norm) -> None:
+    """DomainError unless every seq[n] is Hermitian and E_n-measurable, within
+    1e-9 (1 + norm(seq[n]))."""
     for n, a in enumerate(seq):
         if not a.hermitian:
             raise DomainError(f"{name}_{n} is not Hermitian")
-        scale = 1.0 + operator_norm(a)
+        scale = 1.0 + norm(a)
         if (cond_exp(filtration, n, a) - a).entry_max() > 1e-9 * scale:
             raise DomainError(f"{name}_{n} is not adapted")
+
+
+def _spectral_norm(a: Operator) -> float:
+    """||a|| of a Hermitian operator, read off its eigendecomposition."""
+    return max(float(np.abs(e).max()) for e, _ in a.spectrum[0])
 
 
 def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
@@ -400,8 +406,9 @@ def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
     """
     if len(a) != len(b):
         raise DomainError("sequences must have the same length")
-    _check_adapted(a, filtration, "a")
-    _check_adapted(b, filtration, "b")
+    # the clustering needs each spectrum with vectors: the norm reads it too
+    _check_adapted(a, filtration, "a", _spectral_norm)
+    _check_adapted(b, filtration, "b", _spectral_norm)
     worst = 0.0
     for n, (an, bn) in enumerate(zip(a, b)):
         eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
@@ -456,7 +463,7 @@ def _counterexample_finals(N: int) -> tuple[Operator, Operator, Filtration]:
     """Final operators x_N = sum_n eps_n (x) (e_{1,n+1} + e_{n+1,1}) and
     y_N = sum_n eps_n (x) (e_{11} + e_{n+1,n+1}) of the pair, whole, with
     their filtration; built without the 2(N+1) martingale levels.
-    tangent_counterexample builds the same blocks a slice at a time."""
+    tangent_counterexample builds one block of each orbit of them."""
     filt = make_filtration("rademacher", depth=N, matrix_dim=N + 1)
     return (filt.algebra.operator(_x_blocks(filt.signs)),
             filt.algebra.operator(_y_blocks(filt.signs)), filt)
@@ -482,14 +489,14 @@ def _y_blocks(eps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _counterexample_singular_values(N: int):
-    """The algebra of the pair and the per-run singular values of x_N and
-    y_N, each operator built and solved a slice of sign rows at a time."""
-    filt = make_filtration("rademacher", depth=N, matrix_dim=N + 1)
-    eps = filt.signs
-    return (filt.algebra,
-            sliced_singular_values(filt.algebra, lambda part: _x_blocks(eps[part])),
-            sliced_singular_values(filt.algebra, lambda part: _y_blocks(eps[part])))
+def _counterexample_orbits(N: int) -> tuple[Operator, Operator]:
+    """x_N and y_N on one sign row per orbit of the coordinate permutations:
+    row k is +1 k times, then -1, with weight C(N, k)/2^N, the share of the
+    2^N sign rows with k plus signs.  A block's spectrum depends on k alone,
+    so these N + 1 blocks carry the traces, norms and tie bands of all 2^N."""
+    eps = np.where(np.arange(N) < np.arange(N + 1)[:, None], 1.0, -1.0)
+    alg = TracialAlgebra((N + 1,) * (N + 1), [math.comb(N, k) / 2**N for k in range(N + 1)])
+    return alg.operator(_x_blocks(eps)), alg.operator(_y_blocks(eps))
 
 
 def tangent_counterexample(N: int, p_grid) -> tuple[CounterexampleReport, ...]:
@@ -497,26 +504,26 @@ def tangent_counterexample(N: int, p_grid) -> tuple[CounterexampleReport, ...]:
     one report per p of `p_grid`.
 
     All of them come from one values-only eigensolve of each final operator,
-    built and solved a slice of blocks at a time, so neither is held whole:
-    tau(|x_N|) is the Schatten 1-norm, and the weak trace counts |y_N|'s
-    eigenvalues in [1, inf).  The reductions take the whole operators' tie
-    tolerance and scale, so each value equals that of the operators of
-    _counterexample_finals, solved whole; N odd, at most 13.
+    built on the N + 1 sign-row orbits of _counterexample_orbits (x_N is one
+    LAPACK call, y_N is diagonal and needs none): tau(|x_N|) is the Schatten
+    1-norm, and the weak trace counts |y_N|'s eigenvalues in [1, inf) under
+    the tie band of ||y_N||, which the orbit blocks share with the 2^N
+    blocks.  N odd, at most 101.
     """
     if N % 2 == 0:
         raise DomainError("the construction needs N odd")
-    if not 1 <= N <= 13:
-        raise DomainError("N must lie in 1..13")
-    alg, sv_x, sv_y = _counterexample_singular_values(N)
-    weak_y = singular_spectral_trace(alg, sv_y, Interval.at_least(1.0))
-    l1_x = singular_schatten_norm(alg, sv_x, 1)
+    if not 1 <= N <= 101:
+        raise DomainError("N must lie in 1..101")
+    x, y = _counterexample_orbits(N)
+    weak_y = abs_spectral_trace(y, Interval.at_least(1.0))
+    l1_x = schatten_norm(x, 1)
     return tuple(CounterexampleReport(
         N=N,
         p=float(p),
         weak_y=weak_y,
         l1_x=l1_x,
-        p_norm_y=singular_schatten_norm(alg, sv_y, p),
-        p_norm_x=singular_schatten_norm(alg, sv_x, p),
+        p_norm_y=schatten_norm(y, p),
+        p_norm_x=schatten_norm(x, p),
         expected_weak=float(N + 1),
         expected_l1=2.0 * math.sqrt(N),
         ratio=(N + 1) / (2.0 * math.sqrt(N)),

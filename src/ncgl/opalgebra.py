@@ -37,9 +37,7 @@ __all__ = [
     "spectral_projection",
     "spectral_projections",
     "func_calculus",
-    "sliced_singular_values",
-    "singular_schatten_norm",
-    "singular_spectral_trace",
+    "abs_spectral_trace",
     "proj_meet",
     "psd_sqrt",
     "psd_power",
@@ -58,12 +56,6 @@ _CLUSTER_TOL = 1e-8
 # Relative tie tolerance of spectral cuts: an eigenvalue within
 # _TIE_TOL * (1 + ||a||) of an interval endpoint sits on it, ||a|| per summand.
 _TIE_TOL = 1e-10
-
-# Blocks per slice of sliced_singular_values, the only code that slices; every
-# other kernel runs once on a whole stack.  Slicing the N = 13 counterexample
-# (8,192 blocks of 14 x 14) at 512 or 1,024 blocks took about 50k minor page
-# faults a call, at 256 about 1.3k, fewer than the 3.7k of building it whole.
-_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,29 +456,6 @@ def _singular_values(x: Operator) -> list[np.ndarray]:
     return [np.linalg.svd(s, compute_uv=False) for s in x.stacks]
 
 
-def sliced_singular_values(alg: TracialAlgebra,
-                           build: Callable[[slice], np.ndarray]) -> list[np.ndarray]:
-    """The (count, d) singular values of each run of the operator on `alg`
-    whose blocks ``build(s)`` returns as a stack for each slice `s` of at most
-    _CHUNK blocks of one run, so the whole operator never exists at once.
-
-    Each slice is solved as an operator on its own sub-algebra, from its
-    eigenvalues when it is Hermitian; the reductions singular_schatten_norm
-    and singular_spectral_trace then take the tolerances and scales of the
-    whole operator.
-    """
-    out, start = [], 0
-    for count, d in alg.runs:
-        sv = np.empty((count, d))
-        for i in range(0, count, _CHUNK):
-            part = slice(start + i, start + min(i + _CHUNK, count))
-            sub = TracialAlgebra(alg.dims[part], alg.weights[part])
-            sv[i:i + _CHUNK] = _singular_values(sub.operator(build(part)))[0]
-        out.append(sv)
-        start += count
-    return out
-
-
 def operator_norm(x: Operator, per_summand: bool = False):
     """Largest singular value across blocks (weights are irrelevant here), or
     of each summand."""
@@ -495,20 +464,16 @@ def operator_norm(x: Operator, per_summand: bool = False):
 
 
 def schatten_norm(x: Operator, p: float) -> float:
-    """Weighted Schatten norm (tau(|x|^p))^(1/p); p = inf is the operator norm."""
-    return singular_schatten_norm(x.algebra, _singular_values(x), p)
-
-
-def singular_schatten_norm(alg: TracialAlgebra, sv: list[np.ndarray], p: float) -> float:
-    """:func:`schatten_norm` of the operator on `alg` with per-run singular
-    values `sv`.  The largest one is factored out, so no power overflows at
+    """Weighted Schatten norm (tau(|x|^p))^(1/p); p = inf is the operator norm.
+    The largest singular value is factored out, so no power overflows at
     large p."""
     if p != math.inf and p < 1:
         raise DomainError("Schatten norms are only supported for p >= 1")
+    sv = _singular_values(x)
     top = max(float(s.max()) for s in sv)
     if p == math.inf or top == 0.0:
         return top
-    total = _total(alg, [np.sum((s / top) ** p, axis=1) for s in sv])
+    total = _total(x.algebra, [np.sum((s / top) ** p, axis=1) for s in sv])
     return float(top * total ** (1.0 / p))
 
 
@@ -549,14 +514,14 @@ def spectral_projection(a: Operator, interval: Interval) -> Operator:
     return spectral_projections(a, (interval,))
 
 
-def singular_spectral_trace(alg: TracialAlgebra, sv: list[np.ndarray],
-                            interval: Interval) -> float:
-    """tau(I_interval(|x|)) of the operator x on `alg` with per-run singular
-    values `sv`, counting them without forming |x| under the tie rule
-    :func:`spectral_projection` applies to |x|, its tie tolerance taken from
-    all of them (the norm ||x||)."""
-    counts = [interval.contains(s, t).sum(axis=1) for s, t in zip(sv, _tie_tols(alg, sv))]
-    return float(_total(alg, counts))
+def abs_spectral_trace(x: Operator, interval: Interval) -> float:
+    """tau(I_interval(|x|)), a weighted count of the singular values of `x`
+    without forming |x|, under the tie rule :func:`spectral_projection`
+    applies to |x|: its tie tolerance is taken from all of them (||x|| per
+    summand)."""
+    sv = _singular_values(x)
+    counts = [interval.contains(s, t).sum(axis=1) for s, t in zip(sv, _tie_tols(x.algebra, sv))]
+    return float(_total(x.algebra, counts))
 
 
 def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operator:

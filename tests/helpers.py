@@ -32,12 +32,10 @@ from ncgl.filtration import (
 from ncgl.instances import gaussian_hermitian, stream
 from ncgl.opalgebra import (
     Interval,
-    _singular_values,
     cluster_eigenvalues,
     min_eigenvalue,
     operator_norm,
     schatten_norm,
-    singular_spectral_trace,
     spectral_projection,
     trace,
     trace_pair,
@@ -60,12 +58,6 @@ def check_projection(op):
                 or eigs.min() < -1e-10 or eigs.max() > 1.0 + 1e-10):
             raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
     return op
-
-
-def abs_spectral_trace(x, interval) -> float:
-    """tau(I_interval(|x|)) of one whole operator: the reference for
-    singular_spectral_trace of singular values solved a slice at a time."""
-    return singular_spectral_trace(x.algebra, _singular_values(x), interval)
 
 
 def _tie_compare(eigs: np.ndarray, c: float, tol) -> np.ndarray:

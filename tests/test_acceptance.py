@@ -54,7 +54,7 @@ def _report(num, ok, detail):
 def test_criterion_01_counterexample_reproduction():
     t0 = time.perf_counter()
     worst_weak = worst_l1 = 0.0
-    for N in (3, 5, 7, 9, 11, 13):
+    for N in (3, 5, 7, 9, 11, 13, 25, 51, 101):
         (r,) = tangent_counterexample(N, (1.5,))
         worst_weak = max(worst_weak, abs(r.weak_y - (N + 1)))
         worst_l1 = max(worst_l1, abs(r.l1_x - 2.0 * math.sqrt(N)))

@@ -47,6 +47,8 @@ from ncgl.instances import (
 )
 from ncgl.opalgebra import (
     Interval,
+    _eigvalsh,
+    abs_spectral_trace,
     cluster_eigenvalues,
     direct_sum,
     func_calculus,
@@ -58,7 +60,6 @@ from ncgl.opalgebra import (
 )
 
 from helpers import (
-    abs_spectral_trace,
     check_projection,
     diagonal_operator,
     per_cluster_tangent,
@@ -520,7 +521,20 @@ class TestTangency:
         rows, _ = run(ExperimentConfig(suite="positive-tangent", trials=12, seed=0,
                                        p_grid=(3.0, 4.0), dims={"depth": 4, "matrix_dim": 2}))
         assert len(rows) == 24
-        assert counts == {"cond_exp": 180, "eigh": 108, "eigvalsh": 156, "cuts": 120}
+        assert counts == {"cond_exp": 180, "eigh": 108, "eigvalsh": 108, "cuts": 120}
+
+    def test_no_values_only_solve_of_the_sequences(self, monkeypatch):
+        # the adaptedness scale is read off the spectrum the clustering solves
+        # anyway: the values-only solves left are one deviation norm per step
+        import ncgl.opalgebra as oa
+
+        solves = []
+        monkeypatch.setattr(oa, "_eigvalsh", lambda s: solves.append(1) or _eigvalsh(s))
+        for a, b, filt in _positive_tangent_pairs():
+            solves.clear()
+            check_tangent(a, b, filt)
+            assert not any("eigenvalues" in op.__dict__ for op in (*a, *b))
+            assert len(solves) == len(a)
 
     def test_every_cut_passes_the_projection_oracle(self, monkeypatch):
         # check_tangent cuts a whole step as one batch: every summand of it is a cut
@@ -575,25 +589,57 @@ class TestCounterexample:
             assert r.p_norm_y == pytest.approx(p_norm_y, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("N", [1, 3, 5, 7, 9, 11, 13])
-    def test_slices_match_the_whole_operators(self, N):
-        # N >= 9 spans several slices; every value is the whole operators'
+    def test_orbits_match_the_whole_operators(self, N):
+        # the N + 1 orbit blocks against all 2^N blocks of the pair, solved
+        # whole; the p-norm of y_N adds the same terms in another order
         grid = (1.5, 3.0, 100.0, 1100.0)
         x, y, _ = _counterexample_finals(N)
         for r, p in zip(tangent_counterexample(N, grid), grid):
             assert r.weak_y == abs_spectral_trace(y, Interval.at_least(1.0))
             assert r.l1_x == schatten_norm(x, 1)
             assert r.p_norm_x == schatten_norm(x, p)
-            assert r.p_norm_y == schatten_norm(y, p)
+            assert r.p_norm_y == pytest.approx(schatten_norm(y, p), rel=4e-16, abs=0.0)
 
-    def test_peak_memory_is_a_few_slices(self):
-        # x_13 and y_13 whole are 8,192 blocks of 14 x 14 each, 25 MiB apiece
+    @pytest.mark.parametrize("N", range(1, 102, 2))
+    def test_closed_forms(self, N):
+        # |x_N| has eigenvalues sqrt(N) twice per block, |y_N| has |S_N| and
+        # N ones, S_N a sum of N Rademacher signs; a few ulps of rounding
+        grid = (1.5, 3.0, 100.0)
+        for r, p in zip(tangent_counterexample(N, grid), grid):
+            moment = math.fsum(math.comb(N, k) * abs(2 * k - N) ** p
+                               for k in range(N + 1)) / 2**N
+            assert abs(r.weak_y - (N + 1)) <= 2 * math.ulp(N + 1)
+            assert r.l1_x == pytest.approx(2.0 * math.sqrt(N), rel=1e-15, abs=0.0)
+            assert r.p_norm_x == pytest.approx(2.0 ** (1.0 / p) * math.sqrt(N),
+                                               rel=1e-15, abs=0.0)
+            assert r.p_norm_y == pytest.approx((moment + N) ** (1.0 / p), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("N,limit", [(13, 2**20), (101, 64 * 2**20)])
+    def test_peak_memory_is_the_orbits(self, N, limit):
+        # x_13 and y_13 whole are 8,192 blocks of 14 x 14 each, 25 MiB apiece;
+        # the orbits of x_101 and y_101 are 102 blocks of 102 x 102, 17 MiB
         tracemalloc.start()
         try:
-            tangent_counterexample(13, (1.5,))
+            tangent_counterexample(N, (1.5,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < limit
+
+    def test_one_values_only_solve_per_operator(self, monkeypatch):
+        import ncgl.opalgebra as oa
+
+        solves, lapack = [], []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(oa, "_eigvalsh", lambda s: solves.append(s.shape) or _eigvalsh(s))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda s: lapack.append(1) or eigvalsh(s))
+        for N in (1, 13, 101):
+            solves.clear()
+            lapack.clear()
+            tangent_counterexample(N, (1.5, 3.0))
+            # x_N goes to LAPACK once, exactly diagonal y_N never
+            assert solves == [(N + 1, N + 1, N + 1)] * 2
+            assert lapack == [1]
 
     @pytest.mark.parametrize("N,expected", [(3, 4.0), (9, 10.0)])
     def test_weak_trace(self, N, expected):
@@ -612,6 +658,8 @@ class TestCounterexample:
 
     def test_ratio_exceeds_any_constant_eventually(self):
         assert tangent_counterexample(13, (1.5,))[0].ratio > 1.8
+        (r,) = tangent_counterexample(101, (1.5,))
+        assert r.weak_y / r.l1_x > 5.0
 
     def test_p_norm_ratio_grows(self):
         p = 1.5
@@ -626,6 +674,11 @@ class TestCounterexample:
     def test_even_n_rejected(self):
         with pytest.raises(DomainError):
             tangent_counterexample(4, (2.0,))
+
+    @pytest.mark.parametrize("N", [-1, 103])
+    def test_n_outside_1_to_101_rejected(self, N):
+        with pytest.raises(DomainError):
+            tangent_counterexample(N, (2.0,))
 
     @pytest.mark.parametrize("N", [1, 3, 5])
     def test_pair_diffs_match_formula(self, N):

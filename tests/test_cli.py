@@ -116,14 +116,14 @@ class TestRun:
         import ncgl.applications as apps
 
         calls = []
-        original = apps._counterexample_singular_values
+        original = apps._counterexample_orbits
 
         def counted(N):
             calls.append(N)
             return original(N)
 
         grid = (1.5, 3.0, 4.0)
-        monkeypatch.setattr(apps, "_counterexample_singular_values", counted)
+        monkeypatch.setattr(apps, "_counterexample_orbits", counted)
         rows, summary = run(small("tangent-counterexample", trials=3, seed=0,
                                   p_grid=grid))
         assert calls == [3, 5, 7] and summary["failures"] == 0

@@ -11,6 +11,7 @@ from ncgl.opalgebra import (
     Interval,
     Operator,
     TracialAlgebra,
+    abs_spectral_trace,
     direct_sum,
     func_calculus,
     min_eigenvalue,
@@ -18,16 +19,12 @@ from ncgl.opalgebra import (
     proj_meet,
     psd_sqrt,
     schatten_norm,
-    singular_schatten_norm,
-    singular_spectral_trace,
-    sliced_singular_values,
     spectral_projection,
     trace,
     trace_pair,
 )
 
 from helpers import (
-    abs_spectral_trace,
     check_projection,
     diagonal_operator,
     reference_eigenvalues,
@@ -591,53 +588,28 @@ class TestRunStacks:
             assert _same_bits(got, want)
 
 
-class TestSlicedReductions:
-    """Singular values built slice by slice, reduced as the whole operator's."""
+class TestAbsSpectralTrace:
+    """tau(I_[1, inf)(|x|)) counted from singular values, against the cut of |x|."""
 
-    @pytest.mark.parametrize("hermitian", [True, False])
-    def test_slices_of_every_run(self, monkeypatch, hermitian):
-        import ncgl.opalgebra as oa
+    @staticmethod
+    def _diagonal(values):
+        return diagonal_operator(TracialAlgebra((2, 2, 2), (0.5, 0.25, 0.25)), values)
 
-        blocks = _draw(RUNS, stream(22), hermitian=hermitian)
-        monkeypatch.setattr(oa, "_CHUNK", 1)
-        got = sliced_singular_values(RUNS, lambda part: blocks[part])
-        whole = RUNS.operator(blocks)
-        assert len(got) == len(whole.stacks)
-        for g, s in zip(got, whole.stacks):
-            # |eigenvalues| in eigenvalue order for a Hermitian slice
-            assert np.allclose(np.sort(g)[:, ::-1], np.linalg.svd(s, compute_uv=False),
-                               rtol=0, atol=1e-12)
-
-    def test_whole_operator_tolerance_and_scale(self):
-        import ncgl.opalgebra as oa
-
-        # three slices of diagonal blocks: slice 0 holds the norm 1e3, so the
-        # tie tolerance is 1e-10 (1 + 1e3); slice 1 holds 1 - 1e-8, inside
-        # that band but outside its own slice's 1e-10 (1 + 1)
-        n = 3 * oa._CHUNK
-        diag = stream(23).uniform(0.997, 0.9995, size=(n, 2))
-        diag[oa._CHUNK + 5] = (1.0 - 1e-8, 0.75)
-        diag[2 * oa._CHUNK + 7] = (-1.0, 1.0)
-        diag[3] = (1e3, -0.25)
-        alg = TracialAlgebra((2,) * n, (1.0 / n,) * n)
-
-        def sliced_and_whole(diag):
-            blocks = np.zeros((n, 2, 2), dtype=complex)
-            blocks[:, [0, 1], [0, 1]] = diag
-            return sliced_singular_values(alg, lambda part: blocks[part]), alg.operator(blocks)
-
-        sv, whole = sliced_and_whole(diag)
+    def test_tie_band_is_the_whole_operators(self):
+        # block 0 holds the norm 1e3, so the tie tolerance is 1e-10 (1 + 1e3)
+        # and 1 - 1e-8 in block 1 sits on the endpoint; with a norm of 1 it
+        # does not
         at_least_one = Interval.at_least(1.0)
-        assert singular_spectral_trace(alg, sv, at_least_one) == \
-            abs_spectral_trace(whole, at_least_one) == 4.0 / n
-        # without the 1e3 the largest value, 2, sits in slice 2: combining the
-        # slices' own norms as (sum_s ||x_s||_p^p)^(1/p) overflows at p = 1100,
-        # the whole operator's factored sum does not
-        diag[3] = (0.5, -0.25)
-        sv, whole = sliced_and_whole(2.0 * diag)
-        for p in (1.0, 3.0, 1100.0):
-            assert singular_schatten_norm(alg, sv, p) == schatten_norm(whole, p)
-            assert math.isfinite(schatten_norm(whole, p))
+        for top, expected in ((1e3, 1.0), (0.5, 0.25)):
+            x = self._diagonal([[top, -0.25], [1.0 - 1e-8, 0.75], [-1.0, 0.5]])
+            cut = spectral_projection(func_calculus(x, np.abs), at_least_one)
+            assert abs_spectral_trace(x, at_least_one) == trace(cut) == expected
+
+    def test_counts_singular_values_of_a_non_hermitian_operator(self):
+        x = alg1(2, 0.5).operator([np.array([[0.0, 2.0], [0.0, 0.0]])])
+        assert not x.hermitian
+        assert abs_spectral_trace(x, Interval.at_least(1.0)) == 0.5
+        assert abs_spectral_trace(x, Interval.below(1.0)) == 0.5
 
 
 class TestSymmetrized:

@@ -1,8 +1,8 @@
 """Module boundaries of the package: no module imports another's private names,
 apart from the listed opalgebra internals, Hermitian eigensolves run only in
-the listed kernels, only the singular-value slicer slices stacks, only the
-listed modules draw random instances, and every public name is used in the
-package or a demo, or listed."""
+the listed kernels, no opalgebra function steps through a stack in slices,
+only the listed modules draw random instances, and every public name is used
+in the package or a demo, or listed."""
 
 import ast
 import pathlib
@@ -65,11 +65,21 @@ def test_hermitian_solves_go_through_the_kernels():
     assert set(_reference_sites({"eigh", "eigvalsh"})) == EIGENSOLVE_SITES
 
 
-def test_only_the_slicer_slices():
-    # every other kernel runs once on a whole stack: stacked eigensolves,
-    # products and reductions treat each block on its own, so slicing them
-    # changes no bit and only adds a loop
-    assert set(_reference_sites({"_CHUNK"})) == {("opalgebra", "sliced_singular_values")}
+def _stepped_ranges(path):
+    """(function, line) of every range(start, stop, step) call in `path`."""
+    for func in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range" \
+                        and len(node.args) == 3:
+                    yield func.name, node.lineno
+
+
+def test_no_kernel_slices_a_stack():
+    # every kernel runs once on a whole stack: stacked eigensolves, products
+    # and reductions treat each block on its own, so slicing them changes no
+    # bit and only adds a loop
+    assert list(_stepped_ranges(SRC / "opalgebra.py")) == []
 
 
 # every verifier computes what it checks, so it draws no random numbers
