@@ -574,14 +574,20 @@ def verify_positive_tangent(u, v, filtration: Filtration, p_grid,
     """
     if any(p < 1 for p in p_grid):
         raise DomainError("needs p >= 1")
-    scale = _require_positive(u, "the u_n must be positive")
+    message = "the u_n must be positive"
     if relaxed:
+        scale = _require_positive(u, message)
         moments_ok = all(
             cond_exp(filtration, n - 1, vn - un).entry_max() <= 1e-8 * scale
             and min_eigenvalue(cond_exp(filtration, n - 1, (un @ un - vn @ vn)
                                         .symmetrized())) >= -1e-8 * scale ** 2
             for n, (un, vn) in enumerate(zip(u, v)))
     else:
+        # tangency solves each u_n with vectors: positivity reads that solve
+        if not all(un.hermitian for un in u) or min(
+                float(e.min()) for un in u for e, _ in un.spectrum[0]) \
+                < -1e-10 * (1.0 + max(map(_spectral_norm, u))):
+            raise DomainError(message)
         label = "tangent" if check_tangent(u, v, filtration)[0] else "unverified"
     sum_u, sum_v = sum(u[1:], u[0]), sum(v[1:], v[0])
     reports = []

@@ -134,6 +134,9 @@ class ExperimentConfig:
             if p < info.p_min or (info.strict and p == info.p_min):
                 relation = ">" if info.strict else ">="
                 raise NCGLError(f"suite {self.suite} needs p {relation} {info.p_min}")
+            if self.B is None and "B" in info.reads and 1.0 + 1.0 / p == 1.0:
+                raise NCGLError(f"the default base B = 1 + 1/p rounds to 1 at p = {p!r};"
+                                " give B")
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,6 +10,7 @@ increments of that family.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -18,16 +19,13 @@ import numpy as np
 from .errors import DomainError, NumericalInstabilityError
 from .filtration import Martingale, cond_exp
 from .opalgebra import (
-    Interval,
     Operator,
     _TIE_TOL,
-    _by_summand,
-    _projection,
     min_eigenvalue,
     operator_norm,
     proj_meet,
     psd_power,
-    spectral_projection,
+    spectral_cuts,
 )
 
 __all__ = [
@@ -41,8 +39,6 @@ __all__ = [
 ]
 
 _DRIFT_LIMIT = 1e-6
-
-_BELOW_ONE = Interval.below(1.0)
 
 
 def _normalized(p: Operator) -> Operator:
@@ -62,12 +58,13 @@ def _normalized(p: Operator) -> Operator:
 def _snap_projection(raw: Operator) -> Operator:
     """Re-symmetrize and round a near-projection; abort on real drift."""
     sym = raw.symmetrized()
-    drift = max(float(np.abs(e - (e >= 0.5)).max()) for e, _ in sym.spectrum[0])
+    eigs = [e for e, _ in sym.spectrum[0]]
+    drift = max(float(np.abs(e - (e >= 0.5)).max()) for e in eigs)
     if drift > _DRIFT_LIMIT:
         raise NumericalInstabilityError(
             f"projection drifted by {drift:.2e} from idempotency"
         )
-    return _normalized(_projection(sym, (Interval.at_least(0.5),)))
+    return _normalized(spectral_cuts(sym, [(e >= 0.5)[None] for e in eigs]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,20 +92,13 @@ class _Step:
 
 @dataclass(frozen=True, eq=False)
 class CuculescuSeq:
-    """R_{-1} = I and R_0..R_N with their measurements, and per step n the
-    window (lo, hi) of levels lo < level < hi at which steps 0..n all make
-    the same spectral cut; the windows are nested."""
+    """R_{-1} = I and R_0..R_N with their measurements, and the levels
+    lo < level <= hi at which every one of their cuts is made."""
 
-    windows: tuple[tuple[float, float], ...]
+    lo: float
+    hi: float
     projections: tuple[Operator, ...]
     steps: tuple[_Step, ...]
-
-    lo = property(lambda self: self.windows[-1][0])
-    hi = property(lambda self: self.windows[-1][1])
-
-    def shared(self, level: float) -> int:
-        """How many leading steps make the same cut at `level` as here."""
-        return sum(lo < level < hi for lo, hi in self.windows)
 
     def R(self, n: int) -> Operator:
         if n == -1:
@@ -143,95 +133,80 @@ def _check_level(seq: CuculescuSeq, level: float) -> None:
                 raise fail(f"R_{n} y_n R_{n} exceeds R_{n} (summand {i})")
 
 
-def _step_window(compressed: Operator, level: float,
-                 norm: list[float], live: list[bool]) -> tuple[float, float]:
-    """Levels (lo, hi) at which the cut of R_{n-1} y_n R_{n-1} below 1 keeps
-    the eigenvectors it keeps at `level`, on every live summand; `compressed`
-    is that operator scaled by 1/level, and `norm` holds ||y_n|| per summand.
+@dataclass(eq=False)
+class _Node:
+    """R_n on one branch of a martingale's tree of Cuculescu steps, with the
+    sequence R_0..R_n that leads to it (none at the root, where R_{-1} = I),
+    and, formed once for its first child, the cut of the next step: the
+    unscaled C = R_n y_{n+1} R_n, per run the threshold t(e) of each
+    eigenvalue e of C, and every threshold in ascending order."""
 
-    With m the largest absolute eigenvalue of a summand, tol = _TIE_TOL (1 + m),
-    and at level l an eigenvalue e is kept iff e level/l < 1 - _TIE_TOL (1 + m level/l),
-    that is iff l > t(e) = level (e + _TIE_TOL m) / (1 - _TIE_TOL).  Each
-    summand's bounds are shrunk by 1e-8 relative (100x the tie tolerance) plus
-    1e-12 ||y_n||, far above the rounding of the eigenvalues at other levels;
-    the window is the intersection of the summands' windows.
-    """
-    spectrum, tol = compressed.spectrum
-    kept_t, cut_t = [], []
-    for (eigs, _), t_col in zip(spectrum, tol):
-        kept = _BELOW_ONE.contains(eigs, t_col)
-        t = level * (eigs + t_col - _TIE_TOL) / (1.0 - _TIE_TOL)
-        kept_t.append(np.where(kept, t, 0.0))
-        cut_t.append(np.where(kept, math.inf, t))
-    bounds = [(lo, hi, n) for lo, hi, n, ok in zip(
-        _by_summand(compressed.algebra, kept_t, "max"),
-        _by_summand(compressed.algebra, cut_t, "min"), norm, live) if ok]
-    return (max(lo + 1e-8 * abs(lo) + 1e-12 * n for lo, _, n in bounds),
-            min((hi - 1e-8 * abs(hi) - 1e-12 * n for _, hi, n in bounds if hi < math.inf),
-                default=math.inf))
+    r: Operator
+    seq: CuculescuSeq
+    cut: tuple | None = None
 
 
-def _fresh_sequence(y: Martingale, level: float,
-                    prefix: CuculescuSeq | None) -> CuculescuSeq:
-    """The level-`level` recursion, resumed after the leading steps that the
-    cached `prefix` shares at this level (the same cuts, so the same
-    projections and level-free measurements), or from R_{-1} = I."""
-    k = prefix.shared(level) if prefix else 0
-    windows, projections, steps = (
-        [list(part[:k]) for part in (prefix.windows, prefix.projections, prefix.steps)]
-        if k else ([], [], []))
-    lo, hi = windows[-1] if k else (0.0, math.inf)
-    r_prev = projections[-1] if k else y.algebra.identity()
-    for n, y_n in enumerate(y.values[k:], k):
-        norm = operator_norm(y_n, per_summand=True)
-        compressed = (r_prev @ (y_n / level) @ r_prev).symmetrized()
-        # a summand cut down to 0 stays 0 (the snap below keeps it exactly 0)
-        # and no longer bounds the window
-        live = [r > 0 for r in r_prev.summand_ranks]
-        if not any(live):
-            r_n = r_prev
-        else:
-            e = spectral_projection(compressed, _BELOW_ONE)
-            r_n = _snap_projection(r_prev @ e)
-            step_lo, step_hi = _step_window(compressed, level, norm, live)
-            lo, hi = max(lo, step_lo), min(hi, step_hi)
-        steps.append(_Step(
-            norm=norm,
-            adapted=(cond_exp(y.filtration, n, r_n) - r_n).entry_max(per_summand=True),
-            monotone=min_eigenvalue(r_prev - r_n, per_summand=True),
-            commutator=[c * level for c in (r_n @ compressed - compressed @ r_n)
-                        .entry_max(per_summand=True)],
-            top=[-t for t in min_eigenvalue(-(r_n @ y_n @ r_n).symmetrized(),
-                                            per_summand=True)],
-        ))
-        projections.append(r_n)
-        windows.append((lo, hi))
-        r_prev = r_n
-    return CuculescuSeq(tuple(windows), tuple(projections), tuple(steps))
+def _cut(r: Operator, y_next: Operator) -> tuple:
+    """C = R y_{n+1} R and its thresholds t(e) = (e + 1e-10 m) / (1 - 1e-10),
+    m the largest |e| of the summand: e / l < 1 - 1e-10 (1 + m / l), the tie
+    rule of cutting C/l below 1, holds iff l > t(e)."""
+    c = (r @ y_next @ r).symmetrized()
+    spectrum, tol = c.spectrum
+    t = [(e + (col - _TIE_TOL)) / (1.0 - _TIE_TOL) for (e, _), col in zip(spectrum, tol)]
+    return c, t, sorted(np.concatenate([x.ravel() for x in t]).tolist())
+
+
+def _child(y: Martingale, n: int, node: _Node, keep: list, lo: float, hi: float) -> _Node:
+    """The step from `node` that keeps the eigenvalues of its C marked in
+    `keep`, made at the levels lo < l <= hi: R_n = R_{n-1} I(C/l < 1),
+    snapped, and its measurements."""
+    r_prev, (c, _, _), y_n = node.r, node.cut, y.values[n]
+    r_n = _snap_projection(r_prev @ spectral_cuts(c, keep))
+    step = _Step(
+        norm=operator_norm(y_n, per_summand=True),
+        adapted=(cond_exp(y.filtration, n, r_n) - r_n).entry_max(per_summand=True),
+        monotone=min_eigenvalue(r_prev - r_n, per_summand=True),
+        commutator=(r_n @ c - c @ r_n).entry_max(per_summand=True),
+        top=[-t for t in min_eigenvalue(-(r_n @ y_n @ r_n).symmetrized(), per_summand=True)],
+    )
+    seq = node.seq
+    return _Node(r_n, CuculescuSeq(max(seq.lo, lo), min(seq.hi, hi),
+                                   seq.projections + (r_n,), seq.steps + (step,)))
 
 
 def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
     """The level-`level` Cuculescu sequence of a self-adjoint martingale.
 
-    R_n only changes where the level crosses an eigenvalue of
-    R_{n-1} y_n R_{n-1}, so each computed sequence is kept on the martingale
-    with the window of levels each of its steps serves, and returned itself
-    for any level inside its last window; any other level resumes after the
-    most leading steps a cached sequence shares.  The Lemma invariants are
-    checked from the stored measurements at every level returned.
+    R_n only changes where the level crosses a threshold of an eigenvalue of
+    C = R_{n-1} y_n R_{n-1}, so the sequences of all levels form one tree
+    per martingale (`Martingale.cuculescu_cache`), each step computed once.
+    The walk from its root takes at each node the child of the thresholds
+    below the level, built on first use from that one comparison, and
+    returns the record stored at the leaf, whose window lo < level <= hi
+    is exact.  The Lemma invariants are checked from the stored measurements
+    at every level returned.
     """
     if not (level > 0):
         raise DomainError("the cut level must be positive")
     if not y.is_selfadjoint():
         raise DomainError("Cuculescu projections need a self-adjoint martingale")
-    cache = y.cuculescu_cache
-    seq = next((s for s in cache if s.lo < level < s.hi), None)
-    if seq is None:
-        prefix = max(cache, key=lambda s: s.shared(level), default=None)
-        seq = _fresh_sequence(y, level, prefix)
-        cache.append(seq)
-    _check_level(seq, level)
-    return seq
+    tree, path = y.cuculescu_cache, ()
+    if not tree:
+        tree[path] = _Node(y.algebra.identity(), CuculescuSeq(0.0, math.inf, (), ()))
+    node = tree[path]
+    for n, y_n in enumerate(y.values):
+        if node.cut is None:
+            node.cut = _cut(node.r, y_n)
+        _, t, ordered = node.cut
+        k = bisect.bisect_left(ordered, level)  # the thresholds below the level
+        path += (k,)
+        if path not in tree:
+            tree[path] = _child(y, n, node, [(x < level)[None] for x in t],
+                                ordered[k - 1] if k else 0.0,
+                                ordered[k] if k < len(ordered) else math.inf)
+        node = tree[path]
+    _check_level(node.seq, level)
+    return node.seq
 
 
 # ---------------------------------------------------------------------------

@@ -338,11 +338,12 @@ class Martingale:
         )
 
     @cached_property
-    def cuculescu_cache(self) -> list:
-        """Cuculescu sequences computed on this martingale, each with the
-        window of levels it serves; filled and read by
-        :func:`ncgl.cuculescu.cuculescu_r` and freed with the martingale."""
-        return []
+    def cuculescu_cache(self) -> dict:
+        """The tree of this martingale's Cuculescu steps, each node under the
+        path of child keys that leads to it from the root at (); grown and
+        read by :func:`ncgl.cuculescu.cuculescu_r`, and freed with the
+        martingale."""
+        return {}
 
     def scale(self, c: float) -> "Martingale":
         return Martingale(

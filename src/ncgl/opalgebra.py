@@ -36,6 +36,7 @@ __all__ = [
     "operator_norm",
     "spectral_projection",
     "spectral_projections",
+    "spectral_cuts",
     "func_calculus",
     "abs_spectral_trace",
     "proj_meet",
@@ -413,24 +414,6 @@ def _compose(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (vecs * vals[..., None, :]) @ _h(vecs)
 
 
-def _projection(a: Operator, intervals) -> Operator:
-    """Spectral projections of a Hermitian operator onto each of `intervals`,
-    side by side on ``a.algebra.direct_sum(len(intervals))``, from its cached
-    spectrum and tie tolerances; exactly diagonal blocks get an exact 0/1
-    diagonal."""
-    alg = a.algebra.direct_sum(len(intervals))
-    spectrum, tol = a.spectrum
-    stacks = []
-    for (eigs, vecs), t in zip(spectrum, tol):
-        keep = np.array([interval.contains(eigs, t) for interval in intervals], dtype=float)
-        s = _compose(vecs, keep).reshape(-1, *vecs.shape[1:])
-        blocks, i = _exact_diagonal(s).nonzero()[0][:, None], np.arange(s.shape[1])
-        if blocks.size:
-            s[blocks, i, i] = np.round(s[blocks, i, i].real)
-        stacks.append(s)
-    return Operator(alg, tuple(stacks))
-
-
 # ---------------------------------------------------------------------------
 # trace and norms
 # ---------------------------------------------------------------------------
@@ -491,21 +474,42 @@ def min_eigenvalue(a: Operator, per_summand: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def spectral_projections(a: Operator, intervals) -> Operator:
-    """Spectral projections of a Hermitian operator onto each of `intervals`,
-    as one operator on ``a.algebra.direct_sum(len(intervals))`` whose i-th
-    copy of ``a.algebra`` is the cut onto ``intervals[i]``.
+def spectral_cuts(a: Operator, masks) -> Operator:
+    """The projections V diag(mask) V* onto the eigenvectors of a Hermitian
+    operator that each mask keeps, side by side on
+    ``a.algebra.direct_sum(k)``: `masks` holds one boolean (k, count, d)
+    array per run, indexed like the eigenvalues of ``a.spectrum``.
 
-    Eigenvalue membership at the endpoints follows the tie rule of
-    :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm), the
-    norm per summand of `a`.  The cuts are checked through ``a.basis_ok``,
-    once per eigenbasis: every cut of `a` then lies within 1e-10 of {0, 1}.
-    An algebra of blocks of unequal dimension has no direct sum, so it takes
-    one interval at a time.
+    The cuts are checked through ``a.basis_ok``, once per eigenbasis: every
+    cut of `a` then lies within 1e-10 of {0, 1}.  Exactly diagonal blocks get
+    an exact 0/1 diagonal.
     """
     if not a.basis_ok:
         raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
-    return _projection(a, intervals)
+    stacks = []
+    for (_, vecs), keep in zip(a.spectrum[0], masks):
+        s = _compose(vecs, keep.astype(float)).reshape(-1, *vecs.shape[1:])
+        blocks, i = _exact_diagonal(s).nonzero()[0][:, None], np.arange(s.shape[1])
+        if blocks.size:
+            s[blocks, i, i] = np.round(s[blocks, i, i].real)
+        stacks.append(s)
+    return Operator(a.algebra.direct_sum(len(masks[0])), tuple(stacks))
+
+
+def spectral_projections(a: Operator, intervals) -> Operator:
+    """Spectral projections of a Hermitian operator onto each of `intervals`,
+    as one operator on ``a.algebra.direct_sum(len(intervals))`` whose i-th
+    copy of ``a.algebra`` is the cut onto ``intervals[i]``, checked as
+    :func:`spectral_cuts` checks it.
+
+    Eigenvalue membership at the endpoints follows the tie rule of
+    :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm), the
+    norm per summand of `a`.  An algebra of blocks of unequal dimension has
+    no direct sum, so it takes one interval at a time.
+    """
+    spectrum, tol = a.spectrum
+    return spectral_cuts(a, [np.array([interval.contains(eigs, t) for interval in intervals])
+                             for (eigs, _), t in zip(spectrum, tol)])
 
 
 def spectral_projection(a: Operator, interval: Interval) -> Operator:

@@ -8,8 +8,9 @@ filtration, sampled, a cross-check of tangency through conditional moments,
 the tangency check as it was, one spectral cluster at a time, the sampled
 forms of testing condition (ii) and of the transform norm below 2 that the
 exact checks replaced, the homogenised tail bound on the corrected
-projections, and the Schur ascent as it was when every candidate's quotient
-was formed with its ratio."""
+projections, the Schur ascent as it was when every candidate's quotient
+was formed with its ratio, and the Cuculescu recursion at one level, as it
+ran before the steps of all levels were grown as one tree."""
 
 import itertools
 import json
@@ -19,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from ncgl.cli import ReportRow
-from ncgl.cuculescu import corrected_p, cuculescu_r
+from ncgl.cuculescu import CuculescuSeq, _snap_projection, _Step, corrected_p, cuculescu_r
 from ncgl.errors import DomainError, NCGLError
 from ncgl.filtration import (
     Filtration,
@@ -101,8 +102,9 @@ def reference_spectrum(op) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def recorded_cuts(monkeypatch, module) -> list:
     """The list that every cut `module`'s spectral_projection returns, and
-    every batch of cuts its spectral_projections returns, is appended to, from
-    this call on; a batch is one operator, one summand per cut."""
+    every batch of cuts its spectral_projections or spectral_cuts returns, is
+    appended to, from this call on; a batch is one operator, one summand per
+    cut."""
     cuts = []
 
     def recording(kernel):
@@ -111,10 +113,36 @@ def recorded_cuts(monkeypatch, module) -> list:
             return cuts[-1]
         return record
 
-    for name in ("spectral_projection", "spectral_projections"):
+    for name in ("spectral_projection", "spectral_projections", "spectral_cuts"):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
     return cuts
+
+
+def level_recursion(y, level) -> CuculescuSeq:
+    """The level-`level` Cuculescu sequence from R_{-1} = I, the reference for
+    the tree of steps: at each step the cut of C/level = R_{n-1} (y_n/level)
+    R_{n-1} below 1 under the tie rule of Interval.contains, snapped, with
+    the five measurements of `_Step`.  A step from R_{n-1} = 0 keeps it.  The
+    record's window is the level alone."""
+    projections, steps = [], []
+    r_prev = y.algebra.identity()
+    for n, y_n in enumerate(y.values):
+        compressed = (r_prev @ (y_n / level) @ r_prev).symmetrized()
+        r_n = r_prev if r_prev.rank() == 0 else \
+            _snap_projection(r_prev @ spectral_projection(compressed, Interval.below(1.0)))
+        steps.append(_Step(
+            norm=operator_norm(y_n, per_summand=True),
+            adapted=(cond_exp(y.filtration, n, r_n) - r_n).entry_max(per_summand=True),
+            monotone=min_eigenvalue(r_prev - r_n, per_summand=True),
+            commutator=[c * level for c in (r_n @ compressed - compressed @ r_n)
+                        .entry_max(per_summand=True)],
+            top=[-t for t in min_eigenvalue(-(r_n @ y_n @ r_n).symmetrized(),
+                                            per_summand=True)],
+        ))
+        projections.append(r_n)
+        r_prev = r_n
+    return CuculescuSeq(level, level, tuple(projections), tuple(steps))
 
 
 def per_cluster_tangent(a, b, filtration) -> tuple[bool, float]:

@@ -504,7 +504,8 @@ class TestTangency:
     def test_work_counts_of_the_positive_tangent_call(self, monkeypatch):
         # perfbench's seed-0 positive-tangent call: 60 steps, 432 clusters.
         # applications conditions 120 operators in the adaptedness checks and
-        # one batch per step; each operator's spectrum is solved once
+        # one batch per step; each operator's spectrum is solved once, and the
+        # values-only solves left are one deviation norm per step
         counts = {"cond_exp": 0, "eigh": 0, "eigvalsh": 0, "cuts": 0}
 
         def counted(name, fn):
@@ -521,7 +522,15 @@ class TestTangency:
         rows, _ = run(ExperimentConfig(suite="positive-tangent", trials=12, seed=0,
                                        p_grid=(3.0, 4.0), dims={"depth": 4, "matrix_dim": 2}))
         assert len(rows) == 24
-        assert counts == {"cond_exp": 180, "eigh": 108, "eigvalsh": 108, "cuts": 120}
+        assert counts == {"cond_exp": 180, "eigh": 108, "eigvalsh": 48, "cuts": 120}
+
+    def test_positivity_reads_the_tangency_solve(self):
+        # the positivity check of the u_n reads the spectra that tangency
+        # solves with vectors: no u_n or v_n is also solved values-only
+        for u, v, filt in _positive_tangent_pairs():
+            verify_positive_tangent(u, v, filt, (3.0, 4.0))
+            assert not any("eigenvalues" in op.__dict__ for op in (*u, *v))
+            assert all("spectrum" in op.__dict__ for op in (*u, *v))
 
     def test_no_values_only_solve_of_the_sequences(self, monkeypatch):
         # the adaptedness scale is read off the spectrum the clustering solves
@@ -803,11 +812,12 @@ class TestPositiveTangent:
         rep, = verify_positive_tangent(u, v, filt, [4.0], kappa=3.0, relaxed=True)
         assert rep.passed and rep.meta["hypothesis"] == "relaxed-verified"
 
-    def test_needs_positive_u(self):
+    @pytest.mark.parametrize("relaxed", (False, True))
+    def test_needs_positive_u(self, relaxed):
         filt = make_filtration("corner", dim=3)
         h = gaussian_hermitian(filt.algebra, stream(111))
-        with pytest.raises(DomainError):
-            verify_positive_tangent([h], [h], filt, [3.0])
+        with pytest.raises(DomainError, match="the u_n must be positive"):
+            verify_positive_tangent([h], [h], filt, [3.0], relaxed=relaxed)
 
 
 class TestRefinedDoob:

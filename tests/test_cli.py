@@ -164,8 +164,8 @@ class TestFamilyBatches:
             [(r.instance, r.passed) for r in alone]
         if suite == "goodlambda-core":
             assert rows == alone
-        # a tail batch may serve a level from another cached sequence than
-        # the trial alone does: values agree to the 1e-9 margin contract
+        # a tail batch's steps may round unlike the trial alone's: values
+        # agree to the 1e-9 margin contract
         for got, want in zip(rows, alone):
             scale = max(1.0, abs(want.lhs), abs(want.rhs))
             for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs),
@@ -360,6 +360,7 @@ class TestMainEntry:
         assert all(r.margin > 0 for r in rows if not r.instance.endswith(":tau"))
 
     @pytest.mark.parametrize("suite,flag", [("moment", "--B=1"),
+                                            ("moment", "--p=1e308"),  # 1 + 1/p == 1
                                             ("goodlambda-tail", "--beta=1")])
     def test_exit_two_on_base_or_beta_at_most_one(self, monkeypatch, capsys, suite, flag):
         # a config error, raised before any trial runs

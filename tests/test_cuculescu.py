@@ -38,7 +38,7 @@ from ncgl.opalgebra import (
     trace,
 )
 
-from helpers import check_projection, recorded_cuts
+from helpers import check_projection, level_recursion, recorded_cuts
 
 
 def _one_step(y0_diag):
@@ -50,8 +50,13 @@ def _one_step(y0_diag):
 
 
 def _fresh_copy(y):
-    """The same martingale with an empty Cuculescu cache."""
+    """The same martingale with an empty tree of Cuculescu steps."""
     return Martingale(y.filtration, y.values, y.diffs)
+
+
+def _leaves(y):
+    """The nodes at the leaves of y's tree of Cuculescu steps."""
+    return [node for path, node in y.cuculescu_cache.items() if len(path) == y.N + 1]
 
 
 def _assert_same_sequence(got, want, level):
@@ -178,8 +183,8 @@ class TestCuculescuSequence:
             verify_moment(t, p)
         diagonal = 0
         for m in (y, -y):
-            for seq in m.cuculescu_cache:
-                for proj in seq.projections:
+            for leaf in _leaves(m):
+                for proj in leaf.seq.projections:
                     for block in proj.data:
                         d = np.diag(block)
                         if np.count_nonzero(block - np.diag(d)):
@@ -193,7 +198,7 @@ class TestCuculescuSequence:
 def _grid_case(family, sign):
     """A triple_family martingale (or its negative), every grid level of
     B = 1 + 1/p for p in {3, 8} in descending order, and the sequence at each
-    level computed from R_{-1} = I on a fresh copy."""
+    level computed from R_{-1} = I by the per-level recursion."""
     base = random_martingale(triple_family(family), stream(57, family),
                              sup_norm=2.5)
     y = base if sign > 0 else -base
@@ -203,16 +208,16 @@ def _grid_case(family, sign):
         lo, top = _k_range(y, B, None)
         levels.update(B**k for k in range(lo, top + 1))
     levels = sorted(levels, reverse=True)
-    refs = [cuculescu_r(_fresh_copy(y), level) for level in levels]
+    refs = [level_recursion(y, level) for level in levels]
     return y, levels, refs
 
 
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize("family", range(6))
 def test_every_cut_passes_the_projection_oracle(monkeypatch, family, sign):
-    # every cut E = I(compressed < 1) of the descending grid on one fresh
-    # copy, which resumes cached prefixes as weak_max does, and of every
-    # tenth level from R_{-1} = I, checked by its own eigensolve
+    # every cut E = I(C/level < 1) of the descending grid on one fresh copy,
+    # which grows one tree as weak_max does, and of every tenth level on a
+    # fresh copy, with the snaps that round them, checked by its own eigensolve
     y, levels, _ = _grid_case(family, sign)
     cuts = recorded_cuts(monkeypatch, cuculescu)
     fresh = _fresh_copy(y)
@@ -381,46 +386,71 @@ class TestCachedSequences:
     @settings(max_examples=3, deadline=None)
     @given(order=st.integers(0, 2**32 - 1))
     def test_cache_matches_fresh_recursion(self, family, sign, order):
+        # the tree, asked for every grid level in descending and then in
+        # shuffled order, and on an empty tree in shuffled order, gives the
+        # per-level recursion's projections
         y, levels, refs = _grid_case(family, sign)
         shuffled = list(zip(levels, refs))
         random.Random(order).shuffle(shuffled)
-        cached = _fresh_copy(y)          # descending, then shuffled
-        unordered = _fresh_copy(y)       # shuffled from an empty cache
-        queries = ([(cached, q) for q in zip(levels, refs)]
-                   + [(cached, q) for q in shuffled]
+        grown = _fresh_copy(y)           # descending, then shuffled
+        unordered = _fresh_copy(y)       # shuffled from an empty tree
+        queries = ([(grown, q) for q in zip(levels, refs)]
+                   + [(grown, q) for q in shuffled]
                    + [(unordered, q) for q in shuffled])
         for m, (level, ref) in queries:
             got = cuculescu_r(m, level).projections
             for n, (a, b) in enumerate(zip(got, ref.projections)):
-                assert a.allclose(b, 1e-10), (level, n)
+                assert a.allclose(b, 1e-12), (level, n)
         # the grid is served by far fewer sequences than it has levels
-        assert len(cached.cuculescu_cache) < len(levels)
+        assert len(_leaves(grown)) < len(levels)
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))
     def test_resumed_sequences_match_the_recursion_from_scratch(self, family, sign):
-        # a level outside every cached sequence's last window resumes after
-        # the leading steps that one of them shares at it
+        # a sequence that branches off the tree after leading steps another
+        # level took has the projections and measurements of the recursion
+        # from R_{-1} = I at its own level
         y, levels, refs = _grid_case(family, sign)
         m = _fresh_copy(y)
         for level, ref in zip(levels, refs):
             _assert_same_sequence(cuculescu_r(m, level), ref, level)
-        cache = m.cuculescu_cache
+        leaves = [leaf.seq for leaf in _leaves(m)]
         assert any(s.projections[0] is t.projections[0]
-                   for i, s in enumerate(cache) for t in cache[:i])
+                   for i, s in enumerate(leaves) for t in leaves[:i])
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))
     def test_step_windows_are_nested(self, family, sign):
+        # each node's window lies in its parent's, every level lies in the
+        # window of the leaf it reaches, and the leaves' windows are disjoint
         y, levels, _ = _grid_case(family, sign)
         m = _fresh_copy(y)
         for level in levels:
-            cuculescu_r(m, level)
-        for seq in m.cuculescu_cache:
-            assert len(seq.windows) == y.N + 1
-            assert (seq.lo, seq.hi) == seq.windows[-1]
-            for (lo, hi), (inner_lo, inner_hi) in zip(seq.windows, seq.windows[1:]):
-                assert lo <= inner_lo and inner_hi <= hi
+            seq = cuculescu_r(m, level)
+            assert seq.lo < level <= seq.hi
+            assert len(seq.projections) == len(seq.steps) == y.N + 1
+        tree = m.cuculescu_cache
+        for path, node in tree.items():
+            if path:
+                outer = tree[path[:-1]].seq
+                assert outer.lo <= node.seq.lo < node.seq.hi <= outer.hi, path
+        windows = sorted((leaf.seq.lo, leaf.seq.hi) for leaf in _leaves(m))
+        assert all(hi <= lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("family", range(6))
+    def test_query_order_changes_no_bit(self, family, sign):
+        # each step is cut from its node's thresholds alone, so the order in
+        # which levels reach the tree cannot move a projection
+        y, levels, _ = _grid_case(family, sign)
+        shuffled = random.Random(2 * family + (sign > 0)).sample(levels, len(levels))
+        descending, unordered = _fresh_copy(y), _fresh_copy(y)
+        for level in shuffled:
+            cuculescu_r(unordered, level)
+        for level in levels:
+            got = cuculescu_r(descending, level).projections
+            want = cuculescu_r(unordered, level).projections
+            assert [_flat_bytes(r) for r in got] == [_flat_bytes(r) for r in want], level
 
     def test_resume_computes_only_the_steps_not_shared(self, monkeypatch):
         # y_0 = 1.25 I and y_1 = U diag(3, -0.5) U*: at level 2 the second
@@ -430,9 +460,8 @@ class TestCachedSequences:
         final = filt.algebra.operator([(u * np.array([3.0, -0.5])) @ u.conj().T])
         y = martingale_from_final(filt, final)
         first = cuculescu_r(y, 2.0)
-        (lo0, hi0), (lo1, hi1) = first.windows
-        assert lo0 < 4.0 < hi0 and not lo1 < 4.0 < hi1
-        calls = {"spectral_projection": 0, "cond_exp": 0}
+        assert first.lo < 2.0 <= first.hi < 4.0
+        calls = {"_cut": 0, "_child": 0, "cond_exp": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -443,14 +472,37 @@ class TestCachedSequences:
         for name in calls:
             monkeypatch.setattr(cuculescu, name, counted(name, getattr(cuculescu, name)))
         seq = cuculescu_r(y, 4.0)
-        assert calls == {"spectral_projection": 1, "cond_exp": 1}
+        # both nodes on the way were cut when level 2 passed them
+        assert calls == {"_cut": 0, "_child": 1, "cond_exp": 1}
         assert seq.projections[0] is first.projections[0]
         assert seq.steps[0] is first.steps[0]
-        assert seq.windows[0] == first.windows[0]
         monkeypatch.undo()
-        fresh = cuculescu_r(_fresh_copy(y), 4.0)
         assert seq.final().rank() == 2 and first.final().rank() == 1
-        _assert_same_sequence(seq, fresh, 4.0)
+        _assert_same_sequence(seq, level_recursion(y, 4.0), 4.0)
+
+    def test_work_counts_of_the_moment_pass(self, monkeypatch):
+        # perfbench's seed-0 moment-grid pass: each step of the 84 trees
+        # (42 trials, both signs) is computed once, and no more Hermitian
+        # solves run than the 2,135 eigh and 1,854 eigvalsh calls of the
+        # per-level sequences with their windows
+        from ncgl.cli import ExperimentConfig, run
+
+        counts = {"_child": 0, "eigh": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(cuculescu, "_child", counted("_child", cuculescu._child))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        rows, _ = run(ExperimentConfig(suite="moment", trials=42, seed=0,
+                                       p_grid=(3.0, 4.0, 8.0)))
+        assert len(rows) == 42 * 15
+        assert counts["_child"] <= 918
+        assert counts["eigh"] + counts["eigvalsh"] <= 2135 + 1854
 
     @pytest.mark.parametrize("factor", [1.25, 1 + 1e-6, 1 + 1e-9, 1 + 2e-10,
                                         1 + 1e-10, 1 + 1e-12, 1 - 1e-12,
@@ -467,73 +519,38 @@ class TestCachedSequences:
         assert np.array_equal(got, fresh)
 
     def test_every_returned_sequence_is_checked(self, monkeypatch):
-        calls = {"check": 0, "fresh": 0}
-        check, fresh = cuculescu._check_level, cuculescu._fresh_sequence
+        calls = {"check": 0, "child": 0}
+        check, child = cuculescu._check_level, cuculescu._child
 
         def counted_check(seq, level):
             calls["check"] += 1
             return check(seq, level)
 
-        def counted_fresh(y, level, prefix):
-            calls["fresh"] += 1
-            return fresh(y, level, prefix)
+        def counted_child(*args):
+            calls["child"] += 1
+            return child(*args)
 
         monkeypatch.setattr(cuculescu, "_check_level", counted_check)
-        monkeypatch.setattr(cuculescu, "_fresh_sequence", counted_fresh)
+        monkeypatch.setattr(cuculescu, "_child", counted_child)
         y = _one_step([2.0, 0.5])
         first = cuculescu_r(y, 1.0)
         for level in (1.0, 1.5, 0.7):      # between the eigenvalues 0.5 and 2
             assert cuculescu_r(y, level).projections is first.projections
-        assert calls == {"check": 4, "fresh": 1}
-        cuculescu_r(y, 3.0)                # above both: outside every window
-        cuculescu_r(y, 0.25)               # below both
-        cuculescu_r(y, 5.0)
-        assert calls == {"check": 7, "fresh": 3}
-        assert len(y.cuculescu_cache) == 3
-
-    @pytest.mark.parametrize("diagonals", [
-        [(e, -0.5) for e in np.arange(0.05, 0.95, 0.01)],   # the relative slack
-        [(0.0, top) for top in np.arange(0.5, 3.0, 0.05)],  # the 1e-12 ||y_n|| term
-    ], ids=["relative", "near-zero"])
-    def test_window_slack_covers_rounding_at_the_edge(self, diagonals):
-        # y_0 = U diag(e, f) U* keeps e at level 1; without the slack the
-        # sequence would serve every level above t(e) = (e + 1e-10 m) /
-        # (1 - 1e-10), m = max(|e|, |f|).  Recomputed a few ulps above t(e),
-        # e sits on the tie band and the rounding of the rotated eigenvalues
-        # can cut it (for e = 0, t(e) ~ 1e-10 m and the relative part of the
-        # slack is below that rounding): the slack sends such levels to a
-        # fresh recursion.
-        from ncgl.cuculescu import _BELOW_ONE, _TIE_TOL
-
-        u = np.linalg.qr(np.array([[1.0, 0.3 + 0.2j], [-0.4j, 1.0]]))[0]
-
-        def rotated(diagonal):
-            y = _one_step([1.0, 1.0])
-            y0 = y.algebra.operator([(u * np.array(diagonal)) @ u.conj().T])
-            return Martingale(y.filtration, (y0,), (y0,))
-
-        flipped = 0
-        for diagonal in diagonals:
-            y = rotated(diagonal)
-            seq = cuculescu_r(y, 1.0)
-            (spectrum,), (tol,) = y.values[0].symmetrized().spectrum
-            kept = _BELOW_ONE.contains(spectrum[0], tol)
-            level = float(((spectrum[0] + tol - _TIE_TOL) / (1.0 - _TIE_TOL))[kept].max())
-            for _ in range(3):
-                level = np.nextafter(level, np.inf)  # inside the unslacked window
-                fresh = cuculescu_r(rotated(diagonal), level).R(0)
-                assert cuculescu_r(y, level).R(0).allclose(fresh, 0.0), (diagonal, level)
-                flipped += fresh.rank() != seq.R(0).rank()
-        assert flipped > 0
+        assert calls == {"check": 4, "child": 1}
+        cuculescu_r(y, 3.0)                # above both: a second leaf
+        cuculescu_r(y, 0.25)               # below both: a third
+        cuculescu_r(y, 5.0)                # the second leaf again
+        assert calls == {"check": 7, "child": 3}
+        assert len(_leaves(y)) == 3
 
     @pytest.mark.parametrize("field, value", [("adapted", 1.0), ("top", 1e3)])
     def test_hits_are_validated(self, field, value):
         y = _one_step([2.0, 0.5])
         cuculescu_r(y, 1.0)
-        seq = y.cuculescu_cache[0]
+        leaf, = _leaves(y)
         # one measurement per summand; this algebra has one
-        bad = dataclasses.replace(seq.steps[0], **{field: [value]})
-        y.cuculescu_cache[0] = dataclasses.replace(seq, steps=(bad,))
+        bad = dataclasses.replace(leaf.seq.steps[0], **{field: [value]})
+        leaf.seq = dataclasses.replace(leaf.seq, steps=(bad,))
         with pytest.raises(NumericalInstabilityError):
             cuculescu_r(y, 1.5)
 
@@ -554,15 +571,17 @@ class TestCachedSequences:
 
     def test_returns_the_stored_record(self):
         y = _one_step([2.0, 0.5])
-        assert cuculescu_r(y, 1.0) is y.cuculescu_cache[0]
-        assert cuculescu_r(y, 1.5) is y.cuculescu_cache[0]
+        seq = cuculescu_r(y, 1.0)
+        leaf, = _leaves(y)
+        assert seq is leaf.seq
+        assert cuculescu_r(y, 1.5) is leaf.seq
         assert cuculescu_r(y, 1.0).R(-1).allclose(y.algebra.identity(), 0.0)
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))
     def test_cut_off_certificate_matches_eigensolve(self, family, sign):
         # min_eig(R_n - R_n y_n R_n/level) against 1 - top/level, and 0 on a
-        # nonzero kernel, at every grid level (cache hits included)
+        # nonzero kernel, at every grid level (leaves reached again included)
         y, levels, _ = _grid_case(family, sign)
         m = _fresh_copy(y)
         total = y.algebra.total_dim
@@ -577,17 +596,20 @@ class TestCachedSequences:
                     cert = min(cert, 0.0)
                 assert abs(direct - cert) <= 1e-12 * (1.0 + norm / level), (level, n)
 
-    @pytest.mark.parametrize("mu", (0.5, 4.0))
+    @pytest.mark.parametrize("mu", (1e-3, 0.5, 4.0, 1e3))
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))
     def test_scale_covariance(self, family, sign, mu):
-        # R^{mu level}(mu y) = R^{level}(y): the windows scale with mu
-        y, levels, refs = _grid_case(family, sign)
-        scaled = y.scale(mu)
-        for level, ref in zip(levels, refs):
+        # R^{mu level}(mu y) = R^{level}(y): the thresholds scale with mu, tie
+        # band 1e-10 (1 + m) included, so every cut is made alike
+        y, levels, _ = _grid_case(family, sign)
+        m, scaled = _fresh_copy(y), y.scale(mu)
+        for level in levels:
             got = cuculescu_r(scaled, mu * level).projections
-            for n, (a, b) in enumerate(zip(got, ref.projections)):
-                assert a.allclose(b, 1e-10), (level, n)
+            want = cuculescu_r(m, level).projections
+            for n, (a, b) in enumerate(zip(got, want)):
+                assert a.summand_ranks == b.summand_ranks, (level, n)
+                assert a.allclose(b, 1e-12), (level, n)
 
     def test_cache_dies_with_the_martingale(self):
         y = random_martingale(make_filtration("corner", dim=3), stream(58),
@@ -687,9 +709,10 @@ class TestCorrectedProjections:
         # the band's bottom only
         y = _one_step([1.5, 0.3])
         seq = cuculescu_r(y, 1.0)
+        leaf, = _leaves(y)
         moved = dataclasses.replace(seq.steps[0], **{field: [_MOVED[field][0](0.75, 1.5)]})
-        y.cuculescu_cache[0] = dataclasses.replace(seq, steps=(moved,))
-        assert not _raises(y.cuculescu_cache[0], 1.0)
+        leaf.seq = dataclasses.replace(seq, steps=(moved,))
+        assert not _raises(leaf.seq, 1.0)
         with pytest.raises(NumericalInstabilityError):
             corrected_p(y, 2.0)
 

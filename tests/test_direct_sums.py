@@ -120,17 +120,18 @@ class TestDirectSumFiltration:
 @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
 def test_resumed_tail_batch_is_the_trials_alone(family):
     # six goodlambda-tail trials of one family as one batch, as `cli.run`
-    # builds it: some level resumes after the leading steps that a cached
-    # sequence shares on every summand, and each summand is still decided
-    # as its trial alone (to the 1e-9 margin contract)
+    # builds it: some level branches off the batch's tree after leading steps
+    # that another level took on every summand, and each summand is still
+    # decided as its trial alone (to the 1e-9 margin contract)
     filt = triple_family(family)
     trials = range(family, 36, len(FAMILY_TEMPLATES))
     batch = Triple(*strong_triple_parts(filt, *(stream(0, 2, i) for i in trials)))
     betas = (1.5, 2.0, 4.0)
     reports = [verify_tail(batch, beta) for beta in betas]
-    cache = batch.y.cuculescu_cache
+    leaves = [node.seq for path, node in batch.y.cuculescu_cache.items()
+              if len(path) == batch.y.N + 1]
     assert any(s.projections[0] is t.projections[0]
-               for i, s in enumerate(cache) for t in cache[:i])
+               for i, s in enumerate(leaves) for t in leaves[:i])
     for k, i in enumerate(trials):
         alone = Triple(*strong_triple_parts(filt, stream(0, 2, i)))
         for beta, reps in zip(betas, reports):

@@ -13,8 +13,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ncgl"
 # spectral calculus, so it shares them instead of keeping a second copy
 ALLOWED = {
     ("cuculescu", "opalgebra", "_TIE_TOL"): "the tie tolerance of every spectral cut",
-    ("cuculescu", "opalgebra", "_by_summand"): "per-summand reduction of direct sums",
-    ("cuculescu", "opalgebra", "_projection"): "unchecked spectral cut of a snapped step",
 }
 
 
