@@ -37,7 +37,7 @@ from .opalgebra import (
     operator_norm,
     psd_sqrt,
     schatten_norm,
-    spectral_projections,
+    spectral_cuts,
 )
 from .reports import VerifyReport
 
@@ -240,8 +240,6 @@ def doob_embed(u: list[Operator], filtration: Filtration) -> EmbeddedInstance:
     roots; asserts y_N^2 >= e11 (x) 1 (x) sum E_n(u_n) and the conditional
     identity for dy_k^2.
     """
-    if not u:
-        raise DomainError("need at least one operator")
     scale = _require_positive(u, "doob_embed needs positive operators")
     N = len(u) - 1
     outer = N + 2
@@ -277,9 +275,15 @@ def doob_embed(u: list[Operator], filtration: Filtration) -> EmbeddedInstance:
 
 
 def _require_positive(u, message: str) -> float:
-    """Raise `message` unless every u_n is positive; returns 1 + max ||u_n||."""
-    scale = 1.0 + max(operator_norm(ui) for ui in u)
-    if any(not ui.hermitian or min_eigenvalue(ui) < -1e-10 * scale for ui in u):
+    """Raise `message` unless every u_n is Hermitian with no eigenvalue below
+    -1e-10 (1 + max ||u_n||), read off its eigendecomposition; returns
+    1 + max ||u_n||.  An empty sequence is a DomainError of its own."""
+    if not u:
+        raise DomainError("need at least one operator")
+    if not all(ui.hermitian for ui in u):
+        raise DomainError(message)
+    scale = 1.0 + max(map(_spectral_norm, u))
+    if min(float(e.min()) for ui in u for e, _ in ui.spectrum[0]) < -1e-10 * scale:
         raise DomainError(message)
     return scale
 
@@ -365,6 +369,8 @@ def verify_stein(u: list[Operator], filtration: Filtration,
                  p: float) -> VerifyReport:
     """|| (sum |E_n(u_n)|^2)^{1/2} ||_p <= C_p || (sum |u_n|^2)^{1/2} ||_p."""
     const = stein_constant(p)  # the duality range p < 2 is out of scope
+    if not u:
+        raise DomainError("need at least one operator")
     sq_ce = [e.adjoint() @ e for e in (cond_exp(filtration, n, ui) for n, ui in enumerate(u))]
     sq_u = [ui.adjoint() @ ui for ui in u]
     lhs = schatten_norm(psd_sqrt(sum(sq_ce[1:], sq_ce[0]).symmetrized()), p)
@@ -377,14 +383,13 @@ def verify_stein(u: list[Operator], filtration: Filtration,
 # ---------------------------------------------------------------------------
 
 
-def _check_adapted(seq, filtration: Filtration, name: str, norm=operator_norm) -> None:
+def _check_adapted(seq, filtration: Filtration, name: str) -> None:
     """DomainError unless every seq[n] is Hermitian and E_n-measurable, within
-    1e-9 (1 + norm(seq[n]))."""
+    1e-9 (1 + ||seq[n]||), the norm read off its eigendecomposition."""
     for n, a in enumerate(seq):
         if not a.hermitian:
             raise DomainError(f"{name}_{n} is not Hermitian")
-        scale = 1.0 + norm(a)
-        if (cond_exp(filtration, n, a) - a).entry_max() > 1e-9 * scale:
+        if (cond_exp(filtration, n, a) - a).entry_max() > 1e-9 * (1.0 + _spectral_norm(a)):
             raise DomainError(f"{name}_{n} is not adapted")
 
 
@@ -399,30 +404,31 @@ def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
     For every step n, the union spectrum of a_n and b_n is clustered (merging
     eigenvalues closer than the clustering rule allows) and the conditional
     expectations of the cluster indicators are compared; the sequences are
-    tangent when the worst deviation stays below 1e-8.  A step is one batch:
-    the cuts of a_n and of b_n onto all C cluster windows, each one operator
-    on a direct sum of C copies, their difference conditioned once on
-    ``filtration.direct_sum(C)`` and one operator norm over all clusters.
+    tangent when the worst deviation stays below 1e-8.  Each eigenvalue of
+    a_n and b_n is labelled with its cluster, the first whose largest value
+    is not below it, and a step is one batch: the cuts of a_n and of b_n onto
+    the labels of all C clusters, each one operator on a direct sum of C
+    copies, their difference conditioned once on ``filtration.direct_sum(C)``
+    and one operator norm over all clusters.
     """
     if len(a) != len(b):
         raise DomainError("sequences must have the same length")
     # the clustering needs each spectrum with vectors: the norm reads it too
-    _check_adapted(a, filtration, "a", _spectral_norm)
-    _check_adapted(b, filtration, "b", _spectral_norm)
+    _check_adapted(a, filtration, "a")
+    _check_adapted(b, filtration, "b")
     worst = 0.0
     for n, (an, bn) in enumerate(zip(a, b)):
         eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
-        windows = [Interval(float(c.min()), float(c.max()), True, True)
-                   for c in cluster_eigenvalues(eigs, float(np.abs(eigs).max()))]
+        tops = np.array([c[-1] for c in cluster_eigenvalues(eigs, float(np.abs(eigs).max()))])
+        la, lb = ([np.searchsorted(tops, e) for e, _ in op.spectrum[0]] for op in (an, bn))
         # blocks of unequal dimension have no direct sum: one cluster per batch
-        size = len(windows) if len(an.algebra.runs) == 1 else 1
-        for i in range(0, len(windows), size):
-            batch = windows[i:i + size]
+        size = len(tops) if len(an.algebra.runs) == 1 else 1
+        for i in range(0, len(tops), size):
+            ids = np.arange(i, i + size)[:, None, None]
             # cond_exp is linear: one application to the difference of the cuts
-            dev = operator_norm(cond_exp(
-                filtration.direct_sum(len(batch)), n - 1,
-                spectral_projections(an, batch) - spectral_projections(bn, batch)))
-            worst = max(worst, dev)
+            cuts = spectral_cuts(an, [lab == ids for lab in la]) \
+                - spectral_cuts(bn, [lab == ids for lab in lb])
+            worst = max(worst, operator_norm(cond_exp(filtration.direct_sum(size), n - 1, cuts)))
     return bool(worst <= 1e-8), float(worst)
 
 
@@ -574,20 +580,17 @@ def verify_positive_tangent(u, v, filtration: Filtration, p_grid,
     """
     if any(p < 1 for p in p_grid):
         raise DomainError("needs p >= 1")
-    message = "the u_n must be positive"
+    if len(u) != len(v):
+        raise DomainError("sequences must have the same length")
+    # the tangency route solves each u_n with vectors anyway: positivity reads it
+    scale = _require_positive(u, "the u_n must be positive")
     if relaxed:
-        scale = _require_positive(u, message)
         moments_ok = all(
             cond_exp(filtration, n - 1, vn - un).entry_max() <= 1e-8 * scale
             and min_eigenvalue(cond_exp(filtration, n - 1, (un @ un - vn @ vn)
                                         .symmetrized())) >= -1e-8 * scale ** 2
             for n, (un, vn) in enumerate(zip(u, v)))
     else:
-        # tangency solves each u_n with vectors: positivity reads that solve
-        if not all(un.hermitian for un in u) or min(
-                float(e.min()) for un in u for e, _ in un.spectrum[0]) \
-                < -1e-10 * (1.0 + max(map(_spectral_norm, u))):
-            raise DomainError(message)
         label = "tangent" if check_tangent(u, v, filtration)[0] else "unverified"
     sum_u, sum_v = sum(u[1:], u[0]), sum(v[1:], v[0])
     reports = []

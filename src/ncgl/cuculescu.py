@@ -20,7 +20,7 @@ from .errors import DomainError, NumericalInstabilityError
 from .filtration import Martingale, cond_exp
 from .opalgebra import (
     Operator,
-    _TIE_TOL,
+    level_thresholds,
     min_eigenvalue,
     operator_norm,
     proj_meet,
@@ -147,12 +147,10 @@ class _Node:
 
 
 def _cut(r: Operator, y_next: Operator) -> tuple:
-    """C = R y_{n+1} R and its thresholds t(e) = (e + 1e-10 m) / (1 - 1e-10),
-    m the largest |e| of the summand: e / l < 1 - 1e-10 (1 + m / l), the tie
-    rule of cutting C/l below 1, holds iff l > t(e)."""
+    """C = R y_{n+1} R and the thresholds of `level_thresholds`: the cut of
+    C/l below 1 keeps an eigenvalue iff l exceeds its threshold."""
     c = (r @ y_next @ r).symmetrized()
-    spectrum, tol = c.spectrum
-    t = [(e + (col - _TIE_TOL)) / (1.0 - _TIE_TOL) for (e, _), col in zip(spectrum, tol)]
+    t = level_thresholds(c)
     return c, t, sorted(np.concatenate([x.ravel() for x in t]).tolist())
 
 

@@ -34,8 +34,8 @@ __all__ = [
     "direct_sum",
     "schatten_norm",
     "operator_norm",
+    "level_thresholds",
     "spectral_projection",
-    "spectral_projections",
     "spectral_cuts",
     "func_calculus",
     "abs_spectral_trace",
@@ -362,6 +362,15 @@ class Interval:
             ((hi <= tol) if self.upper_closed else (hi < -tol))
 
 
+def level_thresholds(a: Operator) -> list[np.ndarray]:
+    """The tie rule of cutting a/l below 1 in threshold form: per run, the
+    threshold t(e) = (e + 1e-10 m) / (1 - 1e-10) of each eigenvalue e of a
+    Hermitian operator, m the largest |e| of its summand.  Interval.below(1.0)
+    keeps e/l, e/l < 1 - 1e-10 (1 + m/l), iff the level l > t(e)."""
+    spectrum, tol = a.spectrum
+    return [(e + (t - _TIE_TOL)) / (1.0 - _TIE_TOL) for (e, _), t in zip(spectrum, tol)]
+
+
 # ---------------------------------------------------------------------------
 # eigendecomposition helpers
 # ---------------------------------------------------------------------------
@@ -496,26 +505,13 @@ def spectral_cuts(a: Operator, masks) -> Operator:
     return Operator(a.algebra.direct_sum(len(masks[0])), tuple(stacks))
 
 
-def spectral_projections(a: Operator, intervals) -> Operator:
-    """Spectral projections of a Hermitian operator onto each of `intervals`,
-    as one operator on ``a.algebra.direct_sum(len(intervals))`` whose i-th
-    copy of ``a.algebra`` is the cut onto ``intervals[i]``, checked as
-    :func:`spectral_cuts` checks it.
-
-    Eigenvalue membership at the endpoints follows the tie rule of
-    :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm), the
-    norm per summand of `a`.  An algebra of blocks of unequal dimension has
-    no direct sum, so it takes one interval at a time.
-    """
-    spectrum, tol = a.spectrum
-    return spectral_cuts(a, [np.array([interval.contains(eigs, t) for interval in intervals])
-                             for (eigs, _), t in zip(spectrum, tol)])
-
-
 def spectral_projection(a: Operator, interval: Interval) -> Operator:
-    """Spectral projection of a Hermitian operator onto an interval: the
-    one-interval case of :func:`spectral_projections`."""
-    return spectral_projections(a, (interval,))
+    """Spectral projection of a Hermitian operator onto an interval: the cut
+    of :func:`spectral_cuts` whose mask is the tie rule of
+    :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm),
+    the norm per summand of `a`."""
+    spectrum, tol = a.spectrum
+    return spectral_cuts(a, [interval.contains(e, t)[None] for (e, _), t in zip(spectrum, tol)])
 
 
 def abs_spectral_trace(x: Operator, interval: Interval) -> float:

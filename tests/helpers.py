@@ -102,9 +102,8 @@ def reference_spectrum(op) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def recorded_cuts(monkeypatch, module) -> list:
     """The list that every cut `module`'s spectral_projection returns, and
-    every batch of cuts its spectral_projections or spectral_cuts returns, is
-    appended to, from this call on; a batch is one operator, one summand per
-    cut."""
+    every batch of cuts its spectral_cuts returns, is appended to, from this
+    call on; a batch is one operator, one summand per cut."""
     cuts = []
 
     def recording(kernel):
@@ -113,7 +112,7 @@ def recorded_cuts(monkeypatch, module) -> list:
             return cuts[-1]
         return record
 
-    for name in ("spectral_projection", "spectral_projections", "spectral_cuts"):
+    for name in ("spectral_projection", "spectral_cuts"):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
     return cuts

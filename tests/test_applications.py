@@ -515,8 +515,7 @@ class TestTangency:
             return call
 
         monkeypatch.setattr(apps, "cond_exp", counted("cond_exp", apps.cond_exp))
-        monkeypatch.setattr(apps, "spectral_projections",
-                            counted("cuts", apps.spectral_projections))
+        monkeypatch.setattr(apps, "spectral_cuts", counted("cuts", apps.spectral_cuts))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         rows, _ = run(ExperimentConfig(suite="positive-tangent", trials=12, seed=0,
@@ -570,6 +569,41 @@ class TestTangency:
         b = [zero, diagonal_operator(filt.algebra, [[g, g]])]
         assert check_tangent(a, b, filt)[1] == pytest.approx(0.5)
         assert tangent_moment_deviation(a, b, filt) == pytest.approx(0.5 * g / (1.0 + g))
+
+
+def _conjugated(ops, w):
+    """Each operator conjugated by I (x) w, w a unitary on the matrix factor."""
+    return [op.algebra.operator(w @ op.data @ w.conj().T).symmetrized() for op in ops]
+
+
+class TestTangencyMetamorphic:
+    """The cluster and tie rules of check_tangent are relative, and tangency
+    is invariant under automorphisms that fix the filtration: on the seed-0
+    positive-tangent pairs neither rescaling nor conjugation by I (x) w
+    changes a verdict."""
+
+    @pytest.mark.parametrize("mu", (1e-3, 1e3))
+    def test_rescaling_keeps_the_verdict(self, mu):
+        for u, v, filt in _positive_tangent_pairs():
+            ok, dev = check_tangent(u, v, filt)
+            ok_mu, dev_mu = check_tangent([x * mu for x in u], [x * mu for x in v], filt)
+            assert ok_mu is ok
+            assert abs(dev_mu - dev) <= 1e-12
+
+    def test_conjugation_keeps_the_verdict_and_both_sides(self):
+        g = stream(117).standard_normal((2, 2, 2))
+        w = np.linalg.qr(g[0] + 1j * g[1])[0]
+        for u, v, filt in _positive_tangent_pairs():
+            uw, vw = _conjugated(u, w), _conjugated(v, w)
+            ok, dev = check_tangent(u, v, filt)
+            ok_w, dev_w = check_tangent(uw, vw, filt)
+            assert ok_w is ok
+            assert abs(dev_w - dev) <= 1e-12
+            for rep, rep_w in zip(verify_positive_tangent(u, v, filt, (1.5, 3.0, 4.0)),
+                                  verify_positive_tangent(uw, vw, filt, (1.5, 3.0, 4.0))):
+                assert rep_w.meta["hypothesis"] == rep.meta["hypothesis"]
+                assert rep_w.lhs == pytest.approx(rep.lhs, rel=1e-12)
+                assert rep_w.rhs == pytest.approx(rep.rhs, rel=1e-12)
 
 
 def _composed_counterexample(N, p_grid):
@@ -818,6 +852,30 @@ class TestPositiveTangent:
         h = gaussian_hermitian(filt.algebra, stream(111))
         with pytest.raises(DomainError, match="the u_n must be positive"):
             verify_positive_tangent([h], [h], filt, [3.0], relaxed=relaxed)
+
+    @pytest.mark.parametrize("relaxed", (False, True))
+    def test_needs_sequences_of_one_length(self, relaxed):
+        # seed-0 trial 0 of positive-tangent with v cut to its first two terms
+        u, v, filt = _positive_tangent_pairs()[0]
+        with pytest.raises(DomainError, match="sequences must have the same length"):
+            verify_positive_tangent(u, v[:2], filt, (3.0,), relaxed=relaxed)
+
+
+_EMPTY_INPUT_CALLS = {
+    "doob_embed": lambda filt: doob_embed([], filt),
+    "verify_dual_doob": lambda filt: verify_dual_doob([], filt, 3.0),
+    "verify_stein": lambda filt: verify_stein([], filt, 3.0),
+    "refined_doob": lambda filt: refined_doob([], filt, 3.0),
+    "verify_positive_tangent": lambda filt: verify_positive_tangent([], [], filt, (3.0,)),
+    "verify_positive_tangent-relaxed":
+        lambda filt: verify_positive_tangent([], [], filt, (3.0,), relaxed=True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_EMPTY_INPUT_CALLS))
+def test_empty_sequence_is_a_domain_error(entry):
+    with pytest.raises(DomainError, match="need at least one operator"):
+        _EMPTY_INPUT_CALLS[entry](make_filtration("corner", dim=3))
 
 
 class TestRefinedDoob:

@@ -1,19 +1,16 @@
 """Module boundaries of the package: no module imports another's private names,
-apart from the listed opalgebra internals, Hermitian eigensolves run only in
-the listed kernels, no opalgebra function steps through a stack in slices,
-only the listed modules draw random instances, and every public name is used
-in the package or a demo, or listed."""
+apart from any listed, Hermitian eigensolves run only in the listed kernels, no
+opalgebra function steps through a stack in slices, only the listed modules
+draw random instances, and every public name is used in the package or a
+demo, or listed."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ncgl"
 
-# cuculescu builds its cuts and tie bands on the same kernels as opalgebra's
-# spectral calculus, so it shares them instead of keeping a second copy
-ALLOWED = {
-    ("cuculescu", "opalgebra", "_TIE_TOL"): "the tie tolerance of every spectral cut",
-}
+# (importer, source, name): reason; each spectral rule is public where it lives
+ALLOWED = {}
 
 
 def _private_imports():
