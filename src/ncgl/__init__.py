@@ -50,6 +50,7 @@ from .cuculescu import (
     corrected_p,
     cuculescu_r,
     fubini_identity_gap,
+    grow_grids,
     weak_max,
 )
 from .goodlambda import (

@@ -11,9 +11,10 @@ at least one verification row failed, 2 signals a configuration error.
 Reports are byte-identical across runs for a fixed config and seed; wall
 times only enter the emitted rows with --timing.
 
-The good-lambda suites verify a filtration family's trials as one direct sum,
-computed on the family's first trial; with --timing that trial carries the
-family's whole time, the others about 0 ms.
+The good-lambda and moment suites verify a filtration family's trials as one
+batch, computed on the family's first trial: the good-lambda trials as one
+direct sum, the moment trials with their Cuculescu trees grown together; with
+--timing that trial carries the family's whole time, the others about 0 ms.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import applications as apps
 from . import goodlambda as gl
-from .cuculescu import fubini_identity_gap
+from .cuculescu import fubini_identity_gap, grow_grids
 from .errors import NCGLError
 from .filtration import make_filtration, square_function
 from .instances import (
@@ -167,10 +168,13 @@ def _row(cfg: ExperimentConfig, instance: str, rep: VerifyReport) -> ReportRow:
 _pending = contextvars.ContextVar("pending_rows", default=None)
 
 
-def _family_batched(key, rows_of):
-    """Trial callable verifying the strong triples of one filtration family
-    (equal trial % 6) as one direct sum: in `run` the family's first trial
-    computes every later one's rows, elsewhere a trial is a batch of one."""
+def _family_batched(key, build, rows_of):
+    """Trial callable verifying the trials of one filtration family (equal
+    trial % 6) as one batch: `build(filt, rngs)` draws every trial's parts,
+    each from its own stream in the order of a lone trial, and
+    `rows_of(cfg, trials, filt, batch)` gives each trial's rows.  In `run` the
+    family's first trial computes every later one's rows, elsewhere a trial
+    is a batch of one."""
     def trial_rows(cfg, trial):
         pending = _pending.get()
         if pending is None:  # outside `run`
@@ -179,11 +183,14 @@ def _family_batched(key, rows_of):
             group = list(range(trial, max(cfg.trials, trial + 1), len(FAMILY_TEMPLATES)))
         if trial not in pending:
             filt = triple_family(trial)
-            rngs = (stream(cfg.seed, key, i) for i in group)
-            t = gl.Triple(*strong_triple_parts(filt, *rngs))
-            pending.update(zip(group, rows_of(cfg, group, filt, t)))
+            batch = build(filt, [stream(cfg.seed, key, i) for i in group])
+            pending.update(zip(group, rows_of(cfg, group, filt, batch)))
         return pending.pop(trial)
     return trial_rows
+
+def _strong_triples(filt, rngs):
+    """The strong triples of a family's trials as one direct sum."""
+    return gl.Triple(*strong_triple_parts(filt, *rngs))
 
 def _goodlambda_core(cfg, trials, filt, t):
     return [[_row(cfg, f"t{i}:{filt.label}", r)] for i, r in zip(trials, gl.verify_core(t))]
@@ -193,10 +200,17 @@ def _goodlambda_tail(cfg, trials, filt, t):
     return [[_row(cfg, f"t{i}:beta={beta}", reps[k])
              for beta, reps in zip(cfg.beta_grid, by_beta)] for k, i in enumerate(trials)]
 
-def _suite_moment(cfg, trial):
-    filt = triple_family(trial)
-    rng = stream(cfg.seed, 3, trial)
-    y = random_martingale(filt, rng, sup_norm=float(rng.uniform(0.5, 4.0)))
+def _moment_martingales(filt, rngs):
+    """Each trial's martingale y, its sup norm drawn first."""
+    return [random_martingale(filt, rng, sup_norm=float(rng.uniform(0.5, 4.0))) for rng in rngs]
+
+def _suite_moment(cfg, trials, filt, ys):
+    # the Cuculescu trees of every y and -y, grown together to every grid
+    grow_grids([m for y in ys for m in (y, -y)],
+               [cfg.B or 1.0 + 1.0 / p for p in cfg.p_grid])
+    return [_moment_rows(cfg, trial, y) for trial, y in zip(trials, ys)]
+
+def _moment_rows(cfg, trial, y):
     s = square_function(y)
     t = gl.Triple(s, y, s)
     rows = []
@@ -348,11 +362,11 @@ class _Suite:
 
 
 _REGISTRY = {
-    "goodlambda-core": _Suite(_family_batched(1, _goodlambda_core), (), "2"),
-    "goodlambda-tail": _Suite(_family_batched(2, _goodlambda_tail), (), "4/(beta-1)^2",
-                              reads=("beta_grid",)),
+    "goodlambda-core": _Suite(_family_batched(1, _strong_triples, _goodlambda_core), (), "2"),
+    "goodlambda-tail": _Suite(_family_batched(2, _strong_triples, _goodlambda_tail), (),
+                              "4/(beta-1)^2", reads=("beta_grid",)),
     "moment": _Suite(
-        _suite_moment, (3.0, 4.0, 8.0),
+        _family_batched(3, _moment_martingales, _suite_moment), (3.0, 4.0, 8.0),
         "C_{p,B} = (2p B^{p-1}(B-1)/(1-B^-p))^{1/p} "
         "* 2 B^{p/2}/((B-1) sqrt(1-B^{2-p})); simplified "
         "12p/sqrt(1-(1+1/p)^{2-p})", 2.0, strict=True,

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericalInstabilityError
+from .errors import DomainError, NCGLError, NumericalInstabilityError
 from .filtration import Martingale, cond_exp
 from .opalgebra import (
     Operator,
+    direct_sum,
     level_thresholds,
     min_eigenvalue,
     operator_norm,
@@ -33,6 +34,7 @@ __all__ = [
     "CorrectedSeq",
     "WeakMax",
     "cuculescu_r",
+    "grow_grids",
     "corrected_p",
     "weak_max",
     "fubini_identity_gap",
@@ -42,7 +44,8 @@ _DRIFT_LIMIT = 1e-6
 
 
 def _normalized(p: Operator) -> Operator:
-    """Snap each full-rank / rank-zero summand of a projection to exact I / 0."""
+    """Snap each full-rank / rank-zero summand of a projection to exact I / 0;
+    every other summand keeps its entries, bit for bit."""
     alg = p.algebra
     if p.rank() == 0:
         return alg.zero()
@@ -51,8 +54,14 @@ def _normalized(p: Operator) -> Operator:
     ranks, size = p.summand_ranks, alg.total_dim // alg.summands
     if 0 not in ranks and size not in ranks:
         return p
-    return (p.summand_scaled([0 < r < size for r in ranks])
-            + alg.identity().summand_scaled([r == size for r in ranks]))
+    # a direct sum of several summands has a single run
+    (s,) = p.stacks
+    out, rank = s.reshape(alg.summands, -1, *s.shape[1:]).copy(), np.array(ranks)
+    out[rank == 0] = 0.0
+    out[rank == size] = np.eye(s.shape[1])
+    out = Operator(alg, (out.reshape(s.shape),))
+    out.__dict__["summand_ranks"] = ranks
+    return out
 
 
 def _snap_projection(raw: Operator) -> Operator:
@@ -67,7 +76,7 @@ def _snap_projection(raw: Operator) -> Operator:
     return _normalized(spectral_cuts(sym, [(e >= 0.5)[None] for e in eigs]))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Step:
     """The level-free measurements of one step R_{n-1} -> R_n, one float per
     summand of the algebra.
@@ -78,19 +87,20 @@ class _Step:
     kernel; its smallest eigenvalue is below a negative threshold iff
     1 - top/level is."""
 
-    norm: list[float]        # ||y_n||
-    adapted: list[float]     # entry_max(E_n(R_n) - R_n)
-    monotone: list[float]    # min_eig(R_{n-1} - R_n)
-    commutator: list[float]  # entry_max([R_n, R_{n-1} y_n R_{n-1}])
-    top: list[float]         # max_eig(R_n y_n R_n)
+    norm: tuple[float, ...]        # ||y_n||
+    adapted: tuple[float, ...]     # entry_max(E_n(R_n) - R_n)
+    monotone: tuple[float, ...]    # min_eig(R_{n-1} - R_n)
+    commutator: tuple[float, ...]  # entry_max([R_n, R_{n-1} y_n R_{n-1}])
+    top: tuple[float, ...]         # max_eig(R_n y_n R_n)
+    # the five measurements of each summand, as _check_level reads them
+    summands: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        # the five measurements of each summand, as _check_level reads them
         object.__setattr__(self, "summands", tuple(zip(
             self.norm, self.adapted, self.monotone, self.commutator, self.top)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CuculescuSeq:
     """R_{-1} = I and R_0..R_N with their measurements, and the levels
     lo < level <= hi at which every one of their cuts is made."""
@@ -133,43 +143,192 @@ def _check_level(seq: CuculescuSeq, level: float) -> None:
                 raise fail(f"R_{n} y_n R_{n} exceeds R_{n} (summand {i})")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Node:
     """R_n on one branch of a martingale's tree of Cuculescu steps, with the
-    sequence R_0..R_n that leads to it (none at the root, where R_{-1} = I),
-    and, formed once for its first child, the cut of the next step: the
-    unscaled C = R_n y_{n+1} R_n, per run the threshold t(e) of each
-    eigenvalue e of C, and every threshold in ascending order."""
+    sequence R_0..R_n that leads to it (none at the root, where R_{-1} = I);
+    once cut, the cut of the next step: the unscaled C = R_n y_{n+1} R_n with
+    its spectrum, per run the threshold t(e) of each eigenvalue e of C, and
+    every threshold in ascending order (after a grid's growth the ordered
+    thresholds alone, C and t None); and the error of its step or of its
+    cut, if either failed, raised when a query reaches it."""
 
-    r: Operator
-    seq: CuculescuSeq
+    r: Operator | None
+    seq: CuculescuSeq | None
     cut: tuple | None = None
+    error: Exception | None = None
 
 
-def _cut(r: Operator, y_next: Operator) -> tuple:
-    """C = R y_{n+1} R and the thresholds of `level_thresholds`: the cut of
-    C/l below 1 keeps an eigenvalue iff l exceeds its threshold."""
-    c = (r @ y_next @ r).symmetrized()
-    t = level_thresholds(c)
-    return c, t, sorted(np.concatenate([x.ravel() for x in t]).tolist())
+# what a step or a cut grown ahead of its query may raise: it is kept on its
+# node, so that only a query that reaches the node raises it
+_FAILURES = (NCGLError, np.linalg.LinAlgError)
+
+# A batch of steps holds about ten operators of its size at once: at most this
+# many block entries per batch bounds them at about 0.3 MiB.
+_BATCH_ENTRIES = 2**11
 
 
-def _child(y: Martingale, n: int, node: _Node, keep: list, lo: float, hi: float) -> _Node:
-    """The step from `node` that keeps the eigenvalues of its C marked in
-    `keep`, made at the levels lo < l <= hi: R_n = R_{n-1} I(C/l < 1),
-    snapped, and its measurements."""
-    r_prev, (c, _, _), y_n = node.r, node.cut, y.values[n]
-    r_n = _snap_projection(r_prev @ spectral_cuts(c, keep))
-    step = _Step(
-        norm=operator_norm(y_n, per_summand=True),
-        adapted=(cond_exp(y.filtration, n, r_n) - r_n).entry_max(per_summand=True),
-        monotone=min_eigenvalue(r_prev - r_n, per_summand=True),
-        commutator=(r_n @ c - c @ r_n).entry_max(per_summand=True),
-        top=[-t for t in min_eigenvalue(-(r_n @ y_n @ r_n).symmetrized(), per_summand=True)],
-    )
-    seq = node.seq
-    return _Node(r_n, CuculescuSeq(max(seq.lo, lo), min(seq.hi, hi),
-                                   seq.projections + (r_n,), seq.steps + (step,)))
+def _cut(items: list) -> list:
+    """The cuts of (martingale, n, node) items on one algebra as one direct
+    sum: C = R_{n-1} y_n R_{n-1} and the thresholds of `level_thresholds`,
+    so that the cut of C/l below 1 keeps an eigenvalue iff l exceeds its
+    threshold."""
+    alg, k = items[0][2].r.algebra, len(items)
+    r = direct_sum([node.r for _, _, node in items])
+    c = (r @ direct_sum([y.values[n] for y, n, _ in items]) @ r).symmetrized()
+    t, size = level_thresholds(c), alg.n_blocks
+    out = []
+    for i, part in enumerate(c.parts(alg)):
+        own = t if k == 1 else [t[0][i * size:(i + 1) * size]]
+        out.append((part, own, sorted(np.concatenate([x.ravel() for x in own]).tolist())))
+    return out
+
+
+def _step(items: list) -> list:
+    """The steps of (martingale, n, node, level) items on one algebra as one
+    direct sum: from each node, the step that keeps the eigenvalues of its C
+    whose threshold is below the level, R_n = R_{n-1} I(C/level < 1),
+    snapped, with its measurements; one (R_n, _Step) per item."""
+    y0, n = items[0][:2]
+    alg, k = y0.algebra, len(items)
+    r_prev = direct_sum([node.r for _, _, node, _ in items])
+    c = direct_sum([node.cut[0] for _, _, node, _ in items])
+    # per run, the eigenvalues each step keeps (a batch of several has one run)
+    keep = zip(*([t < level for t in node.cut[1]] for _, _, node, level in items))
+    r_n = _snap_projection(r_prev @ spectral_cuts(c, [np.concatenate(x)[None] for x in keep]))
+    commutator = (r_n @ c - c @ r_n).entry_max(per_summand=True)
+    y_n = direct_sum([y.values[n] for y, *_ in items])
+    measured = zip(
+        [v for y, *_ in items for v in operator_norm(y.values[n], per_summand=True)],
+        (cond_exp(y0.filtration.direct_sum(k), n, r_n) - r_n).entry_max(per_summand=True),
+        min_eigenvalue((r_prev - r_n).symmetrized(), per_summand=True),
+        commutator,
+        min_eigenvalue(-(r_n @ y_n @ r_n).symmetrized(), per_summand=True))
+    rows, s = [(a, b, m, com, -low) for a, b, m, com, low in measured], alg.summands
+    return [(part, _Step(*zip(*rows[i * s:(i + 1) * s])))
+            for i, part in enumerate(r_n.parts(alg))]
+
+
+def _each(kernel, items: list) -> list:
+    """`kernel` over `items` as one batch; where it raises, over each item
+    alone, and an item whose batch of one raises has its error as result."""
+    try:
+        return kernel(items)
+    except _FAILURES as err:
+        return [err] if len(items) == 1 else [_each(kernel, [item])[0] for item in items]
+
+
+def _batched(kernel, items: list) -> list:
+    """`_each` over the items of each filtration and time n, in
+    equal batches of at most _BATCH_ENTRIES block entries; one item a batch
+    on blocks of unequal dimension, which have no direct sum.  The results
+    in the order of the items."""
+    if len(items) < 2:
+        return _each(kernel, items) if items else []
+    groups = {}
+    for i, (y, n, *_) in enumerate(items):
+        groups.setdefault((y.filtration, n), []).append(i)
+    got = {}
+    for (filt, _), index in groups.items():
+        fits = max(1, _BATCH_ENTRIES // sum(d * d for d in filt.algebra.dims))
+        batches = len(index) if len(filt.algebra.runs) > 1 else -(-len(index) // fits)
+        size = -(-len(index) // batches)
+        for chunk in (index[j:j + size] for j in range(0, len(index), size)):
+            got.update(zip(chunk, _each(kernel, [items[i] for i in chunk])))
+    return [got[i] for i in range(len(items))]
+
+
+def _windows(node: _Node, first_above):
+    """(key, level, lo, hi) of each child of `node` whose window lo < l <= hi
+    holds a requested level, `level` the lowest of them, in ascending order;
+    `first_above(a)` is the lowest requested level above a (inf if none)."""
+    _, _, ordered = node.cut
+    lo, hi = node.seq.lo, node.seq.hi
+    while math.isfinite(level := first_above(lo)) and level <= hi:
+        k = bisect.bisect_left(ordered, level)  # the thresholds below the level
+        top = min(hi, ordered[k]) if k < len(ordered) else hi
+        yield k, level, max(lo, ordered[k - 1]) if k else lo, top
+        if top == hi:
+            return
+        lo = top
+
+
+def _needs_cut(y: Martingale, first_above, path: tuple) -> bool:
+    """Whether the node at `path` must be cut: it never was, or it kept only
+    its ordered thresholds and misses a child that `first_above` asks for."""
+    node = y.cuculescu_cache[path]
+    if node.error is not None:
+        return False
+    return node.cut is None or node.cut[0] is None and any(
+        path + (key,) not in y.cuculescu_cache for key, *_ in _windows(node, first_above))
+
+
+def _grow(requests: list, keep_cuts: bool) -> None:
+    """Grow the tree of each (martingale, first_above, path) request from the
+    node at `path` to every level below it that `first_above` names (see
+    `_windows`), all trees together and breadth first: at each step, one
+    batch of cuts over every node on the way that lacks one, and one batch of
+    steps over every child missing, per filtration and time n.  A cut or a
+    step that raises is kept on its node.  Without `keep_cuts` each node
+    keeps only its ordered thresholds once its children are grown, and is cut
+    again if a later query misses a child."""
+    frontier = []
+    for y, first_above, path in requests:
+        if not path and () not in y.cuculescu_cache:
+            y.cuculescu_cache[()] = _Node(y.algebra.identity(),
+                                          CuculescuSeq(0.0, math.inf, (), ()))
+        frontier.append((y, first_above, path))
+    while frontier:
+        nodes = [(y, len(path), y.cuculescu_cache[path]) for y, _, path in frontier]
+        uncut = [item for item, request in zip(nodes, frontier) if _needs_cut(*request)]
+        for (_, _, node), cut in zip(uncut, _batched(_cut, uncut)):
+            if isinstance(cut, Exception):
+                node.error = cut
+            else:
+                node.cut = cut
+        children, missing = [], []
+        for (y, first_above, path), (_, n, node) in zip(frontier, nodes):
+            if node.error is not None:
+                continue
+            for key, level, lo, hi in _windows(node, first_above):
+                child = path + (key,)
+                if child not in y.cuculescu_cache:
+                    missing.append(((y, n, node, level), child, lo, hi))
+                if n < y.N:
+                    children.append((y, first_above, child))
+        for ((y, _, node, _), child, lo, hi), got in zip(
+                missing, _batched(_step, [item for item, *_ in missing])):
+            if isinstance(got, Exception):
+                y.cuculescu_cache[child] = _Node(None, None, error=got)
+                continue
+            r_n, step = got
+            seq = node.seq
+            y.cuculescu_cache[child] = _Node(r_n, CuculescuSeq(
+                max(seq.lo, lo), min(seq.hi, hi), seq.projections + (r_n,), seq.steps + (step,)))
+        if not keep_cuts:
+            for _, _, node in nodes:
+                if node.cut is not None:
+                    node.cut = (None, None, node.cut[2])
+        frontier = [(y, f, path) for y, f, path in children
+                    if y.cuculescu_cache[path].error is None]
+
+
+def _reached(y: Martingale, level: float) -> tuple[_Node | None, tuple]:
+    """The leaf that `level` reaches in y's tree and its path or, where the
+    tree stops short of it, None and the path of the last node on the way; a
+    node on the way that keeps an error raises it."""
+    tree, path = y.cuculescu_cache, ()
+    node = tree.get(path)
+    while node is not None:
+        if node.error is not None:
+            raise node.error
+        if len(path) == len(y.values) or node.cut is None:
+            break
+        child = path + (bisect.bisect_left(node.cut[2], level),)
+        if child not in tree:
+            break
+        path, node = child, tree[child]
+    return (node if len(path) == len(y.values) else None), path
 
 
 def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
@@ -179,30 +338,21 @@ def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
     C = R_{n-1} y_n R_{n-1}, so the sequences of all levels form one tree
     per martingale (`Martingale.cuculescu_cache`), each step computed once.
     The walk from its root takes at each node the child of the thresholds
-    below the level, built on first use from that one comparison, and
-    returns the record stored at the leaf, whose window lo < level <= hi
-    is exact.  The Lemma invariants are checked from the stored measurements
-    at every level returned.
+    below the level and returns the record stored at the leaf, whose window
+    lo < level <= hi is exact.  Where the tree stops short, it is grown to
+    the level as `grow_grids` grows it to a grid, one martingale and one
+    level.  A step of the path that failed, here or grown ahead of its
+    query, raises its error.  The Lemma invariants are checked from the
+    stored measurements at every level returned.
     """
     if not (level > 0):
         raise DomainError("the cut level must be positive")
     if not y.is_selfadjoint():
         raise DomainError("Cuculescu projections need a self-adjoint martingale")
-    tree, path = y.cuculescu_cache, ()
-    if not tree:
-        tree[path] = _Node(y.algebra.identity(), CuculescuSeq(0.0, math.inf, (), ()))
-    node = tree[path]
-    for n, y_n in enumerate(y.values):
-        if node.cut is None:
-            node.cut = _cut(node.r, y_n)
-        _, t, ordered = node.cut
-        k = bisect.bisect_left(ordered, level)  # the thresholds below the level
-        path += (k,)
-        if path not in tree:
-            tree[path] = _child(y, n, node, [(x < level)[None] for x in t],
-                                ordered[k - 1] if k else 0.0,
-                                ordered[k] if k < len(ordered) else math.inf)
-        node = tree[path]
+    node, path = _reached(y, level)
+    if node is None:
+        _grow([(y, lambda a: level if a < level else math.inf, path)], keep_cuts=True)
+        node, _ = _reached(y, level)
     _check_level(node.seq, level)
     return node.seq
 
@@ -247,6 +397,37 @@ def _k_range(y: Martingale, B: float, k_min: int | None) -> tuple[int, int]:
     return min(lo, top), top
 
 
+def _grid(B: float, lo: int, hi: int):
+    """`first_above` (see `_windows`) of the levels B^j, lo <= j <= hi: the
+    lowest j with B^j above a, sought from just below log_B(a) with the exact
+    B ** j comparisons of `corrected_p`, so no level is listed."""
+    def first_above(a: float) -> float:
+        j = max(lo, math.floor(math.log(a, B)) - 1) if a > 0 else lo
+        while j <= hi and B ** j <= a:
+            j += 1
+        return B ** j if j <= hi else math.inf
+    return first_above
+
+
+def grow_grids(ys, bases) -> None:
+    """Grow the Cuculescu trees of the self-adjoint martingales `ys` to every
+    level of the `corrected_p` grid of every base in `bases`, all trees
+    together: breadth first, with one batch of cuts and one batch of steps
+    per time n and filtration, each one direct sum.  A node's children are
+    the windows between its thresholds that hold a grid level, so the steps
+    grown are bounded by the thresholds, not by the grid.  `corrected_p` and
+    `weak_max` then find every sequence they ask for in the trees.  A step
+    or cut that fails raises only when a query reaches it."""
+    if not all(y.is_selfadjoint() for y in ys):
+        raise DomainError("Cuculescu projections need a self-adjoint martingale")
+    if not all(B > 1 for B in bases):
+        raise DomainError("the base B must exceed 1")
+    grids = [[_grid(B, *_k_range(y, B, None)) for B in bases] for y in ys]
+    _grow([(y, lambda a, fs=fs: min((f(a) for f in fs), default=math.inf), ())
+           for y, fs in zip(ys, grids)],
+          keep_cuts=False)
+
+
 def corrected_p(
     y: Martingale,
     B: float,
@@ -259,6 +440,9 @@ def corrected_p(
     R_n^{B^l} equals the identity because the martingale is bounded; this is
     exact, not an approximation.  A band is one pass: one sequence, one meet,
     its ends checked (see `_check_level`).  An all-zero column holds to k_min.
+    Each sequence is a walk of y's tree, which `grow_grids` may have grown to
+    this whole grid beforehand, together with other trees; where it has not,
+    `cuculescu_r` grows the tree to the band's level.
     """
     if not (B > 1):
         raise DomainError("the base B must exceed 1")
@@ -346,4 +530,4 @@ def fubini_identity_gap(wm: WeakMax, p: float) -> float:
     rhs = psd_power(wm.operator / B ** h, q) * (1.0 / (1.0 - B ** (2.0 - p)))
     # c = up / down, with the factor that would overflow kept at 1
     up, down = B ** (min(h, 0) * q), B ** (-max(h, 0) * q)
-    return up * operator_norm(lhs - rhs) / (down + up * operator_norm(rhs))
+    return up * operator_norm((lhs - rhs).symmetrized()) / (down + up * operator_norm(rhs))

@@ -340,9 +340,10 @@ class Martingale:
     @cached_property
     def cuculescu_cache(self) -> dict:
         """The tree of this martingale's Cuculescu steps, each node under the
-        path of child keys that leads to it from the root at (); grown and
-        read by :func:`ncgl.cuculescu.cuculescu_r`, and freed with the
-        martingale."""
+        path of child keys that leads to it from the root at (); read by
+        :func:`ncgl.cuculescu.cuculescu_r`, grown by it a level at a time or
+        by :func:`ncgl.cuculescu.grow_grids` to whole level grids, together
+        with other martingales' trees, and freed with the martingale."""
         return {}
 
     def scale(self, c: float) -> "Martingale":

@@ -295,6 +295,28 @@ class Operator:
         return TracialAlgebra(alg.dims[:size], alg.weights[:size]).operator(
             self.stacks[0][i * size:(i + 1) * size]) if alg.summands > 1 else self
 
+    def parts(self, alg: TracialAlgebra) -> list["Operator"]:
+        """The operators on `alg` that this direct sum of copies of `alg` holds
+        side by side, as views, each with its share of the spectrum and the
+        ranks solved on the sum; :func:`direct_sum` undone."""
+        n = alg.n_blocks
+        k = self.algebra.n_blocks // n
+        if k == 1:
+            return [self]
+        solved = self.__dict__
+        out = [Operator(alg, (self.stacks[0][i * n:(i + 1) * n],)) for i in range(k)]
+        for i, part in enumerate(out):
+            blocks = slice(i * n, (i + 1) * n)
+            if "spectrum" in solved:
+                ((e, v),), (t,) = solved["spectrum"]
+                part.__dict__["spectrum"] = (
+                    ((e[blocks], v[blocks]),),
+                    (float(t[i * n, 0]) if alg.summands == 1 else t[blocks],))
+            if "summand_ranks" in solved:
+                s = alg.summands
+                part.__dict__["summand_ranks"] = solved["summand_ranks"][i * s:(i + 1) * s]
+        return out
+
     # -- misc ---------------------------------------------------------------
 
     @cached_property
@@ -319,12 +341,23 @@ class Operator:
 
 
 def direct_sum(ops) -> Operator:
-    """Operators of one algebra side by side; a single operator is itself."""
+    """Operators of one algebra side by side; a single operator is itself.
+    When every operator has solved its spectrum the sum has it too, with each
+    one's tie tolerances: nothing is solved again."""
     for op in ops[1:]:
         ops[0]._same_algebra(op)
-    alg = ops[0].algebra.direct_sum(len(ops))
-    return ops[0] if len(ops) == 1 else \
-        Operator(alg, (np.concatenate([op.stacks[0] for op in ops]),))
+    if len(ops) == 1:
+        return ops[0]
+    out = Operator(ops[0].algebra.direct_sum(len(ops)),
+                   (np.concatenate([op.stacks[0] for op in ops]),))
+    if all("spectrum" in op.__dict__ for op in ops):
+        # a direct sum has one run; a lone summand's tolerance is one float
+        runs = zip(*(op.spectrum[0][0] for op in ops))
+        tols = [np.broadcast_to(op.spectrum[1][0], (op.algebra.n_blocks, 1)) for op in ops]
+        out.__dict__["spectrum"] = (
+            (tuple(_readonly(np.concatenate(x)) for x in runs),),
+            (_readonly(np.concatenate(tols)),))
+    return out
 
 
 @dataclass(frozen=True)
@@ -585,9 +618,26 @@ def _meet_blocks(se: np.ndarray, sf: np.ndarray) -> np.ndarray:
 def proj_meet(e: Operator, f: Operator) -> Operator:
     """Projection onto range(e) & range(f).
 
-    Computed blockwise as the eigenvalue-0 eigenspace of (I-e) + (I-f) with
-    threshold 1e-8; exact for exactly diagonal 0/1 inputs, through the exact
-    diagonal path of the eigensolve.
+    Decided per summand from the ranks where it is trivial, with nothing
+    solved: the other operand where one has full rank, 0 where one has rank
+    0.  Elsewhere computed blockwise as the eigenvalue-0 eigenspace of
+    (I-e) + (I-f) with threshold 1e-8; exact for exactly diagonal 0/1
+    inputs, through the exact diagonal path of the eigensolve.
     """
     e._same_algebra(f)
-    return Operator(e.algebra, tuple(map(_meet_blocks, e.stacks, f.stacks)))
+    alg = e.algebra
+    size = alg.total_dim // alg.summands
+    # per summand: 0 the zero projection, 1 f, 2 e, 3 the solved meet
+    kinds = [1 if a == size else 2 if b == size else 3 if a and b else 0
+             for a, b in zip(e.summand_ranks, f.summand_ranks)]
+    if set(kinds) == {3}:
+        return Operator(alg, tuple(map(_meet_blocks, e.stacks, f.stacks)))
+    if len(set(kinds)) == 1:
+        return (alg.zero(), f, e)[kinds[0]]
+    # a direct sum of several summands has a single run
+    kind = np.repeat(kinds, alg.n_blocks // alg.summands)
+    (se,), (sf,) = e.stacks, f.stacks
+    out = np.zeros_like(se)
+    out[kind == 1], out[kind == 2] = sf[kind == 1], se[kind == 2]
+    out[kind == 3] = _meet_blocks(se[kind == 3], sf[kind == 3])
+    return Operator(alg, (out,))

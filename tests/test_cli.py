@@ -152,17 +152,19 @@ class TestRun:
 
 class TestFamilyBatches:
     """The good-lambda suites verify each filtration family's trials as one
-    direct sum; every trial must still get the rows it gets alone."""
+    direct sum, the moment suite grows their Cuculescu trees together; every
+    trial must still get the rows it gets alone."""
 
-    @pytest.mark.parametrize("suite", ["goodlambda-core", "goodlambda-tail"])
-    def test_rows_match_each_trial_alone(self, suite):
-        cfg = ExperimentConfig(suite=suite, trials=100, seed=0)
+    @pytest.mark.parametrize("suite, trials", [("goodlambda-core", 100),
+                                               ("goodlambda-tail", 100), ("moment", 42)])
+    def test_rows_match_each_trial_alone(self, suite, trials):
+        cfg = ExperimentConfig(suite=suite, trials=trials, seed=0)
         rows, _ = run(cfg)
         # outside run, a trial is a batch of one
-        alone = [r for trial in range(100) for r in SUITES[suite](cfg, trial)]
+        alone = [r for trial in range(trials) for r in SUITES[suite](cfg, trial)]
         assert [(r.instance, r.passed) for r in rows] == \
             [(r.instance, r.passed) for r in alone]
-        if suite == "goodlambda-core":
+        if suite != "goodlambda-tail":
             assert rows == alone
         # a tail batch's steps may round unlike the trial alone's: values
         # agree to the 1e-9 margin contract
@@ -200,6 +202,25 @@ class TestFamilyBatches:
         rows, _ = run(small("goodlambda-tail", trials=14, timing=True,
                             beta_grid=(2.0,)))
         assert [r.ms for r in rows] == [1000] * 6 + [0] * 8
+
+    def test_timing_charges_the_moment_family_to_its_first_trial(self, monkeypatch):
+        import ncgl.cli as cli
+
+        clock = [0.0]
+        draw = cli.random_martingale
+
+        def slow_draw(*args, **kwargs):
+            clock[0] += 1.0  # one second per martingale drawn
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "random_martingale", slow_draw)
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        rows, _ = run(small("moment", trials=14, timing=True, p_grid=(3.0,)))
+        # families 0 and 1 hold trials 0, 6, 12 and 1, 7, 13; the others two
+        # each; five rows per trial at one p
+        per_trial = [rows[5 * i].ms for i in range(14)]
+        assert per_trial == [3000, 3000, 2000, 2000, 2000, 2000] + [0] * 8
+        assert all(r.ms == rows[5 * (i // 5)].ms for i, r in enumerate(rows))
 
     def test_nothing_outlives_a_run(self):
         import ncgl.cli as cli

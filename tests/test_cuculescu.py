@@ -17,6 +17,7 @@ from ncgl.cuculescu import (
     corrected_p,
     cuculescu_r,
     fubini_identity_gap,
+    grow_grids,
     weak_max,
 )
 from ncgl.errors import DomainError, NumericalInstabilityError
@@ -461,7 +462,7 @@ class TestCachedSequences:
         y = martingale_from_final(filt, final)
         first = cuculescu_r(y, 2.0)
         assert first.lo < 2.0 <= first.hi < 4.0
-        calls = {"_cut": 0, "_child": 0, "cond_exp": 0}
+        calls = {"_cut": 0, "_step": 0, "cond_exp": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -472,8 +473,9 @@ class TestCachedSequences:
         for name in calls:
             monkeypatch.setattr(cuculescu, name, counted(name, getattr(cuculescu, name)))
         seq = cuculescu_r(y, 4.0)
-        # both nodes on the way were cut when level 2 passed them
-        assert calls == {"_cut": 0, "_child": 1, "cond_exp": 1}
+        # both nodes on the way were cut when level 2 passed them: one batch
+        # of one step
+        assert calls == {"_cut": 0, "_step": 1, "cond_exp": 1}
         assert seq.projections[0] is first.projections[0]
         assert seq.steps[0] is first.steps[0]
         monkeypatch.undo()
@@ -481,28 +483,57 @@ class TestCachedSequences:
         _assert_same_sequence(seq, level_recursion(y, 4.0), 4.0)
 
     def test_work_counts_of_the_moment_pass(self, monkeypatch):
-        # perfbench's seed-0 moment-grid pass: each step of the 84 trees
-        # (42 trials, both signs) is computed once, and no more Hermitian
-        # solves run than the 2,135 eigh and 1,854 eigvalsh calls of the
-        # per-level sequences with their windows
-        from ncgl.cli import ExperimentConfig, run
+        # perfbench's seed-0 moment-grid pass grows the 84 trees (42 trials,
+        # both signs) a family at a time: one batch of cuts and one of steps
+        # per time n, split where a batch would pass 2**11 block entries, so
+        # 22 cut batches and 24 step batches; every step is computed once,
+        # and 1,575 Hermitian solves run where one step at a time ran 3,726
+        import ncgl.cli as cli
 
-        counts = {"_child": 0, "eigh": 0, "eigvalsh": 0}
+        counts = {"_cut": [0, 0], "_step": [0, 0], "eigh": [0, 0], "eigvalsh": [0, 0]}
+        trees, grow = [], cli.grow_grids
 
         def counted(name, fn):
             def call(*args, **kwargs):
-                counts[name] += 1
+                counts[name][0] += 1
+                counts[name][1] += len(args[0]) if name[0] == "_" else 1
                 return fn(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(cuculescu, "_child", counted("_child", cuculescu._child))
+        def kept(ys, bases):
+            trees.extend(ys)
+            return grow(ys, bases)
+
+        for name in ("_cut", "_step"):
+            monkeypatch.setattr(cuculescu, name, counted(name, getattr(cuculescu, name)))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        rows, _ = run(ExperimentConfig(suite="moment", trials=42, seed=0,
-                                       p_grid=(3.0, 4.0, 8.0)))
-        assert len(rows) == 42 * 15
-        assert counts["_child"] <= 918
-        assert counts["eigh"] + counts["eigvalsh"] <= 2135 + 1854
+        monkeypatch.setattr(cli, "grow_grids", kept)
+        rows, _ = cli.run(cli.ExperimentConfig(suite="moment", trials=42, seed=0,
+                                               p_grid=(3.0, 4.0, 8.0)))
+        assert len(rows) == 42 * 15 and len(trees) == 84
+        assert counts["_cut"] == [22, 680] and counts["_step"] == [24, 1115]
+        # each node but the roots is one step; rows asked for no other
+        assert sum(len(y.cuculescu_cache) - 1 for y in trees) == 1115
+        assert counts["eigh"][0] + counts["eigvalsh"][0] <= 1575
+
+    def test_peak_memory_of_the_moment_pass(self):
+        # a family's 14 trees are alive at once, and a batch of steps holds
+        # about ten operators of its size: the seed-0 moment-grid pass peaks
+        # at 1.23 MiB of traced memory (0.45 MiB one trial at a time)
+        import tracemalloc
+
+        from ncgl.cli import ExperimentConfig, run
+
+        cfg = ExperimentConfig(suite="moment", trials=42, seed=0, p_grid=(3.0, 4.0, 8.0))
+        run(ExperimentConfig(suite="moment", trials=6, seed=0))  # first-use caches
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 1.23 * 2**20
 
     @pytest.mark.parametrize("factor", [1.25, 1 + 1e-6, 1 + 1e-9, 1 + 2e-10,
                                         1 + 1e-10, 1 + 1e-12, 1 - 1e-12,
@@ -519,28 +550,28 @@ class TestCachedSequences:
         assert np.array_equal(got, fresh)
 
     def test_every_returned_sequence_is_checked(self, monkeypatch):
-        calls = {"check": 0, "child": 0}
-        check, child = cuculescu._check_level, cuculescu._child
+        calls = {"check": 0, "step": 0}
+        check, step = cuculescu._check_level, cuculescu._step
 
         def counted_check(seq, level):
             calls["check"] += 1
             return check(seq, level)
 
-        def counted_child(*args):
-            calls["child"] += 1
-            return child(*args)
+        def counted_step(items):
+            calls["step"] += len(items)
+            return step(items)
 
         monkeypatch.setattr(cuculescu, "_check_level", counted_check)
-        monkeypatch.setattr(cuculescu, "_child", counted_child)
+        monkeypatch.setattr(cuculescu, "_step", counted_step)
         y = _one_step([2.0, 0.5])
         first = cuculescu_r(y, 1.0)
         for level in (1.0, 1.5, 0.7):      # between the eigenvalues 0.5 and 2
             assert cuculescu_r(y, level).projections is first.projections
-        assert calls == {"check": 4, "child": 1}
+        assert calls == {"check": 4, "step": 1}
         cuculescu_r(y, 3.0)                # above both: a second leaf
         cuculescu_r(y, 0.25)               # below both: a third
         cuculescu_r(y, 5.0)                # the second leaf again
-        assert calls == {"check": 7, "child": 3}
+        assert calls == {"check": 7, "step": 3}
         assert len(_leaves(y)) == 3
 
     @pytest.mark.parametrize("field, value", [("adapted", 1.0), ("top", 1e3)])
@@ -627,6 +658,156 @@ class TestCachedSequences:
         assert -y is -y
         assert all(np.array_equal(a.data, -b.data)
                    for a, b in zip((-y).values, y.values))
+
+
+def _counted_steps(monkeypatch):
+    """The sizes of the batches of steps grown from here on."""
+    sizes, step = [], cuculescu._step
+
+    def counted(items):
+        sizes.append(len(items))
+        return step(items)
+
+    monkeypatch.setattr(cuculescu, "_step", counted)
+    return sizes
+
+
+class TestGrownTogether:
+    def test_trees_grown_together_match_the_recursion(self, monkeypatch):
+        # every _grid_case family and sign in one grow_grids call: each grid
+        # level then finds its sequence grown, with the projections and the
+        # measurements of the per-level recursion
+        cases = [_grid_case(family, sign) for family in range(6) for sign in (1, -1)]
+        trees = [_fresh_copy(y) for y, _, _ in cases]
+        sizes = _counted_steps(monkeypatch)
+        grow_grids(trees, [])  # no grid: each tree is its root alone
+        assert sizes == [] and all(list(m.cuculescu_cache) == [()] for m in trees)
+        grow_grids(trees, [4.0 / 3.0, 9.0 / 8.0])
+        assert max(sizes) > 2  # both trees of a family share each batch
+        grown = len(sizes)
+        for m, (_, levels, refs) in zip(trees, cases):
+            for level, ref in zip(levels, refs):
+                got = cuculescu_r(m, level)
+                for n, (a, b) in enumerate(zip(got.projections, ref.projections)):
+                    assert a.allclose(b, 1e-12), (level, n)
+                _assert_same_sequence(got, ref, level)
+        assert len(sizes) == grown  # every query was a plain walk
+
+    def test_mixed_dimension_algebra_grows_a_step_per_batch(self, monkeypatch):
+        # blocks of unequal dimension have no direct sum: each step is a batch
+        # of one, and the trees still match the recursion
+        filt = make_filtration("trivial_full", dims=(1, 2, 3), weights=(0.2, 0.3, 0.5))
+        ys = [random_martingale(filt, stream(64, i), sup_norm=2.0) for i in range(2)]
+        trees = [m for y in ys for m in (y, -y)]
+        sizes = _counted_steps(monkeypatch)
+        grow_grids(trees, [1.5])
+        assert sizes and set(sizes) == {1}
+        for m in trees:
+            lo, top = _k_range(m, 1.5, None)
+            for k in range(top, max(lo, -12) - 1, -1):
+                _assert_same_sequence(cuculescu_r(m, 1.5**k), level_recursion(m, 1.5**k),
+                                      1.5**k)
+
+    @pytest.mark.parametrize("B", (1.0 + 1e-4, 1.0 + 1e-6))
+    def test_steps_are_bounded_by_the_thresholds_not_the_grid(self, monkeypatch, B):
+        # the seed-0 moment trials 0..5, both signs: at p = 1e4 (B = 1 + 1e-4)
+        # and at B = 1 + 1e-6 the grids hold about 1.8e5 and 1.8e7 levels per
+        # tree, but a node's children are the windows of its thresholds: 166
+        # steps, where corrected_p's walk one band at a time takes 131
+        trees = []
+        for trial in range(6):
+            rng = stream(0, 3, trial)
+            y = random_martingale(triple_family(trial), rng,
+                                  sup_norm=float(rng.uniform(0.5, 4.0)))
+            trees += [y, -y]
+        lo, top = _k_range(trees[0], B, None)
+        assert top - lo > 0.9 * 1e-2 / (B - 1.0)
+        sizes = _counted_steps(monkeypatch)
+        grow_grids(trees, [B])
+        assert sum(sizes) <= 170
+        for m in trees:
+            weak_max(m, B)
+        assert sum(sizes) <= 170  # every band's sequence was grown
+
+    def test_large_p_grows_the_grid_in_one_call(self, monkeypatch):
+        # corrected_p then asks for one sequence per band, each a hit
+        y = random_martingale(triple_family(2), stream(57, 2), sup_norm=2.5)
+        B = 1.0 + 1e-4
+        grow_grids([y], [B])
+        sizes = _counted_steps(monkeypatch)
+        calls = _counted_calls(monkeypatch)
+        wm = weak_max(y, B)
+        assert len(calls) == len(wm.corrected.bands) == 5 and sizes == []
+
+    def test_a_query_off_the_grid_cuts_its_node_again(self, monkeypatch):
+        # a tree grown to the B = 4/3 grid keeps only each node's ordered
+        # thresholds; a level of the 9/8 grid whose child is missing cuts its
+        # node again, and gets the bits of a tree grown one level at a time
+        y, levels, refs = _grid_case(3, 1)
+        grown, single = _fresh_copy(y), _fresh_copy(y)
+        grow_grids([grown], [4.0 / 3.0])
+        assert all(node.cut is None or node.cut[0] is None
+                   for node in grown.cuculescu_cache.values())
+        cuts = []
+        cut = cuculescu._cut
+        monkeypatch.setattr(cuculescu, "_cut", lambda items: cuts.append(len(items)) or cut(items))
+        for level, ref in zip(levels, refs):
+            got = cuculescu_r(grown, level)
+            want = cuculescu_r(single, level)
+            assert [_flat_bytes(r) for r in got.projections] == \
+                [_flat_bytes(r) for r in want.projections], level
+            _assert_same_sequence(got, ref, level)
+        assert cuts
+
+    @pytest.mark.parametrize("failure", ("drift", "basis"))
+    def test_a_failed_step_raises_only_where_a_query_reaches_it(self, monkeypatch, failure):
+        # y_0 = diag(2, 0.5) and, on the same filtration, diag(3, 0.25), grown
+        # to the B = 2 grid in one batch: each step that keeps one eigenvalue
+        # drifts from idempotency, or every cut of the second is
+        # made from eigenvectors that are not orthonormal.  The batch is
+        # rebuilt a step at a time, growth completes, and a query raises the
+        # error of the step alone, with its class and message, only where it
+        # reaches the failed step
+        import ncgl.opalgebra as opalgebra
+
+        a = _one_step([2.0, 0.5])
+        b0 = a.algebra.operator([np.diag([3.0, 0.25])])
+        b = Martingale(a.filtration, (b0,), (b0,))
+        if failure == "drift":
+            snap = cuculescu._snap_projection
+            monkeypatch.setattr(cuculescu, "_snap_projection", lambda raw: snap(
+                raw.summand_scaled([0.9 if r == 1 else 1.0 for r in raw.summand_ranks])))
+            error, message = NumericalInstabilityError, "drifted by 1.00e-01"
+            bad = [(a, 1.0), (b, 1.0)]
+        else:
+            eigh = opalgebra._eigh
+
+            def skewed(s):
+                eigs, vecs = eigh(s)
+                three = (s.diagonal(axis1=1, axis2=2).real == 3.0).any(axis=1)
+                vecs = vecs.copy()
+                vecs[three] = vecs[three] @ (np.eye(s.shape[1]) + 0.1)
+                return eigs, vecs
+
+            monkeypatch.setattr(opalgebra, "_eigh", skewed)
+            error, message = DomainError, "not within 1e-10 of"
+            bad = [(b, level) for level in (0.125, 1.0, 4.0)]
+        sizes = _counted_steps(monkeypatch)
+        grow_grids([a, b], [2.0])
+        assert sizes == [6, 1, 1, 1, 1, 1, 1]
+        # the step alone fails with the same error at its level
+        for m, level in bad:
+            with pytest.raises(error, match=message):
+                cuculescu_r(_fresh_copy(m), level)
+        monkeypatch.undo()
+        for m in (a, b):
+            for level in (0.125, 1.0, 4.0):
+                if (m, level) in bad:
+                    with pytest.raises(error, match=message):
+                        cuculescu_r(m, level)
+                else:
+                    _assert_same_sequence(cuculescu_r(m, level), level_recursion(m, level),
+                                          level)
 
 
 class TestCorrectedProjections:

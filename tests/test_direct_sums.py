@@ -56,6 +56,29 @@ class TestDirectSumAlgebra:
             with pytest.raises(StructureError):
                 TracialAlgebra(dims, weights, copies)
 
+    def test_sums_and_parts_carry_the_solved_spectra(self, monkeypatch):
+        # direct_sum joins the spectra its operators have solved and `parts`
+        # splits a sum's, tie tolerances included, with nothing solved again;
+        # each is the spectrum the operator's own solve gives, bit for bit
+        rng = stream(70)
+        alg = TracialAlgebra((2, 2), (0.5, 0.5))
+        ops = [gaussian_hermitian(alg, rng) * (i + 1.0) for i in range(3)]
+        own = [op.spectrum for op in ops]
+        total = direct_sum(ops)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        batch = total.spectrum
+        parts = total.parts(alg)
+        monkeypatch.undo()
+        fresh = alg.direct_sum(3).operator(total.stacks[0]).spectrum
+        for got, want in ((batch, fresh),
+                          *((part.spectrum, spec) for part, spec in zip(parts, own))):
+            (got_run,), (got_tol,) = got
+            (want_run,), (want_tol,) = want
+            assert all(np.array_equal(a, b) for a, b in zip(got_run, want_run))
+            assert np.array_equal(got_tol, want_tol)
+        assert all(_same(p, op) for p, op in zip(parts, ops))
+        assert total.parts(alg.direct_sum(3)) == [total]
+
     def test_reductions_are_per_summand(self):
         base = TracialAlgebra((3, 3, 3), (0.5, 1.0, 2.0))
         rng = stream(90)

@@ -334,6 +334,44 @@ class TestProjMeet:
         assert min_eigenvalue(f - m) > -1e-9
         assert proj_meet(f, e).allclose(m, 1e-9)
 
+    def test_trivial_meets_are_read_off_the_ranks(self, monkeypatch):
+        # a meet with I is the other operand and a meet with 0 is 0, with no
+        # eigensolve; each matches the eigensolved meet within 1e-12
+        from ncgl.opalgebra import _meet_blocks
+
+        rng = stream(9)
+        alg = alg1(5)
+        e = check_projection(alg.operator([self._random_projection(5, 3, rng)]))
+        solved = lambda a, b: alg.operator(_meet_blocks(a.stacks[0], b.stacks[0]))
+        ident, zero = alg.identity(), alg.zero()
+        monkeypatch.setattr(np.linalg, "eigh", None)  # nothing is solved
+        assert proj_meet(ident, e) is e and proj_meet(e, ident) is e
+        assert proj_meet(e, zero).entry_max() == 0.0 == proj_meet(zero, ident).entry_max()
+        monkeypatch.undo()
+        for a, b in ((ident, e), (e, ident), (e, zero), (zero, e), (ident, ident)):
+            assert proj_meet(a, b).allclose(solved(a, b), 1e-12)
+
+    def test_trivial_meets_are_decided_per_summand(self):
+        # on a direct sum each summand is decided on its own: summands with I,
+        # with 0 and with neither side trivial, against the eigensolved meet
+        from ncgl.opalgebra import _meet_blocks
+
+        rng = stream(10)
+        alg = TracialAlgebra((4, 4), (0.5, 0.5))
+        proj = lambda rank: alg.operator([self._random_projection(4, rank, rng)
+                                          for _ in range(2)])
+        es = [alg.identity(), proj(2), alg.zero(), proj(3), proj(3)]
+        fs = [proj(2), alg.identity(), proj(3), alg.zero(), proj(3)]
+        e, f = direct_sum(es), direct_sum(fs)
+        got = proj_meet(e, f)
+        want = e.algebra.operator(_meet_blocks(e.stacks[0], f.stacks[0]))
+        assert got.allclose(want, 1e-12)
+        assert got.summand_ranks == want.summand_ranks
+        # the summands decided from the ranks are the operands' own entries
+        assert np.array_equal(got.summand(0).stacks[0], fs[0].stacks[0])
+        assert np.array_equal(got.summand(1).stacks[0], es[1].stacks[0])
+        assert got.summand(2).entry_max() == got.summand(3).entry_max() == 0.0
+
 
 class TestTraceProperties:
     @settings(max_examples=25, derandomize=True)
