@@ -159,8 +159,8 @@ class _Node:
     error: Exception | None = None
 
 
-# what a step or a cut grown ahead of its query may raise: it is kept on its
-# node, so that only a query that reaches the node raises it
+# what a step, a cut or a band walk made ahead of its query may raise: it is
+# kept on its node or for its pair, so that only a query that reaches it raises it
 _FAILURES = (NCGLError, np.linalg.LinAlgError)
 
 # A batch of steps holds about ten operators of its size at once: at most this
@@ -211,11 +211,15 @@ def _step(items: list) -> list:
 
 def _each(kernel, items: list) -> list:
     """`kernel` over `items` as one batch; where it raises, over each item
-    alone, and an item whose batch of one raises has its error as result."""
+    alone, and an item whose batch of one raises has its error as result,
+    kept without the traceback, whose frames hold the items."""
     try:
         return kernel(items)
     except _FAILURES as err:
-        return [err] if len(items) == 1 else [_each(kernel, [item])[0] for item in items]
+        if len(items) == 1:
+            return [err.with_traceback(None)]
+    # outside the handler, so that no item's error holds the batch's as context
+    return [_each(kernel, [item])[0] for item in items]
 
 
 def _batched(kernel, items: list) -> list:
@@ -388,7 +392,7 @@ class CorrectedSeq:
 
 
 def _k_range(y: Martingale, B: float, k_min: int | None) -> tuple[int, int]:
-    sup = max(operator_norm(v) for v in y.values)
+    sup = y.sup_norm
     if sup <= 0.0:
         top = 0
     else:
@@ -409,15 +413,82 @@ def _grid(B: float, lo: int, hi: int):
     return first_above
 
 
+def _meet(items: list) -> list:
+    """The meets e & f of (martingale, n, e, f) items on one algebra as one
+    direct sum, each normalized (see `_normalized`); one meet per item."""
+    alg = items[0][0].algebra
+    meets = proj_meet(direct_sum([e for *_, e, _ in items]), direct_sum([f for *_, f in items]))
+    return _normalized(meets).parts(alg)
+
+
+def _bands(y: Martingale, B: float, k_min: int | None, rows: tuple):
+    """The band walk of one `corrected_p` call, as a generator: at each
+    band's top it yields the (martingale, n, R_n, above) meets its column
+    needs and is sent their results, in that order (or thrown the error of
+    one); it returns the bands.  See `_walk`."""
+    lo, k = _k_range(y, B, k_min)
+    col, bands = {n: y.algebra.identity() for n in rows}, []
+    while k >= lo:
+        seq = cuculescu_r(y, B ** k)
+        got = iter((yield [(y, n, seq.R(n), above) for n, above in col.items()
+                           if above.rank() > 0]))
+        col = {n: above if above.rank() == 0 else next(got) for n, above in col.items()}
+        low = lo
+        if any(p.rank() > 0 for p in col.values()):
+            # the band's bottom, the lowest level above seq.lo, sought from below it
+            start = math.floor(math.log(seq.lo, B)) - 1 if seq.lo > 0 else lo
+            low = next((j for j in range(max(lo, start), k) if B ** j > seq.lo), k)
+            _check_level(seq, B ** low)
+        bands.append((k, low, col))
+        k = low - 1
+    return tuple(bands)
+
+
+def _walk(walks: list) -> list:
+    """Run the band walks `walks` (see `_bands`) in lockstep: each round,
+    every walk still going takes its band's sequence, then one `_meet` batch
+    per filtration and row n serves the meets of them all (`_batched`; a
+    final-only walk has one row), and each walk
+    checks its band's bottom.  A meet that fails in a batch is made again
+    alone, and only its own walk is thrown its error.  The bands of each
+    walk, or the error (`_FAILURES`) that it raised."""
+    out, asked = [None] * len(walks), [None] * len(walks)
+
+    def advance(i, resume, value):
+        try:
+            asked[i] = resume(value)
+        except StopIteration as done:
+            out[i] = done.value
+        except _FAILURES as err:
+            out[i] = err
+
+    for i, walk in enumerate(walks):
+        advance(i, walk.send, None)
+    while live := [i for i in range(len(walks)) if out[i] is None]:
+        got = iter(_batched(_meet, [item for i in live for item in asked[i]]))
+        for i in live:
+            meets = [next(got) for _ in asked[i]]
+            error = next((m for m in meets if isinstance(m, Exception)), None)
+            if error is None:
+                advance(i, walks[i].send, meets)
+            else:
+                advance(i, walks[i].throw, error)
+    return out
+
+
 def grow_grids(ys, bases) -> None:
     """Grow the Cuculescu trees of the self-adjoint martingales `ys` to every
     level of the `corrected_p` grid of every base in `bases`, all trees
     together: breadth first, with one batch of cuts and one batch of steps
     per time n and filtration, each one direct sum.  A node's children are
     the windows between its thresholds that hold a grid level, so the steps
-    grown are bounded by the thresholds, not by the grid.  `corrected_p` and
-    `weak_max` then find every sequence they ask for in the trees.  A step
-    or cut that fails raises only when a query reaches it."""
+    grown are bounded by the thresholds, not by the grid.  Then walk the
+    final-only bands of every (y, B) pair in lockstep (see `_walk`), one
+    batch of meets per round, and keep each pair's bands, or the error its
+    walk raised, in `Martingale.corrected_bands`: `weak_max` reads them
+    there, and other queries find every sequence they ask for in the trees.
+    A step, cut, meet or check that fails raises only when a query reaches
+    it."""
     if not all(y.is_selfadjoint() for y in ys):
         raise DomainError("Cuculescu projections need a self-adjoint martingale")
     if not all(B > 1 for B in bases):
@@ -426,6 +497,10 @@ def grow_grids(ys, bases) -> None:
     _grow([(y, lambda a, fs=fs: min((f(a) for f in fs), default=math.inf), ())
            for y, fs in zip(ys, grids)],
           keep_cuts=False)
+    pairs = [(y, B) for y in ys for B in bases]
+    for (y, B), got in zip(pairs, _walk([_bands(y, B, None, (y.N,)) for y, B in pairs])):
+        # a kept error drops its traceback, whose frames hold the martingales
+        y.corrected_bands[B] = got.with_traceback(None) if isinstance(got, Exception) else got
 
 
 def corrected_p(
@@ -438,32 +513,27 @@ def corrected_p(
 
     The lattice meet over l >= k is truncated at k_top, above which every
     R_n^{B^l} equals the identity because the martingale is bounded; this is
-    exact, not an approximation.  A band is one pass: one sequence, one meet,
-    its ends checked (see `_check_level`).  An all-zero column holds to k_min.
-    Each sequence is a walk of y's tree, which `grow_grids` may have grown to
-    this whole grid beforehand, together with other trees; where it has not,
-    `cuculescu_r` grows the tree to the band's level.
+    exact, not an approximation.  A band is one pass: one sequence, one meet
+    per row, its ends checked (see `_check_level`).  An all-zero column holds
+    to k_min.  The final-only bands at the default k_min are those that
+    `grow_grids` walked and kept in `Martingale.corrected_bands`, if it
+    walked this base; other bands are the same walk run on this pair alone
+    (`_bands`, `_walk`).  Each sequence is a walk of y's tree, which
+    `grow_grids` may have grown to this whole grid beforehand; where it has
+    not, `cuculescu_r` grows the tree to the band's level.  An error of the
+    walk, kept or not, is raised here.
     """
     if not (B > 1):
         raise DomainError("the base B must exceed 1")
     if not y.is_selfadjoint():
         raise DomainError("corrected projections need a self-adjoint martingale")
-    lo, k = _k_range(y, B, k_min)
-    rows = (y.N,) if final_only else tuple(range(y.N + 1))
-    col, bands = {n: y.algebra.identity() for n in rows}, []
-    while k >= lo:
-        seq = cuculescu_r(y, B ** k)
-        col = {n: above if above.rank() == 0 else _normalized(proj_meet(seq.R(n), above))
-               for n, above in col.items()}
-        low = lo
-        if any(p.rank() > 0 for p in col.values()):
-            # the band's bottom, the lowest level above seq.lo, sought from below it
-            start = math.floor(math.log(seq.lo, B)) - 1 if seq.lo > 0 else lo
-            low = next((j for j in range(max(lo, start), k) if B ** j > seq.lo), k)
-            _check_level(seq, B ** low)
-        bands.append((k, low, col))
-        k = low - 1
-    return CorrectedSeq(y, float(B), tuple(bands))
+    bands = y.corrected_bands.get(B) if k_min is None and final_only else None
+    if bands is None:
+        rows = (y.N,) if final_only else tuple(range(y.N + 1))
+        (bands,) = _walk([_bands(y, B, k_min, rows)])
+    if isinstance(bands, Exception):
+        raise bands
+    return CorrectedSeq(y, float(B), bands)
 
 
 @dataclass(frozen=True, eq=False)

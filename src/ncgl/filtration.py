@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .opalgebra import Operator, TracialAlgebra, psd_power, psd_sqrt, trace
+from .opalgebra import Operator, TracialAlgebra, operator_norm, psd_power, psd_sqrt, trace
 
 __all__ = [
     "Filtration",
@@ -345,6 +345,21 @@ class Martingale:
         by :func:`ncgl.cuculescu.grow_grids` to whole level grids, together
         with other martingales' trees, and freed with the martingale."""
         return {}
+
+    @cached_property
+    def corrected_bands(self) -> dict:
+        """Per base B, the bands of ``corrected_p(self, B, final_only=True)``
+        or the error their walk raised, as
+        :func:`ncgl.cuculescu.grow_grids` walked them together with other
+        martingales' bands; read back by
+        :func:`ncgl.cuculescu.corrected_p`.  The bands hold operators only,
+        not the martingale, so they are freed with it."""
+        return {}
+
+    @cached_property
+    def sup_norm(self) -> float:
+        """max_n ||x_n||, the top of every level grid of this martingale."""
+        return max(operator_norm(v) for v in self.values)
 
     def scale(self, c: float) -> "Martingale":
         return Martingale(

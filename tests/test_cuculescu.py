@@ -486,11 +486,15 @@ class TestCachedSequences:
         # perfbench's seed-0 moment-grid pass grows the 84 trees (42 trials,
         # both signs) a family at a time: one batch of cuts and one of steps
         # per time n, split where a batch would pass 2**11 block entries, so
-        # 22 cut batches and 24 step batches; every step is computed once,
-        # and 1,575 Hermitian solves run where one step at a time ran 3,726
+        # 22 cut batches and 24 step batches; every step is computed once.
+        # It then walks the 252 (y, B) pairs' bands a family at a time, one
+        # batch of meets per round: its 1,233 meets, one proj_meet call each
+        # when made one at a time, in 40 batches.  1,044 Hermitian solves run,
+        # 1,575 with one meet at a time and 3,726 with one step at a time
         import ncgl.cli as cli
 
-        counts = {"_cut": [0, 0], "_step": [0, 0], "eigh": [0, 0], "eigvalsh": [0, 0]}
+        counts = {"_cut": [0, 0], "_step": [0, 0], "_meet": [0, 0], "proj_meet": [0, 0],
+                  "eigh": [0, 0], "eigvalsh": [0, 0]}
         trees, grow = [], cli.grow_grids
 
         def counted(name, fn):
@@ -504,7 +508,7 @@ class TestCachedSequences:
             trees.extend(ys)
             return grow(ys, bases)
 
-        for name in ("_cut", "_step"):
+        for name in ("_cut", "_step", "_meet", "proj_meet"):
             monkeypatch.setattr(cuculescu, name, counted(name, getattr(cuculescu, name)))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
@@ -515,7 +519,9 @@ class TestCachedSequences:
         assert counts["_cut"] == [22, 680] and counts["_step"] == [24, 1115]
         # each node but the roots is one step; rows asked for no other
         assert sum(len(y.cuculescu_cache) - 1 for y in trees) == 1115
-        assert counts["eigh"][0] + counts["eigvalsh"][0] <= 1575
+        assert counts["_meet"][0] <= 40 and counts["_meet"][1] == 1233
+        assert counts["proj_meet"][0] == counts["_meet"][0]
+        assert counts["eigh"][0] + counts["eigvalsh"][0] <= 1044
 
     def test_peak_memory_of_the_moment_pass(self):
         # a family's 14 trees are alive at once, and a batch of steps holds
@@ -660,6 +666,18 @@ class TestCachedSequences:
                    for a, b in zip((-y).values, y.values))
 
 
+def _moment_trees(trials):
+    """y and -y of each seed-0 `moment` trial in `trials`, drawn as the
+    suite draws them: the sup norm first, then the martingale."""
+    trees = []
+    for trial in trials:
+        rng = stream(0, 3, trial)
+        y = random_martingale(triple_family(trial), rng,
+                              sup_norm=float(rng.uniform(0.5, 4.0)))
+        trees += [y, -y]
+    return trees
+
+
 def _counted_steps(monkeypatch):
     """The sizes of the batches of steps grown from here on."""
     sizes, step = [], cuculescu._step
@@ -714,12 +732,7 @@ class TestGrownTogether:
         # and at B = 1 + 1e-6 the grids hold about 1.8e5 and 1.8e7 levels per
         # tree, but a node's children are the windows of its thresholds: 166
         # steps, where corrected_p's walk one band at a time takes 131
-        trees = []
-        for trial in range(6):
-            rng = stream(0, 3, trial)
-            y = random_martingale(triple_family(trial), rng,
-                                  sup_norm=float(rng.uniform(0.5, 4.0)))
-            trees += [y, -y]
+        trees = _moment_trees(range(6))
         lo, top = _k_range(trees[0], B, None)
         assert top - lo > 0.9 * 1e-2 / (B - 1.0)
         sizes = _counted_steps(monkeypatch)
@@ -730,14 +743,19 @@ class TestGrownTogether:
         assert sum(sizes) <= 170  # every band's sequence was grown
 
     def test_large_p_grows_the_grid_in_one_call(self, monkeypatch):
-        # corrected_p then asks for one sequence per band, each a hit
+        # its band walk then asks for one sequence per band, each a hit, and
+        # weak_max reads the bands it kept, asking for none
         y = random_martingale(triple_family(2), stream(57, 2), sup_norm=2.5)
         B = 1.0 + 1e-4
-        grow_grids([y], [B])
         sizes = _counted_steps(monkeypatch)
-        calls = _counted_calls(monkeypatch)
+        grown, call = [], cuculescu.cuculescu_r
+        monkeypatch.setattr(cuculescu, "cuculescu_r",
+                            lambda m, level: grown.append(len(sizes)) or call(m, level))
+        grow_grids([y], [B])
+        steps = len(sizes)
         wm = weak_max(y, B)
-        assert len(calls) == len(wm.corrected.bands) == 5 and sizes == []
+        assert len(grown) == len(wm.corrected.bands) == 5
+        assert set(grown) == {steps} and len(sizes) == steps
 
     def test_a_query_off_the_grid_cuts_its_node_again(self, monkeypatch):
         # a tree grown to the B = 4/3 grid keeps only each node's ordered
@@ -808,6 +826,169 @@ class TestGrownTogether:
                 else:
                     _assert_same_sequence(cuculescu_r(m, level), level_recursion(m, level),
                                           level)
+
+
+# the bases of the moment suite's p grid, of p = 1e4 and 2
+_LOCKSTEP_BASES = tuple(1.0 + 1.0 / p for p in (3.0, 4.0, 8.0, 1e4)) + (2.0,)
+
+
+def _assert_same_bands(got, want):
+    """Equal (high, low) bounds and bitwise equal columns."""
+    assert [band[:2] for band in got] == [band[:2] for band in want]
+    for (high, _, a), (_, _, b) in zip(got, want):
+        assert a.keys() == b.keys(), high
+        for n in a:
+            assert a[n].algebra.dims == b[n].algebra.dims, (high, n)
+            assert all(np.array_equal(x, z) for x, z in zip(a[n].stacks, b[n].stacks)), \
+                (high, n)
+
+
+class TestLockstepBands:
+    @pytest.mark.parametrize("family", range(6))
+    def test_lockstep_bands_match_the_lone_walk(self, family):
+        # both signs of two seed-0 moment trials of the family, grown and
+        # walked together at five bases: each pair's kept final-only bands,
+        # and its bands of every row walked in lockstep as well, are those
+        # of corrected_p on a fresh copy, which walks that pair alone
+        trees = _moment_trees([family, family + 6])
+        grow_grids(trees, _LOCKSTEP_BASES)
+        pairs = [(m, B) for m in trees for B in _LOCKSTEP_BASES]
+        every_row = cuculescu._walk([cuculescu._bands(m, B, None, tuple(range(m.N + 1)))
+                                     for m, B in pairs])
+        for (m, B), bands in zip(pairs, every_row):
+            lone = _fresh_copy(m)
+            kept = m.corrected_bands[B]
+            assert corrected_p(m, B, final_only=True).bands is kept
+            _assert_same_bands(kept, corrected_p(lone, B, final_only=True).bands)
+            _assert_same_bands(bands, corrected_p(lone, B).bands)
+            assert not lone.corrected_bands  # a lone walk keeps nothing
+
+    def test_a_failed_meet_raises_only_for_its_pair(self, monkeypatch):
+        # the seed-0 moment trials 3, 9 and 15 (one family), both signs, at
+        # the suite's bases; _meet_blocks fails on a pair of blocks that only
+        # the walk of trial 15's y at p = 4 meets, with a message that tells
+        # the size of the stack it was given.  The batch that holds them is
+        # made again a meet at a time, the other walks complete, and only
+        # that pair's weak_max raises, with the error of its walk alone;
+        # every other pair gets the bands of its walk alone, and the other
+        # trials their rows
+        import ncgl.cli as cli
+        import ncgl.opalgebra as opalgebra
+
+        cfg = cli.ExperimentConfig(suite="moment", trials=42, seed=0, p_grid=(3.0, 4.0, 8.0))
+        bases = [1.0 + 1.0 / p for p in cfg.p_grid]
+        trials = (3, 9, 15)
+        trees = _moment_trees(trials)
+        target = (trees[4], bases[1])
+        meet_blocks, blocks = opalgebra._meet_blocks, []
+        monkeypatch.setattr(opalgebra, "_meet_blocks",
+                            lambda se, sf: blocks.extend(zip(se, sf)) or meet_blocks(se, sf))
+        corrected_p(_fresh_copy(target[0]), target[1], final_only=True)
+
+        def failing(marker):
+            def meet(se, sf):
+                if any(np.array_equal(e, marker[0]) and np.array_equal(f, marker[1])
+                       for e, f in zip(se, sf)):
+                    raise np.linalg.LinAlgError(f"no convergence in a stack of {len(se)}")
+                return meet_blocks(se, sf)
+            return meet
+
+        def lone_errors():
+            errors = {}
+            for m, B in itertools.product(trees, bases):
+                try:
+                    corrected_p(_fresh_copy(m), B, final_only=True)
+                except np.linalg.LinAlgError as err:
+                    errors[m, B] = str(err)
+            return errors
+
+        for marker in blocks:
+            monkeypatch.setattr(opalgebra, "_meet_blocks", failing(marker))
+            if set(errors := lone_errors()) == {target}:
+                break
+        else:
+            pytest.fail("every meet of the pair's walk is met by another walk")
+        calls, failures, meet = [], [], cuculescu._meet
+
+        def counted(items):
+            calls.append(len(items))
+            try:
+                return meet(items)
+            except np.linalg.LinAlgError as err:
+                calls[-1] = -len(items)
+                failures.append(str(err))
+                raise
+
+        monkeypatch.setattr(cuculescu, "_meet", counted)
+        grow_grids(trees, bases)
+        monkeypatch.undo()
+        # one batch of k > 1 failed, then its k meets alone, one of them failing
+        first, last = [i for i, c in enumerate(calls) if c < 0]
+        k = -calls[first]
+        assert k > 1 and first < last <= first + k
+        assert [abs(c) for c in calls[first + 1:first + 1 + k]] == [1] * k
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            weak_max(*target)
+        assert str(raised.value) == errors[target] == failures[1] != failures[0]
+        for m, B in itertools.product(trees, bases):
+            if (m, B) != target:
+                _assert_same_bands(m.corrected_bands[B],
+                                   corrected_p(_fresh_copy(m), B, final_only=True).bands)
+        for trial, y in zip(trials, trees[::2]):
+            if y is target[0]:
+                with pytest.raises(np.linalg.LinAlgError):
+                    cli._moment_rows(cfg, trial, y)
+            else:
+                assert cli._moment_rows(cfg, trial, y) == \
+                    cli._moment_rows(cfg, trial, _fresh_copy(y))
+
+    def test_kept_errors_hold_no_frames(self, monkeypatch):
+        # y_0 = diag(2, 0.5) and diag(3, 0.25) on one filtration, grown and
+        # walked to the B = 2 grid with every step that keeps one eigenvalue
+        # drifting: the errors kept on the failed nodes and for both pairs
+        # hold no traceback and no context, so reference counts alone free
+        # the martingales
+        a = _one_step([2.0, 0.5])
+        b0 = a.algebra.operator([np.diag([3.0, 0.25])])
+        b = Martingale(a.filtration, (b0,), (b0,))
+        snap = cuculescu._snap_projection
+        monkeypatch.setattr(cuculescu, "_snap_projection", lambda raw: snap(
+            raw.summand_scaled([0.9 if r == 1 else 1.0 for r in raw.summand_ranks])))
+        refs = [weakref.ref(a), weakref.ref(b)]
+        gc.collect()
+        gc.disable()
+        try:
+            grow_grids([a, b], [2.0])
+            kept = [m.corrected_bands[2.0] for m in (a, b)]
+            kept += [node.error for m in (a, b) for node in m.cuculescu_cache.values()
+                     if node.error is not None]
+            assert len(kept) > 2
+            assert all(isinstance(err, NumericalInstabilityError) for err in kept)
+            assert all(err.__traceback__ is None and err.__context__ is None for err in kept)
+            del a, b, kept
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_family_martingales_are_freed_when_run_returns(self, monkeypatch):
+        # with the cycle collector off, reference counts alone free every
+        # martingale of a family batch, its trees and its kept bands
+        import ncgl.cli as cli
+
+        refs, grow = [], cli.grow_grids
+
+        def kept(ys, bases):
+            refs.extend(weakref.ref(y) for y in ys)
+            return grow(ys, bases)
+
+        monkeypatch.setattr(cli, "grow_grids", kept)
+        gc.collect()
+        gc.disable()
+        try:
+            cli.run(cli.ExperimentConfig(suite="moment", trials=12, seed=0))
+            assert len(refs) == 24 and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestCorrectedProjections:
