@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,12 +92,6 @@ class _Step:
     monotone: tuple[float, ...]    # min_eig(R_{n-1} - R_n)
     commutator: tuple[float, ...]  # entry_max([R_n, R_{n-1} y_n R_{n-1}])
     top: tuple[float, ...]         # max_eig(R_n y_n R_n)
-    # the five measurements of each summand, as _check_level reads them
-    summands: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(zip(
-            self.norm, self.adapted, self.monotone, self.commutator, self.top)))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -130,7 +124,8 @@ def _check_level(seq: CuculescuSeq, level: float) -> None:
     """
     fail = NumericalInstabilityError
     for n, s in enumerate(seq.steps):
-        for i, (norm, adapted, monotone, commutator, top) in enumerate(s.summands):
+        summands = zip(s.norm, s.adapted, s.monotone, s.commutator, s.top)
+        for i, (norm, adapted, monotone, commutator, top) in enumerate(summands):
             # membership in M_n
             if adapted > 1e-9 * (1.0 + norm / level):
                 raise fail(f"R_{n} left the level-{n} subalgebra (summand {i})")
@@ -147,15 +142,13 @@ def _check_level(seq: CuculescuSeq, level: float) -> None:
 class _Node:
     """R_n on one branch of a martingale's tree of Cuculescu steps, with the
     sequence R_0..R_n that leads to it (none at the root, where R_{-1} = I);
-    once cut, the cut of the next step: the unscaled C = R_n y_{n+1} R_n with
-    its spectrum, per run the threshold t(e) of each eigenvalue e of C, and
-    every threshold in ascending order (after a grid's growth the ordered
-    thresholds alone, C and t None); and the error of its step or of its
-    cut, if either failed, raised when a query reaches it."""
+    once cut, the thresholds of the next step's cut in ascending order (see
+    `_cut`); and the error of its step or of its cut, if either failed,
+    raised when a query reaches it."""
 
     r: Operator | None
     seq: CuculescuSeq | None
-    cut: tuple | None = None
+    thresholds: list | None = None
     error: Exception | None = None
 
 
@@ -185,16 +178,17 @@ def _cut(items: list) -> list:
 
 
 def _step(items: list) -> list:
-    """The steps of (martingale, n, node, level) items on one algebra as one
-    direct sum: from each node, the step that keeps the eigenvalues of its C
-    whose threshold is below the level, R_n = R_{n-1} I(C/level < 1),
-    snapped, with its measurements; one (R_n, _Step) per item."""
+    """The steps of (martingale, n, node, cut, level) items on one algebra as
+    one direct sum: from each node and the C of its `_cut`, the step that
+    keeps the eigenvalues of C whose threshold is below the level,
+    R_n = R_{n-1} I(C/level < 1), snapped, with its measurements; one
+    (R_n, _Step) per item."""
     y0, n = items[0][:2]
     alg, k = y0.algebra, len(items)
-    r_prev = direct_sum([node.r for _, _, node, _ in items])
-    c = direct_sum([node.cut[0] for _, _, node, _ in items])
+    r_prev = direct_sum([node.r for _, _, node, _, _ in items])
+    c = direct_sum([cut[0] for *_, cut, _ in items])
     # per run, the eigenvalues each step keeps (a batch of several has one run)
-    keep = zip(*([t < level for t in node.cut[1]] for _, _, node, level in items))
+    keep = zip(*([t < level for t in cut[1]] for *_, cut, level in items))
     r_n = _snap_projection(r_prev @ spectral_cuts(c, [np.concatenate(x)[None] for x in keep]))
     commutator = (r_n @ c - c @ r_n).entry_max(per_summand=True)
     y_n = direct_sum([y.values[n] for y, *_ in items])
@@ -246,7 +240,7 @@ def _windows(node: _Node, first_above):
     """(key, level, lo, hi) of each child of `node` whose window lo < l <= hi
     holds a requested level, `level` the lowest of them, in ascending order;
     `first_above(a)` is the lowest requested level above a (inf if none)."""
-    _, _, ordered = node.cut
+    ordered = node.thresholds
     lo, hi = node.seq.lo, node.seq.hi
     while math.isfinite(level := first_above(lo)) and level <= hi:
         k = bisect.bisect_left(ordered, level)  # the thresholds below the level
@@ -258,38 +252,40 @@ def _windows(node: _Node, first_above):
 
 
 def _needs_cut(y: Martingale, first_above, path: tuple) -> bool:
-    """Whether the node at `path` must be cut: it never was, or it kept only
-    its ordered thresholds and misses a child that `first_above` asks for."""
+    """Whether the node at `path` must be cut: it never was, or it misses a
+    child that `first_above` asks for."""
     node = y.cuculescu_cache[path]
     if node.error is not None:
         return False
-    return node.cut is None or node.cut[0] is None and any(
+    return node.thresholds is None or any(
         path + (key,) not in y.cuculescu_cache for key, *_ in _windows(node, first_above))
 
 
-def _grow(requests: list, keep_cuts: bool) -> None:
-    """Grow the tree of each (martingale, first_above, path) request from the
-    node at `path` to every level below it that `first_above` names (see
-    `_windows`), all trees together and breadth first: at each step, one
-    batch of cuts over every node on the way that lacks one, and one batch of
-    steps over every child missing, per filtration and time n.  A cut or a
-    step that raises is kept on its node.  Without `keep_cuts` each node
-    keeps only its ordered thresholds once its children are grown, and is cut
-    again if a later query misses a child."""
+def _grow(requests: list) -> None:
+    """Grow the tree of each (martingale, first_above) request from its root
+    to every level that `first_above` names (see `_windows`), all trees
+    together and breadth first: at each step, one batch of cuts over every
+    node on the way that lacks a child asked for, and one batch of steps
+    over every child missing, per filtration and time n.  A node keeps only
+    the ordered thresholds of its cut: the cut's C and per-run thresholds
+    serve that round's steps and are let go, so a later query that misses a
+    child cuts the node again.  A cut or a step that raises is kept on its
+    node."""
     frontier = []
-    for y, first_above, path in requests:
-        if not path and () not in y.cuculescu_cache:
+    for y, first_above in requests:
+        if () not in y.cuculescu_cache:
             y.cuculescu_cache[()] = _Node(y.algebra.identity(),
                                           CuculescuSeq(0.0, math.inf, (), ()))
-        frontier.append((y, first_above, path))
+        frontier.append((y, first_above, ()))
     while frontier:
         nodes = [(y, len(path), y.cuculescu_cache[path]) for y, _, path in frontier]
         uncut = [item for item, request in zip(nodes, frontier) if _needs_cut(*request)]
+        cuts = {}
         for (_, _, node), cut in zip(uncut, _batched(_cut, uncut)):
             if isinstance(cut, Exception):
                 node.error = cut
             else:
-                node.cut = cut
+                cuts[node], node.thresholds = cut, cut[2]
         children, missing = [], []
         for (y, first_above, path), (_, n, node) in zip(frontier, nodes):
             if node.error is not None:
@@ -297,10 +293,10 @@ def _grow(requests: list, keep_cuts: bool) -> None:
             for key, level, lo, hi in _windows(node, first_above):
                 child = path + (key,)
                 if child not in y.cuculescu_cache:
-                    missing.append(((y, n, node, level), child, lo, hi))
+                    missing.append(((y, n, node, cuts[node], level), child, lo, hi))
                 if n < y.N:
                     children.append((y, first_above, child))
-        for ((y, _, node, _), child, lo, hi), got in zip(
+        for ((y, _, node, _, _), child, lo, hi), got in zip(
                 missing, _batched(_step, [item for item, *_ in missing])):
             if isinstance(got, Exception):
                 y.cuculescu_cache[child] = _Node(None, None, error=got)
@@ -309,30 +305,26 @@ def _grow(requests: list, keep_cuts: bool) -> None:
             seq = node.seq
             y.cuculescu_cache[child] = _Node(r_n, CuculescuSeq(
                 max(seq.lo, lo), min(seq.hi, hi), seq.projections + (r_n,), seq.steps + (step,)))
-        if not keep_cuts:
-            for _, _, node in nodes:
-                if node.cut is not None:
-                    node.cut = (None, None, node.cut[2])
         frontier = [(y, f, path) for y, f, path in children
                     if y.cuculescu_cache[path].error is None]
 
 
-def _reached(y: Martingale, level: float) -> tuple[_Node | None, tuple]:
-    """The leaf that `level` reaches in y's tree and its path or, where the
-    tree stops short of it, None and the path of the last node on the way; a
-    node on the way that keeps an error raises it."""
+def _reached(y: Martingale, level: float) -> _Node | None:
+    """The leaf that `level` reaches in y's tree, or None where the tree
+    stops short of it; a node on the way that keeps an error raises a copy
+    of it, so that the kept error gains no traceback."""
     tree, path = y.cuculescu_cache, ()
     node = tree.get(path)
     while node is not None:
         if node.error is not None:
-            raise node.error
-        if len(path) == len(y.values) or node.cut is None:
-            break
-        child = path + (bisect.bisect_left(node.cut[2], level),)
-        if child not in tree:
-            break
-        path, node = child, tree[child]
-    return (node if len(path) == len(y.values) else None), path
+            raise type(node.error)(*node.error.args)
+        if len(path) == len(y.values):
+            return node
+        if node.thresholds is None:
+            return None
+        path += (bisect.bisect_left(node.thresholds, level),)
+        node = tree.get(path)
+    return None
 
 
 def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
@@ -344,19 +336,20 @@ def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
     The walk from its root takes at each node the child of the thresholds
     below the level and returns the record stored at the leaf, whose window
     lo < level <= hi is exact.  Where the tree stops short, it is grown to
-    the level as `grow_grids` grows it to a grid, one martingale and one
-    level.  A step of the path that failed, here or grown ahead of its
-    query, raises its error.  The Lemma invariants are checked from the
-    stored measurements at every level returned.
+    the level by the call that `grow_grids` makes, on one martingale and
+    one level: from the root, cutting again the node where the tree stops.
+    A step of the path that failed, here or grown ahead of its query,
+    raises its error.  The Lemma invariants are checked from the stored
+    measurements at every level returned.
     """
     if not (level > 0):
         raise DomainError("the cut level must be positive")
     if not y.is_selfadjoint():
         raise DomainError("Cuculescu projections need a self-adjoint martingale")
-    node, path = _reached(y, level)
+    node = _reached(y, level)
     if node is None:
-        _grow([(y, lambda a: level if a < level else math.inf, path)], keep_cuts=True)
-        node, _ = _reached(y, level)
+        _grow([(y, lambda a: level if a < level else math.inf)])
+        node = _reached(y, level)
     _check_level(node.seq, level)
     return node.seq
 
@@ -391,24 +384,30 @@ class CorrectedSeq:
         return column[n]
 
 
-def _k_range(y: Martingale, B: float, k_min: int | None) -> tuple[int, int]:
+def _k_range(y: Martingale, B: float) -> tuple[int, int]:
     sup = y.sup_norm
     if sup <= 0.0:
         top = 0
     else:
         top = int(math.ceil(math.log(sup, B))) + 1
-    lo = int(math.floor(math.log(1e-8 * (1.0 + sup), B))) if k_min is None else int(k_min)
+    lo = int(math.floor(math.log(1e-8 * (1.0 + sup), B)))
     return min(lo, top), top
 
 
+def _index_above(a: float, B: float, lo: int, hi: int) -> int:
+    """The lowest j in [lo, hi] with B^j above a (hi + 1 if none), sought
+    from just below log_B(a) with exact B ** j comparisons, so no level is
+    listed."""
+    j = max(lo, math.floor(math.log(a, B)) - 1) if a > 0 else lo
+    while j <= hi and B ** j <= a:
+        j += 1
+    return j
+
+
 def _grid(B: float, lo: int, hi: int):
-    """`first_above` (see `_windows`) of the levels B^j, lo <= j <= hi: the
-    lowest j with B^j above a, sought from just below log_B(a) with the exact
-    B ** j comparisons of `corrected_p`, so no level is listed."""
+    """`first_above` (see `_windows`) of the levels B^j, lo <= j <= hi."""
     def first_above(a: float) -> float:
-        j = max(lo, math.floor(math.log(a, B)) - 1) if a > 0 else lo
-        while j <= hi and B ** j <= a:
-            j += 1
+        j = _index_above(a, B, lo, hi)
         return B ** j if j <= hi else math.inf
     return first_above
 
@@ -421,12 +420,12 @@ def _meet(items: list) -> list:
     return _normalized(meets).parts(alg)
 
 
-def _bands(y: Martingale, B: float, k_min: int | None, rows: tuple):
+def _bands(y: Martingale, B: float, rows: tuple):
     """The band walk of one `corrected_p` call, as a generator: at each
     band's top it yields the (martingale, n, R_n, above) meets its column
     needs and is sent their results, in that order (or thrown the error of
     one); it returns the bands.  See `_walk`."""
-    lo, k = _k_range(y, B, k_min)
+    lo, k = _k_range(y, B)
     col, bands = {n: y.algebra.identity() for n in rows}, []
     while k >= lo:
         seq = cuculescu_r(y, B ** k)
@@ -435,9 +434,8 @@ def _bands(y: Martingale, B: float, k_min: int | None, rows: tuple):
         col = {n: above if above.rank() == 0 else next(got) for n, above in col.items()}
         low = lo
         if any(p.rank() > 0 for p in col.values()):
-            # the band's bottom, the lowest level above seq.lo, sought from below it
-            start = math.floor(math.log(seq.lo, B)) - 1 if seq.lo > 0 else lo
-            low = next((j for j in range(max(lo, start), k) if B ** j > seq.lo), k)
+            # the band's bottom, the lowest level above seq.lo
+            low = _index_above(seq.lo, B, lo, k - 1)
             _check_level(seq, B ** low)
         bands.append((k, low, col))
         k = low - 1
@@ -493,46 +491,42 @@ def grow_grids(ys, bases) -> None:
         raise DomainError("Cuculescu projections need a self-adjoint martingale")
     if not all(B > 1 for B in bases):
         raise DomainError("the base B must exceed 1")
-    grids = [[_grid(B, *_k_range(y, B, None)) for B in bases] for y in ys]
-    _grow([(y, lambda a, fs=fs: min((f(a) for f in fs), default=math.inf), ())
-           for y, fs in zip(ys, grids)],
-          keep_cuts=False)
+    grids = [[_grid(B, *_k_range(y, B)) for B in bases] for y in ys]
+    _grow([(y, lambda a, fs=fs: min((f(a) for f in fs), default=math.inf))
+           for y, fs in zip(ys, grids)])
     pairs = [(y, B) for y in ys for B in bases]
-    for (y, B), got in zip(pairs, _walk([_bands(y, B, None, (y.N,)) for y, B in pairs])):
+    for (y, B), got in zip(pairs, _walk([_bands(y, B, (y.N,)) for y, B in pairs])):
         # a kept error drops its traceback, whose frames hold the martingales
         y.corrected_bands[B] = got.with_traceback(None) if isinstance(got, Exception) else got
 
 
-def corrected_p(
-    y: Martingale,
-    B: float,
-    k_min: int | None = None,
-    final_only: bool = False,
-) -> CorrectedSeq:
+def corrected_p(y: Martingale, B: float, final_only: bool = False) -> CorrectedSeq:
     """Compute the bands of P_n^{B^k} for k in [k_min, k_top].
 
     The lattice meet over l >= k is truncated at k_top, above which every
     R_n^{B^l} equals the identity because the martingale is bounded; this is
-    exact, not an approximation.  A band is one pass: one sequence, one meet
-    per row, its ends checked (see `_check_level`).  An all-zero column holds
-    to k_min.  The final-only bands at the default k_min are those that
-    `grow_grids` walked and kept in `Martingale.corrected_bands`, if it
-    walked this base; other bands are the same walk run on this pair alone
-    (`_bands`, `_walk`).  Each sequence is a walk of y's tree, which
-    `grow_grids` may have grown to this whole grid beforehand; where it has
-    not, `cuculescu_r` grows the tree to the band's level.  An error of the
-    walk, kept or not, is raised here.
+    exact, not an approximation.  Below, k_min is the truncation point
+    B^{k_min} ~ 1e-8 (1 + ||y||).  A band is one pass: one sequence, one
+    meet per row, its ends checked (see `_check_level`).  An all-zero column
+    holds to k_min.  The final-only bands are those that `grow_grids`
+    walked and kept in `Martingale.corrected_bands`, if it walked this base;
+    other bands are the same walk run on this pair alone (`_bands`,
+    `_walk`).  Each sequence is a walk of y's tree, which `grow_grids` may
+    have grown to this whole grid beforehand; where it has not,
+    `cuculescu_r` grows the tree to the band's level.  An error of the walk,
+    kept or not, is raised here as a copy, so that a kept error gains no
+    traceback.
     """
     if not (B > 1):
         raise DomainError("the base B must exceed 1")
     if not y.is_selfadjoint():
         raise DomainError("corrected projections need a self-adjoint martingale")
-    bands = y.corrected_bands.get(B) if k_min is None and final_only else None
+    bands = y.corrected_bands.get(B) if final_only else None
     if bands is None:
         rows = (y.N,) if final_only else tuple(range(y.N + 1))
-        (bands,) = _walk([_bands(y, B, k_min, rows)])
+        (bands,) = _walk([_bands(y, B, rows)])
     if isinstance(bands, Exception):
-        raise bands
+        raise type(bands)(*bands.args)
     return CorrectedSeq(y, float(B), bands)
 
 

@@ -341,9 +341,10 @@ class Martingale:
     def cuculescu_cache(self) -> dict:
         """The tree of this martingale's Cuculescu steps, each node under the
         path of child keys that leads to it from the root at (); read by
-        :func:`ncgl.cuculescu.cuculescu_r`, grown by it a level at a time or
-        by :func:`ncgl.cuculescu.grow_grids` to whole level grids, together
-        with other martingales' trees, and freed with the martingale."""
+        :func:`ncgl.cuculescu.cuculescu_r`, and grown from the root by one
+        grower, which it calls a level at a time and
+        :func:`ncgl.cuculescu.grow_grids` calls to whole level grids,
+        together with other martingales' trees; freed with the martingale."""
         return {}
 
     @cached_property

@@ -367,7 +367,7 @@ def verify_good_hom(t, B: float, k: int) -> VerifyReport:
     """
     if t.algebra.summands > 1:
         raise DomainError("this check takes one trial: see Triple.summand")
-    cp = corrected_p(t.y, B, k_min=k, final_only=True)
+    cp = corrected_p(t.y, B, final_only=True)
     N = t.y.N
     x_sq, z_sq, _ = t.squares
     lhs = trace(cp.P(N, k + 2) - cp.P(N, k + 1))

@@ -60,13 +60,18 @@ def _leaves(y):
     return [node for path, node in y.cuculescu_cache.items() if len(path) == y.N + 1]
 
 
+def _summands(step):
+    """The five measurements of each summand of a step."""
+    return zip(step.norm, step.adapted, step.monotone, step.commutator, step.top)
+
+
 def _assert_same_sequence(got, want, level):
     """Projections within 1e-10, and the five measurements of each step and
     summand within 1e-12 (1 + ||y_n||/level)."""
     for n, (a, b) in enumerate(zip(got.projections, want.projections)):
         assert a.allclose(b, 1e-10), (level, n)
     for n, (s, t) in enumerate(zip(got.steps, want.steps)):
-        for a, b in zip(s.summands, t.summands):
+        for a, b in zip(_summands(s), _summands(t)):
             assert np.allclose(a, b, rtol=0.0, atol=1e-12 * (1.0 + b[0] / level)), \
                 (level, n, a, b)
 
@@ -206,7 +211,7 @@ def _grid_case(family, sign):
     levels = set()
     for p in (3.0, 8.0):
         B = 1.0 + 1.0 / p
-        lo, top = _k_range(y, B, None)
+        lo, top = _k_range(y, B)
         levels.update(B**k for k in range(lo, top + 1))
     levels = sorted(levels, reverse=True)
     refs = [level_recursion(y, level) for level in levels]
@@ -235,11 +240,11 @@ def _flat_bytes(op):
     return np.concatenate([b.ravel() for b in op.data]).tobytes()
 
 
-def _per_level_grid(y, B, k_min=None, final_only=False):
+def _per_level_grid(y, B, final_only=False):
     """The corrected projections as one column per level, the loop that the
     bands replaced: the (n, k) dict, and the sequences cuculescu_r returned,
     one per level that asked for one."""
-    lo, top = _k_range(y, B, k_min)
+    lo, top = _k_range(y, B)
     rows = (y.N,) if final_only else tuple(range(y.N + 1))
     grid, seqs = {}, []
     prev_col = {n: y.algebra.identity() for n in rows}
@@ -270,8 +275,8 @@ def _per_level_grid(y, B, k_min=None, final_only=False):
 def _per_level_corrected(y, B, final_only=False):
     """_per_level_grid's walk as a CorrectedSeq: one band per run of levels
     at which cuculescu_r returned one sequence, the last reaching k_min."""
-    grid, seqs = _per_level_grid(y, B, None, final_only)
-    lo, high = _k_range(y, B, None)
+    grid, seqs = _per_level_grid(y, B, final_only)
+    lo, high = _k_range(y, B)
     rows, bands = sorted({n for n, _ in grid}), []
     for _, run in itertools.groupby(seqs, key=id):
         low = high - len(list(run)) + 1
@@ -473,9 +478,10 @@ class TestCachedSequences:
         for name in calls:
             monkeypatch.setattr(cuculescu, name, counted(name, getattr(cuculescu, name)))
         seq = cuculescu_r(y, 4.0)
-        # both nodes on the way were cut when level 2 passed them: one batch
-        # of one step
-        assert calls == {"_cut": 0, "_step": 1, "cond_exp": 1}
+        # the node where level 4 leaves level 2's path keeps only its ordered
+        # thresholds, so it is cut again: one batch of one cut, then one of
+        # one step
+        assert calls == {"_cut": 1, "_step": 1, "cond_exp": 1}
         assert seq.projections[0] is first.projections[0]
         assert seq.steps[0] is first.steps[0]
         monkeypatch.undo()
@@ -522,6 +528,31 @@ class TestCachedSequences:
         assert counts["_meet"][0] <= 40 and counts["_meet"][1] == 1233
         assert counts["proj_meet"][0] == counts["_meet"][0]
         assert counts["eigh"][0] + counts["eigvalsh"][0] <= 1044
+
+    def test_work_counts_of_the_good_lambda_levels(self, monkeypatch):
+        # perfbench's seed-0 goodlambda-levels pass (100 core trials, then 100
+        # tail trials at beta in {1.5, 2, 4}) asks cuculescu_r for a few
+        # levels per martingale, each miss grown from the root: 84 steps in
+        # batches of one, and 84 cuts, since a node where a later level
+        # leaves the tree keeps only its ordered thresholds and is cut again
+        import ncgl.cli as cli
+
+        counts = {"_cut": [0, 0], "_step": [0, 0]}
+
+        def counted(name, fn):
+            def call(items):
+                counts[name][0] += 1
+                counts[name][1] += len(items)
+                return fn(items)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(cuculescu, name, counted(name, getattr(cuculescu, name)))
+        rows, _ = cli.run(cli.ExperimentConfig(suite="goodlambda-core", trials=100, seed=0))
+        assert len(rows) == 100 and counts == {"_cut": [21, 21], "_step": [21, 21]}
+        rows, _ = cli.run(cli.ExperimentConfig(suite="goodlambda-tail", trials=100, seed=0,
+                                               beta_grid=(1.5, 2.0, 4.0)))
+        assert len(rows) == 300 and counts == {"_cut": [84, 84], "_step": [84, 84]}
 
     def test_peak_memory_of_the_moment_pass(self):
         # a family's 14 trees are alive at once, and a batch of steps holds
@@ -721,7 +752,7 @@ class TestGrownTogether:
         grow_grids(trees, [1.5])
         assert sizes and set(sizes) == {1}
         for m in trees:
-            lo, top = _k_range(m, 1.5, None)
+            lo, top = _k_range(m, 1.5)
             for k in range(top, max(lo, -12) - 1, -1):
                 _assert_same_sequence(cuculescu_r(m, 1.5**k), level_recursion(m, 1.5**k),
                                       1.5**k)
@@ -733,7 +764,7 @@ class TestGrownTogether:
         # tree, but a node's children are the windows of its thresholds: 166
         # steps, where corrected_p's walk one band at a time takes 131
         trees = _moment_trees(range(6))
-        lo, top = _k_range(trees[0], B, None)
+        lo, top = _k_range(trees[0], B)
         assert top - lo > 0.9 * 1e-2 / (B - 1.0)
         sizes = _counted_steps(monkeypatch)
         grow_grids(trees, [B])
@@ -764,8 +795,11 @@ class TestGrownTogether:
         y, levels, refs = _grid_case(3, 1)
         grown, single = _fresh_copy(y), _fresh_copy(y)
         grow_grids([grown], [4.0 / 3.0])
-        assert all(node.cut is None or node.cut[0] is None
-                   for node in grown.cuculescu_cache.values())
+        assert [f.name for f in dataclasses.fields(cuculescu._Node)] == \
+            ["r", "seq", "thresholds", "error"]
+        cut = [node.thresholds for node in grown.cuculescu_cache.values()
+               if node.thresholds is not None]
+        assert cut and all(t == sorted(t) for t in cut)
         cuts = []
         cut = cuculescu._cut
         monkeypatch.setattr(cuculescu, "_cut", lambda items: cuts.append(len(items)) or cut(items))
@@ -853,7 +887,7 @@ class TestLockstepBands:
         trees = _moment_trees([family, family + 6])
         grow_grids(trees, _LOCKSTEP_BASES)
         pairs = [(m, B) for m in trees for B in _LOCKSTEP_BASES]
-        every_row = cuculescu._walk([cuculescu._bands(m, B, None, tuple(range(m.N + 1)))
+        every_row = cuculescu._walk([cuculescu._bands(m, B, tuple(range(m.N + 1)))
                                      for m, B in pairs])
         for (m, B), bands in zip(pairs, every_row):
             lone = _fresh_copy(m)
@@ -946,8 +980,8 @@ class TestLockstepBands:
         # y_0 = diag(2, 0.5) and diag(3, 0.25) on one filtration, grown and
         # walked to the B = 2 grid with every step that keeps one eigenvalue
         # drifting: the errors kept on the failed nodes and for both pairs
-        # hold no traceback and no context, so reference counts alone free
-        # the martingales
+        # hold no traceback and no context, also after queries raised them,
+        # so reference counts alone free the martingales
         a = _one_step([2.0, 0.5])
         b0 = a.algebra.operator([np.diag([3.0, 0.25])])
         b = Martingale(a.filtration, (b0,), (b0,))
@@ -963,6 +997,11 @@ class TestLockstepBands:
             kept += [node.error for m in (a, b) for node in m.cuculescu_cache.values()
                      if node.error is not None]
             assert len(kept) > 2
+            # a query that reaches a kept error raises a copy of it
+            with pytest.raises(NumericalInstabilityError):
+                weak_max(a, 2.0)
+            with pytest.raises(NumericalInstabilityError):
+                cuculescu_r(a, 1.0)
             assert all(isinstance(err, NumericalInstabilityError) for err in kept)
             assert all(err.__traceback__ is None and err.__context__ is None for err in kept)
             del a, b, kept
@@ -1023,7 +1062,7 @@ class TestCorrectedProjections:
     def test_monotone_both_parameters(self):
         filt = make_filtration("matrix_corner", outer_dim=2, dim=3)
         y = random_martingale(filt, stream(50), sup_norm=2.5)
-        cp = corrected_p(y, 1.5, k_min=-4)
+        cp = corrected_p(y, 1.5)
         for n in range(y.N + 1):
             for k in range(-4, cp.k_top + 1):
                 if n + 1 <= y.N:
@@ -1041,23 +1080,22 @@ class TestCorrectedProjections:
     def test_bands_match_the_per_level_grid(self, monkeypatch, family, sign):
         y = _fresh_copy(_grid_case(family, sign)[0])
         calls = _counted_calls(monkeypatch)
-        for p, k_min, final_only in itertools.product((3.0, 8.0), (None, -6),
-                                                      (False, True)):
+        for p, final_only in itertools.product((3.0, 8.0), (False, True)):
             B = 1.0 + 1.0 / p
             calls.clear()
-            cp = corrected_p(y, B, k_min=k_min, final_only=final_only)
+            cp = corrected_p(y, B, final_only=final_only)
             # one sequence per band, asked for at the band's top
             assert calls == [B ** high for high, _, _ in cp.bands]
-            grid, seqs = _per_level_grid(y, B, k_min, final_only)
+            grid, seqs = _per_level_grid(y, B, final_only)
             # the bands tile [k_min, k_top], one per run of one sequence
             highs, lows, cols = zip(*cp.bands)
-            assert (cp.k_min, cp.k_top) == (lows[-1], highs[0]) == _k_range(y, B, k_min)
+            assert (cp.k_min, cp.k_top) == (lows[-1], highs[0]) == _k_range(y, B)
             assert all(h >= low for h, low in zip(highs, lows))
             assert highs[1:] == tuple(low - 1 for low in lows[:-1])
             assert all(a is not b for a, b in zip(cols, cols[1:]))
             assert len(cp.bands) == len(list(itertools.groupby(seqs, key=id)))
             for (n, k), want in grid.items():
-                assert _flat_bytes(cp.P(n, k)) == _flat_bytes(want), (p, k_min, n, k)
+                assert _flat_bytes(cp.P(n, k)) == _flat_bytes(want), (p, n, k)
             with pytest.raises(DomainError):
                 cp.P(y.N, cp.k_min - 1)
             if final_only:
