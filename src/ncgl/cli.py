@@ -529,7 +529,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="ignore"):  # an overflowed report side raises
             rows, summary = run(config)
-    except (NCGLError, ArithmeticError, np.linalg.LinAlgError) as e:
+    except (NCGLError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as e:
         print(f"run error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

@@ -141,19 +141,17 @@ def _check_level(seq: CuculescuSeq, level: float) -> None:
 @dataclass(eq=False, slots=True)
 class _Node:
     """R_n on one branch of a martingale's tree of Cuculescu steps, with the
-    sequence R_0..R_n that leads to it (none at the root, where R_{-1} = I);
-    once cut, the thresholds of the next step's cut in ascending order (see
-    `_cut`); and the error of its step or of its cut, if either failed,
-    raised when a query reaches it."""
+    sequence R_0..R_n that leads to it (none at the root, where R_{-1} = I),
+    and once cut, the thresholds of the next step's cut in ascending order
+    (see `_cut`)."""
 
-    r: Operator | None
-    seq: CuculescuSeq | None
+    r: Operator
+    seq: CuculescuSeq
     thresholds: list | None = None
-    error: Exception | None = None
 
 
-# what a step, a cut or a band walk made ahead of its query may raise: it is
-# kept on its node or for its pair, so that only a query that reaches it raises it
+# what a step, a cut or a band walk made ahead of its query may raise: that
+# work is let go, and each query that needs it makes it alone and raises it
 _FAILURES = (NCGLError, np.linalg.LinAlgError)
 
 # A batch of steps holds about ten operators of its size at once: at most this
@@ -203,26 +201,13 @@ def _step(items: list) -> list:
             for i, part in enumerate(r_n.parts(alg))]
 
 
-def _each(kernel, items: list) -> list:
-    """`kernel` over `items` as one batch; where it raises, over each item
-    alone, and an item whose batch of one raises has its error as result,
-    kept without the traceback, whose frames hold the items."""
-    try:
-        return kernel(items)
-    except _FAILURES as err:
-        if len(items) == 1:
-            return [err.with_traceback(None)]
-    # outside the handler, so that no item's error holds the batch's as context
-    return [_each(kernel, [item])[0] for item in items]
-
-
 def _batched(kernel, items: list) -> list:
-    """`_each` over the items of each filtration and time n, in
+    """`kernel` over the items of each filtration and time n, in
     equal batches of at most _BATCH_ENTRIES block entries; one item a batch
     on blocks of unequal dimension, which have no direct sum.  The results
     in the order of the items."""
     if len(items) < 2:
-        return _each(kernel, items) if items else []
+        return kernel(items) if items else []
     groups = {}
     for i, (y, n, *_) in enumerate(items):
         groups.setdefault((y.filtration, n), []).append(i)
@@ -232,7 +217,7 @@ def _batched(kernel, items: list) -> list:
         batches = len(index) if len(filt.algebra.runs) > 1 else -(-len(index) // fits)
         size = -(-len(index) // batches)
         for chunk in (index[j:j + size] for j in range(0, len(index), size)):
-            got.update(zip(chunk, _each(kernel, [items[i] for i in chunk])))
+            got.update(zip(chunk, kernel([items[i] for i in chunk])))
     return [got[i] for i in range(len(items))]
 
 
@@ -255,8 +240,6 @@ def _needs_cut(y: Martingale, first_above, path: tuple) -> bool:
     """Whether the node at `path` must be cut: it never was, or it misses a
     child that `first_above` asks for."""
     node = y.cuculescu_cache[path]
-    if node.error is not None:
-        return False
     return node.thresholds is None or any(
         path + (key,) not in y.cuculescu_cache for key, *_ in _windows(node, first_above))
 
@@ -269,8 +252,9 @@ def _grow(requests: list) -> None:
     over every child missing, per filtration and time n.  A node keeps only
     the ordered thresholds of its cut: the cut's C and per-run thresholds
     serve that round's steps and are let go, so a later query that misses a
-    child cuts the node again.  A cut or a step that raises is kept on its
-    node."""
+    child cuts the node again.  A cut or a step that raises ends the growth:
+    every node stored stays, and a query that misses the rest grows it again
+    from the root."""
     frontier = []
     for y, first_above in requests:
         if () not in y.cuculescu_cache:
@@ -282,42 +266,29 @@ def _grow(requests: list) -> None:
         uncut = [item for item, request in zip(nodes, frontier) if _needs_cut(*request)]
         cuts = {}
         for (_, _, node), cut in zip(uncut, _batched(_cut, uncut)):
-            if isinstance(cut, Exception):
-                node.error = cut
-            else:
-                cuts[node], node.thresholds = cut, cut[2]
+            cuts[node], node.thresholds = cut, cut[2]
         children, missing = [], []
         for (y, first_above, path), (_, n, node) in zip(frontier, nodes):
-            if node.error is not None:
-                continue
             for key, level, lo, hi in _windows(node, first_above):
                 child = path + (key,)
                 if child not in y.cuculescu_cache:
                     missing.append(((y, n, node, cuts[node], level), child, lo, hi))
                 if n < y.N:
                     children.append((y, first_above, child))
-        for ((y, _, node, _, _), child, lo, hi), got in zip(
+        for ((y, _, node, _, _), child, lo, hi), (r_n, step) in zip(
                 missing, _batched(_step, [item for item, *_ in missing])):
-            if isinstance(got, Exception):
-                y.cuculescu_cache[child] = _Node(None, None, error=got)
-                continue
-            r_n, step = got
             seq = node.seq
             y.cuculescu_cache[child] = _Node(r_n, CuculescuSeq(
                 max(seq.lo, lo), min(seq.hi, hi), seq.projections + (r_n,), seq.steps + (step,)))
-        frontier = [(y, f, path) for y, f, path in children
-                    if y.cuculescu_cache[path].error is None]
+        frontier = children
 
 
 def _reached(y: Martingale, level: float) -> _Node | None:
     """The leaf that `level` reaches in y's tree, or None where the tree
-    stops short of it; a node on the way that keeps an error raises a copy
-    of it, so that the kept error gains no traceback."""
+    stops short of it."""
     tree, path = y.cuculescu_cache, ()
     node = tree.get(path)
     while node is not None:
-        if node.error is not None:
-            raise type(node.error)(*node.error.args)
         if len(path) == len(y.values):
             return node
         if node.thresholds is None:
@@ -338,9 +309,9 @@ def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
     lo < level <= hi is exact.  Where the tree stops short, it is grown to
     the level by the call that `grow_grids` makes, on one martingale and
     one level: from the root, cutting again the node where the tree stops.
-    A step of the path that failed, here or grown ahead of its query,
-    raises its error.  The Lemma invariants are checked from the stored
-    measurements at every level returned.
+    A step of the path that fails raises its error here, also where growth
+    ahead of this query let it go.  The Lemma invariants are checked from
+    the stored measurements at every level returned.
     """
     if not (level > 0):
         raise DomainError("the cut level must be positive")
@@ -423,8 +394,8 @@ def _meet(items: list) -> list:
 def _bands(y: Martingale, B: float, rows: tuple):
     """The band walk of one `corrected_p` call, as a generator: at each
     band's top it yields the (martingale, n, R_n, above) meets its column
-    needs and is sent their results, in that order (or thrown the error of
-    one); it returns the bands.  See `_walk`."""
+    needs and is sent their results, in that order; it returns the bands.
+    See `_walk`."""
     lo, k = _k_range(y, B)
     col, bands = {n: y.algebra.identity() for n in rows}, []
     while k >= lo:
@@ -446,31 +417,22 @@ def _walk(walks: list) -> list:
     """Run the band walks `walks` (see `_bands`) in lockstep: each round,
     every walk still going takes its band's sequence, then one `_meet` batch
     per filtration and row n serves the meets of them all (`_batched`; a
-    final-only walk has one row), and each walk
-    checks its band's bottom.  A meet that fails in a batch is made again
-    alone, and only its own walk is thrown its error.  The bands of each
-    walk, or the error (`_FAILURES`) that it raised."""
+    final-only walk has one row), and each walk checks its band's bottom.
+    The bands of each walk; the first error that any walk meets is raised."""
     out, asked = [None] * len(walks), [None] * len(walks)
 
-    def advance(i, resume, value):
+    def advance(i, value):
         try:
-            asked[i] = resume(value)
+            asked[i] = walks[i].send(value)
         except StopIteration as done:
             out[i] = done.value
-        except _FAILURES as err:
-            out[i] = err
 
-    for i, walk in enumerate(walks):
-        advance(i, walk.send, None)
+    for i in range(len(walks)):
+        advance(i, None)
     while live := [i for i in range(len(walks)) if out[i] is None]:
         got = iter(_batched(_meet, [item for i in live for item in asked[i]]))
         for i in live:
-            meets = [next(got) for _ in asked[i]]
-            error = next((m for m in meets if isinstance(m, Exception)), None)
-            if error is None:
-                advance(i, walks[i].send, meets)
-            else:
-                advance(i, walks[i].throw, error)
+            advance(i, [next(got) for _ in asked[i]])
     return out
 
 
@@ -482,22 +444,26 @@ def grow_grids(ys, bases) -> None:
     the windows between its thresholds that hold a grid level, so the steps
     grown are bounded by the thresholds, not by the grid.  Then walk the
     final-only bands of every (y, B) pair in lockstep (see `_walk`), one
-    batch of meets per round, and keep each pair's bands, or the error its
-    walk raised, in `Martingale.corrected_bands`: `weak_max` reads them
-    there, and other queries find every sequence they ask for in the trees.
-    A step, cut, meet or check that fails raises only when a query reaches
-    it."""
+    batch of meets per round, and keep each pair's bands in
+    `Martingale.corrected_bands`: `weak_max` reads them there, and other
+    queries find every sequence they ask for in the trees.  Where a step,
+    cut, meet or check fails, the growth or the walk is let go (`_FAILURES`):
+    the nodes already grown stay, no bands are kept, and each query that
+    needs the rest makes it alone and raises its own error."""
     if not all(y.is_selfadjoint() for y in ys):
         raise DomainError("Cuculescu projections need a self-adjoint martingale")
     if not all(B > 1 for B in bases):
         raise DomainError("the base B must exceed 1")
     grids = [[_grid(B, *_k_range(y, B)) for B in bases] for y in ys]
-    _grow([(y, lambda a, fs=fs: min((f(a) for f in fs), default=math.inf))
-           for y, fs in zip(ys, grids)])
     pairs = [(y, B) for y in ys for B in bases]
-    for (y, B), got in zip(pairs, _walk([_bands(y, B, (y.N,)) for y, B in pairs])):
-        # a kept error drops its traceback, whose frames hold the martingales
-        y.corrected_bands[B] = got.with_traceback(None) if isinstance(got, Exception) else got
+    try:
+        _grow([(y, lambda a, fs=fs: min((f(a) for f in fs), default=math.inf))
+               for y, fs in zip(ys, grids)])
+        walked = _walk([_bands(y, B, (y.N,)) for y, B in pairs])
+    except _FAILURES:
+        return
+    for (y, B), bands in zip(pairs, walked):
+        y.corrected_bands[B] = bands
 
 
 def corrected_p(y: Martingale, B: float, final_only: bool = False) -> CorrectedSeq:
@@ -513,9 +479,8 @@ def corrected_p(y: Martingale, B: float, final_only: bool = False) -> CorrectedS
     other bands are the same walk run on this pair alone (`_bands`,
     `_walk`).  Each sequence is a walk of y's tree, which `grow_grids` may
     have grown to this whole grid beforehand; where it has not,
-    `cuculescu_r` grows the tree to the band's level.  An error of the walk,
-    kept or not, is raised here as a copy, so that a kept error gains no
-    traceback.
+    `cuculescu_r` grows the tree to the band's level.  An error of the walk
+    is raised here, also where `grow_grids` let this pair's walk go.
     """
     if not (B > 1):
         raise DomainError("the base B must exceed 1")
@@ -525,8 +490,6 @@ def corrected_p(y: Martingale, B: float, final_only: bool = False) -> CorrectedS
     if bands is None:
         rows = (y.N,) if final_only else tuple(range(y.N + 1))
         (bands,) = _walk([_bands(y, B, rows)])
-    if isinstance(bands, Exception):
-        raise type(bands)(*bands.args)
     return CorrectedSeq(y, float(B), bands)
 
 

@@ -350,9 +350,8 @@ class Martingale:
     @cached_property
     def corrected_bands(self) -> dict:
         """Per base B, the bands of ``corrected_p(self, B, final_only=True)``
-        or the error their walk raised, as
-        :func:`ncgl.cuculescu.grow_grids` walked them together with other
-        martingales' bands; read back by
+        as :func:`ncgl.cuculescu.grow_grids` walked them together with other
+        martingales' bands, where that whole walk succeeded; read back by
         :func:`ncgl.cuculescu.corrected_p`.  The bands hold operators only,
         not the martingale, so they are freed with it."""
         return {}

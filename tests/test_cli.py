@@ -367,6 +367,18 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(f"run error: {error.__name__}:") and err.count("\n") == 1
 
+    def test_memory_error_is_a_run_error(self, monkeypatch, capsys):
+        # an oversized config (doob at --dim 400000) fails its first allocation
+        import ncgl.cli as cli
+
+        def failing(cfg):
+            raise MemoryError("Unable to allocate the trial's operators")
+
+        monkeypatch.setattr(cli, "run", failing)
+        assert main(["--suite=doob", "--trials=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run error: MemoryError:") and err.count("\n") == 1
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p", ("100", "1100", "1e4"))
     @pytest.mark.parametrize("suite", _READS_P)

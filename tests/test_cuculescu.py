@@ -611,7 +611,8 @@ class TestCachedSequences:
         assert calls == {"check": 7, "step": 3}
         assert len(_leaves(y)) == 3
 
-    @pytest.mark.parametrize("field, value", [("adapted", 1.0), ("top", 1e3)])
+    @pytest.mark.parametrize("field, value", [("adapted", 1.0), ("top", 1e3),
+                                              ("monotone", -1.0)])
     def test_hits_are_validated(self, field, value):
         y = _one_step([2.0, 0.5])
         cuculescu_r(y, 1.0)
@@ -796,7 +797,7 @@ class TestGrownTogether:
         grown, single = _fresh_copy(y), _fresh_copy(y)
         grow_grids([grown], [4.0 / 3.0])
         assert [f.name for f in dataclasses.fields(cuculescu._Node)] == \
-            ["r", "seq", "thresholds", "error"]
+            ["r", "seq", "thresholds"]
         cut = [node.thresholds for node in grown.cuculescu_cache.values()
                if node.thresholds is not None]
         assert cut and all(t == sorted(t) for t in cut)
@@ -816,10 +817,10 @@ class TestGrownTogether:
         # y_0 = diag(2, 0.5) and, on the same filtration, diag(3, 0.25), grown
         # to the B = 2 grid in one batch: each step that keeps one eigenvalue
         # drifts from idempotency, or every cut of the second is
-        # made from eigenvectors that are not orthonormal.  The batch is
-        # rebuilt a step at a time, growth completes, and a query raises the
-        # error of the step alone, with its class and message, only where it
-        # reaches the failed step
+        # made from eigenvectors that are not orthonormal.  The batch fails,
+        # its growth is let go, and a query that reaches the failed step grows
+        # it alone and raises its error, with its class and message; the other
+        # levels get the per-level recursion
         import ncgl.opalgebra as opalgebra
 
         a = _one_step([2.0, 0.5])
@@ -846,20 +847,42 @@ class TestGrownTogether:
             bad = [(b, level) for level in (0.125, 1.0, 4.0)]
         sizes = _counted_steps(monkeypatch)
         grow_grids([a, b], [2.0])
-        assert sizes == [6, 1, 1, 1, 1, 1, 1]
-        # the step alone fails with the same error at its level
+        assert sizes == [6]
+        assert not a.corrected_bands and not b.corrected_bands
         for m, level in bad:
             with pytest.raises(error, match=message):
-                cuculescu_r(_fresh_copy(m), level)
+                cuculescu_r(m, level)
         monkeypatch.undo()
         for m in (a, b):
             for level in (0.125, 1.0, 4.0):
-                if (m, level) in bad:
-                    with pytest.raises(error, match=message):
-                        cuculescu_r(m, level)
-                else:
+                if (m, level) not in bad:
                     _assert_same_sequence(cuculescu_r(m, level), level_recursion(m, level),
                                           level)
+
+    def test_growth_let_go_in_a_cut_round_is_grown_again_from_the_root(self, monkeypatch):
+        # the first batch of cuts at n = 1 fails: growth ends with the nodes of
+        # depth 1 stored and uncut, no bands are kept, and every later query
+        # misses at such a node and grows its path alone from the root
+        y = random_martingale(triple_family(3), stream(57, 3, 1), sup_norm=2.5)
+        cut, failed = cuculescu._cut, []
+
+        def failing(items):
+            if items[0][1] == 1 and not failed:
+                failed.append(len(items))
+                raise NumericalInstabilityError("injected")
+            return cut(items)
+
+        monkeypatch.setattr(cuculescu, "_cut", failing)
+        grow_grids([y], [1.5])
+        assert failed
+        uncut = [path for path, node in y.cuculescu_cache.items()
+                 if node.thresholds is None and len(path) <= y.N]
+        assert len(uncut) >= 2 and not y.corrected_bands
+        lo, top = _k_range(y, 1.5)
+        for k in range(top, lo - 1, -1):
+            _assert_same_sequence(cuculescu_r(y, 1.5**k), level_recursion(y, 1.5**k), 1.5**k)
+        _assert_same_bands(weak_max(y, 1.5).corrected.bands,
+                           weak_max(_fresh_copy(y), 1.5).corrected.bands)
 
 
 # the bases of the moment suite's p grid, of p = 1e4 and 2
@@ -901,11 +924,10 @@ class TestLockstepBands:
         # the seed-0 moment trials 3, 9 and 15 (one family), both signs, at
         # the suite's bases; _meet_blocks fails on a pair of blocks that only
         # the walk of trial 15's y at p = 4 meets, with a message that tells
-        # the size of the stack it was given.  The batch that holds them is
-        # made again a meet at a time, the other walks complete, and only
-        # that pair's weak_max raises, with the error of its walk alone;
-        # every other pair gets the bands of its walk alone, and the other
-        # trials their rows
+        # the size of the stack it was given.  The lockstep walk fails and is
+        # let go, no bands are kept, and only that pair's weak_max raises,
+        # with the error of its walk alone; every other pair gets the bands of
+        # its walk alone, and the other trials their rows
         import ncgl.cli as cli
         import ncgl.opalgebra as opalgebra
 
@@ -942,31 +964,14 @@ class TestLockstepBands:
                 break
         else:
             pytest.fail("every meet of the pair's walk is met by another walk")
-        calls, failures, meet = [], [], cuculescu._meet
-
-        def counted(items):
-            calls.append(len(items))
-            try:
-                return meet(items)
-            except np.linalg.LinAlgError as err:
-                calls[-1] = -len(items)
-                failures.append(str(err))
-                raise
-
-        monkeypatch.setattr(cuculescu, "_meet", counted)
         grow_grids(trees, bases)
-        monkeypatch.undo()
-        # one batch of k > 1 failed, then its k meets alone, one of them failing
-        first, last = [i for i, c in enumerate(calls) if c < 0]
-        k = -calls[first]
-        assert k > 1 and first < last <= first + k
-        assert [abs(c) for c in calls[first + 1:first + 1 + k]] == [1] * k
+        assert not any(m.corrected_bands for m in trees)
         with pytest.raises(np.linalg.LinAlgError) as raised:
             weak_max(*target)
-        assert str(raised.value) == errors[target] == failures[1] != failures[0]
+        assert str(raised.value) == errors[target]
         for m, B in itertools.product(trees, bases):
             if (m, B) != target:
-                _assert_same_bands(m.corrected_bands[B],
+                _assert_same_bands(corrected_p(m, B, final_only=True).bands,
                                    corrected_p(_fresh_copy(m), B, final_only=True).bands)
         for trial, y in zip(trials, trees[::2]):
             if y is target[0]:
@@ -976,12 +981,11 @@ class TestLockstepBands:
                 assert cli._moment_rows(cfg, trial, y) == \
                     cli._moment_rows(cfg, trial, _fresh_copy(y))
 
-    def test_kept_errors_hold_no_frames(self, monkeypatch):
-        # y_0 = diag(2, 0.5) and diag(3, 0.25) on one filtration, grown and
-        # walked to the B = 2 grid with every step that keeps one eigenvalue
-        # drifting: the errors kept on the failed nodes and for both pairs
-        # hold no traceback and no context, also after queries raised them,
-        # so reference counts alone free the martingales
+    def test_let_go_growth_holds_no_frames(self, monkeypatch):
+        # y_0 = diag(2, 0.5) and diag(3, 0.25) on one filtration, grown to the
+        # B = 2 grid with every step that keeps one eigenvalue drifting: the
+        # growth is let go and keeps nothing, queries raise their own errors,
+        # and reference counts alone free the martingales
         a = _one_step([2.0, 0.5])
         b0 = a.algebra.operator([np.diag([3.0, 0.25])])
         b = Martingale(a.filtration, (b0,), (b0,))
@@ -993,18 +997,13 @@ class TestLockstepBands:
         gc.disable()
         try:
             grow_grids([a, b], [2.0])
-            kept = [m.corrected_bands[2.0] for m in (a, b)]
-            kept += [node.error for m in (a, b) for node in m.cuculescu_cache.values()
-                     if node.error is not None]
-            assert len(kept) > 2
-            # a query that reaches a kept error raises a copy of it
+            assert not a.corrected_bands and not b.corrected_bands
+            assert [list(m.cuculescu_cache) for m in (a, b)] == [[()], [()]]
             with pytest.raises(NumericalInstabilityError):
                 weak_max(a, 2.0)
             with pytest.raises(NumericalInstabilityError):
                 cuculescu_r(a, 1.0)
-            assert all(isinstance(err, NumericalInstabilityError) for err in kept)
-            assert all(err.__traceback__ is None and err.__context__ is None for err in kept)
-            del a, b, kept
+            del a, b
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
@@ -1074,6 +1073,19 @@ class TestCorrectedProjections:
         y = random_martingale(filt, stream(51))
         with pytest.raises(DomainError):
             corrected_p(y, 1.0)
+        with pytest.raises(DomainError, match="base B must exceed 1"):
+            grow_grids([y], [2.0, 1.0])
+        assert not y.cuculescu_cache
+
+    def test_a_martingale_that_is_not_self_adjoint_is_refused(self):
+        y = _one_step([2.0, 0.5])
+        x0 = y.algebra.operator([np.array([[0.0, 1.0], [0.0, 0.0]])])
+        x = Martingale(y.filtration, (x0,), (x0,))
+        for query in (lambda: cuculescu_r(x, 1.0), lambda: corrected_p(x, 2.0),
+                      lambda: grow_grids([y, x], [2.0])):
+            with pytest.raises(DomainError, match="self-adjoint"):
+                query()
+        assert not y.cuculescu_cache and not x.cuculescu_cache
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))
@@ -1192,6 +1204,15 @@ class TestWeakMax:
             y = random_martingale(filt, stream(55, seed), sup_norm=2.0)
             wm = weak_max(y, 2.0)
             assert fubini_identity_gap(wm, p) < 1e-6
+
+    def test_fubini_gap_of_the_zero_martingale(self):
+        # a_N^+ = 0 and every P_N^{B^k} = I: both sides are 0
+        filt = make_filtration("corner", dim=3)
+        wm = weak_max(martingale_from_final(filt, filt.algebra.zero()), 2.0)
+        assert wm.operator.entry_max() == 0.0
+        assert fubini_identity_gap(wm, 3.0) == 0.0
+        with pytest.raises(DomainError, match="p > 2"):
+            fubini_identity_gap(wm, 2.0)
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))

@@ -1,8 +1,9 @@
 """Module boundaries of the package: no module imports another's private names,
 apart from any listed, Hermitian eigensolves run only in the listed kernels, no
-opalgebra function steps through a stack in slices, only the listed modules
-draw random instances, and every public name is used in the package or a
-demo, or listed."""
+opalgebra function steps through a stack in slices, failed batch work is let
+go in one place and no exception is kept, only the listed modules draw random
+instances, and every public name is used in the package or a demo, or
+listed."""
 
 import ast
 import pathlib
@@ -38,21 +39,27 @@ def test_allowed_list_is_current():
 EIGENSOLVE_SITES = {("opalgebra", "_eigh"), ("opalgebra", "_eigvalsh")}
 
 
-def _reference_sites(names):
-    """(module, innermost enclosing function) of every reference to one of
-    `names`, as a name read, an attribute (np.linalg.eigh) or an import."""
+def _sites(test):
+    """(module, innermost enclosing function) of every node that passes `test`."""
     def visit(node, module, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names \
-                or isinstance(node, ast.Attribute) and node.attr in names \
-                or isinstance(node, ast.alias) and node.name.split(".")[-1] in names:
+        if test(node):
             yield module, where
         for child in ast.iter_child_nodes(node):
             yield from visit(child, module, where)
 
     for path in sorted(SRC.glob("*.py")):
         yield from visit(ast.parse(path.read_text(), str(path)), path.stem, None)
+
+
+def _reference_sites(names):
+    """(module, innermost enclosing function) of every reference to one of
+    `names`, as a name read, an attribute (np.linalg.eigh) or an import."""
+    return _sites(lambda node: (
+        isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name.split(".")[-1] in names))
 
 
 def test_hermitian_solves_go_through_the_kernels():
@@ -75,6 +82,28 @@ def test_no_kernel_slices_a_stack():
     # and reductions treat each block on its own, so slicing them changes no
     # bit and only adds a loop
     assert list(_stepped_ranges(SRC / "opalgebra.py")) == []
+
+
+def _catches_failures(node):
+    """An except clause that names `_FAILURES`."""
+    return isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+        isinstance(n, ast.Name) and n.id == "_FAILURES" for n in ast.walk(node.type))
+
+
+def _keeps_an_exception(node):
+    """isinstance(..., Exception) or a with_traceback call: an exception held
+    as a value, to be raised later."""
+    return isinstance(node, ast.Attribute) and node.attr == "with_traceback" \
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+        and any(getattr(n, "id", None) in ("Exception", "BaseException")
+                for n in ast.walk(node.args[-1]))
+
+
+def test_only_grow_grids_lets_failed_work_go():
+    # work made in a batch ahead of its queries that raises is let go whole,
+    # and each query that needs it makes it again alone and raises its error
+    assert set(_sites(_catches_failures)) == {("cuculescu", "grow_grids")}
+    assert list(_sites(_keeps_an_exception)) == []
 
 
 # every verifier computes what it checks, so it draws no random numbers
