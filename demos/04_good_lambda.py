@@ -9,6 +9,8 @@ estimate with constant C_{p,B}, simplifying to 12p/sqrt(1-(1+1/p)^{2-p}) at
 B = 1 + 1/p.
 """
 
+import numpy as np
+
 from ncgl import (
     Triple,
     check_strong_testing,
@@ -25,10 +27,17 @@ filt = triple_family(3)
 x, y, z = strong_triple_parts(filt, stream(7))
 t = Triple(x, y, z)
 
-(ok,), (mx,), (mz,) = check_strong_testing(t)  # one entry per summand
-print(f"strong testing conditions: {ok} (PSD margins {mx:.1e}, {mz:.1e})")
-ok, s1, s2 = check_testing(t)
-print(f"trace testing conditions: {ok} (slack {s1:.3e}, least eigenvalue {s2:.3e})")
+# three trials as one direct sum, x_N halved in the second and z_N in the
+# third: each check gives one entry per trial, and each label says what that
+# trial's bounds rest on
+xs, ys, zs = strong_triple_parts(filt, stream(7), stream(7, 1), stream(7, 2))
+family = Triple(xs.summand_scaled([1.0, 0.5, 1.0]), ys, zs.summand_scaled([1.0, 1.0, 0.5]))
+np.set_printoptions(precision=3)
+ok, mx, mz = check_strong_testing(family)
+print(f"strong testing conditions: {ok} (PSD margins {mx}, {mz})")
+ok, s1, s2 = check_testing(family)
+print(f"trace testing conditions: {ok} (slack {s1}, least eigenvalue {s2})")
+print(f"labels: {family.hypothesis}")
 
 (rep,) = verify_core(t)
 print(f"core bound: {rep.lhs:.4f} <= {rep.rhs:.4f} "

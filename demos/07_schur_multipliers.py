@@ -45,7 +45,6 @@ prev = None
 print(" p    attained lower bound    theorem upper bound")
 for p in (4.0, 8.0, 16.0):
     val, arg = schur_norm_lower(pat, p, budget=12, restarts=2, seed=0,
-                                starts=[prev] if prev is not None else None,
-                                return_argmax=True)
+                                starts=[prev] if prev is not None else None)
     print(f"{p:4.0f}   {val:8.4f}                {reversed_l_bound(p):8.1f}")
     prev = arg

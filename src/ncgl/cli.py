@@ -335,8 +335,7 @@ def _suite_schur_norms(cfg, trial):
     for p in sorted(cfg.p_grid):
         starts = [prev] if prev is not None else None
         val, arg = schur_norm_lower(pat, p, budget=cfg.dims["budget"], restarts=2,
-                                    seed=cfg.seed, starts=starts,
-                                    return_argmax=True)
+                                    seed=cfg.seed, starts=starts)
         ub = reversed_l_bound(p)
         ok = val <= ub + 1e-9 and val >= prev_val - 1e-9
         rows.append(ReportRow(cfg.suite, f"triangular-{dim}:p={p}", cfg.seed,

@@ -21,7 +21,7 @@ layout and uses the plain normalised-trace and identity levels instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -130,7 +130,6 @@ class Filtration:
     signs: np.ndarray
     levels: tuple
     label: str = ""
-    base: "Filtration | None" = field(default=None, repr=False)  # of a direct sum
 
     def __post_init__(self):
         signs = np.asarray(self.signs, dtype=float).view()
@@ -155,7 +154,7 @@ class Filtration:
         levels = tuple(_StructuredLevel(lvl.groups * copies, lvl.factor_dims, lvl.ks)
                        for lvl in self.levels)
         return Filtration(alg, np.tile(self.signs, (copies, 1)), levels,
-                          f"{copies}x{self.label}", base=self)
+                          f"{copies}x{self.label}")
 
 
 def _checked_level(filtration: Filtration, n: int, x: Operator) -> int:
@@ -367,11 +366,6 @@ class Martingale:
             tuple(v * c for v in self.values),
             tuple(d * c for d in self.diffs),
         )
-
-    def summand(self, i: int) -> "Martingale":
-        return Martingale(self.filtration.base or self.filtration,
-                          tuple(v.summand(i) for v in self.values),
-                          tuple(d.summand(i) for d in self.diffs))
 
 
 def _check_martingale(filtration: Filtration, values) -> None:

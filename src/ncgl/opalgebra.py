@@ -288,13 +288,6 @@ class Operator:
         return Operator(self.algebra, tuple(s * np.asarray(c)[..., None]
                                             for s, c in zip(self.stacks, cols)))
 
-    def summand(self, i: int) -> "Operator":
-        """Summand i on the algebra of one summand."""
-        alg = self.algebra
-        size = alg.n_blocks // alg.summands
-        return TracialAlgebra(alg.dims[:size], alg.weights[:size]).operator(
-            self.stacks[0][i * size:(i + 1) * size]) if alg.summands > 1 else self
-
     def parts(self, alg: TracialAlgebra) -> list["Operator"]:
         """The operators on `alg` that this direct sum of copies of `alg` holds
         side by side, as views, each with its share of the spectrum and the

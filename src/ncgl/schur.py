@@ -218,9 +218,8 @@ def _hilbert_start(n: int) -> np.ndarray:
 
 
 def schur_norm_lower(m, p: float, budget: int = 40, restarts: int = 3,
-                     seed: int = 0, starts=None,
-                     return_argmax: bool = False):
-    """Certified lower bound on the S^p -> S^p norm of a multiplier.
+                     seed: int = 0, starts=None) -> tuple[float, np.ndarray]:
+    """Certified lower bound on the S^p -> S^p norm of a multiplier, and its argmax.
 
     Maximizes ||m*a||_p / ||a||_p by normalized gradient ascent along the
     forward-difference quotient (step h = 1e-6 ||a||_2), computed in closed
@@ -271,9 +270,7 @@ def schur_norm_lower(m, p: float, budget: int = 40, restarts: int = 3,
                     break
         if val > best_val:
             best_val, best_arg = val, a
-    if return_argmax:
-        return float(best_val), best_arg
-    return float(best_val)
+    return float(best_val), best_arg
 
 
 # ---------------------------------------------------------------------------

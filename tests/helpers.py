@@ -366,7 +366,7 @@ def verify_good_hom(t, B: float, k: int) -> VerifyReport:
         <= 4 B^{-2k} (B-1)^{-2} tau((I - P_N^{B^k})(x_N^2 + z_N^2)).
     """
     if t.algebra.summands > 1:
-        raise DomainError("this check takes one trial: see Triple.summand")
+        raise DomainError("verify_good_hom takes one trial: split a batch with Operator.parts")
     cp = corrected_p(t.y, B, final_only=True)
     N = t.y.N
     x_sq, z_sq, _ = t.squares

@@ -239,8 +239,7 @@ def test_criterion_10_schur():
     prev = None
     for p in (4.0, 8.0, 16.0):
         val, arg = schur_norm_lower(pat, p, budget=20, restarts=1, seed=SEED,
-                                    starts=[prev] if prev is not None else None,
-                                    return_argmax=True)
+                                    starts=[prev] if prev is not None else None)
         lbs.append(val)
         prev = arg
     monotone = lbs[0] <= lbs[1] + 1e-9 and lbs[1] <= lbs[2] + 1e-9

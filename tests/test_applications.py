@@ -548,11 +548,14 @@ class TestTangency:
         # check_tangent cuts a whole step as one batch: every summand of it is a cut
         cuts = recorded_cuts(monkeypatch, apps)
         for u, v, filt in _positive_tangent_pairs():
+            cuts.clear()
             check_tangent(u, v, filt)
-        assert cuts
-        for batch in cuts:
-            for i in range(batch.algebra.summands):
-                check_projection(batch.summand(i))
+            assert cuts
+            for batch in cuts:
+                parts = batch.parts(filt.algebra)
+                assert len(parts) == batch.algebra.summands
+                for part in parts:
+                    check_projection(part)
 
     def test_detects_non_tangent(self):
         ok, dev = check_tangent(*_non_tangent_case())

@@ -392,6 +392,17 @@ class TestMainEntry:
         # a tau row's margin is 2 sqrt(N) - (N + 1) < 0 by construction
         assert all(r.margin > 0 for r in rows if not r.instance.endswith(":tau"))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", (["--suite=bg", "--p=1e16"],
+                                       ["--suite=moment", "--p=600", "--B=4"]))
+    def test_constants_stay_finite_at_large_p(self, tmp_path, flags):
+        # 1 + 1/p rounds to 1 at p = 1e16, and B^{p-1} overflows at p = 600,
+        # B = 4; both constants are finite, and so is every row
+        path = tmp_path / "r.json"
+        assert main([*flags, "--trials=1", "--format=json", f"--out={path}"]) == 0
+        rows = rows_from_json(str(path))
+        assert rows and all(r.passed and math.isfinite(r.constant) for r in rows)
+
     @pytest.mark.parametrize("suite,flag", [("moment", "--B=1"),
                                             ("moment", "--p=1e308"),  # 1 + 1/p == 1
                                             ("goodlambda-tail", "--beta=1")])

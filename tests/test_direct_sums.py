@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ncgl.cuculescu import _check_level, cuculescu_r
-from ncgl.errors import DomainError, NumericalInstabilityError, StructureError
+from ncgl.errors import NumericalInstabilityError, StructureError
 from ncgl.filtration import cond_exp, make_filtration, martingale_from_final
 from ncgl.goodlambda import (
     Triple,
@@ -86,11 +86,10 @@ class TestDirectSumAlgebra:
         whole = direct_sum(parts)
         assert whole.algebra.summands == 3
         other = direct_sum([gaussian_hermitian(base, rng) for _ in parts])
-        for i, p in enumerate(parts):
-            assert _same(whole.summand(i), p)
+        for i, (p, w, o) in enumerate(zip(parts, whole.parts(base), other.parts(base))):
+            assert _same(w, p)
             assert trace(whole, per_summand=True)[i] == trace(p)
-            assert trace_pair(whole, other, per_summand=True)[i] == \
-                trace_pair(p, other.summand(i))
+            assert trace_pair(whole, other, per_summand=True)[i] == trace_pair(p, o)
             assert operator_norm(whole, per_summand=True)[i] == operator_norm(p)
             assert min_eigenvalue(whole, per_summand=True)[i] == min_eigenvalue(p)
             assert whole.entry_max(per_summand=True)[i] == p.entry_max()
@@ -101,14 +100,15 @@ class TestDirectSumFiltration:
     def test_levels_act_per_summand_and_match_the_oracle(self, family):
         base = triple_family(family)
         big = base.direct_sum(3)
-        assert big.base is base and base.direct_sum(1) is base
+        assert big.algebra.dims == base.algebra.direct_sum(3).dims
+        assert base.direct_sum(1) is base
         rng = stream(91, family)
         parts = [gaussian_hermitian(base.algebra, rng) for _ in range(3)]
         x = direct_sum(parts)
         for n in range(big.n_levels):
             got = cond_exp(big, n, x)
-            for i, p in enumerate(parts):
-                assert _same(got.summand(i), cond_exp(base, n, p))
+            for p, g in zip(parts, got.parts(base.algebra)):
+                assert _same(g, cond_exp(base, n, p))
             assert (got - ce_oracle(big, n, x)).entry_max() < 1e-9
 
     def test_mixed_dimension_levels_do_not_sum(self):
@@ -126,18 +126,19 @@ class TestDirectSumFiltration:
         seq = cuculescu_r(y, level)
         core = verify_core(batch)
         tail = verify_tail(batch, 2.0)
-        for t in range(4):
+        split = lambda op: op.parts(filt.algebra)
+        values = list(zip(*map(split, y.values)))
+        for t, (xt, zt) in enumerate(zip(split(x), split(z))):
             alone = Triple(*strong_triple_parts(filt, stream(92, family, t)))
-            one = batch.summand(t)
-            assert _same(one.x, alone.x) and _same(one.z, alone.z)
-            assert all(_same(a, b) for a, b in zip(one.y.values, alone.y.values))
+            assert _same(xt, alone.x) and _same(zt, alone.z)
+            assert all(_same(a, b) for a, b in zip(values[t], alone.y.values))
             ok, ax, az = check_strong_testing(alone)
             assert (passed[t], mx[t], mz[t]) == (ok[0], ax[0], az[0])
             assert core[t] == verify_core(alone)[0]
             assert tail[t] == verify_tail(alone, 2.0)[0]
             fresh = cuculescu_r(alone.y, level)
             for r, s in zip(seq.projections, fresh.projections):
-                assert _same(r.summand(t), s)
+                assert _same(split(r)[t], s)
 
 
 @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
@@ -182,8 +183,30 @@ def test_labels_fall_back_to_each_trial_alone():
     assert _batch(good, bad).hypothesis == labels
     assert [r.meta["hypothesis"] for r in verify_core(_batch(bad, good))] == \
         ["unverified", "strong-pass"]
-    with pytest.raises(DomainError):
-        check_testing(_batch(good, bad))
+    whole = check_testing(_batch(good, bad))
+    for i, trial in enumerate((good, bad)):
+        assert [a[i] for a in whole] == [a[0] for a in check_testing(trial)]
+
+
+@pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+def test_testing_conditions_of_a_batch_are_each_trials_own(family):
+    # a strong batch with x rescaled in some summands, out of the certificate:
+    # one check_testing on the whole batch gives each trial's own flag and
+    # slacks, bit for bit, and the labels are each trial's own
+    filt = triple_family(family)
+    factors = (1.0, 0.9, 0.7, 0.5, 0.1, 0.0)
+    x, y, z = strong_triple_parts(filt, *(stream(93, family, t) for t in range(6)))
+    batch = Triple(x.summand_scaled(factors), y, z)
+    whole = check_testing(batch)
+    labels = ()
+    for t, f in enumerate(factors):
+        xt, yt, zt = strong_triple_parts(filt, stream(93, family, t))
+        alone = Triple(xt * f, yt, zt)
+        assert [a[t:t + 1].tobytes() for a in whole] == \
+            [a.tobytes() for a in check_testing(alone)]
+        labels += alone.hypothesis
+    assert batch.hypothesis == labels
+    assert "strong-pass" in labels and len(set(labels)) > 1
 
 
 def _two_step(scale: float, top: float):
@@ -214,7 +237,7 @@ class TestPerSummandTolerances:
         for i, trial in enumerate((small, large)):
             alone = cuculescu_r(trial.y, self.LEVEL)
             for r, s in zip(seq.projections, alone.projections):
-                assert _same(r.summand(i), s)
+                assert _same(r.parts(trial.algebra)[i], s)
             assert verify_core(batch, self.LEVEL)[i] == verify_core(trial, self.LEVEL)[0]
         # the small trial keeps its top eigenvector, the large one only the other
         assert seq.final().summand_ranks == (2, 1)

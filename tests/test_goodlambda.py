@@ -1,3 +1,6 @@
+import decimal
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from ncgl.goodlambda import (
     check_testing,
     hypothesis_status,
     moment_constant,
+    simplified_moment_constant,
     verify_core,
     verify_moment,
     verify_tail,
@@ -50,14 +54,14 @@ class TestTestingConditions:
     def test_bg_triple_passes(self):
         filt = triple_family(0)
         t = bg_triple(filt, stream(60))
-        ok, s1, s2 = check_testing(t)
+        (ok,), (s1,), (s2,) = check_testing(t)  # one entry per summand
         assert ok and s1 >= -1e-8 and s2 >= -1e-8
 
     def test_zero_martingale_passes(self):
         filt = triple_family(1)
         zero = martingale_from_final(filt, filt.algebra.zero())
         t = Triple(filt.algebra.zero(), zero, filt.algebra.zero())
-        ok, s1, s2 = check_testing(t)
+        (ok,), (s1,), (s2,) = check_testing(t)
         assert ok and s1 == pytest.approx(0.0) and s2 == pytest.approx(0.0)
 
     def test_transform_triple_passes(self):
@@ -71,7 +75,7 @@ class TestTestingConditions:
         y = martingale_from_diffs(filt, [d * float(c) for d, c in zip(x.diffs, v)],
                                   validate=False)
         z = diagonal_p_function(x, 4.0)
-        ok, s1, s2 = check_testing(Triple(x.final, y, z))
+        (ok,), _, _ = check_testing(Triple(x.final, y, z))
         assert ok
 
     def test_strong_conditions_on_construction(self):
@@ -140,7 +144,7 @@ class TestTestingConditions:
         x, y, z = strong_triple_parts(triple_family(i), stream(900, i))
         t = Triple(x, y, z * mu)
         assert sampled_condition_ii(t, seed=i, n_random=50) == (True, 0.0)
-        ok, _, slack_ii = check_testing(t)
+        (ok,), _, (slack_ii,) = check_testing(t)
         assert not ok and slack_ii < -1e-3
         assert hypothesis_status(t) == ("unverified",)
         _, z_sq, dy_sq = t.squares
@@ -290,6 +294,30 @@ class TestMomentConstant:
                   for p in (2.1, 3.0, 4.0, 8.0, 16.0, 64.0)]
         assert max(ratios) < 130.0  # bounded multiple of p
         assert ratios[-1] < ratios[0]
+
+    @staticmethod
+    def _reference(p, B=None):
+        """C_{p,B}, or with no B the simplified constant, to 40 digits."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            p, one = Decimal(p), Decimal(1)
+            if B is None:
+                return float(12 * p / (1 - (1 + one / p) ** (2 - p)).sqrt())
+            B = Decimal(B)
+            first = (2 * p * B ** (p - 1) * (B - 1) / (1 - B ** -p)) ** (one / p)
+            return float(first * 2 * B ** (p / 2) / ((B - 1) * (1 - B ** (2 - p)).sqrt()))
+
+    @pytest.mark.parametrize("p, B", [(3.0, 4.0 / 3.0), (4.0, 1.25), (1e4, 1.0001),
+                                      (600.0, 4.0), (1100.0, 2.0)])
+    def test_closed_form_at_large_p(self, p, B):
+        # B^{p-1} overflows at p = 600, B = 4 and at p = 1100, B = 2, where
+        # C_{p,B} is finite
+        assert moment_constant(p, B)[0] == pytest.approx(self._reference(p, B), rel=1e-14)
+
+    @pytest.mark.parametrize("p", [3.0, 1e4, 1e16])
+    def test_simplified_constant_at_large_p(self, p):
+        # 1 + 1/p rounds to 1 at p = 1e16
+        assert simplified_moment_constant(p) == pytest.approx(self._reference(p), rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -368,9 +368,10 @@ class TestProjMeet:
         assert got.allclose(want, 1e-12)
         assert got.summand_ranks == want.summand_ranks
         # the summands decided from the ranks are the operands' own entries
-        assert np.array_equal(got.summand(0).stacks[0], fs[0].stacks[0])
-        assert np.array_equal(got.summand(1).stacks[0], es[1].stacks[0])
-        assert got.summand(2).entry_max() == got.summand(3).entry_max() == 0.0
+        parts = got.parts(alg)
+        assert np.array_equal(parts[0].stacks[0], fs[0].stacks[0])
+        assert np.array_equal(parts[1].stacks[0], es[1].stacks[0])
+        assert parts[2].entry_max() == parts[3].entry_max() == 0.0
 
 
 class TestTraceProperties:

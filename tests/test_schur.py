@@ -180,11 +180,11 @@ class TestMatrixPNorm:
 class TestNormLowerBounds:
     def test_all_ones_is_exactly_one(self):
         assert schur_norm_lower(np.ones((5, 5)), 3.0, budget=4,
-                                restarts=1) == pytest.approx(1.0)
+                                restarts=1)[0] == pytest.approx(1.0)
 
     def test_zero_pattern_is_zero(self):
         # m*a = 0 has no positive singular value for the closed-form quotient
-        assert schur_norm_lower(np.zeros((4, 4)), 3.0, budget=4, restarts=1) == 0.0
+        assert schur_norm_lower(np.zeros((4, 4)), 3.0, budget=4, restarts=1)[0] == 0.0
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_diagonal_pattern_at_most_one(self, p):
@@ -192,7 +192,7 @@ class TestNormLowerBounds:
         # (p < 4) of the closed-form quotient is infinite
         rng = stream(128)
         diag = np.diag((rng.random(6) < 0.5).astype(float))
-        lb = schur_norm_lower(diag, p, budget=8, restarts=2)
+        lb = schur_norm_lower(diag, p, budget=8, restarts=2)[0]
         assert math.isfinite(lb) and lb <= 1.0 + 1e-9
 
     def test_triangular_growth_in_p(self):
@@ -201,8 +201,7 @@ class TestNormLowerBounds:
         prev_val = 0.0
         for p in (4.0, 8.0, 16.0):
             val, arg = schur_norm_lower(pat, p, budget=12, restarts=2,
-                                        starts=[prev] if prev is not None else None,
-                                        return_argmax=True)
+                                        starts=[prev] if prev is not None else None)
             assert val >= prev_val - 1e-9
             assert val <= reversed_l_bound(p)
             prev, prev_val = arg, val
@@ -211,8 +210,8 @@ class TestNormLowerBounds:
     def test_localization_monotone_in_dimension(self):
         pat_small = triangular_pattern(6)
         pat_big = triangular_pattern(12)
-        lb_small = schur_norm_lower(pat_small, 4.0, budget=12, restarts=2)
-        lb_big = schur_norm_lower(pat_big, 4.0, budget=12, restarts=2)
+        lb_small = schur_norm_lower(pat_small, 4.0, budget=12, restarts=2)[0]
+        lb_big = schur_norm_lower(pat_big, 4.0, budget=12, restarts=2)[0]
         assert lb_big >= lb_small - 5e-3  # optimization noise allowance
 
     def test_duality_consistency(self):
@@ -224,8 +223,8 @@ class TestNormLowerBounds:
         for p in (3.0, 4.0):
             q = p / (p - 1.0)
             ub = reversed_l_bound(p)
-            assert schur_norm_lower(pat, p, budget=8, restarts=2) <= ub
-            assert schur_norm_lower(pat, q, budget=8, restarts=2) <= ub
+            assert schur_norm_lower(pat, p, budget=8, restarts=2)[0] <= ub
+            assert schur_norm_lower(pat, q, budget=8, restarts=2)[0] <= ub
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):
@@ -263,7 +262,7 @@ class TestDeferredQuotient:
 
     @staticmethod
     def _assert_same(m, p, **kw):
-        val, arg = schur_norm_lower(m, p, return_argmax=True, **kw)
+        val, arg = schur_norm_lower(m, p, **kw)
         ref_val, ref_arg = eager_schur_norm_lower(m, p, **kw)
         assert val == ref_val
         assert arg.tobytes() == ref_arg.tobytes()

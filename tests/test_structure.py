@@ -1,9 +1,9 @@
 """Module boundaries of the package: no module imports another's private names,
 apart from any listed, Hermitian eigensolves run only in the listed kernels, no
-opalgebra function steps through a stack in slices, failed batch work is let
-go in one place and no exception is kept, only the listed modules draw random
-instances, and every public name is used in the package or a demo, or
-listed."""
+opalgebra function steps through a stack in slices, a direct sum is split one
+way, failed batch work is let go in one place and no exception is kept, only
+the listed modules draw random instances, and every public name is used in
+the package or a demo, or listed."""
 
 import ast
 import pathlib
@@ -82,6 +82,17 @@ def test_no_kernel_slices_a_stack():
     # and reductions treat each block on its own, so slicing them changes no
     # bit and only adds a loop
     assert list(_stepped_ranges(SRC / "opalgebra.py")) == []
+
+
+def _defines_summand(node):
+    """A class with a `summand` method."""
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(n, ast.FunctionDef) and n.name == "summand" for n in node.body)
+
+
+def test_a_direct_sum_is_split_one_way():
+    # Operator.parts is the one splitter: no class grows a second `summand`
+    assert list(_sites(_defines_summand)) == []
 
 
 def _catches_failures(node):
