@@ -41,4 +41,4 @@ print("corrected grid spans k in", (cp.k_min, cp.k_top))
 wm = weak_max(y, B=2.0)
 print("a_N^+ spectrum is nonnegative:", min_eigenvalue(wm.operator) > -1e-12)
 print("summation identity (geometric tail included) gap at p=4:",
-      f"{fubini_identity_gap(wm, 4.0):.2e}")
+      f"{fubini_identity_gap([wm], 4.0)[0]:.2e}")

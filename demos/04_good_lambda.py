@@ -53,7 +53,7 @@ s = square_function(y)
 bg = Triple(s, y, s)
 for p in (3.0, 4.0):
     c_pb, simplified = moment_constant(p, 1.0 + 1.0 / p)
-    reps = verify_moment(bg, p)
+    (reps,) = verify_moment(bg, [y], p)  # a lone trial: a batch of one
     print(f"p={p}: ||a+||={reps.max_plus.lhs:.3f}, ||a-||={reps.max_minus.lhs:.3f}, "
           f"||y||={reps.moment.lhs:.3f} <= C_pB*(...) = {reps.moment.rhs:.3f} "
           f"(C_pB={c_pb:.1f}, simplified={simplified:.1f})")

@@ -528,9 +528,10 @@ def _band_sum(B: float, q: float, top: int, n: int) -> float:
     return B ** (top * q) * math.expm1(-n * q * ln_b) / math.expm1(-q * ln_b)
 
 
-def fubini_identity_gap(wm: WeakMax, p: float) -> float:
+def fubini_identity_gap(wms: list[WeakMax], p: float) -> np.ndarray:
     """Relative gap ||lhs - rhs|| / (1 + ||rhs||) in the summation identity
-    linking P_N^{B^k} and a_N^+.
+    linking P_N^{B^k} and a_N^+, for each of the weak maximal operators `wms`
+    of one base and one algebra, as an array.
 
     lhs: sum over the truncated k-range of B^{k(p-2)} (I - P_N^{B^k}) plus the
     analytic geometric tail below the truncation point; rhs is
@@ -538,23 +539,36 @@ def fubini_identity_gap(wm: WeakMax, p: float) -> float:
     B^h = ||a_N^+||, as l and r, and the gap is c ||l - r|| / (1 + c ||r||): at
     large p no power overflows and no top term underflows.  Each band's levels
     share one projection, and their geometric sum is one closed-form term.
+    Each l is formed on its own; the powers r are one psd_power of the direct
+    sum of the a_N^+ / B^h, and the norms per-summand operator norms, so each
+    gap is that of its operator alone, bit for bit.
     """
     if p <= 2:
         raise DomainError("the identity needs p > 2")
-    cp = wm.corrected
-    B, N, q = cp.base, cp.martingale.N, p - 2.0
-    alg = cp.martingale.algebra
-    ident = alg.identity()
-    # P_N^{B^k} falls with k, so the bands where it is not I are the lowest
-    bands = [(hi, lo, col) for hi, lo, col in cp.bands if col[N].rank() < alg.total_dim]
-    if not bands:  # a_N^+ = 0 and P_N^{B^k} = I: both sides are 0
-        return 0.0
-    h = bands[0][0]
-    lhs = sum(((ident - col[N]) * _band_sum(B, q, high - h, high - low + 1)
-               for high, low, col in reversed(bands)), alg.zero())
-    tail_coeff = B ** ((cp.k_min - h) * q) / (1.0 - B ** (-q))
-    lhs = lhs + (ident - wm.residual) * tail_coeff
-    rhs = psd_power(wm.operator / B ** h, q) * (1.0 / (1.0 - B ** (2.0 - p)))
-    # c = up / down, with the factor that would overflow kept at 1
-    up, down = B ** (min(h, 0) * q), B ** (-max(h, 0) * q)
-    return up * operator_norm((lhs - rhs).symmetrized()) / (down + up * operator_norm(rhs))
+    bases = {wm.corrected.base for wm in wms}
+    if len(bases) != 1:
+        raise DomainError("the gaps of one batch need one base")
+    (B,) = bases
+    q = p - 2.0
+    lhs, hs = [], []
+    for wm in wms:
+        cp = wm.corrected
+        N, alg = cp.martingale.N, cp.martingale.algebra
+        ident = alg.identity()
+        # P_N^{B^k} falls with k, so the bands where it is not I are the lowest;
+        # with none, a_N^+ = 0 and P_N^{B^k} = I, and both sides are 0
+        bands = [(hi, lo, col) for hi, lo, col in cp.bands if col[N].rank() < alg.total_dim]
+        h = bands[0][0] if bands else 0
+        tail = (ident - wm.residual) * (B ** ((cp.k_min - h) * q) / (1.0 - B ** (-q)))
+        lhs.append(sum(((ident - col[N]) * _band_sum(B, q, high - h, high - low + 1)
+                        for high, low, col in reversed(bands)), alg.zero()) + tail)
+        hs.append(h)
+    rhs = psd_power(direct_sum([wm.operator / B ** h for wm, h in zip(wms, hs)]), q) \
+        * (1.0 / (1.0 - B ** (2.0 - p)))
+    dists = operator_norm((direct_sum(lhs) - rhs).symmetrized(), per_summand=True)
+    gaps = []
+    for h, dist, size in zip(hs, dists, operator_norm(rhs, per_summand=True)):
+        # c = up / down, with the factor that would overflow kept at 1
+        up, down = B ** (min(h, 0) * q), B ** (-max(h, 0) * q)
+        gaps.append(up * dist / (down + up * size))
+    return np.array(gaps)

@@ -28,7 +28,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .opalgebra import Operator, TracialAlgebra, operator_norm, psd_power, psd_sqrt, trace
+from .opalgebra import (
+    Operator,
+    TracialAlgebra,
+    direct_sum,
+    operator_norm,
+    psd_power,
+    psd_sqrt,
+    trace,
+)
 
 __all__ = [
     "Filtration",
@@ -37,6 +45,7 @@ __all__ = [
     "cond_exp",
     "martingale_from_final",
     "martingale_from_diffs",
+    "martingale_direct_sum",
     "square_functions",
     "square_function",
     "conditioned_square_function",
@@ -390,6 +399,18 @@ def martingale_from_final(
     if validate:
         _check_martingale(filtration, values)
     return Martingale(filtration, values, diffs)
+
+
+def martingale_direct_sum(ms: Sequence[Martingale]) -> Martingale:
+    """Martingales of one filtration side by side on its direct sum, one
+    summand each: their values and differences joined as they are, nothing
+    recomputed."""
+    filt = ms[0].filtration
+    if any(m.filtration is not filt for m in ms):
+        raise StructureError("a direct sum of martingales needs one filtration")
+    join = lambda seqs: tuple(direct_sum(list(ops)) for ops in zip(*seqs))
+    return Martingale(filt.direct_sum(len(ms)), join(m.values for m in ms),
+                      join(m.diffs for m in ms))
 
 
 def martingale_from_diffs(

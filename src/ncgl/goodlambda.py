@@ -15,8 +15,8 @@ explicit moment estimates that combine into
 
     ||y_N||_p <= C_{p,B} (||x_N||_p^2 + ||z_N||_p^2)^{1/2}.
 
-On a direct sum of trials the testing conditions, the labels and the core and
-tail bounds run once and give one result per trial.
+On a direct sum of trials the testing conditions, the labels and the core,
+tail and moment bounds run once and give one result per trial.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .cuculescu import WeakMax, cuculescu_r, weak_max
 from .errors import DomainError
 from .filtration import Martingale, cond_exp
-from .opalgebra import Operator, min_eigenvalue, schatten_norm, trace, trace_pair
+from .opalgebra import Operator, direct_sum, min_eigenvalue, schatten_norm, trace, trace_pair
 from .reports import VerifyReport, report_tolerance
 
 __all__ = [
@@ -220,14 +220,21 @@ def simplified_moment_constant(p: float) -> float:
 
 
 def moment_constant(p: float, B: float) -> tuple[float, float]:
-    """(C_{p,B}, simplified 12p bound) for the final moment inequality."""
+    """(C_{p,B}, simplified 12p bound) for the final moment inequality; a
+    DomainError where C_{p,B} passes the float range."""
     if not (p > 2):
         raise DomainError("the moment bound needs p > 2")
     if not (B > 1):
         raise DomainError("the base B must exceed 1")
-    # (2p B^{p-1} (B-1) / (1 - B^{-p}))^{1/p}; B^{p-1} alone may overflow
-    first = B ** (1.0 - 1.0 / p) * (2.0 * p * (B - 1.0) / (1.0 - B ** (-p))) ** (1.0 / p)
-    c_pb = first * _weak_max_constant(p, B)
+    # (2p B^{p-1} (B-1) / (1 - B^{-p}))^{1/p}; B^{p-1} alone may overflow.  This
+    # first factor exceeds 1, so C_{p,B} overflows wherever _weak_max_constant does
+    try:
+        first = B ** (1.0 - 1.0 / p) * (2.0 * p * (B - 1.0) / (1.0 - B ** (-p))) ** (1.0 / p)
+        c_pb = first * _weak_max_constant(p, B)
+    except OverflowError:
+        c_pb = math.inf
+    if c_pb == math.inf:
+        raise DomainError(f"C_{{p,B}} passes the float range at p = {p!r}, B = {B!r}")
     return float(c_pb), float(simplified_moment_constant(p))
 
 
@@ -247,31 +254,43 @@ class MomentReports:
                 and self.moment.passed and self.moment_simplified.passed)
 
 
-def verify_moment(t: Triple, p: float, B: float | None = None) -> MomentReports:
-    """Verify the weak-maximal and final moment bounds at exponent p > 2.
+def verify_moment(t: Triple, ys: list[Martingale], p: float,
+                  B: float | None = None) -> tuple[MomentReports, ...]:
+    """Verify the weak-maximal and final moment bounds at exponent p > 2, one
+    MomentReports per summand of `t`.
 
-    B defaults to 1 + 1/p, the choice under which C_{p,B} collapses to the
-    simplified 12p bound.  The strong testing conditions are scale invariant,
-    so the mu = 1 hypothesis check covers every rescaled level.
+    `ys` are the trials whose direct sum is t.y, each with its own Cuculescu
+    tree: a_N^± is weak_max of each, as a tree of the sum would branch at the
+    union of every trial's thresholds.  A lone trial is a batch of one,
+    verify_moment(t, [t.y], p).  The labels are one hypothesis_status of the
+    whole triple, and each norm is one per-summand schatten_norm.  B defaults
+    to 1 + 1/p, the choice under which C_{p,B} collapses to the simplified
+    12p bound.  The strong testing conditions are scale invariant, so the
+    mu = 1 hypothesis check covers every rescaled level.
     """
     if not (p > 2):
         raise DomainError("the moment bound needs p > 2")
-    if t.algebra.summands > 1:
-        raise DomainError("verify_moment takes one trial")
+    finals = t.y.final.parts(ys[0].algebra) if ys else []
+    if len(ys) != t.algebra.summands or not all(
+            all(map(np.array_equal, a.stacks, y.final.stacks)) for a, y in zip(finals, ys)):
+        raise DomainError("ys must be the trials whose direct sum is t.y")
     if B is None:
         B = 1.0 + 1.0 / p
     c_pb, simplified = moment_constant(p, B)
     max_const = _weak_max_constant(p, B)
-    hyp_norm = math.sqrt(schatten_norm(t.x, p) ** 2 + schatten_norm(t.z, p) ** 2)
-
-    maxima = [weak_max(y, B) for y in (t.y, -t.y)]
-    meta = {"p": p, "B": B, "hypothesis": t.hypothesis[0]}
-    rep_plus, rep_minus = (
-        VerifyReport.compare(schatten_norm(wm.operator, p), max_const * hyp_norm,
-                             max_const, {**meta, "side": side})
-        for wm, side in zip(maxima, "+-"))
-    y_norm = schatten_norm(t.y.final, p)
-    rep_final, rep_simple = (
-        VerifyReport.compare(y_norm, c * hyp_norm, c, {**meta, "bound": bound})
-        for c, bound in ((c_pb, "C_pB"), (simplified, "12p")))
-    return MomentReports(rep_plus, rep_minus, rep_final, rep_simple, maxima[0])
+    norms = lambda a: schatten_norm(a, p, per_summand=True)
+    hyp_norms = [math.sqrt(a ** 2 + b ** 2) for a, b in zip(norms(t.x), norms(t.z))]
+    y_norms = norms(t.y.final)
+    maxima = [weak_max(y, B) for y in ys], [weak_max(-y, B) for y in ys]
+    max_norms = [norms(direct_sum([wm.operator for wm in side])) for side in maxima]
+    out = []
+    for i, label in enumerate(t.hypothesis):
+        meta = {"p": p, "B": B, "hypothesis": label}
+        rep_plus, rep_minus = (
+            VerifyReport.compare(a[i], max_const * hyp_norms[i], max_const, {**meta, "side": side})
+            for a, side in zip(max_norms, "+-"))
+        rep_final, rep_simple = (
+            VerifyReport.compare(y_norms[i], c * hyp_norms[i], c, {**meta, "bound": bound})
+            for c, bound in ((c_pb, "C_pB"), (simplified, "12p")))
+        out.append(MomentReports(rep_plus, rep_minus, rep_final, rep_simple, maxima[0][i]))
+    return tuple(out)

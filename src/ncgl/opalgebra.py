@@ -481,18 +481,26 @@ def operator_norm(x: Operator, per_summand: bool = False):
     return norms if per_summand else max(norms)
 
 
-def schatten_norm(x: Operator, p: float) -> float:
-    """Weighted Schatten norm (tau(|x|^p))^(1/p); p = inf is the operator norm.
-    The largest singular value is factored out, so no power overflows at
-    large p."""
+def schatten_norm(x: Operator, p: float, per_summand: bool = False):
+    """Weighted Schatten norm (tau(|x|^p))^(1/p), or of each summand; p = inf
+    is the operator norm.  The largest singular value (of each summand) is
+    factored out, so no power overflows at large p; a summand is reduced as
+    it is alone, so its norm is its trial's, bit for bit."""
     if p != math.inf and p < 1:
         raise DomainError("Schatten norms are only supported for p >= 1")
     sv = _singular_values(x)
-    top = max(float(s.max()) for s in sv)
-    if p == math.inf or top == 0.0:
-        return top
-    total = _total(x.algebra, [np.sum((s / top) ** p, axis=1) for s in sv])
-    return float(top * total ** (1.0 / p))
+    tops = _by_summand(x.algebra, sv, "max")
+    if not per_summand:
+        tops = [max(tops)]
+    norms = tops
+    if p != math.inf:
+        scales = [top or 1.0 for top in tops]  # a zero summand stays 0
+        cols = _block_columns(x.algebra, scales) if per_summand else (scales[0],) * len(sv)
+        totals = _total(x.algebra, [np.sum((s / c) ** p, axis=1) for s, c in zip(sv, cols)],
+                        per_summand)
+        norms = [float(top * total ** (1.0 / p))
+                 for top, total in zip(tops, np.atleast_1d(totals))]
+    return norms if per_summand else norms[0]
 
 
 def min_eigenvalue(a: Operator, per_summand: bool = False):

@@ -151,14 +151,17 @@ class TestRun:
 
 
 class TestFamilyBatches:
-    """The good-lambda suites verify each filtration family's trials as one
-    direct sum, the moment suite grows their Cuculescu trees together; every
-    trial must still get the rows it gets alone."""
+    """The good-lambda and moment suites verify each filtration family's trials
+    as one direct sum, the moment suite with their Cuculescu trees grown
+    together; every trial must still get the rows it gets alone."""
 
-    @pytest.mark.parametrize("suite, trials", [("goodlambda-core", 100),
-                                               ("goodlambda-tail", 100), ("moment", 42)])
-    def test_rows_match_each_trial_alone(self, suite, trials):
-        cfg = ExperimentConfig(suite=suite, trials=trials, seed=0)
+    @pytest.mark.parametrize("suite, trials, seed", [
+        pytest.param("goodlambda-core", 100, 0, id="goodlambda-core-100"),
+        pytest.param("goodlambda-tail", 100, 0, id="goodlambda-tail-100"),
+        pytest.param("moment", 42, 0, id="moment-42"),
+        pytest.param("moment", 42, 3, id="moment-42-seed3")])
+    def test_rows_match_each_trial_alone(self, suite, trials, seed):
+        cfg = ExperimentConfig(suite=suite, trials=trials, seed=seed)
         rows, _ = run(cfg)
         # outside run, a trial is a batch of one
         alone = [r for trial in range(trials) for r in SUITES[suite](cfg, trial)]
@@ -402,6 +405,12 @@ class TestMainEntry:
         assert main([*flags, "--trials=1", "--format=json", f"--out={path}"]) == 0
         rows = rows_from_json(str(path))
         assert rows and all(r.passed and math.isfinite(r.constant) for r in rows)
+
+    def test_exit_two_where_the_moment_constant_overflows(self, capsys):
+        # C_{p,B} is about 2^1050 at p = 2100, B = 2: past the float range
+        assert main(["--suite", "moment", "--trials", "1", "--p", "2100", "--B", "2"]) == 2
+        assert capsys.readouterr().err == ("run error: DomainError: C_{p,B} passes the"
+                                           " float range at p = 2100.0, B = 2.0\n")
 
     @pytest.mark.parametrize("suite,flag", [("moment", "--B=1"),
                                             ("moment", "--p=1e308"),  # 1 + 1/p == 1

@@ -186,7 +186,7 @@ class TestCuculescuSequence:
         s = square_function(y)
         t = Triple(s, y, s)
         for p in (3.0, 4.0, 8.0):
-            verify_moment(t, p)
+            verify_moment(t, [y], p)
         diagonal = 0
         for m in (y, -y):
             for leaf in _leaves(m):
@@ -350,6 +350,12 @@ def test_band_ends_decide_what_every_level_decides(family, sign):
     assert inside > 0
 
 
+def _gap(wm, p):
+    """fubini_identity_gap of one weak maximal operator: a batch of one."""
+    (gap,) = fubini_identity_gap([wm], p)
+    return gap
+
+
 def _groupby_fubini_gap(wm, p):
     """fubini_identity_gap as it was computed before the bands: one
     multiply-add per run of levels sharing one projection object, over the
@@ -495,12 +501,15 @@ class TestCachedSequences:
         # 22 cut batches and 24 step batches; every step is computed once.
         # It then walks the 252 (y, B) pairs' bands a family at a time, one
         # batch of meets per round: its 1,233 meets, one proj_meet call each
-        # when made one at a time, in 40 batches.  1,044 Hermitian solves run,
-        # 1,575 with one meet at a time and 3,726 with one step at a time
+        # when made one at a time, in 40 batches.  Each family's rows are then
+        # verified as one direct sum, with one hypothesis check per family.
+        # 395 Hermitian solves run: 1,044 with the rows made one trial at a
+        # time, 1,575 with one meet at a time and 3,726 with one step at a time
         import ncgl.cli as cli
+        import ncgl.goodlambda as gl
 
         counts = {"_cut": [0, 0], "_step": [0, 0], "_meet": [0, 0], "proj_meet": [0, 0],
-                  "eigh": [0, 0], "eigvalsh": [0, 0]}
+                  "eigh": [0, 0], "eigvalsh": [0, 0], "hypothesis_status": [0, 0]}
         trees, grow = [], cli.grow_grids
 
         def counted(name, fn):
@@ -518,6 +527,8 @@ class TestCachedSequences:
             monkeypatch.setattr(cuculescu, name, counted(name, getattr(cuculescu, name)))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(gl, "hypothesis_status",
+                            counted("hypothesis_status", gl.hypothesis_status))
         monkeypatch.setattr(cli, "grow_grids", kept)
         rows, _ = cli.run(cli.ExperimentConfig(suite="moment", trials=42, seed=0,
                                                p_grid=(3.0, 4.0, 8.0)))
@@ -527,7 +538,8 @@ class TestCachedSequences:
         assert sum(len(y.cuculescu_cache) - 1 for y in trees) == 1115
         assert counts["_meet"][0] <= 40 and counts["_meet"][1] == 1233
         assert counts["proj_meet"][0] == counts["_meet"][0]
-        assert counts["eigh"][0] + counts["eigvalsh"][0] <= 1044
+        assert counts["hypothesis_status"][0] == 6
+        assert counts["eigh"][0] + counts["eigvalsh"][0] <= 395
 
     def test_work_counts_of_the_good_lambda_levels(self, monkeypatch):
         # perfbench's seed-0 goodlambda-levels pass (100 core trials, then 100
@@ -974,12 +986,12 @@ class TestLockstepBands:
                 _assert_same_bands(corrected_p(m, B, final_only=True).bands,
                                    corrected_p(_fresh_copy(m), B, final_only=True).bands)
         for trial, y in zip(trials, trees[::2]):
+            rows = lambda m: cli._suite_moment(cfg, [trial], y.filtration, [m])
             if y is target[0]:
                 with pytest.raises(np.linalg.LinAlgError):
-                    cli._moment_rows(cfg, trial, y)
+                    rows(y)
             else:
-                assert cli._moment_rows(cfg, trial, y) == \
-                    cli._moment_rows(cfg, trial, _fresh_copy(y))
+                assert rows(y) == rows(_fresh_copy(y))
 
     def test_let_go_growth_holds_no_frames(self, monkeypatch):
         # y_0 = diag(2, 0.5) and diag(3, 0.25) on one filtration, grown to the
@@ -1203,16 +1215,16 @@ class TestWeakMax:
             filt = make_filtration("rademacher_corner", depth=2, matrix_dim=2)
             y = random_martingale(filt, stream(55, seed), sup_norm=2.0)
             wm = weak_max(y, 2.0)
-            assert fubini_identity_gap(wm, p) < 1e-6
+            assert _gap(wm, p) < 1e-6
 
     def test_fubini_gap_of_the_zero_martingale(self):
         # a_N^+ = 0 and every P_N^{B^k} = I: both sides are 0
         filt = make_filtration("corner", dim=3)
         wm = weak_max(martingale_from_final(filt, filt.algebra.zero()), 2.0)
         assert wm.operator.entry_max() == 0.0
-        assert fubini_identity_gap(wm, 3.0) == 0.0
+        assert _gap(wm, 3.0) == 0.0
         with pytest.raises(DomainError, match="p > 2"):
-            fubini_identity_gap(wm, 2.0)
+            _gap(wm, 2.0)
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))
@@ -1228,7 +1240,7 @@ class TestWeakMax:
             assert wm.residual is cp.P(N, cp.k_min)
             for p in (3.0, 4.0, 8.0):
                 # a band's closed-form sum rounds unlike the per-level sum
-                assert abs(fubini_identity_gap(wm, p) - _groupby_fubini_gap(wm, p)) <= 1e-14
+                assert abs(_gap(wm, p) - _groupby_fubini_gap(wm, p)) <= 1e-14
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))
@@ -1255,11 +1267,11 @@ class TestWeakMax:
         y = _fresh_copy(_grid_case(family, sign)[0])
         for p in (3.0, 4.0, 8.0):
             wm = weak_max(y, 1.0 + 1.0 / p)
-            assert abs(fubini_identity_gap(wm, p) - _unscaled_fubini_gap(wm, p)) <= 1e-13
+            assert abs(_gap(wm, p) - _unscaled_fubini_gap(wm, p)) <= 1e-13
         wm = weak_max(y, 1.0 + 1e-4)
         with pytest.raises(OverflowError):
             _unscaled_fubini_gap(wm, 1e4)
-        assert 0.0 <= fubini_identity_gap(wm, 1e4) < 1e-6
+        assert 0.0 <= _gap(wm, 1e4) < 1e-6
 
     def test_large_p_makes_one_call_per_band(self, monkeypatch):
         # at p = 1e4 the grid has 180,854 levels, and this martingale's
@@ -1273,7 +1285,7 @@ class TestWeakMax:
         monkeypatch.setattr(cuculescu, "corrected_p", lambda *args, **kwargs: per_level)
         want = weak_max(y, B)
         assert _flat_bytes(wm.operator) == _flat_bytes(want.operator)
-        assert fubini_identity_gap(wm, p) == fubini_identity_gap(want, p)
+        assert _gap(wm, p) == _gap(want, p)
 
     @pytest.mark.parametrize("sign", ("+", "-"))
     @pytest.mark.parametrize("B", (1.5, 2.0, 4.0 / 3.0))

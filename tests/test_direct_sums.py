@@ -8,24 +8,34 @@ summand.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from ncgl.cuculescu import _check_level, cuculescu_r
-from ncgl.errors import NumericalInstabilityError, StructureError
-from ncgl.filtration import cond_exp, make_filtration, martingale_from_final
+from ncgl.cuculescu import _check_level, cuculescu_r, fubini_identity_gap, grow_grids
+from ncgl.errors import DomainError, NumericalInstabilityError, StructureError
+from ncgl.filtration import (
+    Martingale,
+    cond_exp,
+    make_filtration,
+    martingale_direct_sum,
+    martingale_from_final,
+    square_function,
+)
 from ncgl.goodlambda import (
     Triple,
     check_strong_testing,
     check_testing,
     hypothesis_status,
     verify_core,
+    verify_moment,
     verify_tail,
 )
 from ncgl.instances import (
     FAMILY_TEMPLATES,
     gaussian_hermitian,
+    random_martingale,
     stream,
     strong_triple_parts,
     triple_family,
@@ -35,6 +45,7 @@ from ncgl.opalgebra import (
     direct_sum,
     min_eigenvalue,
     operator_norm,
+    schatten_norm,
     trace,
     trace_pair,
 )
@@ -93,6 +104,25 @@ class TestDirectSumAlgebra:
             assert operator_norm(whole, per_summand=True)[i] == operator_norm(p)
             assert min_eigenvalue(whole, per_summand=True)[i] == min_eigenvalue(p)
             assert whole.entry_max(per_summand=True)[i] == p.entry_max()
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 1e3, math.inf])
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["eigenvalues", "svd"])
+    def test_schatten_norms_are_per_summand(self, p, hermitian):
+        # eight weighted blocks a summand, so the block sums pair up, at three
+        # scales and with a zero summand: each norm is its part's own, bit
+        # for bit, and the largest factored out is the summand's own
+        base = TracialAlgebra((2,) * 8, tuple(np.linspace(0.1, 0.8, 8)))
+        rng = stream(94)
+        draw = gaussian_hermitian if hermitian else lambda alg, r: alg.operator(
+            r.standard_normal((8, 2, 2)) + 1j * r.standard_normal((8, 2, 2)))
+        parts = [draw(base, rng) * s for s in (1e-3, 1.0)] + [base.zero()] + \
+            [draw(base, rng) * 1e3]
+        whole = direct_sum(parts)
+        assert whole.hermitian == hermitian
+        got = schatten_norm(whole, p, per_summand=True)
+        assert np.array(got).tobytes() == \
+            np.array([schatten_norm(op, p) for op in parts]).tobytes()
+        assert got[2] == 0.0
 
 
 class TestDirectSumFiltration:
@@ -264,3 +294,51 @@ class TestPerSummandTolerances:
             _check_level(defective(seq, 0), self.LEVEL)
         with pytest.raises(NumericalInstabilityError):
             _check_level(defective(alone, 0), self.LEVEL)
+
+
+def _moment_bytes(reps):
+    """The four reports of a MomentReports and its a_N^+, as bytes."""
+    sides = (reps.max_plus, reps.max_minus, reps.moment, reps.moment_simplified)
+    return ([(np.array([r.lhs, r.rhs, r.constant, r.margin]).tobytes(), r.passed, r.meta)
+             for r in sides], reps.weak_plus.operator.stacks[0].tobytes())
+
+
+@pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES) - 1))
+def test_moment_reports_of_a_batch_are_each_trials_own(family):
+    # trials with x shrunk out of the strong certificate, to each label, and
+    # a zero martingale, grown together as the moment suite grows them: one
+    # verify_moment and one fubini_identity_gap on the whole batch give each
+    # trial's reports and gap as a batch of one on a fresh tree, bit for bit
+    filt = triple_family(family)
+    trials = [Triple(x * f, y, z) for f, (x, y, z) in zip(
+        (1.0, 0.9, 0.7, 0.5, 0.1, 0.0),
+        (strong_triple_parts(filt, stream(93, family, t)) for t in range(6)))]
+    zero = martingale_from_final(filt, filt.algebra.zero())
+    trials.append(Triple(filt.algebra.zero(), zero, filt.algebra.zero()))
+    ys = [t.y for t in trials]
+    batch = Triple(direct_sum([t.x for t in trials]), martingale_direct_sum(ys),
+                   direct_sum([t.z for t in trials]))
+    assert set(batch.hypothesis) == {"strong-pass", "testing-pass", "unverified"}
+    ps = (3.0, 8.0)
+    grow_grids([m for y in ys for m in (y, -y)], [1.0 + 1.0 / p for p in ps])
+    for p in ps:
+        reps = verify_moment(batch, ys, p)
+        gaps = fubini_identity_gap([r.weak_plus for r in reps], p)
+        assert gaps[-1] == 0.0
+        for i, t in enumerate(trials):
+            y = Martingale(filt, t.y.values, t.y.diffs)  # a tree of its own
+            (alone,) = verify_moment(Triple(t.x, y, t.z), [y], p)
+            assert _moment_bytes(reps[i]) == _moment_bytes(alone), (i, p)
+            assert gaps[i:i + 1].tobytes() == \
+                fubini_identity_gap([alone.weak_plus], p).tobytes(), (i, p)
+
+
+def test_moment_batch_must_be_its_trials():
+    filt = triple_family(0)
+    ys = [random_martingale(filt, stream(95, t)) for t in range(2)]
+    y = martingale_direct_sum(ys)
+    s = square_function(y)
+    with pytest.raises(DomainError, match="direct sum"):
+        verify_moment(Triple(s, y, s), ys[::-1], 3.0)
+    with pytest.raises(DomainError, match="direct sum"):
+        verify_moment(Triple(s, y, s), ys[:1], 3.0)

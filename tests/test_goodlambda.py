@@ -324,14 +324,17 @@ class TestMomentConstant:
             moment_constant(2.0, 1.5)
         with pytest.raises(DomainError):
             moment_constant(3.0, 1.0)
+        # B^{p/2} = 2^1050 alone passes the float range, and C_{p,B} with it
+        with pytest.raises(DomainError, match=r"C_\{p,B\}.*p = 2100.0, B = 2.0"):
+            moment_constant(2100.0, 2.0)
 
 
 class TestMomentVerification:
     def test_zero_martingale(self):
         filt = triple_family(4)
         zero = martingale_from_final(filt, filt.algebra.zero())
-        reps = verify_moment(Triple(filt.algebra.zero(), zero,
-                                    filt.algebra.zero()), 4.0)
+        (reps,) = verify_moment(Triple(filt.algebra.zero(), zero,
+                                       filt.algebra.zero()), [zero], 4.0)
         assert reps.max_plus.lhs == pytest.approx(0.0)
         assert reps.max_minus.lhs == pytest.approx(0.0)
         assert reps.moment.lhs == pytest.approx(0.0)
@@ -342,22 +345,23 @@ class TestMomentVerification:
         for i in range(6):
             filt = triple_family(i)
             t = bg_triple(filt, stream(74, i))
-            reps = verify_moment(t, p)
+            (reps,) = verify_moment(t, [t.y], p)
             assert reps.all_passed(), (i, p)
 
     def test_diagonal_instances_pass_with_room(self):
         filt = make_filtration("rademacher", depth=3)
         t = bg_triple(filt, stream(75))
-        reps = verify_moment(t, 4.0)
+        (reps,) = verify_moment(t, [t.y], 4.0)
         assert reps.all_passed()
         assert reps.moment.lhs < 0.25 * reps.moment.rhs
 
     def test_scale_invariance_of_moment_margin(self):
         filt = triple_family(5)
         t = bg_triple(filt, stream(76))
-        base = verify_moment(t, 3.0)
+        (base,) = verify_moment(t, [t.y], 3.0)
         mu = 3.0
-        scaled = verify_moment(t.scale(mu), 3.0)
+        scaled_t = t.scale(mu)
+        (scaled,) = verify_moment(scaled_t, [scaled_t.y], 3.0)
         assert scaled.moment.margin == pytest.approx(base.moment.margin * mu,
                                                      rel=1e-8)
 
@@ -367,7 +371,7 @@ class TestMomentVerification:
         filt = triple_family(0)
         t = bg_triple(filt, stream(77))
         with pytest.raises(DomainError):
-            verify_moment(t, p, B)
+            verify_moment(t, [t.y], p, B)
 
 
 class TestHypothesisStatus:
@@ -398,7 +402,7 @@ class TestHypothesisStatus:
         reps = list(verify_core(t))
         reps += [rep for beta in (1.5, 2.0, 4.0) for rep in verify_tail(t, beta)]
         reps.append(verify_good_hom(t, 2.0, 0))
-        moment = verify_moment(t, 3.0)
+        (moment,) = verify_moment(t, [t.y], 3.0)
         reps += [moment.max_plus, moment.max_minus, moment.moment,
                  moment.moment_simplified]
         assert calls == [t]
@@ -433,7 +437,7 @@ class TestHypothesisStatus:
         assert verify_core(t)[0].meta["hypothesis"] == expected
         assert verify_tail(t, 2.0)[0].meta["hypothesis"] == expected
         assert verify_good_hom(t, 2.0, 0).meta["hypothesis"] == expected
-        assert verify_moment(t, 4.0).moment.meta["hypothesis"] == expected
+        assert verify_moment(t, [t.y], 4.0)[0].moment.meta["hypothesis"] == expected
 
 
 class TestSymmetry:
@@ -444,7 +448,7 @@ class TestSymmetry:
 
     @staticmethod
     def _reports(t):
-        m = verify_moment(t, 3.0)
+        (m,) = verify_moment(t, [t.y], 3.0)
         return (*verify_core(t), *verify_tail(t, 2.0),
                 m.max_plus, m.max_minus, m.moment, m.moment_simplified)
 
