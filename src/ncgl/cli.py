@@ -196,6 +196,9 @@ def _goodlambda_core(cfg, trials, filt, t):
     return [[_row(cfg, f"t{i}:{filt.label}", r)] for i, r in zip(trials, gl.verify_core(t))]
 
 def _goodlambda_tail(cfg, trials, filt, t):
+    # one breadth-first growth of t.y's tree to level 1 and every beta, where
+    # each query would grow its own level from the root
+    grow_grids([t.y], (), levels=(1.0, *cfg.beta_grid))
     by_beta = [gl.verify_tail(t, beta) for beta in cfg.beta_grid]
     return [[_row(cfg, f"t{i}:beta={beta}", reps[k])
              for beta, reps in zip(cfg.beta_grid, by_beta)] for k, i in enumerate(trials)]

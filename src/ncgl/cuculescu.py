@@ -319,7 +319,7 @@ def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
         raise DomainError("Cuculescu projections need a self-adjoint martingale")
     node = _reached(y, level)
     if node is None:
-        _grow([(y, lambda a: level if a < level else math.inf)])
+        _grow([(y, _levels([level]))])
         node = _reached(y, level)
     _check_level(node.seq, level)
     return node.seq
@@ -436,29 +436,39 @@ def _walk(walks: list) -> list:
     return out
 
 
-def grow_grids(ys, bases) -> None:
+def _levels(ordered: list):
+    """`first_above` (see `_windows`) of the ascending levels `ordered`."""
+    def first_above(a: float) -> float:
+        j = bisect.bisect_right(ordered, a)
+        return ordered[j] if j < len(ordered) else math.inf
+    return first_above
+
+
+def grow_grids(ys, bases, levels=()) -> None:
     """Grow the Cuculescu trees of the self-adjoint martingales `ys` to every
-    level of the `corrected_p` grid of every base in `bases`, all trees
-    together: breadth first, with one batch of cuts and one batch of steps
-    per time n and filtration, each one direct sum.  A node's children are
-    the windows between its thresholds that hold a grid level, so the steps
-    grown are bounded by the thresholds, not by the grid.  Then walk the
-    final-only bands of every (y, B) pair in lockstep (see `_walk`), one
-    batch of meets per round, and keep each pair's bands in
-    `Martingale.corrected_bands`: `weak_max` reads them there, and other
-    queries find every sequence they ask for in the trees.  Where a step,
-    cut, meet or check fails, the growth or the walk is let go (`_FAILURES`):
-    the nodes already grown stay, no bands are kept, and each query that
-    needs the rest makes it alone and raises its own error."""
+    level of the `corrected_p` grid of every base in `bases`, and to each of
+    the cut `levels`, all trees together: breadth first, with one batch of
+    cuts and one batch of steps per time n and filtration, each one direct
+    sum.  A node's children are the windows between its thresholds that hold
+    a level asked for, so the steps grown are bounded by the thresholds, not
+    by the grid.  Then walk the final-only bands of every (y, B) pair in
+    lockstep (see `_walk`), one batch of meets per round, and keep each
+    pair's bands in `Martingale.corrected_bands`: `weak_max` reads them
+    there, and other queries find every sequence they ask for in the trees.
+    Where a step, cut, meet or check fails, the growth or the walk is let go
+    (`_FAILURES`): the nodes already grown stay, no bands are kept, and each
+    query that needs the rest makes it alone and raises its own error."""
     if not all(y.is_selfadjoint() for y in ys):
         raise DomainError("Cuculescu projections need a self-adjoint martingale")
     if not all(B > 1 for B in bases):
         raise DomainError("the base B must exceed 1")
-    grids = [[_grid(B, *_k_range(y, B)) for B in bases] for y in ys]
+    if not all(level > 0 for level in levels):
+        raise DomainError("the cut level must be positive")
+    fixed = _levels(sorted(levels))
+    grids = [[_grid(B, *_k_range(y, B)) for B in bases] + [fixed] for y in ys]
     pairs = [(y, B) for y in ys for B in bases]
     try:
-        _grow([(y, lambda a, fs=fs: min((f(a) for f in fs), default=math.inf))
-               for y, fs in zip(ys, grids)])
+        _grow([(y, lambda a, fs=fs: min(f(a) for f in fs)) for y, fs in zip(ys, grids)])
         walked = _walk([_bands(y, B, (y.N,)) for y, B in pairs])
     except _FAILURES:
         return

@@ -153,17 +153,25 @@ class Filtration:
     def N(self) -> int:
         return len(self.levels) - 1
 
+    @cached_property
+    def _sums(self) -> dict:
+        """The direct sums built so far, by copy count; freed with the filtration."""
+        return {}
+
     def direct_sum(self, copies: int) -> "Filtration":
         """`copies` copies side by side, one per trial of a batch: blocks,
         weights and signs repeat, and each level averages over `copies` times
-        as many runs, so it conditions every copy on its own."""
+        as many runs, so it conditions every copy on its own.  Built once per
+        copy count."""
         if copies == 1:
             return self
-        alg = self.algebra.direct_sum(copies)  # equal blocks: structured levels only
-        levels = tuple(_StructuredLevel(lvl.groups * copies, lvl.factor_dims, lvl.ks)
-                       for lvl in self.levels)
-        return Filtration(alg, np.tile(self.signs, (copies, 1)), levels,
-                          f"{copies}x{self.label}")
+        if copies not in self._sums:
+            alg = self.algebra.direct_sum(copies)  # equal blocks: structured levels only
+            levels = tuple(_StructuredLevel(lvl.groups * copies, lvl.factor_dims, lvl.ks)
+                           for lvl in self.levels)
+            self._sums[copies] = Filtration(alg, np.tile(self.signs, (copies, 1)), levels,
+                                            f"{copies}x{self.label}")
+        return self._sums[copies]
 
 
 def _checked_level(filtration: Filtration, n: int, x: Operator) -> int:
@@ -351,7 +359,8 @@ class Martingale:
         path of child keys that leads to it from the root at (); read by
         :func:`ncgl.cuculescu.cuculescu_r`, and grown from the root by one
         grower, which it calls a level at a time and
-        :func:`ncgl.cuculescu.grow_grids` calls to whole level grids,
+        :func:`ncgl.cuculescu.grow_grids` calls to whole level grids and sets
+        of levels (the good-lambda tail's 1 and beta grid), breadth first,
         together with other martingales' trees; freed with the martingale."""
         return {}
 

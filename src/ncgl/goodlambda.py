@@ -32,7 +32,7 @@ from .cuculescu import WeakMax, cuculescu_r, weak_max
 from .errors import DomainError
 from .filtration import Martingale, cond_exp
 from .opalgebra import Operator, direct_sum, min_eigenvalue, schatten_norm, trace, trace_pair
-from .reports import VerifyReport, report_tolerance
+from .reports import VerifyReport
 
 __all__ = [
     "Triple",
@@ -85,6 +85,14 @@ class Triple:
         square = lambda a: (a @ a).symmetrized()
         return square(self.x), square(self.z), tuple(map(square, self.y.diffs))
 
+    @cached_property
+    def tolerance(self) -> np.ndarray:
+        """1e-8 times the largest entry of x_N^2, z_N^2 and the dy_n^2, per
+        summand: the gate of the testing margins, which scales as they do."""
+        x_sq, z_sq, dy_sq = self.squares
+        return 1e-8 * np.max([a.entry_max(per_summand=True) for a in (x_sq, z_sq, *dy_sq)],
+                             axis=0)
+
     def scale(self, mu: float) -> "Triple":
         return Triple(self.x * mu, self.y.scale(mu), self.z * mu)
 
@@ -102,7 +110,9 @@ def check_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the level-k algebra, holds exactly when E_k(z_N^2) - dy_k^2 >= 0 (take p
     its negative spectral projection), so it is check_strong_testing's z
     margin.  Returns (passed, slack_i, slack_ii), arrays over the summands
-    like check_strong_testing's, with slack_ii that margin.
+    like check_strong_testing's, with slack_ii that margin.  Slack (ii) is
+    gated as that margin is, and slack (i), a trace, at `Triple.tolerance`
+    times tau(I) of its summand.
     """
     y = t.y
     seq = cuculescu_r(y, 1.0)
@@ -122,7 +132,9 @@ def check_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     # (ii)
     slack_ii = check_strong_testing(t)[2]
-    return (slack_i >= -report_tolerance(rhs_i)) & (slack_ii >= -1e-8), slack_i, slack_ii
+    tol = t.tolerance
+    tol_i = tol * trace(t.algebra.identity(), per_summand=True)
+    return (slack_i >= -tol_i) & (slack_ii >= -tol), slack_i, slack_ii
 
 
 def check_strong_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,7 +142,8 @@ def check_strong_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Returns (passed, margin_x, margin_z), arrays over the summands: the minimum
     eigenvalues of E_k(x_N^2) - sum_{m>k} E_k(dy_m^2) and E_k(z_N^2) - dy_k^2
-    over k; both must be >= -1e-8.
+    over k; both must be >= -`Triple.tolerance`, relative to the summand's own
+    scale, so a rescaled triple passes where the triple does.
     """
     filt = t.filtration
     x_sq, z_sq, dy_sq = t.squares
@@ -145,7 +158,7 @@ def check_strong_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         margin_x = np.minimum(margin_x, min_eigenvalue(gap_x, per_summand=True))
         gap_z = cond_exp(filt, k, z_sq) - dy_sq[k]
         margin_z = np.minimum(margin_z, min_eigenvalue(gap_z, per_summand=True))
-    passed = (margin_x >= -1e-8) & (margin_z >= -1e-8)
+    passed = (margin_x >= -t.tolerance) & (margin_z >= -t.tolerance)
     return passed, margin_x, margin_z
 
 
@@ -265,8 +278,9 @@ def verify_moment(t: Triple, ys: list[Martingale], p: float,
     verify_moment(t, [t.y], p).  The labels are one hypothesis_status of the
     whole triple, and each norm is one per-summand schatten_norm.  B defaults
     to 1 + 1/p, the choice under which C_{p,B} collapses to the simplified
-    12p bound.  The strong testing conditions are scale invariant, so the
-    mu = 1 hypothesis check covers every rescaled level.
+    12p bound.  The testing margins are gated relative to each summand's own
+    scale (`Triple.tolerance`), so t.scale(mu) has the strong certificate
+    where t has it, at every mu.
     """
     if not (p > 2):
         raise DomainError("the moment bound needs p > 2")

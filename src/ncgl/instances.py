@@ -45,23 +45,30 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _gaussian_stacks(alg: TracialAlgebra, rng: np.random.Generator) -> list[np.ndarray]:
+    """A complex Gaussian (count, d, d) stack per run of the algebra, one draw
+    per run: block by block, the real part and then the imaginary part, the
+    order in which one draw per block would take them from the stream."""
+    stacks = []
+    for count, d in alg.runs:
+        g = rng.standard_normal((count, 2, d, d))
+        stacks.append(g[:, 0] + 1j * g[:, 1])
+    return stacks
+
+
 def gaussian_hermitian(alg: TracialAlgebra, rng: np.random.Generator) -> Operator:
-    blocks = []
-    for d in alg.dims:
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        blocks.append((g + g.conj().T) / 2.0)
-    return alg.operator(blocks)
+    return Operator(alg, tuple((g + g.conj().swapaxes(-1, -2)) / 2.0
+                               for g in _gaussian_stacks(alg, rng)))
 
 
 def gaussian_psd(
     alg: TracialAlgebra, rng: np.random.Generator, scale: float = 1.0
 ) -> Operator:
-    blocks = []
-    for d in alg.dims:
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        g = g / np.sqrt(2.0 * d)
-        blocks.append(scale * (g @ g.conj().T))
-    return alg.operator(blocks)
+    stacks = []
+    for g in _gaussian_stacks(alg, rng):
+        g = g / np.sqrt(2.0 * g.shape[-1])
+        stacks.append(scale * (g @ g.conj().swapaxes(-1, -2)))
+    return Operator(alg, tuple(stacks))
 
 
 def _rescaled(f: Operator, sup_norms) -> Operator:

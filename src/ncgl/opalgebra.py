@@ -99,11 +99,20 @@ class TracialAlgebra:
         """(count, d) of each maximal run of consecutive equal block dims."""
         return tuple((len(list(g)), d) for d, g in itertools.groupby(self.dims))
 
+    @cached_property
+    def _sums(self) -> dict:
+        """The direct sums built so far, by copy count; freed with the algebra."""
+        return {}
+
     def direct_sum(self, copies: int) -> "TracialAlgebra":
-        """`copies` copies side by side, each keeping its block weights."""
+        """`copies` copies side by side, each keeping its block weights; built
+        once per copy count."""
         if copies == 1:
             return self
-        return TracialAlgebra(self.dims * copies, self.weights * copies, self.summands * copies)
+        if copies not in self._sums:
+            self._sums[copies] = TracialAlgebra(self.dims * copies, self.weights * copies,
+                                                self.summands * copies)
+        return self._sums[copies]
 
     def trace_identity(self) -> float:
         return float(sum(w * d for w, d in zip(self.weights, self.dims)))

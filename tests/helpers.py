@@ -9,8 +9,9 @@ the tangency check as it was, one spectral cluster at a time, the sampled
 forms of testing condition (ii) and of the transform norm below 2 that the
 exact checks replaced, the homogenised tail bound on the corrected
 projections, the Schur ascent as it was when every candidate's quotient
-was formed with its ratio, and the Cuculescu recursion at one level, as it
-ran before the steps of all levels were grown as one tree."""
+was formed with its ratio, the Cuculescu recursion at one level, as it
+ran before the steps of all levels were grown as one tree, and the Gaussian
+draws as they were made one block at a time."""
 
 import itertools
 import json
@@ -142,6 +143,26 @@ def level_recursion(y, level) -> CuculescuSeq:
         projections.append(r_n)
         r_prev = r_n
     return CuculescuSeq(level, level, tuple(projections), tuple(steps))
+
+
+def per_block_gaussian_hermitian(alg, rng):
+    """gaussian_hermitian as it drew, one block at a time: the reference for
+    the draw of one stack per run."""
+    blocks = []
+    for d in alg.dims:
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        blocks.append((g + g.conj().T) / 2.0)
+    return alg.operator(blocks)
+
+
+def per_block_gaussian_psd(alg, rng, scale=1.0):
+    """gaussian_psd as it drew, one block at a time."""
+    blocks = []
+    for d in alg.dims:
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        g = g / np.sqrt(2.0 * d)
+        blocks.append(scale * (g @ g.conj().T))
+    return alg.operator(blocks)
 
 
 def per_cluster_tangent(a, b, filtration) -> tuple[bool, float]:

@@ -28,7 +28,7 @@ from ncgl.filtration import (
     make_filtration,
     martingale_from_final,
 )
-from ncgl.instances import random_martingale, stream, triple_family
+from ncgl.instances import random_martingale, stream, strong_triple_parts, triple_family
 from ncgl.opalgebra import (
     Interval,
     min_eigenvalue,
@@ -543,28 +543,36 @@ class TestCachedSequences:
 
     def test_work_counts_of_the_good_lambda_levels(self, monkeypatch):
         # perfbench's seed-0 goodlambda-levels pass (100 core trials, then 100
-        # tail trials at beta in {1.5, 2, 4}) asks cuculescu_r for a few
-        # levels per martingale, each miss grown from the root: 84 steps in
-        # batches of one, and 84 cuts, since a node where a later level
-        # leaves the tree keeps only its ordered thresholds and is cut again
+        # tail trials at beta in {1.5, 2, 4}): the core asks cuculescu_r for
+        # level 1 of each family's direct sum, 21 cuts and 21 steps in batches
+        # of one; the tail grows each tree to {1, 1.5, 2, 4} in one
+        # breadth-first call, its 63 steps in 23 batches and 45 cuts in 22,
+        # where growing one level at a time from the root took 63 batches of
+        # one step and cut 18 nodes again.  At most 205 Hermitian solves run
+        # (310 one level at a time)
         import ncgl.cli as cli
 
-        counts = {"_cut": [0, 0], "_step": [0, 0]}
+        counts = {"_cut": [0, 0], "_step": [0, 0], "eigh": [0, 0], "eigvalsh": [0, 0]}
 
         def counted(name, fn):
-            def call(items):
+            def call(*args, **kwargs):
                 counts[name][0] += 1
-                counts[name][1] += len(items)
-                return fn(items)
+                counts[name][1] += len(args[0]) if name[0] == "_" else 1
+                return fn(*args, **kwargs)
             return call
 
-        for name in counts:
+        for name in ("_cut", "_step"):
             monkeypatch.setattr(cuculescu, name, counted(name, getattr(cuculescu, name)))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         rows, _ = cli.run(cli.ExperimentConfig(suite="goodlambda-core", trials=100, seed=0))
-        assert len(rows) == 100 and counts == {"_cut": [21, 21], "_step": [21, 21]}
+        assert len(rows) == 100
+        assert counts["_cut"] == [21, 21] and counts["_step"] == [21, 21]
         rows, _ = cli.run(cli.ExperimentConfig(suite="goodlambda-tail", trials=100, seed=0,
                                                beta_grid=(1.5, 2.0, 4.0)))
-        assert len(rows) == 300 and counts == {"_cut": [84, 84], "_step": [84, 84]}
+        assert len(rows) == 300
+        assert counts["_cut"] == [43, 66] and counts["_step"] == [44, 84]
+        assert counts["eigh"][0] + counts["eigvalsh"][0] <= 205
 
     def test_peak_memory_of_the_moment_pass(self):
         # a family's 14 trees are alive at once, and a batch of steps holds
@@ -583,6 +591,28 @@ class TestCachedSequences:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 1.23 * 2**20
+
+    def test_peak_memory_of_the_good_lambda_levels(self):
+        # the tail grows each family's tree to four levels at once, so the
+        # steps of several levels are alive together: the seed-0
+        # goodlambda-levels pass peaks at 0.62 MiB of traced memory (0.55 MiB
+        # one level at a time)
+        import tracemalloc
+
+        from ncgl.cli import ExperimentConfig, run
+
+        cfgs = [ExperimentConfig(suite="goodlambda-core", trials=100, seed=0),
+                ExperimentConfig(suite="goodlambda-tail", trials=100, seed=0)]
+        for cfg in cfgs:  # first-use caches, the families' direct sums among them
+            run(cfg)
+        tracemalloc.start()
+        try:
+            for cfg in cfgs:
+                run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 0.62 * 2**20
 
     @pytest.mark.parametrize("factor", [1.25, 1 + 1e-6, 1 + 1e-9, 1 + 2e-10,
                                         1 + 1e-10, 1 + 1e-12, 1 - 1e-12,
@@ -870,6 +900,67 @@ class TestGrownTogether:
                 if (m, level) not in bad:
                     _assert_same_sequence(cuculescu_r(m, level), level_recursion(m, level),
                                           level)
+
+    @pytest.mark.parametrize("family", range(6))
+    def test_a_level_set_grown_at_once_matches_one_level_at_a_time(self, monkeypatch, family):
+        # a goodlambda-tail batch of the family's six seed-0 trials, grown to
+        # {1, 1.5, 2, 4} in one call: each level then walks to the record,
+        # window, projections and measurements, byte for byte, of a fresh copy
+        # grown one level at a time through cuculescu_r
+        filt = triple_family(family)
+        _, y, _ = strong_triple_parts(filt, *(stream(0, 2, i) for i in range(family, 36, 6)))
+        levels = (1.0, 1.5, 2.0, 4.0)
+        single = _fresh_copy(y)
+        want = [cuculescu_r(single, level) for level in levels]
+        sizes = _counted_steps(monkeypatch)
+        grow_grids([y], (), levels=levels[::-1])
+        grown = len(sizes)
+        assert grown <= y.N + 1  # one batch of steps per time n
+        for level, w in zip(levels, want):
+            got = cuculescu_r(y, level)
+            assert (got.lo, got.hi) == (w.lo, w.hi), level
+            assert [_flat_bytes(r) for r in got.projections] == \
+                [_flat_bytes(r) for r in w.projections], level
+            for s, t in zip(got.steps, w.steps):
+                for field in dataclasses.fields(s):
+                    assert np.array(getattr(s, field.name)).tobytes() == \
+                        np.array(getattr(t, field.name)).tobytes(), (level, field.name)
+        assert len(sizes) == grown  # every query was a plain walk
+        assert y.cuculescu_cache.keys() == single.cuculescu_cache.keys()
+
+    def test_levels_must_be_positive(self):
+        y = _one_step([2.0, 0.5])
+        for level in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="positive"):
+                grow_grids([y], (), levels=(1.0, level))
+        assert list(y.cuculescu_cache) == []
+
+    def test_a_failed_level_raises_only_in_the_tail_queries_that_reach_it(self, monkeypatch):
+        # y_0 = diag(3, 0.25), grown to {1, 1.5, 2, 4} in one call: the levels
+        # 1 to 2 keep the eigenvalue 0.25 and level 4 keeps both, two children
+        # in one batch of steps.  Every full-rank step drifts from
+        # idempotency, so the batch fails and the growth is let go; the tail
+        # query at beta = 4 grows level 4 alone and raises its error, and the
+        # others get the bits of a fresh copy
+        import ncgl.goodlambda as gl
+
+        y = _one_step([3.0, 0.25])
+        ident = y.algebra.identity()
+        t = gl.Triple(ident * 3.0, y, ident * 3.0)
+        fresh = gl.Triple(t.x, _fresh_copy(y), t.z)
+        want = {beta: gl.verify_tail(fresh, beta) for beta in (1.5, 2.0)}
+        snap = cuculescu._snap_projection
+        monkeypatch.setattr(cuculescu, "_snap_projection", lambda raw: snap(
+            raw.summand_scaled([0.9 if r == 2 else 1.0 for r in raw.summand_ranks])))
+        sizes = _counted_steps(monkeypatch)
+        grow_grids([y], (), levels=(1.0, 1.5, 2.0, 4.0))
+        assert sizes == [2] and list(y.cuculescu_cache) == [()]
+        with pytest.raises(NumericalInstabilityError, match="drifted by 1.00e-01"):
+            gl.verify_tail(t, 4.0)
+        for beta, reps in want.items():
+            assert gl.verify_tail(t, beta) == reps
+        with pytest.raises(NumericalInstabilityError, match="drifted by 1.00e-01"):
+            gl.verify_tail(t, 4.0)  # asked again, grown again alone
 
     def test_growth_let_go_in_a_cut_round_is_grown_again_from_the_root(self, monkeypatch):
         # the first batch of cuts at n = 1 fails: growth ends with the nodes of

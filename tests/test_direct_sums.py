@@ -127,6 +127,36 @@ class TestDirectSumAlgebra:
 
 class TestDirectSumFiltration:
     @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+    def test_sums_are_built_once_per_copy_count(self, family):
+        filt = triple_family(family)
+        alg = filt.algebra
+        for k in (2, 3, 17):
+            assert alg.direct_sum(k) is alg.direct_sum(k)
+            assert filt.direct_sum(k) is filt.direct_sum(k)
+            assert filt.direct_sum(k).algebra is alg.direct_sum(k)
+        assert alg.direct_sum(2) is not alg.direct_sum(3)
+        assert filt.direct_sum(1) is filt and alg.direct_sum(1) is alg
+
+    @pytest.mark.parametrize("calls", [
+        [dict(suite="moment", trials=42, p_grid=(3.0, 4.0, 8.0))],
+        [dict(suite="goodlambda-core", trials=100), dict(suite="goodlambda-tail", trials=100)],
+    ], ids=["moment-grid", "goodlambda-levels"])
+    def test_a_second_pass_builds_no_algebra(self, monkeypatch, calls):
+        # the seed-0 benchmark passes: every batch's algebra and filtration is
+        # a sum of a family's, kept on it, so a second pass builds none
+        import ncgl.cli as cli
+
+        configs = [cli.ExperimentConfig(seed=0, **call) for call in calls]
+        for cfg in configs:
+            cli.run(cfg)
+        built, init = [], TracialAlgebra.__post_init__
+        monkeypatch.setattr(TracialAlgebra, "__post_init__",
+                            lambda alg: built.append(alg) or init(alg))
+        for cfg in configs:
+            cli.run(cfg)
+        assert built == []
+
+    @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
     def test_levels_act_per_summand_and_match_the_oracle(self, family):
         base = triple_family(family)
         big = base.direct_sum(3)

@@ -386,6 +386,27 @@ class TestHypothesisStatus:
         status = hypothesis_status(Triple(x * 1e-3, y.scale(20.0), z * 1e-3))
         assert status == ("unverified",)
 
+    @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+    def test_labels_do_not_depend_on_scale(self, family):
+        # every testing margin is quadratic in the triple, and so is its gate:
+        # the strong flags, and the labels wherever condition (i) at the fixed
+        # level 1 does not decide them, are those of mu = 1 at every mu.  With
+        # an absolute gate, the triple with x = z = 0 read strong-pass below
+        # mu = 1e-4, where its margins -dy_k^2 fell under 1e-8
+        x, y, z = strong_triple_parts(triple_family(family), stream(0, 9, family))
+        triples = {"strong": Triple(x, y, z), "zero": Triple(x * 0.0, y, z * 0.0),
+                   "small z": Triple(x, y, z * 0.3), "small x": Triple(x * 0.3, y, z)}
+        want = {"strong": ("strong-pass",), "zero": ("unverified",),
+                "small z": ("unverified",)}
+        for name, t in triples.items():
+            strong = check_strong_testing(t)[0]
+            assert strong == (name == "strong"), name
+            for mu in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 10.0, 1e2, 1e3):
+                scaled = t.scale(mu)
+                assert check_strong_testing(scaled)[0] == strong, (name, mu)
+                if name in want:
+                    assert hypothesis_status(scaled) == want[name], (name, mu)
+
     def test_label_computed_once_per_triple(self, monkeypatch):
         import ncgl.goodlambda as gl
 

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgl.errors import DomainError, StructureError
-from ncgl.instances import FAMILY_TEMPLATES, gaussian_hermitian, stream, triple_family
+from ncgl.instances import (
+    FAMILY_TEMPLATES,
+    gaussian_hermitian,
+    gaussian_psd,
+    stream,
+    triple_family,
+)
 from ncgl.opalgebra import (
     Interval,
     Operator,
@@ -27,6 +33,8 @@ from ncgl.opalgebra import (
 from helpers import (
     check_projection,
     diagonal_operator,
+    per_block_gaussian_hermitian,
+    per_block_gaussian_psd,
     reference_eigenvalues,
     reference_spectrum,
     tie_rule_contains,
@@ -814,3 +822,26 @@ class TestExactHermitianSolves:
             min_eigenvalue(a)
         with pytest.raises(DomainError):
             a.spectrum
+
+
+class TestGaussianDraws:
+    """One draw per run of blocks against the per-block draws it replaced: the
+    same numbers from the stream, in the same order, to the bit."""
+
+    ALGEBRAS = [triple_family(i).algebra for i in range(len(FAMILY_TEMPLATES))] + [
+        RUNS, TracialAlgebra((1, 2, 2, 1, 3), (0.1, 0.2, 0.3, 0.15, 0.25))]
+
+    @pytest.mark.parametrize("index", range(len(ALGEBRAS)))
+    def test_draws_match_the_per_block_draws(self, index):
+        alg = self.ALGEBRAS[index]
+        for seed in range(50):
+            got, want = stream(seed, 17, index), stream(seed, 17, index)
+            for scale in (None, 1.0, 0.37):
+                if scale is None:
+                    a, b = gaussian_hermitian(alg, got), per_block_gaussian_hermitian(alg, want)
+                else:
+                    a, b = gaussian_psd(alg, got, scale), per_block_gaussian_psd(alg, want, scale)
+                assert [s.shape for s in a.stacks] == [s.shape for s in b.stacks]
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(a.stacks, b.stacks))
+            # both took the same count of numbers from the stream
+            assert got.standard_normal() == want.standard_normal()
