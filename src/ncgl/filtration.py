@@ -153,25 +153,17 @@ class Filtration:
     def N(self) -> int:
         return len(self.levels) - 1
 
-    @cached_property
-    def _sums(self) -> dict:
-        """The direct sums built so far, by copy count; freed with the filtration."""
-        return {}
-
     def direct_sum(self, copies: int) -> "Filtration":
         """`copies` copies side by side, one per trial of a batch: blocks,
         weights and signs repeat, and each level averages over `copies` times
-        as many runs, so it conditions every copy on its own.  Built once per
-        copy count."""
+        as many runs, so it conditions every copy on its own."""
         if copies == 1:
             return self
-        if copies not in self._sums:
-            alg = self.algebra.direct_sum(copies)  # equal blocks: structured levels only
-            levels = tuple(_StructuredLevel(lvl.groups * copies, lvl.factor_dims, lvl.ks)
-                           for lvl in self.levels)
-            self._sums[copies] = Filtration(alg, np.tile(self.signs, (copies, 1)), levels,
-                                            f"{copies}x{self.label}")
-        return self._sums[copies]
+        alg = self.algebra.direct_sum(copies)  # equal blocks: structured levels only
+        levels = tuple(_StructuredLevel(lvl.groups * copies, lvl.factor_dims, lvl.ks)
+                       for lvl in self.levels)
+        return Filtration(alg, np.tile(self.signs, (copies, 1)), levels,
+                          f"{copies}x{self.label}")
 
 
 def _checked_level(filtration: Filtration, n: int, x: Operator) -> int:

@@ -86,12 +86,14 @@ class Triple:
         return square(self.x), square(self.z), tuple(map(square, self.y.diffs))
 
     @cached_property
-    def tolerance(self) -> np.ndarray:
-        """1e-8 times the largest entry of x_N^2, z_N^2 and the dy_n^2, per
-        summand: the gate of the testing margins, which scales as they do."""
+    def tolerances(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gates of the x and z testing margins, per summand: 1e-8 times
+        the largest entry of x_N^2 or z_N^2 and of the dy_n^2, the terms of
+        that margin, so each gate scales as its margin does and a large x
+        loosens no z margin, nor a large z an x margin."""
         x_sq, z_sq, dy_sq = self.squares
-        return 1e-8 * np.max([a.entry_max(per_summand=True) for a in (x_sq, z_sq, *dy_sq)],
-                             axis=0)
+        scale = lambda ops: 1e-8 * np.max([a.entry_max(per_summand=True) for a in ops], axis=0)
+        return scale((x_sq, *dy_sq)), scale((z_sq, *dy_sq))
 
     def scale(self, mu: float) -> "Triple":
         return Triple(self.x * mu, self.y.scale(mu), self.z * mu)
@@ -111,8 +113,8 @@ def check_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     its negative spectral projection), so it is check_strong_testing's z
     margin.  Returns (passed, slack_i, slack_ii), arrays over the summands
     like check_strong_testing's, with slack_ii that margin.  Slack (ii) is
-    gated as that margin is, and slack (i), a trace, at `Triple.tolerance`
-    times tau(I) of its summand.
+    gated as that margin is, and slack (i), a trace of x_N^2 and the dy_k^2,
+    at the x gate of `Triple.tolerances` times tau(I) of its summand.
     """
     y = t.y
     seq = cuculescu_r(y, 1.0)
@@ -132,9 +134,9 @@ def check_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     # (ii)
     slack_ii = check_strong_testing(t)[2]
-    tol = t.tolerance
-    tol_i = tol * trace(t.algebra.identity(), per_summand=True)
-    return (slack_i >= -tol_i) & (slack_ii >= -tol), slack_i, slack_ii
+    tol_x, tol_z = t.tolerances
+    tol_i = tol_x * trace(t.algebra.identity(), per_summand=True)
+    return (slack_i >= -tol_i) & (slack_ii >= -tol_z), slack_i, slack_ii
 
 
 def check_strong_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,8 +144,9 @@ def check_strong_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Returns (passed, margin_x, margin_z), arrays over the summands: the minimum
     eigenvalues of E_k(x_N^2) - sum_{m>k} E_k(dy_m^2) and E_k(z_N^2) - dy_k^2
-    over k; both must be >= -`Triple.tolerance`, relative to the summand's own
-    scale, so a rescaled triple passes where the triple does.
+    over k; each must be >= minus its gate in `Triple.tolerances`, relative
+    to the summand's scale of its own terms, so a rescaled triple passes
+    where the triple does.
     """
     filt = t.filtration
     x_sq, z_sq, dy_sq = t.squares
@@ -158,7 +161,8 @@ def check_strong_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         margin_x = np.minimum(margin_x, min_eigenvalue(gap_x, per_summand=True))
         gap_z = cond_exp(filt, k, z_sq) - dy_sq[k]
         margin_z = np.minimum(margin_z, min_eigenvalue(gap_z, per_summand=True))
-    passed = (margin_x >= -t.tolerance) & (margin_z >= -t.tolerance)
+    tol_x, tol_z = t.tolerances
+    passed = (margin_x >= -tol_x) & (margin_z >= -tol_z)
     return passed, margin_x, margin_z
 
 
@@ -278,9 +282,9 @@ def verify_moment(t: Triple, ys: list[Martingale], p: float,
     verify_moment(t, [t.y], p).  The labels are one hypothesis_status of the
     whole triple, and each norm is one per-summand schatten_norm.  B defaults
     to 1 + 1/p, the choice under which C_{p,B} collapses to the simplified
-    12p bound.  The testing margins are gated relative to each summand's own
-    scale (`Triple.tolerance`), so t.scale(mu) has the strong certificate
-    where t has it, at every mu.
+    12p bound.  Each testing margin is gated relative to its summand's scale
+    of its own terms (`Triple.tolerances`), so t.scale(mu) has the strong
+    certificate where t has it, at every mu.
     """
     if not (p > 2):
         raise DomainError("the moment bound needs p > 2")

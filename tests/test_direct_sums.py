@@ -132,7 +132,6 @@ class TestDirectSumFiltration:
         alg = filt.algebra
         for k in (2, 3, 17):
             assert alg.direct_sum(k) is alg.direct_sum(k)
-            assert filt.direct_sum(k) is filt.direct_sum(k)
             assert filt.direct_sum(k).algebra is alg.direct_sum(k)
         assert alg.direct_sum(2) is not alg.direct_sum(3)
         assert filt.direct_sum(1) is filt and alg.direct_sum(1) is alg
@@ -142,8 +141,9 @@ class TestDirectSumFiltration:
         [dict(suite="goodlambda-core", trials=100), dict(suite="goodlambda-tail", trials=100)],
     ], ids=["moment-grid", "goodlambda-levels"])
     def test_a_second_pass_builds_no_algebra(self, monkeypatch, calls):
-        # the seed-0 benchmark passes: every batch's algebra and filtration is
-        # a sum of a family's, kept on it, so a second pass builds none
+        # the seed-0 benchmark passes: every batch's algebra is a sum of a
+        # family's algebra, or of such a sum, kept on it, so a second pass
+        # builds none
         import ncgl.cli as cli
 
         configs = [cli.ExperimentConfig(seed=0, **call) for call in calls]

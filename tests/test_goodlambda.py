@@ -407,6 +407,23 @@ class TestHypothesisStatus:
                 if name in want:
                     assert hypothesis_status(scaled) == want[name], (name, mu)
 
+    @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+    def test_a_large_term_loosens_no_other_margin(self, family):
+        # the z margin has no x in it, nor the x margin z: growing x alone on
+        # the triple whose z is too small, or z alone on the one whose x is,
+        # leaves the failing margin failing and the labels where they were.
+        # With one gate over x, z and dy, x * 1e5 read strong-pass
+        x, y, z = strong_triple_parts(triple_family(family), stream(0, 9, family))
+        for name, grow in {"small z": lambda mu: Triple(x * mu, y, z * 0.3),
+                           "small x": lambda mu: Triple(x * 0.3, y, z * mu)}.items():
+            base = grow(1.0)
+            flags = check_strong_testing(base)
+            assert not flags[0].any(), name
+            for mu in (10.0, 1e3, 1e5):
+                grown = grow(mu)
+                assert not check_strong_testing(grown)[0].any(), (name, mu)
+                assert hypothesis_status(grown) == hypothesis_status(base), (name, mu)
+
     def test_label_computed_once_per_triple(self, monkeypatch):
         import ncgl.goodlambda as gl
 
