@@ -11,16 +11,15 @@ at least one verification row failed, 2 signals a configuration error.
 Reports are byte-identical across runs for a fixed config and seed; wall
 times only enter the emitted rows with --timing.
 
-The good-lambda and moment suites verify a filtration family's trials as one
-direct sum, computed on the family's first trial; the moment trials keep a
-Cuculescu tree each, and the trees are grown together.  With --timing that
-trial carries the family's whole time, the others about 0 ms.
+Every suite maps a config and a group of trials to each trial's rows, and
+`run` forms the groups: one per filtration family in the good-lambda and
+moment suites, which verify a family as one direct sum, one per trial
+elsewhere.  With --timing each trial reads its group's time split evenly.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextvars
 import json
 import math
 import numbers
@@ -159,34 +158,20 @@ def _row(cfg: ExperimentConfig, instance: str, rep: VerifyReport) -> ReportRow:
 
 
 # ---------------------------------------------------------------------------
-# suite implementations (each maps one trial index to rows)
+# suite implementations (each maps one trial, or one family's trials, to rows)
 # ---------------------------------------------------------------------------
 
 
-# The rows a family batch computed for later trials, set for the length of
-# one `run` call.
-_pending = contextvars.ContextVar("pending_rows", default=None)
-
-
 def _family_batched(key, build, rows_of):
-    """Trial callable verifying the trials of one filtration family (equal
+    """Suite verifying a group of one filtration family's trials (equal
     trial % 6) as one batch: `build(filt, rngs)` draws every trial's parts,
     each from its own stream in the order of a lone trial, and
-    `rows_of(cfg, trials, filt, batch)` gives each trial's rows.  In `run` the
-    family's first trial computes every later one's rows, elsewhere a trial
-    is a batch of one."""
-    def trial_rows(cfg, trial):
-        pending = _pending.get()
-        if pending is None:  # outside `run`
-            pending, group = {}, [trial]
-        else:
-            group = list(range(trial, max(cfg.trials, trial + 1), len(FAMILY_TEMPLATES)))
-        if trial not in pending:
-            filt = triple_family(trial)
-            batch = build(filt, [stream(cfg.seed, key, i) for i in group])
-            pending.update(zip(group, rows_of(cfg, group, filt, batch)))
-        return pending.pop(trial)
-    return trial_rows
+    `rows_of(cfg, trials, filt, batch)` gives each trial's rows."""
+    def group_rows(cfg, trials):
+        filt = triple_family(trials[0])
+        batch = build(filt, [stream(cfg.seed, key, i) for i in trials])
+        return rows_of(cfg, trials, filt, batch)
+    return group_rows
 
 def _strong_triples(filt, rngs):
     """The strong triples of a family's trials as one direct sum."""
@@ -346,13 +331,19 @@ def _suite_schur_norms(cfg, trial):
     return rows
 
 
+def _each(fn):
+    """The suite of a group of trials made of `fn`, the suite of one trial."""
+    return lambda cfg, trials: [fn(cfg, trial) for trial in trials]
+
+
 @dataclass(frozen=True)
 class _Suite:
-    """One registry record: trial callable, default p grid (empty: the suite
-    reads no p), p domain, constants string of the summary, and the ``dims``
-    and ``tolerances`` keys the suite reads with their defaults."""
+    """One registry record: group callable (config and trials to each trial's
+    rows), default p grid (empty: the suite reads no p), p domain, constants
+    string of the summary, the ``dims`` and ``tolerances`` keys the suite
+    reads with their defaults, and how `run` groups its trials."""
 
-    trial: Callable
+    rows: Callable
     default_p: tuple[float, ...]
     constants: str
     p_min: float = -math.inf
@@ -360,59 +351,61 @@ class _Suite:
     dims: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     reads: tuple[str, ...] = ()  # which of the fields B and beta_grid it reads
+    families: bool = False  # one group per filtration family, else one per trial
 
 
 _REGISTRY = {
-    "goodlambda-core": _Suite(_family_batched(1, _strong_triples, _goodlambda_core), (), "2"),
+    "goodlambda-core": _Suite(_family_batched(1, _strong_triples, _goodlambda_core), (), "2",
+                              families=True),
     "goodlambda-tail": _Suite(_family_batched(2, _strong_triples, _goodlambda_tail), (),
-                              "4/(beta-1)^2", reads=("beta_grid",)),
+                              "4/(beta-1)^2", reads=("beta_grid",), families=True),
     "moment": _Suite(
         _family_batched(3, _moment_martingales, _suite_moment), (3.0, 4.0, 8.0),
         "C_{p,B} = (2p B^{p-1}(B-1)/(1-B^-p))^{1/p} "
         "* 2 B^{p/2}/((B-1) sqrt(1-B^{2-p})); simplified "
         "12p/sqrt(1-(1+1/p)^{2-p})", 2.0, strict=True,
-        tolerances={"fubini": 1e-6}, reads=("B",)),
+        tolerances={"fubini": 1e-6}, reads=("B",), families=True),
     "bg": _Suite(
-        _suite_bg, (3.0, 4.0, 8.0),
+        _each(_suite_bg), (3.0, 4.0, 8.0),
         "sqrt(2)*12p/sqrt(1-(1+1/p)^{2-p}) and "
         "12p sqrt(1+2^{2-4/p}) (1+2^{p-2})^{1/p} / sqrt(1-(1+1/p)^{2-p})", 2.0,
         dims={"dim": 5}),
     "transform": _Suite(
-        _suite_transform, (3.0, 4.0),
+        _each(_suite_transform), (3.0, 4.0),
         "12q sqrt(1+2^{2-4/q}) / sqrt(1-(1+1/q)^{2-q}), q = max(p, p/(p-1))", 1.0, strict=True,
         dims={"dim": 5}),
     # steps None: one step per corner level, dim + 1
     "doob": _Suite(
-        lambda cfg, t: _suite_doob(cfg, t, stein=False), (3.0, 4.0),
+        _each(lambda cfg, t: _suite_doob(cfg, t, stein=False)), (3.0, 4.0),
         "(sqrt(2) * 24p/sqrt(1-(1+1/(2p))^{2-2p}) * 2^{1/(2p)})^2", 1.0,
         dims={"dim": 3, "steps": None}),
-    "stein": _Suite(lambda cfg, t: _suite_doob(cfg, t, stein=True), (3.0, 4.0),
+    "stein": _Suite(_each(lambda cfg, t: _suite_doob(cfg, t, stein=True)), (3.0, 4.0),
                     "sqrt(dual-Doob constant at p/2)", 2.0,
                     dims={"dim": 3, "steps": None}),
     "tangent-counterexample": _Suite(
-        _suite_counterexample, (1.5,), "(N+1)/(2 sqrt(N))", 1.0,
+        _each(_suite_counterexample), (1.5,), "(N+1)/(2 sqrt(N))", 1.0,
         dims={"N_list": (3, 5, 7, 9, 11, 13)},
         tolerances={"weak": 1e-8, "l1": 1e-9}),
     "dominated": _Suite(
-        _suite_dominated, (3.0, 4.0),
+        _each(_suite_dominated), (3.0, 4.0),
         "kappa * 12p sqrt(1+2^{2-4/p}) / sqrt(1-(1+1/p)^{2-p})", 2.0,
         dims={"dim": 6}),
     "positive-tangent": _Suite(
-        _suite_positive_tangent, (3.0, 4.0),
+        _each(_suite_positive_tangent), (3.0, 4.0),
         "1 + (1+kappa) C_p (p>2); BG-squared route (p<=2)", 1.0,
         dims={"depth": 4, "matrix_dim": 2}),
-    "refined-doob": _Suite(_suite_refined_doob, (3.0, 4.0),
+    "refined-doob": _Suite(_each(_suite_refined_doob), (3.0, 4.0),
                            "(1 + 3(1 + 2 C_p))/2", 1.0, dims={"dim": 4}),
-    "schur-reversed-l": _Suite(_suite_schur_reversed_l, (4.0,), "(1 + C_p)/2", 2.0,
+    "schur-reversed-l": _Suite(_each(_suite_schur_reversed_l), (4.0,), "(1 + C_p)/2", 2.0,
                                dims={"dim": 8}),
-    "schur-norms": _Suite(_suite_schur_norms, (4.0, 8.0, 16.0),
+    "schur-norms": _Suite(_each(_suite_schur_norms), (4.0, 8.0, 16.0),
                           "(1 + C_p)/2 as upper reference", 2.0,
                           dims={"dim": 32, "budget": 20}),
 }
 
-# run() looks its callable up here on every call, so callers may swap entries;
-# suite metadata is read from _REGISTRY.
-SUITES = {name: suite.trial for name, suite in _REGISTRY.items()}
+# run() looks its group callable up here on every call, so callers may swap
+# entries; suite metadata is read from _REGISTRY.
+SUITES = {name: suite.rows for name, suite in _REGISTRY.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +414,22 @@ SUITES = {name: suite.trial for name, suite in _REGISTRY.items()}
 
 
 def run(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
-    """Execute a suite trial by trial; returns rows in trial order and a summary."""
+    """Execute a suite group by group, a group being one filtration family's
+    trials (equal trial % 6) for a family suite, else one trial; returns rows
+    in trial order and a summary.  With config.timing each trial's ms is its
+    group's time split evenly."""
     suite = SUITES[config.suite]
+    stride = len(FAMILY_TEMPLATES) if _REGISTRY[config.suite].families else config.trials
     t_start = time.perf_counter()
-    rows = []
-    token = _pending.set({})
-    try:
-        for trial in range(config.trials):
-            t0 = time.perf_counter()
-            got = suite(config, trial)
-            if config.timing:
-                ms = int(round((time.perf_counter() - t0) * 1000.0))
-                got = [replace(r, ms=ms) for r in got]
-            rows += got
-    finally:
-        _pending.reset(token)
+    by_trial = {}
+    for first in range(min(stride, config.trials)):
+        group = list(range(first, config.trials, stride))
+        t0 = time.perf_counter()
+        got = suite(config, group)
+        ms = int(round((time.perf_counter() - t0) * 1000.0 / len(group)))
+        for trial, got_rows in zip(group, got, strict=True):
+            by_trial[trial] = [replace(r, ms=ms) if config.timing else r for r in got_rows]
+    rows = [r for trial in range(config.trials) for r in by_trial[trial]]
     failures = sum(not r.passed for r in rows)
     summary = {
         "suite": config.suite,
@@ -516,7 +510,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="report file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--timing", action="store_true",
-                        help="record wall time per trial (breaks byte-level "
+                        help="record wall time per trial, its group's time split "
+                             "evenly over the group's trials (breaks byte-level "
                              "reproducibility of the report)")
     flags = vars(parser.parse_args(argv))
     out, fmt = flags.pop("out"), flags.pop("format")

@@ -76,7 +76,7 @@ class Triple:
 
     @cached_property
     def hypothesis(self) -> tuple[str, ...]:
-        """The labels of :func:`hypothesis_status`, computed once per triple."""
+        """The labels of :func:`hypothesis_status` at level 1, computed once per triple."""
         return hypothesis_status(self)
 
     @cached_property
@@ -104,10 +104,11 @@ class Triple:
 # ---------------------------------------------------------------------------
 
 
-def check_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check the two trace testing conditions of the triple.
+def check_testing(t: Triple, level: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check the two trace testing conditions of the triple at `level`.
 
-    Condition (i) is the exact double-sum domination by tau((I-R_N) x_N^2).
+    Condition (i) is the exact double-sum domination by tau((I-R_N) x_N^2),
+    R the Cuculescu sequence of y at `level`.
     Condition (ii), tau(dy_k^2 p) <= tau(z_N^2 p) for every projection p of
     the level-k algebra, holds exactly when E_k(z_N^2) - dy_k^2 >= 0 (take p
     its negative spectral projection), so it is check_strong_testing's z
@@ -117,7 +118,7 @@ def check_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     at the x gate of `Triple.tolerances` times tau(I) of its summand.
     """
     y = t.y
-    seq = cuculescu_r(y, 1.0)
+    seq = cuculescu_r(y, level)
 
     # (i), per summand; a summand whose d_n is 0 adds exact zeros
     double_sum = np.zeros(t.algebra.summands)
@@ -166,12 +167,12 @@ def check_strong_testing(t: Triple) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return passed, margin_x, margin_z
 
 
-def hypothesis_status(t: Triple) -> tuple[str, ...]:
-    """'strong-pass' (certificate), 'testing-pass', or 'unverified' per
-    summand; when some summand lacks the certificate, check_testing runs
-    once on the whole triple."""
+def hypothesis_status(t: Triple, level: float = 1.0) -> tuple[str, ...]:
+    """'strong-pass' (certificate, at every level), 'testing-pass' (at
+    `level`), or 'unverified' per summand; when some summand lacks the
+    certificate, check_testing runs once on the whole triple."""
     strong = check_strong_testing(t)[0]
-    testing = strong if strong.all() else check_testing(t)[0]
+    testing = strong if strong.all() else check_testing(t, level)[0]
     return tuple("strong-pass" if s else "testing-pass" if ok else "unverified"
                  for s, ok in zip(strong, testing))
 
@@ -186,8 +187,10 @@ def _rhs_weights(t: Triple, proj: Operator) -> np.ndarray:
 
 
 def _reports(lhs, rhs, constant: float, meta: dict, t: Triple) -> tuple[VerifyReport, ...]:
+    # the labels at meta's level, level 1's cached on the triple
+    labels = t.hypothesis if meta["level"] == 1.0 else hypothesis_status(t, meta["level"])
     return tuple(VerifyReport.compare(a, b, constant, {**meta, "hypothesis": label})
-                 for a, b, label in zip(lhs, rhs, t.hypothesis))
+                 for a, b, label in zip(lhs, rhs, labels))
 
 
 def verify_core(t: Triple, level: float = 1.0) -> tuple[VerifyReport, ...]:

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 from .errors import NumericalInstabilityError
 
 
-def report_tolerance(rhs: float) -> float:
-    """Default acceptance tolerance, relative to the bound being checked."""
-    return 1e-8 * (1.0 + abs(rhs))
+def report_tolerance(lhs: float, rhs: float) -> float:
+    """Acceptance tolerance, relative to the larger side: no pass flag depends on scale."""
+    return 1e-8 * max(abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -34,4 +34,4 @@ class VerifyReport:
             raise NumericalInstabilityError(f"a side is not finite: {lhs} <= {rhs} at {meta}")
         margin = rhs - lhs
         return VerifyReport(lhs, rhs, float(constant), margin,
-                            margin >= -report_tolerance(rhs), dict(meta or {}))
+                            margin >= -report_tolerance(lhs, rhs), dict(meta or {}))

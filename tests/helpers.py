@@ -359,7 +359,7 @@ def sampled_condition_ii(t, seed: int = 0, n_random: int = 50) -> tuple[bool, fl
             gain = float(trace_pair(w, p).real)
             ref = float(trace_pair(z_sq, p).real)
             slack = min(slack, gain)
-            if gain < -report_tolerance(ref):
+            if gain < -report_tolerance(ref - gain, ref):
                 passed = False
     return passed, float(slack)
 

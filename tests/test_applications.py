@@ -58,6 +58,7 @@ from ncgl.opalgebra import (
     spectral_projection,
     trace,
 )
+from ncgl.reports import VerifyReport
 
 from helpers import (
     check_projection,
@@ -251,6 +252,27 @@ class TestTransforms:
         m = random_martingale(filt, stream(92))
         with pytest.raises(DomainError):
             verify_transform(m, [2.0] * (m.N + 1), 4.0)
+
+
+class TestReportGate:
+    """A report's gate is relative to its larger side: every checked
+    inequality is homogeneous, so no pass flag may depend on the scale."""
+
+    @pytest.mark.parametrize("rhs", [1e-12, 1e-9, 1.0, 1e6])
+    def test_twice_the_bound_fails_at_every_scale(self, rhs):
+        # with the old absolute floor of 1e-8, lhs = 2 rhs passed at rhs = 1e-9
+        assert not VerifyReport.compare(2.0 * rhs, rhs, 1.0).passed
+        assert VerifyReport.compare(rhs * (1.0 + 1e-9), rhs, 1.0).passed
+
+    def test_zero_against_zero_passes(self):
+        assert VerifyReport.compare(0.0, 0.0, 1.0).passed
+
+    @pytest.mark.parametrize("mu", [1e-9, 1e-6, 1.0])
+    def test_a_false_claim_fails_on_a_small_instance(self, mu):
+        # ||x_N||_3 <= ||x_N||_3 / 2 on a corner(5) martingale scaled by mu
+        m = random_martingale(make_filtration("corner", dim=5), stream(0, 5, 0)).scale(mu)
+        norm = schatten_norm(m.final, 3.0)
+        assert not VerifyReport.compare(norm, norm / 2.0, 0.5).passed
 
 
 class TestDoobEmbedding:

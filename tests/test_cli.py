@@ -139,13 +139,13 @@ class TestRun:
         calls = []
         original = SUITES["bg"]
 
-        def wrapped(cfg, trial):
-            calls.append(trial)
-            return original(cfg, trial)
+        def wrapped(cfg, trials):
+            calls.append(trials)
+            return original(cfg, trials)
 
         monkeypatch.setitem(SUITES, "bg", wrapped)
         rows, summary = run(small("bg", trials=2))
-        assert calls == [0, 1]
+        assert calls == [[0], [1]]
         assert summary["p_grid"] == [3.0, 4.0, 8.0]
         assert summary["constants"].startswith("sqrt(2)*12p")
 
@@ -163,8 +163,7 @@ class TestFamilyBatches:
     def test_rows_match_each_trial_alone(self, suite, trials, seed):
         cfg = ExperimentConfig(suite=suite, trials=trials, seed=seed)
         rows, _ = run(cfg)
-        # outside run, a trial is a batch of one
-        alone = [r for trial in range(trials) for r in SUITES[suite](cfg, trial)]
+        alone = [r for trial in range(trials) for r in SUITES[suite](cfg, [trial])[0]]
         assert [(r.instance, r.passed) for r in rows] == \
             [(r.instance, r.passed) for r in alone]
         if suite != "goodlambda-tail":
@@ -177,59 +176,50 @@ class TestFamilyBatches:
                          (got.margin, want.margin)):
                 assert abs(a - b) <= 1e-9 * scale, (got, want)
 
-    def test_run_calls_every_trial_in_order(self, monkeypatch):
+    def test_run_calls_each_family_once_in_order(self, monkeypatch):
         calls = []
         original = SUITES["goodlambda-core"]
 
-        def wrapped(cfg, trial):
-            calls.append(trial)
-            return original(cfg, trial)
+        def wrapped(cfg, trials):
+            calls.append(trials)
+            return original(cfg, trials)
 
         monkeypatch.setitem(SUITES, "goodlambda-core", wrapped)
         rows, _ = run(small("goodlambda-core", trials=15))
-        assert calls == list(range(15))
+        assert calls == [[0, 6, 12], [1, 7, 13], [2, 8, 14], [3, 9], [4, 10], [5, 11]]
         assert [r.instance.split(":")[0] for r in rows] == [f"t{i}" for i in range(15)]
 
-    def test_timing_charges_the_batch_to_its_first_trial(self, monkeypatch):
+    @pytest.mark.parametrize("suite, patched, flags, group_ms", [
+        # one second per family batch: 333 ms per trial of three, 500 of two
+        pytest.param("goodlambda-tail", "strong_triple_parts", {"beta_grid": (2.0,)},
+                     [1000] * 6, id="goodlambda-tail"),
+        # one second per martingale drawn: 1000 ms per trial of every family
+        pytest.param("moment", "random_martingale", {"p_grid": (3.0,)},
+                     [3000, 3000, 2000, 2000, 2000, 2000], id="moment")])
+    def test_timing_splits_each_group_evenly(self, monkeypatch, suite, patched, flags,
+                                             group_ms):
         import ncgl.cli as cli
 
         clock = [0.0]
-        build = cli.strong_triple_parts
+        original = getattr(cli, patched)
 
-        def slow_build(*args):
-            clock[0] += 1.0  # one second per family batch
-            return build(*args)
+        def slow(*args, **kwargs):
+            clock[0] += 1.0
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "strong_triple_parts", slow_build)
+        monkeypatch.setattr(cli, patched, slow)
         monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
-        rows, _ = run(small("goodlambda-tail", trials=14, timing=True,
-                            beta_grid=(2.0,)))
-        assert [r.ms for r in rows] == [1000] * 6 + [0] * 8
-
-    def test_timing_charges_the_moment_family_to_its_first_trial(self, monkeypatch):
-        import ncgl.cli as cli
-
-        clock = [0.0]
-        draw = cli.random_martingale
-
-        def slow_draw(*args, **kwargs):
-            clock[0] += 1.0  # one second per martingale drawn
-            return draw(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "random_martingale", slow_draw)
-        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
-        rows, _ = run(small("moment", trials=14, timing=True, p_grid=(3.0,)))
-        # families 0 and 1 hold trials 0, 6, 12 and 1, 7, 13; the others two
-        # each; five rows per trial at one p
-        per_trial = [rows[5 * i].ms for i in range(14)]
-        assert per_trial == [3000, 3000, 2000, 2000, 2000, 2000] + [0] * 8
-        assert all(r.ms == rows[5 * (i // 5)].ms for i, r in enumerate(rows))
-
-    def test_nothing_outlives_a_run(self):
-        import ncgl.cli as cli
-
-        run(small("goodlambda-core", trials=8))
-        assert cli._pending.get() is None
+        rows, _ = run(small(suite, trials=14, timing=True, **flags))
+        ms = {}
+        for r in rows:
+            ms.setdefault(int(r.instance.split(":")[0][1:]), set()).add(r.ms)
+        # families 0 and 1 hold trials 0, 6, 12 and 1, 7, 13; the others two each
+        for family, family_ms in enumerate(group_ms):
+            group = range(family, 14, 6)
+            # no trial reads 0 ms unless its whole group does
+            assert all(0 not in ms[trial] for trial in group) or \
+                all(ms[trial] == {0} for trial in group)
+            assert all(ms[trial] == {round(family_ms / len(group))} for trial in group)
 
 
 class TestEmit:

@@ -424,6 +424,21 @@ class TestHypothesisStatus:
                 assert not check_strong_testing(grown)[0].any(), (name, mu)
                 assert hypothesis_status(grown) == hypothesis_status(base), (name, mu)
 
+    def test_label_is_that_of_the_level_verified(self):
+        # condition (i) is taken on the Cuculescu sequence of the level: the
+        # triple passes it at level 1 and fails it at level 1/10, where it has
+        # no strong certificate to fall back on
+        x, y, z = strong_triple_parts(triple_family(0), stream(0, 9, 0))
+        t = Triple(x * 0.3, y, z)
+        assert not check_strong_testing(t)[0].any()
+        assert hypothesis_status(t) == ("testing-pass",)
+        assert hypothesis_status(t, 0.1) == ("unverified",)
+        assert check_testing(t, 0.1)[1][0] < -0.07
+        assert verify_core(t)[0].meta["hypothesis"] == "testing-pass"
+        assert verify_core(t, 0.1)[0].meta["hypothesis"] == "unverified"
+        assert verify_tail(t, 2.0)[0].meta["hypothesis"] == "testing-pass"
+        assert verify_tail(t, 2.0, 0.1)[0].meta["hypothesis"] == "unverified"
+
     def test_label_computed_once_per_triple(self, monkeypatch):
         import ncgl.goodlambda as gl
 

@@ -2,11 +2,16 @@
 apart from any listed, Hermitian eigensolves run only in the listed kernels, no
 opalgebra function steps through a stack in slices, a direct sum is split one
 way, failed batch work is let go in one place and no exception is kept, only
-the listed modules draw random instances, and every public name is used in
-the package or a demo, or listed."""
+the listed modules draw random instances, no module keeps context-variable
+state, every suite maps a group of trials to each trial's rows, and every
+public name is used in the package or a demo, or listed."""
 
 import ast
 import pathlib
+
+import pytest
+
+from ncgl.cli import SUITES, ExperimentConfig, run
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ncgl"
 
@@ -140,6 +145,18 @@ def _modules_importing(target: str):
 
 def test_only_listed_modules_draw_instances():
     assert set(_modules_importing("ncgl.instances")) == INSTANCE_IMPORTERS.keys()
+
+
+def test_no_module_keeps_context_variable_state():
+    # `run` forms the groups a suite is called on, so no suite hands rows
+    # from one call to the next
+    assert list(_modules_importing("contextvars")) == []
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_a_suite_maps_a_group_to_each_trials_rows(suite):
+    cfg = ExperimentConfig(suite=suite, trials=1)
+    assert SUITES[suite](cfg, [0]) == [run(cfg)[0]]
 
 
 DEMOS = SRC.parents[1] / "demos"
