@@ -42,12 +42,12 @@ rep = verify_dominated(a, b, p=4.0)
 print(f"arrow pair with signs {gammas}: tangent={ok}, "
       f"dominated bound {rep.lhs:.3f} <= {rep.rhs:.3f}")
 
-# sums of tangent positive operators
-u, v, f = classical_tangent_positive_pair(depth=4, matrix_dim=2,
-                                          rng=stream(11))
-for rep in verify_positive_tangent(u, v, f, p_grid=(3.0, 4.0)):
-    print(f"positive tangent sums p={rep.meta['p']:g}: {rep.lhs:.3f} <= {rep.rhs:.3f} "
-          f"({rep.meta['hypothesis']})")
+# sums of tangent positive operators, two trials side by side as one direct
+# sum: one report per p for each trial in turn, each decided as it is alone
+u, v, f = classical_tangent_positive_pair(4, 2, stream(11), stream(13))
+for k, rep in enumerate(verify_positive_tangent(u, v, f, p_grid=(3.0, 4.0))):
+    print(f"positive tangent sums, trial {k // 2}, p={rep.meta['p']:g}: "
+          f"{rep.lhs:.3f} <= {rep.rhs:.3f} ({rep.meta['hypothesis']})")
 
 # the adapted refinement of Doob's inequality: O(p) instead of O(p^2)
 base = make_filtration("corner", dim=4)

@@ -240,7 +240,7 @@ def doob_embed(u: list[Operator], filtration: Filtration) -> EmbeddedInstance:
     roots; asserts y_N^2 >= e11 (x) 1 (x) sum E_n(u_n) and the conditional
     identity for dy_k^2.
     """
-    scale = _require_positive(u, "doob_embed needs positive operators")
+    scale, = _require_positive(u, "doob_embed needs positive operators")
     N = len(u) - 1
     outer = N + 2
     big = sign_matrix_filtration(outer, N + 1, filtration)
@@ -274,16 +274,18 @@ def doob_embed(u: list[Operator], filtration: Filtration) -> EmbeddedInstance:
                             {"u": tuple(u), "conditional": tuple(ceus)})
 
 
-def _require_positive(u, message: str) -> float:
+def _require_positive(u, message: str) -> np.ndarray:
     """Raise `message` unless every u_n is Hermitian with no eigenvalue below
-    -1e-10 (1 + max ||u_n||), read off its eigendecomposition; returns
-    1 + max ||u_n||.  An empty sequence is a DomainError of its own."""
+    -1e-10 (1 + max ||u_n||) in each summand, the norms of that summand, read
+    off the eigendecomposition; returns 1 + max ||u_n|| per summand.  An empty
+    sequence is a DomainError of its own."""
     if not u:
         raise DomainError("need at least one operator")
     if not all(ui.hermitian for ui in u):
         raise DomainError(message)
-    scale = 1.0 + max(map(_spectral_norm, u))
-    if min(float(e.min()) for ui in u for e, _ in ui.spectrum[0]) < -1e-10 * scale:
+    eigs = np.concatenate([_summand_eigenvalues(ui) for ui in u], axis=1)
+    scale = 1.0 + np.abs(eigs).max(axis=1)
+    if (eigs.min(axis=1) < -1e-10 * scale).any():
         raise DomainError(message)
     return scale
 
@@ -385,51 +387,63 @@ def verify_stein(u: list[Operator], filtration: Filtration,
 
 def _check_adapted(seq, filtration: Filtration, name: str) -> None:
     """DomainError unless every seq[n] is Hermitian and E_n-measurable, within
-    1e-9 (1 + ||seq[n]||), the norm read off its eigendecomposition."""
+    1e-9 (1 + ||seq[n]||) in each summand, the norm that summand's, read off
+    the eigendecomposition."""
     for n, a in enumerate(seq):
         if not a.hermitian:
             raise DomainError(f"{name}_{n} is not Hermitian")
-        if (cond_exp(filtration, n, a) - a).entry_max() > 1e-9 * (1.0 + _spectral_norm(a)):
+        drift = (cond_exp(filtration, n, a) - a).entry_max(per_summand=True)
+        if (drift > 1e-9 * (1.0 + np.abs(_summand_eigenvalues(a)).max(axis=1))).any():
             raise DomainError(f"{name}_{n} is not adapted")
 
 
-def _spectral_norm(a: Operator) -> float:
-    """||a|| of a Hermitian operator, read off its eigendecomposition."""
-    return max(float(np.abs(e).max()) for e, _ in a.spectrum[0])
+def _summand_eigenvalues(a: Operator) -> np.ndarray:
+    """The eigenvalues of a Hermitian operator, one row per summand, run by
+    run, read off its eigendecomposition."""
+    return np.concatenate([e.reshape(a.algebra.summands, -1) for e, _ in a.spectrum[0]], axis=1)
 
 
-def check_tangent(a, b, filtration: Filtration) -> tuple[bool, float]:
-    """Tangency of two adapted Hermitian sequences.
+def check_tangent(a, b, filtration: Filtration, per_summand: bool = False):
+    """Tangency of two adapted Hermitian sequences: (tangent, worst deviation)
+    over all summands, or with `per_summand` two lists, one entry per summand.
 
-    For every step n, the union spectrum of a_n and b_n is clustered (merging
-    eigenvalues closer than the clustering rule allows) and the conditional
-    expectations of the cluster indicators are compared; the sequences are
-    tangent when the worst deviation stays below 1e-8.  Each eigenvalue of
-    a_n and b_n is labelled with its cluster, the first whose largest value
-    is not below it, and a step is one batch: the cuts of a_n and of b_n onto
-    the labels of all C clusters, each one operator on a direct sum of C
-    copies, their difference conditioned once on ``filtration.direct_sum(C)``
-    and one operator norm over all clusters.
+    For every step n, each summand's union spectrum of a_n and b_n is
+    clustered on that summand's scale (merging eigenvalues closer than the
+    clustering rule allows) and the conditional expectations of the cluster
+    indicators are compared; tangent means a worst deviation below 1e-8.  A
+    step is one batch of up to 2**14 block rows: each eigenvalue labelled with
+    its cluster, the first whose largest value is not below it, the cuts of a_n
+    and of b_n onto labels 0 .. C - 1 (C the most clusters of any summand) are
+    each one operator on a direct sum of C copies, their difference conditioned
+    once on ``filtration.direct_sum(C)``, one operator norm per copy and summand.
     """
     if len(a) != len(b):
         raise DomainError("sequences must have the same length")
     # the clustering needs each spectrum with vectors: the norm reads it too
     _check_adapted(a, filtration, "a")
     _check_adapted(b, filtration, "b")
-    worst = 0.0
+    worst = np.zeros(filtration.algebra.summands)
     for n, (an, bn) in enumerate(zip(a, b)):
-        eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
-        tops = np.array([c[-1] for c in cluster_eigenvalues(eigs, float(np.abs(eigs).max()))])
-        la, lb = ([np.searchsorted(tops, e) for e, _ in op.spectrum[0]] for op in (an, bn))
-        # blocks of unequal dimension have no direct sum: one cluster per batch
-        size = len(tops) if len(an.algebra.runs) == 1 else 1
-        for i in range(0, len(tops), size):
+        eigs = np.concatenate([_summand_eigenvalues(an), _summand_eigenvalues(bn)], axis=1)
+        tops = [[c[-1] for c in cluster_eigenvalues(row, float(np.abs(row).max()))]
+                for row in eigs]
+        count = max(map(len, tops))
+        tops = np.array([t + [np.inf] * (count - len(t)) for t in tops])[:, None, :]
+        # a label is the number of cluster tops below the eigenvalue, per summand
+        la, lb = ([(e.reshape(len(tops), -1, 1) > tops).sum(axis=2).reshape(e.shape)
+                   for e, _ in op.spectrum[0]] for op in (an, bn))
+        # at most 2**14 block rows a batch; unequal blocks have no direct sum
+        size = min(count, 2**14 // an.algebra.total_dim or 1) if len(an.algebra.runs) == 1 else 1
+        for i in range(0, count, size):
             ids = np.arange(i, i + size)[:, None, None]
             # cond_exp is linear: one application to the difference of the cuts
             cuts = spectral_cuts(an, [lab == ids for lab in la]) \
                 - spectral_cuts(bn, [lab == ids for lab in lb])
-            worst = max(worst, operator_norm(cond_exp(filtration.direct_sum(size), n - 1, cuts)))
-    return bool(worst <= 1e-8), float(worst)
+            dev = operator_norm(cond_exp(filtration.direct_sum(size), n - 1, cuts),
+                                per_summand=True)
+            worst = np.maximum(worst, np.reshape(dev, (size, -1)).max(axis=0))
+    ok = worst <= 1e-8
+    return (ok.tolist(), worst.tolist()) if per_summand else (bool(ok.all()), float(worst.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +584,14 @@ def verify_dominated(x: Martingale, y: Martingale, p: float,
 def verify_positive_tangent(u, v, filtration: Filtration, p_grid,
                             kappa: float = 1.0,
                             relaxed: bool = False) -> tuple[VerifyReport, ...]:
-    """|| sum v_n ||_p <= C_p || sum u_n ||_p for tangent positive sequences,
-    one report per p of `p_grid`.
+    """|| sum v_n ||_p <= C_p || sum u_n ||_p for tangent positive sequences:
+    one report per p of `p_grid` for each summand in turn, each summand
+    decided as it is alone.
 
     With `relaxed=True` only the first-moment identity, the conditional
     square domination and the kappa-norm comparison are required (v_n may be
     merely self-adjoint), the last at each p; otherwise full tangency is
-    checked, once for the whole grid.
+    checked, once for the whole grid and every summand.
     """
     if any(p < 1 for p in p_grid):
         raise DomainError("needs p >= 1")
@@ -585,25 +600,27 @@ def verify_positive_tangent(u, v, filtration: Filtration, p_grid,
     # the tangency route solves each u_n with vectors anyway: positivity reads it
     scale = _require_positive(u, "the u_n must be positive")
     if relaxed:
-        moments_ok = all(
-            cond_exp(filtration, n - 1, vn - un).entry_max() <= 1e-8 * scale
-            and min_eigenvalue(cond_exp(filtration, n - 1, (un @ un - vn @ vn)
-                                        .symmetrized())) >= -1e-8 * scale ** 2
-            for n, (un, vn) in enumerate(zip(u, v)))
+        moments_ok = np.all([
+            (cond_exp(filtration, n - 1, vn - un).entry_max(per_summand=True) <= 1e-8 * scale)
+            & (min_eigenvalue(cond_exp(filtration, n - 1, (un @ un - vn @ vn).symmetrized()),
+                              per_summand=True) >= -1e-8 * scale ** 2)
+            for n, (un, vn) in enumerate(zip(u, v))], axis=0)
     else:
-        label = "tangent" if check_tangent(u, v, filtration)[0] else "unverified"
+        labels = ["tangent" if ok else "unverified"
+                  for ok in check_tangent(u, v, filtration, per_summand=True)[0]]
+    norms = lambda a, p: np.asarray(schatten_norm(a, p, per_summand=True))
     sum_u, sum_v = sum(u[1:], u[0]), sum(v[1:], v[0])
-    reports = []
+    by_p = []
     for p in p_grid:
         if relaxed:
-            label = "relaxed-verified" if moments_ok and all(
-                schatten_norm(vn, p) <= kappa * schatten_norm(un, p) * (1 + 1e-8)
-                for un, vn in zip(u, v)) else "unverified"
+            labels = np.where(moments_ok & np.all(
+                [norms(vn, p) <= kappa * norms(un, p) * (1 + 1e-8) for un, vn in zip(u, v)],
+                axis=0), "relaxed-verified", "unverified").tolist()
         const = positive_tangent_constant(p, kappa)
-        reports.append(VerifyReport.compare(
-            schatten_norm(sum_v, p), const * schatten_norm(sum_u, p), const,
-            {"p": p, "kappa": kappa, "hypothesis": label}))
-    return tuple(reports)
+        by_p.append([VerifyReport.compare(lhs, const * rhs, const,
+                                          {"p": p, "kappa": kappa, "hypothesis": label})
+                     for lhs, rhs, label in zip(norms(sum_v, p), norms(sum_u, p), labels)])
+    return tuple(rep for reps in zip(*by_p) for rep in reps)
 
 
 def refined_doob(u, filtration: Filtration, p: float) -> VerifyReport:

@@ -12,9 +12,10 @@ Reports are byte-identical across runs for a fixed config and seed; wall
 times only enter the emitted rows with --timing.
 
 Every suite maps a config and a group of trials to each trial's rows, and
-`run` forms the groups: one per filtration family in the good-lambda and
-moment suites, which verify a family as one direct sum, one per trial
-elsewhere.  With --timing each trial reads its group's time split evenly.
+`run` forms the groups from the suite's stride: one per filtration family in
+the good-lambda and moment suites, one of all trials in positive-tangent, each
+group verified as one direct sum, and one per trial elsewhere.  With --timing
+each trial reads its group's time split evenly.
 """
 
 from __future__ import annotations
@@ -152,13 +153,23 @@ class ReportRow:
     ms: int = 0
 
 
+# The gates of the rows a suite judges itself: a <= b within rtol max(|a|, |b|),
+# relative to the larger side as in reports, so no pass flag depends on scale.
+_LP_ROW_RTOL = 1e-9     # tangent-counterexample: ||y_N||_p >= (N+1)^{1/p}
+_SCHUR_ROW_RTOL = 1e-9  # schur-norms: a bound found <= (1 + C_p)/2, and >= the last p's
+
+
+def _at_most(a: float, b: float, rtol: float) -> bool:
+    return a - b <= rtol * max(abs(a), abs(b))
+
+
 def _row(cfg: ExperimentConfig, instance: str, rep: VerifyReport) -> ReportRow:
     return ReportRow(cfg.suite, instance, cfg.seed, rep.lhs, rep.rhs,
                      rep.constant, rep.margin, rep.passed)
 
 
 # ---------------------------------------------------------------------------
-# suite implementations (each maps one trial, or one family's trials, to rows)
+# suite implementations (each maps one trial, or a group of trials, to rows)
 # ---------------------------------------------------------------------------
 
 
@@ -272,10 +283,10 @@ def _suite_counterexample(cfg, trial):
               and abs(r.l1_x - r.expected_l1) <= tol_l1)
         rows.append(ReportRow(cfg.suite, f"N={N}:tau", cfg.seed, r.weak_y,
                               r.l1_x, r.ratio, r.l1_x - r.weak_y, ok))
-        rows.append(ReportRow(cfg.suite, f"N={N}:p={p}:lp", cfg.seed,
-                              (N + 1) ** (1.0 / p), r.p_norm_y, 0.0,
-                              r.p_norm_y - (N + 1) ** (1.0 / p),
-                              r.p_norm_y >= (N + 1) ** (1.0 / p) - 1e-9))
+        bound = (N + 1) ** (1.0 / p)
+        rows.append(ReportRow(cfg.suite, f"N={N}:p={p}:lp", cfg.seed, bound, r.p_norm_y,
+                              0.0, r.p_norm_y - bound,
+                              _at_most(bound, r.p_norm_y, _LP_ROW_RTOL)))
     return rows
 
 def _suite_dominated(cfg, trial):
@@ -285,11 +296,12 @@ def _suite_dominated(cfg, trial):
         for p in cfg.p_grid
     ]
 
-def _suite_positive_tangent(cfg, trial):
+def _suite_positive_tangent(cfg, trials):
     u, v, filt = classical_tangent_positive_pair(
-        cfg.dims["depth"], cfg.dims["matrix_dim"], stream(cfg.seed, 9, trial))
-    return [_row(cfg, f"t{trial}:p={p}", rep)
-            for p, rep in zip(cfg.p_grid, apps.verify_positive_tangent(u, v, filt, cfg.p_grid))]
+        cfg.dims["depth"], cfg.dims["matrix_dim"], *(stream(cfg.seed, 9, i) for i in trials))
+    reps, ps = apps.verify_positive_tangent(u, v, filt, cfg.p_grid), cfg.p_grid
+    return [[_row(cfg, f"t{i}:p={p}", rep) for p, rep in zip(ps, reps[k * len(ps):])]
+            for k, i in enumerate(trials)]
 
 def _suite_refined_doob(cfg, trial):
     filt = make_filtration("corner", dim=cfg.dims["dim"])
@@ -324,7 +336,7 @@ def _suite_schur_norms(cfg, trial):
         val, arg = schur_norm_lower(pat, p, budget=cfg.dims["budget"], restarts=2,
                                     seed=cfg.seed, starts=starts)
         ub = reversed_l_bound(p)
-        ok = val <= ub + 1e-9 and val >= prev_val - 1e-9
+        ok = _at_most(val, ub, _SCHUR_ROW_RTOL) and _at_most(prev_val, val, _SCHUR_ROW_RTOL)
         rows.append(ReportRow(cfg.suite, f"triangular-{dim}:p={p}", cfg.seed,
                               val, ub, ub, ub - val, ok))
         prev, prev_val = arg, val
@@ -341,7 +353,7 @@ class _Suite:
     """One registry record: group callable (config and trials to each trial's
     rows), default p grid (empty: the suite reads no p), p domain, constants
     string of the summary, the ``dims`` and ``tolerances`` keys the suite
-    reads with their defaults, and how `run` groups its trials."""
+    reads with their defaults, and how `run` groups its trials (``stride``)."""
 
     rows: Callable
     default_p: tuple[float, ...]
@@ -351,20 +363,20 @@ class _Suite:
     dims: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     reads: tuple[str, ...] = ()  # which of the fields B and beta_grid it reads
-    families: bool = False  # one group per filtration family, else one per trial
+    stride: int = 0  # groups range(first, trials, stride): 6 by family, 1 all, 0 one each
 
 
 _REGISTRY = {
     "goodlambda-core": _Suite(_family_batched(1, _strong_triples, _goodlambda_core), (), "2",
-                              families=True),
+                              stride=len(FAMILY_TEMPLATES)),
     "goodlambda-tail": _Suite(_family_batched(2, _strong_triples, _goodlambda_tail), (),
-                              "4/(beta-1)^2", reads=("beta_grid",), families=True),
+                              "4/(beta-1)^2", reads=("beta_grid",), stride=len(FAMILY_TEMPLATES)),
     "moment": _Suite(
         _family_batched(3, _moment_martingales, _suite_moment), (3.0, 4.0, 8.0),
         "C_{p,B} = (2p B^{p-1}(B-1)/(1-B^-p))^{1/p} "
         "* 2 B^{p/2}/((B-1) sqrt(1-B^{2-p})); simplified "
         "12p/sqrt(1-(1+1/p)^{2-p})", 2.0, strict=True,
-        tolerances={"fubini": 1e-6}, reads=("B",), families=True),
+        tolerances={"fubini": 1e-6}, reads=("B",), stride=len(FAMILY_TEMPLATES)),
     "bg": _Suite(
         _each(_suite_bg), (3.0, 4.0, 8.0),
         "sqrt(2)*12p/sqrt(1-(1+1/p)^{2-p}) and "
@@ -391,9 +403,9 @@ _REGISTRY = {
         "kappa * 12p sqrt(1+2^{2-4/p}) / sqrt(1-(1+1/p)^{2-p})", 2.0,
         dims={"dim": 6}),
     "positive-tangent": _Suite(
-        _each(_suite_positive_tangent), (3.0, 4.0),
+        _suite_positive_tangent, (3.0, 4.0),
         "1 + (1+kappa) C_p (p>2); BG-squared route (p<=2)", 1.0,
-        dims={"depth": 4, "matrix_dim": 2}),
+        dims={"depth": 4, "matrix_dim": 2}, stride=1),
     "refined-doob": _Suite(_each(_suite_refined_doob), (3.0, 4.0),
                            "(1 + 3(1 + 2 C_p))/2", 1.0, dims={"dim": 4}),
     "schur-reversed-l": _Suite(_each(_suite_schur_reversed_l), (4.0,), "(1 + C_p)/2", 2.0,
@@ -414,12 +426,12 @@ SUITES = {name: suite.rows for name, suite in _REGISTRY.items()}
 
 
 def run(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
-    """Execute a suite group by group, a group being one filtration family's
-    trials (equal trial % 6) for a family suite, else one trial; returns rows
-    in trial order and a summary.  With config.timing each trial's ms is its
-    group's time split evenly."""
+    """Execute a suite group by group, `range(first, trials, stride)` for its
+    registry stride: a filtration family's trials (equal trial % 6), all
+    trials, or one; returns rows in trial order and a summary.  With
+    config.timing each trial's ms is its group's time split evenly."""
     suite = SUITES[config.suite]
-    stride = len(FAMILY_TEMPLATES) if _REGISTRY[config.suite].families else config.trials
+    stride = _REGISTRY[config.suite].stride or config.trials
     t_start = time.perf_counter()
     by_trial = {}
     for first in range(min(stride, config.trials)):

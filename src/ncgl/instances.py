@@ -170,19 +170,30 @@ def arrow_martingale_pair(
     return a, hook_flipped(a, gammas), gammas
 
 
+@cache
+def _rademacher(depth: int, matrix_dim: int) -> Filtration:
+    """The filtration of classical_tangent_positive_pair, built once per
+    process, as are the sums asked of its algebra (TracialAlgebra._sums)."""
+    return make_filtration("rademacher", depth=depth, matrix_dim=matrix_dim)
+
+
 def classical_tangent_positive_pair(
-    depth: int, matrix_dim: int, rng: np.random.Generator
+    depth: int, matrix_dim: int, *rngs: np.random.Generator
 ) -> tuple[list[Operator], list[Operator], Filtration]:
-    """Tangent positive sequences (1 ± eps_n) w_n with predictable PSD w_n."""
-    filt = make_filtration("rademacher", depth=depth, matrix_dim=matrix_dim)
+    """Tangent positive sequences (1 ± eps_n) w_n with predictable PSD w_n
+    (u_0 = v_0 = w_0) on the returned direct sum of ``len(rngs)`` copies of the
+    rademacher filtration, one summand per generator, each drawn in the order
+    of a lone trial; the algebra then runs once."""
+    base = _rademacher(depth, matrix_dim)
+    draws = [[gaussian_psd(base.algebra, rng) for _ in range(depth + 1)] for rng in rngs]
+    filt = base.direct_sum(len(rngs))
     ident = filt.algebra.identity()
-    u0 = cond_exp(filt, 0, gaussian_psd(filt.algebra, rng))
-    us, vs = [u0], [u0]
+    ws = [cond_exp(filt, n - 1, direct_sum(list(w))) for n, w in enumerate(zip(*draws))]
+    us, vs = [ws[0]], [ws[0]]
     for n in range(1, depth + 1):
-        w = cond_exp(filt, n - 1, gaussian_psd(filt.algebra, rng))
         eps = rademacher_operator(filt, n - 1)
-        us.append(((ident + eps) @ w).symmetrized())
-        vs.append(((ident - eps) @ w).symmetrized())
+        us.append(((ident + eps) @ ws[n]).symmetrized())
+        vs.append(((ident - eps) @ ws[n]).symmetrized())
     return us, vs, filt
 
 

@@ -97,19 +97,21 @@ class TestRun:
         assert any("fubini" in r.instance for r in rows)
         assert summary["failures"] == 0
 
-    def test_positive_tangent_checks_tangency_once_per_trial(self, monkeypatch):
+    def test_positive_tangent_checks_tangency_once_per_group(self, monkeypatch):
+        # all trials are one group, verified as one direct sum: one call,
+        # each summand decided on its own
         import ncgl.applications as apps
 
         calls = []
         original = apps.check_tangent
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(a, b, filtration, **kwargs):
+            calls.append((filtration.algebra.summands, kwargs))
+            return original(a, b, filtration, **kwargs)
 
         monkeypatch.setattr(apps, "check_tangent", counted)
         rows, summary = run(small("positive-tangent", trials=12, seed=0))
-        assert len(calls) == 12
+        assert calls == [(12, {"per_summand": True})]
         assert len(rows) == 24 and summary["failures"] == 0
 
     def test_counterexample_builds_the_pair_once_per_trial(self, monkeypatch):
@@ -153,13 +155,18 @@ class TestRun:
 class TestFamilyBatches:
     """The good-lambda and moment suites verify each filtration family's trials
     as one direct sum, the moment suite with their Cuculescu trees grown
-    together; every trial must still get the rows it gets alone."""
+    together, and positive-tangent all its trials as one direct sum; every
+    trial must still get the rows it gets alone."""
 
     @pytest.mark.parametrize("suite, trials, seed", [
         pytest.param("goodlambda-core", 100, 0, id="goodlambda-core-100"),
         pytest.param("goodlambda-tail", 100, 0, id="goodlambda-tail-100"),
         pytest.param("moment", 42, 0, id="moment-42"),
-        pytest.param("moment", 42, 3, id="moment-42-seed3")])
+        pytest.param("moment", 42, 3, id="moment-42-seed3"),
+        pytest.param("positive-tangent", 12, 0, id="positive-tangent-12"),
+        pytest.param("positive-tangent", 12, 3, id="positive-tangent-12-seed3"),
+        # 200 trials cut their clusters in batches of a few at a time
+        pytest.param("positive-tangent", 200, 5, id="positive-tangent-200-seed5")])
     def test_rows_match_each_trial_alone(self, suite, trials, seed):
         cfg = ExperimentConfig(suite=suite, trials=trials, seed=seed)
         rows, _ = run(cfg)
@@ -168,6 +175,15 @@ class TestFamilyBatches:
             [(r.instance, r.passed) for r in alone]
         if suite != "goodlambda-tail":
             assert rows == alone
+        if suite == "positive-tangent":
+            # the hypothesis labels, which the rows leave out, are each trial's own
+            from ncgl.applications import verify_positive_tangent
+            from ncgl.instances import classical_tangent_positive_pair, stream
+
+            reports = lambda ts: verify_positive_tangent(*classical_tangent_positive_pair(
+                4, 2, *(stream(seed, 9, t) for t in ts)), cfg.p_grid)
+            assert [r.meta for r in reports(range(trials))] == \
+                [r.meta for t in range(trials) for r in reports([t])]
         # a tail batch's steps may round unlike the trial alone's: values
         # agree to the 1e-9 margin contract
         for got, want in zip(rows, alone):
@@ -188,6 +204,22 @@ class TestFamilyBatches:
         rows, _ = run(small("goodlambda-core", trials=15))
         assert calls == [[0, 6, 12], [1, 7, 13], [2, 8, 14], [3, 9], [4, 10], [5, 11]]
         assert [r.instance.split(":")[0] for r in rows] == [f"t{i}" for i in range(15)]
+
+    def test_run_calls_positive_tangent_once_with_every_trial(self, monkeypatch):
+        calls = []
+        original = SUITES["positive-tangent"]
+
+        def wrapped(cfg, trials):
+            calls.append(trials)
+            return original(cfg, trials)
+
+        monkeypatch.setitem(SUITES, "positive-tangent", wrapped)
+        rows, _ = run(small("positive-tangent", trials=5, timing=True))
+        assert calls == [[0, 1, 2, 3, 4]]
+        assert [r.instance for r in rows] == [f"t{i}:p={p}" for i in range(5)
+                                              for p in (3.0, 4.0)]
+        # one group: every trial reads the same share of its time
+        assert len({r.ms for r in rows}) == 1
 
     @pytest.mark.parametrize("suite, patched, flags, group_ms", [
         # one second per family batch: 333 ms per trial of three, 500 of two
@@ -220,6 +252,20 @@ class TestFamilyBatches:
             assert all(0 not in ms[trial] for trial in group) or \
                 all(ms[trial] == {0} for trial in group)
             assert all(ms[trial] == {round(family_ms / len(group))} for trial in group)
+
+
+class TestRowGates:
+    """The rows a suite judges itself are gated relative to the larger side,
+    so no pass flag depends on the scale of the instance."""
+
+    @pytest.mark.parametrize("mu", (1e-12, 1e-6, 1.0, 1e6))
+    def test_gates_do_not_depend_on_scale(self, mu):
+        from ncgl.cli import _LP_ROW_RTOL, _SCHUR_ROW_RTOL, _at_most
+
+        for rtol in (_LP_ROW_RTOL, _SCHUR_ROW_RTOL):
+            assert _at_most(mu, mu, rtol) and _at_most(mu * (1 + 0.5 * rtol), mu, rtol)
+            assert not _at_most(mu * (1 + 2 * rtol), mu, rtol)
+            assert _at_most(0.0, 0.0, rtol) and not _at_most(2 * mu, mu, rtol)
 
 
 class TestEmit:

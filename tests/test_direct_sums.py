@@ -34,6 +34,7 @@ from ncgl.goodlambda import (
 )
 from ncgl.instances import (
     FAMILY_TEMPLATES,
+    classical_tangent_positive_pair,
     gaussian_hermitian,
     random_martingale,
     stream,
@@ -155,6 +156,37 @@ class TestDirectSumFiltration:
         for cfg in configs:
             cli.run(cfg)
         assert built == []
+
+    def test_a_second_tangent_spectral_pass_builds_only_the_orbit_algebras(self, monkeypatch):
+        # positive-tangent sums the trials on its filtration, built once per
+        # process with the sums asked of it; the counterexample builds the
+        # algebra of its N + 1 sign-row orbits once per trial
+        import ncgl.cli as cli
+
+        configs = [cli.ExperimentConfig(suite="positive-tangent", trials=12, seed=0,
+                                        p_grid=(3.0, 4.0), dims={"depth": 4, "matrix_dim": 2}),
+                   cli.ExperimentConfig(suite="tangent-counterexample", trials=6, seed=0,
+                                        p_grid=(1.5,), dims={"N_list": (3, 5, 7, 9, 11, 13)})]
+        for cfg in configs:
+            cli.run(cfg)
+        built, init = [], TracialAlgebra.__post_init__
+        monkeypatch.setattr(TracialAlgebra, "__post_init__",
+                            lambda alg: built.append(alg) or init(alg))
+        cli.run(configs[0])
+        assert built == []
+        cli.run(configs[1])
+        assert [alg.dims for alg in built] == [(N + 1,) * (N + 1) for N in (3, 5, 7, 9, 11, 13)]
+
+    def test_tangent_pairs_drawn_together_are_each_trials_own(self):
+        rngs = lambda: [stream(5, 9, t) for t in range(4)]
+        u, v, filt = classical_tangent_positive_pair(3, 2, *rngs())
+        alone = [classical_tangent_positive_pair(3, 2, rng) for rng in rngs()]
+        base = alone[0][2]
+        assert all(f is base for _, _, f in alone) and filt.algebra is base.algebra.direct_sum(4)
+        for n in range(len(u)):
+            for k, (ua, va, _) in enumerate(alone):
+                assert _same(u[n].parts(base.algebra)[k], ua[n])
+                assert _same(v[n].parts(base.algebra)[k], va[n])
 
     @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
     def test_levels_act_per_summand_and_match_the_oracle(self, family):
