@@ -32,7 +32,7 @@ from .opalgebra import (
     Operator,
     TracialAlgebra,
     abs_spectral_trace,
-    cluster_eigenvalues,
+    cluster_tops,
     min_eigenvalue,
     operator_norm,
     psd_sqrt,
@@ -387,13 +387,13 @@ def verify_stein(u: list[Operator], filtration: Filtration,
 
 def _check_adapted(seq, filtration: Filtration, name: str) -> None:
     """DomainError unless every seq[n] is Hermitian and E_n-measurable, within
-    1e-9 (1 + ||seq[n]||) in each summand, the norm that summand's, read off
-    the eigendecomposition."""
+    1e-9 ||seq[n]|| in each summand, the norm that summand's, read off the
+    eigendecomposition: relative, so the decision does not depend on scale."""
     for n, a in enumerate(seq):
         if not a.hermitian:
             raise DomainError(f"{name}_{n} is not Hermitian")
         drift = (cond_exp(filtration, n, a) - a).entry_max(per_summand=True)
-        if (drift > 1e-9 * (1.0 + np.abs(_summand_eigenvalues(a)).max(axis=1))).any():
+        if (drift > 1e-9 * np.abs(_summand_eigenvalues(a)).max(axis=1)).any():
             raise DomainError(f"{name}_{n} is not adapted")
 
 
@@ -408,14 +408,15 @@ def check_tangent(a, b, filtration: Filtration, per_summand: bool = False):
     over all summands, or with `per_summand` two lists, one entry per summand.
 
     For every step n, each summand's union spectrum of a_n and b_n is
-    clustered on that summand's scale (merging eigenvalues closer than the
-    clustering rule allows) and the conditional expectations of the cluster
-    indicators are compared; tangent means a worst deviation below 1e-8.  A
-    step is one batch of up to 2**14 block rows: each eigenvalue labelled with
-    its cluster, the first whose largest value is not below it, the cuts of a_n
-    and of b_n onto labels 0 .. C - 1 (C the most clusters of any summand) are
-    each one operator on a direct sum of C copies, their difference conditioned
-    once on ``filtration.direct_sum(C)``, one operator norm per copy and summand.
+    clustered on that summand's scale, all in one `cluster_tops` call, and the
+    conditional expectations of the cluster indicators are compared; tangent
+    means a worst deviation below 1e-8.  A step is one batch of up to 2**14
+    block rows: each eigenvalue labelled with its cluster, the first whose
+    largest value is not below it, the cuts of a_n and of b_n onto labels
+    0 .. C - 1 (C the most clusters of any summand, a block composed only for
+    the labels it holds) are each one operator on a direct sum of C copies,
+    their difference conditioned once on ``filtration.direct_sum(C)``, one
+    operator norm per copy and summand.
     """
     if len(a) != len(b):
         raise DomainError("sequences must have the same length")
@@ -424,11 +425,9 @@ def check_tangent(a, b, filtration: Filtration, per_summand: bool = False):
     _check_adapted(b, filtration, "b")
     worst = np.zeros(filtration.algebra.summands)
     for n, (an, bn) in enumerate(zip(a, b)):
-        eigs = np.concatenate([_summand_eigenvalues(an), _summand_eigenvalues(bn)], axis=1)
-        tops = [[c[-1] for c in cluster_eigenvalues(row, float(np.abs(row).max()))]
-                for row in eigs]
-        count = max(map(len, tops))
-        tops = np.array([t + [np.inf] * (count - len(t)) for t in tops])[:, None, :]
+        tops = cluster_tops(np.concatenate([_summand_eigenvalues(an),
+                                            _summand_eigenvalues(bn)], axis=1))
+        count, tops = tops.shape[1], tops[:, None, :]
         # a label is the number of cluster tops below the eigenvalue, per summand
         la, lb = ([(e.reshape(len(tops), -1, 1) > tops).sum(axis=2).reshape(e.shape)
                    for e, _ in op.spectrum[0]] for op in (an, bn))

@@ -13,9 +13,9 @@ times only enter the emitted rows with --timing.
 
 Every suite maps a config and a group of trials to each trial's rows, and
 `run` forms the groups from the suite's stride: one per filtration family in
-the good-lambda and moment suites, one of all trials in positive-tangent, each
-group verified as one direct sum, and one per trial elsewhere.  With --timing
-each trial reads its group's time split evenly.
+the good-lambda and moment suites, consecutive runs of at most _GROUP_TRIALS
+trials in positive-tangent, each group verified as one direct sum, and one per
+trial elsewhere.  With --timing each trial reads its group's time split evenly.
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ _DIMS_MIN = {"dim": 1, "steps": 1, "depth": 0, "matrix_dim": 1, "budget": 1,
              "N_list": 1}
 
 _DEFAULT_BETA = (1.5, 2.0, 4.0)  # every suite accepts it; goodlambda-tail reads it
+
+# The most trials a suite of stride 1 verifies as one direct sum: its memory
+# grows with the group (a 1,000-trial run as one group peaked at 28 MiB), and a
+# 12-trial run stays one group.
+_GROUP_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -427,15 +432,17 @@ SUITES = {name: suite.rows for name, suite in _REGISTRY.items()}
 
 def run(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     """Execute a suite group by group, `range(first, trials, stride)` for its
-    registry stride: a filtration family's trials (equal trial % 6), all
-    trials, or one; returns rows in trial order and a summary.  With
-    config.timing each trial's ms is its group's time split evenly."""
+    registry stride: a filtration family's trials (equal trial % 6), one, or
+    all trials, these in consecutive groups of at most _GROUP_TRIALS; returns
+    rows in trial order and a summary.  With config.timing each trial's ms is
+    its group's time split evenly."""
     suite = SUITES[config.suite]
-    stride = _REGISTRY[config.suite].stride or config.trials
+    stride, n = _REGISTRY[config.suite].stride or config.trials, config.trials
+    groups = ([range(i, min(i + _GROUP_TRIALS, n)) for i in range(0, n, _GROUP_TRIALS)]
+              if stride == 1 else [range(first, n, stride) for first in range(min(stride, n))])
     t_start = time.perf_counter()
     by_trial = {}
-    for first in range(min(stride, config.trials)):
-        group = list(range(first, config.trials, stride))
+    for group in map(list, groups):
         t0 = time.perf_counter()
         got = suite(config, group)
         ms = int(round((time.perf_counter() - t0) * 1000.0 / len(group)))

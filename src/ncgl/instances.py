@@ -182,13 +182,17 @@ def classical_tangent_positive_pair(
 ) -> tuple[list[Operator], list[Operator], Filtration]:
     """Tangent positive sequences (1 ± eps_n) w_n with predictable PSD w_n
     (u_0 = v_0 = w_0) on the returned direct sum of ``len(rngs)`` copies of the
-    rademacher filtration, one summand per generator, each drawn in the order
-    of a lone trial; the algebra then runs once."""
+    rademacher filtration, one summand per generator.  Each generator draws its
+    depth + 1 PSD stacks in one `gaussian_psd` call, in the order of a lone
+    trial's draw per step; the algebra then runs once."""
     base = _rademacher(depth, matrix_dim)
-    draws = [[gaussian_psd(base.algebra, rng) for _ in range(depth + 1)] for rng in rngs]
+    # (step, trial, block, d, d): step n of every trial is one stack
+    draws = np.stack([gaussian_psd(base.algebra.direct_sum(depth + 1), rng).stacks[0]
+                      .reshape(depth + 1, -1, matrix_dim, matrix_dim) for rng in rngs], axis=1)
     filt = base.direct_sum(len(rngs))
     ident = filt.algebra.identity()
-    ws = [cond_exp(filt, n - 1, direct_sum(list(w))) for n, w in enumerate(zip(*draws))]
+    ws = [cond_exp(filt, n - 1, filt.algebra.operator(w.reshape(-1, matrix_dim, matrix_dim)))
+          for n, w in enumerate(draws)]
     us, vs = [ws[0]], [ws[0]]
     for n in range(1, depth + 1):
         eps = rademacher_operator(filt, n - 1)

@@ -43,15 +43,15 @@ __all__ = [
     "psd_sqrt",
     "psd_power",
     "min_eigenvalue",
-    "cluster_eigenvalues",
+    "cluster_tops",
 ]
 
 # Hermitian detection; entrywise, stricter than the operator-norm bound the
 # flag promises.
 _HERM_TOL = 1e-12
 
-# Eigenvalues closer than this (relative) are treated as one spectral cluster
-# wherever distinct spectral projections are extracted.
+# Eigenvalues closer than this times the largest |eigenvalue| of their row are
+# one spectral cluster (cluster_tops), so the rule does not depend on scale.
 _CLUSTER_TOL = 1e-8
 
 # Relative tie tolerance of spectral cuts: an eigenvalue within
@@ -359,10 +359,11 @@ def direct_sum(ops) -> Operator:
     if all("spectrum" in op.__dict__ for op in ops):
         # a direct sum has one run; a lone summand's tolerance is one float
         runs = zip(*(op.spectrum[0][0] for op in ops))
-        tols = [np.broadcast_to(op.spectrum[1][0], (op.algebra.n_blocks, 1)) for op in ops]
+        tols = [op.spectrum[1][0] for op in ops]
+        tols = np.repeat(tols, ops[0].algebra.n_blocks)[:, None] \
+            if ops[0].algebra.summands == 1 else np.concatenate(tols)
         out.__dict__["spectrum"] = (
-            (tuple(_readonly(np.concatenate(x)) for x in runs),),
-            (_readonly(np.concatenate(tols)),))
+            (tuple(_readonly(np.concatenate(x)) for x in runs),), (_readonly(tols),))
     return out
 
 
@@ -534,7 +535,9 @@ def spectral_cuts(a: Operator, masks) -> Operator:
     """The projections V diag(mask) V* onto the eigenvectors of a Hermitian
     operator that each mask keeps, side by side on
     ``a.algebra.direct_sum(k)``: `masks` holds one boolean (k, count, d)
-    array per run, indexed like the eigenvalues of ``a.spectrum``.
+    array per run, indexed like the eigenvalues of ``a.spectrum``.  With
+    k > 1 only the (cut, block) pairs whose mask keeps an eigenvalue are
+    composed, and every other block is exactly 0.
 
     The cuts are checked through ``a.basis_ok``, once per eigenbasis: every
     cut of `a` then lies within 1e-10 of {0, 1}.  Exactly diagonal blocks get
@@ -544,12 +547,22 @@ def spectral_cuts(a: Operator, masks) -> Operator:
         raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
     stacks = []
     for (_, vecs), keep in zip(a.spectrum[0], masks):
-        s = _compose(vecs, keep.astype(float)).reshape(-1, *vecs.shape[1:])
-        blocks, i = _exact_diagonal(s).nonzero()[0][:, None], np.arange(s.shape[1])
-        if blocks.size:
-            s[blocks, i, i] = np.round(s[blocks, i, i].real)
-        stacks.append(s)
+        if len(keep) == 1:  # every block: gathering measured slower on a single cut
+            stacks.append(_exact_rounded(_compose(vecs, keep.astype(float))[0]))
+            continue
+        cut, block = keep.any(axis=2).nonzero()
+        s = np.zeros((len(keep), *vecs.shape), dtype=complex)
+        s[cut, block] = _exact_rounded(_compose(vecs[block], keep[cut, block].astype(float)))
+        stacks.append(s.reshape(-1, *vecs.shape[1:]))
     return Operator(a.algebra.direct_sum(len(masks[0])), tuple(stacks))
+
+
+def _exact_rounded(s: np.ndarray) -> np.ndarray:
+    """Stack `s` of cuts, each exactly diagonal block's diagonal rounded in place."""
+    blocks, i = _exact_diagonal(s).nonzero()[0][:, None], np.arange(s.shape[1])
+    if blocks.size:
+        s[blocks, i, i] = np.round(s[blocks, i, i].real)
+    return s
 
 
 def spectral_projection(a: Operator, interval: Interval) -> Operator:
@@ -610,13 +623,19 @@ def psd_power(a: Operator, p: float) -> Operator:
     return _psd_calculus(a, lambda e: e ** p, "psd_power")
 
 
-def cluster_eigenvalues(values: np.ndarray, scale: float) -> list[np.ndarray]:
-    """Group sorted eigenvalues into clusters separated by > 1e-8*(1+scale)."""
-    vals = np.sort(np.asarray(values, dtype=float))
-    if vals.size == 0:
-        return []
-    gaps = np.diff(vals) > _CLUSTER_TOL * (1.0 + scale)
-    return np.split(vals, np.flatnonzero(gaps) + 1)
+def cluster_tops(rows: np.ndarray) -> np.ndarray:
+    """The clusters of each row of eigenvalues, split where sorted neighbours
+    lie more than 1e-8 m apart, m the row's largest |value|: (rows, C) the
+    largest value of each cluster in increasing order, C the most clusters
+    of any row, a row with fewer padded with inf."""
+    vals = np.sort(rows, axis=1)
+    scale = np.abs(vals).max(axis=1, keepdims=True)
+    ends = np.ones(vals.shape, dtype=bool)
+    ends[:, :-1] = np.diff(vals, axis=1) > _CLUSTER_TOL * scale
+    order = np.cumsum(ends, axis=1) - 1
+    tops = np.full((len(vals), order[:, -1].max() + 1), np.inf)
+    tops[ends.nonzero()[0], order[ends]] = vals[ends]
+    return tops
 
 
 # ---------------------------------------------------------------------------

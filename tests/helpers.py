@@ -5,9 +5,10 @@ the exact solve paths replaced, reading a JSON report back into rows, the
 Gram-projection oracle for conditional expectations (and the error it raises
 on a singular Gram system) and the conditional-expectation axioms of a
 filtration, sampled, a cross-check of tangency through conditional moments,
-the tangency check as it was, one spectral cluster at a time, the sampled
-forms of testing condition (ii) and of the transform norm below 2 that the
-exact checks replaced, the homogenised tail bound on the corrected
+the tangency check as it was, one spectral cluster at a time, the cluster
+rule on one list of eigenvalues, the spectral cuts composed densely, every
+block of every cut, the sampled forms of testing condition (ii) and of the
+transform norm below 2 that the exact checks replaced, the homogenised tail bound on the corrected
 projections, the Schur ascent as it was when every candidate's quotient
 was formed with its ratio, the Cuculescu recursion at one level, as it
 ran before the steps of all levels were grown as one tree, and the Gaussian
@@ -34,7 +35,6 @@ from ncgl.filtration import (
 from ncgl.instances import gaussian_hermitian, stream
 from ncgl.opalgebra import (
     Interval,
-    cluster_eigenvalues,
     min_eigenvalue,
     operator_norm,
     schatten_norm,
@@ -163,6 +163,30 @@ def per_block_gaussian_psd(alg, rng, scale=1.0):
         g = g / np.sqrt(2.0 * d)
         blocks.append(scale * (g @ g.conj().T))
     return alg.operator(blocks)
+
+
+def cluster_eigenvalues(values: np.ndarray, scale: float) -> list[np.ndarray]:
+    """The clusters of one list of eigenvalues, sorted and split where
+    neighbours lie more than 1e-8 scale apart: the rule that
+    opalgebra.cluster_tops applies to every row at once."""
+    vals = np.sort(np.asarray(values, dtype=float))
+    if vals.size == 0:
+        return []
+    return np.split(vals, np.flatnonzero(np.diff(vals) > 1e-8 * scale) + 1)
+
+
+def dense_cuts(a, masks):
+    """spectral_cuts as it composed every (cut, block) pair: V diag(mask) V*
+    per mask and block, each exactly diagonal block's diagonal rounded."""
+    stacks = []
+    for (_, vecs), keep in zip(a.spectrum[0], masks):
+        s = ((vecs * keep.astype(float)[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
+        s = s.reshape(-1, *vecs.shape[1:])
+        for blk in s:
+            if not (blk - np.diag(np.diag(blk))).any():
+                np.fill_diagonal(blk, np.round(np.diag(blk).real))
+        stacks.append(s)
+    return stacks
 
 
 def per_cluster_tangent(a, b, filtration) -> tuple[bool, float]:

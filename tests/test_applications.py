@@ -49,7 +49,6 @@ from ncgl.opalgebra import (
     Interval,
     _eigvalsh,
     abs_spectral_trace,
-    cluster_eigenvalues,
     direct_sum,
     func_calculus,
     operator_norm,
@@ -62,6 +61,7 @@ from ncgl.reports import VerifyReport
 
 from helpers import (
     check_projection,
+    cluster_eigenvalues,
     diagonal_operator,
     per_cluster_tangent,
     recorded_cuts,
@@ -489,6 +489,32 @@ class TestTangency:
         ok, dev = check_tangent(x.diffs, y.diffs, filt)
         assert ok, dev
 
+    @pytest.mark.parametrize("mu", [1e-12, 1e-9, 1e-6, 1.0, 1e6])
+    def test_non_tangent_at_every_scale(self, mu):
+        # the cluster gap is 1e-8 of each summand's own scale: under a gap of
+        # 1e-8 (1 + scale) the case read (True, 0.0) at 1e-9 and 1e-12, every
+        # eigenvalue one cluster
+        a, b, filt = _non_tangent_case()
+        assert check_tangent([x * mu for x in a], [x * mu for x in b], filt) == (False, 1.0)
+
+    @pytest.mark.parametrize("mu", [1e-12, 1e-9, 1e-6, 1.0, 1e6])
+    def test_tangent_at_every_scale(self, mu):
+        a, b, filt = _positive_tangent_pairs()[0]
+        # the deviation is between projections: rounding at every scale
+        ok, dev = check_tangent([x * mu for x in a], [x * mu for x in b], filt)
+        assert ok and dev <= 1e-14
+
+    @pytest.mark.parametrize("mu", [1e-12, 1e-9, 1e-6, 1.0, 1e6])
+    def test_non_adapted_rejected_at_every_scale(self, mu):
+        # the drift gate is 1e-9 ||a_n||: under 1e-9 (1 + ||a_n||) eps_2 at
+        # 1e-12 passed as E_0-measurable
+        from ncgl.filtration import rademacher_operator
+
+        filt = make_filtration("rademacher", depth=3)
+        seq = [rademacher_operator(filt, 2) * mu] + [filt.algebra.identity() * mu] * 3
+        with pytest.raises(DomainError, match="a_0 is not adapted"):
+            check_tangent(seq, seq, filt)
+
     def test_non_adapted_rejected(self):
         filt = make_filtration("rademacher", depth=3)
         eps_late = None
@@ -538,7 +564,11 @@ class TestTangency:
         # one batch per step; each operator's spectrum is solved once, and the
         # LAPACK values-only solves left are the deviation norms of the 2 steps
         # whose batch is not exactly diagonal and the norms of sum u_n, sum v_n
-        counts = {"cond_exp": 0, "eigh": 0, "eigvalsh": 0, "cuts": 0}
+        # The cuts compose only the blocks a label keeps an eigenvalue of:
+        # 3,072 of the 13,824 (cut, block) pairs of the batches.
+        import ncgl.opalgebra as oa
+
+        counts = {"cond_exp": 0, "eigh": 0, "eigvalsh": 0, "cuts": 0, "blocks": 0}
 
         def counted(name, fn):
             def call(*args, **kwargs):
@@ -546,6 +576,13 @@ class TestTangency:
                 return fn(*args, **kwargs)
             return call
 
+        def composed(vecs, vals):
+            out = compose(vecs, vals)
+            counts["blocks"] += int(np.prod(out.shape[:-2]))
+            return out
+
+        compose = oa._compose
+        monkeypatch.setattr(oa, "_compose", composed)
         monkeypatch.setattr(apps, "cond_exp", counted("cond_exp", apps.cond_exp))
         monkeypatch.setattr(apps, "spectral_cuts", counted("cuts", apps.spectral_cuts))
         for name in ("eigh", "eigvalsh"):
@@ -553,13 +590,15 @@ class TestTangency:
         rows, _ = run(ExperimentConfig(suite="positive-tangent", trials=12, seed=0,
                                        p_grid=(3.0, 4.0), dims={"depth": 4, "matrix_dim": 2}))
         assert len(rows) == 24
-        assert counts == {"cond_exp": 15, "eigh": 9, "eigvalsh": 4, "cuts": 10}
+        assert counts == {"cond_exp": 15, "eigh": 9, "eigvalsh": 4, "cuts": 10,
+                          "blocks": 3072}
 
     def test_peak_memory_of_a_large_positive_tangent_run(self):
-        # 200 trials are one direct sum of 3,200 blocks, but the cuts of a step
-        # go in batches of at most 2**14 block rows: 6.6 MiB measured, 19.2 MiB
-        # with every cluster of a step in one batch
-        cfg = ExperimentConfig(suite="positive-tangent", trials=200, seed=0)
+        # run verifies 1,000 trials in groups of at most 64, each one direct
+        # sum whose cuts go in batches of at most 2**14 block rows: 4.0 MiB
+        # measured, 28.1 MiB as one group; 6.6 MiB was the peak of 200 trials
+        # as one group
+        cfg = ExperimentConfig(suite="positive-tangent", trials=1000, seed=0)
         run(cfg)
         tracemalloc.start()
         try:
@@ -567,7 +606,29 @@ class TestTangency:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 6.6 * 2**20
+        assert peak <= 6.6 * 2**20
+
+    def test_one_draw_per_trial_matches_the_per_step_draws(self):
+        # each trial draws its depth + 1 PSD stacks in one gaussian_psd call;
+        # the reference draws one per step from the same stream, as a lone
+        # trial once did, and builds the pair from them
+        from ncgl.filtration import rademacher_operator
+
+        depth, dim = 4, 2
+        u, v, filt = classical_tangent_positive_pair(depth, dim,
+                                                     *(stream(0, 9, t) for t in range(3)))
+        base = make_filtration("rademacher", depth=depth, matrix_dim=dim)
+        draws = [[gaussian_psd(base.algebra, rng) for _ in range(depth + 1)]
+                 for rng in (stream(0, 9, t) for t in range(3))]
+        ws = [cond_exp(filt, n - 1, direct_sum(list(w))) for n, w in enumerate(zip(*draws))]
+        ident = filt.algebra.identity()
+        want_u, want_v = [ws[0]], [ws[0]]
+        for n in range(1, depth + 1):
+            eps = rademacher_operator(filt, n - 1)
+            want_u.append(((ident + eps) @ ws[n]).symmetrized())
+            want_v.append(((ident - eps) @ ws[n]).symmetrized())
+        for got, want in zip(u + v, want_u + want_v):
+            assert np.array_equal(got.stacks[0], want.stacks[0])
 
     def test_positivity_reads_the_tangency_solve(self):
         # the positivity check of the u_n reads the spectra that tangency

@@ -155,8 +155,8 @@ class TestRun:
 class TestFamilyBatches:
     """The good-lambda and moment suites verify each filtration family's trials
     as one direct sum, the moment suite with their Cuculescu trees grown
-    together, and positive-tangent all its trials as one direct sum; every
-    trial must still get the rows it gets alone."""
+    together, and positive-tangent consecutive groups of its trials as one
+    direct sum each; every trial must still get the rows it gets alone."""
 
     @pytest.mark.parametrize("suite, trials, seed", [
         pytest.param("goodlambda-core", 100, 0, id="goodlambda-core-100"),
@@ -165,7 +165,8 @@ class TestFamilyBatches:
         pytest.param("moment", 42, 3, id="moment-42-seed3"),
         pytest.param("positive-tangent", 12, 0, id="positive-tangent-12"),
         pytest.param("positive-tangent", 12, 3, id="positive-tangent-12-seed3"),
-        # 200 trials cut their clusters in batches of a few at a time
+        # 200 trials are groups of 64, 64, 64 and 8, each cutting its clusters
+        # in batches of a few at a time
         pytest.param("positive-tangent", 200, 5, id="positive-tangent-200-seed5")])
     def test_rows_match_each_trial_alone(self, suite, trials, seed):
         cfg = ExperimentConfig(suite=suite, trials=trials, seed=seed)
@@ -220,6 +221,27 @@ class TestFamilyBatches:
                                               for p in (3.0, 4.0)]
         # one group: every trial reads the same share of its time
         assert len({r.ms for r in rows}) == 1
+
+    def test_run_splits_positive_tangent_into_consecutive_groups(self, monkeypatch):
+        # at most _GROUP_TRIALS trials a group bounds a run's memory; each
+        # trial's rows are its own, so the rows are those of one group
+        import ncgl.cli as cli
+
+        calls = []
+        original = SUITES["positive-tangent"]
+
+        def wrapped(cfg, trials):
+            calls.append(trials)
+            return original(cfg, trials)
+
+        monkeypatch.setitem(SUITES, "positive-tangent", wrapped)
+        assert cli._GROUP_TRIALS >= 12  # the benchmark's call stays one group
+        whole, _ = run(small("positive-tangent", trials=11))
+        monkeypatch.setattr(cli, "_GROUP_TRIALS", 4)
+        calls.clear()
+        rows, _ = run(small("positive-tangent", trials=11))
+        assert calls == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10]]
+        assert rows == whole
 
     @pytest.mark.parametrize("suite, patched, flags, group_ms", [
         # one second per family batch: 333 ms per trial of three, 500 of two

@@ -90,6 +90,11 @@ class TestDirectSumAlgebra:
             assert np.array_equal(got_tol, want_tol)
         assert all(_same(p, op) for p, op in zip(parts, ops))
         assert total.parts(alg.direct_sum(3)) == [total]
+        # a sum of sums joins their tolerance columns as they are
+        twice = direct_sum([total, total])
+        (_,), (tol,) = twice.spectrum
+        (_,), (want,) = alg.direct_sum(6).operator(twice.stacks[0]).spectrum
+        assert tol.shape == (12, 1) and np.array_equal(tol, want)
 
     def test_reductions_are_per_summand(self):
         base = TracialAlgebra((3, 3, 3), (0.5, 1.0, 2.0))

@@ -18,6 +18,7 @@ from ncgl.opalgebra import (
     Operator,
     TracialAlgebra,
     abs_spectral_trace,
+    cluster_tops,
     direct_sum,
     func_calculus,
     min_eigenvalue,
@@ -25,6 +26,7 @@ from ncgl.opalgebra import (
     proj_meet,
     psd_sqrt,
     schatten_norm,
+    spectral_cuts,
     spectral_projection,
     trace,
     trace_pair,
@@ -32,6 +34,8 @@ from ncgl.opalgebra import (
 
 from helpers import (
     check_projection,
+    cluster_eigenvalues,
+    dense_cuts,
     diagonal_operator,
     per_block_gaussian_hermitian,
     per_block_gaussian_psd,
@@ -380,6 +384,51 @@ class TestProjMeet:
         assert np.array_equal(parts[0].stacks[0], fs[0].stacks[0])
         assert np.array_equal(parts[1].stacks[0], es[1].stacks[0])
         assert parts[2].entry_max() == parts[3].entry_max() == 0.0
+
+
+class TestMultiMaskCuts:
+    """With k > 1 masks, spectral_cuts composes only the (cut, block) pairs
+    whose mask keeps an eigenvalue; every cut must equal the dense
+    V diag(mask) V* of every pair, bit for bit (== lets a zero's sign differ)."""
+
+    @settings(max_examples=40, derandomize=True)
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2, 17]), st.sampled_from([2, 3]))
+    def test_matches_the_dense_composition(self, seed, k, d):
+        rng = stream(12, seed)
+        alg = TracialAlgebra((d,) * 5, (1.0, 0.5, 0.25, 2.0, 1.0))
+        blocks = [(g + g.conj().T) / 2 for g in
+                  rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))]
+        # two blocks exactly diagonal, one of them with a repeated eigenvalue
+        blocks[1] = np.diag(np.round(rng.standard_normal(d), 1)).astype(complex)
+        blocks[4] = np.diag([1.0] * (d - 1) + [-2.0]).astype(complex)
+        a = alg.operator(blocks)
+        # each (cut, block) row of the mask empty, full or mixed
+        kind = rng.integers(0, 3, size=(k, 5, 1))
+        keep = np.where(kind == 2, rng.random((k, 5, d)) < 0.5, kind == 1)
+        cuts = spectral_cuts(a, [keep])
+        assert cuts.algebra.dims == (d,) * 5 * k
+        (got,), (want,) = cuts.stacks, dense_cuts(a, [keep])
+        assert (got == want).all()
+        # a row the mask keeps nothing of is exactly zero
+        assert not got[~keep.any(axis=2).ravel()].any()
+
+
+class TestClusterTops:
+    @settings(max_examples=40, derandomize=True)
+    @given(st.integers(0, 10_000), st.sampled_from([1e-12, 1e-6, 1.0, 1e6]))
+    def test_rows_match_the_one_list_rule(self, seed, mu):
+        rng = stream(13, seed)
+        rows = np.round(rng.standard_normal((6, 8)), 1)
+        rows[:, 1] = rows[:, 0] * (1.0 + 5e-9)  # inside the 1e-8 relative gap
+        rows[:, 2] = rows[:, 3] + 2e-8 * np.abs(rows).max(axis=1)  # outside it
+        rows[0] = 0.0
+        rows = mu * rows
+        tops = cluster_tops(rows)
+        want = [[c[-1] for c in cluster_eigenvalues(row, float(np.abs(row).max()))]
+                for row in rows]
+        assert tops.shape == (6, max(map(len, want)))
+        for top, w in zip(tops, want):
+            assert top[:len(w)].tolist() == w and np.isinf(top[len(w):]).all()
 
 
 class TestTraceProperties:
