@@ -359,11 +359,10 @@ def direct_sum(ops) -> Operator:
     if all("spectrum" in op.__dict__ for op in ops):
         # a direct sum has one run; a lone summand's tolerance is one float
         runs = zip(*(op.spectrum[0][0] for op in ops))
-        tols = [op.spectrum[1][0] for op in ops]
-        tols = np.repeat(tols, ops[0].algebra.n_blocks)[:, None] \
-            if ops[0].algebra.summands == 1 else np.concatenate(tols)
+        tols = [np.broadcast_to(op.spectrum[1][0], (op.algebra.n_blocks, 1)) for op in ops]
         out.__dict__["spectrum"] = (
-            (tuple(_readonly(np.concatenate(x)) for x in runs),), (_readonly(tols),))
+            (tuple(_readonly(np.concatenate(x)) for x in runs),),
+            (_readonly(np.concatenate(tols)),))
     return out
 
 
@@ -537,7 +536,8 @@ def spectral_cuts(a: Operator, masks) -> Operator:
     ``a.algebra.direct_sum(k)``: `masks` holds one boolean (k, count, d)
     array per run, indexed like the eigenvalues of ``a.spectrum``.  With
     k > 1 only the (cut, block) pairs whose mask keeps an eigenvalue are
-    composed, and every other block is exactly 0.
+    composed, and every other block is exactly 0; one mask composes every
+    block, through the same product.
 
     The cuts are checked through ``a.basis_ok``, once per eigenbasis: every
     cut of `a` then lies within 1e-10 of {0, 1}.  Exactly diagonal blocks get
@@ -547,22 +547,16 @@ def spectral_cuts(a: Operator, masks) -> Operator:
         raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
     stacks = []
     for (_, vecs), keep in zip(a.spectrum[0], masks):
-        if len(keep) == 1:  # every block: gathering measured slower on a single cut
-            stacks.append(_exact_rounded(_compose(vecs, keep.astype(float))[0]))
-            continue
-        cut, block = keep.any(axis=2).nonzero()
+        # one mask takes every block as a slice: gathering them cost more than it saved
+        cut, block = keep.any(axis=2).nonzero() if len(keep) > 1 else (0, slice(None))
+        live = _compose(vecs[block], keep[cut, block].astype(float))
+        rows, i = _exact_diagonal(live).nonzero()[0][:, None], np.arange(vecs.shape[1])
+        if rows.size:
+            live[rows, i, i] = np.round(live[rows, i, i].real)
         s = np.zeros((len(keep), *vecs.shape), dtype=complex)
-        s[cut, block] = _exact_rounded(_compose(vecs[block], keep[cut, block].astype(float)))
+        s[cut, block] = live
         stacks.append(s.reshape(-1, *vecs.shape[1:]))
     return Operator(a.algebra.direct_sum(len(masks[0])), tuple(stacks))
-
-
-def _exact_rounded(s: np.ndarray) -> np.ndarray:
-    """Stack `s` of cuts, each exactly diagonal block's diagonal rounded in place."""
-    blocks, i = _exact_diagonal(s).nonzero()[0][:, None], np.arange(s.shape[1])
-    if blocks.size:
-        s[blocks, i, i] = np.round(s[blocks, i, i].real)
-    return s
 
 
 def spectral_projection(a: Operator, interval: Interval) -> Operator:

@@ -38,6 +38,7 @@ from ncgl.opalgebra import (
     min_eigenvalue,
     operator_norm,
     schatten_norm,
+    spectral_cuts,
     spectral_projection,
     trace,
     trace_pair,
@@ -191,17 +192,18 @@ def dense_cuts(a, masks):
 
 def per_cluster_tangent(a, b, filtration) -> tuple[bool, float]:
     """check_tangent as it was before it took a step as one batch: per step,
-    per cluster of the union spectrum, the two cuts onto its window, their
-    difference conditioned by E_{n-1} and its operator norm."""
+    per cluster of the union spectrum, the two cuts onto the eigenvalues from
+    its least to its largest value (compared exactly, with no tie band, so a
+    cut holds its cluster alone at every scale), their difference
+    conditioned by E_{n-1} and its operator norm."""
     worst = 0.0
     for n, (an, bn) in enumerate(zip(a, b)):
         eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
         for cluster in cluster_eigenvalues(eigs, float(np.abs(eigs).max())):
-            window = Interval(float(cluster.min()), float(cluster.max()), True, True)
-            dev = operator_norm(cond_exp(
-                filtration, n - 1,
-                spectral_projection(an, window) - spectral_projection(bn, window)))
-            worst = max(worst, dev)
+            lo, hi = cluster.min(), cluster.max()
+            cut = [spectral_cuts(x, [((lo <= e) & (e <= hi))[None] for e, _ in x.spectrum[0]])
+                   for x in (an, bn)]
+            worst = max(worst, operator_norm(cond_exp(filtration, n - 1, cut[0] - cut[1])))
     return bool(worst <= 1e-8), float(worst)
 
 

@@ -495,14 +495,17 @@ class TestTangency:
         # 1e-8 (1 + scale) the case read (True, 0.0) at 1e-9 and 1e-12, every
         # eigenvalue one cluster
         a, b, filt = _non_tangent_case()
-        assert check_tangent([x * mu for x in a], [x * mu for x in b], filt) == (False, 1.0)
+        a, b = [x * mu for x in a], [x * mu for x in b]
+        assert check_tangent(a, b, filt) == per_cluster_tangent(a, b, filt) == (False, 1.0)
 
     @pytest.mark.parametrize("mu", [1e-12, 1e-9, 1e-6, 1.0, 1e6])
     def test_tangent_at_every_scale(self, mu):
         a, b, filt = _positive_tangent_pairs()[0]
         # the deviation is between projections: rounding at every scale
-        ok, dev = check_tangent([x * mu for x in a], [x * mu for x in b], filt)
+        a, b = [x * mu for x in a], [x * mu for x in b]
+        ok, dev = check_tangent(a, b, filt)
         assert ok and dev <= 1e-14
+        assert (ok, dev) == per_cluster_tangent(a, b, filt)
 
     @pytest.mark.parametrize("mu", [1e-12, 1e-9, 1e-6, 1.0, 1e6])
     def test_non_adapted_rejected_at_every_scale(self, mu):
@@ -669,9 +672,9 @@ class TestTangency:
         assert not ok
 
     def test_moment_deviation_clusters_like_check_tangent(self):
-        # eigenvalues 0 and g are one cluster at 1e-8 (2 + ||a||) but two at
-        # 1e-8 (1 + ||a||), the rule of check_tangent; E_0 of the first
-        # moments then differs by g/2.
+        # eigenvalues 0 and g are two clusters under the rule of check_tangent,
+        # a gap of more than 1e-8 times the largest |eigenvalue| (here g);
+        # E_0 of the first moments then differs by g/2.
         g = 1.5e-8
         filt = make_filtration("trivial_full", dims=(2,))
         zero = filt.algebra.zero()

@@ -388,8 +388,9 @@ class TestProjMeet:
 
 class TestMultiMaskCuts:
     """With k > 1 masks, spectral_cuts composes only the (cut, block) pairs
-    whose mask keeps an eigenvalue; every cut must equal the dense
-    V diag(mask) V* of every pair, bit for bit (== lets a zero's sign differ)."""
+    whose mask keeps an eigenvalue, and one mask every block, through one
+    path; every cut must equal the dense V diag(mask) V* of every pair, bit
+    for bit (== lets a zero's sign differ)."""
 
     @settings(max_examples=40, derandomize=True)
     @given(st.integers(0, 10_000), st.sampled_from([1, 2, 17]), st.sampled_from([2, 3]))
