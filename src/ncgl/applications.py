@@ -276,18 +276,20 @@ def doob_embed(u: list[Operator], filtration: Filtration) -> EmbeddedInstance:
 
 def _require_positive(u, message: str) -> np.ndarray:
     """Raise `message` unless every u_n is Hermitian with no eigenvalue below
-    -1e-10 (1 + max ||u_n||) in each summand, the norms of that summand, read
-    off the eigendecomposition; returns 1 + max ||u_n|| per summand.  An empty
-    sequence is a DomainError of its own."""
+    -1e-10 max ||u_n|| in each summand, the norms of that summand, read off
+    the eigendecomposition: relative, so the decision does not depend on
+    scale.  Returns max ||u_n|| per summand.  An empty sequence is a
+    DomainError of its own."""
     if not u:
         raise DomainError("need at least one operator")
     if not all(ui.hermitian for ui in u):
         raise DomainError(message)
-    eigs = np.concatenate([_summand_eigenvalues(ui) for ui in u], axis=1)
-    scale = 1.0 + np.abs(eigs).max(axis=1)
-    if (eigs.min(axis=1) < -1e-10 * scale).any():
+    eigs = np.concatenate([ui.algebra.summand_rows([e for e, _ in ui.spectrum]) for ui in u],
+                          axis=1)
+    norm = np.abs(eigs).max(axis=1)
+    if (eigs.min(axis=1) < -1e-10 * norm).any():
         raise DomainError(message)
-    return scale
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +395,9 @@ def _check_adapted(seq, filtration: Filtration, name: str) -> None:
         if not a.hermitian:
             raise DomainError(f"{name}_{n} is not Hermitian")
         drift = (cond_exp(filtration, n, a) - a).entry_max(per_summand=True)
-        if (drift > 1e-9 * np.abs(_summand_eigenvalues(a)).max(axis=1)).any():
+        eigs = a.algebra.summand_rows([e for e, _ in a.spectrum])
+        if (drift > 1e-9 * np.abs(eigs).max(axis=1)).any():
             raise DomainError(f"{name}_{n} is not adapted")
-
-
-def _summand_eigenvalues(a: Operator) -> np.ndarray:
-    """The eigenvalues of a Hermitian operator, one row per summand, run by
-    run, read off its eigendecomposition."""
-    return np.concatenate([e.reshape(a.algebra.summands, -1) for e, _ in a.spectrum[0]], axis=1)
 
 
 def check_tangent(a, b, filtration: Filtration, per_summand: bool = False):
@@ -423,14 +420,15 @@ def check_tangent(a, b, filtration: Filtration, per_summand: bool = False):
     # the clustering needs each spectrum with vectors: the norm reads it too
     _check_adapted(a, filtration, "a")
     _check_adapted(b, filtration, "b")
-    worst = np.zeros(filtration.algebra.summands)
+    alg = filtration.algebra
+    worst = np.zeros(alg.summands)
     for n, (an, bn) in enumerate(zip(a, b)):
-        tops = cluster_tops(np.concatenate([_summand_eigenvalues(an),
-                                            _summand_eigenvalues(bn)], axis=1))
-        count, tops = tops.shape[1], tops[:, None, :]
+        rows = [alg.summand_rows([e for e, _ in op.spectrum]) for op in (an, bn)]
+        tops = cluster_tops(np.concatenate(rows, axis=1))
+        count = tops.shape[1]
         # a label is the number of cluster tops below the eigenvalue, per summand
-        la, lb = ([(e.reshape(len(tops), -1, 1) > tops).sum(axis=2).reshape(e.shape)
-                   for e, _ in op.spectrum[0]] for op in (an, bn))
+        la, lb = (alg.summand_columns((row[:, :, None] > tops[:, None, :]).sum(axis=2))
+                  for row in rows)
         # at most 2**14 block rows a batch; unequal blocks have no direct sum
         size = min(count, 2**14 // an.algebra.total_dim or 1) if len(an.algebra.runs) == 1 else 1
         for i in range(0, count, size):
@@ -557,7 +555,8 @@ def tangent_counterexample(N: int, p_grid) -> tuple[CounterexampleReport, ...]:
 def verify_dominated(x: Martingale, y: Martingale, p: float,
                      kappa: float = 1.0) -> VerifyReport:
     """||y_N||_p <= C_p kappa ||x_N||_p under conditional square domination
-    E_{n-1}(dy_n^2) <= E_{n-1}(dx_n^2) and ||dy_n||_p <= kappa ||dx_n||_p."""
+    E_{n-1}(dy_n^2) <= E_{n-1}(dx_n^2) and ||dy_n||_p <= kappa ||dx_n||_p,
+    each checked relative to ||dx_n||, so the label does not depend on scale."""
     if kappa < 1:
         raise DomainError("kappa must be at least 1")
     const = dominated_constant(p) * kappa  # the bound fails for p < 2: DomainError
@@ -566,11 +565,9 @@ def verify_dominated(x: Martingale, y: Martingale, p: float,
     for n in range(x.N + 1):
         gap = cond_exp(filt, n - 1,
                        (x.diffs[n] @ x.diffs[n] - y.diffs[n] @ y.diffs[n]).symmetrized())
-        scale = 1.0 + operator_norm(x.diffs[n]) ** 2
-        if min_eigenvalue(gap) < -1e-8 * scale:
+        if min_eigenvalue(gap) < -1e-8 * operator_norm(x.diffs[n]) ** 2:
             hyp_ok = False
-        if schatten_norm(y.diffs[n], p) > kappa * schatten_norm(x.diffs[n], p) \
-                * (1.0 + 1e-8) + 1e-12:
+        if schatten_norm(y.diffs[n], p) > kappa * schatten_norm(x.diffs[n], p) * (1.0 + 1e-8):
             hyp_ok = False
     lhs = schatten_norm(y.final, p)
     rhs = const * schatten_norm(x.final, p)

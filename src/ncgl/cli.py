@@ -80,7 +80,6 @@ class ExperimentConfig:
     seed: int = 0
     B: float | None = None
     beta_grid: tuple[float, ...] = _DEFAULT_BETA
-    tolerances: dict = field(default_factory=dict)
     timing: bool = False
 
     def __post_init__(self):
@@ -97,8 +96,6 @@ class ExperimentConfig:
                 isinstance(v, (list, tuple)) and len(v) > 0 and all(map(integer, v))
                 if k == "N_list" else integer(v) for k, v in self.dims.items()),
              "an object of integers (N_list a non-empty list of them)"),
-            ("tolerances", isinstance(self.tolerances, dict)
-             and all(map(number, self.tolerances.values())), "an object of finite numbers"),
             ("B", self.B is None or number(self.B), "a finite number"),
             ("p_grid", grid(self.p_grid), "a list of finite numbers"),
             ("beta_grid", grid(self.beta_grid), "a list of finite numbers"),
@@ -119,13 +116,11 @@ class ExperimentConfig:
             raise NCGLError(f"B must exceed 1, got {self.B!r}")
         if any(beta <= 1 for beta in self.beta_grid):
             raise NCGLError(f"every beta must exceed 1, got {list(self.beta_grid)!r}")
-        for name in ("dims", "tolerances"):
-            given, defaults = getattr(self, name), getattr(info, name)
-            unknown = sorted(set(given) - set(defaults))
-            if unknown:
-                raise NCGLError(f"suite {self.suite} reads no {name} {unknown}"
-                                f" (it reads {sorted(defaults) or 'none'})")
-            object.__setattr__(self, name, {**defaults, **given})
+        unknown = sorted(set(self.dims) - set(info.dims))
+        if unknown:
+            raise NCGLError(f"suite {self.suite} reads no dims {unknown}"
+                            f" (it reads {sorted(info.dims) or 'none'})")
+        object.__setattr__(self, "dims", {**info.dims, **self.dims})
         for key, value in self.dims.items():
             low = _DIMS_MIN[key]
             if value is not None and min(value if key == "N_list" else (value,)) < low:
@@ -158,10 +153,14 @@ class ReportRow:
     ms: int = 0
 
 
-# The gates of the rows a suite judges itself: a <= b within rtol max(|a|, |b|),
-# relative to the larger side as in reports, so no pass flag depends on scale.
+# The gates of the rows a suite judges itself.  The first two: a <= b within
+# rtol max(|a|, |b|), relative to the larger side as in reports, so no pass flag
+# depends on scale; the others bound a distance from a closed form.
 _LP_ROW_RTOL = 1e-9     # tangent-counterexample: ||y_N||_p >= (N+1)^{1/p}
 _SCHUR_ROW_RTOL = 1e-9  # schur-norms: a bound found <= (1 + C_p)/2, and >= the last p's
+_FUBINI_TOL = 1e-6      # moment: the relative gap of the Fubini identity
+_WEAK_TOL = 1e-8        # tangent-counterexample: tau(I_[1,inf)(|y_N|)) against N + 1
+_L1_TOL = 1e-9          # tangent-counterexample: tau(|x_N|) against 2 sqrt(N)
 
 
 def _at_most(a: float, b: float, rtol: float) -> bool:
@@ -216,7 +215,6 @@ def _suite_moment(cfg, trials, filt, ys):
     y = martingale_direct_sum(ys)
     s = square_function(y)
     t = gl.Triple(s, y, s)
-    tol = cfg.tolerances["fubini"]
     rows = [[] for _ in trials]
     for p in cfg.p_grid:
         reps = gl.verify_moment(t, ys, p, cfg.B)
@@ -228,8 +226,8 @@ def _suite_moment(cfg, trials, filt, ys):
                 _row(cfg, f"{tag}:max-", r.max_minus),
                 _row(cfg, f"{tag}:moment", r.moment),
                 _row(cfg, f"{tag}:moment12p", r.moment_simplified),
-                ReportRow(cfg.suite, f"{tag}:fubini", cfg.seed, gap, tol, 0.0, tol - gap,
-                          gap <= tol),
+                ReportRow(cfg.suite, f"{tag}:fubini", cfg.seed, gap, _FUBINI_TOL, 0.0,
+                          _FUBINI_TOL - gap, gap <= _FUBINI_TOL),
             ]
     return rows
 
@@ -283,9 +281,8 @@ def _suite_counterexample(cfg, trial):
     N = n_list[trial % len(n_list)]
     rows = []
     for p, r in zip(cfg.p_grid, apps.tangent_counterexample(N, cfg.p_grid)):
-        tol_w, tol_l1 = cfg.tolerances["weak"], cfg.tolerances["l1"]
-        ok = (abs(r.weak_y - r.expected_weak) <= tol_w
-              and abs(r.l1_x - r.expected_l1) <= tol_l1)
+        ok = (abs(r.weak_y - r.expected_weak) <= _WEAK_TOL
+              and abs(r.l1_x - r.expected_l1) <= _L1_TOL)
         rows.append(ReportRow(cfg.suite, f"N={N}:tau", cfg.seed, r.weak_y,
                               r.l1_x, r.ratio, r.l1_x - r.weak_y, ok))
         bound = (N + 1) ** (1.0 / p)
@@ -357,8 +354,8 @@ def _each(fn):
 class _Suite:
     """One registry record: group callable (config and trials to each trial's
     rows), default p grid (empty: the suite reads no p), p domain, constants
-    string of the summary, the ``dims`` and ``tolerances`` keys the suite
-    reads with their defaults, and how `run` groups its trials (``stride``)."""
+    string of the summary, the ``dims`` keys the suite reads with their
+    defaults, and how `run` groups its trials (``stride``)."""
 
     rows: Callable
     default_p: tuple[float, ...]
@@ -366,7 +363,6 @@ class _Suite:
     p_min: float = -math.inf
     strict: bool = False    # p > p_min instead of p >= p_min
     dims: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
     reads: tuple[str, ...] = ()  # which of the fields B and beta_grid it reads
     stride: int = 0  # groups range(first, trials, stride): 6 by family, 1 all, 0 one each
 
@@ -381,7 +377,7 @@ _REGISTRY = {
         "C_{p,B} = (2p B^{p-1}(B-1)/(1-B^-p))^{1/p} "
         "* 2 B^{p/2}/((B-1) sqrt(1-B^{2-p})); simplified "
         "12p/sqrt(1-(1+1/p)^{2-p})", 2.0, strict=True,
-        tolerances={"fubini": 1e-6}, reads=("B",), stride=len(FAMILY_TEMPLATES)),
+        reads=("B",), stride=len(FAMILY_TEMPLATES)),
     "bg": _Suite(
         _each(_suite_bg), (3.0, 4.0, 8.0),
         "sqrt(2)*12p/sqrt(1-(1+1/p)^{2-p}) and "
@@ -401,8 +397,7 @@ _REGISTRY = {
                     dims={"dim": 3, "steps": None}),
     "tangent-counterexample": _Suite(
         _each(_suite_counterexample), (1.5,), "(N+1)/(2 sqrt(N))", 1.0,
-        dims={"N_list": (3, 5, 7, 9, 11, 13)},
-        tolerances={"weak": 1e-8, "l1": 1e-9}),
+        dims={"N_list": (3, 5, 7, 9, 11, 13)}),
     "dominated": _Suite(
         _each(_suite_dominated), (3.0, 4.0),
         "kappa * 12p sqrt(1+2^{2-4/p}) / sqrt(1-(1+1/p)^{2-p})", 2.0,

@@ -54,12 +54,9 @@ def _normalized(p: Operator) -> Operator:
     ranks, size = p.summand_ranks, alg.total_dim // alg.summands
     if 0 not in ranks and size not in ranks:
         return p
-    # a direct sum of several summands has a single run
-    (s,) = p.stacks
-    out, rank = s.reshape(alg.summands, -1, *s.shape[1:]).copy(), np.array(ranks)
-    out[rank == 0] = 0.0
-    out[rank == size] = np.eye(s.shape[1])
-    out = Operator(alg, (out.reshape(s.shape),))
+    out = Operator(alg, tuple(
+        np.where(r[..., None] == 0, 0.0, np.where(r[..., None] == size, np.eye(s.shape[1]), s))
+        for s, r in zip(p.stacks, alg.summand_columns(ranks))))
     out.__dict__["summand_ranks"] = ranks
     return out
 
@@ -67,7 +64,7 @@ def _normalized(p: Operator) -> Operator:
 def _snap_projection(raw: Operator) -> Operator:
     """Re-symmetrize and round a near-projection; abort on real drift."""
     sym = raw.symmetrized()
-    eigs = [e for e, _ in sym.spectrum[0]]
+    eigs = [e for e, _ in sym.spectrum]
     drift = max(float(np.abs(e - (e >= 0.5)).max()) for e in eigs)
     if drift > _DRIFT_LIMIT:
         raise NumericalInstabilityError(
@@ -161,22 +158,19 @@ _BATCH_ENTRIES = 2**11
 
 def _cut(items: list) -> list:
     """The cuts of (martingale, n, node) items on one algebra as one direct
-    sum: C = R_{n-1} y_n R_{n-1} and the thresholds of `level_thresholds`,
-    so that the cut of C/l below 1 keeps an eigenvalue iff l exceeds its
-    threshold."""
+    sum: C = R_{n-1} y_n R_{n-1} and the thresholds of `level_thresholds` in
+    ascending order, so that the cut of C/l below 1 keeps an eigenvalue iff
+    l exceeds its threshold; one (C, thresholds) per item."""
     alg, k = items[0][2].r.algebra, len(items)
     r = direct_sum([node.r for _, _, node in items])
     c = (r @ direct_sum([y.values[n] for y, n, _ in items]) @ r).symmetrized()
-    t, size = level_thresholds(c), alg.n_blocks
-    out = []
-    for i, part in enumerate(c.parts(alg)):
-        own = t if k == 1 else [t[0][i * size:(i + 1) * size]]
-        out.append((part, own, sorted(np.concatenate([x.ravel() for x in own]).tolist())))
-    return out
+    # each item's summands are consecutive rows
+    ordered = np.sort(c.algebra.summand_rows(level_thresholds(c)).reshape(k, -1), axis=1)
+    return list(zip(c.parts(alg), ordered.tolist()))
 
 
 def _step(items: list) -> list:
-    """The steps of (martingale, n, node, cut, level) items on one algebra as
+    """The steps of (martingale, n, node, C, level) items on one algebra as
     one direct sum: from each node and the C of its `_cut`, the step that
     keeps the eigenvalues of C whose threshold is below the level,
     R_n = R_{n-1} I(C/level < 1), snapped, with its measurements; one
@@ -184,10 +178,10 @@ def _step(items: list) -> list:
     y0, n = items[0][:2]
     alg, k = y0.algebra, len(items)
     r_prev = direct_sum([node.r for _, _, node, _, _ in items])
-    c = direct_sum([cut[0] for *_, cut, _ in items])
-    # per run, the eigenvalues each step keeps (a batch of several has one run)
-    keep = zip(*([t < level for t in cut[1]] for *_, cut, level in items))
-    r_n = _snap_projection(r_prev @ spectral_cuts(c, [np.concatenate(x)[None] for x in keep]))
+    c = direct_sum([cut for *_, cut, _ in items])
+    levels = c.algebra.summand_columns(np.repeat([level for *_, level in items], alg.summands))
+    keep = [(t < col)[None] for t, col in zip(level_thresholds(c), levels)]
+    r_n = _snap_projection(r_prev @ spectral_cuts(c, keep))
     commutator = (r_n @ c - c @ r_n).entry_max(per_summand=True)
     y_n = direct_sum([y.values[n] for y, *_ in items])
     measured = zip(
@@ -250,9 +244,9 @@ def _grow(requests: list) -> None:
     together and breadth first: at each step, one batch of cuts over every
     node on the way that lacks a child asked for, and one batch of steps
     over every child missing, per filtration and time n.  A node keeps only
-    the ordered thresholds of its cut: the cut's C and per-run thresholds
-    serve that round's steps and are let go, so a later query that misses a
-    child cuts the node again.  A cut or a step that raises ends the growth:
+    the ordered thresholds of its cut: the cut's C serves that round's
+    steps and is let go, so a later query that misses a child cuts the node
+    again.  A cut or a step that raises ends the growth:
     every node stored stays, and a query that misses the rest grows it again
     from the root."""
     frontier = []
@@ -266,7 +260,7 @@ def _grow(requests: list) -> None:
         uncut = [item for item, request in zip(nodes, frontier) if _needs_cut(*request)]
         cuts = {}
         for (_, _, node), cut in zip(uncut, _batched(_cut, uncut)):
-            cuts[node], node.thresholds = cut, cut[2]
+            cuts[node], node.thresholds = cut
         children, missing = [], []
         for (y, first_above, path), (_, n, node) in zip(frontier, nodes):
             for key, level, lo, hi in _windows(node, first_above):

@@ -12,6 +12,8 @@ with matrix factors.
 An algebra may be the direct sum of ``summands`` equal copies, one per trial
 of a batch: reductions with ``per_summand=True`` give one value per copy, and
 tie tolerances are taken per copy, so each trial is decided as it is alone.
+Where a summand's blocks sit is known to `TracialAlgebra.summand_rows` and
+`TracialAlgebra.summand_columns` alone.
 """
 
 from __future__ import annotations
@@ -118,6 +120,28 @@ class TracialAlgebra:
                                                 self.summands * copies)
         return self._sums[copies]
 
+    def summand_rows(self, per_run) -> np.ndarray:
+        """Per-block arrays, one (count, ...) array per run, as one row per
+        summand, its blocks' entries in algebra order: a reshape of a single
+        array (a direct sum of several summands has a single run)."""
+        if len(per_run) == 1:
+            return per_run[0].reshape(self.summands, -1)
+        return np.concatenate([a.reshape(1, -1) for a in per_run], axis=1)
+
+    def summand_columns(self, values) -> tuple[np.ndarray, ...]:
+        """`summand_rows` undone for one entry per dimension: (summands, m)
+        rows, m the dimension of a summand, as one (count, d) array per run;
+        one value per summand as a (count, 1) column of it per run."""
+        values = np.asarray(values)
+        if values.ndim == 1:  # a value per summand: one per block
+            values = np.repeat(values, self.n_blocks // self.summands)
+        if len(self.runs) == 1:  # a reshape: the slices below cost about ten times more
+            return (values.reshape(self.n_blocks, -1),)
+        sizes = [n if values.ndim == 1 else n * d for n, d in self.runs]
+        flat = values.ravel()
+        return tuple(flat[end - size:end].reshape(n, -1)
+                     for end, size, (n, _) in zip(itertools.accumulate(sizes), sizes, self.runs))
+
     def trace_identity(self) -> float:
         return float(sum(w * d for w, d in zip(self.weights, self.dims)))
 
@@ -155,31 +179,13 @@ def _total(alg: TracialAlgebra, per_run: list[np.ndarray], per_summand: bool = F
     """sum_b w_b t_b for per-block values t given as one array per run, over
     all blocks or over those of each summand."""
     t = np.asarray(alg.weights) * np.concatenate(per_run)
-    return t.reshape(alg.summands, -1).sum(axis=1) if per_summand else t.sum()
+    return alg.summand_rows([t]).sum(axis=1) if per_summand else t.sum()
 
 
-def _by_summand(alg: TracialAlgebra, per_run: list[np.ndarray], kind: str) -> list[float]:
-    """The max, min or sum (`kind`) of the entries of each summand, for
-    per-block arrays given as one per run (a direct sum of several summands
-    has a single run)."""
-    if alg.summands == 1:
-        vals = [float(getattr(v, kind)()) for v in per_run]
-        return vals if len(vals) == 1 else [float(getattr(np, kind)(vals))]
-    return getattr(per_run[0].reshape(alg.summands, -1), kind)(axis=1).tolist()
-
-
-def _block_columns(alg: TracialAlgebra, per_summand) -> tuple:
-    """One value per summand as a column over its blocks, one per run; the
-    value itself for a single summand."""
-    if alg.summands == 1:
-        return (per_summand[0],) * len(alg.runs)
-    return (_readonly(np.repeat(per_summand, alg.n_blocks // alg.summands)[:, None]),)
-
-
-def _tie_tols(alg: TracialAlgebra, magnitudes: list[np.ndarray]) -> tuple:
-    """1e-10 * (1 + m) per block, m the largest magnitude of its summand."""
-    norms = _by_summand(alg, magnitudes, "max")
-    return _block_columns(alg, [_TIE_TOL * (1.0 + m) for m in norms])
+def _tie_tols(alg: TracialAlgebra, values: list[np.ndarray]) -> tuple:
+    """1e-10 (1 + m) per block as a column per run, m the largest |value| of
+    its summand, for per-block values given as one array per run."""
+    return alg.summand_columns(_TIE_TOL * (1.0 + np.abs(alg.summand_rows(values)).max(axis=1)))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -240,21 +246,19 @@ class Operator:
         return tuple(map(_readonly, self._solve(_eigvalsh)))
 
     @cached_property
-    def spectrum(self) -> tuple[tuple, tuple]:
+    def spectrum(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Read-only per-run (eigenvalues, eigenvectors) of a Hermitian operator,
-        solved as :attr:`eigenvalues` with vectors (_eigh), and its tie tolerances
-        1e-10 (1 + ||a||) per block, ||a|| its summand's largest |eigenvalue|."""
+        solved as :attr:`eigenvalues` with vectors (_eigh)."""
         if not self.hermitian:
             raise DomainError("spectral calculus requires a Hermitian operator")
-        runs = tuple(tuple(map(_readonly, run)) for run in self._solve(_eigh))
-        return runs, _tie_tols(self.algebra, [np.abs(e) for e, _ in runs])
+        return tuple(tuple(map(_readonly, run)) for run in self._solve(_eigh))
 
     @cached_property
     def basis_ok(self) -> bool:
         """|V*V - I| <= 1e-10/d entrywise in each d x d block of the eigenbasis V, so
         (Gershgorin on V_S*V_S) every cut V_S V_S* is within 1e-10 of {0, 1}."""
         return all(np.abs(_h(v) @ v - np.eye(v.shape[1])).max() <= 1e-10 / v.shape[1]
-                   for _, v in self.spectrum[0])
+                   for _, v in self.spectrum)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -297,14 +301,13 @@ class Operator:
 
     def summand_scaled(self, factors) -> "Operator":
         """Summand i multiplied by factors[i]."""
-        cols = _block_columns(self.algebra, np.asarray(factors, dtype=complex))
-        return Operator(self.algebra, tuple(s * np.asarray(c)[..., None]
-                                            for s, c in zip(self.stacks, cols)))
+        cols = self.algebra.summand_columns(np.asarray(factors, dtype=complex))
+        return Operator(self.algebra, tuple(s * c[..., None] for s, c in zip(self.stacks, cols)))
 
     def parts(self, alg: TracialAlgebra) -> list["Operator"]:
         """The operators on `alg` that this direct sum of copies of `alg` holds
-        side by side, as views, each with its share of the spectrum and the
-        ranks solved on the sum; :func:`direct_sum` undone."""
+        side by side, as views, each with its share of the eigendecomposition
+        and the ranks solved on the sum; :func:`direct_sum` undone."""
         n = alg.n_blocks
         k = self.algebra.n_blocks // n
         if k == 1:
@@ -314,10 +317,8 @@ class Operator:
         for i, part in enumerate(out):
             blocks = slice(i * n, (i + 1) * n)
             if "spectrum" in solved:
-                ((e, v),), (t,) = solved["spectrum"]
-                part.__dict__["spectrum"] = (
-                    ((e[blocks], v[blocks]),),
-                    (float(t[i * n, 0]) if alg.summands == 1 else t[blocks],))
+                ((e, v),) = solved["spectrum"]
+                part.__dict__["spectrum"] = ((e[blocks], v[blocks]),)
             if "summand_ranks" in solved:
                 s = alg.summands
                 part.__dict__["summand_ranks"] = solved["summand_ranks"][i * s:(i + 1) * s]
@@ -329,14 +330,14 @@ class Operator:
     def summand_ranks(self) -> tuple[int, ...]:
         """Rounded block-trace sum per summand: each one's rank for a projection."""
         traces = [np.trace(s, axis1=1, axis2=2).real for s in self.stacks]
-        return tuple(map(round, _by_summand(self.algebra, traces, "sum")))
+        return tuple(map(round, self.algebra.summand_rows(traces).sum(axis=1).tolist()))
 
     def rank(self) -> int:
         """Sum of :attr:`summand_ranks`: the rank for a projection."""
         return sum(self.summand_ranks)
 
     def entry_max(self, per_summand: bool = False):
-        m = _by_summand(self.algebra, [np.abs(s) for s in self.stacks], "max")
+        m = self.algebra.summand_rows([np.abs(s) for s in self.stacks]).max(axis=1).tolist()
         return m if per_summand else max(m)
 
     def allclose(self, other: "Operator", tol: float = 1e-10) -> bool:
@@ -348,8 +349,8 @@ class Operator:
 
 def direct_sum(ops) -> Operator:
     """Operators of one algebra side by side; a single operator is itself.
-    When every operator has solved its spectrum the sum has it too, with each
-    one's tie tolerances: nothing is solved again."""
+    When every operator has solved its eigendecomposition the sum has it too:
+    nothing is solved again."""
     for op in ops[1:]:
         ops[0]._same_algebra(op)
     if len(ops) == 1:
@@ -357,12 +358,9 @@ def direct_sum(ops) -> Operator:
     out = Operator(ops[0].algebra.direct_sum(len(ops)),
                    (np.concatenate([op.stacks[0] for op in ops]),))
     if all("spectrum" in op.__dict__ for op in ops):
-        # a direct sum has one run; a lone summand's tolerance is one float
-        runs = zip(*(op.spectrum[0][0] for op in ops))
-        tols = [np.broadcast_to(op.spectrum[1][0], (op.algebra.n_blocks, 1)) for op in ops]
-        out.__dict__["spectrum"] = (
-            (tuple(_readonly(np.concatenate(x)) for x in runs),),
-            (_readonly(np.concatenate(tols)),))
+        # a direct sum has one run
+        runs = zip(*(run for op in ops for run in op.spectrum))
+        out.__dict__["spectrum"] = (tuple(_readonly(np.concatenate(x)) for x in runs),)
     return out
 
 
@@ -406,8 +404,9 @@ def level_thresholds(a: Operator) -> list[np.ndarray]:
     threshold t(e) = (e + 1e-10 m) / (1 - 1e-10) of each eigenvalue e of a
     Hermitian operator, m the largest |e| of its summand.  Interval.below(1.0)
     keeps e/l, e/l < 1 - 1e-10 (1 + m/l), iff the level l > t(e)."""
-    spectrum, tol = a.spectrum
-    return [(e + (t - _TIE_TOL)) / (1.0 - _TIE_TOL) for (e, _), t in zip(spectrum, tol)]
+    eigs = [e for e, _ in a.spectrum]
+    tols = _tie_tols(a.algebra, eigs)
+    return [(e + (t - _TIE_TOL)) / (1.0 - _TIE_TOL) for e, t in zip(eigs, tols)]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +489,7 @@ def _singular_values(x: Operator) -> list[np.ndarray]:
 def operator_norm(x: Operator, per_summand: bool = False):
     """Largest singular value across blocks (weights are irrelevant here), or
     of each summand."""
-    norms = _by_summand(x.algebra, _singular_values(x), "max")
+    norms = x.algebra.summand_rows(_singular_values(x)).max(axis=1).tolist()
     return norms if per_summand else max(norms)
 
 
@@ -502,13 +501,13 @@ def schatten_norm(x: Operator, p: float, per_summand: bool = False):
     if p != math.inf and p < 1:
         raise DomainError("Schatten norms are only supported for p >= 1")
     sv = _singular_values(x)
-    tops = _by_summand(x.algebra, sv, "max")
+    tops = x.algebra.summand_rows(sv).max(axis=1).tolist()
     if not per_summand:
         tops = [max(tops)]
     norms = tops
     if p != math.inf:
         scales = [top or 1.0 for top in tops]  # a zero summand stays 0
-        cols = _block_columns(x.algebra, scales) if per_summand else (scales[0],) * len(sv)
+        cols = x.algebra.summand_columns(scales) if per_summand else (scales[0],) * len(sv)
         totals = _total(x.algebra, [np.sum((s / c) ** p, axis=1) for s, c in zip(sv, cols)],
                         per_summand)
         norms = [float(top * total ** (1.0 / p))
@@ -521,7 +520,7 @@ def min_eigenvalue(a: Operator, per_summand: bool = False):
     each summand."""
     if not a.hermitian:
         raise DomainError("min_eigenvalue requires a Hermitian operator")
-    lows = _by_summand(a.algebra, a.eigenvalues, "min")
+    lows = a.algebra.summand_rows(a.eigenvalues).min(axis=1).tolist()
     return lows if per_summand else min(lows)
 
 
@@ -546,7 +545,7 @@ def spectral_cuts(a: Operator, masks) -> Operator:
     if not a.basis_ok:
         raise DomainError("eigenvalues are not within 1e-10 of {0, 1}")
     stacks = []
-    for (_, vecs), keep in zip(a.spectrum[0], masks):
+    for (_, vecs), keep in zip(a.spectrum, masks):
         # one mask takes every block as a slice: gathering them cost more than it saved
         cut, block = keep.any(axis=2).nonzero() if len(keep) > 1 else (0, slice(None))
         live = _compose(vecs[block], keep[cut, block].astype(float))
@@ -564,8 +563,9 @@ def spectral_projection(a: Operator, interval: Interval) -> Operator:
     of :func:`spectral_cuts` whose mask is the tie rule of
     :meth:`Interval.contains` with tolerance 1e-10 * (1 + operator norm),
     the norm per summand of `a`."""
-    spectrum, tol = a.spectrum
-    return spectral_cuts(a, [interval.contains(e, t)[None] for (e, _), t in zip(spectrum, tol)])
+    eigs = [e for e, _ in a.spectrum]
+    return spectral_cuts(a, [interval.contains(e, t)[None]
+                             for e, t in zip(eigs, _tie_tols(a.algebra, eigs))])
 
 
 def abs_spectral_trace(x: Operator, interval: Interval) -> float:
@@ -586,7 +586,7 @@ def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operato
     spectrum and raises DomainError.
     """
     stacks = []
-    for eigs, vecs in a.spectrum[0]:
+    for eigs, vecs in a.spectrum:
         vals = np.asarray(f(eigs), dtype=complex)
         if vals.shape != eigs.shape:
             raise DomainError("f must map the spectrum array to an array")
@@ -599,8 +599,8 @@ def func_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray]) -> Operato
 def _psd_calculus(a: Operator, f: Callable[[np.ndarray], np.ndarray],
                   what: str) -> Operator:
     """f of a PSD operator; eigenvalues down to -1e-10 (1 + ||a||) clip to 0."""
-    spectrum, tol = a.spectrum
-    if any((e < -t).any() for (e, _), t in zip(spectrum, tol)):
+    eigs = [e for e, _ in a.spectrum]
+    if any((e < -t).any() for e, t in zip(eigs, _tie_tols(a.algebra, eigs))):
         raise DomainError(f"{what} needs a positive semidefinite operator")
     return func_calculus(a, lambda e: f(np.clip(e, 0.0, None)))
 

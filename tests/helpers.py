@@ -180,7 +180,7 @@ def dense_cuts(a, masks):
     """spectral_cuts as it composed every (cut, block) pair: V diag(mask) V*
     per mask and block, each exactly diagonal block's diagonal rounded."""
     stacks = []
-    for (_, vecs), keep in zip(a.spectrum[0], masks):
+    for (_, vecs), keep in zip(a.spectrum, masks):
         s = ((vecs * keep.astype(float)[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
         s = s.reshape(-1, *vecs.shape[1:])
         for blk in s:
@@ -198,10 +198,10 @@ def per_cluster_tangent(a, b, filtration) -> tuple[bool, float]:
     conditioned by E_{n-1} and its operator norm."""
     worst = 0.0
     for n, (an, bn) in enumerate(zip(a, b)):
-        eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
+        eigs = np.concatenate([e.ravel() for e, _ in an.spectrum + bn.spectrum])
         for cluster in cluster_eigenvalues(eigs, float(np.abs(eigs).max())):
             lo, hi = cluster.min(), cluster.max()
-            cut = [spectral_cuts(x, [((lo <= e) & (e <= hi))[None] for e, _ in x.spectrum[0]])
+            cut = [spectral_cuts(x, [((lo <= e) & (e <= hi))[None] for e, _ in x.spectrum])
                    for x in (an, bn)]
             worst = max(worst, operator_norm(cond_exp(filtration, n - 1, cut[0] - cut[1])))
     return bool(worst <= 1e-8), float(worst)
@@ -342,7 +342,7 @@ def tangent_moment_deviation(a, b, filtration: Filtration) -> float:
     """
     worst = 0.0
     for n, (an, bn) in enumerate(zip(a, b)):
-        eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
+        eigs = np.concatenate([e.ravel() for e, _ in an.spectrum + bn.spectrum])
         norm = float(np.abs(eigs).max())
         scale = 1.0 + norm
         n_clusters = len(cluster_eigenvalues(eigs, norm))

@@ -421,7 +421,7 @@ def _two_call_tangent(a, b, filt):
     form that one cond_exp of their difference replaced."""
     worst = 0.0
     for n, (an, bn) in enumerate(zip(a, b)):
-        eigs = np.concatenate([e.ravel() for e, _ in an.spectrum[0] + bn.spectrum[0]])
+        eigs = np.concatenate([e.ravel() for e, _ in an.spectrum + bn.spectrum])
         for cluster in cluster_eigenvalues(eigs, float(np.abs(eigs).max())):
             window = Interval(float(cluster.min()), float(cluster.max()), True, True)
             worst = max(worst, operator_norm(
@@ -999,6 +999,16 @@ class TestDominated:
         with pytest.raises(DomainError):
             verify_dominated(x, y, 1.5)
 
+    @pytest.mark.parametrize("mu", [1e-13, 1e-12, 1e-9, 1.0, 1e6])
+    def test_hypothesis_label_at_every_scale(self, mu):
+        # the gates are -1e-8 ||dx_n||^2 and a 1e-8 relative norm comparison:
+        # with -1e-8 (1 + ||dx_n||^2) and an absolute 1e-12, y doubled read
+        # `verified` at 1e-13
+        x, y, _ = arrow_martingale_pair(6, stream(0, 8, 0))
+        assert verify_dominated(x.scale(mu), y.scale(mu), 3.0).meta["hypothesis"] == "verified"
+        rep = verify_dominated(x.scale(mu), y.scale(2.0 * mu), 3.0)
+        assert rep.meta["hypothesis"] == "unverified"
+
 
 class TestPositiveTangent:
     def test_equal_sequences_constant_route(self):
@@ -1042,6 +1052,19 @@ class TestPositiveTangent:
         h = gaussian_hermitian(filt.algebra, stream(111))
         with pytest.raises(DomainError, match="the u_n must be positive"):
             verify_positive_tangent([h], [h], filt, [3.0], relaxed=relaxed)
+
+    @pytest.mark.parametrize("relaxed", (False, True))
+    @pytest.mark.parametrize("mu", [1e-13, 1e-12, 1e-9, 1.0, 1e6])
+    def test_positivity_gate_at_every_scale(self, mu, relaxed):
+        # the gate is -1e-10 max ||u_n||: under -1e-10 (1 + max ||u_n||) -mu I
+        # passed as positive at 1e-12 and 1e-11
+        filt = make_filtration("trivial_full", dims=(2,))
+        u = [filt.algebra.identity() * mu] * 2
+        rep, = verify_positive_tangent(u, u, filt, (3.0,), relaxed=relaxed)
+        assert rep.passed and rep.meta["hypothesis"] in ("tangent", "relaxed-verified")
+        with pytest.raises(DomainError, match="the u_n must be positive"):
+            verify_positive_tangent([-x for x in u], [-x for x in u], filt, (3.0,),
+                                    relaxed=relaxed)
 
     @pytest.mark.parametrize("relaxed", (False, True))
     def test_needs_sequences_of_one_length(self, relaxed):

@@ -50,11 +50,9 @@ class TestConfig:
         cfg = ExperimentConfig(suite="bg", trials=1)
         assert cfg.p_grid == (3.0, 4.0, 8.0)
 
-    def test_suite_defaults_fill_dims_and_tolerances(self):
-        cfg = ExperimentConfig(suite="tangent-counterexample",
-                               dims={"N_list": (9,)}, tolerances={"l1": 1e-6})
+    def test_suite_defaults_fill_dims(self):
+        cfg = ExperimentConfig(suite="tangent-counterexample", dims={"N_list": (9,)})
         assert cfg.dims == {"N_list": (9,)}
-        assert cfg.tolerances == {"weak": 1e-8, "l1": 1e-6}
         assert ExperimentConfig(suite="doob").dims == {"dim": 3, "steps": None}
 
     @pytest.mark.parametrize("suite", sorted(s for s, v in _REGISTRY.items() if v.dims))
@@ -354,13 +352,22 @@ class TestMainEntry:
                      "--out", "/nonexistent-dir/x.csv"])
         assert code == 2
 
-    def test_exit_one_on_failed_rows(self, tmp_path):
-        # an unreachable tolerance forces a failing verification row
+    def test_exit_one_on_failed_rows(self, tmp_path, monkeypatch):
+        # an unreachable Fubini gate forces a failing verification row
+        import ncgl.cli as cli
+
+        monkeypatch.setattr(cli, "_FUBINI_TOL", 1e-30)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
-            {"suite": "moment", "trials": 1, "seed": 4, "p_grid": [3.0],
-             "tolerances": {"fubini": 1e-30}}))
+            {"suite": "moment", "trials": 1, "seed": 4, "p_grid": [3.0]}))
         assert main([str(cfg_path)]) == 1
+
+    def test_tolerances_is_an_unknown_field(self, tmp_path, capsys):
+        # the row gates are module constants, not config keys
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suite": "moment", "tolerances": {"fubini": 1e-6}}))
+        assert main([str(cfg_path)]) == 2
+        assert "unknown config fields: ['tolerances']" in capsys.readouterr().err
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncgl.cuculescu import _check_level, cuculescu_r, fubini_identity_gap, grow_grids
 from ncgl.errors import DomainError, NumericalInstabilityError, StructureError
@@ -42,11 +44,14 @@ from ncgl.instances import (
     triple_family,
 )
 from ncgl.opalgebra import (
+    Interval,
     TracialAlgebra,
     direct_sum,
+    level_thresholds,
     min_eigenvalue,
     operator_norm,
     schatten_norm,
+    spectral_projection,
     trace,
     trace_pair,
 )
@@ -69,32 +74,61 @@ class TestDirectSumAlgebra:
                 TracialAlgebra(dims, weights, copies)
 
     def test_sums_and_parts_carry_the_solved_spectra(self, monkeypatch):
-        # direct_sum joins the spectra its operators have solved and `parts`
-        # splits a sum's, tie tolerances included, with nothing solved again;
-        # each is the spectrum the operator's own solve gives, bit for bit
+        # direct_sum joins the eigendecompositions its operators have solved
+        # and `parts` splits a sum's, with nothing solved again; each is the
+        # one the operator's own solve gives, bit for bit, and so are the
+        # thresholds of every tie rule derived from it
         rng = stream(70)
         alg = TracialAlgebra((2, 2), (0.5, 0.5))
         ops = [gaussian_hermitian(alg, rng) * (i + 1.0) for i in range(3)]
         own = [op.spectrum for op in ops]
         total = direct_sum(ops)
-        monkeypatch.setattr(np.linalg, "eigh", None)
-        batch = total.spectrum
-        parts = total.parts(alg)
-        monkeypatch.undo()
-        fresh = alg.direct_sum(3).operator(total.stacks[0]).spectrum
-        for got, want in ((batch, fresh),
-                          *((part.spectrum, spec) for part, spec in zip(parts, own))):
-            (got_run,), (got_tol,) = got
-            (want_run,), (want_tol,) = want
-            assert all(np.array_equal(a, b) for a, b in zip(got_run, want_run))
-            assert np.array_equal(got_tol, want_tol)
-        assert all(_same(p, op) for p, op in zip(parts, ops))
-        assert total.parts(alg.direct_sum(3)) == [total]
-        # a sum of sums joins their tolerance columns as they are
         twice = direct_sum([total, total])
-        (_,), (tol,) = twice.spectrum
-        (_,), (want,) = alg.direct_sum(6).operator(twice.stacks[0]).spectrum
-        assert tol.shape == (12, 1) and np.array_equal(tol, want)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        carried = [total, twice, *total.parts(alg)]
+        solved = [op.spectrum for op in carried]
+        monkeypatch.undo()
+        fresh = [op.algebra.operator(op.stacks[0]) for op in carried]
+        for got, want in zip(solved, [f.spectrum for f in fresh[:2]] + own):
+            ((got_e, got_v),), ((want_e, want_v),) = got, want
+            assert np.array_equal(got_e, want_e) and np.array_equal(got_v, want_v)
+        for op, new in zip(carried, fresh):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(level_thresholds(op), level_thresholds(new)))
+        assert all(_same(p, op) for p, op in zip(carried[2:], ops))
+        assert total.parts(alg.direct_sum(3)) == [total]
+
+    @settings(max_examples=30, derandomize=True)
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2, 12]))
+    def test_summand_views_invert_each_other(self, seed, copies):
+        # one summand on several runs, or sums of 2 and 12 copies of one run:
+        # summand_rows and summand_columns undo each other, and each row's
+        # reduction is that of the part it holds
+        rng = stream(72, seed)
+        base = TracialAlgebra((3, 3, 2, 3, 1), (0.5, 1.0, 0.25, 2.0, 1.5)) if copies == 1 \
+            else TracialAlgebra((3,) * 4, (0.5, 1.0, 0.25, 2.0))
+        parts = [gaussian_hermitian(base, rng) * 10.0 ** rng.integers(-6, 7)
+                 for _ in range(copies)]
+        a = direct_sum(parts)
+        alg = a.algebra
+        eigs = [e for e, _ in a.spectrum]
+        rows = alg.summand_rows(eigs)
+        assert rows.shape == (copies, base.total_dim)
+        back = alg.summand_columns(rows)
+        assert all(x.shape == e.shape and np.array_equal(x, e) for x, e in zip(back, eigs))
+        values = rng.standard_normal(copies)
+        cols = alg.summand_columns(values)
+        assert [c.shape for c in cols] == [(n, 1) for n, _ in alg.runs]
+        assert np.array_equal(alg.summand_rows(cols), np.repeat(values[:, None], base.n_blocks, 1))
+        cut = spectral_projection(a, Interval.below(0.0))
+        for i, (part, cut_part) in enumerate(zip(a.parts(base), cut.parts(base))):
+            assert np.array_equal(rows[i], np.concatenate([e.ravel() for e, _ in part.spectrum]))
+            assert operator_norm(a, per_summand=True)[i] == operator_norm(part)
+            assert min_eigenvalue(a, per_summand=True)[i] == min_eigenvalue(part)
+            assert a.entry_max(per_summand=True)[i] == part.entry_max()
+            assert schatten_norm(a, 3.0, per_summand=True)[i] == schatten_norm(part, 3.0)
+            assert trace(a, per_summand=True)[i] == trace(part)
+            assert cut.summand_ranks[i] == cut_part.rank()
 
     def test_reductions_are_per_summand(self):
         base = TracialAlgebra((3, 3, 3), (0.5, 1.0, 2.0))

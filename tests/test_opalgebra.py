@@ -494,10 +494,10 @@ class TestBasisCheck:
     def _with_defect(defect):
         # column 0 of the cached V scaled so that (V*V)_00 = 1 + defect
         a = gaussian_hermitian(alg1(4), stream(31))
-        ((eigs, vecs),), tols = a.spectrum
+        ((eigs, vecs),) = a.spectrum
         vecs = vecs.copy()
         vecs[:, :, 0] *= math.sqrt(1.0 + defect)
-        a.__dict__["spectrum"] = (((eigs, vecs),), tols)
+        a.__dict__["spectrum"] = ((eigs, vecs),)
         return a
 
     def test_defect_just_above_the_bound_raises(self):
@@ -671,7 +671,7 @@ class TestRunStacks:
         def results(part=slice(None)):
             a, b = op(x, part), op(y, part)
             assert a.exactly_hermitian == exact and a.hermitian
-            (eigs, vecs), = a.spectrum[0]
+            (eigs, vecs), = a.spectrum
             cut_a = spectral_projection(a, Interval.below(0.2))
             cut_b = spectral_projection(b, Interval.below(0.2))
             return (a.eigenvalues[0], eigs, vecs, cut_a.stacks[0],
@@ -758,11 +758,13 @@ class TestSpectrumCache:
     def test_cached_arrays_reject_writes(self):
         rng = stream(25)
         a = RUNS.operator(_draw(RUNS, rng, hermitian=True))
-        # a direct sum of two trials carries its tie tolerances as an array
-        batch = direct_sum([alg1(3).operator(_draw(alg1(3), rng, hermitian=True))
-                            for _ in range(2)])
-        arrays = [*a.eigenvalues, *batch.spectrum[1]]
-        arrays += [m for op in (a, batch) for run in op.spectrum[0] for m in run]
+        # and so does the eigendecomposition a direct sum joins from its trials
+        parts = [alg1(3).operator(_draw(alg1(3), rng, hermitian=True)) for _ in range(2)]
+        for part in parts:
+            part.spectrum
+        batch = direct_sum(parts)
+        arrays = [*a.eigenvalues]
+        arrays += [m for op in (a, batch) for run in op.spectrum for m in run]
         for m in arrays:
             with pytest.raises(ValueError):
                 m.flat[0] = 0.0
@@ -809,7 +811,7 @@ class TestExactHermitianSolves:
         assert a.exactly_hermitian
         for new, old in zip(a.eigenvalues, reference_eigenvalues(a)):
             assert _same_bits(new, old)
-        for (eigs, vecs), (old_eigs, old_vecs) in zip(a.spectrum[0], reference_spectrum(a)):
+        for (eigs, vecs), (old_eigs, old_vecs) in zip(a.spectrum, reference_spectrum(a)):
             assert _same_bits(eigs, old_eigs) and _same_bits(vecs, old_vecs)
 
     @pytest.mark.parametrize("dims, kinds", [
@@ -843,8 +845,7 @@ class TestExactHermitianSolves:
         assert not near.exactly_hermitian and near.hermitian
         assert all(_same_bits(new, old)
                    for new, old in zip(near.eigenvalues, reference_eigenvalues(near)))
-        for (eigs, vecs), (old_eigs, old_vecs) in zip(near.spectrum[0],
-                                                      reference_spectrum(near)):
+        for (eigs, vecs), (old_eigs, old_vecs) in zip(near.spectrum, reference_spectrum(near)):
             assert _same_bits(eigs, old_eigs) and _same_bits(vecs, old_vecs)
 
     def test_signed_zero_pairs_count_as_equal(self):

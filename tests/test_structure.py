@@ -1,10 +1,11 @@
 """Module boundaries of the package: no module imports another's private names,
 apart from any listed, Hermitian eigensolves run only in the listed kernels, no
 opalgebra function steps through a stack in slices, a direct sum is split one
-way, failed batch work is let go in one place and no exception is kept, only
-the listed modules draw random instances, no module keeps context-variable
-state, every suite maps a group of trials to each trial's rows, and every
-public name is used in the package or a demo, or listed."""
+way and laid out by its algebra alone, failed batch work is let go in one
+place and no exception is kept, only the listed modules draw random
+instances, no module keeps context-variable state, every suite maps a group
+of trials to each trial's rows, and every public name is used in the package
+or a demo, or listed."""
 
 import ast
 import pathlib
@@ -98,6 +99,30 @@ def _defines_summand(node):
 def test_a_direct_sum_is_split_one_way():
     # Operator.parts is the one splitter: no class grows a second `summand`
     assert list(_sites(_defines_summand)) == []
+
+
+def _reshapes_by_summand(node):
+    """A reshape call (a method or np.reshape) that reads `.summands`."""
+    return isinstance(node, ast.Call) and "reshape" in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None)) and any(
+        isinstance(n, ast.Attribute) and n.attr == "summands" for n in ast.walk(node))
+
+
+def _reads_tie_tolerances(node):
+    """x.spectrum[1], where a spectrum once carried its tie tolerances."""
+    return isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "spectrum" \
+        and isinstance(node.slice, ast.Constant) and node.slice.value == 1
+
+
+def test_only_the_algebra_lays_out_summands():
+    # TracialAlgebra.summand_rows and summand_columns know where a summand's
+    # blocks sit; a spectrum is the eigendecomposition alone, and each cut
+    # derives its tie tolerances from it
+    assert [site for site in _sites(_reshapes_by_summand) if site[0] != "opalgebra"] == []
+    tests = [ast.parse(path.read_text(), str(path))
+             for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))]
+    assert list(_sites(_reads_tie_tolerances)) == []
+    assert not any(_reads_tie_tolerances(n) for tree in tests for n in ast.walk(tree))
 
 
 def _catches_failures(node):
