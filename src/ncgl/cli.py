@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise NCGLError(f"B must exceed 1, got {self.B!r}")
         if any(beta <= 1 for beta in self.beta_grid):
             raise NCGLError(f"every beta must exceed 1, got {list(self.beta_grid)!r}")
+        for beta in self.beta_grid:  # goodlambda-tail verifies at level 1
+            gl.tail_constant(beta)
         unknown = sorted(set(self.dims) - set(info.dims))
         if unknown:
             raise NCGLError(f"suite {self.suite} reads no dims {unknown}"

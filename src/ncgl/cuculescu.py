@@ -40,7 +40,9 @@ __all__ = [
     "fubini_identity_gap",
 ]
 
-_DRIFT_LIMIT = 1e-6
+# absolute: projections and their differences have eigenvalues in [-1, 1] at every scale
+_DRIFT_LIMIT = 1e-6    # a snapped projection's eigenvalues from {0, 1}
+_MONOTONE_TOL = 1e-9   # min_eig(R_{n-1} - R_n) below 0
 
 
 def _normalized(p: Operator) -> Operator:
@@ -126,7 +128,7 @@ def _check_level(seq: CuculescuSeq, level: float) -> None:
             # membership in M_n
             if adapted > 1e-9 * (1.0 + norm / level):
                 raise fail(f"R_{n} left the level-{n} subalgebra (summand {i})")
-            if monotone < -1e-9:
+            if monotone < -_MONOTONE_TOL:
                 raise fail(f"R_{n} is not below R_{n-1} (summand {i})")
             # commutation with the compressed martingale value
             if commutator > 1e-8 * (level + norm):
@@ -385,34 +387,44 @@ def _meet(items: list) -> list:
     return _normalized(meets).parts(alg)
 
 
-def _bands(y: Martingale, B: float, rows: tuple):
-    """The band walk of one `corrected_p` call, as a generator: at each
-    band's top it yields the (martingale, n, R_n, above) meets its column
-    needs and is sent their results, in that order; it returns the bands.
-    See `_walk`."""
-    lo, k = _k_range(y, B)
-    col, bands = {n: y.algebra.identity() for n in rows}, []
-    while k >= lo:
-        seq = cuculescu_r(y, B ** k)
-        got = iter((yield [(y, n, seq.R(n), above) for n, above in col.items()
-                           if above.rank() > 0]))
-        col = {n: above if above.rank() == 0 else next(got) for n, above in col.items()}
-        low = lo
-        if any(p.rank() > 0 for p in col.values()):
-            # the band's bottom, the lowest level above seq.lo
-            low = _index_above(seq.lo, B, lo, k - 1)
-            _check_level(seq, B ** low)
-        bands.append((k, low, col))
-        k = low - 1
-    return tuple(bands)
+def _bands(y: Martingale, bases: tuple, rows: tuple):
+    """The band walks of y's tree at every base of `bases`, as a generator of
+    one pass over its leaves, highest window first.  A leaf that holds the
+    next band top B^k of some bases checks each top, yields the meets
+    (martingale, n, R_n, above) of their columns, one per distinct (n, above),
+    all bases starting from the root's identity object, is sent the results,
+    and checks each band's bottom; it returns each base's bands (`_walk`)."""
+    tree, ranges = y.cuculescu_cache, [_k_range(y, B) for B in bases]
+    tops, bands = [top for _, top in ranges], [[] for _ in bases]
+    cols = [dict.fromkeys(rows, tree[()].r) for _ in bases]
+    for seq in sorted((node.seq for path, node in tree.items() if len(path) == len(y.values)),
+                      key=lambda seq: -seq.hi):
+        served = [i for i, (B, k, (lo, _)) in enumerate(zip(bases, tops, ranges))
+                  if k >= lo and B ** k > seq.lo]
+        for i in served:
+            _check_level(seq, bases[i] ** tops[i])
+        asked = {(n, id(above)): (y, n, seq.R(n), above)
+                 for i in served for n, above in cols[i].items() if above.rank() > 0}
+        got = dict(zip(asked, (yield list(asked.values())))) if served else {}
+        for i in served:
+            B, (lo, _), k = bases[i], ranges[i], tops[i]
+            col = {n: above if above.rank() == 0 else got[n, id(above)]
+                   for n, above in cols[i].items()}
+            low = lo
+            if any(p.rank() > 0 for p in col.values()):
+                # the band's bottom, the lowest level above seq.lo
+                low = _index_above(seq.lo, B, lo, k - 1)
+                _check_level(seq, B ** low)
+            bands[i].append((k, low, col))
+            cols[i], tops[i] = col, low - 1
+    return [tuple(b) for b in bands]
 
 
 def _walk(walks: list) -> list:
-    """Run the band walks `walks` (see `_bands`) in lockstep: each round,
-    every walk still going takes its band's sequence, then one `_meet` batch
-    per filtration and row n serves the meets of them all (`_batched`; a
-    final-only walk has one row), and each walk checks its band's bottom.
-    The bands of each walk; the first error that any walk meets is raised."""
+    """Run the band walks `walks` (see `_bands`) in lockstep, each walk's next
+    serving leaf a round, with one `_meet` batch per round, filtration and
+    row n (`_batched`).  The result of each walk; the first error that any
+    walk meets is raised."""
     out, asked = [None] * len(walks), [None] * len(walks)
 
     def advance(i, value):
@@ -445,10 +457,9 @@ def grow_grids(ys, bases, levels=()) -> None:
     cuts and one batch of steps per time n and filtration, each one direct
     sum.  A node's children are the windows between its thresholds that hold
     a level asked for, so the steps grown are bounded by the thresholds, not
-    by the grid.  Then walk the final-only bands of every (y, B) pair in
-    lockstep (see `_walk`), one batch of meets per round, and keep each
-    pair's bands in `Martingale.corrected_bands`: `weak_max` reads them
-    there, and other queries find every sequence they ask for in the trees.
+    by the grid.  Then walk each tree's leaves once for all bases, the trees
+    in lockstep (`_bands`, `_walk`), and keep each (y, B) pair's final-only
+    bands in `Martingale.corrected_bands`, where `weak_max` reads them.
     Where a step, cut, meet or check fails, the growth or the walk is let go
     (`_FAILURES`): the nodes already grown stay, no bands are kept, and each
     query that needs the rest makes it alone and raises its own error."""
@@ -460,14 +471,13 @@ def grow_grids(ys, bases, levels=()) -> None:
         raise DomainError("the cut level must be positive")
     fixed = _levels(sorted(levels))
     grids = [[_grid(B, *_k_range(y, B)) for B in bases] + [fixed] for y in ys]
-    pairs = [(y, B) for y in ys for B in bases]
     try:
         _grow([(y, lambda a, fs=fs: min(f(a) for f in fs)) for y, fs in zip(ys, grids)])
-        walked = _walk([_bands(y, B, (y.N,)) for y, B in pairs])
+        walked = _walk([_bands(y, tuple(bases), (y.N,)) for y in ys])
     except _FAILURES:
         return
-    for (y, B), bands in zip(pairs, walked):
-        y.corrected_bands[B] = bands
+    for y, bands in zip(ys, walked):
+        y.corrected_bands.update(zip(bases, bands))
 
 
 def corrected_p(y: Martingale, B: float, final_only: bool = False) -> CorrectedSeq:
@@ -476,15 +486,13 @@ def corrected_p(y: Martingale, B: float, final_only: bool = False) -> CorrectedS
     The lattice meet over l >= k is truncated at k_top, above which every
     R_n^{B^l} equals the identity because the martingale is bounded; this is
     exact, not an approximation.  Below, k_min is the truncation point
-    B^{k_min} ~ 1e-8 (1 + ||y||).  A band is one pass: one sequence, one
-    meet per row, its ends checked (see `_check_level`).  An all-zero column
-    holds to k_min.  The final-only bands are those that `grow_grids`
-    walked and kept in `Martingale.corrected_bands`, if it walked this base;
-    other bands are the same walk run on this pair alone (`_bands`,
-    `_walk`).  Each sequence is a walk of y's tree, which `grow_grids` may
-    have grown to this whole grid beforehand; where it has not,
-    `cuculescu_r` grows the tree to the band's level.  An error of the walk
-    is raised here, also where `grow_grids` let this pair's walk go.
+    B^{k_min} ~ 1e-8 (1 + ||y||).  A band is one leaf of y's tree: one
+    sequence, one meet per row, its ends checked (see `_check_level`).  An
+    all-zero column holds to k_min.  The final-only bands are those that
+    `grow_grids` kept in `Martingale.corrected_bands`, if it walked this
+    base; others are walked on this base alone (`_bands`, `_walk`), once y's
+    tree is grown to its grid.  An error of the growth or the walk is raised
+    here, also where `grow_grids` let this pair's walk go.
     """
     if not (B > 1):
         raise DomainError("the base B must exceed 1")
@@ -492,8 +500,8 @@ def corrected_p(y: Martingale, B: float, final_only: bool = False) -> CorrectedS
         raise DomainError("corrected projections need a self-adjoint martingale")
     bands = y.corrected_bands.get(B) if final_only else None
     if bands is None:
-        rows = (y.N,) if final_only else tuple(range(y.N + 1))
-        (bands,) = _walk([_bands(y, B, rows)])
+        _grow([(y, _grid(B, *_k_range(y, B)))])
+        ((bands,),) = _walk([_bands(y, (B,), (y.N,) if final_only else tuple(range(y.N + 1)))])
     return CorrectedSeq(y, float(B), bands)
 
 
@@ -510,17 +518,29 @@ class WeakMax:
         return self.corrected.bands[-1][2][self.corrected.martingale.N]
 
 
+def _weighted_sum(w: list, a: list, b: list) -> Operator:
+    """sum_i w[i] (a[i] - b[i]) over operators of one algebra, as one
+    reduction over their stacked blocks, added term by term from 0 in
+    order: bit for bit the sum of the Operators (a[i] - b[i]) * w[i]."""
+    w = np.array(w, dtype=complex)[:, None, None, None]
+    runs = lambda ops: map(np.stack, zip(*(op.stacks for op in ops)))
+    terms = [(x - z) * w for x, z in zip(runs(a), runs(b))]
+    return Operator(a[0].algebra, tuple(
+        np.add.accumulate(np.concatenate([np.zeros_like(t[:1]), t]))[-1] for t in terms))
+
+
 def weak_max(y: Martingale, B: float) -> WeakMax:
     """a_N^+ = sum_k B^k (P_N^{B^{k+1}} - P_N^{B^k}); a_N^- is weak_max(-y, B).
 
-    Only the top level of each band of `corrected_p` has a nonzero term.
-    Spectral mass below the truncation point B^{k_min} is assigned to the
-    residual kernel projection; the moment verifications account for it
-    with an analytic geometric tail.
+    Only the top level of each band of `corrected_p` has a nonzero term,
+    summed from the lowest band up.  Spectral mass below the truncation
+    point B^{k_min} is assigned to the residual kernel projection; the
+    moment verifications account for it with an analytic geometric tail.
     """
     cp = corrected_p(y, B, final_only=True)
-    acc = sum(((cp.P(y.N, high + 1) - col[y.N]) * (B ** high)
-               for high, _, col in reversed(cp.bands)), y.algebra.zero())
+    cols = [col[y.N] for _, _, col in reversed(cp.bands)]
+    acc = _weighted_sum([B ** high for high, _, _ in reversed(cp.bands)],
+                        cols[1:] + [y.algebra.identity()], cols)
     return WeakMax(acc.symmetrized(), cp)
 
 
@@ -563,9 +583,10 @@ def fubini_identity_gap(wms: list[WeakMax], p: float) -> np.ndarray:
         # with none, a_N^+ = 0 and P_N^{B^k} = I, and both sides are 0
         bands = [(hi, lo, col) for hi, lo, col in cp.bands if col[N].rank() < alg.total_dim]
         h = bands[0][0] if bands else 0
-        tail = (ident - wm.residual) * (B ** ((cp.k_min - h) * q) / (1.0 - B ** (-q)))
-        lhs.append(sum(((ident - col[N]) * _band_sum(B, q, high - h, high - low + 1)
-                        for high, low, col in reversed(bands)), alg.zero()) + tail)
+        w = [_band_sum(B, q, high - h, high - low + 1) for high, low, _ in reversed(bands)]
+        w.append(B ** ((cp.k_min - h) * q) / (1.0 - B ** (-q)))  # the tail
+        lhs.append(_weighted_sum(w, [ident] * len(w),
+                                 [col[N] for *_, col in reversed(bands)] + [wm.residual]))
         hs.append(h)
     rhs = psd_power(direct_sum([wm.operator / B ** h for wm, h in zip(wms, hs)]), q) \
         * (1.0 / (1.0 - B ** (2.0 - p)))

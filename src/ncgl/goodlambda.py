@@ -41,6 +41,7 @@ __all__ = [
     "hypothesis_status",
     "verify_core",
     "verify_tail",
+    "tail_constant",
     "simplified_moment_constant",
     "moment_constant",
     "verify_moment",
@@ -204,6 +205,19 @@ def verify_core(t: Triple, level: float = 1.0) -> tuple[VerifyReport, ...]:
     return _reports(lhs, rhs, 2.0, {"level": level}, t)
 
 
+def tail_constant(beta: float, level: float = 1.0) -> float:
+    """4 ((beta-1) level)^{-2}, the constant of the tail bound; a DomainError
+    where it leaves the float range."""
+    try:
+        const = 4.0 / ((beta - 1.0) * level) ** 2
+    except ArithmeticError:  # the square overflows, or underflows to 0
+        const = 0.0
+    if not 0.0 < const < math.inf:
+        raise DomainError(f"the tail constant 4/((beta-1) level)^2 leaves the float range"
+                          f" at beta = {beta!r}, level = {level!r}")
+    return const
+
+
 def verify_tail(t: Triple, beta: float, level: float = 1.0) -> tuple[VerifyReport, ...]:
     """tau(I - Q_N^{level*beta}) <= 4 ((beta-1) level)^{-2} tau((I-R_N^{level})
     (x_N^2 + z_N^2)) per summand; at level = 1 this is the plain tail bound."""
@@ -211,12 +225,12 @@ def verify_tail(t: Triple, beta: float, level: float = 1.0) -> tuple[VerifyRepor
         raise DomainError("beta must exceed 1")
     if not (level > 0):
         raise DomainError("the level must be positive")
+    const = tail_constant(beta, level)
     # the threshold ratio beta exceeds 1; the absolute cut beta*level may not
     qseq = cuculescu_r(t.y, beta * level)
     rseq = cuculescu_r(t.y, level)
     ident = t.algebra.identity()
     lhs = trace(ident - qseq.final(), per_summand=True)
-    const = 4.0 / ((beta - 1.0) * level) ** 2
     rhs = const * _rhs_weights(t, ident - rseq.final())
     return _reports(lhs, rhs, const, {"beta": beta, "level": level}, t)
 

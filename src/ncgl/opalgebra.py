@@ -56,6 +56,9 @@ _HERM_TOL = 1e-12
 # one spectral cluster (cluster_tops), so the rule does not depend on scale.
 _CLUSTER_TOL = 1e-8
 
+# proj_meet keeps the eigenvalues of (I-e) + (I-f) below this; absolute, as they lie in [0, 2]
+_MEET_TOL = 1e-8
+
 # Relative tie tolerance of spectral cuts: an eigenvalue within
 # _TIE_TOL * (1 + ||a||) of an interval endpoint sits on it, ||a|| per summand.
 _TIE_TOL = 1e-10
@@ -639,7 +642,7 @@ def cluster_tops(rows: np.ndarray) -> np.ndarray:
 
 def _meet_blocks(se: np.ndarray, sf: np.ndarray) -> np.ndarray:
     eigs, vecs = _eigh(_sym(2.0 * np.eye(se.shape[1]) - se - sf))
-    return _compose(vecs, (eigs < 1e-8).astype(float))
+    return _compose(vecs, (eigs < _MEET_TOL).astype(float))
 
 
 def proj_meet(e: Operator, f: Operator) -> Operator:
@@ -648,7 +651,7 @@ def proj_meet(e: Operator, f: Operator) -> Operator:
     Decided per summand from the ranks where it is trivial, with nothing
     solved: the other operand where one has full rank, 0 where one has rank
     0.  Elsewhere computed blockwise as the eigenvalue-0 eigenspace of
-    (I-e) + (I-f) with threshold 1e-8; exact for exactly diagonal 0/1
+    (I-e) + (I-f) with threshold _MEET_TOL; exact for exactly diagonal 0/1
     inputs, through the exact diagonal path of the eigensolve.
     """
     e._same_algebra(f)

@@ -22,7 +22,14 @@ from functools import reduce
 import numpy as np
 
 from ncgl.cli import ReportRow
-from ncgl.cuculescu import CuculescuSeq, _snap_projection, _Step, corrected_p, cuculescu_r
+from ncgl.cuculescu import (
+    CuculescuSeq,
+    _band_sum,
+    _snap_projection,
+    _Step,
+    corrected_p,
+    cuculescu_r,
+)
 from ncgl.errors import DomainError, NCGLError
 from ncgl.filtration import (
     Filtration,
@@ -422,6 +429,24 @@ def verify_good_hom(t, B: float, k: int) -> VerifyReport:
     rhs = const * float(trace_pair(x_sq + z_sq, t.algebra.identity() - cp.P(N, k)).real)
     meta = {"B": B, "k": k, "hypothesis": t.hypothesis[0]}
     return VerifyReport.compare(lhs, rhs, const, meta)
+
+
+def per_band_sums(wm, p: float):
+    """a_N^+ and the left side of fubini_identity_gap (divided by B^{h(p-2)})
+    of the weak maximal operator `wm`, summed as before the stacked
+    reduction: one Operator subtract, scale and add per band from 0, the
+    lowest band first, P_N^{B^{k+1}} read through CorrectedSeq.P."""
+    cp = wm.corrected
+    B, N, alg, q = cp.base, cp.martingale.N, cp.martingale.algebra, p - 2.0
+    a = sum(((cp.P(N, high + 1) - col[N]) * (B ** high)
+             for high, _, col in reversed(cp.bands)), alg.zero()).symmetrized()
+    ident = alg.identity()
+    bands = [(hi, lo, col) for hi, lo, col in cp.bands if col[N].rank() < alg.total_dim]
+    h = bands[0][0] if bands else 0
+    tail = (ident - wm.residual) * (B ** ((cp.k_min - h) * q) / (1.0 - B ** (-q)))
+    lhs = sum(((ident - col[N]) * _band_sum(B, q, high - h, high - low + 1)
+               for high, low, col in reversed(bands)), alg.zero()) + tail
+    return a, lhs
 
 
 def _eager_norm_quotient(x, p, h):

@@ -487,6 +487,19 @@ class TestMainEntry:
         assert main([f"--suite={suite}", flag, "--trials=1"]) == 2
         assert capsys.readouterr().err.startswith("config error:") and trials == []
 
+    @pytest.mark.parametrize("beta", ("1e308", "1e155"))
+    def test_exit_two_where_the_tail_constant_leaves_the_float_range(self, monkeypatch,
+                                                                      capsys, beta):
+        # 4/(beta-1)^2 at level 1: a config error naming beta, raised before
+        # any trial runs, where it once ended the run with an OverflowError
+        trials = []
+        monkeypatch.setitem(SUITES, "goodlambda-tail",
+                            lambda cfg, trial: trials.append(trial) or [])
+        assert main(["--suite=goodlambda-tail", f"--beta={beta}", "--trials=1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: the tail constant 4/((beta-1) level)^2 leaves the float"
+                       f" range at beta = {float(beta)!r}, level = 1.0\n") and trials == []
+
     def test_exit_two_on_dim_flag_for_suite_without_dim(self, capsys):
         assert main(["--suite", "goodlambda-core", "--dim", "9"]) == 2
         assert capsys.readouterr().err.startswith("config error:")

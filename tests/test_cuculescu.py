@@ -39,7 +39,7 @@ from ncgl.opalgebra import (
     trace,
 )
 
-from helpers import check_projection, level_recursion, recorded_cuts
+from helpers import check_projection, level_recursion, per_band_sums, recorded_cuts
 
 
 def _one_step(y0_diag):
@@ -298,6 +298,25 @@ def _counted_calls(monkeypatch):
     return levels
 
 
+def _counted_checks(monkeypatch):
+    """The levels of the _check_level calls made from here on."""
+    levels, check = [], cuculescu._check_level
+
+    def counted(seq, level):
+        levels.append(level)
+        return check(seq, level)
+
+    monkeypatch.setattr(cuculescu, "_check_level", counted)
+    return levels
+
+
+def _band_ends(bands, B):
+    """The levels at which a walk checks `bands`: each band's top, then its
+    bottom where its column is not all zero."""
+    return [level for high, low, col in bands
+            for level in ([B ** high] + [B ** low] * any(p.rank() for p in col.values()))]
+
+
 def _raises(seq, level):
     try:
         cuculescu._check_level(seq, level)
@@ -499,18 +518,21 @@ class TestCachedSequences:
         # both signs) a family at a time: one batch of cuts and one of steps
         # per time n, split where a batch would pass 2**11 block entries, so
         # 22 cut batches and 24 step batches; every step is computed once.
-        # It then walks the 252 (y, B) pairs' bands a family at a time, one
-        # batch of meets per round: its 1,233 meets, one proj_meet call each
-        # when made one at a time, in 40 batches.  Each family's rows are then
-        # verified as one direct sum, with one hypothesis check per family.
-        # 395 Hermitian solves run: 1,044 with the rows made one trial at a
-        # time, 1,575 with one meet at a time and 3,726 with one step at a time
+        # It then walks each tree's leaves once for its three bases, a family
+        # at a time, one batch of meets per round of leaves: 598 meets, one
+        # per distinct (R_N, above) pair, in 42 batches (1,233 meets in 40
+        # batches with one walk per (y, B) pair), and no cuculescu_r call
+        # walks a tree again from its root (1,233 did).  Each family's rows
+        # are then verified as one direct sum, with one hypothesis check per
+        # family.  397 Hermitian solves run, two more than with 40 batches of
+        # meets: 1,044 with the rows made one trial at a time, 1,575 with one
+        # meet at a time and 3,726 with one step at a time
         import ncgl.cli as cli
         import ncgl.goodlambda as gl
 
         counts = {"_cut": [0, 0], "_step": [0, 0], "_meet": [0, 0], "proj_meet": [0, 0],
                   "eigh": [0, 0], "eigvalsh": [0, 0], "hypothesis_status": [0, 0]}
-        trees, grow = [], cli.grow_grids
+        trees, grow, walked = [], cli.grow_grids, []
 
         def counted(name, fn):
             def call(*args, **kwargs):
@@ -523,6 +545,11 @@ class TestCachedSequences:
             trees.extend(ys)
             return grow(ys, bases)
 
+        def sequence(y, level):
+            walked.extend(m for m in trees if m is y)
+            return cuculescu_r(y, level)
+
+        monkeypatch.setattr(cuculescu, "cuculescu_r", sequence)
         for name in ("_cut", "_step", "_meet", "proj_meet"):
             monkeypatch.setattr(cuculescu, name, counted(name, getattr(cuculescu, name)))
         for name in ("eigh", "eigvalsh"):
@@ -536,10 +563,10 @@ class TestCachedSequences:
         assert counts["_cut"] == [22, 680] and counts["_step"] == [24, 1115]
         # each node but the roots is one step; rows asked for no other
         assert sum(len(y.cuculescu_cache) - 1 for y in trees) == 1115
-        assert counts["_meet"][0] <= 40 and counts["_meet"][1] == 1233
+        assert counts["_meet"] == [42, 598] and walked == []
         assert counts["proj_meet"][0] == counts["_meet"][0]
         assert counts["hypothesis_status"][0] == 6
-        assert counts["eigh"][0] + counts["eigvalsh"][0] <= 395
+        assert counts["eigh"][0] + counts["eigvalsh"][0] <= 397
 
     def test_work_counts_of_the_good_lambda_levels(self, monkeypatch):
         # perfbench's seed-0 goodlambda-levels pass (100 core trials, then 100
@@ -817,19 +844,20 @@ class TestGrownTogether:
         assert sum(sizes) <= 170  # every band's sequence was grown
 
     def test_large_p_grows_the_grid_in_one_call(self, monkeypatch):
-        # its band walk then asks for one sequence per band, each a hit, and
-        # weak_max reads the bands it kept, asking for none
+        # its band walk then visits the leaf of each of the 5 bands once,
+        # checking the band's two ends and asking cuculescu_r for no
+        # sequence, and weak_max reads the bands it kept, growing nothing
         y = random_martingale(triple_family(2), stream(57, 2), sup_norm=2.5)
         B = 1.0 + 1e-4
         sizes = _counted_steps(monkeypatch)
-        grown, call = [], cuculescu.cuculescu_r
-        monkeypatch.setattr(cuculescu, "cuculescu_r",
-                            lambda m, level: grown.append(len(sizes)) or call(m, level))
+        calls, checks = _counted_calls(monkeypatch), _counted_checks(monkeypatch)
         grow_grids([y], [B])
-        steps = len(sizes)
+        steps, walked = len(sizes), list(checks)
         wm = weak_max(y, B)
-        assert len(grown) == len(wm.corrected.bands) == 5
-        assert set(grown) == {steps} and len(sizes) == steps
+        assert calls == [] and len(wm.corrected.bands) == 5
+        assert wm.corrected.bands is y.corrected_bands[B]
+        assert walked == checks == _band_ends(wm.corrected.bands, B)
+        assert len(sizes) == steps
 
     def test_a_query_off_the_grid_cuts_its_node_again(self, monkeypatch):
         # a tree grown to the B = 4/3 grid keeps only each node's ordered
@@ -1007,15 +1035,16 @@ class TestLockstepBands:
     @pytest.mark.parametrize("family", range(6))
     def test_lockstep_bands_match_the_lone_walk(self, family):
         # both signs of two seed-0 moment trials of the family, grown and
-        # walked together at five bases: each pair's kept final-only bands,
-        # and its bands of every row walked in lockstep as well, are those
-        # of corrected_p on a fresh copy, which walks that pair alone
+        # walked together at five bases, each tree's leaves once for all of
+        # them: each pair's kept final-only bands, and its bands of every row
+        # walked in lockstep as well, are bit for bit those of corrected_p on
+        # a fresh copy, which walks that pair alone
         trees = _moment_trees([family, family + 6])
         grow_grids(trees, _LOCKSTEP_BASES)
+        every_row = cuculescu._walk([cuculescu._bands(m, _LOCKSTEP_BASES, tuple(range(m.N + 1)))
+                                     for m in trees])
         pairs = [(m, B) for m in trees for B in _LOCKSTEP_BASES]
-        every_row = cuculescu._walk([cuculescu._bands(m, B, tuple(range(m.N + 1)))
-                                     for m, B in pairs])
-        for (m, B), bands in zip(pairs, every_row):
+        for (m, B), bands in zip(pairs, itertools.chain(*every_row)):
             lone = _fresh_copy(m)
             kept = m.corrected_bands[B]
             assert corrected_p(m, B, final_only=True).bands is kept
@@ -1023,14 +1052,17 @@ class TestLockstepBands:
             _assert_same_bands(bands, corrected_p(lone, B).bands)
             assert not lone.corrected_bands  # a lone walk keeps nothing
 
-    def test_a_failed_meet_raises_only_for_its_pair(self, monkeypatch):
+    @pytest.mark.parametrize("shared", (False, True))
+    def test_a_failed_meet_raises_only_for_its_pair(self, monkeypatch, shared):
         # the seed-0 moment trials 3, 9 and 15 (one family), both signs, at
         # the suite's bases; _meet_blocks fails on a pair of blocks that only
-        # the walk of trial 15's y at p = 4 meets, with a message that tells
-        # the size of the stack it was given.  The lockstep walk fails and is
-        # let go, no bands are kept, and only that pair's weak_max raises,
-        # with the error of its walk alone; every other pair gets the bands of
-        # its walk alone, and the other trials their rows
+        # the walk of trial 15's y at p = 4 meets, or (shared) that only the
+        # walks of trial 3's -y at p = 3 and p = 4 meet, which share that
+        # meet; its message tells the size of the stack it was given.  The
+        # lockstep walk fails and is let go, no bands are kept, and only those
+        # pairs' weak_max raise, each with the error of its walk alone; every
+        # other pair gets the bands of its walk alone, and the other trials
+        # their rows
         import ncgl.cli as cli
         import ncgl.opalgebra as opalgebra
 
@@ -1038,11 +1070,12 @@ class TestLockstepBands:
         bases = [1.0 + 1.0 / p for p in cfg.p_grid]
         trials = (3, 9, 15)
         trees = _moment_trees(trials)
-        target = (trees[4], bases[1])
+        targets = [(trees[1], bases[0]), (trees[1], bases[1])] if shared else \
+            [(trees[4], bases[1])]
         meet_blocks, blocks = opalgebra._meet_blocks, []
         monkeypatch.setattr(opalgebra, "_meet_blocks",
                             lambda se, sf: blocks.extend(zip(se, sf)) or meet_blocks(se, sf))
-        corrected_p(_fresh_copy(target[0]), target[1], final_only=True)
+        corrected_p(_fresh_copy(targets[0][0]), targets[0][1], final_only=True)
 
         def failing(marker):
             def meet(se, sf):
@@ -1063,26 +1096,43 @@ class TestLockstepBands:
 
         for marker in blocks:
             monkeypatch.setattr(opalgebra, "_meet_blocks", failing(marker))
-            if set(errors := lone_errors()) == {target}:
+            if set(errors := lone_errors()) == set(targets):
                 break
         else:
-            pytest.fail("every meet of the pair's walk is met by another walk")
+            pytest.fail("no meet of the first pair's walk is met by exactly the pairs asked for")
         grow_grids(trees, bases)
         assert not any(m.corrected_bands for m in trees)
-        with pytest.raises(np.linalg.LinAlgError) as raised:
-            weak_max(*target)
-        assert str(raised.value) == errors[target]
+        for target in targets:
+            with pytest.raises(np.linalg.LinAlgError) as raised:
+                weak_max(*target)
+            assert str(raised.value) == errors[target]
         for m, B in itertools.product(trees, bases):
-            if (m, B) != target:
+            if (m, B) not in targets:
                 _assert_same_bands(corrected_p(m, B, final_only=True).bands,
                                    corrected_p(_fresh_copy(m), B, final_only=True).bands)
         for trial, y in zip(trials, trees[::2]):
             rows = lambda m: cli._suite_moment(cfg, [trial], y.filtration, [m])
-            if y is target[0]:
+            if any(m in (y, -y) for m, _ in targets):
                 with pytest.raises(np.linalg.LinAlgError):
                     rows(y)
             else:
                 assert rows(y) == rows(_fresh_copy(y))
+
+    def test_no_meet_batch_repeats_a_pair(self, monkeypatch):
+        # both signs of the seed-0 moment trials 0..11 at five bases: each
+        # (n, R_n, above) meet is asked once per round, however many bases
+        # need it, so no batch holds two items of the same objects
+        trees = _moment_trees(range(12))
+        batches, meet = [], cuculescu._meet
+        monkeypatch.setattr(cuculescu, "_meet", lambda items: batches.append(items) or meet(items))
+        grow_grids(trees, _LOCKSTEP_BASES)
+        assert batches and all(m.corrected_bands for m in trees)
+        for items in batches:
+            assert len({(id(r), id(above)) for _, _, r, above in items}) == len(items)
+        # every base's top lies on a tree's top leaf, so the first meet of
+        # each tree, with its root's identity, is asked once, not five times
+        roots = {id(m.cuculescu_cache[()].r) for m in trees}
+        assert sum(id(above) in roots for items in batches for *_, above in items) == len(trees)
 
     def test_let_go_growth_holds_no_frames(self, monkeypatch):
         # y_0 = diag(2, 0.5) and diag(3, 0.25) on one filtration, grown to the
@@ -1194,13 +1244,14 @@ class TestCorrectedProjections:
     @pytest.mark.parametrize("family", range(6))
     def test_bands_match_the_per_level_grid(self, monkeypatch, family, sign):
         y = _fresh_copy(_grid_case(family, sign)[0])
-        calls = _counted_calls(monkeypatch)
+        calls, checks = _counted_calls(monkeypatch), _counted_checks(monkeypatch)
         for p, final_only in itertools.product((3.0, 8.0), (False, True)):
             B = 1.0 + 1.0 / p
-            calls.clear()
+            checks.clear()
             cp = corrected_p(y, B, final_only=final_only)
-            # one sequence per band, asked for at the band's top
-            assert calls == [B ** high for high, _, _ in cp.bands]
+            # each band is one leaf of the tree, checked at its two ends; no
+            # sequence is asked of cuculescu_r
+            assert calls == [] and checks == _band_ends(cp.bands, B)
             grid, seqs = _per_level_grid(y, B, final_only)
             # the bands tile [k_min, k_top], one per run of one sequence
             highs, lows, cols = zip(*cp.bands)
@@ -1333,6 +1384,46 @@ class TestWeakMax:
                 # a band's closed-form sum rounds unlike the per-level sum
                 assert abs(_gap(wm, p) - _groupby_fubini_gap(wm, p)) <= 1e-14
 
+    @pytest.mark.parametrize("case", ("families", "mixed dims", "one band",
+                                      "zero final column", "zero martingale"))
+    def test_stacked_sums_match_the_per_band_sums(self, monkeypatch, case):
+        # a_N^+ and each left side of fubini_identity_gap, one weighted
+        # reduction over the stacked band columns, are bit for bit the sums
+        # of one Operator subtract, scale and add per band
+        corner = make_filtration("corner", dim=3)
+        if case == "families":
+            ys = [_fresh_copy(_grid_case(family, sign)[0])
+                  for family in range(6) for sign in (1, -1)]
+        elif case == "mixed dims":
+            filt = make_filtration("trivial_full", dims=(1, 2, 3), weights=(0.2, 0.3, 0.5))
+            ys = [random_martingale(filt, stream(64, i), sup_norm=2.0) for i in range(2)]
+            ys += [-y for y in ys]
+        elif case == "one band":  # every value negative: nothing is ever cut
+            y = random_martingale(corner, stream(52), sup_norm=1.0)
+            ys = [martingale_from_final(corner, y.final - corner.algebra.identity() * 3.0)]
+        elif case == "zero final column":  # every level below 1.5 cuts both
+            ys = [_one_step([2.0, 1.5])]
+        else:
+            ys = [martingale_from_final(corner, corner.algebra.zero())]
+        sums, weighted = [], cuculescu._weighted_sum
+        monkeypatch.setattr(cuculescu, "_weighted_sum",
+                            lambda *args: sums.append(weighted(*args)) or sums[-1])
+        for y in ys:
+            for p in (3.0, 4.0, 8.0):
+                wm = weak_max(y, 1.0 + 1.0 / p)
+                sums.clear()
+                gap = _gap(wm, p)
+                (lhs,) = sums
+                a, want = per_band_sums(wm, p)
+                assert _flat_bytes(wm.operator) == _flat_bytes(a), p
+                assert _flat_bytes(lhs) == _flat_bytes(want), p
+                assert 0.0 <= gap < 1e-6
+        bands = wm.corrected.bands
+        if case in ("one band", "zero martingale"):
+            assert len(bands) == 1 and bands[0][2][y.N].rank() == y.algebra.total_dim
+        if case == "zero final column":
+            assert len(bands) > 1 and wm.residual.rank() == 0
+
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))
     def test_band_sums_match_the_per_level_fsum(self, family, sign):
@@ -1366,12 +1457,15 @@ class TestWeakMax:
 
     def test_large_p_makes_one_call_per_band(self, monkeypatch):
         # at p = 1e4 the grid has 180,854 levels, and this martingale's
-        # column never reaches 0: the per-level walk asks for all of them
+        # column never reaches 0: the per-level walk asks for all of them,
+        # the lone walk visits one leaf per band and checks its two ends
         y = random_martingale(triple_family(2), stream(57, 2), sup_norm=2.5)
         B, p = 1.0 + 1e-4, 1e4
-        calls = _counted_calls(monkeypatch)
+        calls, checks = _counted_calls(monkeypatch), _counted_checks(monkeypatch)
         wm = weak_max(y, B)
-        assert len(calls) == len(wm.corrected.bands) == 5
+        assert calls == [] and len(wm.corrected.bands) == 5
+        assert checks == _band_ends(wm.corrected.bands, B) and len(checks) == 10
+        monkeypatch.undo()
         per_level = _per_level_corrected(_fresh_copy(y), B, final_only=True)
         monkeypatch.setattr(cuculescu, "corrected_p", lambda *args, **kwargs: per_level)
         want = weak_max(y, B)

@@ -1,4 +1,5 @@
 import decimal
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -21,6 +22,7 @@ from ncgl.goodlambda import (
     hypothesis_status,
     moment_constant,
     simplified_moment_constant,
+    tail_constant,
     verify_core,
     verify_moment,
     verify_tail,
@@ -42,6 +44,14 @@ from ncgl.opalgebra import (
 )
 
 from helpers import sampled_condition_ii, verify_good_hom
+
+
+def _one_step_martingale():
+    """y_0 = diag(2, 0.5) on a one-level filtration."""
+    c = make_filtration("corner", dim=2)
+    filt = type(c)(c.algebra, c.signs, c.levels[-1:], label="one_step")
+    y0 = c.algebra.operator([np.diag([2.0, 0.5])])
+    return Martingale(filt, (y0,), (y0,))
 
 
 def bg_triple(filt, rng, sup=2.5):
@@ -235,6 +245,26 @@ class TestTailInequality:
         x, y, z = strong_triple_parts(filt, stream(73))
         with pytest.raises(DomainError):
             verify_tail(Triple(x, y, z), 1.0)
+
+    @pytest.mark.parametrize("beta, level", [(1e308, 1.0), (1e155, 1.0), (1.5, 1e-200),
+                                             (1e300, 1e10)])
+    def test_a_constant_out_of_the_float_range_is_refused(self, beta, level):
+        # 4/((beta-1) level)^2: its square overflows (an OverflowError), its
+        # square underflows to 0 (a ZeroDivisionError), or its product
+        # overflows to inf (a constant of 0); each is a DomainError naming
+        # beta and the level, raised before any sequence is grown
+        y = _one_step_martingale()
+        t = Triple(y.final, y, y.final)
+        message = re.escape(f"float range at beta = {beta!r}, level = {level!r}")
+        for call in (lambda: tail_constant(beta, level), lambda: verify_tail(t, beta, level)):
+            with pytest.raises(DomainError, match=message):
+                call()
+        assert not y.cuculescu_cache
+
+    def test_representable_constants_keep_their_arithmetic(self):
+        for beta, level in [(1.5, 1.0), (2.0, 1.0), (4.0, 1.0), (3.0, 0.1), (1e154, 1.0),
+                            (1.0 + 2.0 ** -52, 1e-100)]:
+            assert tail_constant(beta, level) == 4.0 / ((beta - 1.0) * level) ** 2
 
     @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
     def test_scale_covariance(self, family):
