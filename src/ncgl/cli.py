@@ -43,6 +43,7 @@ from .instances import (
     classical_tangent_positive_pair,
     gaussian_psd,
     random_martingale,
+    random_martingales,
     stream,
     strong_triple_parts,
     triple_family,
@@ -140,6 +141,8 @@ class ExperimentConfig:
             if self.B is None and "B" in info.reads and 1.0 + 1.0 / p == 1.0:
                 raise NCGLError(f"the default base B = 1 + 1/p rounds to 1 at p = {p!r};"
                                 " give B")
+            if "B" in info.reads:  # C_{p,B} in the float range, before any trial runs
+                gl.moment_constant(p, self.B or 1.0 + 1.0 / p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,8 +209,8 @@ def _goodlambda_tail(cfg, trials, filt, t):
              for beta, reps in zip(cfg.beta_grid, by_beta)] for k, i in enumerate(trials)]
 
 def _moment_martingales(filt, rngs):
-    """Each trial's martingale y, its sup norm drawn first."""
-    return [random_martingale(filt, rng, sup_norm=float(rng.uniform(0.5, 4.0))) for rng in rngs]
+    """Each trial's martingale y, its sup norm drawn first; one group draw."""
+    return random_martingales(filt, rngs, [float(rng.uniform(0.5, 4.0)) for rng in rngs])
 
 def _suite_moment(cfg, trials, filt, ys):
     # the Cuculescu trees of every y and -y, grown together to every grid;

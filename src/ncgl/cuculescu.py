@@ -37,6 +37,7 @@ __all__ = [
     "grow_grids",
     "corrected_p",
     "weak_max",
+    "weak_maxima",
     "fubini_identity_gap",
 ]
 
@@ -185,9 +186,12 @@ def _step(items: list) -> list:
     keep = [(t < col)[None] for t, col in zip(level_thresholds(c), levels)]
     r_n = _snap_projection(r_prev @ spectral_cuts(c, keep))
     commutator = (r_n @ c - c @ r_n).entry_max(per_summand=True)
-    y_n = direct_sum([y.values[n] for y, *_ in items])
+    values = [y.values[n] for y, *_ in items]
+    for v in set(values):  # each distinct value solved once, on its own object
+        v.hermitian, v.eigenvalues
+    y_n = direct_sum(values)  # carries what its parts solved
     measured = zip(
-        [v for y, *_ in items for v in operator_norm(y.values[n], per_summand=True)],
+        operator_norm(y_n, per_summand=True),
         (cond_exp(y0.filtration.direct_sum(k), n, r_n) - r_n).entry_max(per_summand=True),
         min_eigenvalue((r_prev - r_n).symmetrized(), per_summand=True),
         commutator,
@@ -232,14 +236,6 @@ def _windows(node: _Node, first_above):
         lo = top
 
 
-def _needs_cut(y: Martingale, first_above, path: tuple) -> bool:
-    """Whether the node at `path` must be cut: it never was, or it misses a
-    child that `first_above` asks for."""
-    node = y.cuculescu_cache[path]
-    return node.thresholds is None or any(
-        path + (key,) not in y.cuculescu_cache for key, *_ in _windows(node, first_above))
-
-
 def _grow(requests: list) -> None:
     """Grow the tree of each (martingale, first_above) request from its root
     to every level that `first_above` names (see `_windows`), all trees
@@ -248,7 +244,8 @@ def _grow(requests: list) -> None:
     over every child missing, per filtration and time n.  A node keeps only
     the ordered thresholds of its cut: the cut's C serves that round's
     steps and is let go, so a later query that misses a child cuts the node
-    again.  A cut or a step that raises ends the growth:
+    again.  Each node's windows are listed once a round, after its first cut.
+    A cut or a step that raises ends the growth:
     every node stored stays, and a query that misses the rest grows it again
     from the root."""
     frontier = []
@@ -259,13 +256,16 @@ def _grow(requests: list) -> None:
         frontier.append((y, first_above, ()))
     while frontier:
         nodes = [(y, len(path), y.cuculescu_cache[path]) for y, _, path in frontier]
-        uncut = [item for item, request in zip(nodes, frontier) if _needs_cut(*request)]
+        windows = [None if node.thresholds is None else list(_windows(node, first_above))
+                   for (_, first_above, _), (_, _, node) in zip(frontier, nodes)]
+        uncut = [item for item, (y, _, path), w in zip(nodes, frontier, windows)
+                 if w is None or any(path + (key,) not in y.cuculescu_cache for key, *_ in w)]
         cuts = {}
         for (_, _, node), cut in zip(uncut, _batched(_cut, uncut)):
             cuts[node], node.thresholds = cut
         children, missing = [], []
-        for (y, first_above, path), (_, n, node) in zip(frontier, nodes):
-            for key, level, lo, hi in _windows(node, first_above):
+        for (y, first_above, path), (_, n, node), w in zip(frontier, nodes, windows):
+            for key, level, lo, hi in w if w is not None else _windows(node, first_above):
                 child = path + (key,)
                 if child not in y.cuculescu_cache:
                     missing.append(((y, n, node, cuts[node], level), child, lo, hi))
@@ -518,30 +518,45 @@ class WeakMax:
         return self.corrected.bands[-1][2][self.corrected.martingale.N]
 
 
-def _weighted_sum(w: list, a: list, b: list) -> Operator:
-    """sum_i w[i] (a[i] - b[i]) over operators of one algebra, as one
-    reduction over their stacked blocks, added term by term from 0 in
-    order: bit for bit the sum of the Operators (a[i] - b[i]) * w[i]."""
-    w = np.array(w, dtype=complex)[:, None, None, None]
-    runs = lambda ops: map(np.stack, zip(*(op.stacks for op in ops)))
-    terms = [(x - z) * w for x, z in zip(runs(a), runs(b))]
-    return Operator(a[0].algebra, tuple(
-        np.add.accumulate(np.concatenate([np.zeros_like(t[:1]), t]))[-1] for t in terms))
+def _staircases(sums: list) -> Operator:
+    """Each sum_i w[i] (a[i] - b[i]) of the (w, a, b) in `sums`, over
+    operators of one algebra, side by side on its direct sum: per run, one
+    reduction over every stacked term, each sum padded in front by exact
+    zeros to the longest and added term by term from 0 in order, so each is
+    bit for bit the sum of the Operators (a[i] - b[i]) * w[i]."""
+    alg, m, k = sums[0][1][0].algebra, max(len(w) for w, _, _ in sums), len(sums)
+    pad = lambda seq, fill: [fill] * (m - len(seq)) + list(seq)
+    w = np.array([pad(ws, 0.0) for ws, _, _ in sums], dtype=complex).T  # (term, sum)
+    # every run's blocks, term-major: one (m * k, count, d, d) stack per run
+    runs = lambda ops: map(np.stack, zip(*(op.stacks for term in zip(*ops) for op in term)))
+    zero, stacks = alg.zero(), []
+    for x, z, (count, d) in zip(runs([pad(a, zero) for _, a, _ in sums]),
+                                runs([pad(b, zero) for _, _, b in sums]), alg.runs):
+        t = (x - z).reshape(m, k * count, d, d) * np.repeat(w, count, axis=1)[..., None, None]
+        stacks.append(np.add.accumulate(np.concatenate([np.zeros_like(t[:1]), t]))[-1])
+    return Operator(alg.direct_sum(k), tuple(stacks))
 
 
-def weak_max(y: Martingale, B: float) -> WeakMax:
-    """a_N^+ = sum_k B^k (P_N^{B^{k+1}} - P_N^{B^k}); a_N^- is weak_max(-y, B).
+def weak_maxima(ys: list, B: float) -> list[WeakMax]:
+    """a_N^+ = sum_k B^k (P_N^{B^{k+1}} - P_N^{B^k}) of each martingale of `ys`,
+    of one algebra, each WeakMax holding its part of one `_staircases`
+    reduction.  a_N^- is that of -y.
 
     Only the top level of each band of `corrected_p` has a nonzero term,
     summed from the lowest band up.  Spectral mass below the truncation
     point B^{k_min} is assigned to the residual kernel projection; the
     moment verifications account for it with an analytic geometric tail.
     """
-    cp = corrected_p(y, B, final_only=True)
-    cols = [col[y.N] for _, _, col in reversed(cp.bands)]
-    acc = _weighted_sum([B ** high for high, _, _ in reversed(cp.bands)],
-                        cols[1:] + [y.algebra.identity()], cols)
-    return WeakMax(acc.symmetrized(), cp)
+    cps, ident = [corrected_p(y, B, final_only=True) for y in ys], ys[0].algebra.identity()
+    cols = [[col[cp.martingale.N] for *_, col in reversed(cp.bands)] for cp in cps]
+    acc = _staircases([([B ** high for high, _, _ in reversed(cp.bands)], c[1:] + [ident], c)
+                       for cp, c in zip(cps, cols)]).symmetrized()
+    return [WeakMax(a, cp) for a, cp in zip(acc.parts(ys[0].algebra), cps)]
+
+
+def weak_max(y: Martingale, B: float) -> WeakMax:
+    """a_N^+ of y, `weak_maxima` of y alone; a_N^- is weak_max(-y, B)."""
+    return weak_maxima([y], B)[0]
 
 
 def _band_sum(B: float, q: float, top: int, n: int) -> float:
@@ -563,9 +578,9 @@ def fubini_identity_gap(wms: list[WeakMax], p: float) -> np.ndarray:
     B^h = ||a_N^+||, as l and r, and the gap is c ||l - r|| / (1 + c ||r||): at
     large p no power overflows and no top term underflows.  Each band's levels
     share one projection, and their geometric sum is one closed-form term.
-    Each l is formed on its own; the powers r are one psd_power of the direct
-    sum of the a_N^+ / B^h, and the norms per-summand operator norms, so each
-    gap is that of its operator alone, bit for bit.
+    The l are one `_staircases` reduction, side by side; the powers r are one
+    psd_power of the direct sum of the a_N^+ / B^h, and the norms per-summand
+    operator norms, so each gap is that of its operator alone, bit for bit.
     """
     if p <= 2:
         raise DomainError("the identity needs p > 2")
@@ -574,23 +589,22 @@ def fubini_identity_gap(wms: list[WeakMax], p: float) -> np.ndarray:
         raise DomainError("the gaps of one batch need one base")
     (B,) = bases
     q = p - 2.0
-    lhs, hs = [], []
+    stairs, hs = [], []
     for wm in wms:
         cp = wm.corrected
         N, alg = cp.martingale.N, cp.martingale.algebra
-        ident = alg.identity()
         # P_N^{B^k} falls with k, so the bands where it is not I are the lowest;
         # with none, a_N^+ = 0 and P_N^{B^k} = I, and both sides are 0
         bands = [(hi, lo, col) for hi, lo, col in cp.bands if col[N].rank() < alg.total_dim]
         h = bands[0][0] if bands else 0
         w = [_band_sum(B, q, high - h, high - low + 1) for high, low, _ in reversed(bands)]
         w.append(B ** ((cp.k_min - h) * q) / (1.0 - B ** (-q)))  # the tail
-        lhs.append(_weighted_sum(w, [ident] * len(w),
-                                 [col[N] for *_, col in reversed(bands)] + [wm.residual]))
+        stairs.append((w, [alg.identity()] * len(w),
+                       [col[N] for *_, col in reversed(bands)] + [wm.residual]))
         hs.append(h)
     rhs = psd_power(direct_sum([wm.operator / B ** h for wm, h in zip(wms, hs)]), q) \
         * (1.0 / (1.0 - B ** (2.0 - p)))
-    dists = operator_norm((direct_sum(lhs) - rhs).symmetrized(), per_summand=True)
+    dists = operator_norm((_staircases(stairs) - rhs).symmetrized(), per_summand=True)
     gaps = []
     for h, dist, size in zip(hs, dists, operator_norm(rhs, per_summand=True)):
         # c = up / down, with the factor that would overflow kept at 1

@@ -377,6 +377,12 @@ class Martingale:
             tuple(d * c for d in self.diffs),
         )
 
+    def parts(self, filtration: Filtration) -> list["Martingale"]:
+        """The martingales of `filtration` that this one on a direct sum of its
+        copies holds side by side, as views; :func:`martingale_direct_sum` undone."""
+        split = lambda ops: zip(*(op.parts(filtration.algebra) for op in ops))
+        return [Martingale(filtration, v, d) for v, d in zip(split(self.values), split(self.diffs))]
+
 
 def _check_martingale(filtration: Filtration, values) -> None:
     tol = 1e-9 * (1.0 + max(v.entry_max() for v in values))

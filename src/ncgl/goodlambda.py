@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cuculescu import WeakMax, cuculescu_r, weak_max
+from .cuculescu import WeakMax, cuculescu_r, weak_maxima
 from .errors import DomainError
 from .filtration import Martingale, cond_exp
 from .opalgebra import Operator, direct_sum, min_eigenvalue, schatten_norm, trace, trace_pair
@@ -295,13 +295,13 @@ def verify_moment(t: Triple, ys: list[Martingale], p: float,
 
     `ys` are the trials whose direct sum is t.y, each with its own Cuculescu
     tree: a_N^± is weak_max of each, as a tree of the sum would branch at the
-    union of every trial's thresholds.  A lone trial is a batch of one,
-    verify_moment(t, [t.y], p).  The labels are one hypothesis_status of the
-    whole triple, and each norm is one per-summand schatten_norm.  B defaults
-    to 1 + 1/p, the choice under which C_{p,B} collapses to the simplified
-    12p bound.  Each testing margin is gated relative to its summand's scale
-    of its own terms (`Triple.tolerances`), so t.scale(mu) has the strong
-    certificate where t has it, at every mu.
+    union of every trial's thresholds; all a_N^+ are one `weak_maxima`, then
+    all a_N^-.  A lone trial is a batch of one, verify_moment(t, [t.y], p).
+    The labels are one hypothesis_status of the whole triple, and each norm
+    is one per-summand schatten_norm.  B defaults to 1 + 1/p, under which
+    C_{p,B} collapses to the simplified 12p bound.  Each testing margin is
+    gated relative to its summand's scale of its own terms (`Triple.tolerances`),
+    so t.scale(mu) has the strong certificate where t has it, at every mu.
     """
     if not (p > 2):
         raise DomainError("the moment bound needs p > 2")
@@ -316,7 +316,7 @@ def verify_moment(t: Triple, ys: list[Martingale], p: float,
     norms = lambda a: schatten_norm(a, p, per_summand=True)
     hyp_norms = [math.sqrt(a ** 2 + b ** 2) for a, b in zip(norms(t.x), norms(t.z))]
     y_norms = norms(t.y.final)
-    maxima = [weak_max(y, B) for y in ys], [weak_max(-y, B) for y in ys]
+    maxima = weak_maxima(ys, B), weak_maxima([-y for y in ys], B)
     max_norms = [norms(direct_sum([wm.operator for wm in side])) for side in maxima]
     out = []
     for i, label in enumerate(t.hypothesis):

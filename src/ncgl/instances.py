@@ -27,6 +27,7 @@ __all__ = [
     "gaussian_hermitian",
     "gaussian_psd",
     "random_martingale",
+    "random_martingales",
     "strong_triple_parts",
     "triple_family",
     "FAMILY_TEMPLATES",
@@ -61,33 +62,40 @@ def gaussian_hermitian(alg: TracialAlgebra, rng: np.random.Generator) -> Operato
                                for g in _gaussian_stacks(alg, rng)))
 
 
-def gaussian_psd(
-    alg: TracialAlgebra, rng: np.random.Generator, scale: float = 1.0
-) -> Operator:
-    stacks = []
-    for g in _gaussian_stacks(alg, rng):
-        g = g / np.sqrt(2.0 * g.shape[-1])
-        stacks.append(scale * (g @ g.conj().swapaxes(-1, -2)))
-    return Operator(alg, tuple(stacks))
+def _psd_sum(alg: TracialAlgebra, draws: list, scales: list) -> Operator:
+    """scales[i] G G* / (2d) of the stacks G of each of `draws` (one summand's
+    `_gaussian_stacks` each), side by side on the direct sum: one product per run."""
+    runs = (np.concatenate(run) / np.sqrt(2.0 * run[0].shape[-1]) for run in zip(*draws))
+    return Operator(alg.direct_sum(len(draws)), tuple(g @ g.conj().swapaxes(-1, -2) for g in runs)
+                    ).summand_scaled(np.repeat(scales, alg.summands))
 
 
-def _rescaled(f: Operator, sup_norms) -> Operator:
-    """f with summand i rescaled to operator norm sup_norms[i]."""
-    norms = operator_norm(f, per_summand=True)
-    return f.summand_scaled(np.asarray(sup_norms) / np.maximum(norms, 1e-12))
+def gaussian_psd(alg: TracialAlgebra, rng: np.random.Generator, scale: float = 1.0) -> Operator:
+    return _psd_sum(alg, [_gaussian_stacks(alg, rng)], [scale])
 
 
-def random_martingale(
-    filtration: Filtration,
-    rng: np.random.Generator,
-    sup_norm: float | None = None,
-) -> Martingale:
-    """Martingale of a Gaussian Hermitian draw, optionally rescaled to a
-    given operator norm."""
-    f = gaussian_hermitian(filtration.algebra, rng)
-    if sup_norm is not None:
-        f = _rescaled(f, [sup_norm])
-    return martingale_from_final(filtration, f)
+def _gaussian_martingale(filtration: Filtration, rngs: list, sup_norms=None) -> Martingale:
+    """The martingale of a Gaussian Hermitian draw per generator, one summand
+    each on ``filtration.direct_sum(len(rngs))``, summand i optionally
+    rescaled to operator norm sup_norms[i]."""
+    f = direct_sum([gaussian_hermitian(filtration.algebra, rng) for rng in rngs])
+    if sup_norms is not None:
+        norms = operator_norm(f, per_summand=True)
+        f = f.summand_scaled(np.asarray(sup_norms) / np.maximum(norms, 1e-12))
+    return martingale_from_final(filtration.direct_sum(len(rngs)), f)
+
+
+def random_martingales(filtration: Filtration, rngs: list,
+                       sup_norms: list | None = None) -> list[Martingale]:
+    """Each generator's martingale, its part of one `_gaussian_martingale`:
+    drawn, rescaled and conditioned as one direct sum."""
+    return _gaussian_martingale(filtration, rngs, sup_norms).parts(filtration)
+
+
+def random_martingale(filtration: Filtration, rng: np.random.Generator,
+                      sup_norm: float | None = None) -> Martingale:
+    """`random_martingales` of one generator."""
+    return random_martingales(filtration, [rng], None if sup_norm is None else [sup_norm])[0]
 
 
 def strong_triple_parts(
@@ -100,21 +108,16 @@ def strong_triple_parts(
     level-1 projection machinery is exercised nontrivially; x and z are square
     roots of sum(dy_k^2) plus independent PSD bumps, which dominate the
     required conditional sums termwise.  Each generator draws its summand's
-    parts in the order of a lone trial; the algebra then runs once.
+    parts in the order of a lone trial; the algebra then runs once, and the
+    x bumps, then the z bumps, are each one stack product.
     """
     alg = filtration.algebra
-    sups, finals, bumps_x, bumps_z = [], [], [], []
-    for rng in rngs:
-        sups.append(float(rng.uniform(0.5, 4.0)))
-        finals.append(gaussian_hermitian(alg, rng))
-        sizes = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))
-        bumps_x.append(gaussian_psd(alg, rng, sizes[0]))
-        bumps_z.append(gaussian_psd(alg, rng, sizes[1]))
-    filt = filtration.direct_sum(len(rngs))
-    y = martingale_from_final(filt, _rescaled(direct_sum(finals), sups))
-    sq = sum((d @ d for d in y.diffs), filt.algebra.zero()).symmetrized()
-    x = psd_sqrt((sq + direct_sum(bumps_x)).symmetrized())
-    z = psd_sqrt((sq + direct_sum(bumps_z)).symmetrized())
+    y = _gaussian_martingale(filtration, rngs, [float(rng.uniform(0.5, 4.0)) for rng in rngs])
+    sizes = [(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))) for rng in rngs]
+    draws = [(_gaussian_stacks(alg, rng), _gaussian_stacks(alg, rng)) for rng in rngs]
+    sq = sum((d @ d for d in y.diffs), y.algebra.zero()).symmetrized()
+    x, z = (psd_sqrt((sq + _psd_sum(alg, [d[i] for d in draws], [s[i] for s in sizes]))
+                     .symmetrized()) for i in (0, 1))
     return x, y, z
 
 

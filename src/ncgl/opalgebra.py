@@ -352,18 +352,22 @@ class Operator:
 
 def direct_sum(ops) -> Operator:
     """Operators of one algebra side by side; a single operator is itself.
-    When every operator has solved its eigendecomposition the sum has it too:
-    nothing is solved again."""
+    What every operator solved the sum has too, bit for bit, nothing solved
+    again: the Hermitian flag, the eigenvalues and the eigendecomposition."""
     for op in ops[1:]:
         ops[0]._same_algebra(op)
     if len(ops) == 1:
         return ops[0]
     out = Operator(ops[0].algebra.direct_sum(len(ops)),
                    (np.concatenate([op.stacks[0] for op in ops]),))
-    if all("spectrum" in op.__dict__ for op in ops):
-        # a direct sum has one run
-        runs = zip(*(run for op in ops for run in op.spectrum))
-        out.__dict__["spectrum"] = (tuple(_readonly(np.concatenate(x)) for x in runs),)
+    solved = [op.__dict__ for op in ops]
+    if all("hermitian" in s for s in solved):
+        out.__dict__["hermitian"] = all(s["hermitian"] for s in solved)
+    join = lambda arrays: _readonly(np.concatenate(arrays))
+    if all("eigenvalues" in s for s in solved):  # a direct sum has one run
+        out.__dict__["eigenvalues"] = (join([s["eigenvalues"][0] for s in solved]),)
+    if all("spectrum" in s for s in solved):
+        out.__dict__["spectrum"] = (tuple(map(join, zip(*(s["spectrum"][0] for s in solved)))),)
     return out
 
 

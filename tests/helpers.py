@@ -11,8 +11,10 @@ block of every cut, the sampled forms of testing condition (ii) and of the
 transform norm below 2 that the exact checks replaced, the homogenised tail bound on the corrected
 projections, the Schur ascent as it was when every candidate's quotient
 was formed with its ratio, the Cuculescu recursion at one level, as it
-ran before the steps of all levels were grown as one tree, and the Gaussian
-draws as they were made one block at a time."""
+ran before the steps of all levels were grown as one tree, the Gaussian
+draws as they were made one block at a time, a random martingale as it was
+drawn one trial at a time, and the staircase sums of weak_max and
+fubini_identity_gap as they were reduced one tree at a time."""
 
 import itertools
 import json
@@ -38,10 +40,12 @@ from ncgl.filtration import (
     _TrivialLevel,
     cond_exp,
     martingale_from_diffs,
+    martingale_from_final,
 )
 from ncgl.instances import gaussian_hermitian, stream
 from ncgl.opalgebra import (
     Interval,
+    Operator,
     min_eigenvalue,
     operator_norm,
     schatten_norm,
@@ -446,6 +450,45 @@ def per_band_sums(wm, p: float):
     tail = (ident - wm.residual) * (B ** ((cp.k_min - h) * q) / (1.0 - B ** (-q)))
     lhs = sum(((ident - col[N]) * _band_sum(B, q, high - h, high - low + 1)
                for high, low, col in reversed(bands)), alg.zero()) + tail
+    return a, lhs
+
+
+def per_trial_martingale(filtration, rng, sup_norm=None):
+    """random_martingale as it drew before the group draw: one trial's final,
+    rescaled and conditioned on its own algebra."""
+    f = gaussian_hermitian(filtration.algebra, rng)
+    if sup_norm is not None:
+        norms = operator_norm(f, per_summand=True)
+        f = f.summand_scaled(np.asarray([sup_norm]) / np.maximum(norms, 1e-12))
+    return martingale_from_final(filtration, f)
+
+
+def weighted_sum(w, a, b):
+    """sum_i w[i] (a[i] - b[i]) over operators of one algebra, one tree's
+    staircase as it was reduced before a group's were padded and reduced
+    together: its stacked terms added from 0 in order."""
+    w = np.array(w, dtype=complex)[:, None, None, None]
+    runs = lambda ops: map(np.stack, zip(*(op.stacks for op in ops)))
+    terms = [(x - z) * w for x, z in zip(runs(a), runs(b))]
+    return Operator(a[0].algebra, tuple(
+        np.add.accumulate(np.concatenate([np.zeros_like(t[:1]), t]))[-1] for t in terms))
+
+
+def per_tree_staircases(wm, p: float):
+    """a_N^+ and the left side of fubini_identity_gap (divided by
+    B^{h(p-2)}) of the weak maximal operator `wm`, each one `weighted_sum`
+    of its own tree, as weak_max and fubini_identity_gap formed them."""
+    cp = wm.corrected
+    B, N, alg, q = cp.base, cp.martingale.N, cp.martingale.algebra, p - 2.0
+    cols = [col[N] for _, _, col in reversed(cp.bands)]
+    a = weighted_sum([B ** high for high, _, _ in reversed(cp.bands)],
+                     cols[1:] + [alg.identity()], cols).symmetrized()
+    bands = [(hi, lo, col) for hi, lo, col in cp.bands if col[N].rank() < alg.total_dim]
+    h = bands[0][0] if bands else 0
+    w = [_band_sum(B, q, high - h, high - low + 1) for high, low, _ in reversed(bands)]
+    w.append(B ** ((cp.k_min - h) * q) / (1.0 - B ** (-q)))
+    lhs = weighted_sum(w, [alg.identity()] * len(w),
+                       [col[N] for *_, col in reversed(bands)] + [wm.residual])
     return a, lhs
 
 

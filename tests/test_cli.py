@@ -245,9 +245,9 @@ class TestFamilyBatches:
         # one second per family batch: 333 ms per trial of three, 500 of two
         pytest.param("goodlambda-tail", "strong_triple_parts", {"beta_grid": (2.0,)},
                      [1000] * 6, id="goodlambda-tail"),
-        # one second per martingale drawn: 1000 ms per trial of every family
-        pytest.param("moment", "random_martingale", {"p_grid": (3.0,)},
-                     [3000, 3000, 2000, 2000, 2000, 2000], id="moment")])
+        # one second per family's group draw: 333 ms per trial of three, 500 of two
+        pytest.param("moment", "random_martingales", {"p_grid": (3.0,)},
+                     [1000] * 6, id="moment")])
     def test_timing_splits_each_group_evenly(self, monkeypatch, suite, patched, flags,
                                              group_ms):
         import ncgl.cli as cli
@@ -471,11 +471,18 @@ class TestMainEntry:
         rows = rows_from_json(str(path))
         assert rows and all(r.passed and math.isfinite(r.constant) for r in rows)
 
-    def test_exit_two_where_the_moment_constant_overflows(self, capsys):
-        # C_{p,B} is about 2^1050 at p = 2100, B = 2: past the float range
+    def test_exit_two_where_the_moment_constant_overflows(self, monkeypatch, capsys):
+        # C_{p,B} is about 2^1050 at p = 2100, B = 2: past the float range, a
+        # config error raised before any Cuculescu step is grown
+        import ncgl.cuculescu as cuculescu
+
+        steps = []
+        step = cuculescu._step
+        monkeypatch.setattr(cuculescu, "_step", lambda items: steps.append(items) or step(items))
         assert main(["--suite", "moment", "--trials", "1", "--p", "2100", "--B", "2"]) == 2
-        assert capsys.readouterr().err == ("run error: DomainError: C_{p,B} passes the"
+        assert capsys.readouterr().err == ("config error: C_{p,B} passes the"
                                            " float range at p = 2100.0, B = 2.0\n")
+        assert steps == []
 
     @pytest.mark.parametrize("suite,flag", [("moment", "--B=1"),
                                             ("moment", "--p=1e308"),  # 1 + 1/p == 1

@@ -39,7 +39,13 @@ from ncgl.opalgebra import (
     trace,
 )
 
-from helpers import check_projection, level_recursion, per_band_sums, recorded_cuts
+from helpers import (
+    check_projection,
+    level_recursion,
+    per_band_sums,
+    per_tree_staircases,
+    recorded_cuts,
+)
 
 
 def _one_step(y0_diag):
@@ -567,6 +573,33 @@ class TestCachedSequences:
         assert counts["proj_meet"][0] == counts["_meet"][0]
         assert counts["hypothesis_status"][0] == 6
         assert counts["eigh"][0] + counts["eigvalsh"][0] <= 397
+
+    def test_staircase_and_solve_counts_of_the_moment_pass(self, monkeypatch):
+        # the same seed-0 pass sums every a_N^+ of a family group at one base
+        # in one staircase reduction, then every a_N^-, and every Fubini
+        # left side of a group in one: 6 groups x 3 bases x 2 signs + 18, where
+        # one reduction per tree made 378.  Each trial's martingale is a part
+        # of one group draw, whose final is rescaled from one solve, and a
+        # family's direct sum carries the eigenvalues its trials solved: at
+        # most 292 LAPACK eigvalsh calls (327 with a draw and a solve per trial)
+        import ncgl.cli as cli
+
+        counts = {"_staircases": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(cuculescu, "_staircases",
+                            counted("_staircases", cuculescu._staircases))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        rows, _ = cli.run(cli.ExperimentConfig(suite="moment", trials=42, seed=0,
+                                               p_grid=(3.0, 4.0, 8.0)))
+        assert len(rows) == 42 * 15
+        assert counts["_staircases"] == 6 * 3 * 2 + 18
+        assert counts["eigvalsh"] <= 292
 
     def test_work_counts_of_the_good_lambda_levels(self, monkeypatch):
         # perfbench's seed-0 goodlambda-levels pass (100 core trials, then 100
@@ -1405,8 +1438,8 @@ class TestWeakMax:
             ys = [_one_step([2.0, 1.5])]
         else:
             ys = [martingale_from_final(corner, corner.algebra.zero())]
-        sums, weighted = [], cuculescu._weighted_sum
-        monkeypatch.setattr(cuculescu, "_weighted_sum",
+        sums, weighted = [], cuculescu._staircases
+        monkeypatch.setattr(cuculescu, "_staircases",
                             lambda *args: sums.append(weighted(*args)) or sums[-1])
         for y in ys:
             for p in (3.0, 4.0, 8.0):
@@ -1423,6 +1456,33 @@ class TestWeakMax:
             assert len(bands) == 1 and bands[0][2][y.N].rank() == y.algebra.total_dim
         if case == "zero final column":
             assert len(bands) > 1 and wm.residual.rank() == 0
+
+    @pytest.mark.parametrize("family", range(6))
+    def test_group_staircases_match_each_tree_alone(self, monkeypatch, family):
+        # a family's trees of both signs, with unequal band counts, and a zero
+        # martingale: every a_N^+ of the group is one reduction, padded in
+        # front by exact zeros, and so is every Fubini left side; each part
+        # is bit for bit its tree's own weighted sum, and each gap that of
+        # its tree alone
+        filt = triple_family(family)
+        ys = [random_martingale(filt, stream(57, family, i), sup_norm=sup)
+              for i, sup in enumerate((0.6, 2.5, 3.9))]
+        ys += [-y for y in ys] + [martingale_from_final(filt, filt.algebra.zero())]
+        sums, staircases = [], cuculescu._staircases
+        monkeypatch.setattr(cuculescu, "_staircases",
+                            lambda stairs: sums.append(staircases(stairs)) or sums[-1])
+        for p in (3.0, 4.0, 8.0):
+            sums.clear()
+            wms = cuculescu.weak_maxima(ys, 1.0 + 1.0 / p)
+            gaps = fubini_identity_gap(wms, p)
+            assert len(sums) == 2 and len({len(wm.corrected.bands) for wm in wms}) > 1
+            for wm, lhs, gap in zip(wms, sums[1].parts(filt.algebra), gaps):
+                want_a, want_lhs = per_tree_staircases(wm, p)
+                assert _flat_bytes(wm.operator) == _flat_bytes(want_a)
+                assert _flat_bytes(lhs) == _flat_bytes(want_lhs)
+                assert gap == _gap(wm, p)
+            assert gaps[-1] == 0.0 and _flat_bytes(wms[-1].operator) == \
+                _flat_bytes(filt.algebra.zero())
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))

@@ -36,9 +36,12 @@ from ncgl.goodlambda import (
 )
 from ncgl.instances import (
     FAMILY_TEMPLATES,
+    _gaussian_stacks,
+    _psd_sum,
     classical_tangent_positive_pair,
     gaussian_hermitian,
     random_martingale,
+    random_martingales,
     stream,
     strong_triple_parts,
     triple_family,
@@ -56,7 +59,7 @@ from ncgl.opalgebra import (
     trace_pair,
 )
 
-from helpers import ce_oracle
+from helpers import ce_oracle, per_block_gaussian_psd, per_trial_martingale
 
 
 def _same(a, b):
@@ -97,6 +100,38 @@ class TestDirectSumAlgebra:
                        for a, b in zip(level_thresholds(op), level_thresholds(new)))
         assert all(_same(p, op) for p, op in zip(carried[2:], ops))
         assert total.parts(alg.direct_sum(3)) == [total]
+
+    def test_a_sum_carries_what_its_parts_solved(self, monkeypatch):
+        # an exactly diagonal part, a full one and one with a diagonal block:
+        # the sum reads the Hermitian flag, the eigenvalues and the
+        # eigendecomposition its parts solved, with no LAPACK call, and each
+        # is that of a fresh solve of the sum, bit for bit
+        alg, rng = triple_family(2).algebra, stream(71)  # four 2x2 blocks
+        diagonal = alg.operator(np.stack([np.diag(rng.standard_normal(2)) for _ in range(4)]))
+        full = gaussian_hermitian(alg, rng)
+        mixed = alg.operator(np.concatenate([diagonal.stacks[0][:1], full.stacks[0][1:]]) * 3.0)
+        parts = [diagonal, full, mixed]
+        for op in parts:
+            op.hermitian, op.eigenvalues, op.spectrum
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, **kw: calls.append(args))
+        total = direct_sum(parts)
+        solved = (total.hermitian, total.eigenvalues, total.spectrum)
+        norms = operator_norm(total, per_summand=True), min_eigenvalue(total, per_summand=True)
+        assert calls == []
+        monkeypatch.undo()
+        fresh = alg.direct_sum(3).operator(total.stacks[0])
+        assert solved[0] and fresh.hermitian
+        assert solved[1][0].tobytes() == fresh.eigenvalues[0].tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(solved[2][0], fresh.spectrum[0]))
+        assert norms == (operator_norm(fresh, per_summand=True),
+                         min_eigenvalue(fresh, per_summand=True))
+        # a part that solved nothing, or is not Hermitian, is carried as such
+        unsolved = alg.operator(full.stacks[0].copy())
+        assert "eigenvalues" not in direct_sum([full, unsolved]).__dict__
+        skew = alg.operator(full.stacks[0] * 1j)
+        assert skew.hermitian is False and direct_sum([full, skew]).__dict__["hermitian"] is False
 
     @settings(max_examples=30, derandomize=True)
     @given(st.integers(0, 10_000), st.sampled_from([1, 2, 12]))
@@ -163,6 +198,51 @@ class TestDirectSumAlgebra:
         assert np.array(got).tobytes() == \
             np.array([schatten_norm(op, p) for op in parts]).tobytes()
         assert got[2] == 0.0
+
+
+class TestGroupDraws:
+    """The moment suite's group draw and the strong triples' PSD bumps, one
+    call on a direct sum each, against the per-trial draws they replaced:
+    the same numbers from each stream, to the bit."""
+
+    @staticmethod
+    def _bytes(m):
+        return [s.tobytes() for op in (*m.values, *m.diffs) for s in op.stacks]
+
+    @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+    def test_a_group_draw_is_each_trial_alone(self, family):
+        # the moment suite's draw of a family's seed-0 trials, sup norm first
+        filt, trials = triple_family(family), range(family, 42, len(FAMILY_TEMPLATES))
+        rngs = [stream(0, 3, i) for i in trials]
+        sups = [float(rng.uniform(0.5, 4.0)) for rng in rngs]
+        group = random_martingales(filt, rngs, sups)
+        for i, y, rng in zip(trials, group, rngs):
+            lone = stream(0, 3, i)
+            want = per_trial_martingale(filt, lone, float(lone.uniform(0.5, 4.0)))
+            assert y.filtration is filt and self._bytes(y) == self._bytes(want)
+            assert rng.standard_normal() == lone.standard_normal()
+        unscaled = random_martingales(filt, [stream(98, i) for i in trials])
+        for i, y in zip(trials, unscaled):
+            assert self._bytes(y) == self._bytes(per_trial_martingale(filt, stream(98, i)))
+
+    @pytest.mark.parametrize("filt", [make_filtration("corner", dim=3),
+                                      make_filtration("trivial_full", dims=(1, 2, 3))],
+                             ids=["corner", "mixed dims"])
+    @pytest.mark.parametrize("sup", [None, 2.5])
+    def test_a_group_of_one_is_the_lone_draw(self, filt, sup):
+        want = self._bytes(per_trial_martingale(filt, stream(99), sup))
+        (one,) = random_martingales(filt, [stream(99)], None if sup is None else [sup])
+        assert self._bytes(one) == want
+        assert self._bytes(random_martingale(filt, stream(99), sup)) == want
+
+    @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+    def test_psd_bumps_are_one_product_of_the_lone_draws(self, family):
+        alg, scales = triple_family(family).algebra, [0.0, 0.37, 1.0, 0.91]
+        bumps = _psd_sum(alg, [_gaussian_stacks(alg, stream(96, family, i))
+                               for i in range(len(scales))], scales)
+        for i, (part, scale) in enumerate(zip(bumps.parts(alg), scales)):
+            want = per_block_gaussian_psd(alg, stream(96, family, i), scale)
+            assert [s.tobytes() for s in part.stacks] == [s.tobytes() for s in want.stacks]
 
 
 class TestDirectSumFiltration:
