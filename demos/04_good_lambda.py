@@ -43,17 +43,19 @@ print(f"labels: {family.hypothesis}")
 print(f"core bound: {rep.lhs:.4f} <= {rep.rhs:.4f} "
       f"({rep.meta['hypothesis']})")
 
-for beta in (1.5, 2.0, 4.0):
-    (rep,) = verify_tail(t, beta)
+# one call per grid: the tree of y is grown once to level 1 and every beta
+betas = (1.5, 2.0, 4.0)
+for beta, (rep,) in zip(betas, verify_tail(t, betas)):
     print(f"tail bound at beta={beta}: tau(I-Q_N) = {rep.lhs:.4f} <= "
           f"{rep.rhs:.4f} (constant {rep.constant:.2f})")
 
-# the moment bound on a Burkholder-Gundy triple x = z = S_N(y)
+# the moment bound on a Burkholder-Gundy triple x = z = S_N(y); a lone trial
+# is a batch of one, and the trees of y and -y are grown once for every p
 s = square_function(y)
 bg = Triple(s, y, s)
-for p in (3.0, 4.0):
+ps = (3.0, 4.0)
+for p, (reps,) in zip(ps, verify_moment(bg, [y], ps)):
     c_pb, simplified = moment_constant(p, 1.0 + 1.0 / p)
-    (reps,) = verify_moment(bg, [y], p)  # a lone trial: a batch of one
     print(f"p={p}: ||a+||={reps.max_plus.lhs:.3f}, ||a-||={reps.max_minus.lhs:.3f}, "
           f"||y||={reps.moment.lhs:.3f} <= C_pB*(...) = {reps.moment.rhs:.3f} "
           f"(C_pB={c_pb:.1f}, simplified={simplified:.1f})")

@@ -50,7 +50,6 @@ from .cuculescu import (
     corrected_p,
     cuculescu_r,
     fubini_identity_gap,
-    grow_grids,
     weak_max,
 )
 from .goodlambda import (

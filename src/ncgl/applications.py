@@ -303,10 +303,6 @@ class BGReports:
     square_by_norm: VerifyReport
     interpolation: VerifyReport
 
-    def all_passed(self) -> bool:
-        return (self.norm_by_square.passed and self.square_by_norm.passed
-                and self.interpolation.passed)
-
 
 def interp_bound(m: Martingale, p: float) -> VerifyReport:
     """(sum_k ||dx_k||_p^p)^{1/p} <= 2^{1-2/p} ||x_N||_p."""

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import applications as apps
 from . import goodlambda as gl
-from .cuculescu import fubini_identity_gap, grow_grids
+from .cuculescu import fubini_identity_gap
 from .errors import NCGLError
 from .filtration import make_filtration, martingale_direct_sum, square_function
 from .instances import (
@@ -201,10 +201,7 @@ def _goodlambda_core(cfg, trials, filt, t):
     return [[_row(cfg, f"t{i}:{filt.label}", r)] for i, r in zip(trials, gl.verify_core(t))]
 
 def _goodlambda_tail(cfg, trials, filt, t):
-    # one breadth-first growth of t.y's tree to level 1 and every beta, where
-    # each query would grow its own level from the root
-    grow_grids([t.y], (), levels=(1.0, *cfg.beta_grid))
-    by_beta = [gl.verify_tail(t, beta) for beta in cfg.beta_grid]
+    by_beta = gl.verify_tail(t, cfg.beta_grid)
     return [[_row(cfg, f"t{i}:beta={beta}", reps[k])
              for beta, reps in zip(cfg.beta_grid, by_beta)] for k, i in enumerate(trials)]
 
@@ -213,16 +210,12 @@ def _moment_martingales(filt, rngs):
     return random_martingales(filt, rngs, [float(rng.uniform(0.5, 4.0)) for rng in rngs])
 
 def _suite_moment(cfg, trials, filt, ys):
-    # the Cuculescu trees of every y and -y, grown together to every grid;
-    # then the family as one direct sum, each trial keeping its own tree
-    grow_grids([m for y in ys for m in (y, -y)],
-               [cfg.B or 1.0 + 1.0 / p for p in cfg.p_grid])
+    # the family as one direct sum, each trial keeping its own tree
     y = martingale_direct_sum(ys)
     s = square_function(y)
     t = gl.Triple(s, y, s)
     rows = [[] for _ in trials]
-    for p in cfg.p_grid:
-        reps = gl.verify_moment(t, ys, p, cfg.B)
+    for p, reps in zip(cfg.p_grid, gl.verify_moment(t, ys, cfg.p_grid, cfg.B)):
         gaps = fubini_identity_gap([r.weak_plus for r in reps], p)
         for trial, out, r, gap in zip(trials, rows, reps, gaps.tolist()):
             tag = f"t{trial}:p={p}"

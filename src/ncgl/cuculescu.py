@@ -302,9 +302,9 @@ def cuculescu_r(y: Martingale, level: float) -> CuculescuSeq:
     per martingale (`Martingale.cuculescu_cache`), each step computed once.
     The walk from its root takes at each node the child of the thresholds
     below the level and returns the record stored at the leaf, whose window
-    lo < level <= hi is exact.  Where the tree stops short, it is grown to
-    the level by the call that `grow_grids` makes, on one martingale and
-    one level: from the root, cutting again the node where the tree stops.
+    lo < level <= hi is exact.  Where the tree stops short, this call grows
+    it to the level, as `grow_grids` grows whole grids, on one martingale
+    and one level: from the root, cutting again the node where the tree stops.
     A step of the path that fails raises its error here, also where growth
     ahead of this query let it go.  The Lemma invariants are checked from
     the stored measurements at every level returned.
@@ -450,7 +450,7 @@ def _levels(ordered: list):
     return first_above
 
 
-def grow_grids(ys, bases, levels=()) -> None:
+def grow_grids(ys, bases, levels=()) -> list | None:
     """Grow the Cuculescu trees of the self-adjoint martingales `ys` to every
     level of the `corrected_p` grid of every base in `bases`, and to each of
     the cut `levels`, all trees together: breadth first, with one batch of
@@ -458,11 +458,12 @@ def grow_grids(ys, bases, levels=()) -> None:
     sum.  A node's children are the windows between its thresholds that hold
     a level asked for, so the steps grown are bounded by the thresholds, not
     by the grid.  Then walk each tree's leaves once for all bases, the trees
-    in lockstep (`_bands`, `_walk`), and keep each (y, B) pair's final-only
-    bands in `Martingale.corrected_bands`, where `weak_max` reads them.
-    Where a step, cut, meet or check fails, the growth or the walk is let go
-    (`_FAILURES`): the nodes already grown stay, no bands are kept, and each
-    query that needs the rest makes it alone and raises its own error."""
+    in lockstep (`_bands`, `_walk`), and return each y's final-row bands at
+    every base.  The verifiers call it with the grids they read
+    (`weak_maxima`, `goodlambda.verify_tail`).  Where a step, cut, meet or
+    check fails, the growth or the walk is let go (`_FAILURES`) and None is
+    returned: the nodes already grown stay, and each query that needs the
+    rest makes it alone and raises its own error."""
     if not all(y.is_selfadjoint() for y in ys):
         raise DomainError("Cuculescu projections need a self-adjoint martingale")
     if not all(B > 1 for B in bases):
@@ -473,36 +474,36 @@ def grow_grids(ys, bases, levels=()) -> None:
     grids = [[_grid(B, *_k_range(y, B)) for B in bases] + [fixed] for y in ys]
     try:
         _grow([(y, lambda a, fs=fs: min(f(a) for f in fs)) for y, fs in zip(ys, grids)])
-        walked = _walk([_bands(y, tuple(bases), (y.N,)) for y in ys])
+        return _walk([_bands(y, tuple(bases), (y.N,)) for y in ys])
     except _FAILURES:
-        return
-    for y, bands in zip(ys, walked):
-        y.corrected_bands.update(zip(bases, bands))
+        return None
 
 
-def corrected_p(y: Martingale, B: float, final_only: bool = False) -> CorrectedSeq:
-    """Compute the bands of P_n^{B^k} for k in [k_min, k_top].
+def _alone(y: Martingale, B: float, rows: tuple) -> tuple:
+    """The bands of `rows` of y at base B, its tree grown to B's grid and
+    walked on this base alone; an error of either is raised here."""
+    _grow([(y, _grid(B, *_k_range(y, B)))])
+    ((bands,),) = _walk([_bands(y, (B,), rows)])
+    return bands
+
+
+def corrected_p(y: Martingale, B: float) -> CorrectedSeq:
+    """Compute the bands of P_n^{B^k} for k in [k_min, k_top], every row n.
 
     The lattice meet over l >= k is truncated at k_top, above which every
     R_n^{B^l} equals the identity because the martingale is bounded; this is
     exact, not an approximation.  Below, k_min is the truncation point
     B^{k_min} ~ 1e-8 (1 + ||y||).  A band is one leaf of y's tree: one
     sequence, one meet per row, its ends checked (see `_check_level`).  An
-    all-zero column holds to k_min.  The final-only bands are those that
-    `grow_grids` kept in `Martingale.corrected_bands`, if it walked this
-    base; others are walked on this base alone (`_bands`, `_walk`), once y's
-    tree is grown to its grid.  An error of the growth or the walk is raised
-    here, also where `grow_grids` let this pair's walk go.
+    all-zero column holds to k_min.  The call grows y's tree to B's grid
+    and walks it on this base alone (`_bands`, `_walk`); an error of the
+    growth or the walk is raised here.
     """
     if not (B > 1):
         raise DomainError("the base B must exceed 1")
     if not y.is_selfadjoint():
         raise DomainError("corrected projections need a self-adjoint martingale")
-    bands = y.corrected_bands.get(B) if final_only else None
-    if bands is None:
-        _grow([(y, _grid(B, *_k_range(y, B)))])
-        ((bands,),) = _walk([_bands(y, (B,), (y.N,) if final_only else tuple(range(y.N + 1)))])
-    return CorrectedSeq(y, float(B), bands)
+    return CorrectedSeq(y, float(B), _alone(y, B, tuple(range(y.N + 1))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,26 +538,34 @@ def _staircases(sums: list) -> Operator:
     return Operator(alg.direct_sum(k), tuple(stacks))
 
 
-def weak_maxima(ys: list, B: float) -> list[WeakMax]:
+def weak_maxima(ys: list, bases) -> list[list[WeakMax]]:
     """a_N^+ = sum_k B^k (P_N^{B^{k+1}} - P_N^{B^k}) of each martingale of `ys`,
-    of one algebra, each WeakMax holding its part of one `_staircases`
-    reduction.  a_N^- is that of -y.
+    of one algebra, at each base of `bases`: per base, each y's WeakMax,
+    holding its part of one `_staircases` reduction.  a_N^- is that of -y.
 
-    Only the top level of each band of `corrected_p` has a nonzero term,
-    summed from the lowest band up.  Spectral mass below the truncation
-    point B^{k_min} is assigned to the residual kernel projection; the
-    moment verifications account for it with an analytic geometric tail.
+    They are built from the final-row bands of one `grow_grids` call; where
+    it let its work go, each (y, B) pair is made alone, base by base in the
+    order of `ys`, and the first that fails raises its error.  Only the top
+    level of each band has a nonzero term, summed from the lowest band up.
+    Spectral mass below the truncation point B^{k_min} is assigned to the
+    residual kernel projection; the moment verifications account for it
+    with an analytic geometric tail.
     """
-    cps, ident = [corrected_p(y, B, final_only=True) for y in ys], ys[0].algebra.identity()
-    cols = [[col[cp.martingale.N] for *_, col in reversed(cp.bands)] for cp in cps]
-    acc = _staircases([([B ** high for high, _, _ in reversed(cp.bands)], c[1:] + [ident], c)
-                       for cp, c in zip(cps, cols)]).symmetrized()
-    return [WeakMax(a, cp) for a, cp in zip(acc.parts(ys[0].algebra), cps)]
+    walked, alg = grow_grids(ys, bases), ys[0].algebra
+    ident, out = alg.identity(), []
+    for i, B in enumerate(bases):
+        cps = [CorrectedSeq(y, float(B), walked[j][i] if walked else _alone(y, B, (y.N,)))
+               for j, y in enumerate(ys)]
+        cols = [[col[cp.martingale.N] for *_, col in reversed(cp.bands)] for cp in cps]
+        acc = _staircases([([B ** high for high, _, _ in reversed(cp.bands)],
+                            c[1:] + [ident], c) for cp, c in zip(cps, cols)])
+        out.append([WeakMax(a, cp) for a, cp in zip(acc.symmetrized().parts(alg), cps)])
+    return out
 
 
 def weak_max(y: Martingale, B: float) -> WeakMax:
     """a_N^+ of y, `weak_maxima` of y alone; a_N^- is weak_max(-y, B)."""
-    return weak_maxima([y], B)[0]
+    return weak_maxima([y], [B])[0][0]
 
 
 def _band_sum(B: float, q: float, top: int, n: int) -> float:

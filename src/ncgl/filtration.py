@@ -348,21 +348,12 @@ class Martingale:
     @cached_property
     def cuculescu_cache(self) -> dict:
         """The tree of this martingale's Cuculescu steps, each node under the
-        path of child keys that leads to it from the root at (); read by
-        :func:`ncgl.cuculescu.cuculescu_r`, and grown from the root by one
-        grower, which it calls a level at a time and
-        :func:`ncgl.cuculescu.grow_grids` calls to whole level grids and sets
-        of levels (the good-lambda tail's 1 and beta grid), breadth first,
-        together with other martingales' trees; freed with the martingale."""
-        return {}
-
-    @cached_property
-    def corrected_bands(self) -> dict:
-        """Per base B, the bands of ``corrected_p(self, B, final_only=True)``
-        as :func:`ncgl.cuculescu.grow_grids` walked them together with other
-        martingales' bands, where that whole walk succeeded; read back by
-        :func:`ncgl.cuculescu.corrected_p`.  The bands hold operators only,
-        not the martingale, so they are freed with it."""
+        path of child keys that leads to it from the root at (); grown from
+        the root by the query that reads it: :func:`ncgl.cuculescu.cuculescu_r`
+        a level at a time, and :func:`ncgl.cuculescu.grow_grids`, which the
+        good-lambda verifiers call with the level grids they read, breadth
+        first, together with other martingales' trees; freed with the
+        martingale."""
         return {}
 
     @cached_property

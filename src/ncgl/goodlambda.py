@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cuculescu import WeakMax, cuculescu_r, weak_maxima
+from .cuculescu import WeakMax, cuculescu_r, grow_grids, weak_maxima
 from .errors import DomainError
 from .filtration import Martingale, cond_exp
 from .opalgebra import Operator, direct_sum, min_eigenvalue, schatten_norm, trace, trace_pair
@@ -218,21 +218,25 @@ def tail_constant(beta: float, level: float = 1.0) -> float:
     return const
 
 
-def verify_tail(t: Triple, beta: float, level: float = 1.0) -> tuple[VerifyReport, ...]:
+def verify_tail(t: Triple, beta_grid, level: float = 1.0) -> tuple[tuple[VerifyReport, ...], ...]:
     """tau(I - Q_N^{level*beta}) <= 4 ((beta-1) level)^{-2} tau((I-R_N^{level})
-    (x_N^2 + z_N^2)) per summand; at level = 1 this is the plain tail bound."""
-    if not (beta > 1):
+    (x_N^2 + z_N^2)) per summand, one tuple of reports per beta of
+    `beta_grid`; at level = 1 this is the plain tail bound.  One `grow_grids`
+    call grows t.y's tree to `level` and every beta*level, and each level is
+    then read through cuculescu_r, which grows alone what that call let go."""
+    if not all(beta > 1 for beta in beta_grid):
         raise DomainError("beta must exceed 1")
     if not (level > 0):
         raise DomainError("the level must be positive")
-    const = tail_constant(beta, level)
+    consts = [tail_constant(beta, level) for beta in beta_grid]
     # the threshold ratio beta exceeds 1; the absolute cut beta*level may not
-    qseq = cuculescu_r(t.y, beta * level)
-    rseq = cuculescu_r(t.y, level)
+    grow_grids([t.y], (), levels=(level, *(beta * level for beta in beta_grid)))
     ident = t.algebra.identity()
-    lhs = trace(ident - qseq.final(), per_summand=True)
-    rhs = const * _rhs_weights(t, ident - rseq.final())
-    return _reports(lhs, rhs, const, {"beta": beta, "level": level}, t)
+    lhs = [trace(ident - cuculescu_r(t.y, beta * level).final(), per_summand=True)
+           for beta in beta_grid]
+    weights = _rhs_weights(t, ident - cuculescu_r(t.y, level).final())
+    return tuple(_reports(a, const * weights, const, {"beta": beta, "level": level}, t)
+                 for beta, const, a in zip(beta_grid, consts, lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -283,49 +287,52 @@ class MomentReports:
     moment_simplified: VerifyReport
     weak_plus: WeakMax
 
-    def all_passed(self) -> bool:
-        return (self.max_plus.passed and self.max_minus.passed
-                and self.moment.passed and self.moment_simplified.passed)
 
-
-def verify_moment(t: Triple, ys: list[Martingale], p: float,
-                  B: float | None = None) -> tuple[MomentReports, ...]:
-    """Verify the weak-maximal and final moment bounds at exponent p > 2, one
-    MomentReports per summand of `t`.
+def verify_moment(t: Triple, ys: list[Martingale], p_grid,
+                  B: float | None = None) -> tuple[tuple[MomentReports, ...], ...]:
+    """Verify the weak-maximal and final moment bounds at each exponent
+    p > 2 of `p_grid`: per p, one MomentReports per summand of `t`.
 
     `ys` are the trials whose direct sum is t.y, each with its own Cuculescu
     tree: a_N^± is weak_max of each, as a tree of the sum would branch at the
-    union of every trial's thresholds; all a_N^+ are one `weak_maxima`, then
-    all a_N^-.  A lone trial is a batch of one, verify_moment(t, [t.y], p).
+    union of every trial's thresholds.  One `weak_maxima` grows and walks the
+    trees of every y and then every -y together, at every base of the grid.
+    A lone trial is a batch of one, verify_moment(t, [t.y], p_grid).
     The labels are one hypothesis_status of the whole triple, and each norm
     is one per-summand schatten_norm.  B defaults to 1 + 1/p, under which
     C_{p,B} collapses to the simplified 12p bound.  Each testing margin is
     gated relative to its summand's scale of its own terms (`Triple.tolerances`),
     so t.scale(mu) has the strong certificate where t has it, at every mu.
     """
-    if not (p > 2):
+    if not all(p > 2 for p in p_grid):
         raise DomainError("the moment bound needs p > 2")
     finals = t.y.final.parts(ys[0].algebra) if ys else []
     if len(ys) != t.algebra.summands or not all(
             all(map(np.array_equal, a.stacks, y.final.stacks)) for a, y in zip(finals, ys)):
         raise DomainError("ys must be the trials whose direct sum is t.y")
-    if B is None:
-        B = 1.0 + 1.0 / p
-    c_pb, simplified = moment_constant(p, B)
-    max_const = _weak_max_constant(p, B)
-    norms = lambda a: schatten_norm(a, p, per_summand=True)
-    hyp_norms = [math.sqrt(a ** 2 + b ** 2) for a, b in zip(norms(t.x), norms(t.z))]
-    y_norms = norms(t.y.final)
-    maxima = weak_maxima(ys, B), weak_maxima([-y for y in ys], B)
-    max_norms = [norms(direct_sum([wm.operator for wm in side])) for side in maxima]
+    bases = [1.0 + 1.0 / p if B is None else B for p in p_grid]
+    constants = [moment_constant(p, base) for p, base in zip(p_grid, bases)]
+    maxima = weak_maxima([*ys, *(-y for y in ys)], bases)
+    # the sum of the trials' finals carries the eigenvalues their trees solved
+    y_final, k = direct_sum([y.final for y in ys]), len(ys)
     out = []
-    for i, label in enumerate(t.hypothesis):
-        meta = {"p": p, "B": B, "hypothesis": label}
-        rep_plus, rep_minus = (
-            VerifyReport.compare(a[i], max_const * hyp_norms[i], max_const, {**meta, "side": side})
-            for a, side in zip(max_norms, "+-"))
-        rep_final, rep_simple = (
-            VerifyReport.compare(y_norms[i], c * hyp_norms[i], c, {**meta, "bound": bound})
-            for c, bound in ((c_pb, "C_pB"), (simplified, "12p")))
-        out.append(MomentReports(rep_plus, rep_minus, rep_final, rep_simple, maxima[0][i]))
+    for p, base, (c_pb, simplified), wms in zip(p_grid, bases, constants, maxima):
+        max_const = _weak_max_constant(p, base)
+        norms = lambda a: schatten_norm(a, p, per_summand=True)
+        hyp_norms = [math.sqrt(a ** 2 + b ** 2) for a, b in zip(norms(t.x), norms(t.z))]
+        y_norms = norms(y_final)
+        max_norms = [norms(direct_sum([wm.operator for wm in side]))
+                     for side in (wms[:k], wms[k:])]
+        reps = []
+        for i, label in enumerate(t.hypothesis):
+            meta = {"p": p, "B": base, "hypothesis": label}
+            rep_plus, rep_minus = (
+                VerifyReport.compare(a[i], max_const * hyp_norms[i], max_const,
+                                     {**meta, "side": side})
+                for a, side in zip(max_norms, "+-"))
+            rep_final, rep_simple = (
+                VerifyReport.compare(y_norms[i], c * hyp_norms[i], c, {**meta, "bound": bound})
+                for c, bound in ((c_pb, "C_pB"), (simplified, "12p")))
+            reps.append(MomentReports(rep_plus, rep_minus, rep_final, rep_simple, wms[i]))
+        out.append(tuple(reps))
     return tuple(out)

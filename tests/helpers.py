@@ -29,8 +29,8 @@ from ncgl.cuculescu import (
     _band_sum,
     _snap_projection,
     _Step,
-    corrected_p,
     cuculescu_r,
+    weak_max,
 )
 from ncgl.errors import DomainError, NCGLError
 from ncgl.filtration import (
@@ -425,7 +425,7 @@ def verify_good_hom(t, B: float, k: int) -> VerifyReport:
     """
     if t.algebra.summands > 1:
         raise DomainError("verify_good_hom takes one trial: split a batch with Operator.parts")
-    cp = corrected_p(t.y, B, final_only=True)
+    cp = weak_max(t.y, B).corrected
     N = t.y.N
     x_sq, z_sq, _ = t.squares
     lhs = trace(cp.P(N, k + 2) - cp.P(N, k + 1))

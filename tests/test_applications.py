@@ -136,14 +136,17 @@ class TestVerifyBG:
         assert reps.norm_by_square.constant == 1.0
         assert reps.square_by_norm.constant == 1.0
         assert abs(reps.norm_by_square.margin) < 1e-8
-        assert reps.all_passed()
+        assert reps.norm_by_square.passed and reps.square_by_norm.passed
+        assert reps.interpolation.passed
 
     @pytest.mark.parametrize("p", [3.0, 4.0, 8.0])
     def test_random_corner_martingales(self, p):
         filt = make_filtration("corner", dim=5)
         for seed in range(10):
             m = random_martingale(filt, stream(84, seed))
-            assert verify_bg(m, p).all_passed()
+            reps = verify_bg(m, p)
+            assert reps.norm_by_square.passed and reps.square_by_norm.passed
+            assert reps.interpolation.passed
 
     def test_interp_bound_at_p2_is_equality(self):
         filt = make_filtration("corner", dim=4)

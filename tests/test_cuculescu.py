@@ -191,8 +191,7 @@ class TestCuculescuSequence:
                               sup_norm=float(rng.uniform(0.5, 4.0)))
         s = square_function(y)
         t = Triple(s, y, s)
-        for p in (3.0, 4.0, 8.0):
-            verify_moment(t, [y], p)
+        verify_moment(t, [y], (3.0, 4.0, 8.0))
         diagonal = 0
         for m in (y, -y):
             for leaf in _leaves(m):
@@ -532,13 +531,14 @@ class TestCachedSequences:
         # are then verified as one direct sum, with one hypothesis check per
         # family.  397 Hermitian solves run, two more than with 40 batches of
         # meets: 1,044 with the rows made one trial at a time, 1,575 with one
-        # meet at a time and 3,726 with one step at a time
+        # meet at a time and 3,726 with one step at a time.  The verifier
+        # grows the trees: one grow_grids call per family, none by the runner
         import ncgl.cli as cli
         import ncgl.goodlambda as gl
 
         counts = {"_cut": [0, 0], "_step": [0, 0], "_meet": [0, 0], "proj_meet": [0, 0],
                   "eigh": [0, 0], "eigvalsh": [0, 0], "hypothesis_status": [0, 0]}
-        trees, grow, walked = [], cli.grow_grids, []
+        trees, grow, walked = [], cuculescu.grow_grids, []
 
         def counted(name, fn):
             def call(*args, **kwargs):
@@ -562,7 +562,7 @@ class TestCachedSequences:
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(gl, "hypothesis_status",
                             counted("hypothesis_status", gl.hypothesis_status))
-        monkeypatch.setattr(cli, "grow_grids", kept)
+        monkeypatch.setattr(cuculescu, "grow_grids", kept)
         rows, _ = cli.run(cli.ExperimentConfig(suite="moment", trials=42, seed=0,
                                                p_grid=(3.0, 4.0, 8.0)))
         assert len(rows) == 42 * 15 and len(trees) == 84
@@ -575,10 +575,10 @@ class TestCachedSequences:
         assert counts["eigh"][0] + counts["eigvalsh"][0] <= 397
 
     def test_staircase_and_solve_counts_of_the_moment_pass(self, monkeypatch):
-        # the same seed-0 pass sums every a_N^+ of a family group at one base
-        # in one staircase reduction, then every a_N^-, and every Fubini
-        # left side of a group in one: 6 groups x 3 bases x 2 signs + 18, where
-        # one reduction per tree made 378.  Each trial's martingale is a part
+        # the same seed-0 pass sums every a_N^+ and every a_N^- of a family
+        # group at one base in one staircase reduction, and every Fubini left
+        # side of a group in one: 6 groups x 3 bases + 18, where one reduction
+        # per sign made 54 and one per tree 378.  Each trial's martingale is a part
         # of one group draw, whose final is rescaled from one solve, and a
         # family's direct sum carries the eigenvalues its trials solved: at
         # most 292 LAPACK eigvalsh calls (327 with a draw and a solve per trial)
@@ -598,7 +598,7 @@ class TestCachedSequences:
         rows, _ = cli.run(cli.ExperimentConfig(suite="moment", trials=42, seed=0,
                                                p_grid=(3.0, 4.0, 8.0)))
         assert len(rows) == 42 * 15
-        assert counts["_staircases"] == 6 * 3 * 2 + 18
+        assert counts["_staircases"] == 6 * 3 + 18
         assert counts["eigvalsh"] <= 292
 
     def test_work_counts_of_the_good_lambda_levels(self, monkeypatch):
@@ -879,18 +879,19 @@ class TestGrownTogether:
     def test_large_p_grows_the_grid_in_one_call(self, monkeypatch):
         # its band walk then visits the leaf of each of the 5 bands once,
         # checking the band's two ends and asking cuculescu_r for no
-        # sequence, and weak_max reads the bands it kept, growing nothing
+        # sequence; a second call grows nothing and walks the same bands
         y = random_martingale(triple_family(2), stream(57, 2), sup_norm=2.5)
         B = 1.0 + 1e-4
         sizes = _counted_steps(monkeypatch)
         calls, checks = _counted_calls(monkeypatch), _counted_checks(monkeypatch)
-        grow_grids([y], [B])
+        ((bands,),) = grow_grids([y], [B])
         steps, walked = len(sizes), list(checks)
+        assert calls == [] and len(bands) == 5
+        assert walked == _band_ends(bands, B)
+        checks.clear()
         wm = weak_max(y, B)
-        assert calls == [] and len(wm.corrected.bands) == 5
-        assert wm.corrected.bands is y.corrected_bands[B]
-        assert walked == checks == _band_ends(wm.corrected.bands, B)
-        assert len(sizes) == steps
+        _assert_same_bands(wm.corrected.bands, bands)
+        assert checks == walked and len(sizes) == steps
 
     def test_a_query_off_the_grid_cuts_its_node_again(self, monkeypatch):
         # a tree grown to the B = 4/3 grid keeps only each node's ordered
@@ -949,9 +950,8 @@ class TestGrownTogether:
             error, message = DomainError, "not within 1e-10 of"
             bad = [(b, level) for level in (0.125, 1.0, 4.0)]
         sizes = _counted_steps(monkeypatch)
-        grow_grids([a, b], [2.0])
+        assert grow_grids([a, b], [2.0]) is None
         assert sizes == [6]
-        assert not a.corrected_bands and not b.corrected_bands
         for m, level in bad:
             with pytest.raises(error, match=message):
                 cuculescu_r(m, level)
@@ -1009,7 +1009,7 @@ class TestGrownTogether:
         ident = y.algebra.identity()
         t = gl.Triple(ident * 3.0, y, ident * 3.0)
         fresh = gl.Triple(t.x, _fresh_copy(y), t.z)
-        want = {beta: gl.verify_tail(fresh, beta) for beta in (1.5, 2.0)}
+        want = dict(zip((1.5, 2.0), gl.verify_tail(fresh, (1.5, 2.0))))
         snap = cuculescu._snap_projection
         monkeypatch.setattr(cuculescu, "_snap_projection", lambda raw: snap(
             raw.summand_scaled([0.9 if r == 2 else 1.0 for r in raw.summand_ranks])))
@@ -1017,15 +1017,15 @@ class TestGrownTogether:
         grow_grids([y], (), levels=(1.0, 1.5, 2.0, 4.0))
         assert sizes == [2] and list(y.cuculescu_cache) == [()]
         with pytest.raises(NumericalInstabilityError, match="drifted by 1.00e-01"):
-            gl.verify_tail(t, 4.0)
+            gl.verify_tail(t, [4.0])
         for beta, reps in want.items():
-            assert gl.verify_tail(t, beta) == reps
+            assert gl.verify_tail(t, [beta]) == (reps,)
         with pytest.raises(NumericalInstabilityError, match="drifted by 1.00e-01"):
-            gl.verify_tail(t, 4.0)  # asked again, grown again alone
+            gl.verify_tail(t, [4.0])  # asked again, grown again alone
 
     def test_growth_let_go_in_a_cut_round_is_grown_again_from_the_root(self, monkeypatch):
         # the first batch of cuts at n = 1 fails: growth ends with the nodes of
-        # depth 1 stored and uncut, no bands are kept, and every later query
+        # depth 1 stored and uncut, no bands are returned, and every later query
         # misses at such a node and grows its path alone from the root
         y = random_martingale(triple_family(3), stream(57, 3, 1), sup_norm=2.5)
         cut, failed = cuculescu._cut, []
@@ -1037,11 +1037,11 @@ class TestGrownTogether:
             return cut(items)
 
         monkeypatch.setattr(cuculescu, "_cut", failing)
-        grow_grids([y], [1.5])
+        assert grow_grids([y], [1.5]) is None
         assert failed
         uncut = [path for path, node in y.cuculescu_cache.items()
                  if node.thresholds is None and len(path) <= y.N]
-        assert len(uncut) >= 2 and not y.corrected_bands
+        assert len(uncut) >= 2
         lo, top = _k_range(y, 1.5)
         for k in range(top, lo - 1, -1):
             _assert_same_sequence(cuculescu_r(y, 1.5**k), level_recursion(y, 1.5**k), 1.5**k)
@@ -1051,6 +1051,11 @@ class TestGrownTogether:
 
 # the bases of the moment suite's p grid, of p = 1e4 and 2
 _LOCKSTEP_BASES = tuple(1.0 + 1.0 / p for p in (3.0, 4.0, 8.0, 1e4)) + (2.0,)
+
+
+def _final_bands(m, B):
+    """The final-row bands of m at base B, grown and walked on that pair alone."""
+    return cuculescu._alone(m, B, (m.N,))
 
 
 def _assert_same_bands(got, want):
@@ -1069,21 +1074,19 @@ class TestLockstepBands:
     def test_lockstep_bands_match_the_lone_walk(self, family):
         # both signs of two seed-0 moment trials of the family, grown and
         # walked together at five bases, each tree's leaves once for all of
-        # them: each pair's kept final-only bands, and its bands of every row
-        # walked in lockstep as well, are bit for bit those of corrected_p on
-        # a fresh copy, which walks that pair alone
+        # them: each pair's final-row bands that grow_grids returns, and its
+        # bands of every row walked in lockstep as well, are bit for bit
+        # those of a fresh copy grown and walked on that pair alone
         trees = _moment_trees([family, family + 6])
-        grow_grids(trees, _LOCKSTEP_BASES)
+        walked = grow_grids(trees, _LOCKSTEP_BASES)
         every_row = cuculescu._walk([cuculescu._bands(m, _LOCKSTEP_BASES, tuple(range(m.N + 1)))
                                      for m in trees])
         pairs = [(m, B) for m in trees for B in _LOCKSTEP_BASES]
-        for (m, B), bands in zip(pairs, itertools.chain(*every_row)):
+        for (m, B), final, bands in zip(pairs, itertools.chain(*walked),
+                                        itertools.chain(*every_row)):
             lone = _fresh_copy(m)
-            kept = m.corrected_bands[B]
-            assert corrected_p(m, B, final_only=True).bands is kept
-            _assert_same_bands(kept, corrected_p(lone, B, final_only=True).bands)
+            _assert_same_bands(final, _final_bands(lone, B))
             _assert_same_bands(bands, corrected_p(lone, B).bands)
-            assert not lone.corrected_bands  # a lone walk keeps nothing
 
     @pytest.mark.parametrize("shared", (False, True))
     def test_a_failed_meet_raises_only_for_its_pair(self, monkeypatch, shared):
@@ -1092,7 +1095,7 @@ class TestLockstepBands:
         # the walk of trial 15's y at p = 4 meets, or (shared) that only the
         # walks of trial 3's -y at p = 3 and p = 4 meet, which share that
         # meet; its message tells the size of the stack it was given.  The
-        # lockstep walk fails and is let go, no bands are kept, and only those
+        # lockstep walk fails and is let go, no bands are returned, and only those
         # pairs' weak_max raise, each with the error of its walk alone; every
         # other pair gets the bands of its walk alone, and the other trials
         # their rows
@@ -1108,7 +1111,7 @@ class TestLockstepBands:
         meet_blocks, blocks = opalgebra._meet_blocks, []
         monkeypatch.setattr(opalgebra, "_meet_blocks",
                             lambda se, sf: blocks.extend(zip(se, sf)) or meet_blocks(se, sf))
-        corrected_p(_fresh_copy(targets[0][0]), targets[0][1], final_only=True)
+        _final_bands(_fresh_copy(targets[0][0]), targets[0][1])
 
         def failing(marker):
             def meet(se, sf):
@@ -1122,7 +1125,7 @@ class TestLockstepBands:
             errors = {}
             for m, B in itertools.product(trees, bases):
                 try:
-                    corrected_p(_fresh_copy(m), B, final_only=True)
+                    _final_bands(_fresh_copy(m), B)
                 except np.linalg.LinAlgError as err:
                     errors[m, B] = str(err)
             return errors
@@ -1133,16 +1136,14 @@ class TestLockstepBands:
                 break
         else:
             pytest.fail("no meet of the first pair's walk is met by exactly the pairs asked for")
-        grow_grids(trees, bases)
-        assert not any(m.corrected_bands for m in trees)
+        assert grow_grids(trees, bases) is None
         for target in targets:
             with pytest.raises(np.linalg.LinAlgError) as raised:
                 weak_max(*target)
             assert str(raised.value) == errors[target]
         for m, B in itertools.product(trees, bases):
             if (m, B) not in targets:
-                _assert_same_bands(corrected_p(m, B, final_only=True).bands,
-                                   corrected_p(_fresh_copy(m), B, final_only=True).bands)
+                _assert_same_bands(_final_bands(m, B), _final_bands(_fresh_copy(m), B))
         for trial, y in zip(trials, trees[::2]):
             rows = lambda m: cli._suite_moment(cfg, [trial], y.filtration, [m])
             if any(m in (y, -y) for m, _ in targets):
@@ -1158,8 +1159,7 @@ class TestLockstepBands:
         trees = _moment_trees(range(12))
         batches, meet = [], cuculescu._meet
         monkeypatch.setattr(cuculescu, "_meet", lambda items: batches.append(items) or meet(items))
-        grow_grids(trees, _LOCKSTEP_BASES)
-        assert batches and all(m.corrected_bands for m in trees)
+        assert grow_grids(trees, _LOCKSTEP_BASES) is not None and batches
         for items in batches:
             assert len({(id(r), id(above)) for _, _, r, above in items}) == len(items)
         # every base's top lies on a tree's top leaf, so the first meet of
@@ -1170,7 +1170,7 @@ class TestLockstepBands:
     def test_let_go_growth_holds_no_frames(self, monkeypatch):
         # y_0 = diag(2, 0.5) and diag(3, 0.25) on one filtration, grown to the
         # B = 2 grid with every step that keeps one eigenvalue drifting: the
-        # growth is let go and keeps nothing, queries raise their own errors,
+        # growth is let go and returns nothing, queries raise their own errors,
         # and reference counts alone free the martingales
         a = _one_step([2.0, 0.5])
         b0 = a.algebra.operator([np.diag([3.0, 0.25])])
@@ -1182,8 +1182,7 @@ class TestLockstepBands:
         gc.collect()
         gc.disable()
         try:
-            grow_grids([a, b], [2.0])
-            assert not a.corrected_bands and not b.corrected_bands
+            assert grow_grids([a, b], [2.0]) is None
             assert [list(m.cuculescu_cache) for m in (a, b)] == [[()], [()]]
             with pytest.raises(NumericalInstabilityError):
                 weak_max(a, 2.0)
@@ -1196,16 +1195,16 @@ class TestLockstepBands:
 
     def test_family_martingales_are_freed_when_run_returns(self, monkeypatch):
         # with the cycle collector off, reference counts alone free every
-        # martingale of a family batch, its trees and its kept bands
+        # martingale of a family batch and its trees
         import ncgl.cli as cli
 
-        refs, grow = [], cli.grow_grids
+        refs, grow = [], cuculescu.grow_grids
 
         def kept(ys, bases):
             refs.extend(weakref.ref(y) for y in ys)
             return grow(ys, bases)
 
-        monkeypatch.setattr(cli, "grow_grids", kept)
+        monkeypatch.setattr(cuculescu, "grow_grids", kept)
         gc.collect()
         gc.disable()
         try:
@@ -1281,7 +1280,7 @@ class TestCorrectedProjections:
         for p, final_only in itertools.product((3.0, 8.0), (False, True)):
             B = 1.0 + 1.0 / p
             checks.clear()
-            cp = corrected_p(y, B, final_only=final_only)
+            cp = weak_max(y, B).corrected if final_only else corrected_p(y, B)
             # each band is one leaf of the tree, checked at its two ends; no
             # sequence is asked of cuculescu_r
             assert calls == [] and checks == _band_ends(cp.bands, B)
@@ -1473,7 +1472,7 @@ class TestWeakMax:
                             lambda stairs: sums.append(staircases(stairs)) or sums[-1])
         for p in (3.0, 4.0, 8.0):
             sums.clear()
-            wms = cuculescu.weak_maxima(ys, 1.0 + 1.0 / p)
+            (wms,) = cuculescu.weak_maxima(ys, [1.0 + 1.0 / p])
             gaps = fubini_identity_gap(wms, p)
             assert len(sums) == 2 and len({len(wm.corrected.bands) for wm in wms}) > 1
             for wm, lhs, gap in zip(wms, sums[1].parts(filt.algebra), gaps):
@@ -1527,7 +1526,7 @@ class TestWeakMax:
         assert checks == _band_ends(wm.corrected.bands, B) and len(checks) == 10
         monkeypatch.undo()
         per_level = _per_level_corrected(_fresh_copy(y), B, final_only=True)
-        monkeypatch.setattr(cuculescu, "corrected_p", lambda *args, **kwargs: per_level)
+        monkeypatch.setattr(cuculescu, "grow_grids", lambda ys, bases: [[per_level.bands]])
         want = weak_max(y, B)
         assert _flat_bytes(wm.operator) == _flat_bytes(want.operator)
         assert _gap(wm, p) == _gap(want, p)

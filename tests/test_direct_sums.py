@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgl.cuculescu import _check_level, cuculescu_r, fubini_identity_gap, grow_grids
+from ncgl.cuculescu import _check_level, cuculescu_r, fubini_identity_gap
 from ncgl.errors import DomainError, NumericalInstabilityError, StructureError
 from ncgl.filtration import (
     Martingale,
@@ -336,7 +336,7 @@ class TestDirectSumFiltration:
         level = 1.0
         seq = cuculescu_r(y, level)
         core = verify_core(batch)
-        tail = verify_tail(batch, 2.0)
+        (tail,) = verify_tail(batch, [2.0])
         split = lambda op: op.parts(filt.algebra)
         values = list(zip(*map(split, y.values)))
         for t, (xt, zt) in enumerate(zip(split(x), split(z))):
@@ -346,7 +346,7 @@ class TestDirectSumFiltration:
             ok, ax, az = check_strong_testing(alone)
             assert (passed[t], mx[t], mz[t]) == (ok[0], ax[0], az[0])
             assert core[t] == verify_core(alone)[0]
-            assert tail[t] == verify_tail(alone, 2.0)[0]
+            assert tail[t] == verify_tail(alone, [2.0])[0][0]
             fresh = cuculescu_r(alone.y, level)
             for r, s in zip(seq.projections, fresh.projections):
                 assert _same(split(r)[t], s)
@@ -362,7 +362,7 @@ def test_resumed_tail_batch_is_the_trials_alone(family):
     trials = range(family, 36, len(FAMILY_TEMPLATES))
     batch = Triple(*strong_triple_parts(filt, *(stream(0, 2, i) for i in trials)))
     betas = (1.5, 2.0, 4.0)
-    reports = [verify_tail(batch, beta) for beta in betas]
+    reports = verify_tail(batch, betas)
     leaves = [node.seq for path, node in batch.y.cuculescu_cache.items()
               if len(path) == batch.y.N + 1]
     assert any(s.projections[0] is t.projections[0]
@@ -370,7 +370,7 @@ def test_resumed_tail_batch_is_the_trials_alone(family):
     for k, i in enumerate(trials):
         alone = Triple(*strong_triple_parts(filt, stream(0, 2, i)))
         for beta, reps in zip(betas, reports):
-            got, want = reps[k], verify_tail(alone, beta)[0]
+            got, want = reps[k], verify_tail(alone, [beta])[0][0]
             assert got.passed == want.passed
             scale = max(1.0, abs(want.lhs), abs(want.rhs))
             for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs),
@@ -488,8 +488,9 @@ def _moment_bytes(reps):
 def test_moment_reports_of_a_batch_are_each_trials_own(family):
     # trials with x shrunk out of the strong certificate, to each label, and
     # a zero martingale, grown together as the moment suite grows them: one
-    # verify_moment and one fubini_identity_gap on the whole batch give each
-    # trial's reports and gap as a batch of one on a fresh tree, bit for bit
+    # verify_moment over the p grid and one fubini_identity_gap per p on the
+    # whole batch give each trial's reports and gap as a batch of one on a
+    # fresh tree, bit for bit
     filt = triple_family(family)
     trials = [Triple(x * f, y, z) for f, (x, y, z) in zip(
         (1.0, 0.9, 0.7, 0.5, 0.1, 0.0),
@@ -501,17 +502,94 @@ def test_moment_reports_of_a_batch_are_each_trials_own(family):
                    direct_sum([t.z for t in trials]))
     assert set(batch.hypothesis) == {"strong-pass", "testing-pass", "unverified"}
     ps = (3.0, 8.0)
-    grow_grids([m for y in ys for m in (y, -y)], [1.0 + 1.0 / p for p in ps])
-    for p in ps:
-        reps = verify_moment(batch, ys, p)
+    for p, reps in zip(ps, verify_moment(batch, ys, ps)):
         gaps = fubini_identity_gap([r.weak_plus for r in reps], p)
         assert gaps[-1] == 0.0
         for i, t in enumerate(trials):
             y = Martingale(filt, t.y.values, t.y.diffs)  # a tree of its own
-            (alone,) = verify_moment(Triple(t.x, y, t.z), [y], p)
+            ((alone,),) = verify_moment(Triple(t.x, y, t.z), [y], [p])
             assert _moment_bytes(reps[i]) == _moment_bytes(alone), (i, p)
             assert gaps[i:i + 1].tobytes() == \
                 fubini_identity_gap([alone.weak_plus], p).tobytes(), (i, p)
+
+
+def _moment_batch(ys):
+    """The moment suite's triple of the trials `ys`, each on a fresh tree."""
+    fresh = [Martingale(y.filtration, y.values, y.diffs) for y in ys]
+    y = martingale_direct_sum(fresh)
+    s = square_function(y)
+    return Triple(s, y, s), fresh
+
+
+def _report_bytes(rep):
+    return np.array([rep.lhs, rep.rhs, rep.constant, rep.margin]).tobytes(), rep.passed, rep.meta
+
+
+@pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+def test_grid_moment_is_one_call_per_p(family):
+    # one verify_moment over the p grid, its trees grown and walked once for
+    # every base, gives per p the reports of a call at that p alone on fresh
+    # trees, bit for bit; with B given, every p shares the base
+    filt = triple_family(family)
+    rngs = [stream(97, family, i) for i in range(3)]
+    ys = random_martingales(filt, rngs, [float(rng.uniform(0.5, 4.0)) for rng in rngs])
+    ps = (3.0, 4.0, 8.0)
+    for B in (None, 1.5):
+        by_p = verify_moment(*_moment_batch(ys), ps, B)
+        assert len(by_p) == len(ps)
+        for p, reps in zip(ps, by_p):
+            (alone,) = verify_moment(*_moment_batch(ys), [p], B)
+            assert [_moment_bytes(r) for r in reps] == [_moment_bytes(r) for r in alone], (B, p)
+
+
+@pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+def test_grid_tail_is_one_call_per_beta(family):
+    # one verify_tail over the beta grid, its tree grown once to the level
+    # and every beta times it, gives per beta the reports of a call at that
+    # beta alone on a fresh tree, bit for bit
+    filt = triple_family(family)
+    x, y, z = strong_triple_parts(filt, *(stream(98, family, i) for i in range(3)))
+    fresh = lambda: Triple(x, Martingale(y.filtration, y.values, y.diffs), z)
+    betas = (1.5, 2.0, 4.0)
+    for level in (1.0, 0.5):
+        by_beta = verify_tail(fresh(), betas, level)
+        assert len(by_beta) == len(betas)
+        for beta, reps in zip(betas, by_beta):
+            (alone,) = verify_tail(fresh(), [beta], level)
+            assert list(map(_report_bytes, reps)) == list(map(_report_bytes, alone)), \
+                (level, beta)
+
+
+def test_a_failed_grid_raises_the_first_error_of_the_lone_queries(monkeypatch):
+    # every meet of y_1 and of -y_0 fails, each with its own message: the
+    # walk of the whole group is let go, and each (tree, base) pair is made
+    # alone, p by p, the trees of every y before those of every -y, so the
+    # group raises the error of y_1 at the first p, as the lone queries made
+    # in that order do; trees taken y, -y in turn would meet -y_0 first
+    import ncgl.cuculescu as cuculescu
+
+    filt = triple_family(1)
+    rngs = [stream(96, i) for i in range(3)]
+    ys = random_martingales(filt, rngs, [2.0, 2.5, 3.0])
+    t, ys = _moment_batch(ys)
+    names = {id(ys[1]): "y_1", id(-ys[0]): "-y_0"}
+    meet, batches = cuculescu._meet, []
+
+    def failing(items):
+        batches.append({id(m) for m, *_ in items})
+        for m, *_ in items:
+            if id(m) in names:
+                raise np.linalg.LinAlgError(f"no meet on {names[id(m)]}")
+        return meet(items)
+
+    monkeypatch.setattr(cuculescu, "_meet", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="^no meet on y_1$"):
+        verify_moment(t, ys, (3.0, 4.0))
+    # the first batch held every tree of the group; the lone walks then ran
+    # y_0 and y_1 at the first base alone
+    trees = {id(m) for y in ys for m in (y, -y)}
+    assert batches[0] == trees and batches[-1] == {id(ys[1])}
+    assert {id(ys[0])} in batches and {id(-ys[0])} not in batches[1:]
 
 
 def test_moment_batch_must_be_its_trials():
@@ -520,6 +598,6 @@ def test_moment_batch_must_be_its_trials():
     y = martingale_direct_sum(ys)
     s = square_function(y)
     with pytest.raises(DomainError, match="direct sum"):
-        verify_moment(Triple(s, y, s), ys[::-1], 3.0)
+        verify_moment(Triple(s, y, s), ys[::-1], [3.0])
     with pytest.raises(DomainError, match="direct sum"):
-        verify_moment(Triple(s, y, s), ys[:1], 3.0)
+        verify_moment(Triple(s, y, s), ys[:1], [3.0])

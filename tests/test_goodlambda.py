@@ -213,7 +213,7 @@ class TestTailInequality:
         filt = make_filtration("corner", dim=4)
         y = random_martingale(filt, stream(69), sup_norm=1.2)
         s = square_function(y)
-        (rep,) = verify_tail(Triple(s, y, s), beta=4.0)
+        ((rep,),) = verify_tail(Triple(s, y, s), [4.0])
         assert rep.lhs == pytest.approx(0.0)
         assert rep.passed
 
@@ -222,13 +222,13 @@ class TestTailInequality:
         for i in range(15):
             filt = triple_family(i)
             x, y, z = strong_triple_parts(filt, stream(70, i))
-            (rep,) = verify_tail(Triple(x, y, z), beta)
+            ((rep,),) = verify_tail(Triple(x, y, z), [beta])
             assert rep.passed, (i, beta, rep)
 
     def test_constant_value(self):
         filt = triple_family(0)
         x, y, z = strong_triple_parts(filt, stream(71))
-        (rep,) = verify_tail(Triple(x, y, z), 3.0)
+        ((rep,),) = verify_tail(Triple(x, y, z), [3.0])
         assert rep.constant == pytest.approx(1.0)
 
     def test_good_hom_across_scales(self):
@@ -244,7 +244,7 @@ class TestTailInequality:
         filt = triple_family(0)
         x, y, z = strong_triple_parts(filt, stream(73))
         with pytest.raises(DomainError):
-            verify_tail(Triple(x, y, z), 1.0)
+            verify_tail(Triple(x, y, z), [2.0, 1.0])
 
     @pytest.mark.parametrize("beta, level", [(1e308, 1.0), (1e155, 1.0), (1.5, 1e-200),
                                              (1e300, 1e10)])
@@ -256,7 +256,7 @@ class TestTailInequality:
         y = _one_step_martingale()
         t = Triple(y.final, y, y.final)
         message = re.escape(f"float range at beta = {beta!r}, level = {level!r}")
-        for call in (lambda: tail_constant(beta, level), lambda: verify_tail(t, beta, level)):
+        for call in (lambda: tail_constant(beta, level), lambda: verify_tail(t, [beta], level)):
             with pytest.raises(DomainError, match=message):
                 call()
         assert not y.cuculescu_cache
@@ -278,9 +278,9 @@ class TestTailInequality:
                 for level in (0.5, 1.0, 1.7):
                     pairs = [(verify_core(t, level)[0], verify_core(scaled, mu * level)[0],
                               mu * mu, 1e-10)]
-                    pairs += [(verify_tail(t, beta, level)[0],
-                               verify_tail(scaled, beta, mu * level)[0], 1.0, 1e-13)
-                              for beta in (1.5, 2.0)]
+                    pairs += [(base, got, 1.0, 1e-13) for (base,), (got,) in zip(
+                        verify_tail(t, (1.5, 2.0), level),
+                        verify_tail(scaled, (1.5, 2.0), mu * level))]
                     for base, got, factor, rel in pairs:
                         where = (seed, mu, level, base.meta)
                         for side, want in ((got.lhs, base.lhs), (got.rhs, base.rhs)):
@@ -298,9 +298,8 @@ class TestTailInequality:
             doubled = t.scale(2.0)
             for level in (0.5, 1.0, 1.7):
                 pairs = [(verify_core(t, level)[0], verify_core(doubled, 2 * level)[0], 4.0)]
-                pairs += [(verify_tail(t, beta, level)[0],
-                           verify_tail(doubled, beta, 2 * level)[0], 1.0)
-                          for beta in (1.5, 2.0)]
+                pairs += [(base, got, 1.0) for (base,), (got,) in zip(
+                    verify_tail(t, (1.5, 2.0), level), verify_tail(doubled, (1.5, 2.0), 2 * level))]
                 for base, scaled, factor in pairs:
                     where = (seed, level, base.meta)
                     assert scaled.lhs == factor * base.lhs, where
@@ -359,39 +358,44 @@ class TestMomentConstant:
             moment_constant(2100.0, 2.0)
 
 
+def _all_passed(reps):
+    return all(r.passed for r in (reps.max_plus, reps.max_minus, reps.moment,
+                                  reps.moment_simplified))
+
+
 class TestMomentVerification:
     def test_zero_martingale(self):
         filt = triple_family(4)
         zero = martingale_from_final(filt, filt.algebra.zero())
-        (reps,) = verify_moment(Triple(filt.algebra.zero(), zero,
-                                       filt.algebra.zero()), [zero], 4.0)
+        ((reps,),) = verify_moment(Triple(filt.algebra.zero(), zero,
+                                          filt.algebra.zero()), [zero], [4.0])
         assert reps.max_plus.lhs == pytest.approx(0.0)
         assert reps.max_minus.lhs == pytest.approx(0.0)
         assert reps.moment.lhs == pytest.approx(0.0)
-        assert reps.all_passed()
+        assert _all_passed(reps)
 
     @pytest.mark.parametrize("p", [3.0, 4.0])
     def test_bg_triples(self, p):
         for i in range(6):
             filt = triple_family(i)
             t = bg_triple(filt, stream(74, i))
-            (reps,) = verify_moment(t, [t.y], p)
-            assert reps.all_passed(), (i, p)
+            ((reps,),) = verify_moment(t, [t.y], [p])
+            assert _all_passed(reps), (i, p)
 
     def test_diagonal_instances_pass_with_room(self):
         filt = make_filtration("rademacher", depth=3)
         t = bg_triple(filt, stream(75))
-        (reps,) = verify_moment(t, [t.y], 4.0)
-        assert reps.all_passed()
+        ((reps,),) = verify_moment(t, [t.y], [4.0])
+        assert _all_passed(reps)
         assert reps.moment.lhs < 0.25 * reps.moment.rhs
 
     def test_scale_invariance_of_moment_margin(self):
         filt = triple_family(5)
         t = bg_triple(filt, stream(76))
-        (base,) = verify_moment(t, [t.y], 3.0)
+        ((base,),) = verify_moment(t, [t.y], [3.0])
         mu = 3.0
         scaled_t = t.scale(mu)
-        (scaled,) = verify_moment(scaled_t, [scaled_t.y], 3.0)
+        ((scaled,),) = verify_moment(scaled_t, [scaled_t.y], [3.0])
         assert scaled.moment.margin == pytest.approx(base.moment.margin * mu,
                                                      rel=1e-8)
 
@@ -401,7 +405,7 @@ class TestMomentVerification:
         filt = triple_family(0)
         t = bg_triple(filt, stream(77))
         with pytest.raises(DomainError):
-            verify_moment(t, [t.y], p, B)
+            verify_moment(t, [t.y], [p], B)
 
 
 class TestHypothesisStatus:
@@ -466,8 +470,8 @@ class TestHypothesisStatus:
         assert check_testing(t, 0.1)[1][0] < -0.07
         assert verify_core(t)[0].meta["hypothesis"] == "testing-pass"
         assert verify_core(t, 0.1)[0].meta["hypothesis"] == "unverified"
-        assert verify_tail(t, 2.0)[0].meta["hypothesis"] == "testing-pass"
-        assert verify_tail(t, 2.0, 0.1)[0].meta["hypothesis"] == "unverified"
+        assert verify_tail(t, [2.0])[0][0].meta["hypothesis"] == "testing-pass"
+        assert verify_tail(t, [2.0], 0.1)[0][0].meta["hypothesis"] == "unverified"
 
     def test_label_computed_once_per_triple(self, monkeypatch):
         import ncgl.goodlambda as gl
@@ -483,9 +487,9 @@ class TestHypothesisStatus:
         filt = triple_family(1)
         t = Triple(*strong_triple_parts(filt, stream(80)))
         reps = list(verify_core(t))
-        reps += [rep for beta in (1.5, 2.0, 4.0) for rep in verify_tail(t, beta)]
+        reps += [rep for by_beta in verify_tail(t, (1.5, 2.0, 4.0)) for rep in by_beta]
         reps.append(verify_good_hom(t, 2.0, 0))
-        (moment,) = verify_moment(t, [t.y], 3.0)
+        ((moment,),) = verify_moment(t, [t.y], [3.0])
         reps += [moment.max_plus, moment.max_minus, moment.moment,
                  moment.moment_simplified]
         assert calls == [t]
@@ -505,8 +509,7 @@ class TestHypothesisStatus:
 
         monkeypatch.setattr(Operator, "__matmul__", counted)
         verify_core(t)
-        for beta in (1.5, 2.0, 4.0):
-            verify_tail(t, beta)
+        verify_tail(t, (1.5, 2.0, 4.0))
         for op in (t.x, t.z, *t.y.diffs):
             assert sum(a is op and b is op for a, b in products) == 1
 
@@ -518,9 +521,9 @@ class TestHypothesisStatus:
         (expected,) = hypothesis_status(t)
         assert expected == ("unverified" if scaled else "strong-pass")
         assert verify_core(t)[0].meta["hypothesis"] == expected
-        assert verify_tail(t, 2.0)[0].meta["hypothesis"] == expected
+        assert verify_tail(t, [2.0])[0][0].meta["hypothesis"] == expected
         assert verify_good_hom(t, 2.0, 0).meta["hypothesis"] == expected
-        assert verify_moment(t, [t.y], 4.0)[0].moment.meta["hypothesis"] == expected
+        assert verify_moment(t, [t.y], [4.0])[0][0].moment.meta["hypothesis"] == expected
 
 
 class TestSymmetry:
@@ -531,8 +534,9 @@ class TestSymmetry:
 
     @staticmethod
     def _reports(t):
-        (m,) = verify_moment(t, [t.y], 3.0)
-        return (*verify_core(t), *verify_tail(t, 2.0),
+        ((m,),) = verify_moment(t, [t.y], [3.0])
+        ((tail,),) = verify_tail(t, [2.0])
+        return (*verify_core(t), tail,
                 m.max_plus, m.max_minus, m.moment, m.moment_simplified)
 
     def _assert_moves_with(self, t, move):

@@ -2,7 +2,8 @@
 apart from any listed, Hermitian eigensolves run only in the listed kernels, no
 opalgebra function steps through a stack in slices, a direct sum is split one
 way and laid out by its algebra alone, failed batch work is let go in one
-place and no exception is kept, only the listed modules draw random
+place and no exception is kept, Cuculescu trees are grown for a grid only
+by the verifiers that read them, only the listed modules draw random
 instances, no module keeps context-variable state, every suite maps a group
 of trials to each trial's rows, and every public name is used in the package
 or a demo, or listed."""
@@ -145,6 +146,25 @@ def test_only_grow_grids_lets_failed_work_go():
     # and each query that needs it makes it again alone and raises its error
     assert set(_sites(_catches_failures)) == {("cuculescu", "grow_grids")}
     assert list(_sites(_keeps_an_exception)) == []
+
+
+def _names(tree):
+    """Every name `tree` reads, takes as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_the_verifiers_grow_trees_for_a_grid():
+    # the good-lambda verifiers grow the trees of the levels they read, so
+    # no runner grows them ahead of a verifier
+    naming = {path.stem for path in sorted(SRC.glob("*.py"))
+              if "grow_grids" in set(_names(ast.parse(path.read_text(), str(path))))}
+    assert naming == {"cuculescu", "goodlambda"}
 
 
 # every verifier computes what it checks, so it draws no random numbers
