@@ -120,7 +120,10 @@ def _check_level(seq: CuculescuSeq, level: float) -> None:
     Tolerances scale with 1 + ||y_n||/level of each summand: products with
     y_n/level carry rounding of that size.  As computed, the adapted test fails
     on an up-set of levels, the commutation and cut-off tests on a down-set,
-    and the monotone test on all or none: a run's two ends decide for it all.
+    and the monotone test on all or none: the highest and the lowest of any
+    set of levels decide for it all.  So `_bands` checks a leaf it serves at
+    two levels at most, for every base at once, and `cuculescu_r` at the
+    level it returns.
     """
     fail = NumericalInstabilityError
     for n, s in enumerate(seq.steps):
@@ -390,10 +393,14 @@ def _meet(items: list) -> list:
 def _bands(y: Martingale, bases: tuple, rows: tuple):
     """The band walks of y's tree at every base of `bases`, as a generator of
     one pass over its leaves, highest window first.  A leaf that holds the
-    next band top B^k of some bases checks each top, yields the meets
-    (martingale, n, R_n, above) of their columns, one per distinct (n, above),
-    all bases starting from the root's identity object, is sent the results,
-    and checks each band's bottom; it returns each base's bands (`_walk`)."""
+    next band top B^k of some bases is checked at the highest of those tops,
+    yields the meets (martingale, n, R_n, above) of their columns, one per
+    distinct (n, above), all bases starting from the root's identity object,
+    is sent the results, and is checked at the lowest of its band ends, the
+    tops and the bottoms of the bands whose column is not all zero: the two
+    extremes decide every end between them (`_check_level`), and a walk on
+    one base checks each band's top, then its bottom.  It returns each
+    base's bands (`_walk`)."""
     tree, ranges = y.cuculescu_cache, [_k_range(y, B) for B in bases]
     tops, bands = [top for _, top in ranges], [[] for _ in bases]
     cols = [dict.fromkeys(rows, tree[()].r) for _ in bases]
@@ -401,11 +408,14 @@ def _bands(y: Martingale, bases: tuple, rows: tuple):
                       key=lambda seq: -seq.hi):
         served = [i for i, (B, k, (lo, _)) in enumerate(zip(bases, tops, ranges))
                   if k >= lo and B ** k > seq.lo]
-        for i in served:
-            _check_level(seq, bases[i] ** tops[i])
+        if not served:
+            continue
+        ends = [bases[i] ** tops[i] for i in served]
+        _check_level(seq, max(ends))
         asked = {(n, id(above)): (y, n, seq.R(n), above)
                  for i in served for n, above in cols[i].items() if above.rank() > 0}
-        got = dict(zip(asked, (yield list(asked.values())))) if served else {}
+        got = dict(zip(asked, (yield list(asked.values()))))
+        bottoms = []
         for i in served:
             B, (lo, _), k = bases[i], ranges[i], tops[i]
             col = {n: above if above.rank() == 0 else got[n, id(above)]
@@ -414,9 +424,11 @@ def _bands(y: Martingale, bases: tuple, rows: tuple):
             if any(p.rank() > 0 for p in col.values()):
                 # the band's bottom, the lowest level above seq.lo
                 low = _index_above(seq.lo, B, lo, k - 1)
-                _check_level(seq, B ** low)
+                bottoms.append(B ** low)
             bands[i].append((k, low, col))
             cols[i], tops[i] = col, low - 1
+        if bottoms or min(ends) < max(ends):
+            _check_level(seq, min(ends + bottoms))
     return [tuple(b) for b in bands]
 
 
@@ -522,9 +534,12 @@ class WeakMax:
 def _staircases(sums: list) -> Operator:
     """Each sum_i w[i] (a[i] - b[i]) of the (w, a, b) in `sums`, over
     operators of one algebra, side by side on its direct sum: per run, one
-    reduction over every stacked term, each sum padded in front by exact
-    zeros to the longest and added term by term from 0 in order, so each is
-    bit for bit the sum of the Operators (a[i] - b[i]) * w[i]."""
+    reduction over every stacked term, with no array of partial sums, each
+    sum padded in front by exact zeros to the longest and added term by term
+    from 0 in order, so each is bit for bit the sum of the Operators
+    (a[i] - b[i]) * w[i].  The reduction runs over the real and imaginary
+    parts as floats: a stack of one 1 x 1 block is then never one contiguous
+    axis, which NumPy would sum pairwise."""
     alg, m, k = sums[0][1][0].algebra, max(len(w) for w, _, _ in sums), len(sums)
     pad = lambda seq, fill: [fill] * (m - len(seq)) + list(seq)
     w = np.array([pad(ws, 0.0) for ws, _, _ in sums], dtype=complex).T  # (term, sum)
@@ -534,7 +549,7 @@ def _staircases(sums: list) -> Operator:
     for x, z, (count, d) in zip(runs([pad(a, zero) for _, a, _ in sums]),
                                 runs([pad(b, zero) for _, _, b in sums]), alg.runs):
         t = (x - z).reshape(m, k * count, d, d) * np.repeat(w, count, axis=1)[..., None, None]
-        stacks.append(np.add.accumulate(np.concatenate([np.zeros_like(t[:1]), t]))[-1])
+        stacks.append(np.add.reduce(t.view(float), axis=0, initial=0.0).view(complex))
     return Operator(alg.direct_sum(k), tuple(stacks))
 
 
@@ -549,18 +564,20 @@ def weak_maxima(ys: list, bases) -> list[list[WeakMax]]:
     level of each band has a nonzero term, summed from the lowest band up.
     Spectral mass below the truncation point B^{k_min} is assigned to the
     residual kernel projection; the moment verifications account for it
-    with an analytic geometric tail.
+    with an analytic geometric tail.  A base repeated in `bases` is grown,
+    walked and summed once, and its WeakMax objects are shared.
     """
-    walked, alg = grow_grids(ys, bases), ys[0].algebra
-    ident, out = alg.identity(), []
-    for i, B in enumerate(bases):
+    distinct = list(dict.fromkeys(bases))
+    walked, alg = grow_grids(ys, distinct), ys[0].algebra
+    ident, out = alg.identity(), {}
+    for i, B in enumerate(distinct):
         cps = [CorrectedSeq(y, float(B), walked[j][i] if walked else _alone(y, B, (y.N,)))
                for j, y in enumerate(ys)]
         cols = [[col[cp.martingale.N] for *_, col in reversed(cp.bands)] for cp in cps]
         acc = _staircases([([B ** high for high, _, _ in reversed(cp.bands)],
                             c[1:] + [ident], c) for cp, c in zip(cps, cols)])
-        out.append([WeakMax(a, cp) for a, cp in zip(acc.symmetrized().parts(alg), cps)])
-    return out
+        out[B] = [WeakMax(a, cp) for a, cp in zip(acc.symmetrized().parts(alg), cps)]
+    return [out[B] for B in bases]
 
 
 def weak_max(y: Martingale, B: float) -> WeakMax:

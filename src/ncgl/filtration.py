@@ -370,9 +370,15 @@ class Martingale:
 
     def parts(self, filtration: Filtration) -> list["Martingale"]:
         """The martingales of `filtration` that this one on a direct sum of its
-        copies holds side by side, as views; :func:`martingale_direct_sum` undone."""
+        copies holds side by side, as views, each value with its share of what
+        the sum solved (`Operator.parts`); where the sum's negation is built,
+        each part's is its part of it.  :func:`martingale_direct_sum` undone."""
         split = lambda ops: zip(*(op.parts(filtration.algebra) for op in ops))
-        return [Martingale(filtration, v, d) for v, d in zip(split(self.values), split(self.diffs))]
+        out = [Martingale(filtration, v, d) for v, d in zip(split(self.values), split(self.diffs))]
+        if "_negated" in self.__dict__:
+            for part, negated in zip(out, self._negated.parts(filtration)):
+                part.__dict__["_negated"] = negated
+        return out
 
 
 def _check_martingale(filtration: Filtration, values) -> None:

@@ -187,9 +187,12 @@ def _rhs_weights(t: Triple, proj: Operator) -> np.ndarray:
     return trace_pair(t.squares[0] + t.squares[1], proj, per_summand=True).real
 
 
-def _reports(lhs, rhs, constant: float, meta: dict, t: Triple) -> tuple[VerifyReport, ...]:
-    # the labels at meta's level, level 1's cached on the triple
-    labels = t.hypothesis if meta["level"] == 1.0 else hypothesis_status(t, meta["level"])
+def _labels(t: Triple, level: float) -> tuple[str, ...]:
+    """The hypothesis labels at `level`, level 1's cached on the triple."""
+    return t.hypothesis if level == 1.0 else hypothesis_status(t, level)
+
+
+def _reports(lhs, rhs, constant: float, meta: dict, labels) -> tuple[VerifyReport, ...]:
     return tuple(VerifyReport.compare(a, b, constant, {**meta, "hypothesis": label})
                  for a, b, label in zip(lhs, rhs, labels))
 
@@ -202,7 +205,7 @@ def verify_core(t: Triple, level: float = 1.0) -> tuple[VerifyReport, ...]:
     dev = t.y.final - ident * level
     lhs = trace_pair(dev @ tail @ dev, ident, per_summand=True).real
     rhs = 2.0 * _rhs_weights(t, tail)
-    return _reports(lhs, rhs, 2.0, {"level": level}, t)
+    return _reports(lhs, rhs, 2.0, {"level": level}, _labels(t, level))
 
 
 def tail_constant(beta: float, level: float = 1.0) -> float:
@@ -223,7 +226,8 @@ def verify_tail(t: Triple, beta_grid, level: float = 1.0) -> tuple[tuple[VerifyR
     (x_N^2 + z_N^2)) per summand, one tuple of reports per beta of
     `beta_grid`; at level = 1 this is the plain tail bound.  One `grow_grids`
     call grows t.y's tree to `level` and every beta*level, and each level is
-    then read through cuculescu_r, which grows alone what that call let go."""
+    then read through cuculescu_r, which grows alone what that call let go.
+    The labels at `level` are computed once, for every beta."""
     if not all(beta > 1 for beta in beta_grid):
         raise DomainError("beta must exceed 1")
     if not (level > 0):
@@ -235,7 +239,8 @@ def verify_tail(t: Triple, beta_grid, level: float = 1.0) -> tuple[tuple[VerifyR
     lhs = [trace(ident - cuculescu_r(t.y, beta * level).final(), per_summand=True)
            for beta in beta_grid]
     weights = _rhs_weights(t, ident - cuculescu_r(t.y, level).final())
-    return tuple(_reports(a, const * weights, const, {"beta": beta, "level": level}, t)
+    labels = _labels(t, level)
+    return tuple(_reports(a, const * weights, const, {"beta": beta, "level": level}, labels)
                  for beta, const, a in zip(beta_grid, consts, lhs))
 
 

@@ -88,14 +88,19 @@ def _gaussian_martingale(filtration: Filtration, rngs: list, sup_norms=None) -> 
 def random_martingales(filtration: Filtration, rngs: list,
                        sup_norms: list | None = None) -> list[Martingale]:
     """Each generator's martingale, its part of one `_gaussian_martingale`:
-    drawn, rescaled and conditioned as one direct sum."""
-    return _gaussian_martingale(filtration, rngs, sup_norms).parts(filtration)
+    drawn, rescaled and conditioned as one direct sum, whose values and their
+    negations are each solved once, and shared out by `Martingale.parts`."""
+    y = _gaussian_martingale(filtration, rngs, sup_norms)
+    for v in (*y.values, *(-y).values):
+        v.hermitian, v.eigenvalues
+    return y.parts(filtration)
 
 
 def random_martingale(filtration: Filtration, rng: np.random.Generator,
                       sup_norm: float | None = None) -> Martingale:
-    """`random_martingales` of one generator."""
-    return random_martingales(filtration, [rng], None if sup_norm is None else [sup_norm])[0]
+    """The martingale of one generator, drawn as `random_martingales` draws
+    each, with nothing solved ahead."""
+    return _gaussian_martingale(filtration, [rng], None if sup_norm is None else [sup_norm])
 
 
 def strong_triple_parts(

@@ -266,7 +266,7 @@ class Operator:
     # -- arithmetic ---------------------------------------------------------
 
     def _same_algebra(self, other: "Operator") -> None:
-        if self.algebra.dims != other.algebra.dims:
+        if self.algebra is not other.algebra and self.algebra.dims != other.algebra.dims:
             raise StructureError("operands live on different algebras")
 
     def _binary(self, op: Callable, other: "Operator") -> "Operator":
@@ -309,8 +309,10 @@ class Operator:
 
     def parts(self, alg: TracialAlgebra) -> list["Operator"]:
         """The operators on `alg` that this direct sum of copies of `alg` holds
-        side by side, as views, each with its share of the eigendecomposition
-        and the ranks solved on the sum; :func:`direct_sum` undone."""
+        side by side, as views, each with its share of what the sum solved,
+        nothing solved again: the eigenvalues, the eigendecomposition and the
+        ranks, and the Hermitian and exact Hermitian flags where the sum has
+        them, as each holds block by block; :func:`direct_sum` undone."""
         n = alg.n_blocks
         k = self.algebra.n_blocks // n
         if k == 1:
@@ -319,6 +321,11 @@ class Operator:
         out = [Operator(alg, (self.stacks[0][i * n:(i + 1) * n],)) for i in range(k)]
         for i, part in enumerate(out):
             blocks = slice(i * n, (i + 1) * n)
+            for flag in ("hermitian", "exactly_hermitian"):
+                if solved.get(flag):  # a sum without it may still have parts with it
+                    part.__dict__[flag] = True
+            if "eigenvalues" in solved:
+                part.__dict__["eigenvalues"] = (solved["eigenvalues"][0][blocks],)
             if "spectrum" in solved:
                 ((e, v),) = solved["spectrum"]
                 part.__dict__["spectrum"] = ((e[blocks], v[blocks]),)

@@ -28,9 +28,16 @@ from ncgl.filtration import (
     make_filtration,
     martingale_from_final,
 )
-from ncgl.instances import random_martingale, stream, strong_triple_parts, triple_family
+from ncgl.instances import (
+    gaussian_hermitian,
+    random_martingale,
+    stream,
+    strong_triple_parts,
+    triple_family,
+)
 from ncgl.opalgebra import (
     Interval,
+    TracialAlgebra,
     min_eigenvalue,
     operator_norm,
     proj_meet,
@@ -45,6 +52,7 @@ from helpers import (
     per_band_sums,
     per_tree_staircases,
     recorded_cuts,
+    weighted_sum,
 )
 
 
@@ -374,6 +382,57 @@ def test_band_ends_decide_what_every_level_decides(family, sign):
     assert inside > 0
 
 
+# the bases of the moment suite's p grid, and of p = 1e4 (180,854 levels)
+_MOMENT_BASES = tuple(1.0 + 1.0 / p for p in (3.0, 4.0, 8.0, 1e4))
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("family", range(6))
+def test_a_leaf_span_check_decides_every_band_end(monkeypatch, family, sign):
+    # the walk over every base at once checks a leaf it serves at two levels
+    # at most, the highest band top and the lowest band end of its bases.
+    # With one measurement of a leaf's step of largest ||y_n|| moved so that
+    # its test fails on the levels on one side of a cut (below the leaf's band
+    # ends, between its lowest two or its highest two, or above them), the
+    # walk raises exactly when checking the leaf at each band end of each
+    # base, as a walk per base did, would
+    base = random_martingale(triple_family(family), stream(57, family), sup_norm=2.5)
+    y = _fresh_copy(base if sign > 0 else -base)
+    ((*per_base,),) = grow_grids([y], _MOMENT_BASES)
+    ends = [level for B, bands in zip(_MOMENT_BASES, per_base) for level in _band_ends(bands, B)]
+    walk = lambda: cuculescu._walk([cuculescu._bands(y, _MOMENT_BASES, (y.N,))])
+    leaves = [node for node in _leaves(y) if any(node.seq.lo < e <= node.seq.hi for e in ends)]
+    checks = _counted_checks(monkeypatch)
+    walk()
+    monkeypatch.undo()
+    assert set(checks) <= set(ends) and len(checks) <= 2 * len(leaves) < len(ends)
+    outcomes = []
+    for leaf in leaves:
+        seq = leaf.seq
+        own = sorted({e for e in ends if seq.lo < e <= seq.hi})
+        n = max(range(y.N + 1), key=lambda n: seq.steps[n].norm[0])
+        step = seq.steps[n]
+        cuts = {own[0] / 2, math.sqrt(own[0] * own[1 % len(own)]),
+                math.sqrt(own[-2 % len(own)] * own[-1]), own[-1] * 2}
+        for field, (moved, _) in _MOVED.items():
+            for cut in cuts:
+                value = [moved(cut, step.norm[0])] + list(getattr(step, field)[1:])
+                steps = list(seq.steps)
+                steps[n] = dataclasses.replace(step, **{field: value})
+                leaf.seq = dataclasses.replace(seq, steps=tuple(steps))
+                try:
+                    walk()
+                    raised = False
+                except NumericalInstabilityError:
+                    raised = True
+                finally:
+                    moved_seq, leaf.seq = leaf.seq, seq
+                want = any(_raises(moved_seq, level) for level in own)
+                assert raised == want, (field, cut, own)
+                outcomes.append(want)
+    assert True in outcomes and False in outcomes
+
+
 def _gap(wm, p):
     """fubini_identity_gap of one weak maximal operator: a batch of one."""
     (gap,) = fubini_identity_gap([wm], p)
@@ -579,12 +638,17 @@ class TestCachedSequences:
         # group at one base in one staircase reduction, and every Fubini left
         # side of a group in one: 6 groups x 3 bases + 18, where one reduction
         # per sign made 54 and one per tree 378.  Each trial's martingale is a part
-        # of one group draw, whose final is rescaled from one solve, and a
+        # of one group draw, whose final is rescaled from one solve, and whose
+        # values and their negations are each solved once for the group; a
         # family's direct sum carries the eigenvalues its trials solved: at
-        # most 292 LAPACK eigvalsh calls (327 with a draw and a solve per trial)
+        # most 148 LAPACK eigvalsh calls (292 with a solve per trial and sign,
+        # 327 with a draw and a solve per trial).  Each tree's walk checks a
+        # leaf it serves at its highest band top and its lowest band end, for
+        # all three bases at once: 893 checks, where one per band end and base
+        # made 2,291
         import ncgl.cli as cli
 
-        counts = {"_staircases": 0, "eigvalsh": 0}
+        counts = {"_staircases": 0, "eigvalsh": 0, "_check_level": 0}
 
         def counted(name, fn):
             def call(*args, **kwargs):
@@ -594,12 +658,15 @@ class TestCachedSequences:
 
         monkeypatch.setattr(cuculescu, "_staircases",
                             counted("_staircases", cuculescu._staircases))
+        monkeypatch.setattr(cuculescu, "_check_level",
+                            counted("_check_level", cuculescu._check_level))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         rows, _ = cli.run(cli.ExperimentConfig(suite="moment", trials=42, seed=0,
                                                p_grid=(3.0, 4.0, 8.0)))
         assert len(rows) == 42 * 15
         assert counts["_staircases"] == 6 * 3 + 18
-        assert counts["eigvalsh"] <= 292
+        assert counts["eigvalsh"] <= 148
+        assert counts["_check_level"] == 893
 
     def test_work_counts_of_the_good_lambda_levels(self, monkeypatch):
         # perfbench's seed-0 goodlambda-levels pass (100 core trials, then 100
@@ -637,7 +704,9 @@ class TestCachedSequences:
     def test_peak_memory_of_the_moment_pass(self):
         # a family's 14 trees are alive at once, and a batch of steps holds
         # about ten operators of its size: the seed-0 moment-grid pass peaks
-        # at 1.23 MiB of traced memory (0.45 MiB one trial at a time)
+        # at 1.46 MiB of traced memory (1.52 MiB with each staircase's partial
+        # sums and a solve per trial and sign, 0.45 MiB one trial at a time),
+        # against 1.25 times the 1.23 MiB it read when the bound was set
         import tracemalloc
 
         from ncgl.cli import ExperimentConfig, run
@@ -1482,6 +1551,23 @@ class TestWeakMax:
                 assert gap == _gap(wm, p)
             assert gaps[-1] == 0.0 and _flat_bytes(wms[-1].operator) == \
                 _flat_bytes(filt.algebra.zero())
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 2), (3,)])
+    def test_staircases_add_each_sum_in_term_order(self, dims):
+        # sums of unequal length, padded in front and reduced as one stack, are
+        # each bit for bit their own `weighted_sum`, its terms added from 0 in
+        # order; among them a lone sum on one 1 x 1 block, whose stack NumPy
+        # would reduce pairwise along its one contiguous axis
+        alg = TracialAlgebra(dims, (1.0,) * len(dims))
+        rng = stream(73, len(dims))
+        for lengths in ((40,), (1, 13, 40)):
+            sums = [(list(rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)),
+                     [gaussian_hermitian(alg, rng) for _ in range(n)],
+                     [gaussian_hermitian(alg, rng) for _ in range(n)]) for n in lengths]
+            got = cuculescu._staircases(sums).parts(alg)
+            assert len(got) == len(sums)
+            for part, (w, a, b) in zip(got, sums):
+                assert _flat_bytes(part) == _flat_bytes(weighted_sum(w, a, b)), (dims, len(w))
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("family", range(6))

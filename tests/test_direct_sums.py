@@ -133,6 +133,38 @@ class TestDirectSumAlgebra:
         skew = alg.operator(full.stacks[0] * 1j)
         assert skew.hermitian is False and direct_sum([full, skew]).__dict__["hermitian"] is False
 
+    def test_parts_carry_the_sums_eigenvalues_and_flags(self, monkeypatch):
+        # an exactly diagonal part, an exactly Hermitian one, one Hermitian to
+        # rounding only and one not Hermitian, summed with and without the
+        # last two: each part reads its eigenvalues and its two Hermitian flags
+        # with no LAPACK call, each that of a fresh solve of the part, bit for
+        # bit; a flag the sum has holds for every part and is carried
+        alg, rng = triple_family(2).algebra, stream(72)  # four 2x2 blocks
+        diagonal = alg.operator(np.stack([np.diag(rng.standard_normal(2)) for _ in range(4)]))
+        exact = gaussian_hermitian(alg, rng)
+        rounded = alg.operator(exact.stacks[0] + 1e-14 * _gaussian_stacks(alg, rng)[0])
+        skew = alg.operator(_gaussian_stacks(alg, rng)[0])
+        assert rounded.hermitian and not rounded.exactly_hermitian and not skew.hermitian
+        for ops in ([diagonal, exact], [diagonal, exact, rounded, skew]):
+            total = alg.direct_sum(len(ops)).operator(np.concatenate([op.stacks[0] for op in ops]))
+            total.hermitian, total.eigenvalues
+            calls = []
+            for name in ("eigh", "eigvalsh"):
+                monkeypatch.setattr(np.linalg, name, lambda *args, **kw: calls.append(args))
+            parts = total.parts(alg)
+            carried = [{f for f in ("hermitian", "exactly_hermitian") if f in part.__dict__}
+                       for part in parts]
+            solved = [(part.eigenvalues[0].tobytes(), part.hermitian, part.exactly_hermitian)
+                      for part in parts]
+            assert calls == []
+            monkeypatch.undo()
+            fresh = [alg.operator(op.stacks[0].copy()) for op in ops]
+            assert solved == [(op.eigenvalues[0].tobytes(), op.hermitian, op.exactly_hermitian)
+                              for op in fresh]
+            assert carried == [{f for f in ("hermitian", "exactly_hermitian")
+                                if total.__dict__.get(f)}] * len(ops)
+        assert carried == [set()] * 4
+
     @settings(max_examples=30, derandomize=True)
     @given(st.integers(0, 10_000), st.sampled_from([1, 2, 12]))
     def test_summand_views_invert_each_other(self, seed, copies):
@@ -224,6 +256,32 @@ class TestGroupDraws:
         unscaled = random_martingales(filt, [stream(98, i) for i in trials])
         for i, y in zip(trials, unscaled):
             assert self._bytes(y) == self._bytes(per_trial_martingale(filt, stream(98, i)))
+
+    @pytest.mark.parametrize("family", range(len(FAMILY_TEMPLATES)))
+    def test_a_group_draw_solves_each_value_once_per_sign(self, family, monkeypatch):
+        # every value of the group sum, and of its negation, is solved with the
+        # draw: each trial's values and those of its negation, the part of the
+        # sum's, read their eigenvalues, flags and sup norms with no LAPACK
+        # call, each those of a fresh solve, bit for bit
+        filt = triple_family(family)
+        rngs = [stream(95, family, i) for i in range(4)]
+        group = random_martingales(filt, rngs, [float(rng.uniform(0.5, 4.0)) for rng in rngs])
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, **kw: calls.append(args))
+        signs = [m for y in group for m in (y, -y)]
+        solved = [[(v.eigenvalues[0].tobytes(), v.hermitian) for v in m.values] for m in signs]
+        sups = [m.sup_norm for m in signs]
+        assert calls == []
+        monkeypatch.undo()
+        for m, got, sup in zip(signs, solved, sups):
+            fresh = Martingale(filt, tuple(filt.algebra.operator(v.stacks[0].copy())
+                                           for v in m.values), m.diffs)
+            assert got == [(v.eigenvalues[0].tobytes(), v.hermitian) for v in fresh.values]
+            assert sup == fresh.sup_norm
+        for y in group:
+            assert all(np.array_equal(a.stacks[0], -b.stacks[0])
+                       for a, b in zip((-y).values, y.values))
 
     @pytest.mark.parametrize("filt", [make_filtration("corner", dim=3),
                                       make_filtration("trivial_full", dims=(1, 2, 3))],

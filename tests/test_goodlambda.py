@@ -364,6 +364,42 @@ def _all_passed(reps):
 
 
 class TestMomentVerification:
+    def test_a_repeated_base_is_walked_and_summed_once(self, monkeypatch):
+        # three seed-0 moment trials, one per group, at B = 1.5: the p grid
+        # {3, 4, 8} grows, walks and sums its one base once, as p = 3 alone
+        # does, with 51 checks (153 with a walk per p) and one a_N^± reduction
+        # per group (three with one per p) besides each p's Fubini reduction;
+        # each p's rows are those of a call at that p alone, bit for bit
+        import ncgl.cli as cli
+        import ncgl.cuculescu as cuculescu
+
+        counts = {"_check_level": 0, "_staircases": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(cuculescu, name, counted(name, getattr(cuculescu, name)))
+
+        def rows(p_grid):
+            counts.update(dict.fromkeys(counts, 0))
+            got, _ = cli.run(cli.ExperimentConfig(suite="moment", trials=3, seed=0,
+                                                  p_grid=p_grid, B=1.5))
+            return [repr(row) for row in got], dict(counts)
+
+        grid, grid_counts = rows((3.0, 4.0, 8.0))
+        alone, alone_counts = rows((3.0,))
+        assert grid_counts == {"_check_level": 51, "_staircases": 3 * (1 + 3)}
+        assert alone_counts == {"_check_level": 51, "_staircases": 3 * (1 + 1)}
+        for j, p in enumerate((3.0, 4.0, 8.0)):
+            lone = alone if p == 3.0 else rows((p,))[0]
+            for trial in range(3):
+                assert grid[15 * trial + 5 * j:15 * trial + 5 * j + 5] == \
+                    lone[5 * trial:5 * trial + 5], (p, trial)
+
     def test_zero_martingale(self):
         filt = triple_family(4)
         zero = martingale_from_final(filt, filt.algebra.zero())
@@ -494,6 +530,23 @@ class TestHypothesisStatus:
                  moment.moment_simplified]
         assert calls == [t]
         assert {r.meta["hypothesis"] for r in reps} == {"strong-pass"}
+
+    def test_labels_at_another_level_are_computed_once_per_grid(self, monkeypatch):
+        # verify_tail at a level other than 1 labels the reports of every beta
+        # from one hypothesis_status call at that level (one per beta before)
+        import ncgl.goodlambda as gl
+
+        levels, original = [], gl.hypothesis_status
+
+        def counted(t, level=1.0):
+            levels.append(level)
+            return original(t, level)
+
+        monkeypatch.setattr(gl, "hypothesis_status", counted)
+        t = Triple(*strong_triple_parts(triple_family(1), stream(80)))
+        by_beta = verify_tail(t, (1.5, 2.0, 4.0), 0.5)
+        assert levels == [0.5] and len(by_beta) == 3
+        assert {rep.meta["hypothesis"] for reps in by_beta for rep in reps} == {"strong-pass"}
 
     def test_squares_formed_once_per_triple(self, monkeypatch):
         from ncgl.opalgebra import Operator

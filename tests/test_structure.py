@@ -2,11 +2,12 @@
 apart from any listed, Hermitian eigensolves run only in the listed kernels, no
 opalgebra function steps through a stack in slices, a direct sum is split one
 way and laid out by its algebra alone, failed batch work is let go in one
-place and no exception is kept, Cuculescu trees are grown for a grid only
-by the verifiers that read them, only the listed modules draw random
-instances, no module keeps context-variable state, every suite maps a group
-of trials to each trial's rows, and every public name is used in the package
-or a demo, or listed."""
+place and no exception is kept, a Cuculescu leaf is checked once per span of
+the band walk, Cuculescu trees are grown for a grid only by the verifiers
+that read them, only the listed modules draw random instances, no module
+keeps context-variable state, every suite maps a group of trials to each
+trial's rows, and every public name is used in the package or a demo, or
+listed."""
 
 import ast
 import pathlib
@@ -165,6 +166,32 @@ def test_only_the_verifiers_grow_trees_for_a_grid():
     naming = {path.stem for path in sorted(SRC.glob("*.py"))
               if "grow_grids" in set(_names(ast.parse(path.read_text(), str(path))))}
     assert naming == {"cuculescu", "goodlambda"}
+
+
+def _checks_a_level(node):
+    """A call of `_check_level`."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_level"
+
+
+def _loops_around_checks(func):
+    """The number of loops around each `_check_level` call in `func`."""
+    def visit(node, depth):
+        if _checks_a_level(node):
+            yield depth
+        inner = depth + isinstance(node, (ast.For, ast.While, ast.comprehension))
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, inner)
+    return list(visit(func, 0))
+
+
+def test_a_leaf_is_checked_once_per_span():
+    # a query checks the level it returns, and the band walk a leaf it serves
+    # at its highest band top and lowest band end, for every base at once:
+    # no loop over the bases checks a leaf again
+    assert set(_sites(_checks_a_level)) == {("cuculescu", "_bands"), ("cuculescu", "cuculescu_r")}
+    tree = ast.parse((SRC / "cuculescu.py").read_text())
+    (bands,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_bands")
+    assert _loops_around_checks(bands) == [1, 1]
 
 
 # every verifier computes what it checks, so it draws no random numbers
